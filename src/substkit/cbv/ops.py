@@ -14,6 +14,7 @@ import itertools
 
 from ..signatures import Argument, Operator
 from ..sorts import Context, first, second
+from ..terms import split_top
 from .types import (DepthExceeded, Fun, FragmentConfig, NAT, Record, TypeExpr,
                     Variant, fun, is_context_row, is_done_cont_shape,
                     is_maybe_shape, maybe_shape, done_cont_shape, parse_type,
@@ -26,36 +27,9 @@ class DisabledConstruct(Exception):
         self.family = family
 
 
-def _split_params(text: str) -> list[str]:
-    parts, depth, cur = [], 0, []
-    for ch in text:
-        if ch in "({<":
-            depth += 1
-        elif ch in ")}>":
-            depth -= 1
-        if ch == ";" and depth == 0:
-            parts.append("".join(cur))
-            cur = []
-        else:
-            cur.append(ch)
-    parts.append("".join(cur))
-    return parts
-
-
-def _split_commas(text: str) -> list[str]:
-    parts, depth, cur = [], 0, []
-    for ch in text:
-        if ch in "({<":
-            depth += 1
-        elif ch in ")}>":
-            depth -= 1
-        if ch == "," and depth == 0:
-            parts.append("".join(cur))
-            cur = []
-        else:
-            cur.append(ch)
-    parts.append("".join(cur))
-    return [p for p in parts if p]
+def _types_text(text: str) -> list[str]:
+    """The non-empty comma-separated entries of a type list in a label."""
+    return [p for p in split_top(text, ",") if p]
 
 
 def record_allowed(cfg: FragmentConfig, row: tuple) -> bool:
@@ -147,12 +121,9 @@ class CbvOperatorTable:
                             [Argument(Context(()), second(fun(dom, cod))),
                              Argument(Context(()), second(dom))])
 
-    def _record_allowed(self, row: tuple) -> bool:
-        return record_allowed(self.cfg, row)
-
     def vrec(self, row: tuple) -> Operator:
         t = record(row)
-        if not self._record_allowed(t.row):
+        if not record_allowed(self.cfg, t.row):
             raise DisabledConstruct("record value", self.cfg)
         self._check_type(t)
         label = f"vrec<{type_to_label(t)}>"
@@ -161,7 +132,7 @@ class CbvOperatorTable:
 
     def rec(self, row: tuple) -> Operator:
         t = record(row)
-        if not self._record_allowed(t.row):
+        if not record_allowed(self.cfg, t.row):
             raise DisabledConstruct("record term", self.cfg)
         self._check_type(t)
         label = f"rec<{type_to_label(t)}>"
@@ -180,12 +151,9 @@ class CbvOperatorTable:
                             [Argument(Context(()), second(t)),
                              Argument(binder, second(result))])
 
-    def _variant_allowed(self, t: Variant) -> bool:
-        return variant_allowed(self.cfg, t)
-
     def vinj(self, row: tuple, tag: str) -> Operator:
         t = variant_of(row)
-        if not self._variant_allowed(t):
+        if not variant_allowed(self.cfg, t):
             raise DisabledConstruct("variant value", self.cfg)
         self._check_type(t)
         label = f"vinj<{type_to_label(t)};{tag}>"
@@ -195,7 +163,7 @@ class CbvOperatorTable:
 
     def inj(self, row: tuple, tag: str) -> Operator:
         t = variant_of(row)
-        if not self._variant_allowed(t):
+        if not variant_allowed(self.cfg, t):
             raise DisabledConstruct("variant term", self.cfg)
         self._check_type(t)
         label = f"inj<{type_to_label(t)};{tag}>"
@@ -300,46 +268,46 @@ class CbvOperatorTable:
         if name == "val":
             return self.val(parse_type(body))
         if name == "let":
-            bound_text, res = _split_params(body)
-            return self.let(tuple(parse_type(t) for t in _split_commas(bound_text)),
+            bound_text, res = split_top(body, ";")
+            return self.let(tuple(parse_type(t) for t in _types_text(bound_text)),
                             parse_type(res))
         if name == "lam":
-            d, c = _split_params(body)
+            d, c = split_top(body, ";")
             return self.lam(parse_type(d), parse_type(c))
         if name == "app":
-            d, c = _split_params(body)
+            d, c = split_top(body, ";")
             return self.app(parse_type(d), parse_type(c))
         if name == "vrec":
             return self.vrec(parse_type(body).row)
         if name == "rec":
             return self.rec(parse_type(body).row)
         if name == "recmatch":
-            t, res = _split_params(body)
+            t, res = split_top(body, ";")
             return self.recmatch(parse_type(t).row, parse_type(res))
         if name == "vinj":
-            t, tag = _split_params(body)
+            t, tag = split_top(body, ";")
             return self.vinj(parse_type(t).row, tag)
         if name == "inj":
-            t, tag = _split_params(body)
+            t, tag = split_top(body, ";")
             return self.inj(parse_type(t).row, tag)
         if name == "vmatch":
-            t, res = _split_params(body)
+            t, res = split_top(body, ";")
             return self.vmatch(parse_type(t).row, parse_type(res))
         if name == "lit":
             return self.lit(int(body))
         if name == "natfold":
             return self.natfold(parse_type(body))
         if name == "for":
-            s, r = _split_params(body)
+            s, r = split_top(body, ";")
             return self.forloop(parse_type(s), parse_type(r))
         if name == "letrec":
-            *defs_text, res = _split_params(body)
-            defs_text = ";".join(defs_text)
+            *defs_text, res = split_top(body, ";")
             defs = []
-            for part in _split_commas(defs_text):
-                assert part.startswith("(") and part.endswith(")")
-                params_text, ret = _split_params(part[1:-1])
-                params = tuple(parse_type(t) for t in _split_commas(params_text))
+            for part in _types_text(";".join(defs_text)):
+                if not (part.startswith("(") and part.endswith(")")):
+                    raise KeyError(label)
+                params_text, ret = split_top(part[1:-1], ";")
+                params = tuple(parse_type(t) for t in _types_text(params_text))
                 defs.append((params, parse_type(ret)))
             return self.letrec(tuple(defs), parse_type(res))
         raise KeyError(label)
@@ -414,6 +382,3 @@ def variant_of(row) -> Variant:
     from .types import variant
     return row if isinstance(row, Variant) else variant(row)
 
-
-def build_operator_table(cfg: FragmentConfig) -> CbvOperatorTable:
-    return CbvOperatorTable(cfg)

@@ -282,9 +282,6 @@ class TypeUniverse:
     def __init__(self, cfg: FragmentConfig):
         self.cfg = cfg
 
-    def valid(self, t: TypeExpr) -> bool:
-        return valid_type(t, self.cfg)
-
     @functools.lru_cache(maxsize=None)
     def _types_upto(self, depth: int) -> tuple:
         cfg = self.cfg
@@ -457,10 +454,17 @@ def parse_type(text: str) -> TypeExpr:
     return t
 
 
-def config_to_dict(cfg: FragmentConfig) -> dict:
-    return {"extensions": sorted(cfg.extensions),
-            "base_types": list(cfg.base_types),
-            "nat_bound": cfg.nat_bound, "type_depth": cfg.type_depth}
+def parse_fragment(text: str, nat_bound: int, base_types=("b",),
+                   type_depth: int = 3) -> FragmentConfig:
+    """A configuration from 'base', 'full', or a list like 'sequential,functions'."""
+    text = text.strip()
+    if text in ("base", ""):
+        exts = ()
+    elif text == "full":
+        exts = EXTENSIONS
+    else:
+        exts = tuple(p.strip() for p in text.replace("+", ",").split(",") if p.strip())
+    return config(exts, base_types, nat_bound, type_depth)
 
 
 def config_from_dict(data: dict) -> FragmentConfig:

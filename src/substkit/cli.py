@@ -10,6 +10,7 @@ given the seed; ``SUBSTKIT_REPORT_DIR`` sets the default report directory.
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import os
 import sys
@@ -18,23 +19,20 @@ from .cbv.ops import CbvOperatorTable, DisabledConstruct
 from .cbv.surface import SurfaceSyntaxError, parse, parse_value, pretty
 from .cbv.typecheck import (ArityMismatch, SortMismatch, UnknownVariable,
                             synthesize, typecheck)
-from .cbv.types import (EXTENSIONS, DepthExceeded, FragmentConfig, Fulfillment,
-                        NeedUnfulfilled, all_fragment_configs, config,
-                        config_from_dict, parse_type, type_to_str)
+from .cbv.types import (EXTENSIONS, DepthExceeded, Fulfillment, NeedUnfulfilled,
+                        all_fragment_configs, config_from_dict, parse_fragment,
+                        parse_type, type_to_str)
 from .report import Report
-from .semantics.checks import (check_compatibility, check_elgot_against_unrolling,
-                               check_kleene_properties, check_letrec_references,
-                               check_sem_action_axioms,
-                               check_substitution_lemma_exhaustive,
-                               check_substitution_lemma_random)
 from .semantics.denote import denote
 from .semantics.model import model, subst_denotation
-from .semantics.monads import (BUNDLED, UnsupportedCapability, check_monad_laws,
-                               monad_by_name)
+from .semantics.monads import BUNDLED, UnsupportedCapability, monad_by_name
 from .sorts import Context, first, second
-from .suites import (check_meta_laws, check_term_laws,
-                     run_meta_laws_all_fragments, run_term_laws_all_fragments)
-from .terms import SubstEnv, substitute
+from .suites import SUITES
+from .terms import SubstEnv, split_top, substitute
+
+# Malformed input: each ends the command with exit 1 and one ``error:`` line.
+INPUT_ERRORS = (ValueError, OSError, UnknownVariable, SortMismatch,
+                ArityMismatch, NeedUnfulfilled, DisabledConstruct, DepthExceeded)
 
 MODEL_NEEDS = {
     "base": "strong monad over a Cartesian category",
@@ -48,50 +46,20 @@ MODEL_NEEDS = {
 }
 
 
-def parse_fragment(text: str, nat_bound: int, base_types=("b",),
-                   type_depth: int = 3) -> FragmentConfig:
-    text = text.strip()
-    if text in ("base", ""):
-        exts = ()
-    elif text == "full":
-        exts = EXTENSIONS
-    else:
-        exts = tuple(p.strip() for p in text.replace("+", ",").split(",") if p.strip())
-    return config(exts, base_types, nat_bound, type_depth)
-
-
 def parse_context(text: str):
     names, types = [], []
     text = text.strip()
     if text:
-        for part in _split_commas_top(text):
+        for part in (p for p in split_top(text, ",") if p.strip()):
             name, _, ty = part.partition(":")
             names.append(name.strip())
             types.append(parse_type(ty.strip()))
     return names, Context(tuple(types))
 
 
-def _split_commas_top(text: str):
-    parts, depth, cur = [], 0, []
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if text.startswith("->", i):
-            cur.append("->")
-            i += 2
-            continue
-        if ch in "({<":
-            depth += 1
-        elif ch in ")}>":
-            depth -= 1
-        if ch == "," and depth == 0:
-            parts.append("".join(cur))
-            cur = []
-        else:
-            cur.append(ch)
-        i += 1
-    parts.append("".join(cur))
-    return [p for p in parts if p.strip()]
+def _read(path: str) -> str:
+    with open(path) as fh:
+        return fh.read()
 
 
 def build_model(args):
@@ -99,14 +67,18 @@ def build_model(args):
     sizes = {}
     params = {}
     if getattr(args, "model", None):
-        spec = json.load(open(args.model))
+        spec = json.loads(_read(args.model))
         monad_name = spec.get("monad", monad_name)
         sizes.update(spec.get("base_sizes", {}))
         params.update(spec.get("monad_params", {}))
     for item in (args.base_size or []):
         name, _, n = item.partition("=")
+        if not n.strip().isdigit():
+            raise ValueError(f"--base-size expects NAME=SIZE, got {item!r}")
         sizes[name.strip()] = int(n)
     sizes = sizes or {"b": 2}
+    if monad_name not in BUNDLED:
+        raise ValueError(f"unknown monad {monad_name!r}")
     kwargs = {}
     if monad_name == "exception":
         kwargs["exceptions"] = tuple(
@@ -119,7 +91,7 @@ def build_model(args):
 
 def _elaborate(args, text):
     if getattr(args, "fragment_config", None):
-        cfg = config_from_dict(json.load(open(args.fragment_config)))
+        cfg = config_from_dict(json.loads(_read(args.fragment_config)))
     else:
         cfg = parse_fragment(args.fragment, args.nat_bound,
                              tuple((args.base_types or "b").split(",")),
@@ -143,15 +115,6 @@ def _elaborate(args, text):
     return cfg, table, ctx, term, sort
 
 
-def _print_table(d, args):
-    if args.at is not None:
-        point = tuple(_parse_value(v) for v in _split_commas_top(args.at))
-        print(f"{point!r} -> {d.at(point)!r}")
-        return
-    for p in d.space:
-        print(f"{p!r} -> {d.at(p)!r}")
-
-
 def _parse_value(text: str):
     text = text.strip()
     return int(text) if text.lstrip("-").isdigit() else text
@@ -159,16 +122,25 @@ def _parse_value(text: str):
 
 def cmd_run(args) -> int:
     try:
-        text = open(args.program).read() if args.program != "-" else sys.stdin.read()
+        text = _read(args.program) if args.program != "-" else sys.stdin.read()
         cfg, table, ctx, term, sort = _elaborate(args, text)
-    except (SurfaceSyntaxError, UnknownVariable, SortMismatch, ArityMismatch,
-            NeedUnfulfilled, DisabledConstruct, DepthExceeded, OSError) as e:
+        m = build_model(args)
+    except INPUT_ERRORS as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
     print(f"sort: {'C ' if not sort.is_first else ''}{type_to_str(sort.ident)}")
     try:
-        d = denote(term, build_model(args), cfg, table)
-        _print_table(d, args)
+        d = denote(term, m, cfg, table)
+        points = d.space
+        if args.at is not None:
+            points = [tuple(_parse_value(v) for v in split_top(args.at, ",")
+                            if v.strip())]
+            if points[0] not in d.space:
+                print(f"error: --at {args.at!r} is not a point of the context",
+                      file=sys.stderr)
+                return 1
+        for p in points:
+            print(f"{p!r} -> {d.at(p)!r}")
     except UnsupportedCapability as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
@@ -177,8 +149,9 @@ def cmd_run(args) -> int:
 
 def cmd_subst(args) -> int:
     try:
-        cfg, table, ctx, term, sort = _elaborate(args, open(args.term).read())
-        lines = [l for l in open(args.subst).read().splitlines()
+        cfg, table, ctx, term, sort = _elaborate(args, _read(args.term))
+        m = build_model(args) if args.monad else None
+        lines = [l for l in _read(args.subst).splitlines()
                  if l.strip() and not l.strip().startswith("--")]
         if not lines or not lines[0].startswith("target"):
             print("error: substitution file must start with a 'target' line",
@@ -199,15 +172,13 @@ def cmd_subst(args) -> int:
             entries.append(typecheck(assignment[name], tctx, first(ty), cfg,
                                      table, tnames or None))
         env = SubstEnv(ctx, tctx, entries)
-    except (SurfaceSyntaxError, UnknownVariable, SortMismatch, ArityMismatch,
-            NeedUnfulfilled, DisabledConstruct, DepthExceeded, OSError) as e:
+    except INPUT_ERRORS as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
     out = substitute(term, env)
     print(pretty(out, table))
-    if args.monad:
+    if m is not None:
         try:
-            m = build_model(args)
             lhs = denote(out, m, cfg, table)
             sem = [denote(e, m, cfg, table) for e in env.entries]
             rhs = subst_denotation(denote(term, m, cfg, table), sem, m,
@@ -248,158 +219,15 @@ def cmd_fragments(args) -> int:
     return 0
 
 
-SUITES = ("term-laws", "meta-laws", "presheaf-laws", "skew", "pointed",
-          "monad-laws", "compatibility", "subst-lemma", "all")
-
-
-def _suite_presheaf(args, rep: Report):
-    import random
-    from .finpresheaf import (check_action_axioms, free_structure, tensor)
-    from .finpresheaf.laws import check_shift_strength, pointed_free
-    from .finpresheaf.structures import enumerate_renamings, enumerate_envs, reindex_env
-    from .termstruct import cbv_term_structure, motivating_identifications
-    for i in range(args.structures):
-        rng = random.Random(args.seed + i)
-        p = free_structure(rng, (second("k"),), ("a",), 2,
-                           ensure=[(second("k"), Context(()))])
-        q = free_structure(rng, (first("a"),), ("a",), 2,
-                           ensure=[(first("a"), Context(("a",)))])
-        l = free_structure(rng, (first("a"),), ("a",), 2,
-                           ensure=[(first("a"), Context(("a",)))])
-        check_action_axioms(p, q, l, report=rep, suite=f"presheaf[{i}]")
-        check_shift_strength(p, Context(("a",)), pointed_free(rng, ("a",), 2),
-                             pointed_free(rng, ("a",), 2), report=rep,
-                             suite=f"strength[{i}]")
-    # the coend quotient on the term structure
-    P, Q, table = cbv_term_structure()
-    t = tensor(P, Q)
-    ok = all(t.class_of(s, amb, left) == t.class_of(s, amb, right)
-             for s, amb, left, right in motivating_identifications(table))
-    rep.record("coend", "the three motivating identifications merge", ok, None)
-    rng = random.Random(args.seed)
-    ctxs = P.contexts()
-    confirmed = 0
-    while confirmed < 100:
-        g1, g2, amb = (rng.choice(ctxs) for _ in range(3))
-        rhos = enumerate_renamings(g1, g2)
-        s = rng.choice(P.sorts)
-        if not rhos or not P.cell(s, g2):
-            continue
-        envs = list(enumerate_envs(Q, g1, amb))
-        if not envs:
-            continue
-        rho, elem, env = rng.choice(rhos), rng.choice(P.cell(s, g2)), rng.choice(envs)
-        left = (g1.entries, P.act(s, rho, elem), env)
-        right = (g2.entries, elem, reindex_env(env, rho))
-        if t.class_of(s, amb, left) != t.class_of(s, amb, right):
-            rep.record("coend", "random generator pairs symmetric", False,
-                       f"{rho!r} on {elem!r}")
-            return
-        confirmed += 1
-    rep.record("coend", f"random generator pairs symmetric ({confirmed})", True, None)
-
-
-def _suite_skew(args, rep: Report):
-    import random
-    from .finpresheaf import PairObject, check_skew, free_structure
-    for i in range(args.structures):
-        rng = random.Random(args.seed + i)
-
-        def pair():
-            return PairObject(
-                free_structure(rng, (first("a"),), ("a",), 2,
-                               ensure=[(first("a"), Context(("a",)))]),
-                free_structure(rng, (second("k"),), ("a",), 2,
-                               ensure=[(second("k"), Context(()))]))
-
-        check_skew(("a",), ("k",), 2, [pair() for _ in range(4)], report=rep,
-                   suite=f"skew[{i}]")
-
-
-def _suite_pointed(args, rep: Report):
-    import random
-    from .finpresheaf import check_pointed_tensor
-    from .finpresheaf.laws import pointed_free, pointed_variables
-    for i in range(args.structures):
-        rng = random.Random(args.seed + i)
-        check_pointed_tensor(pointed_free(rng, ("a",), 2),
-                             pointed_free(rng, ("a",), 2), report=rep,
-                             suite=f"pointed[{i}]")
-    check_pointed_tensor(pointed_variables(("a",), 2),
-                         pointed_free(random.Random(args.seed), ("a",), 2),
-                         report=rep, suite="pointed[variables]")
-
-
-def _suite_monads(args, rep: Report):
-    names = [args.monad] if args.monad else list(BUNDLED)
-    for name in names:
-        check_monad_laws(monad_by_name(name), report=rep, seed=args.seed)
-
-
-def _suite_compat(args, rep: Report):
-    from .semantics.monads import IdentityMonad, OptionMonad
-    for fragment, exts in (("base", ()), ("sequential", ("sequential",)),
-                           ("functions", ("functions",))):
-        for mon in (IdentityMonad(), OptionMonad()):
-            cfg = config(exts, ("b",))
-            check_compatibility(fragment, model(mon, {"b": 2}), cfg,
-                                seed=args.seed, report=rep)
-    check_sem_action_axioms(model(monad_by_name("option"), {"b": 2}),
-                            config(("sequential",), ("b",)), seed=args.seed,
-                            report=rep)
-
-
-def _suite_subst_lemma(args, rep: Report):
-    from .semantics.monads import IdentityMonad, OptionMonad
-    exhaustive = [((), 3), (("sequential",), 3), (("functions",), 2),
-                  (("sequential", "functions"), 2)]
-    small = {frozenset(e) for e, _ in exhaustive}
-    for exts, size in exhaustive:
-        for mon in (IdentityMonad(), OptionMonad()):
-            check_substitution_lemma_exhaustive(
-                config(exts, ("b",)), model(mon, {"b": size}), report=rep)
-    mdl = model(monad_by_name("option"), {"b": 2})
-    for i, cfg in enumerate(all_fragment_configs(("b",), nat_bound=4)):
-        if cfg.extensions in small:
-            continue
-        check_substitution_lemma_random(cfg, mdl, seed=args.seed + i,
-                                        count=args.count, report=rep)
-    check_elgot_against_unrolling(mdl, seed=args.seed, report=rep)
-    check_letrec_references(report=rep)
-    check_kleene_properties(args.seed, report=rep)
-
-
 def cmd_check(args) -> int:
     rep = Report()
-    suite = args.suite
-    if suite in ("term-laws", "all"):
-        if args.all_fragments or suite == "all":
-            rep.extend(run_term_laws_all_fragments(args.seed, args.count,
-                                                   args.depth, args.ctx_bound,
-                                                   nat_bound=args.nat_bound))
-        else:
-            cfg = parse_fragment(args.fragment, args.nat_bound)
-            check_term_laws(cfg, args.seed, args.count, args.depth,
-                            args.ctx_bound, report=rep)
-    if suite in ("meta-laws", "all"):
-        if args.all_fragments or suite == "all":
-            rep.extend(run_meta_laws_all_fragments(args.seed, args.count,
-                                                   nat_bound=args.nat_bound))
-        else:
-            cfg = parse_fragment(args.fragment, args.nat_bound)
-            check_meta_laws(cfg, args.seed, args.count, report=rep)
-    if suite in ("presheaf-laws", "all"):
-        _suite_presheaf(args, rep)
-    if suite in ("skew", "all"):
-        _suite_skew(args, rep)
-    if suite in ("pointed", "all"):
-        _suite_pointed(args, rep)
-    if suite in ("monad-laws", "all"):
-        _suite_monads(args, rep)
-    if suite in ("compatibility", "all"):
-        _suite_compat(args, rep)
-    if suite in ("subst-lemma", "all"):
-        _suite_subst_lemma(args, rep)
+    every = args.all_fragments or args.suite == "all"
+    options = dict(vars(args), fragment=None if every else args.fragment)
+    for name in SUITES if args.suite == "all" else (args.suite,):
+        for part in SUITES[name]:
+            # each part takes the check options its signature names
+            wanted = inspect.signature(part).parameters
+            part(rep, **{k: v for k, v in options.items() if k in wanted})
 
     text = rep.to_text()
     print(text)
@@ -451,7 +279,7 @@ def main(argv=None) -> int:
     p.set_defaults(fn=cmd_subst)
 
     p = sub.add_parser("check", help="run a law suite")
-    p.add_argument("suite", choices=SUITES)
+    p.add_argument("suite", choices=[*SUITES, "all"])
     p.add_argument("--fragment", default="base")
     p.add_argument("--all-fragments", action="store_true")
     p.add_argument("--seed", type=int, default=0)

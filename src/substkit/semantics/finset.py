@@ -103,6 +103,10 @@ class ProductSpace:
             raise EnumerationTooLarge(f"product of size {self.size}")
         return iter(itertools.product(*[tuple(s) for s in self.components]))
 
+    def __contains__(self, point):
+        return (isinstance(point, tuple) and len(point) == len(self.components)
+                and all(v in s for v, s in zip(point, self.components)))
+
     def first(self):
         return tuple(next(iter(s)) for s in self.components)
 

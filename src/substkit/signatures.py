@@ -97,13 +97,6 @@ class OperatorTable:
             merged.add(op)
         return merged
 
-    def to_records(self) -> list[dict]:
-        return [{"label": op.label,
-                 "result": repr(op.result_sort),
-                 "args": [{"binder": [repr(e) for e in a.binder.entries],
-                           "sort": repr(a.sort)} for a in op.args]}
-                for op in self]
-
 
 # --- signature combinator expressions -------------------------------------
 #

@@ -203,12 +203,3 @@ def pair_renamings(f: Renaming, g: Renaming) -> Renaming:
 def vars_of_sort(ctx: Context, sort_ident: Hashable) -> list[int]:
     """The positions of ``ctx`` carrying the given first-class sort, ascending."""
     return [i for i, e in enumerate(ctx.entries) if e == sort_ident]
-
-
-def system_to_dict(system: SortingSystem) -> dict:
-    return {"fst_sorts": [str(s) for s in system.fst_sorts],
-            "snd_sorts": [str(s) for s in system.snd_sorts]}
-
-
-def context_to_list(ctx: Context) -> list:
-    return [str(e) for e in ctx.entries]

@@ -1,9 +1,10 @@
-"""Seeded law suites over the fragment configurations.
+"""Seeded law suites and the registry that ``substkit check`` runs.
 
-These drive the term-level and metavariable law checks across fragment
-configurations (all 128 by default), plus the aggregate dispatch the
-command-line ``check`` command uses.  Everything is deterministic given the
-seed; reports carry one record per (config, law).
+``SUITES`` maps each ``check`` name to its parts, run in order; the acceptance
+tests call the same parts at their own seed and sizes.  Everything is
+deterministic given the seed; reports carry one record per (config, law).
+Parts import the semantic and presheaf layers when they run, so importing
+this module stays cheap.
 """
 
 from __future__ import annotations
@@ -12,8 +13,9 @@ import random
 
 from .cbv.gen import TermGen
 from .cbv.ops import CbvOperatorTable
-from .cbv.types import FragmentConfig, all_fragment_configs
+from .cbv.types import FragmentConfig, all_fragment_configs, config, parse_fragment
 from .report import Report
+from .sorts import Context, first, second
 from .terms import (MetaSubst, Var, compose_meta_subst, compose_subst,
                     identity_env, identity_meta_subst, meta_substitute,
                     substitute, substitute_direct)
@@ -107,19 +109,178 @@ def check_meta_laws(cfg: FragmentConfig, seed: int, count: int = 200,
     return rep
 
 
-def run_term_laws_all_fragments(seed: int, count: int = 200, depth: int = 4,
-                                ctx_bound: int = 3, base_types=("b", "c"),
-                                nat_bound: int = 4) -> Report:
-    rep = Report()
-    for i, cfg in enumerate(all_fragment_configs(base_types, nat_bound)):
+# --- the registry -------------------------------------------------------------
+
+def _configs(fragment: str | None, nat_bound: int) -> list[FragmentConfig]:
+    """One parsed fragment, or all 128 configurations over two base types."""
+    if fragment is None:
+        return all_fragment_configs(("b", "c"), nat_bound)
+    return [parse_fragment(fragment, nat_bound)]
+
+
+def term_laws(rep: Report, seed: int, count: int, depth: int = 4,
+              ctx_bound: int = 3, nat_bound: int = 4,
+              fragment: str | None = None) -> None:
+    for i, cfg in enumerate(_configs(fragment, nat_bound)):
         check_term_laws(cfg, seed + i, count, depth, ctx_bound, report=rep)
-    return rep
 
 
-def run_meta_laws_all_fragments(seed: int, count: int = 200, depth: int = 3,
-                                ctx_bound: int = 3, base_types=("b", "c"),
-                                nat_bound: int = 4) -> Report:
-    rep = Report()
-    for i, cfg in enumerate(all_fragment_configs(base_types, nat_bound)):
-        check_meta_laws(cfg, seed + i, count, depth, ctx_bound, report=rep)
-    return rep
+def meta_laws(rep: Report, seed: int, count: int, nat_bound: int = 4,
+              fragment: str | None = None) -> None:
+    for i, cfg in enumerate(_configs(fragment, nat_bound)):
+        check_meta_laws(cfg, seed + i, count, report=rep)
+
+
+def _homogeneous(rng):
+    """A seeded free structure at the first-class sort a."""
+    from .finpresheaf import free_structure
+    return free_structure(rng, (first("a"),), ("a",), 2,
+                          ensure=[(first("a"), Context(("a",)))])
+
+
+def _computations(rng):
+    """A seeded free structure at the second-class sort k."""
+    from .finpresheaf import free_structure
+    return free_structure(rng, (second("k"),), ("a",), 2,
+                          ensure=[(second("k"), Context(()))])
+
+
+def presheaf_laws(rep: Report, seed: int, structures: int) -> None:
+    """Actegory axioms and the shift strength on seeded free structures."""
+    from .finpresheaf import check_action_axioms
+    from .finpresheaf.laws import check_shift_strength, pointed_free
+    for i in range(structures):
+        rng = random.Random(seed + i)
+        p = _computations(rng)
+        q, l = _homogeneous(rng), _homogeneous(rng)
+        check_action_axioms(p, q, l, report=rep, suite=f"presheaf[{i}]")
+        check_shift_strength(p, Context(("a",)), pointed_free(rng, ("a",), 2),
+                             pointed_free(rng, ("a",), 2), report=rep,
+                             suite=f"strength[{i}]")
+
+
+def coend_quotient(rep: Report, seed: int) -> None:
+    """The three motivating identifications, then 100 random generator pairs
+    (rho acting on the term versus on the environment) on the term structure,
+    all of which must land in equal quotient classes."""
+    from .finpresheaf import tensor
+    from .finpresheaf.structures import (enumerate_envs, enumerate_renamings,
+                                         reindex_env)
+    from .termstruct import cbv_term_structure, motivating_identifications
+    P, Q, table = cbv_term_structure()
+    t = tensor(P, Q)
+    ok = all(t.class_of(s, amb, left) == t.class_of(s, amb, right)
+             for s, amb, left, right in motivating_identifications(table))
+    rep.record("coend", "the three motivating identifications merge", ok, None)
+    rng = random.Random(seed)
+    ctxs = P.contexts()
+    confirmed = 0
+    while confirmed < 100:
+        g1, g2, amb = (rng.choice(ctxs) for _ in range(3))
+        rhos = enumerate_renamings(g1, g2)
+        s = rng.choice(P.sorts)
+        if not rhos or not P.cell(s, g2):
+            continue
+        envs = list(enumerate_envs(Q, g1, amb))
+        if not envs:
+            continue
+        rho, elem, env = rng.choice(rhos), rng.choice(P.cell(s, g2)), rng.choice(envs)
+        left = (g1.entries, P.act(s, rho, elem), env)
+        right = (g2.entries, elem, reindex_env(env, rho))
+        if t.class_of(s, amb, left) != t.class_of(s, amb, right):
+            rep.record("coend", "random generator pairs symmetric", False,
+                       f"{rho!r} on {elem!r}")
+            return
+        confirmed += 1
+    rep.record("coend", f"random generator pairs symmetric ({confirmed})", True, None)
+
+
+def skew(rep: Report, seed: int, structures: int) -> None:
+    from .finpresheaf import PairObject, check_skew
+    for i in range(structures):
+        rng = random.Random(seed + i)
+        objects = [PairObject(_homogeneous(rng), _computations(rng))
+                   for _ in range(4)]
+        check_skew(("a",), ("k",), 2, objects, report=rep, suite=f"skew[{i}]")
+
+
+def pointed(rep: Report, seed: int, structures: int) -> None:
+    from .finpresheaf import check_pointed_tensor
+    from .finpresheaf.laws import pointed_free, pointed_variables
+    for i in range(structures):
+        rng = random.Random(seed + i)
+        check_pointed_tensor(pointed_free(rng, ("a",), 2),
+                             pointed_free(rng, ("a",), 2), report=rep,
+                             suite=f"pointed[{i}]")
+    check_pointed_tensor(pointed_variables(("a",), 2),
+                         pointed_free(random.Random(seed), ("a",), 2),
+                         report=rep, suite="pointed[variables]")
+
+
+def monad_laws(rep: Report, seed: int, monad: str | None = None) -> None:
+    """The four strong-monad laws for one bundled monad, or for all six."""
+    from .semantics.monads import BUNDLED, check_monad_laws, monad_by_name
+    for name in [monad] if monad else BUNDLED:
+        check_monad_laws(monad_by_name(name), report=rep, seed=seed)
+
+
+def compatibility(rep: Report, seed: int, ctx_len: int = 1) -> None:
+    """Compatibility squares of the base/sequential/functional fragments under
+    identity and option, then the semantic action axioms."""
+    from .semantics.checks import check_compatibility, check_sem_action_axioms
+    from .semantics.model import model
+    from .semantics.monads import IdentityMonad, OptionMonad
+    for fragment in ("base", "sequential", "functions"):
+        cfg = config(() if fragment == "base" else (fragment,))
+        for mon in (IdentityMonad(), OptionMonad()):
+            check_compatibility(fragment, model(mon, {"b": 2}), cfg,
+                                ctx_len=ctx_len, seed=seed, report=rep)
+    check_sem_action_axioms(model(OptionMonad(), {"b": 2}),
+                            config(("sequential",)), seed=seed, report=rep)
+
+
+def substitution_lemma(rep: Report, seed: int, count: int) -> None:
+    """Exhaustive for the base/sequential/functional combinations under
+    identity and option; ``count`` random cases for each other config."""
+    from .semantics.checks import (check_substitution_lemma_exhaustive,
+                                   check_substitution_lemma_random)
+    from .semantics.model import model
+    from .semantics.monads import IdentityMonad, OptionMonad
+    exhaustive = [((), 3), (("sequential",), 3), (("functions",), 2),
+                  (("sequential", "functions"), 2)]
+    for exts, size in exhaustive:
+        for mon in (IdentityMonad(), OptionMonad()):
+            check_substitution_lemma_exhaustive(
+                config(exts), model(mon, {"b": size}), report=rep)
+    small = {frozenset(e) for e, _ in exhaustive}
+    mdl = model(OptionMonad(), {"b": 2})
+    for i, cfg in enumerate(all_fragment_configs(("b",), nat_bound=4)):
+        if cfg.extensions not in small:
+            check_substitution_lemma_random(cfg, mdl, seed=seed + i,
+                                            count=count, report=rep)
+
+
+def elgot_and_fixpoints(rep: Report, seed: int) -> None:
+    """Elgot iteration against bounded unrolling, the letrec reference
+    programs, and the Kleene fixed-point equations."""
+    from .semantics.checks import (check_elgot_against_unrolling,
+                                   check_kleene_properties,
+                                   check_letrec_references)
+    from .semantics.model import model
+    from .semantics.monads import OptionMonad
+    check_elgot_against_unrolling(model(OptionMonad(), {"b": 2}), seed=seed,
+                                  report=rep)
+    check_letrec_references(report=rep)
+    check_kleene_properties(seed, report=rep)
+
+
+SUITES = {
+    "term-laws": (term_laws,),
+    "meta-laws": (meta_laws,),
+    "presheaf-laws": (presheaf_laws, coend_quotient),
+    "skew": (skew,),
+    "pointed": (pointed,),
+    "monad-laws": (monad_laws,),
+    "compatibility": (compatibility,),
+    "subst-lemma": (substitution_lemma, elgot_and_fixpoints),
+}

@@ -404,20 +404,24 @@ _OPENERS = {"(": ")", "{": "}", "<": ">", "[": "]"}
 _CLOSERS = set(_OPENERS.values())
 
 
-def _split_top(text: str) -> list[str]:
-    parts, depth, cur = [], 0, []
-    for ch in text:
+def split_top(text: str, sep: str) -> list[str]:
+    """The raw parts of ``text`` between the ``sep`` characters that sit
+    outside every bracket pair ``()[]{}<>``; an arrow ``->`` is not a bracket."""
+    parts, depth, start, i = [], 0, 0, 0
+    while i < len(text):
+        if text.startswith("->", i):
+            i += 2
+            continue
+        ch = text[i]
         if ch in _OPENERS:
             depth += 1
         elif ch in _CLOSERS:
             depth -= 1
-        if ch == "," and depth == 0:
-            parts.append("".join(cur))
-            cur = []
-        else:
-            cur.append(ch)
-    if cur or parts:
-        parts.append("".join(cur))
+        elif ch == sep and depth == 0:
+            parts.append(text[start:i])
+            start = i + 1
+        i += 1
+    parts.append(text[start:])
     return parts
 
 
@@ -436,7 +440,7 @@ def deserialize(text: str, table: OperatorTable, sort: Sort, ctx: Context,
         if holes is None or ident not in holes:
             raise UnknownHole(ident)
         hole = holes[ident]
-        inner = _split_top(body[brace + 1:-1])
+        inner = split_top(body[brace + 1:-1], ",")
         if inner == [""]:
             inner = []
         env = [deserialize(s, table, first(hole.ctx.sort_at(i)), ctx, holes)
@@ -456,7 +460,7 @@ def deserialize(text: str, table: OperatorTable, sort: Sort, ctx: Context,
         op = table.op(text[:pos])
         if not text.endswith("]"):
             raise ValueError(f"malformed operator node: {text!r}")
-        inner = _split_top(text[pos + 1:-1])
+        inner = split_top(text[pos + 1:-1], ",")
         if inner == [""]:
             inner = []
         args = [deserialize(s, table, decl.sort,

@@ -22,23 +22,23 @@ B = Base("b")
 FB = fun(B, B)
 
 
+def _compose_lam(table: CbvOperatorTable, ctx: Context, f_pos: int, g_pos: int):
+    """``fn x: b . (val f) ((val g) (val x))`` with f, g at the given positions."""
+    inner = Context(ctx.entries + (B,))
+    f = Op(table.val(FB), inner, [Var(inner, f_pos)])
+    g = Op(table.val(FB), inner, [Var(inner, g_pos)])
+    x = Op(table.val(B), inner, [Var(inner, len(ctx))])
+    gx = Op(table.app(B, B), inner, [g, x])
+    return Op(table.lam(B, B), ctx, [Op(table.app(B, B), inner, [f, gx])])
+
+
 def _seed_terms(table: CbvOperatorTable):
     """Terms and values the identifications mention, with their home contexts."""
-
-    def lam_body(ctx, f_pos, g_pos):
-        # fn x: b . (val f) ((val g) (val x))
-        inner = Context(ctx.entries + (B,))
-        f = Op(table.val(FB), inner, [Var(inner, f_pos)])
-        g = Op(table.val(FB), inner, [Var(inner, g_pos)])
-        x = Op(table.val(B), inner, [Var(inner, len(ctx))])
-        gx = Op(table.app(B, B), inner, [g, x])
-        return Op(table.lam(B, B), ctx, [Op(table.app(B, B), inner, [f, gx])])
-
     two_fb = Context((FB, FB))
     one_fb = Context((FB,))
     seeds = [
-        lam_body(two_fb, 0, 1),                     # fn x. f (g x)
-        lam_body(one_fb, 0, 0),                     # fn x. h (h x)
+        _compose_lam(table, two_fb, 0, 1),          # fn x. f (g x)
+        _compose_lam(table, one_fb, 0, 0),          # fn x. h (h x)
     ]
     # fn x: b . val z  over [z: b]
     zctx = Context((B,))
@@ -94,15 +94,6 @@ def cbv_term_structure(bound: int = 2):
 
 def motivating_identifications(table: CbvOperatorTable):
     """The three identification instances: (sort, ambient ctx, left, right)."""
-
-    def lam_fg(ctx, f_pos, g_pos):
-        inner = Context(ctx.entries + (B,))
-        f = Op(table.val(FB), inner, [Var(inner, f_pos)])
-        g = Op(table.val(FB), inner, [Var(inner, g_pos)])
-        x = Op(table.val(B), inner, [Var(inner, len(ctx))])
-        gx = Op(table.app(B, B), inner, [g, x])
-        return Op(table.lam(B, B), ctx, [Op(table.app(B, B), inner, [f, gx])])
-
     two_fb = Context((FB, FB))
     one_fb = Context((FB,))
     amb = Context((FB, B))            # [k: b -> b, y: b]
@@ -114,8 +105,8 @@ def motivating_identifications(table: CbvOperatorTable):
     v = Op(table.lam(B, B), amb, [Op(table.app(B, B), innerk, [kv, zv])])
 
     ident1 = (first(FB), amb,
-              (one_fb.entries, lam_fg(one_fb, 0, 0), (v,)),
-              (two_fb.entries, lam_fg(two_fb, 0, 1), (v, v)))
+              (one_fb.entries, _compose_lam(table, one_fb, 0, 0), (v,)),
+              (two_fb.entries, _compose_lam(table, two_fb, 0, 1), (v, v)))
 
     # weakening: [fn x. val z, <f: id, z: y>] = [fn x. val z, <z: y>] over [y: b]
     amb2 = Context((B,))
@@ -141,10 +132,10 @@ def motivating_identifications(table: CbvOperatorTable):
     id3 = Op(table.lam(B, B), amb3,
              [Op(table.val(B), inner3, [Var(inner3, 1)])])
     k3 = Var(amb3, 0)
-    swapped = rename(lam_fg(two_fb, 0, 1),
+    swapped = rename(_compose_lam(table, two_fb, 0, 1),
                      _swap_renaming(two_fb))
     ident3 = (first(FB), amb3,
-              (two_fb.entries, lam_fg(two_fb, 0, 1), (id3, k3)),
+              (two_fb.entries, _compose_lam(table, two_fb, 0, 1), (id3, k3)),
               (two_fb.entries, swapped, (k3, id3)))
     return [ident1, ident2, ident3]
 

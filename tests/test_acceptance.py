@@ -16,8 +16,9 @@ witness from the structured report.  Criteria and tolerances:
    sizes <=2 (seeded sweeps where a pair space exceeds the budget) and
    sampled at size 3;
 5. compatibility squares for the base/sequential/functional fragments under
-   identity and option, plus failing mutations (the remaining fragments are
-   covered through criterion 3, which subsumes compatibility on its corpus);
+   identity and option, the semantic action axioms, plus failing mutations
+   (the remaining fragments are covered through criterion 3, which subsumes
+   compatibility on its corpus);
 6. finite-presheaf laws on >=20 seeded random structures plus the
    non-invertibility witness;
 7. the coend quotient: the three motivating identifications and >=100 random
@@ -27,31 +28,20 @@ witness from the structured report.  Criteria and tolerances:
    the Kleene fixed-point equations;
 9. metavariable Kleisli laws and commutation with substitution on a
    >=200-term holed corpus.
+
+Criteria 1 and 3-8 run the parts that ``substkit check`` runs (the registry in
+``substkit.suites``), at the acceptance seed and sizes.
 """
 
-import random
 import time
 
 import pytest
 
+from substkit import suites
 from substkit.cbv import all_fragment_configs, config
-from substkit.finpresheaf import (PairObject, check_action_axioms,
-                                  check_pointed_tensor, check_skew,
-                                  free_structure, tensor)
-from substkit.finpresheaf.laws import check_shift_strength, pointed_free
-from substkit.finpresheaf.structures import (enumerate_envs, enumerate_renamings,
-                                             reindex_env)
 from substkit.report import Report
-from substkit.semantics import (IdentityMonad, OptionMonad, check_compatibility,
-                                check_monad_laws, model, monad_by_name)
-from substkit.semantics.checks import (check_elgot_against_unrolling,
-                                       check_kleene_properties,
-                                       check_letrec_references,
-                                       check_substitution_lemma_exhaustive,
-                                       check_substitution_lemma_random)
-from substkit.sorts import Context, first, second
-from substkit.suites import check_meta_laws, check_term_laws
-from substkit.termstruct import cbv_term_structure, motivating_identifications
+from substkit.semantics import OptionMonad, check_compatibility, model
+from substkit.suites import check_meta_laws
 
 SEED = 20260810
 
@@ -66,9 +56,7 @@ def _assert_ok(rep: Report, label: str):
 def term_law_report():
     t0 = time.time()
     rep = Report()
-    for i, cfg in enumerate(all_fragment_configs(("b", "c"), nat_bound=4)):
-        check_term_laws(cfg, SEED + i, count=200, depth=4, ctx_bound=3,
-                        report=rep)
+    suites.term_laws(rep, SEED, count=200)
     rep.elapsed = time.time() - t0
     return rep
 
@@ -95,19 +83,7 @@ def test_criterion_2_oracle_equivalence(term_law_report):
 
 def test_criterion_3_substitution_lemma():
     rep = Report()
-    exhaustive = [((), 3), (("sequential",), 3), (("functions",), 2),
-                  (("sequential", "functions"), 2)]
-    for exts, size in exhaustive:
-        for mon in (IdentityMonad(), OptionMonad()):
-            check_substitution_lemma_exhaustive(
-                config(exts, ("b",)), model(mon, {"b": size}), report=rep)
-    small = {frozenset(e) for e, _ in exhaustive}
-    mdl = model(OptionMonad(), {"b": 2})
-    for i, cfg in enumerate(all_fragment_configs(("b",), nat_bound=4)):
-        if cfg.extensions in small:
-            continue
-        check_substitution_lemma_random(cfg, mdl, seed=SEED + i, count=100,
-                                        report=rep)
+    suites.substitution_lemma(rep, SEED, count=100)
     assert len([r for r in rep.records if "random" in r.name]) == 124
     _assert_ok(rep, "criterion 3: substitution lemma "
                     "(8 exhaustive combinations + 124 randomized configs)")
@@ -115,19 +91,13 @@ def test_criterion_3_substitution_lemma():
 
 def test_criterion_4_strong_monad_laws():
     rep = Report()
-    for name in ("identity", "option", "exception", "writer", "state",
-                 "powerset"):
-        check_monad_laws(monad_by_name(name), report=rep, seed=SEED)
+    suites.monad_laws(rep, SEED)
     _assert_ok(rep, "criterion 4: four strong-monad laws, six monads")
 
 
 def test_criterion_5_compatibility_and_mutations():
     rep = Report()
-    for fragment, exts in (("base", ()), ("sequential", ("sequential",)),
-                           ("functions", ("functions",))):
-        for mon in (IdentityMonad(), OptionMonad()):
-            check_compatibility(fragment, model(mon, {"b": 2}), config(exts),
-                                ctx_len=2, seed=SEED, report=rep)
+    suites.compatibility(rep, SEED, ctx_len=2)
     _assert_ok(rep, "criterion 5a: compatibility squares, base/sequential/"
                     "functions under identity and option")
     for fragment, exts, fam in (("base", (), "val"),
@@ -146,69 +116,25 @@ def test_criterion_5_compatibility_and_mutations():
 
 def test_criterion_6_finite_presheaf_laws():
     rep = Report()
-    for i in range(20):
-        rng = random.Random(SEED + i)
-        p = free_structure(rng, (second("k"),), ("a",), 2,
-                           ensure=[(second("k"), Context(()))])
-        q = free_structure(rng, (first("a"),), ("a",), 2,
-                           ensure=[(first("a"), Context(("a",)))])
-        l = free_structure(rng, (first("a"),), ("a",), 2,
-                           ensure=[(first("a"), Context(("a",)))])
-        check_action_axioms(p, q, l, report=rep, suite=f"action[{i}]")
-        pair = lambda: PairObject(
-            free_structure(rng, (first("a"),), ("a",), 2,
-                           ensure=[(first("a"), Context(("a",)))]),
-            free_structure(rng, (second("k"),), ("a",), 2,
-                           ensure=[(second("k"), Context(()))]))
-        check_skew(("a",), ("k",), 2, [pair() for _ in range(4)], report=rep,
-                   suite=f"skew[{i}]")
-        if i < 6:
-            check_pointed_tensor(pointed_free(rng, ("a",), 2),
-                                 pointed_free(rng, ("a",), 2), report=rep,
-                                 suite=f"pointed[{i}]")
-            check_shift_strength(p, Context(("a",)), pointed_free(rng, ("a",), 2),
-                                 pointed_free(rng, ("a",), 2), report=rep,
-                                 suite=f"strength[{i}]")
+    for part in (suites.presheaf_laws, suites.skew, suites.pointed):
+        part(rep, SEED, structures=20)
     assert any("not invertible" in r.name for r in rep.records)
     _assert_ok(rep, "criterion 6: actegory/pointed/skew laws on 20 seeded "
                     "random structures, with the empty-cell witness")
 
 
 def test_criterion_7_coend_quotient():
-    P, Q, table = cbv_term_structure()
-    t = tensor(P, Q)
-    for i, (s, amb, left, right) in enumerate(motivating_identifications(table)):
-        assert t.class_of(s, amb, left) == t.class_of(s, amb, right), \
-            f"identification {i + 1} failed to merge"
-    rng = random.Random(SEED)
-    ctxs = P.contexts()
-    confirmed = 0
-    while confirmed < 100:
-        g1, g2, amb = (rng.choice(ctxs) for _ in range(3))
-        rhos = enumerate_renamings(g1, g2)
-        s = rng.choice(P.sorts)
-        if not rhos or not P.cell(s, g2):
-            continue
-        envs = list(enumerate_envs(Q, g1, amb))
-        if not envs:
-            continue
-        rho = rng.choice(rhos)
-        elem = rng.choice(P.cell(s, g2))
-        env = rng.choice(envs)
-        left = (g1.entries, P.act(s, rho, elem), env)
-        right = (g2.entries, elem, reindex_env(env, rho))
-        assert t.class_of(s, amb, left) == t.class_of(s, amb, right)
-        confirmed += 1
+    rep = Report()
+    suites.coend_quotient(rep, SEED)
+    assert rep.ok, rep.first_failure()
+    assert rep.records[-1].name == "random generator pairs symmetric (100)"
     print("PASS criterion 7: the three identifications merge; 100 random "
           "generator pairs symmetric")
 
 
 def test_criterion_8_elgot_and_fixpoints():
     rep = Report()
-    check_elgot_against_unrolling(model(OptionMonad(), {"b": 2}), seed=SEED,
-                                  count=50, report=rep)
-    check_letrec_references(report=rep)
-    check_kleene_properties(SEED, report=rep)
+    suites.elgot_and_fixpoints(rep, SEED)
     _assert_ok(rep, "criterion 8: Elgot vs unrolling oracle, divergence, "
                     "letrec references, Kleene fixed points")
 

@@ -1,8 +1,11 @@
 """Operator families: shapes from the typing rules, labels, rule coverage."""
 
+import subprocess
+import sys
+
 import pytest
 
-from substkit.cbv.ops import CbvOperatorTable, DisabledConstruct, build_operator_table
+from substkit.cbv.ops import CbvOperatorTable, DisabledConstruct
 from substkit.cbv.types import (Base, DepthExceeded, NAT, UNIT, config, fun,
                                 maybe_shape, record, variant)
 from substkit.sorts import first, second
@@ -11,7 +14,7 @@ B = Base("b")
 
 
 def test_base_fragment_has_only_val():
-    table = build_operator_table(config(()))
+    table = CbvOperatorTable(config(()))
     ops = table.operators()
     assert {table.family(op)[0] for op in ops} == {"val"}
     val = table.val(B)
@@ -20,7 +23,7 @@ def test_base_fragment_has_only_val():
 
 
 def test_functions_fragment_shapes():
-    table = build_operator_table(config(("functions",)))
+    table = CbvOperatorTable(config(("functions",)))
     lam = table.lam(B, B)
     assert lam.result_sort == first(fun(B, B))
     assert lam.args[0].binder.entries == (B,)
@@ -32,7 +35,7 @@ def test_functions_fragment_shapes():
 
 
 def test_sequential_staircase_binders():
-    table = build_operator_table(config(("sequential",)))
+    table = CbvOperatorTable(config(("sequential",)))
     op = table.let((B, B, B), B)
     assert op.arity == 4
     binders = [a.binder.entries for a in op.args]
@@ -40,32 +43,32 @@ def test_sequential_staircase_binders():
 
 
 def test_record_match_binds_all_fields():
-    table = build_operator_table(config(("records",)))
+    table = CbvOperatorTable(config(("records",)))
     row = (("A", B), ("B", fun(B, B) if False else B))
     op = table.recmatch(row, B)
     assert op.args[1].binder.entries == (B, B)
 
 
 def test_variant_match_binds_clause_payloads():
-    table = build_operator_table(config(("naturals",), nat_bound=4))
+    table = CbvOperatorTable(config(("naturals",), nat_bound=4))
     op = table.vmatch(maybe_shape(NAT).row, NAT)
     assert [a.binder.entries for a in op.args] == [(), (UNIT,), (NAT,)]
 
 
 def test_natfold_binds_option_of_result():
-    table = build_operator_table(config(("naturals",), nat_bound=4))
+    table = CbvOperatorTable(config(("naturals",), nat_bound=4))
     op = table.natfold(B if False else NAT)
     assert op.args[1].binder.entries == (maybe_shape(NAT),)
 
 
 def test_for_binds_state():
-    table = build_operator_table(config(("while",)))
+    table = CbvOperatorTable(config(("while",)))
     op = table.forloop(B, B)
     assert op.args[1].binder.entries == (B,)
 
 
 def test_letrec_binders():
-    table = build_operator_table(config(("recursion",)))
+    table = CbvOperatorTable(config(("recursion",)))
     op = table.letrec((((B,), B), ((), B)), B)
     f0 = fun(record((("0", B),)), B)
     f1 = fun(record(()), B)
@@ -75,7 +78,7 @@ def test_letrec_binders():
 
 
 def test_disabled_constructs():
-    table = build_operator_table(config(()))
+    table = CbvOperatorTable(config(()))
     for call in (lambda: table.lam(B, B), lambda: table.let((B,), B),
                  lambda: table.rec((("A", B),)), lambda: table.lit(0),
                  lambda: table.forloop(B, B),
@@ -85,7 +88,7 @@ def test_disabled_constructs():
 
 
 def test_depth_exceeded():
-    table = build_operator_table(config(("functions",), type_depth=2))
+    table = CbvOperatorTable(config(("functions",), type_depth=2))
     with pytest.raises(DepthExceeded):
         table.lam(fun(B, B), fun(B, B))
 
@@ -93,7 +96,7 @@ def test_depth_exceeded():
 def test_label_round_trip_every_family():
     cfg = config(("sequential", "functions", "records", "variants", "naturals",
                   "while", "recursion"), nat_bound=4, type_depth=4)
-    table = build_operator_table(cfg)
+    table = CbvOperatorTable(cfg)
     ops = [table.val(B), table.let((B,), B), table.lam(B, B), table.app(B, B),
            table.vrec((("A", B),)), table.rec(()), table.recmatch((("A", B),), B),
            table.vinj((("A", B), ("Z", NAT)), "Z"),
@@ -101,12 +104,26 @@ def test_label_round_trip_every_family():
            table.vmatch(maybe_shape(B).row, B), table.lit(3), table.unroll(),
            table.roll(), table.natfold(NAT), table.forloop(NAT, B),
            table.letrec((((B, NAT), B),), NAT)]
-    fresh = build_operator_table(cfg)
+    fresh = CbvOperatorTable(cfg)
     for op in ops:
         back = fresh.op(op.label)
         assert back.label == op.label
         assert back.result_sort == op.result_sort
         assert back.args == op.args
+
+
+MALFORMED_LETREC = ("from substkit.cbv.ops import CbvOperatorTable\n"
+                    "from substkit.cbv.types import config\n"
+                    "CbvOperatorTable(config(('recursion',))).op('letrec<b;b>')\n")
+
+
+def test_malformed_letrec_label_raises_key_error():
+    """The definition list must be parenthesised; the check survives -O."""
+    with pytest.raises(KeyError):
+        CbvOperatorTable(config(("recursion",))).op("letrec<b;b>")
+    out = subprocess.run([sys.executable, "-O", "-c", MALFORMED_LETREC],
+                         capture_output=True, text=True)
+    assert out.stderr.splitlines()[-1].startswith("KeyError"), out.stderr
 
 
 EXPECTED_FAMILIES = {
@@ -126,6 +143,6 @@ EXPECTED_FAMILIES = {
 def test_rule_coverage(exts):
     """Operators emitted per fragment cover exactly the typing rules the
     fragment enables (fused donors included), and vice versa."""
-    table = build_operator_table(config(exts, nat_bound=4))
+    table = CbvOperatorTable(config(exts, nat_bound=4))
     families = {table.family(op)[0] for op in table.operators()}
     assert families == EXPECTED_FAMILIES[exts]

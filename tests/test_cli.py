@@ -1,10 +1,13 @@
 """Command-line contract: exit codes, output shapes, report determinism."""
 
+import hashlib
 import json
 import subprocess
 import sys
 
 import pytest
+
+from substkit.cli import main
 
 PY = [sys.executable, "-m", "substkit.cli"]
 
@@ -125,3 +128,53 @@ in (val fact) (val {0 = 3})
                   "--nat-bound", "25", "--type-depth", "4")
     assert out.returncode == 0
     assert "('some', 6)" in out.stdout
+
+
+@pytest.mark.parametrize("case", ["missing model", "bad base size",
+                                  "unknown monad", "point outside"])
+def test_malformed_input_is_one_error_line(tmp_path, case):
+    prog = tmp_path / "prog.cbv"
+    prog.write_text("val x\n")
+    spec = tmp_path / "model.json"
+    spec.write_text(json.dumps({"monad": "nope"}))
+    extra = {"missing model": ["--model", str(tmp_path / "missing.json")],
+             "bad base size": ["--base-size", "b=x"],
+             "unknown monad": ["--model", str(spec)],
+             "point outside": ["--at", "zz"]}[case]
+    out = run_cli("run", str(prog), "--context", "x: b", "--expect", "C b",
+                  *extra)
+    assert out.returncode == 1
+    assert "Traceback" not in out.stderr
+    lines = out.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), out.stderr
+
+
+# sha256 of each report, recorded before the suites moved into one registry;
+# the bytes do not depend on PYTHONHASHSEED.
+GOLDEN_REPORTS = {
+    "term-laws --all-fragments --count 2":
+        "f04eae5d5205bce0fdb5dffa2f8bf32ee523cb268b8b8e39a705de6ad48947ae",
+    "meta-laws --all-fragments --count 2":
+        "1360aa56fe96745a226a83f613faebe0443356789f051bc0abbca3cd0876a350",
+    "term-laws --fragment sequential,functions --count 2":
+        "325b830b2dae7bd10b18832a61f3245304dda6b8fbccff7dbc1c1e18c605ac25",
+    "presheaf-laws --structures 2":
+        "51d996cabce97b641d81d9c18a9f2e689dddfab787dff1bf11ccc385e61a7bb1",
+    "skew --structures 2":
+        "2fe0b2fe0bacd9d160671fb75236c1776bf60976b0b8e354493939670e01a6f7",
+    "pointed --structures 2":
+        "b8314f0a865cdde80b9e1e2538e5a24e9ae56f4569ba566560b1688d4d68c7d4",
+    "compatibility":
+        "9502aa78a46f886c3009580279ed332a7fae0b8652892ea0c2fc442358d38cf9",
+    "monad-laws --monad option":
+        "6a0b9f9069db9d77dc8e6f9e46bdf648f4e8ed1d9c5af215f4c20b3a7f62f37b",
+}
+
+
+def test_check_reports_match_golden_digests(tmp_path, capsys):
+    got = {}
+    for args in GOLDEN_REPORTS:
+        report = tmp_path / "r.jsonl"
+        assert main(["check", *args.split(), "--report", str(report)]) == 0
+        got[args] = hashlib.sha256(report.read_bytes()).hexdigest()
+    assert got == GOLDEN_REPORTS
