@@ -27,11 +27,6 @@ class DisabledConstruct(Exception):
         self.family = family
 
 
-def _types_text(text: str) -> list[str]:
-    """The non-empty comma-separated entries of a type list in a label."""
-    return [p for p in split_top(text, ",") if p]
-
-
 def record_allowed(cfg: FragmentConfig, row: tuple) -> bool:
     if cfg.has("records"):
         return True
@@ -254,7 +249,12 @@ class CbvOperatorTable:
         got = self._ops.get(label)
         if got is not None:
             return got
-        return self._resolve(label)
+        try:
+            return self._resolve(label)
+        except ValueError:
+            # wrong parameter counts, bad types and out-of-range instances
+            # alike: no operator of this table has the label
+            raise KeyError(label) from None
 
     def _resolve(self, label: str) -> Operator:
         if label == "unroll":
@@ -269,8 +269,8 @@ class CbvOperatorTable:
             return self.val(parse_type(body))
         if name == "let":
             bound_text, res = split_top(body, ";")
-            return self.let(tuple(parse_type(t) for t in _types_text(bound_text)),
-                            parse_type(res))
+            return self.let(tuple(parse_type(t) for t in split_top(bound_text, ",")
+                                  if t), parse_type(res))
         if name == "lam":
             d, c = split_top(body, ";")
             return self.lam(parse_type(d), parse_type(c))
@@ -303,11 +303,12 @@ class CbvOperatorTable:
         if name == "letrec":
             *defs_text, res = split_top(body, ";")
             defs = []
-            for part in _types_text(";".join(defs_text)):
+            for part in (p for p in split_top(";".join(defs_text), ",") if p):
                 if not (part.startswith("(") and part.endswith(")")):
-                    raise KeyError(label)
+                    raise ValueError(f"unparenthesised definition {part!r}")
                 params_text, ret = split_top(part[1:-1], ";")
-                params = tuple(parse_type(t) for t in _types_text(params_text))
+                params = tuple(parse_type(t) for t in split_top(params_text, ",")
+                               if t)
                 defs.append((params, parse_type(ret)))
             return self.letrec(tuple(defs), parse_type(res))
         raise KeyError(label)

@@ -234,7 +234,7 @@ def cmd_check(args) -> int:
     report_path = args.report
     if report_path is None and os.environ.get("SUBSTKIT_REPORT_DIR"):
         report_path = os.path.join(os.environ["SUBSTKIT_REPORT_DIR"],
-                                   f"{suite}.jsonl")
+                                   f"{args.suite}.jsonl")
     if report_path:
         os.makedirs(os.path.dirname(report_path) or ".", exist_ok=True)
         with open(report_path, "w") as fh:

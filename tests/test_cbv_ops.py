@@ -117,10 +117,15 @@ MALFORMED_LETREC = ("from substkit.cbv.ops import CbvOperatorTable\n"
                     "CbvOperatorTable(config(('recursion',))).op('letrec<b;b>')\n")
 
 
+@pytest.mark.parametrize("label", ["letrec<b;b>", "letrec<();b>",
+                                   "letrec<(b);b>", "lam<b>"])
+def test_malformed_label_raises_key_error(label):
+    with pytest.raises(KeyError):
+        CbvOperatorTable(config(("recursion",))).op(label)
+
+
 def test_malformed_letrec_label_raises_key_error():
     """The definition list must be parenthesised; the check survives -O."""
-    with pytest.raises(KeyError):
-        CbvOperatorTable(config(("recursion",))).op("letrec<b;b>")
     out = subprocess.run([sys.executable, "-O", "-c", MALFORMED_LETREC],
                          capture_output=True, text=True)
     assert out.stderr.splitlines()[-1].startswith("KeyError"), out.stderr

@@ -1,13 +1,16 @@
 """Command-line contract: exit codes, output shapes, report determinism."""
 
 import hashlib
+import inspect
 import json
 import subprocess
 import sys
 
 import pytest
 
+from substkit import cli
 from substkit.cli import main
+from substkit.suites import SUITES
 
 PY = [sys.executable, "-m", "substkit.cli"]
 
@@ -178,3 +181,25 @@ def test_check_reports_match_golden_digests(tmp_path, capsys):
         assert main(["check", *args.split(), "--report", str(report)]) == 0
         got[args] = hashlib.sha256(report.read_bytes()).hexdigest()
     assert got == GOLDEN_REPORTS
+
+
+def test_check_report_dir_names_the_report_after_the_suite(tmp_path,
+                                                           monkeypatch):
+    monkeypatch.setenv("SUBSTKIT_REPORT_DIR", str(tmp_path))
+    assert main(["check", "compatibility"]) == 0
+    report = tmp_path / "compatibility.jsonl"
+    assert (hashlib.sha256(report.read_bytes()).hexdigest()
+            == GOLDEN_REPORTS["compatibility"])
+
+
+def test_every_suite_parameter_is_a_check_option(monkeypatch):
+    """A part parameter that no check option names would silently keep its
+    default; ``ctx_len`` is set only by the acceptance tests."""
+    seen = []
+    monkeypatch.setattr(cli, "cmd_check", lambda args: seen.append(args) or 0)
+    assert main(["check", "all"]) == 0
+    options = set(vars(seen[0]))
+    for parts in SUITES.values():
+        for part in parts:
+            params = set(inspect.signature(part).parameters) - {"rep", "ctx_len"}
+            assert params <= options, (part.__name__, params - options)
