@@ -1,18 +1,23 @@
 """Operators of the call-by-value fragments, minted on demand per type instance.
 
+There is one operator-table type: :class:`CbvOperatorTable` is an
+:class:`~substkit.signatures.OperatorTable` whose sorting system is the
+fragment itself (value types first-class, computation types second-class).
 Most fragments contribute an infinite operator family (one instance per type
-or per context of types); the table materializes instances lazily, checking
-on every mint that the requested types are formable in the fragment and within
-the configured type depth.  Labels are canonical strings, so a label uniquely
-determines its operator and the table doubles as a resolver for the term
-deserializer.
+or per context of types); the table mints instances lazily, checking on every
+mint that the requested types are formable in the fragment and within the
+configured type depth.  Labels are canonical strings, so a label uniquely
+determines its operator, and the table's resolver parses a label back into the
+family call that mints it (used by the term deserializer).
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
+import weakref
 
-from ..signatures import Argument, Operator
+from ..signatures import Argument, Operator, OperatorTable
 from ..sorts import Context, first, second
 from ..terms import split_top
 from .types import (DepthExceeded, Fun, FragmentConfig, NAT, Record, TypeExpr,
@@ -47,12 +52,15 @@ def vmatch_allowed(cfg: FragmentConfig, t: Variant) -> bool:
     return cfg.has("variants") or (cfg.has("naturals") and is_maybe_shape(t))
 
 
-class CbvOperatorTable:
+class CbvOperatorTable(OperatorTable):
     """Lazy operator table for one fragment configuration."""
 
     def __init__(self, cfg: FragmentConfig):
+        # the resolver reaches the table through a weak proxy: a bound method
+        # would make a cycle that keeps every table alive until the cyclic GC
+        super().__init__(cfg, resolver=functools.partial(
+            CbvOperatorTable._resolve, weakref.proxy(self)))
         self.cfg = cfg
-        self._ops: dict[str, Operator] = {}
         self._meta: dict[str, tuple] = {}
 
     # -- helpers ---------------------------------------------------------
@@ -66,10 +74,10 @@ class CbvOperatorTable:
         return t
 
     def _intern(self, label, family, params, result, args) -> Operator:
-        got = self._ops.get(label)
+        got = self._by_label.get(label)
         if got is None:
             got = Operator(label, result, tuple(args))
-            self._ops[label] = got
+            self.add(got)
             self._meta[label] = (family, params)
         return got
 
@@ -244,17 +252,8 @@ class CbvOperatorTable:
         return self._intern(label, "letrec", (defs, result), second(result), args)
 
     # -- resolver for deserialization -------------------------------------
-
-    def op(self, label: str) -> Operator:
-        got = self._ops.get(label)
-        if got is not None:
-            return got
-        try:
-            return self._resolve(label)
-        except ValueError:
-            # wrong parameter counts, bad types and out-of-range instances
-            # alike: no operator of this table has the label
-            raise KeyError(label) from None
+    # A ValueError or KeyError here (wrong parameter counts, bad types,
+    # out-of-range instances) means no operator of this table has the label.
 
     def _resolve(self, label: str) -> Operator:
         if label == "unroll":
@@ -371,12 +370,8 @@ class CbvOperatorTable:
                             out.append(self.letrec(((params, ret),), res))
                         except DepthExceeded:
                             pass
-        seen, uniq = set(), []
-        for op in out:
-            if op.label not in seen:
-                seen.add(op.label)
-                uniq.append(op)
-        return uniq
+        # interned: a repeated label is the same operator, kept at its first place
+        return list({op.label: op for op in out}.values())
 
 
 def variant_of(row) -> Variant:

@@ -147,6 +147,11 @@ def type_depth(t: TypeExpr) -> int:
 
 @dataclass(frozen=True)
 class FragmentConfig:
+    """A fragment, which is also its own sorting system: the value types it
+    can form are its first-class sorts and its computation types (the same
+    types, second-class) are its second-class sorts.  Membership ignores the
+    type depth bound, which only limits what operators are minted."""
+
     extensions: frozenset
     base_types: tuple
     nat_bound: int = 8
@@ -163,6 +168,9 @@ class FragmentConfig:
 
     def has(self, ext: str) -> bool:
         return ext in self.extensions
+
+    def __contains__(self, sort) -> bool:
+        return valid_type(sort.ident, self)
 
     def name(self) -> str:
         enabled = [e for e in EXTENSIONS if e in self.extensions]

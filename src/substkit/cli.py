@@ -1,10 +1,11 @@
 """Command-line entry point: evaluate programs, apply substitutions, run suites.
 
 Commands: ``run`` (parse, typecheck, and print a program's denotation table),
-``subst`` (apply a substitution file and verify the substitution lemma when a
-model is supplied), ``check`` (the law suites, with machine-readable reports),
-and ``fragments`` (the 128-row customisation menu).  Reports are deterministic
-given the seed; ``SUBSTKIT_REPORT_DIR`` sets the default report directory.
+``subst`` (apply a substitution file, and verify the substitution lemma when
+``--monad`` or ``--model`` names a model), ``check`` (the law suites, with
+machine-readable reports), and ``fragments`` (the 128-row customisation
+menu).  Reports are deterministic given the seed; ``SUBSTKIT_REPORT_DIR`` sets
+the default report directory.
 """
 
 from __future__ import annotations
@@ -63,7 +64,7 @@ def _read(path: str) -> str:
 
 
 def build_model(args):
-    monad_name = args.monad
+    monad_name = args.monad or "option"
     sizes = {}
     params = {}
     if getattr(args, "model", None):
@@ -150,7 +151,7 @@ def cmd_run(args) -> int:
 def cmd_subst(args) -> int:
     try:
         cfg, table, ctx, term, sort = _elaborate(args, _read(args.term))
-        m = build_model(args) if args.monad else None
+        m = build_model(args) if args.monad or args.model else None
         lines = [l for l in _read(args.subst).splitlines()
                  if l.strip() and not l.strip().startswith("--")]
         if not lines or not lines[0].startswith("target"):
@@ -254,7 +255,7 @@ def main(argv=None) -> int:
         p.add_argument("--context", default="", help="e.g. 'x: b, f: b -> b'")
         p.add_argument("--expect", default=None,
                        help="expected sort, e.g. 'b -> b' or 'C b'")
-        p.add_argument("--monad", default="option", choices=list(BUNDLED))
+        p.add_argument("--monad", default=None, choices=list(BUNDLED))
         p.add_argument("--fragment-config", default=None,
                        help="JSON fragment configuration file")
         p.add_argument("--model", default=None,

@@ -14,12 +14,13 @@ import random
 
 from ..cbv.gen import TermGen, enumerate_terms, enumerate_values
 from ..cbv.ops import CbvOperatorTable
-from ..cbv.types import Base, FragmentConfig, Fun, fun, valid_type
+from ..cbv.types import (NAT, Base, FragmentConfig, Fun, done_cont_shape, fun,
+                         valid_type)
 from ..report import Report
 from ..finpresheaf.structures import enumerate_renamings
 from ..signatures import route_environment
 from ..sorts import Context, first, second
-from ..terms import SubstEnv, Term, substitute
+from ..terms import Op, SubstEnv, Term, substitute
 from .denote import DenotationCarrier, Interpreter, denote
 from .finset import FinSet
 from .monads import NONE
@@ -411,7 +412,6 @@ def check_elgot_against_unrolling(m: Model, seed: int, count: int = 50,
     table = CbvOperatorTable(cfg)
     rng = random.Random(seed)
     gen = TermGen(cfg, table, rng, interp_cap=12, model=m)
-    from ..cbv.types import NAT, done_cont_shape
     checked = 0
     while checked < count:
         ctx = gen.random_context(2)
@@ -423,7 +423,6 @@ def check_elgot_against_unrolling(m: Model, seed: int, count: int = 50,
         init = gen.random_term(ctx, state, 2)
         inner = Context(ctx.entries + (state,))
         body = gen.random_term(inner, done_cont_shape(result, state), 3)
-        from ..terms import Op
         term = Op(table.forloop(state, result), ctx, [init, body])
         lhs = denote(term, m, cfg, table)
         rhs = denote_with_unrolling(term, m, cfg, table)
@@ -437,15 +436,11 @@ def check_elgot_against_unrolling(m: Model, seed: int, count: int = 50,
                True, None)
 
     # a self-loop diverges: its value is the absent element everywhere
-    from ..cbv.types import NAT as _NAT
-    cfg2 = cfg
-    t2 = CbvOperatorTable(cfg2)
     self_loop = "for i = val 0 do val (<Done: Nat, Cont: Nat>.Cont i)"
     from ..cbv.surface import parse
     from ..cbv.typecheck import typecheck
-    from ..sorts import second
-    term = typecheck(parse(self_loop), Context(()), second(_NAT), cfg2, t2)
-    d = denote(term, m, cfg2, t2)
+    term = typecheck(parse(self_loop), Context(()), second(NAT), cfg, table)
+    d = denote(term, m, cfg, table)
     ok = d.at(()) == NONE
     rep.record(suite, "self-loop yields the divergence value", ok,
                None if ok else repr(d.at(())))
@@ -489,8 +484,6 @@ def check_letrec_references(report: Report | None = None) -> Report:
     """Factorial and mutual even/odd against direct reference evaluators."""
     from ..cbv.surface import parse
     from ..cbv.typecheck import typecheck
-    from ..cbv.types import NAT
-    from ..sorts import second
     rep = report if report is not None else Report()
     suite = "fixpoints"
     m = model_option()

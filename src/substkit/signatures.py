@@ -12,17 +12,13 @@ into the extended context, then append the fresh variables' images).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Hashable, Iterable, Protocol, Sequence
+from typing import Callable, Container, Hashable, Iterable, Protocol, Sequence
 
 from .sorts import Context, Sort, SortingSystem, concat_contexts
 
 
 class NotFlattenable(Exception):
     """A signature expression outside the coproduct-of-operators normal form."""
-
-
-class UnknownOperator(KeyError):
-    pass
 
 
 @dataclass(frozen=True)
@@ -48,13 +44,17 @@ class Operator:
 class OperatorTable:
     """A label-indexed set of operators over one sorting system.
 
+    The system is anything that answers ``sort in system``: a finite
+    :class:`SortingSystem`, or a type fragment whose first- and second-class
+    sorts are the (infinitely many) value and computation types it can form.
     Tables may describe infinite operator families (one operator per type
     instance): a ``resolver`` callback materializes such operators on demand
-    from their label.  Union of tables requires disjoint labels.
+    from their label.  A label the table does not know, or one the resolver
+    rejects (``None``, ``KeyError`` or ``ValueError``), raises ``KeyError``.
     """
 
-    def __init__(self, system: SortingSystem, ops: Iterable[Operator] = (),
-                 resolver: Callable[[str], Operator] | None = None):
+    def __init__(self, system: Container[Sort], ops: Iterable[Operator] = (),
+                 resolver: Callable[[str], Operator | None] | None = None):
         self.system = system
         self._by_label: dict[str, Operator] = {}
         self._resolver = resolver
@@ -75,11 +75,15 @@ class OperatorTable:
     def op(self, label: str) -> Operator:
         got = self._by_label.get(label)
         if got is None and self._resolver is not None:
-            got = self._resolver(label)
-            if got is not None:
-                self._by_label[label] = got
+            try:
+                got = self._resolver(label)
+            except (KeyError, ValueError):
+                got = None
+            # stored under its own label only, so iteration lists it once
+            if got is not None and got.label not in self._by_label:
+                self.add(got)
         if got is None:
-            raise UnknownOperator(label)
+            raise KeyError(label)
         return got
 
     def __iter__(self):
@@ -90,12 +94,6 @@ class OperatorTable:
 
     def __contains__(self, label: str) -> bool:
         return label in self._by_label
-
-    def union(self, other: "OperatorTable") -> "OperatorTable":
-        merged = OperatorTable(self.system, self)
-        for op in other:
-            merged.add(op)
-        return merged
 
 
 # --- signature combinator expressions -------------------------------------

@@ -13,7 +13,7 @@ by contexts are contravariant in renamings.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Hashable, Iterable, Sequence
+from typing import Container, Hashable, Iterable, Sequence
 
 FIRST = "first"
 SECOND = "second"
@@ -68,9 +68,6 @@ class SortingSystem:
     def is_homogeneous(self) -> bool:
         return not self.snd_sorts
 
-    def sorts(self) -> tuple[Sort, ...]:
-        return tuple(first(i) for i in self.fst_sorts) + tuple(second(i) for i in self.snd_sorts)
-
     def restrict_first(self) -> "SortingSystem":
         """The homogeneous restriction: same first-class sorts, no second-class."""
         return SortingSystem(self.fst_sorts, ())
@@ -113,13 +110,10 @@ class Context:
     def __repr__(self):
         return f"Context{list(self.entries)!r}"
 
-    def validate(self, system: SortingSystem) -> None:
+    def validate(self, system: Container[Sort]) -> None:
         for e in self.entries:
-            if e not in system.fst_sorts:
+            if first(e) not in system:
                 raise ValueError(f"context entry {e!r} is not a first-class sort")
-
-
-EMPTY = Context(())
 
 
 class Renaming:

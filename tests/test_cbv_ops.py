@@ -1,14 +1,20 @@
 """Operator families: shapes from the typing rules, labels, rule coverage."""
 
+import gc
+import random
 import subprocess
 import sys
+import weakref
 
 import pytest
 
+from substkit.cbv.gen import TermGen
 from substkit.cbv.ops import CbvOperatorTable, DisabledConstruct
 from substkit.cbv.types import (Base, DepthExceeded, NAT, UNIT, config, fun,
                                 maybe_shape, record, variant)
-from substkit.sorts import first, second
+from substkit.signatures import OperatorTable
+from substkit.sorts import Context, first, second
+from substkit.terms import deserialize, serialize
 
 B = Base("b")
 
@@ -110,6 +116,58 @@ def test_label_round_trip_every_family():
         assert back.label == op.label
         assert back.result_sort == op.result_sort
         assert back.args == op.args
+
+
+@pytest.mark.parametrize("exts", [
+    ("recursion", "naturals"),
+    ("while", "naturals", "sequential"),
+    ("sequential", "functions", "records", "variants", "naturals", "while",
+     "recursion"),
+])
+def test_generated_terms_round_trip_through_a_fresh_table(exts):
+    """Every label a generated term uses resolves in a table that has minted
+    nothing yet, through the resolver ``deserialize`` calls."""
+    cfg = config(exts, nat_bound=4)
+    gen = TermGen(cfg, CbvOperatorTable(cfg), random.Random(20260810))
+    for _ in range(30):
+        ctx = gen.random_context(3)
+        target = gen.random_target(ctx)
+        holes = {}
+        make = gen.random_value if target.is_first else gen.random_term
+        term = make(ctx, target.ident, 4, holes, 0.2)
+        fresh = CbvOperatorTable(cfg)
+        assert len(fresh) == 0
+        back = deserialize(serialize(term), fresh, target, ctx, holes)
+        assert back == term
+        assert all(fresh.family(op) for op in fresh)
+
+
+def test_table_is_an_operator_table_over_its_fragment():
+    cfg = config(("functions", "naturals"), type_depth=3)
+    table = CbvOperatorTable(cfg)
+    assert isinstance(table, OperatorTable) and table.system is cfg
+    assert first(fun(B, B)) in cfg and second(NAT) in cfg
+    assert first(variant((("A", B),))) not in cfg
+    # membership ignores the depth bound: natfold's binder is one deeper
+    op = table.natfold(fun(B, fun(B, B)))
+    assert op.args[1].binder.entries == (maybe_shape(fun(B, fun(B, B))),)
+    assert [o.label for o in table] == [op.label]
+    with pytest.raises(ValueError):
+        Context((variant((("A", B),)),)).validate(cfg)
+
+
+def test_table_is_freed_without_the_cycle_collector():
+    """The resolver must not hold the table: a suite builds one table per
+    config, and a cycle kept each alive until the cyclic GC ran."""
+    table = CbvOperatorTable(config(("recursion",)))
+    table.op("letrec<(b;b);b>")
+    ref = weakref.ref(table)
+    gc.disable()
+    try:
+        del table
+        assert ref() is None
+    finally:
+        gc.enable()
 
 
 MALFORMED_LETREC = ("from substkit.cbv.ops import CbvOperatorTable\n"

@@ -88,6 +88,23 @@ def test_subst_merges_duplicate_assignment(tmp_path):
     assert "fn x1: b . (val x0) ((val x0) (val x1))" in out.stdout
 
 
+@pytest.mark.parametrize("model", [(), ("--monad", "option"),
+                                   ("--model", "{spec}")])
+def test_subst_checks_the_lemma_only_with_a_model(tmp_path, model):
+    term = tmp_path / "t.cbv"
+    term.write_text("fn z: b . (val f) ((val g) (val z))\n")
+    sub = tmp_path / "s.subst"
+    sub.write_text("target f: b -> b, g: b -> b\nf = f\ng = g\n")
+    spec = tmp_path / "model.json"
+    spec.write_text(json.dumps({"monad": "identity"}))
+    out = run_cli("subst", str(term), str(sub), "--fragment", "functions",
+                  "--context", "f: b -> b, g: b -> b", "--expect", "b -> b",
+                  *(a.format(spec=spec) for a in model))
+    assert out.returncode == 0
+    lemma = [l for l in out.stdout.splitlines() if "substitution lemma" in l]
+    assert lemma == (["substitution lemma: PASS"] if model else [])
+
+
 def test_check_exit_0_and_report_determinism(tmp_path):
     args = ("check", "term-laws", "--fragment", "sequential,functions",
             "--count", "25", "--seed", "7")
@@ -174,6 +191,16 @@ GOLDEN_REPORTS = {
 }
 
 
+# sha256 of ``fragments --ops <fragment>`` stdout, recorded while the CBV
+# table was a class of its own: operator labels, shapes and their order.
+GOLDEN_OPS = {
+    "base": "40359730fbe528b430f18044543c2a4805f287a5a9c030382a0cef0b4e952510",
+    "functions":
+        "f0b27161baae0cca84eaf8a2ad8623444cfaacc0cb39f890845af5e9a91ef004",
+    "full": "147ffa3a6653f298934cb5179da347d1ed77cf14549b2da128481674cb11b4da",
+}
+
+
 def test_check_reports_match_golden_digests(tmp_path, capsys):
     got = {}
     for args in GOLDEN_REPORTS:
@@ -181,6 +208,15 @@ def test_check_reports_match_golden_digests(tmp_path, capsys):
         assert main(["check", *args.split(), "--report", str(report)]) == 0
         got[args] = hashlib.sha256(report.read_bytes()).hexdigest()
     assert got == GOLDEN_REPORTS
+
+
+def test_fragment_ops_match_golden_digests(capsys):
+    got = {}
+    for fragment in GOLDEN_OPS:
+        assert main(["fragments", "--ops", fragment]) == 0
+        got[fragment] = hashlib.sha256(
+            capsys.readouterr().out.encode()).hexdigest()
+    assert got == GOLDEN_OPS
 
 
 def test_check_report_dir_names_the_report_after_the_suite(tmp_path,

@@ -55,7 +55,10 @@ class _BrokenBind(WriterMonad):
 
 
 def test_broken_bind_fails_with_witness():
-    rep = check_monad_laws(_BrokenBind(), f_cap=64, pair_budget=500,
-                           sample_size3=5)
+    budget = dict(f_cap=64, pair_budget=500, sample_size3=5)
+    assert check_monad_laws(WriterMonad(), **budget).ok
+    rep = check_monad_laws(_BrokenBind(), **budget)
     assert not rep.ok
-    assert any(r.witness for r in rep.failures)
+    assert all(r.witness for r in rep.failures)
+    unit = [r for r in rep.failures if r.name.startswith("unit projection")]
+    assert unit and "bind(unit)" in unit[0].witness

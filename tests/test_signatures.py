@@ -104,3 +104,28 @@ def test_table_resolver():
     assert table.op("val@v").result_sort == second("v")
     with pytest.raises(KeyError):
         table.op("nope")
+
+    # a resolver rejecting a label by raising ValueError or KeyError, or by
+    # returning None, means one thing: the table has no such operator
+    def raises(exc):
+        def resolve(label):
+            raise exc(label)
+        return resolve
+    for resolver in (raises(ValueError), raises(KeyError), lambda label: None):
+        with pytest.raises(KeyError) as info:
+            OperatorTable(SYS, resolver=resolver).op("nope")
+        assert info.value.args == ("nope",)
+
+
+def test_resolved_operator_is_stored_under_its_own_label():
+    canonical = Operator("val@v", second("v"), (Argument(Context(()), first("v")),))
+    table = OperatorTable(SYS, resolver=lambda label: canonical)
+    assert table.op("val@ v") is canonical
+    assert table.op("val@v") is canonical
+    assert list(table) == [canonical] and "val@ v" not in table
+
+
+def test_context_membership_asks_the_system():
+    Context(("v", "arrow")).validate(SYS)
+    with pytest.raises(ValueError):
+        Context(("k",)).validate(SortingSystem(("v",), ("k",)))
