@@ -5,6 +5,16 @@ type universe decides which targets are constructible in a given context, a
 minimal-value fallback guarantees termination when the depth budget runs out,
 and every production mints its operator through the fragment table, so every
 generated tree is well-sorted by construction.
+
+Computation types never enter contexts, so inhabitation is decided from the
+set of value types in scope alone.  Each generator reads off the introduction
+rule of every valid subtype of its universe once, into a rule table that also
+indexes each type under its components.  A query extends that table only with
+the subtypes of its variables' types that lie outside it, then runs a worklist
+fixpoint (semi-naive evaluation): it starts from what the rules build without
+variables, adds the variables' types, and re-examines a type only when one of
+its components has just become inhabited.  A function type whose domain stays
+uninhabited falls back to a query with a variable of the domain added.
 """
 
 from __future__ import annotations
@@ -20,14 +30,67 @@ from .types import (Base, FragmentConfig, Fun, NAT, NatType, Record, TypeExpr,
                     record, type_depth, type_to_label, valid_type)
 
 
-def _subtypes(t: TypeExpr):
-    yield t
-    if isinstance(t, Fun):
-        yield from _subtypes(t.dom)
-        yield from _subtypes(t.cod)
-    elif isinstance(t, (Record, Variant)):
-        for _, v in t.row:
-            yield from _subtypes(v)
+class _Rules:
+    """The introduction rule of every valid subtype of some roots.
+
+    A record or ``Nat`` needs all its components, a variant any one, a
+    function type its domain and codomain (``funs`` lists these for the
+    fallback in ``TermGen.inhabited``).  Base types and the constructs a
+    fragment lacks get no rule: their values come only from variables."""
+
+    def __init__(self, cfg: FragmentConfig, roots, known=frozenset()):
+        self.pool: set = set()      # the valid subtypes of the roots
+        # type -> (needs all components?, components), for each type a rule builds
+        self.rules: dict = {}
+        self.parents: dict = {}     # component -> the types whose rule names it
+        self.funs: list = []
+        todo = list(roots)
+        while todo:
+            t = todo.pop()
+            if t in self.pool or t in known:
+                continue
+            if isinstance(t, Fun):
+                comps = (t.dom, t.cod)
+                need_all = True if cfg.has("functions") else None
+            elif isinstance(t, Record):
+                comps = tuple(v for _, v in t.row)
+                need_all = True if record_allowed(cfg, t.row) else None
+            elif isinstance(t, Variant):
+                comps = tuple(v for _, v in t.row)
+                need_all = False if variant_allowed(cfg, t) else None
+            else:
+                comps = ()
+                need_all = True if isinstance(t, NatType) else None
+            todo.extend(comps)
+            if not valid_type(t, cfg):
+                continue
+            self.pool.add(t)
+            if need_all is not None:
+                self.rules[t] = (need_all, comps)
+                for c in comps:
+                    self.parents.setdefault(c, []).append(t)
+                if isinstance(t, Fun):
+                    self.funs.append(t)
+
+
+_NO_RULES = _Rules(None, ())
+
+
+def _settle(cur: set, todo: list, table: _Rules, more: _Rules) -> None:
+    """Close ``cur`` under the rules of ``table`` and ``more`` by a worklist:
+    a type is examined once from ``todo`` and again only when one of its
+    components has just been added."""
+    rules, parents = table.rules, table.parents
+    more_rules, more_parents = more.rules, more.parents
+    while todo:
+        t = todo.pop()
+        if t in cur:
+            continue
+        need_all, comps = rules.get(t) or more_rules[t]
+        if (cur.issuperset(comps) if need_all else not cur.isdisjoint(comps)):
+            cur.add(t)
+            todo.extend(parents.get(t, ()))
+            todo.extend(more_parents.get(t, ()))
 
 
 class TermGen:
@@ -44,52 +107,45 @@ class TermGen:
                              if interp_size(t, model, cfg.nat_bound) <= interp_cap]
         self._w_memo: dict = {}
         self._sorted_memo: dict = {}
+        self._rules = _Rules(cfg, self.universe)
+        # what the rules build from no variables at all: every call starts here
+        always: set = set()
+        _settle(always, list(self._rules.rules), self._rules, _NO_RULES)
+        self._always = frozenset(always)
 
     # -- inhabitation -------------------------------------------------------
 
     def inhabited(self, avail: frozenset) -> frozenset:
-        """Types with a constructible value given variables of ``avail`` types."""
+        """Types with a constructible value given variables of ``avail`` types.
+
+        The pool is the valid subtypes of the universe and of ``avail``.  A
+        function type whose domain is not inhabited here is inhabited if its
+        codomain is once a variable of the domain is added (while ``avail``
+        has fewer than five types)."""
         got = self._w_memo.get(avail)
         if got is not None:
             return got
-        pool = set(self.universe) | set(avail)
-        for t in list(pool):
-            pool.update(_subtypes(t))
-        pool = {t for t in pool if valid_type(t, self.cfg)}
-        current = set(avail) & pool
-        self._w_memo[avail] = frozenset()  # cut off re-entrant cycles
-        changed = True
-        while changed:
-            changed = False
-            for t in pool:
-                if t in current:
-                    continue
-                if self._inhabited_step(t, current, avail):
-                    current.add(t)
-                    changed = True
-        result = frozenset(current)
+        table = self._rules
+        more = (_NO_RULES if avail <= table.pool
+                else _Rules(self.cfg, avail, known=table.pool))
+        cur = set(self._always)
+        todo = list(more.rules)
+        for a in avail:
+            if a not in cur and (a in table.pool or a in more.pool):
+                cur.add(a)
+                todo.extend(table.parents.get(a, ()))
+                todo.extend(more.parents.get(a, ()))
+        _settle(cur, todo, table, more)
+        if len(avail) < 5:
+            for t in itertools.chain(table.funs, more.funs):
+                if (t not in cur and t.dom not in cur
+                        and t.cod in self.inhabited(avail | {t.dom})):
+                    cur.add(t)
+                    _settle(cur, table.parents.get(t, [])
+                            + more.parents.get(t, []), table, more)
+        result = frozenset(cur)
         self._w_memo[avail] = result
         return result
-
-    def _inhabited_step(self, t, current, avail) -> bool:
-        cfg = self.cfg
-        if isinstance(t, NatType):
-            return cfg.has("naturals")
-        if isinstance(t, Fun):
-            if not cfg.has("functions"):
-                return False
-            if t.dom in avail or t.dom in current:
-                return t.cod in current
-            if len(avail) >= 5:
-                return False
-            return t.cod in self.inhabited(avail | {t.dom})
-        if isinstance(t, Record):
-            return (record_allowed(self.cfg, t.row)
-                    and all(v in current for _, v in t.row))
-        if isinstance(t, Variant):
-            return (variant_allowed(self.cfg, t)
-                    and any(v in current for _, v in t.row))
-        return False  # base types only via variables
 
     def _w(self, ctx: Context) -> frozenset:
         return self.inhabited(frozenset(ctx.entries))
@@ -198,7 +254,7 @@ class TermGen:
 
     def _hole(self, ctx: Context, sort: Sort, holes: dict, depth: int) -> Term:
         rng = self.rng
-        w = self._w_sorted(ctx)
+        w = self._w(ctx)
         compatible = [h for h in holes.values() if h.sort == sort
                       and all(e in w for e in h.ctx.entries)]
         if compatible and rng.random() < 0.4:
@@ -206,9 +262,10 @@ class TermGen:
         else:
             # the hole's context always carries the hole's own value type, so
             # bodies over it are constructible for any metavariable assignment
-            arity = rng.randrange(min(2, len(w)) + 1) if w else 0
+            ws = self._w_sorted(w)
+            arity = rng.randrange(min(2, len(ws)) + 1) if ws else 0
             hctx = Context((sort.ident,)
-                           + tuple(rng.choice(w) for _ in range(arity)))
+                           + tuple(rng.choice(ws) for _ in range(arity)))
             hole = HoleDecl(f"h{len(holes)}", sort, hctx)
             holes[hole.ident] = hole
         env = [self.random_value(ctx, e, max(depth - 1, 0))

@@ -290,9 +290,11 @@ class TypeUniverse:
     def __init__(self, cfg: FragmentConfig):
         self.cfg = cfg
 
-    @functools.lru_cache(maxsize=None)
-    def _types_upto(self, depth: int) -> tuple:
-        cfg = self.cfg
+    # keyed on the configuration, not on the universe: universes over one
+    # configuration share the tuple, and the cache keeps no universe alive
+    @staticmethod
+    @functools.lru_cache(maxsize=16)
+    def _types_upto(cfg: FragmentConfig, depth: int) -> tuple:
         pool = [Base(b) for b in cfg.base_types]
         if cfg.has("naturals"):
             pool.append(NAT)
@@ -308,11 +310,11 @@ class TypeUniverse:
             if cfg.has("records"):
                 for k in (1, 2):
                     for combo in itertools.product(smaller, repeat=k):
-                        layer.append(record(tuple(zip(self.ROW_LABELS, combo))))
+                        layer.append(record(tuple(zip(TypeUniverse.ROW_LABELS, combo))))
             if cfg.has("variants"):
                 for k in (1, 2):
                     for combo in itertools.product(smaller, repeat=k):
-                        layer.append(variant(tuple(zip(self.ROW_LABELS, combo))))
+                        layer.append(variant(tuple(zip(TypeUniverse.ROW_LABELS, combo))))
             if cfg.has("naturals"):
                 layer += [maybe_shape(a) for a in smaller]
             if cfg.has("while"):
@@ -330,7 +332,7 @@ class TypeUniverse:
 
     def types(self, depth: int | None = None) -> tuple:
         d = self.cfg.type_depth if depth is None else depth
-        return self._types_upto(d)
+        return self._types_upto(self.cfg, d)
 
 
 # --- concrete type syntax -----------------------------------------------------

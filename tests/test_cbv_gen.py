@@ -1,0 +1,152 @@
+"""Type inhabitation: the rule-table worklist against the full re-sweep."""
+
+import random
+
+import pytest
+
+from substkit import suites
+from substkit.cbv.gen import TermGen
+from substkit.cbv.ops import CbvOperatorTable, record_allowed, variant_allowed
+from substkit.cbv.types import (EXTENSIONS, NAT, UNIT, Base, Fun, NatType,
+                                Record, Variant, all_fragment_configs, config,
+                                done_cont_shape, fun, maybe_shape, record,
+                                valid_type, variant)
+from substkit.semantics import model, monads
+
+CONFIGS = all_fragment_configs(("b", "c"), 4)
+
+
+def _subtypes(t):
+    yield t
+    if isinstance(t, Fun):
+        yield from _subtypes(t.dom)
+        yield from _subtypes(t.cod)
+    elif isinstance(t, (Record, Variant)):
+        for _, v in t.row:
+            yield from _subtypes(v)
+
+
+def sweep_inhabited(gen: TermGen, avail: frozenset, memo: dict) -> frozenset:
+    """The reference: close the valid subtypes of the universe and of
+    ``avail``, then re-sweep the whole pool until nothing changes."""
+    got = memo.get(avail)
+    if got is not None:
+        return got
+    cfg = gen.cfg
+    pool = set(gen.universe) | set(avail)
+    for t in list(pool):
+        pool.update(_subtypes(t))
+    pool = {t for t in pool if valid_type(t, cfg)}
+    current = set(avail) & pool
+
+    def step(t) -> bool:
+        if isinstance(t, NatType):
+            return cfg.has("naturals")
+        if isinstance(t, Fun):
+            if not cfg.has("functions"):
+                return False
+            if t.dom in avail or t.dom in current:
+                return t.cod in current
+            if len(avail) >= 5:
+                return False
+            return t.cod in sweep_inhabited(gen, avail | {t.dom}, memo)
+        if isinstance(t, Record):
+            return (record_allowed(cfg, t.row)
+                    and all(v in current for _, v in t.row))
+        if isinstance(t, Variant):
+            return (variant_allowed(cfg, t)
+                    and any(v in current for _, v in t.row))
+        return False
+
+    changed = True
+    while changed:
+        changed = False
+        for t in pool:
+            if t not in current and step(t):
+                current.add(t)
+                changed = True
+    memo[avail] = result = frozenset(current)
+    return result
+
+
+def _gen(cfg, seed=0, **kw) -> TermGen:
+    return TermGen(cfg, CbvOperatorTable(cfg), random.Random(seed), **kw)
+
+
+def _assert_agrees(gen: TermGen, avails) -> None:
+    memo: dict = {}
+    for avail in avails:
+        assert gen.inhabited(avail) == sweep_inhabited(gen, avail, memo), \
+            (gen.cfg.name(), sorted(map(repr, avail)))
+
+
+def _seeded_avails(rng: random.Random, candidates: list, per_size: int = 3):
+    """``per_size`` seeded sets of each size 0-5 (fewer when the candidates
+    run out), so the five-variable cutoff is crossed."""
+    out = []
+    for size in range(6):
+        for _ in range(per_size):
+            out.append(frozenset(rng.sample(candidates,
+                                            min(size, len(candidates)))))
+    return out
+
+
+@pytest.mark.parametrize("cfg", CONFIGS, ids=lambda c: c.name())
+def test_inhabited_agrees_with_the_sweep(cfg):
+    gen = _gen(cfg)
+    _assert_agrees(gen, _seeded_avails(random.Random(cfg.name()), gen.universe))
+
+
+def _outside_and_invalid(cfg, universe: list, rng: random.Random) -> list:
+    """Types deeper than the universe, fused shapes, and types the fragment
+    cannot form, some of them with valid subtypes."""
+    a, b = rng.choice(universe), rng.choice(universe)
+    out = [fun(a, b), fun(fun(a, b), b), maybe_shape(fun(a, b)),
+           done_cont_shape(a, fun(b, a)), record((("0", fun(a, b)),)),
+           fun(record((("0", a), ("1", b))), b), record((("A", a), ("B", fun(b, a)))),
+           variant((("A", fun(a, a)),)), Variant(()), UNIT, NAT,
+           Base("z"), fun(Base("z"), a), record((("A", Base("z")), ("B", b))),
+           maybe_shape(Base("z"))]
+    assert any(not valid_type(t, cfg) for t in out)
+    return out
+
+
+@pytest.mark.parametrize("cfg", CONFIGS, ids=lambda c: c.name())
+def test_inhabited_agrees_outside_the_universe(cfg):
+    gen = _gen(cfg)
+    rng = random.Random(cfg.name())
+    candidates = gen.universe + _outside_and_invalid(cfg, gen.universe, rng)
+    _assert_agrees(gen, _seeded_avails(rng, candidates, per_size=4))
+
+
+def test_inhabited_agrees_under_an_interpretation_cap():
+    """As ``semantics.checks`` builds its generators: the cap drops large
+    types from the universe, and the rule table is read off after it."""
+    cfg = config(EXTENSIONS, ("b",), nat_bound=4)
+    m = model(monads.monad_by_name("option"), {"b": 2})
+    gen = _gen(cfg, interp_cap=40, model=m)
+    assert len(gen.universe) < len(_gen(cfg).universe)
+    rng = random.Random(1)
+    candidates = gen.universe + _outside_and_invalid(cfg, gen.universe, rng)
+    _assert_agrees(gen, _seeded_avails(rng, candidates, per_size=6))
+
+
+@pytest.mark.parametrize("exts", [EXTENSIONS, ("functions", "records"),
+                                  ("sequential", "naturals", "while")],
+                         ids=lambda e: "+".join(e))
+def test_inhabited_agrees_on_every_call_of_a_holed_corpus(exts):
+    """Every query a seeded generation makes, recursive ones included."""
+    cfg = config(exts, ("b", "c"), nat_bound=4)
+    gen = _gen(cfg, seed=3)
+    calls = []
+    real = gen.inhabited
+
+    def recording(avail):
+        calls.append(avail)
+        return real(avail)
+
+    gen.inhabited = recording
+    for _ in range(20):
+        suites._corpus_item(gen, 3, 3, holes={}, hole_prob=0.35)
+    assert len(calls) > 20
+    _assert_agrees(_gen(cfg), calls)

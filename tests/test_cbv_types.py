@@ -1,5 +1,8 @@
 """Fragment-gated type formation, fulfillments, enumeration, type syntax."""
 
+import gc
+import weakref
+
 import pytest
 
 from substkit.cbv.types import (Base, Fun, NAT, NeedUnfulfilled, Record,
@@ -80,6 +83,22 @@ def test_universe_types_are_valid():
         for t in universe.types(2):
             assert valid_type(t, cfg)
             assert type_depth(t) <= 2
+
+
+def test_universe_is_freed_and_shares_its_types():
+    """The enumeration cache is keyed on the configuration: it keeps no
+    universe alive, and universes over equal configurations share it."""
+    universe = TypeUniverse(config(("functions", "records")))
+    types = universe.types(2)
+    ref = weakref.ref(universe)
+    gc.disable()
+    try:
+        del universe
+        assert ref() is None
+    finally:
+        gc.enable()
+    again = TypeUniverse(config(("records", "functions"))).types(2)
+    assert again == types and again is types
 
 
 def test_row_label_dedup():
