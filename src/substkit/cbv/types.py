@@ -165,6 +165,11 @@ class FragmentConfig:
             raise ValueError("at least one base type is required")
         if self.nat_bound < 1 or self.type_depth < 1:
             raise ValueError("bounds must be positive")
+        object.__setattr__(self, "_h", hash((self.extensions, self.base_types,
+                                             self.nat_bound, self.type_depth)))
+
+    def __hash__(self):
+        return self._h
 
     def has(self, ext: str) -> bool:
         return ext in self.extensions

@@ -10,6 +10,7 @@ by a union-find closure over all generator pairs, one per enumerated renaming.
 from __future__ import annotations
 
 import itertools
+from operator import itemgetter
 from typing import Hashable, Iterable, Sequence
 
 from ..sorts import (Context, Renaming, Sort, compose_renamings, first,
@@ -231,73 +232,69 @@ def tensor(p: FinStructure, q: FinStructure, validate: bool = True) -> TensorRes
     if set(q.sorts) != want:
         raise ValueError("right tensor factor must be homogeneous over the left "
                          "factor's context alphabet")
-    bound = p.bound
-    out_ctxs = enumerate_contexts(q.ctx_sorts, bound)
+    reps, members, cells = {}, {}, {}
+    structure = FinStructure(p.sorts, q.ctx_sorts, p.bound, cells, {})
+    out_ctxs = structure.contexts()
     p_ctxs = p.contexts()
-
-    reps: dict = {}
-    members: dict = {}
-    cells: dict = {}
+    envs = {(gp, ctx): list(enumerate_envs(q, gp, ctx))
+            for gp in p_ctxs for ctx in out_ctxs}
+    renamings = [(g1, g2, rho.key(), rho.mapping)
+                 for g1 in p_ctxs for g2 in p_ctxs
+                 for rho in enumerate_renamings(g1, g2)]
     for s in p.sorts:
+        p_cells = {gp: p.cell(s, gp) for gp in p_ctxs}
+        # each generator pair: (G1, rho t, env) ~ (G2, t, env . rho)
+        moves = [(g1, g2.entries, mapping,
+                  [(p.action[(key, s, t)], t) for t in p_cells[g2]])
+                 for g1, g2, key, mapping in renamings if p_cells[g2]]
         for ctx in out_ctxs:
-            triples = []
-            for gp in p_ctxs:
-                for t in p.cell(s, gp):
-                    for env in enumerate_envs(q, gp, ctx):
-                        triples.append((gp.entries, t, env))
+            triples = [(gp.entries, t, env) for gp in p_ctxs for t in p_cells[gp]
+                       for env in envs[(gp, ctx)]]
             index = {t: i for i, t in enumerate(triples)}
             uf = _UnionFind(len(triples))
-            for g1 in p_ctxs:
-                for g2 in p_ctxs:
-                    for rho in enumerate_renamings(g1, g2):
-                        for t in p.cell(s, g2):
-                            tr = p.act(s, rho, t)
-                            for env in enumerate_envs(q, g1, ctx):
-                                left = (g1.entries, tr, env)
-                                right = (g2.entries, t, reindex_env(env, rho))
-                                uf.union(index[left], index[right])
+            for g1, g2_entries, mapping, pairs in moves:
+                g1_entries, g1_envs = g1.entries, envs[(g1, ctx)]
+                for tr, t in pairs:
+                    for env in g1_envs:
+                        uf.union(index[(g1_entries, tr, env)],
+                                 index[(g2_entries, t, tuple(env[x] for x in mapping))])
             groups: dict = {}
             for t, i in index.items():
-                groups.setdefault(uf.find(i), []).append(t)
+                groups.setdefault(uf.find(i), []).append((repr(t), t))
             cell = []
             for grp in groups.values():
-                rep = min(grp, key=repr)
-                cell.append(rep)
-                for t in grp:
+                # stable, so the head is what min(grp, key=repr) would pick
+                ordered = sorted(grp, key=itemgetter(0))
+                rep = ordered[0][1]
+                cell.append(ordered[0])
+                for _, t in grp:
                     reps[(s, ctx, t)] = rep
-                members[(s, ctx, rep)] = tuple(sorted(grp, key=repr))
-            cells[(s, ctx)] = tuple(sorted(cell, key=repr))
+                members[(s, ctx, rep)] = tuple(t for _, t in ordered)
+            cell.sort(key=itemgetter(0))
+            cells[(s, ctx)] = tuple(rep for _, rep in cell)
 
-    def act(s, tau, rep):
-        gp_entries, t, env = rep
-        moved = tuple(q.act(first(Context(gp_entries).sort_at(i)), tau, e)
-                      for i, e in enumerate(env))
-        return reps[(s, tau.source, (gp_entries, t, moved))]
-
-    structure = build_structure(p.sorts, q.ctx_sorts, bound, cells, act)
-    result = TensorResult(p, q, structure, reps, members)
-    if validate:
-        _check_action_well_defined(result)
-    return result
-
-
-def _check_action_well_defined(tr: TensorResult) -> None:
-    """The quotient action must be independent of the chosen representative."""
-    st = tr.structure
-    for rho in st.renamings():
-        for s in st.sorts:
-            for rep in st.cell(s, rho.target):
-                image = st.act(s, rho, rep)
-                for member in tr.members(s, rho.target, rep):
+    # tau moves a class by moving its environment; the representative heads its
+    # members and sets the image, which with validate every member must reach
+    q_sort = {s.ident: s for s in q.sorts}
+    q_sorts = {gp.entries: tuple(q_sort[e] for e in gp.entries) for gp in p_ctxs}
+    action = structure.action
+    for tau in structure.renamings():
+        key = tau.key()
+        for s in p.sorts:
+            for rep in cells.get((s, tau.target), ()):
+                image = None
+                for member in members[(s, tau.target, rep)] if validate else (rep,):
                     gp_entries, t, env = member
-                    moved = tuple(
-                        tr.q.act(first(Context(gp_entries).sort_at(i)), rho, e)
-                        for i, e in enumerate(env))
-                    got = tr.class_of(s, rho.source, (gp_entries, t, moved))
-                    if got != image:
+                    moved = tuple(q.action[(key, qs, e)]
+                                  for qs, e in zip(q_sorts[gp_entries], env))
+                    got = reps[(s, tau.source, (gp_entries, t, moved))]
+                    if image is None:
+                        image = action[(key, s, rep)] = got
+                    elif got != image:
                         raise ValueError(
-                            f"tensor action not well-defined at {s!r} {rho!r}: "
+                            f"tensor action not well-defined at {s!r} {tau!r}: "
                             f"{member!r} -> {got!r} != {image!r}")
+    return TensorResult(p, q, structure, reps, members)
 
 
 def truncate_structure(p: FinStructure, bound: int) -> FinStructure:

@@ -1,7 +1,9 @@
 """Shared toy signature and random-term helpers for the core test suites."""
 
 import itertools
+import os
 import random
+from pathlib import Path
 
 import pytest
 
@@ -29,6 +31,16 @@ def toy_table() -> OperatorTable:
 
 
 TOY = toy_table()
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def child_env() -> dict:
+    """The environment for a child interpreter: this checkout's ``src`` goes
+    first on ``PYTHONPATH``, so the child imports the substkit under test even
+    when the checkout is not installed."""
+    paths = [str(SRC), os.environ.get("PYTHONPATH", "")]
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in paths if p)}
 
 
 def all_renamings(src: Context, tgt: Context):

@@ -8,6 +8,7 @@ import weakref
 
 import pytest
 
+from conftest import child_env
 from substkit.cbv.gen import TermGen
 from substkit.cbv.ops import CbvOperatorTable, DisabledConstruct
 from substkit.cbv.types import (Base, DepthExceeded, NAT, UNIT, config, fun,
@@ -185,7 +186,7 @@ def test_malformed_label_raises_key_error(label):
 def test_malformed_letrec_label_raises_key_error():
     """The definition list must be parenthesised; the check survives -O."""
     out = subprocess.run([sys.executable, "-O", "-c", MALFORMED_LETREC],
-                         capture_output=True, text=True)
+                         capture_output=True, text=True, env=child_env())
     assert out.stderr.splitlines()[-1].startswith("KeyError"), out.stderr
 
 

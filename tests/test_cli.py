@@ -8,6 +8,7 @@ import sys
 
 import pytest
 
+from conftest import child_env
 from substkit import cli
 from substkit.cli import main
 from substkit.suites import SUITES
@@ -16,7 +17,8 @@ PY = [sys.executable, "-m", "substkit.cli"]
 
 
 def run_cli(*args, **kw):
-    return subprocess.run(PY + list(args), capture_output=True, text=True, **kw)
+    return subprocess.run(PY + list(args), capture_output=True, text=True,
+                          env=child_env(), **kw)
 
 
 def test_run_identity_table(tmp_path):

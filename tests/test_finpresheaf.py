@@ -399,3 +399,236 @@ def test_mediators_entry_point():
         assert m.naturality_witness() is None
     assert ru.bijectivity_witness() is None
     assert alpha.bijectivity_witness() is None
+
+
+# --- the tensor against its literal reference ------------------------------------
+
+def literal_tensor(p, q, validate=True, skip=None):
+    """The reference: the tensor as first written, re-enumerating envs and
+    renamings for every cell and tabulating the action through a closure.
+    ``skip`` names one renaming key whose unions are left out (a mutant)."""
+    from substkit.finpresheaf.structures import (TensorResult, _UnionFind,
+                                                 build_structure)
+    from substkit.sorts import Context as Ctx
+    out_ctxs = enumerate_contexts(q.ctx_sorts, p.bound)
+    p_ctxs = p.contexts()
+    reps, members, cells = {}, {}, {}
+    for s in p.sorts:
+        for ctx in out_ctxs:
+            triples = []
+            for gp in p_ctxs:
+                for t in p.cell(s, gp):
+                    for env in enumerate_envs(q, gp, ctx):
+                        triples.append((gp.entries, t, env))
+            index = {t: i for i, t in enumerate(triples)}
+            uf = _UnionFind(len(triples))
+            for g1 in p_ctxs:
+                for g2 in p_ctxs:
+                    for rho in enumerate_renamings(g1, g2):
+                        if rho.key() == skip:
+                            continue
+                        for t in p.cell(s, g2):
+                            tr = p.act(s, rho, t)
+                            for env in enumerate_envs(q, g1, ctx):
+                                left = (g1.entries, tr, env)
+                                right = (g2.entries, t, reindex_env(env, rho))
+                                uf.union(index[left], index[right])
+            groups: dict = {}
+            for t, i in index.items():
+                groups.setdefault(uf.find(i), []).append(t)
+            cell = []
+            for grp in groups.values():
+                rep = min(grp, key=repr)
+                cell.append(rep)
+                for t in grp:
+                    reps[(s, ctx, t)] = rep
+                members[(s, ctx, rep)] = tuple(sorted(grp, key=repr))
+            cells[(s, ctx)] = tuple(sorted(cell, key=repr))
+
+    def act(s, tau, rep):
+        gp_entries, t, env = rep
+        moved = tuple(q.act(first(Ctx(gp_entries).sort_at(i)), tau, e)
+                      for i, e in enumerate(env))
+        return reps[(s, tau.source, (gp_entries, t, moved))]
+
+    structure = build_structure(p.sorts, q.ctx_sorts, p.bound, cells, act)
+    result = TensorResult(p, q, structure, reps, members)
+    if validate:
+        _literal_check_action_well_defined(result)
+    return result
+
+
+def _literal_check_action_well_defined(tr) -> None:
+    st = tr.structure
+    for rho in st.renamings():
+        for s in st.sorts:
+            for rep in st.cell(s, rho.target):
+                image = st.act(s, rho, rep)
+                for member in tr.members(s, rho.target, rep):
+                    gp_entries, t, env = member
+                    moved = tuple(tr.q.act(first(Context(gp_entries).sort_at(i)), rho, e)
+                                  for i, e in enumerate(env))
+                    got = tr.class_of(s, rho.source, (gp_entries, t, moved))
+                    if got != image:
+                        raise ValueError(
+                            f"tensor action not well-defined at {s!r} {rho!r}: "
+                            f"{member!r} -> {got!r} != {image!r}")
+
+
+def assert_same_tensor(p, q):
+    """``tensor`` equals the reference part by part, insertion order included."""
+    got, want = tensor(p, q), literal_tensor(p, q)
+    assert list(got.structure.cells.items()) == list(want.structure.cells.items())
+    assert list(got.structure.action.items()) == list(want.structure.action.items())
+    assert list(got._reps.items()) == list(want._reps.items())
+    assert list(got._members.items()) == list(want._members.items())
+    unchecked = tensor(p, q, validate=False)
+    assert list(unchecked.structure.action.items()) == \
+        list(want.structure.action.items())
+    return got
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_tensor_matches_reference_on_free_structures(seed):
+    rng = rand(100 + seed)
+    p = free_structure(rng, (first("a"), second("k")), ("a",), 2,
+                       ensure=[(second("k"), Context(()))])
+    q = homog(rng, True)
+    assert_same_tensor(p, q)
+    assert_same_tensor(snd_struct(rng), q)
+    assert_same_tensor(q, homog(rng))
+    # generators at length-2 homes, over a two-sort alphabet
+    ab = ("a", "b")
+    homes = [Context(()), Context(("a", "b")), Context(("b", "b"))]
+    p2 = free_structure(rng, (second("k"), first("b")), ab, 2, homes=homes,
+                        ensure=[(second("k"), Context(("a", "b")))])
+    q2 = free_structure(rng, (first("a"), first("b")), ab, 2,
+                        ensure=[(first("a"), Context(("a",))),
+                                (first("b"), Context(("b",)))])
+    assert_same_tensor(p2, q2)
+
+
+def test_tensor_matches_reference_on_variables_and_kneut():
+    rng = rand(110)
+    nu = variables_structure(("a",), 2)
+    q = homog(rng, True)
+    assert_same_tensor(nu, q)
+    assert_same_tensor(snd_struct(rng), nu)
+    assert_same_tensor(nu, nu)
+    kn = kneut_structure(("a",), ("k",), 2)
+    assert_same_tensor(kn, terminal_structure((first("a"),), ("a",), 2))
+    assert_same_tensor(kn, nu)
+    assert_same_tensor(kn, q)
+    nu2 = variables_structure(("a", "b"), 2)
+    assert_same_tensor(kneut_structure(("a", "b"), ("k",), 2), nu2)
+
+
+def test_tensor_matches_reference_on_term_structure():
+    from substkit.termstruct import cbv_term_structure
+    P, Q, _table = cbv_term_structure()
+    assert_same_tensor(P, Q)
+    assert_same_tensor(Q, Q)
+
+
+def test_tensor_matches_reference_on_nested_tensors(monkeypatch):
+    """Every tensor the pentagon builds, tensors of tensors included."""
+    from substkit.finpresheaf import laws
+    from substkit.finpresheaf.laws import action_pentagon_witness
+    shapes = []
+
+    def compared(p, q, validate=True):
+        shapes.append((len(p.cells), len(q.cells)))
+        return assert_same_tensor(p, q)
+
+    monkeypatch.setattr(laws, "tensor", compared)
+    rng = rand(111)
+    p, q, l = snd_struct(rng), homog(rng, True), homog(rng, True)
+    assert action_pentagon_witness(p, q, l, q) is None
+    assert len(shapes) == 12
+
+
+def test_tensor_action_check_still_raises(monkeypatch):
+    """A quotient that also merges the first two raw triples of the cell at
+    [a] is no coend; both tensors reject it with the same message."""
+    from substkit.finpresheaf import structures
+    real = structures._UnionFind
+
+    def corrupting():
+        built = []
+
+        def make(n):
+            built.append(real(n))
+            if len(built) == 2:  # the second cell: (k, [a])
+                built[-1].union(0, 1)
+            return built[-1]
+        return make
+
+    rng = rand(112)
+    p = free_structure(rng, (second("k"),), ("a",), 2,
+                       ensure=[(second("k"), Context(("a",)))])
+    q = homog(rng, True)
+    messages = []
+    for fn in (tensor, literal_tensor):
+        monkeypatch.setattr(structures, "_UnionFind", corrupting())
+        with pytest.raises(ValueError, match="tensor action not well-defined") as err:
+            fn(p, q)
+        messages.append(str(err.value))
+    assert messages[0] == messages[1]
+    monkeypatch.setattr(structures, "_UnionFind", corrupting())
+    tensor(p, q, validate=False)
+
+
+# --- a tensor that forgets one renaming's identifications -----------------------
+
+def _install_tensor(monkeypatch, fn):
+    """Bind ``fn`` as the tensor in every module that imported it."""
+    import substkit.finpresheaf
+    from substkit.finpresheaf import laws, structures
+    for module in (structures, substkit.finpresheaf, laws):
+        monkeypatch.setattr(module, "tensor", fn)
+
+
+def _skipping(key):
+    return lambda p, q, validate=True: literal_tensor(p, q, validate, skip=key)
+
+
+SWAP_AA = (("a", "a"), ("a", "a"), (1, 0))
+
+
+def _swap_structures(seed):
+    rng = rand(seed)
+    homes = [Context(()), Context(("a",)), Context(("a", "a"))]
+    p = free_structure(rng, (second("k"),), ("a",), 2, homes=homes,
+                       ensure=[(second("k"), Context(("a", "a")))])
+    return p, homog(rng, True), homog(rng, True)
+
+
+def test_tensor_dropping_a_swap_fails_action_axioms_with_witness(monkeypatch):
+    """Skipping the swap of [a, a] leaves the generator at [a, a] unidentified
+    with its swapped environment, so the right unitor stops being injective."""
+    rep = check_action_axioms(*_swap_structures(120))
+    assert rep.ok, rep.to_text()
+    _install_tensor(monkeypatch, _skipping(SWAP_AA))
+    rep = check_action_axioms(*_swap_structures(120))
+    failed = [r for r in rep.records if not r.ok]
+    assert failed and all(r.witness for r in failed), rep.to_text()
+    assert "right unitor bijective" in [r.name for r in failed]
+
+
+def test_tensor_dropping_a_swap_fails_coend_quotient_with_witness(monkeypatch):
+    """Without the swap of [b -> b, b -> b] the permutation identification
+    (fn x. f (g x) against fn x. g (f x)) no longer merges."""
+    from substkit import suites
+    from substkit.report import Report
+    from substkit.termstruct import FB
+    rep = Report()
+    suites.coend_quotient(rep, seed=20260810)
+    assert rep.ok, rep.to_text()
+    _install_tensor(monkeypatch, _skipping(((FB, FB), (FB, FB), (1, 0))))
+    rep = Report()
+    suites.coend_quotient(rep, seed=20260810)
+    failed = [r for r in rep.records if not r.ok]
+    assert [r.name for r in failed] == [
+        "the three motivating identifications merge"], rep.to_text()
+    assert failed[0].witness.endswith("stay apart")
+    assert f"over {Context((FB,))!r}: " in failed[0].witness  # the permutation
