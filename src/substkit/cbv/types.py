@@ -167,6 +167,8 @@ class FragmentConfig:
             raise ValueError("bounds must be positive")
         object.__setattr__(self, "_h", hash((self.extensions, self.base_types,
                                              self.nat_bound, self.type_depth)))
+        # valid_type's answers, owned by the configuration they are about
+        object.__setattr__(self, "_valid", {})
 
     def __hash__(self):
         return self._h
@@ -196,9 +198,16 @@ def all_fragment_configs(base_types=("b",), nat_bound=8, type_depth=3):
     return out
 
 
-@functools.lru_cache(maxsize=None)
 def valid_type(t: TypeExpr, cfg: FragmentConfig) -> bool:
     """Is the type derivable from the formation rules the fragment enables?"""
+    try:
+        return cfg._valid[t]
+    except KeyError:
+        ok = cfg._valid[t] = _derivable(t, cfg)
+        return ok
+
+
+def _derivable(t: TypeExpr, cfg: FragmentConfig) -> bool:
     if isinstance(t, Base):
         return t.name in cfg.base_types
     if isinstance(t, NatType):

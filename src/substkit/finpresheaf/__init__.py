@@ -9,7 +9,7 @@ from .laws import (PairObject, PointedStructure, StructMap, associator_map,
                    check_action_axioms, check_pointed_tensor, check_skew,
                    kneut_pair, left_unitor_map, maps_equal, mediators, pointed_free,
                    pointed_variables, right_unitor_inv, right_unitor_map,
-                   skew_tensor, tensor_left_map, tensor_right_map)
+                   tensor_left_map, tensor_right_map)
 
 __all__ = [
     "BoundExceeded", "FinStructure", "PairObject", "PointedStructure",
@@ -19,7 +19,7 @@ __all__ = [
     "exponential", "free_structure", "kneut_pair", "kneut_structure",
     "left_unitor_map", "maps_equal", "mediators", "pointed_free",
     "pointed_variables",
-    "right_unitor_inv", "right_unitor_map", "shift_structure", "skew_tensor",
+    "right_unitor_inv", "right_unitor_map", "shift_structure",
     "tensor", "tensor_left_map", "tensor_right_map", "terminal_structure",
     "variables_structure",
 ]

@@ -13,8 +13,8 @@ from dataclasses import dataclass
 from ..report import Report
 from ..sorts import Context, Renaming, Sort, first, second
 from .structures import (FinStructure, TensorResult, empty_structure,
-                         shift_structure, tensor, truncate_structure,
-                         variables_structure)
+                         shift_structure, tensor, terminal_structure,
+                         truncate_structure, variables_structure)
 
 
 @dataclass
@@ -51,11 +51,6 @@ class StructMap:
                 if len(set(image)) != len(src) or set(image) != set(self.target.cell(s, ctx)):
                     return f"not a bijection at {s!r} {ctx!r}"
         return None
-
-    def inverse(self) -> "StructMap":
-        table = {key: {y: x for x, y in inner.items()}
-                 for key, inner in self.table.items()}
-        return StructMap(self.target, self.source, table)
 
 
 def map_cells(src: FinStructure, tgt: FinStructure, fn) -> StructMap:
@@ -387,19 +382,9 @@ class PairObject:
     act: FinStructure
 
 
-def skew_tensor(x: PairObject, y: PairObject) -> tuple[PairObject, TensorResult, TensorResult]:
-    t_mon = tensor(x.mon, y.mon)
-    t_act = tensor(x.act, y.mon)
-    return PairObject(t_mon.structure, t_act.structure), t_mon, t_act
-
-
 def kneut_pair(fst_ids, snd_ids, bound: int) -> PairObject:
     return PairObject(variables_structure(fst_ids, bound),
                       empty_structure(tuple(second(s) for s in snd_ids), fst_ids, bound))
-
-
-def _mon_pentagon(a, b, c, d) -> str | None:
-    return action_pentagon_witness(a, b, c, d)
 
 
 def check_skew(fst_ids, snd_ids, bound: int, pairs: list[PairObject],
@@ -414,7 +399,7 @@ def check_skew(fst_ids, snd_ids, bound: int, pairs: list[PairObject],
     nu = variables_structure(fst_ids, bound)
 
     # (1) pentagon, both components
-    w = _mon_pentagon(p.mon, q.mon, r.mon, s4.mon)
+    w = action_pentagon_witness(p.mon, q.mon, r.mon, s4.mon)
     rep.record(suite, "skew pentagon (monoid part)", w is None, w)
     w = action_pentagon_witness(p.act, q.mon, r.mon, s4.mon)
     rep.record(suite, "skew pentagon (acted part)", w is None, w)
@@ -474,8 +459,8 @@ def check_skew(fst_ids, snd_ids, bound: int, pairs: list[PairObject],
     # non-invertibility witness: (kNeut * top) is empty at second-class sorts
     # while top itself is a singleton there.
     top_pair = PairObject(
-        terminal_like(fst_ids, bound),
-        terminal_like_snd(fst_ids, snd_ids, bound))
+        terminal_structure(tuple(first(s) for s in fst_ids), fst_ids, bound),
+        terminal_structure(tuple(second(s) for s in snd_ids), fst_ids, bound))
     kn = kneut_pair(fst_ids, snd_ids, bound)
     t_top = tensor(kn.act, top_pair.mon)
     ok, witness = True, None
@@ -593,13 +578,3 @@ def check_shift_strength(x: FinStructure, binder: Context, a: PointedStructure,
     w = maps_equal(route1, route2)
     rep.record(suite, "shift strength pentagon", w is None, w)
     return rep
-
-
-def terminal_like(fst_ids, bound: int) -> FinStructure:
-    from .structures import terminal_structure
-    return terminal_structure(tuple(first(s) for s in fst_ids), fst_ids, bound)
-
-
-def terminal_like_snd(fst_ids, snd_ids, bound: int) -> FinStructure:
-    from .structures import terminal_structure
-    return terminal_structure(tuple(second(s) for s in snd_ids), fst_ids, bound)

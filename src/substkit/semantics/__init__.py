@@ -5,7 +5,7 @@ from .checks import (check_compatibility, check_sem_action_axioms,
                      check_substitution_lemma_random)
 from .denote import (Interpreter, NonConvergence, denote, elgot_iterate,
                      elgot_unrolling_oracle, kleene_fixpoint)
-from .finset import EnumerationTooLarge, FinSet, FunSpace, product_space
+from .finset import EnumerationTooLarge, FinSet, FunSpace
 from .model import (Denotation, Model, context_space, identity_sem_env,
                     interp_size, interpret_type, model, precompose, projection,
                     subst_denotation)
@@ -23,6 +23,6 @@ __all__ = [
     "check_substitution_lemma_exhaustive", "check_substitution_lemma_random",
     "context_space", "denote", "elgot_iterate", "elgot_unrolling_oracle",
     "identity_sem_env", "interp_size", "interpret_type", "kleene_fixpoint",
-    "model", "monad_by_name", "precompose", "product_space", "projection",
+    "model", "monad_by_name", "precompose", "projection",
     "subst_denotation",
 ]

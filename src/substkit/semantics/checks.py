@@ -23,9 +23,9 @@ from ..sorts import Context, first, second
 from ..terms import Op, SubstEnv, Term, substitute
 from .denote import DenotationCarrier, Interpreter, denote
 from .finset import FinSet
-from .monads import NONE
+from .monads import NONE, OptionMonad
 from .model import (Denotation, Model, context_space, identity_sem_env,
-                    interp_size, interpret_type, precompose, projection,
+                    interp_size, interpret_type, model, precompose, projection,
                     subst_denotation)
 
 
@@ -177,7 +177,7 @@ def _op_instances(family: str, table: CbvOperatorTable, universe):
 def check_compatibility(fragment: str, m: Model, cfg: FragmentConfig,
                         ctx_len: int = 1, type_depth: int = 2,
                         table_cap: int = 12, env_cap: int = 6, seed: int = 0,
-                        type_size_cap: int = 12, corrupt: str | None = None,
+                        type_size_cap: int = 12,
                         report: Report | None = None) -> Report:
     """The compatibility square for every operator of the fragment: substituting
     after interpreting equals interpreting the strength-routed substitution."""
@@ -192,7 +192,7 @@ def check_compatibility(fragment: str, m: Model, cfg: FragmentConfig,
     b = Base(cfg.base_types[0])
     ctxs = [Context(c) for k in range(ctx_len + 1)
             for c in itertools.product((b,), repeat=k)]
-    interp = Interpreter(m, cfg, table, corrupt=corrupt)
+    interp = Interpreter(m, cfg, table)
     carrier = DenotationCarrier(m, nb)
 
     checked = 0
@@ -393,14 +393,6 @@ class _UnrollingInterpreter(Interpreter):
         return self._den(result, ctx, fn)
 
 
-def denote_with_unrolling(t, m, cfg, table):
-    from ..terms import fold
-    from .model import identity_sem_env
-    interp = _UnrollingInterpreter(m, cfg, table)
-    env = identity_sem_env(t.ctx, m, cfg.nat_bound)
-    return fold(t, interp.alg, interp._alg_hole, env, t.ctx, interp.carrier)
-
-
 def check_elgot_against_unrolling(m: Model, seed: int, count: int = 50,
                                   report: Report | None = None) -> Report:
     """Random while-programs: the cycle-detecting iteration must agree with the
@@ -412,6 +404,7 @@ def check_elgot_against_unrolling(m: Model, seed: int, count: int = 50,
     table = CbvOperatorTable(cfg)
     rng = random.Random(seed)
     gen = TermGen(cfg, table, rng, interp_cap=12, model=m)
+    unrolling = _UnrollingInterpreter(m, cfg, table)
     checked = 0
     while checked < count:
         ctx = gen.random_context(2)
@@ -425,7 +418,7 @@ def check_elgot_against_unrolling(m: Model, seed: int, count: int = 50,
         body = gen.random_term(inner, done_cont_shape(result, state), 3)
         term = Op(table.forloop(state, result), ctx, [init, body])
         lhs = denote(term, m, cfg, table)
-        rhs = denote_with_unrolling(term, m, cfg, table)
+        rhs = unrolling.denote(term)
         diff = lhs.difference_witness(rhs)
         checked += 1
         if diff is not None:
@@ -486,7 +479,7 @@ def check_letrec_references(report: Report | None = None) -> Report:
     from ..cbv.typecheck import typecheck
     rep = report if report is not None else Report()
     suite = "fixpoints"
-    m = model_option()
+    m = model(OptionMonad())
 
     cfg = FragmentConfig(
         frozenset({"recursion", "naturals", "sequential", "functions"}),
@@ -516,12 +509,6 @@ def check_letrec_references(report: Report | None = None) -> Report:
             ok, witness = False, f"even({n}) = {d2.at((n,))!r}"
     rep.record(suite, "mutual even/odd at nat_bound 4", ok, witness)
     return rep
-
-
-def model_option(sizes=None):
-    from .model import model as _model
-    from .monads import OptionMonad
-    return _model(OptionMonad(), sizes or {"b": 2})
 
 
 def check_kleene_properties(seed: int, report: Report | None = None) -> Report:

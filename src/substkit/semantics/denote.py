@@ -90,12 +90,10 @@ class DenotationCarrier:
 
 
 class Interpreter:
-    def __init__(self, m: Model, cfg: FragmentConfig, table: CbvOperatorTable,
-                 corrupt: str | None = None):
+    def __init__(self, m: Model, cfg: FragmentConfig, table: CbvOperatorTable):
         self.m = m
         self.cfg = cfg
         self.table = table
-        self.corrupt = corrupt
         self.carrier = DenotationCarrier(m, cfg.nat_bound)
 
     # -- small helpers ------------------------------------------------------
@@ -115,16 +113,14 @@ class Interpreter:
 
     # -- the algebra --------------------------------------------------------
 
+    def denote(self, t) -> Denotation:
+        """Interpret a well-sorted term over its ambient context."""
+        env = identity_sem_env(t.ctx, self.m, self.cfg.nat_bound)
+        return fold(t, self.alg, self._alg_hole, env, t.ctx, self.carrier)
+
     def alg(self, op, values, ctx):
         family, params = self.table.family(op)
-        out = getattr(self, f"_alg_{family}")(op, params, values, ctx)
-        if self.corrupt == family:
-            # deliberately wrong clause: answer as if at a fixed context point
-            fixed = self._space(ctx).first()
-            broken = Denotation(out.sort, out.ctx, out.space,
-                                lambda point: out.at(fixed))
-            return broken
-        return out
+        return getattr(self, f"_alg_{family}")(op, params, values, ctx)
 
     def _alg_val(self, op, params, values, ctx):
         (t,) = params
@@ -316,9 +312,6 @@ class Interpreter:
         raise ValueError("terms with holes have no denotation")
 
 
-def denote(t, m: Model, cfg: FragmentConfig, table: CbvOperatorTable,
-           corrupt: str | None = None) -> Denotation:
+def denote(t, m: Model, cfg: FragmentConfig, table: CbvOperatorTable) -> Denotation:
     """Interpret a well-sorted term over its ambient context."""
-    interp = Interpreter(m, cfg, table, corrupt)
-    env = identity_sem_env(t.ctx, m, cfg.nat_bound)
-    return fold(t, interp.alg, interp._alg_hole, env, t.ctx, interp.carrier)
+    return Interpreter(m, cfg, table).denote(t)

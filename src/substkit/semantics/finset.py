@@ -112,7 +112,3 @@ class ProductSpace:
 
     def __repr__(self):
         return f"ProductSpace({self.size})"
-
-
-def product_space(sets) -> ProductSpace:
-    return ProductSpace(sets)

@@ -5,32 +5,38 @@ products, and a term of a first-class sort denotes a function from the context
 product, a term of a second-class sort a Kleisli map into the monad.
 Denotations are memoized query functions; comparisons materialize them over
 the full enumeration of their (small) context space.
+
+Each ``Model`` owns the sets its types and contexts denote, in two tables keyed
+by (type, nat bound) and (context, nat bound), since one model serves several
+bounds.  ``interpret_type`` and ``context_space`` fill them on first use, and
+they go with their model.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import lru_cache
+import itertools
 
 from ..sorts import Context, Renaming, Sort
 from ..cbv.types import Base, Fun, NatType, Record, TypeExpr, Variant
-from .finset import FinSet, FunSpace, product_space
+from .finset import FinSet, FunSpace, ProductSpace
 from .monads import StrongMonad
 
 
-@dataclass(frozen=True)
 class Model:
-    base_interp: dict
-    monad: StrongMonad
+    """Finite sets for the base types and a strong monad; the owner of the
+    interpretation tables."""
+
+    def __init__(self, base_interp: dict, monad: StrongMonad):
+        self.base_interp = base_interp
+        self.monad = monad
+        self.type_sets: dict = {}
+        self.context_spaces: dict = {}
 
     @property
     def capabilities(self) -> dict:
         return {"kleisli_exponentials": True,
                 "elgot": self.monad.elgot_capable,
                 "fixpoints": self.monad.fixpoint_capable}
-
-    def __hash__(self):
-        return hash((id(self.monad), tuple(sorted(self.base_interp))))
 
 
 def model(monad: StrongMonad, sizes: dict | None = None) -> Model:
@@ -40,33 +46,28 @@ def model(monad: StrongMonad, sizes: dict | None = None) -> Model:
     return Model(interp, monad)
 
 
-@lru_cache(maxsize=None)
-def _interp(t: TypeExpr, m: Model, nat_bound: int):
-    if isinstance(t, Base):
-        return m.base_interp[t.name]
-    if isinstance(t, NatType):
-        return FinSet(range(nat_bound))
-    if isinstance(t, Fun):
-        dom = _interp(t.dom, m, nat_bound)
-        cod = m.monad.apply(_interp(t.cod, m, nat_bound))
-        return FunSpace(dom, cod)
-    if isinstance(t, Record):
-        return FinSet(
-            tuple(vs)
-            for vs in _product([_interp(v, m, nat_bound) for _, v in t.row]))
-    if isinstance(t, Variant):
-        return FinSet((l, v) for l, vt in t.row
-                      for v in _interp(vt, m, nat_bound))
-    raise ValueError(f"uninterpretable type {t!r}")
-
-
-def _product(sets):
-    import itertools
-    return itertools.product(*[tuple(s) for s in sets])
-
-
 def interpret_type(t: TypeExpr, m: Model, nat_bound: int):
-    return _interp(t, m, nat_bound)
+    key = (t, nat_bound)
+    got = m.type_sets.get(key)
+    if got is not None:
+        return got
+    if isinstance(t, Base):
+        got = m.base_interp[t.name]
+    elif isinstance(t, NatType):
+        got = FinSet(range(nat_bound))
+    elif isinstance(t, Fun):
+        got = FunSpace(interpret_type(t.dom, m, nat_bound),
+                       m.monad.apply(interpret_type(t.cod, m, nat_bound)))
+    elif isinstance(t, Record):
+        got = FinSet(itertools.product(
+            *[tuple(interpret_type(v, m, nat_bound)) for _, v in t.row]))
+    elif isinstance(t, Variant):
+        got = FinSet((l, v) for l, vt in t.row
+                     for v in interpret_type(vt, m, nat_bound))
+    else:
+        raise ValueError(f"uninterpretable type {t!r}")
+    m.type_sets[key] = got
+    return got
 
 
 def interp_size(t: TypeExpr, m: Model, nat_bound: int) -> int:
@@ -88,8 +89,13 @@ def interp_size(t: TypeExpr, m: Model, nat_bound: int) -> int:
     raise ValueError(f"uninterpretable type {t!r}")
 
 
-def context_space(ctx: Context, m: Model, nat_bound: int) -> FinSet:
-    return product_space([interpret_type(t, m, nat_bound) for t in ctx.entries])
+def context_space(ctx: Context, m: Model, nat_bound: int) -> ProductSpace:
+    key = (ctx, nat_bound)
+    got = m.context_spaces.get(key)
+    if got is None:
+        got = m.context_spaces[key] = ProductSpace(
+            [interpret_type(t, m, nat_bound) for t in ctx.entries])
+    return got
 
 
 class Denotation:

@@ -29,7 +29,6 @@ class StrongMonad:
     name = "abstract"
     elgot_capable = False
     fixpoint_capable = False
-    partial = False
 
     def apply(self, x: FinSet) -> FinSet:
         raise NotImplementedError
@@ -70,7 +69,6 @@ class OptionMonad(StrongMonad):
     name = "option"
     elgot_capable = True
     fixpoint_capable = True
-    partial = True
 
     def apply(self, x):
         return FinSet([NONE] + [("some", v) for v in x])
@@ -272,7 +270,6 @@ def check_monad_laws(monad: StrongMonad, report: Report | None = None,
         # (4) parameterized associativity
         b = _abstract_set("b", 2)
         tz = monad.apply(_abstract_set("z", 2))
-        z = _abstract_set("z", 2)
         gs_all = list(_functions(itertools.product(b, y), tz))
         if len(fs) * len(gs_all) <= pair_budget:
             gs_iter = [(f, g) for f in fs for g in gs_all]

@@ -1,4 +1,4 @@
-"""Shared toy signature and random-term helpers for the core test suites."""
+"""Shared toy signature, random-term helpers and a clause mutant for the test suites."""
 
 import itertools
 import os
@@ -7,6 +7,9 @@ from pathlib import Path
 
 import pytest
 
+from substkit.semantics import checks
+from substkit.semantics.denote import Interpreter
+from substkit.semantics.model import Denotation, context_space
 from substkit.signatures import Argument, Operator, OperatorTable
 from substkit.sorts import Context, Renaming, SortingSystem, first, second
 from substkit.terms import HoleDecl, Meta, Op, SubstEnv, Var
@@ -41,6 +44,24 @@ def child_env() -> dict:
     when the checkout is not installed."""
     paths = [str(SRC), os.environ.get("PYTHONPATH", "")]
     return {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in paths if p)}
+
+
+@pytest.fixture
+def corrupt_clause(monkeypatch):
+    """``corrupt_clause(family)`` makes ``check_compatibility`` interpret with
+    one deliberately wrong clause: the family's denotation answers every point
+    of its context as it does at the first point."""
+    def patch(family: str) -> None:
+        class Corrupted(Interpreter):
+            def alg(self, op, values, ctx):
+                out = super().alg(op, values, ctx)
+                if self.table.family(op)[0] != family:
+                    return out
+                fixed = context_space(ctx, self.m, self.cfg.nat_bound).first()
+                return Denotation(out.sort, out.ctx, out.space,
+                                  lambda point: out.at(fixed))
+        monkeypatch.setattr(checks, "Interpreter", Corrupted)
+    return patch
 
 
 def all_renamings(src: Context, tgt: Context):

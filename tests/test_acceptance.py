@@ -95,7 +95,7 @@ def test_criterion_4_strong_monad_laws():
     _assert_ok(rep, "criterion 4: four strong-monad laws, six monads")
 
 
-def test_criterion_5_compatibility_and_mutations():
+def test_criterion_5_compatibility_and_mutations(corrupt_clause):
     rep = Report()
     suites.compatibility(rep, SEED, ctx_len=2)
     _assert_ok(rep, "criterion 5a: compatibility squares, base/sequential/"
@@ -104,9 +104,9 @@ def test_criterion_5_compatibility_and_mutations():
                                 ("sequential", ("sequential",), "let"),
                                 ("functions", ("functions",), "lam"),
                                 ("functions", ("functions",), "app")):
+        corrupt_clause(fam)
         broken = check_compatibility(fragment, model(OptionMonad(), {"b": 2}),
-                                     config(exts), ctx_len=2, seed=SEED,
-                                     corrupt=fam)
+                                     config(exts), ctx_len=2, seed=SEED)
         failure = broken.first_failure()
         assert failure is not None and failure.witness, \
             f"mutation {fam} unexpectedly passed"

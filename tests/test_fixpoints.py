@@ -2,9 +2,10 @@
 
 import pytest
 
+from substkit.semantics import OptionMonad, model
 from substkit.semantics.checks import (check_elgot_against_unrolling,
                                        check_kleene_properties,
-                                       check_letrec_references, model_option)
+                                       check_letrec_references)
 from substkit.semantics.denote import (NonConvergence, elgot_iterate,
                                        elgot_unrolling_oracle, kleene_fixpoint)
 from substkit.semantics.monads import NONE
@@ -39,7 +40,7 @@ def test_elgot_countdown_matches_oracle():
 
 
 def test_elgot_random_programs_against_unrolling():
-    rep = check_elgot_against_unrolling(model_option(), seed=17, count=60)
+    rep = check_elgot_against_unrolling(model(OptionMonad()), seed=17, count=60)
     assert rep.ok, rep.to_text()
 
 

@@ -1,0 +1,73 @@
+"""Caches belong to the objects they describe: a model and a fragment
+configuration are freed with their tables, and no cache under ``src/`` grows
+for the life of the process."""
+
+import ast
+import gc
+import weakref
+
+from conftest import SRC
+from substkit.cbv import Base, CbvOperatorTable, config, fun, parse, typecheck, valid_type
+from substkit.semantics import OptionMonad, context_space, denote, interpret_type, model
+from substkit.sorts import Context, second
+
+B = Base("b")
+
+
+def test_model_and_config_are_freed_without_the_cycle_collector():
+    cfg = config(("functions",))
+    m = model(OptionMonad(), {"b": 2})
+    table = CbvOperatorTable(cfg)
+    ctx = Context((B,))
+    term = typecheck(parse("(val fn y: b . val y) (val x0)"), ctx, second(B),
+                     cfg, table)
+    assert denote(term, m, cfg, table).table() == (("some", "b0"), ("some", "b1"))
+    assert interpret_type(fun(B, B), m, 3).size == 9
+    assert context_space(Context((B, B)), m, 3).size == 4
+    assert valid_type(fun(B, B), cfg)
+    refs = (weakref.ref(m), weakref.ref(cfg))
+    gc.disable()
+    try:
+        del m, cfg, table, term
+        assert [ref() for ref in refs] == [None, None]
+    finally:
+        gc.enable()
+
+
+def unbounded_caches(source: str) -> list[str]:
+    """``line: function`` for each function decorated with ``cache``, or with
+    ``lru_cache`` and no explicit numeric bound: ``maxsize=None`` grows without
+    end, and the default of 128 is a bound nobody chose."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        for dec in getattr(node, "decorator_list", ()):
+            target, bound = dec, []
+            if isinstance(dec, ast.Call):
+                target = dec.func
+                bound = dec.args[:1] + [k.value for k in dec.keywords
+                                        if k.arg == "maxsize"]
+            name = (target.attr if isinstance(target, ast.Attribute)
+                    else getattr(target, "id", None))
+            numeric = (bound and isinstance(bound[0], ast.Constant)
+                       and isinstance(bound[0].value, int))
+            if name == "cache" or (name == "lru_cache" and not numeric):
+                found.append((dec.lineno, node.name))
+    return [f"{line}: {name}" for line, name in sorted(found)]
+
+
+def test_no_unbounded_cache_under_src():
+    found = {str(path.relative_to(SRC)): unbounded_caches(path.read_text())
+             for path in sorted(SRC.rglob("*.py"))}
+    assert {path: hits for path, hits in found.items() if hits} == {}
+
+
+def test_unbounded_cache_scan_sees_each_form():
+    source = ("import functools\nfrom functools import cache, lru_cache\n"
+              "@functools.lru_cache(maxsize=None)\ndef a(x): pass\n"
+              "@lru_cache\ndef b(x): pass\n"
+              "@cache\ndef c(x): pass\n"
+              "class K:\n    @staticmethod\n    @lru_cache(None)\n"
+              "    def d(x): pass\n"
+              "@functools.lru_cache(maxsize=16)\ndef e(x): pass\n"
+              "@lru_cache(32)\ndef f(x): pass\n")
+    assert unbounded_caches(source) == ["3: a", "5: b", "7: c", "11: d"]

@@ -130,9 +130,10 @@ def test_compatibility(fragment, exts):
                                                ("sequential", ("sequential",), "let"),
                                                ("functions", ("functions",), "lam"),
                                                ("functions", ("functions",), "app")])
-def test_compatibility_mutations_fail(fragment, exts, fam):
+def test_compatibility_mutations_fail(fragment, exts, fam, corrupt_clause):
+    corrupt_clause(fam)
     rep = check_compatibility(fragment, model(OptionMonad(), {"b": 2}),
-                              config(exts), corrupt=fam)
+                              config(exts))
     failure = rep.first_failure()
     assert failure is not None and failure.witness
 
