@@ -5,12 +5,23 @@ extending ``f : A x X -> T Y`` (a Python callable on elements) to ``A x T X``.
 The four laws -- the unit-projection law, naturality in the parameter, the
 Kleisli unit law, and parameterized associativity -- are checked pointwise by
 enumerating whole function spaces at small sizes and sampling at size 3.
+
+The laws are statements about the Kleisli extension ``bind(f, a, .)``, so the
+checker tabulates it: each ``bind(f, a, m)`` is computed once per ``f`` and
+read by naturality, the Kleisli unit law and the inner bind of associativity,
+and each ``bind(g, b, n)`` once per (f, g) pair, where both sides of
+associativity read it.  The outer bind of each right-hand side (and the
+left-hand side of naturality) remains a real call per point.  Function spaces
+are indexed, not listed, so a sampled space builds only the graphs it draws.
+A failing law records its first counterexample: the sizes, the functions and
+the point, each printed with sets in sorted order.
 """
 
 from __future__ import annotations
 
 import itertools
 import random
+from collections.abc import Sequence
 
 from ..report import Report
 from .finset import FinSet
@@ -209,11 +220,61 @@ def _abstract_set(name, n):
     return FinSet([f"{name}{i}" for i in range(n)])
 
 
-def _functions(dom_elems, t_elems):
-    """All graphs dom -> T-values, as dicts."""
-    dom_elems = list(dom_elems)
-    for outs in itertools.product(list(t_elems), repeat=len(dom_elems)):
-        yield dict(zip(dom_elems, outs))
+class _FunctionSpace(Sequence):
+    """Every graph ``dom -> cod`` as a dict, in ``itertools.product`` order.
+
+    Index ``i`` is decoded to its graph when it is read, so ``random.sample``
+    and ``random.choice`` draw the graphs they would draw from the full list
+    while building only those.
+    """
+
+    def __init__(self, dom, cod):
+        self.dom, self.cod = tuple(dom), tuple(cod)
+        self._len = len(self.cod) ** len(self.dom)
+
+    def __len__(self):
+        return self._len
+
+    def __getitem__(self, i):
+        if not 0 <= i < self._len:
+            raise IndexError(i)
+        outs = []
+        for _ in self.dom:
+            i, r = divmod(i, len(self.cod))
+            outs.append(self.cod[r])
+        return dict(zip(self.dom, reversed(outs)))
+
+    def __iter__(self):
+        for outs in itertools.product(self.cod, repeat=len(self.dom)):
+            yield dict(zip(self.dom, outs))
+
+
+class _Memo(dict):
+    """``fn(*key)`` for each key, computed on its first lookup."""
+
+    def __init__(self, fn):
+        super().__init__()
+        self.fn = fn
+
+    def __missing__(self, key):
+        value = self[key] = self.fn(*key)
+        return value
+
+
+def _show(v) -> str:
+    """``repr`` with set elements sorted, so it does not depend on hash seeds."""
+    if isinstance(v, (set, frozenset)):
+        return "{" + ", ".join(sorted(map(_show, v))) + "}"
+    if isinstance(v, tuple):
+        inner = ", ".join(map(_show, v))
+        return f"({inner},)" if len(v) == 1 else f"({inner})"
+    if isinstance(v, dict):
+        return "{" + ", ".join(f"{_show(k)}: {_show(x)}" for k, x in v.items()) + "}"
+    return repr(v)
+
+
+def _witness(where: str, **case) -> str:
+    return where + ": " + ", ".join(f"{k}={_show(v)}" for k, v in case.items())
 
 
 def check_monad_laws(monad: StrongMonad, report: Report | None = None,
@@ -223,77 +284,92 @@ def check_monad_laws(monad: StrongMonad, report: Report | None = None,
     rep = report if report is not None else Report()
     suite = f"monad-laws[{monad.name}]"
     rng = random.Random(seed)
+    bind, unit = monad.bind, monad.unit
 
     sizes = [(na, nx, ny) for na in (1, 2) for nx in (1, 2) for ny in (1, 2)
              if max(na, nx, ny) <= max_size]
-    unit_ok = nat_ok = kleisli_ok = assoc_ok = True
-    unit_w = nat_w = kleisli_w = assoc_w = None
+    first = {}  # law -> witness of its first failure
     assoc_mode = "exhaustive"
     f_mode = "exhaustive"
 
     for na, nx, ny in sizes:
+        where = f"sizes {na, nx, ny}"
         a = _abstract_set("a", na)
         x = _abstract_set("x", nx)
         y = _abstract_set("y", ny)
         tx = monad.apply(x)
-        ty = monad.apply(y)
 
         # (1) unit projection: bind (unit . pi2) = pi2
         for av in a:
             for m in tx:
-                got = monad.bind(lambda _, v: monad.unit(v), av, m)
-                if got != m:
-                    unit_ok, unit_w = False, f"sizes {na, nx}: bind(unit) {m!r} -> {got!r}"
+                got = bind(lambda _, v: unit(v), av, m)
+                if got != m and "unit" not in first:
+                    first["unit"] = _witness(f"sizes {na, nx}", a=av, m=m,
+                                             **{"bind(unit)": got})
 
-        fs = list(_functions(itertools.product(a, x), ty))
-        if len(fs) > f_cap:
+        f_space = _FunctionSpace(itertools.product(a, x), monad.apply(y))
+        if len(f_space) > f_cap:
             f_mode = f"seeded sample of {f_cap}"
-            fs = rng.sample(fs, f_cap)
-        # (2) naturality in the parameter, over all h : a' -> a
+            fs = rng.sample(f_space, f_cap)
+        else:
+            fs = list(f_space)
         aprime = _abstract_set("p", 2)
+        hs = [dict(zip(aprime, outs))
+              for outs in itertools.product(list(a), repeat=aprime.size)]
+        b = _abstract_set("b", 2)
+        g_space = _FunctionSpace(itertools.product(b, y),
+                                 monad.apply(_abstract_set("z", 2)))
+        exhaustive_g = len(fs) * len(g_space) <= pair_budget
+        if not exhaustive_g:
+            assoc_mode = "exhaustive-f/sampled-g"
+        draws = max(1, pair_budget // max(len(fs), 1))
+
         for f in fs:
-            for h_outs in itertools.product(list(a), repeat=aprime.size):
-                h = dict(zip(aprime, h_outs))
+            # the Kleisli extension of f, one bind per (a, m); every closure
+            # below is used only in this iteration
+            f_at = lambda q, v: f[(q, v)]
+            ext = _Memo(lambda q, m: bind(f_at, q, m))
+            # (2) naturality in the parameter, over all h : a' -> a
+            for h in hs:
+                f_h = lambda q, v: f[(h[q], v)]
                 for ap in aprime:
                     for m in tx:
-                        lhs = monad.bind(lambda q, v: f[(h[q], v)], ap, m)
-                        rhs = monad.bind(lambda q, v: f[(q, v)], h[ap], m)
-                        if lhs != rhs:
-                            nat_ok, nat_w = False, f"sizes {na, nx, ny}"
+                        lhs = bind(f_h, ap, m)
+                        rhs = ext[(h[ap], m)]
+                        if lhs != rhs and "nat" not in first:
+                            first["nat"] = _witness(where, f=f, h=h, p=ap, m=m,
+                                                    lhs=lhs, rhs=rhs)
             # (3) Kleisli unit: bind f . (id x unit) = f
             for av in a:
                 for xv in x:
-                    got = monad.bind(lambda q, v: f[(q, v)], av, monad.unit(xv))
-                    if got != f[(av, xv)]:
-                        kleisli_ok, kleisli_w = False, f"sizes {na, nx, ny}"
+                    got = ext[(av, unit(xv))]
+                    if got != f[(av, xv)] and "kleisli" not in first:
+                        first["kleisli"] = _witness(where, f=f, a=av, m=unit(xv),
+                                                    got=got, want=f[(av, xv)])
 
-        # (4) parameterized associativity
-        b = _abstract_set("b", 2)
-        tz = monad.apply(_abstract_set("z", 2))
-        gs_all = list(_functions(itertools.product(b, y), tz))
-        if len(fs) * len(gs_all) <= pair_budget:
-            gs_iter = [(f, g) for f in fs for g in gs_all]
-        else:
-            assoc_mode = "exhaustive-f/sampled-g"
-            gs_iter = [(f, rng.choice(gs_all)) for f in fs
-                       for _ in range(max(1, pair_budget // max(len(fs), 1)))]
-        for f, g in gs_iter:
-            for bv in b:
-                for av in a:
-                    for m in tx:
-                        lhs = monad.bind(lambda q, v: g[(q, v)], bv,
-                                         monad.bind(lambda q, v: f[(q, v)], av, m))
-                        rhs = monad.bind(
-                            lambda q, v: monad.bind(lambda q2, w: g[(q2, w)],
-                                                    q[0], f[(q[1], v)]),
-                            (bv, av), m)
-                        if lhs != rhs:
-                            assoc_ok, assoc_w = False, f"sizes {na, nx, ny}"
+            # (4) parameterized associativity, per g drawn for this f
+            gs = g_space if exhaustive_g else [rng.choice(g_space)
+                                               for _ in range(draws)]
+            for g in gs:
+                # bind(g, b, .), shared by both sides within this pair only
+                g_at = lambda q, w: g[(q, w)]
+                ext_g = _Memo(lambda q, n: bind(g_at, q, n))
+                f_then_g = lambda q, v: ext_g[(q[0], f[(q[1], v)])]
+                for bv in b:
+                    for av in a:
+                        for m in tx:
+                            lhs = ext_g[(bv, ext[(av, m)])]
+                            rhs = bind(f_then_g, (bv, av), m)
+                            if lhs != rhs and "assoc" not in first:
+                                first["assoc"] = _witness(
+                                    where, f=f, g=g, b=bv, a=av, m=m,
+                                    lhs=lhs, rhs=rhs)
 
-    rep.record(suite, f"unit projection law ({f_mode}, <=2)", unit_ok, unit_w)
-    rep.record(suite, f"parameter naturality ({f_mode}, <=2)", nat_ok, nat_w)
-    rep.record(suite, f"Kleisli unit law ({f_mode}, <=2)", kleisli_ok, kleisli_w)
-    rep.record(suite, f"associativity ({assoc_mode}, <=2)", assoc_ok, assoc_w)
+    for law, name in (("unit", f"unit projection law ({f_mode}, <=2)"),
+                      ("nat", f"parameter naturality ({f_mode}, <=2)"),
+                      ("kleisli", f"Kleisli unit law ({f_mode}, <=2)"),
+                      ("assoc", f"associativity ({assoc_mode}, <=2)")):
+        rep.record(suite, name, law not in first, first.get(law))
 
     # spot samples at size 3
     a = _abstract_set("a", 3)
@@ -301,7 +377,7 @@ def check_monad_laws(monad: StrongMonad, report: Report | None = None,
     y = _abstract_set("y", 3)
     tx, ty = monad.apply(x), monad.apply(y)
     tz = monad.apply(_abstract_set("z", 3))
-    ok, w = True, None
+    w = None  # the first failing sample
     for _ in range(sample_size3):
         f = {k: rng.choice(ty.elements)
              for k in itertools.product(a, x)}
@@ -309,17 +385,19 @@ def check_monad_laws(monad: StrongMonad, report: Report | None = None,
              for k in itertools.product(a, y)}
         av, bv = rng.choice(a.elements), rng.choice(a.elements)
         m = rng.choice(tx.elements)
-        if monad.bind(lambda q, v: monad.unit(v), av, m) != m:
-            ok, w = False, "unit at size 3"
+        got = bind(lambda q, v: unit(v), av, m)
+        if got != m and w is None:
+            w = _witness("unit at size 3", a=av, m=m, **{"bind(unit)": got})
         for xv in x:
-            if monad.bind(lambda q, v: f[(q, v)], av, monad.unit(xv)) != f[(av, xv)]:
-                ok, w = False, "Kleisli unit at size 3"
-        lhs = monad.bind(lambda q, v: g[(q, v)], bv,
-                         monad.bind(lambda q, v: f[(q, v)], av, m))
-        rhs = monad.bind(lambda q, v: monad.bind(lambda q2, u: g[(q2, u)],
-                                                 q[0], f[(q[1], v)]),
-                         (bv, av), m)
-        if lhs != rhs:
-            ok, w = False, "associativity at size 3"
-    rep.record(suite, "size-3 samples", ok, w)
+            got = bind(lambda q, v: f[(q, v)], av, unit(xv))
+            if got != f[(av, xv)] and w is None:
+                w = _witness("Kleisli unit at size 3", f=f, a=av, m=unit(xv),
+                             got=got, want=f[(av, xv)])
+        lhs = bind(lambda q, v: g[(q, v)], bv, bind(lambda q, v: f[(q, v)], av, m))
+        rhs = bind(lambda q, v: bind(lambda q2, u: g[(q2, u)], q[0], f[(q[1], v)]),
+                   (bv, av), m)
+        if lhs != rhs and w is None:
+            w = _witness("associativity at size 3", f=f, g=g, b=bv, a=av, m=m,
+                         lhs=lhs, rhs=rhs)
+    rep.record(suite, "size-3 samples", w is None, w)
     return rep

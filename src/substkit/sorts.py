@@ -27,10 +27,18 @@ class ContextMismatch(Exception):
 class Sort:
     tag: str
     ident: Hashable
+    _hash = None  # not a field: hash((tag, ident)), kept from the first hash
 
     def __post_init__(self):
         if self.tag not in (FIRST, SECOND):
             raise ValueError(f"bad sort tag {self.tag!r}")
+
+    def __hash__(self):
+        # sorts key every action lookup of the tensor, but the many sorts that
+        # variables and projections build are never hashed
+        if self._hash is None:
+            object.__setattr__(self, "_hash", hash((self.tag, self.ident)))
+        return self._hash
 
     @property
     def is_first(self) -> bool:
