@@ -10,7 +10,7 @@ combinations) with finite-set strong-monad semantics.
 from .sorts import (Context, Renaming, Sort, SortingSystem, compose_renamings,
                     concat_contexts, first, identity_renaming, second, vars_of_sort)
 from .signatures import (Argument, Operator, OperatorTable, flatten,
-                         route_environment, strength_route)
+                         route_environment)
 from .terms import (HoleDecl, Meta, MetaSubst, Op, SubstEnv, Term, Var, fold,
                     identity_env, meta_substitute, rename, serialize, substitute,
                     substitute_direct)
@@ -20,6 +20,6 @@ __all__ = [
     "OperatorTable", "Renaming", "Sort", "SortingSystem", "SubstEnv", "Term",
     "Var", "compose_renamings", "concat_contexts", "first", "flatten", "fold",
     "identity_env", "identity_renaming", "meta_substitute", "rename",
-    "route_environment", "second", "serialize", "strength_route", "substitute",
+    "route_environment", "second", "serialize", "substitute",
     "substitute_direct", "vars_of_sort",
 ]

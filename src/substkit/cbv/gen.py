@@ -26,8 +26,8 @@ from ..sorts import Context, Sort, first, second
 from ..terms import HoleDecl, Meta, Op, SubstEnv, Term, Var
 from .ops import CbvOperatorTable, record_allowed, variant_allowed, vmatch_allowed
 from .types import (Base, FragmentConfig, Fun, NAT, NatType, Record, TypeExpr,
-                    TypeUniverse, Variant, done_cont_shape, fun, maybe_shape,
-                    record, type_depth, type_to_label, valid_type)
+                    Variant, done_cont_shape, fun, maybe_shape, record,
+                    type_depth, type_to_label, types_upto, valid_type)
 
 
 class _Rules:
@@ -100,7 +100,7 @@ class TermGen:
         self.cfg = cfg
         self.table = table
         self.rng = rng
-        self.universe = list(TypeUniverse(cfg).types(min(type_depth, cfg.type_depth)))
+        self.universe = list(types_upto(cfg, min(type_depth, cfg.type_depth)))
         if interp_cap is not None and model is not None:
             from ..semantics.model import interp_size
             self.universe = [t for t in self.universe
@@ -212,13 +212,10 @@ class TermGen:
                     and t.cod in self.inhabited(frozenset(ctx.entries) | {t.dom}))
         w = self._w(ctx)
         if isinstance(t, Record):
-            return self._can_vrec(t) and all(v in w for _, v in t.row)
+            return record_allowed(cfg, t.row) and all(v in w for _, v in t.row)
         if isinstance(t, Variant):
             return self._can_inj(t, w)
         return False
-
-    def _can_vrec(self, t: Record) -> bool:
-        return record_allowed(self.cfg, t.row)
 
     def random_value(self, ctx: Context, t: TypeExpr, depth: int,
                      holes=None, hole_prob=0.0) -> Term:
@@ -286,7 +283,8 @@ class TermGen:
             choices.append("let")
         if cfg.has("functions") and depth >= 2:
             choices.append("app")
-        if isinstance(t, Record) and self._can_rec(t) and all(v in w for _, v in t.row):
+        if (isinstance(t, Record) and record_allowed(cfg, t.row)
+                and all(v in w for _, v in t.row)):
             choices.append("rec")
         if cfg.has("records") and depth >= 2:
             choices.append("recmatch")
@@ -395,22 +393,18 @@ class TermGen:
     def _fits(self, t: TypeExpr) -> bool:
         return type_depth(t) <= self.cfg.type_depth
 
-    def _can_rec(self, t: Record) -> bool:
-        return record_allowed(self.cfg, t.row)
-
     def _can_inj(self, t: Variant, w) -> bool:
         return variant_allowed(self.cfg, t) and any(v in w for _, v in t.row)
 
     def _vmatchable(self, w) -> bool:
+        # not a pure test: it draws from the RNG through _random_variant, and
+        # every seeded corpus and report digest depends on that draw
         return self._random_variant(w) is not None
 
     def _random_variant(self, w):
-        cands = [t for t in self._w_sorted(w) if isinstance(t, Variant)]
-        cands = [t for t in cands if self._matchable(t)]
+        cands = [t for t in self._w_sorted(w)
+                 if isinstance(t, Variant) and vmatch_allowed(self.cfg, t)]
         return self.rng.choice(cands) if cands else None
-
-    def _matchable(self, t: Variant) -> bool:
-        return vmatch_allowed(self.cfg, t)
 
     def _random_row(self, w, record_like=False):
         if not self.cfg.has("records"):

@@ -23,7 +23,7 @@ from ..terms import split_top
 from .types import (DepthExceeded, Fun, FragmentConfig, NAT, Record, TypeExpr,
                     Variant, fun, is_context_row, is_done_cont_shape,
                     is_maybe_shape, maybe_shape, done_cont_shape, parse_type,
-                    record, type_depth, type_to_label, valid_type)
+                    record, type_depth, type_to_label, types_upto, valid_type)
 
 
 class DisabledConstruct(Exception):
@@ -318,9 +318,8 @@ class CbvOperatorTable(OperatorTable):
                   max_lit: int = 2) -> list[Operator]:
         """Every operator instance over the depth-bounded type universe, with
         binder lists capped; used for reports and rule-coverage tests."""
-        from .types import TypeUniverse
         cfg = self.cfg
-        universe = TypeUniverse(cfg).types(depth)
+        universe = types_upto(cfg, depth)
         out = [self.val(t) for t in universe]
         if cfg.has("sequential"):
             for n in range(1, max_bindings + 1):

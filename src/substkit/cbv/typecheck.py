@@ -133,16 +133,7 @@ class _Checker:
             value, t = self.synth_value(s.value, scope)
             return Op(self.table.val(t), ctx, [value]), t
         if isinstance(s, SLet):
-            inner = list(scope)
-            bound_terms, bound_types = [], []
-            for name, m in s.bindings:
-                term, t = self.synth_term(m, inner)
-                bound_terms.append(term)
-                bound_types.append(t)
-                inner.append((name, t))
-            body, result = self.synth_term(s.body, inner)
-            op = self.table.let(tuple(bound_types), result)
-            return Op(op, ctx, bound_terms + [body]), result
+            return self._let(s, scope, expected=None)
         if isinstance(s, SApp):
             func, ft = self.synth_term(s.func, scope)
             if not isinstance(ft, Fun):
@@ -161,19 +152,7 @@ class _Checker:
             op = self.table.rec(row)
             return Op(op, ctx, [elabbed[l] for l, _ in row]), Record(row)
         if isinstance(s, SRecordMatch):
-            scrut, st = self.synth_term(s.scrutinee, scope)
-            if not isinstance(st, Record):
-                raise SortMismatch("a record computation", _ty(st), s.pos)
-            row = st.row
-            given = [l for l, _ in s.binders]
-            if sorted(given) != sorted(l for l, _ in row):
-                raise ArityMismatch(
-                    f"pattern fields {given!r} do not match {_ty(st)}", s.pos)
-            names = dict(s.binders)
-            inner = scope + [(names[l], t) for l, t in row]
-            body, result = self.synth_term(s.body, inner)
-            op = self.table.recmatch(row, result)
-            return Op(op, ctx, [scrut, body]), result
+            return self._record_match(s, scope, expected=None)
         if isinstance(s, SInject):
             if not isinstance(s.ty, Variant):
                 raise SortMismatch("a variant type", _ty(s.ty), s.pos)
@@ -222,30 +201,11 @@ class _Checker:
             value = self.check_value(s.value, scope, expected)
             return Op(self.table.val(expected), ctx, [value])
         if isinstance(s, SLet):
-            inner = list(scope)
-            bound_terms, bound_types = [], []
-            for name, m in s.bindings:
-                term, t = self.synth_term(m, inner)
-                bound_terms.append(term)
-                bound_types.append(t)
-                inner.append((name, t))
-            body = self.check_term(s.body, inner, expected)
-            op = self.table.let(tuple(bound_types), expected)
-            return Op(op, ctx, bound_terms + [body])
+            term, _ = self._let(s, scope, expected)
+            return term
         if isinstance(s, SRecordMatch):
-            scrut, st = self.synth_term(s.scrutinee, scope)
-            if not isinstance(st, Record):
-                raise SortMismatch("a record computation", _ty(st), s.pos)
-            row = st.row
-            given = [l for l, _ in s.binders]
-            if sorted(given) != sorted(l for l, _ in row):
-                raise ArityMismatch(
-                    f"pattern fields {given!r} do not match {_ty(st)}", s.pos)
-            names = dict(s.binders)
-            inner = scope + [(names[l], t) for l, t in row]
-            body = self.check_term(s.body, inner, expected)
-            op = self.table.recmatch(row, expected)
-            return Op(op, ctx, [scrut, body])
+            term, _ = self._record_match(s, scope, expected)
+            return term
         if isinstance(s, SVariantMatch):
             term, _ = self._variant_match(s, scope, expected)
             return term
@@ -265,6 +225,43 @@ class _Checker:
             raise SortMismatch(_ty(expected), _ty(found), s.pos)
         return term
 
+    # The binding forms below synthesize their result type when ``expected``
+    # is None and check against it otherwise; each returns (term, type).
+
+    def _body(self, s, scope, expected):
+        if expected is None:
+            return self.synth_term(s, scope)
+        return self.check_term(s, scope, expected), expected
+
+    def _let(self, s, scope, expected):
+        ctx = self.ctx_of(scope)
+        inner = list(scope)
+        bound_terms, bound_types = [], []
+        for name, m in s.bindings:
+            term, t = self.synth_term(m, inner)
+            bound_terms.append(term)
+            bound_types.append(t)
+            inner.append((name, t))
+        body, result = self._body(s.body, inner, expected)
+        op = self.table.let(tuple(bound_types), result)
+        return Op(op, ctx, bound_terms + [body]), result
+
+    def _record_match(self, s, scope, expected):
+        ctx = self.ctx_of(scope)
+        scrut, st = self.synth_term(s.scrutinee, scope)
+        if not isinstance(st, Record):
+            raise SortMismatch("a record computation", _ty(st), s.pos)
+        row = st.row
+        given = [l for l, _ in s.binders]
+        if sorted(given) != sorted(l for l, _ in row):
+            raise ArityMismatch(
+                f"pattern fields {given!r} do not match {_ty(st)}", s.pos)
+        names = dict(s.binders)
+        inner = scope + [(names[l], t) for l, t in row]
+        body, result = self._body(s.body, inner, expected)
+        op = self.table.recmatch(row, result)
+        return Op(op, ctx, [scrut, body]), result
+
     def _variant_match(self, s, scope, expected):
         ctx = self.ctx_of(scope)
         scrut, st = self.synth_term(s.scrutinee, scope)
@@ -280,11 +277,7 @@ class _Checker:
         result = expected
         for l, t in row:
             name, body = by_label[l]
-            inner = scope + [(name, t)]
-            if result is None:
-                elab, result = self.synth_term(body, inner)
-            else:
-                elab = self.check_term(body, inner, result)
+            elab, result = self._body(body, scope + [(name, t)], result)
             bodies.append(elab)
         op = self.table.vmatch(row, result)
         return Op(op, ctx, [scrut] + bodies), result
@@ -301,10 +294,7 @@ class _Checker:
         for (name, params, ret, body) in s.defs:
             inner = fscope + list(params)
             bodies.append(self.check_term(body, inner, ret))
-        if expected is None:
-            main, result = self.synth_term(s.body, fscope)
-        else:
-            main, result = self.check_term(s.body, fscope, expected), expected
+        main, result = self._body(s.body, fscope, expected)
         op = self.table.letrec(defs, result)
         return Op(op, ctx, bodies + [main]), result
 

@@ -12,7 +12,6 @@ demands.
 
 from __future__ import annotations
 
-import functools
 import itertools
 from dataclasses import dataclass
 
@@ -167,8 +166,10 @@ class FragmentConfig:
             raise ValueError("bounds must be positive")
         object.__setattr__(self, "_h", hash((self.extensions, self.base_types,
                                              self.nat_bound, self.type_depth)))
-        # valid_type's answers, owned by the configuration they are about
+        # valid_type's and types_upto's answers, owned by the configuration
+        # they are about
         object.__setattr__(self, "_valid", {})
+        object.__setattr__(self, "_types", {})
 
     def __hash__(self):
         return self._h
@@ -293,60 +294,52 @@ class Fulfillment:
         return out
 
 
-def build_type_universe(cfg: FragmentConfig):
-    """The recognizer/enumerator for the fragment's types and its fulfillment."""
-    return TypeUniverse(cfg), Fulfillment(cfg)
+ROW_LABELS = ("A", "B")
 
 
-class TypeUniverse:
-    ROW_LABELS = ("A", "B")
-
-    def __init__(self, cfg: FragmentConfig):
-        self.cfg = cfg
-
-    # keyed on the configuration, not on the universe: universes over one
-    # configuration share the tuple, and the cache keeps no universe alive
-    @staticmethod
-    @functools.lru_cache(maxsize=16)
-    def _types_upto(cfg: FragmentConfig, depth: int) -> tuple:
-        pool = [Base(b) for b in cfg.base_types]
+def types_upto(cfg: FragmentConfig, depth: int) -> tuple:
+    """The fragment's valid types of depth at most ``depth``, by depth and
+    then by rendering."""
+    try:
+        return cfg._types[depth]
+    except KeyError:
+        pass
+    pool = [Base(b) for b in cfg.base_types]
+    if cfg.has("naturals"):
+        pool.append(NAT)
+    if cfg.has("records") or cfg.has("naturals"):
+        pool.append(UNIT)
+    seen = set(pool)
+    for _ in range(depth - 1):
+        layer = []
+        smaller = list(seen)
+        smaller.sort(key=type_to_str)
+        if cfg.has("functions"):
+            layer += [fun(a, b) for a in smaller for b in smaller]
+        if cfg.has("records"):
+            for k in (1, 2):
+                for combo in itertools.product(smaller, repeat=k):
+                    layer.append(record(tuple(zip(ROW_LABELS, combo))))
+        if cfg.has("variants"):
+            for k in (1, 2):
+                for combo in itertools.product(smaller, repeat=k):
+                    layer.append(variant(tuple(zip(ROW_LABELS, combo))))
         if cfg.has("naturals"):
-            pool.append(NAT)
-        if cfg.has("records") or cfg.has("naturals"):
-            pool.append(UNIT)
-        seen = set(pool)
-        for _ in range(depth - 1):
-            layer = []
-            smaller = list(seen)
-            smaller.sort(key=type_to_str)
-            if cfg.has("functions"):
-                layer += [fun(a, b) for a in smaller for b in smaller]
-            if cfg.has("records"):
-                for k in (1, 2):
-                    for combo in itertools.product(smaller, repeat=k):
-                        layer.append(record(tuple(zip(TypeUniverse.ROW_LABELS, combo))))
-            if cfg.has("variants"):
-                for k in (1, 2):
-                    for combo in itertools.product(smaller, repeat=k):
-                        layer.append(variant(tuple(zip(TypeUniverse.ROW_LABELS, combo))))
-            if cfg.has("naturals"):
-                layer += [maybe_shape(a) for a in smaller]
-            if cfg.has("while"):
-                layer += [done_cont_shape(a, b) for a in smaller for b in smaller]
-            if cfg.has("recursion"):
-                for a in smaller:
-                    layer.append(record((("0", a),)))
-                    layer.append(fun(record((("0", a),)), a))
-                    layer += [fun(record(()), b) for b in smaller]
-                layer.append(record(()))
-            for t in layer:
-                if type_depth(t) <= depth and valid_type(t, cfg):
-                    seen.add(t)
-        return tuple(sorted(seen, key=lambda t: (type_depth(t), type_to_str(t))))
-
-    def types(self, depth: int | None = None) -> tuple:
-        d = self.cfg.type_depth if depth is None else depth
-        return self._types_upto(self.cfg, d)
+            layer += [maybe_shape(a) for a in smaller]
+        if cfg.has("while"):
+            layer += [done_cont_shape(a, b) for a in smaller for b in smaller]
+        if cfg.has("recursion"):
+            for a in smaller:
+                layer.append(record((("0", a),)))
+                layer.append(fun(record((("0", a),)), a))
+                layer += [fun(record(()), b) for b in smaller]
+            layer.append(record(()))
+        for t in layer:
+            if type_depth(t) <= depth and valid_type(t, cfg):
+                seen.add(t)
+    out = cfg._types[depth] = tuple(
+        sorted(seen, key=lambda t: (type_depth(t), type_to_str(t))))
+    return out
 
 
 # --- concrete type syntax -----------------------------------------------------

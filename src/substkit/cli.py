@@ -25,7 +25,7 @@ from .cbv.types import (EXTENSIONS, DepthExceeded, Fulfillment, NeedUnfulfilled,
                         parse_type, type_to_str)
 from .report import Report
 from .semantics.denote import denote
-from .semantics.model import model, subst_denotation
+from .semantics.model import model
 from .semantics.monads import BUNDLED, UnsupportedCapability, monad_by_name
 from .sorts import Context, first, second
 from .suites import SUITES
@@ -179,17 +179,14 @@ def cmd_subst(args) -> int:
     out = substitute(term, env)
     print(pretty(out, table))
     if m is not None:
+        from .semantics.checks import _DenoteCache, _lemma_holds
         try:
-            lhs = denote(out, m, cfg, table)
-            sem = [denote(e, m, cfg, table) for e in env.entries]
-            rhs = subst_denotation(denote(term, m, cfg, table), sem, m,
-                                   cfg.nat_bound, target=env.target)
-            diff = lhs.difference_witness(rhs)
+            ok, diff = _lemma_holds(term, env, _DenoteCache(m, cfg, table))
         except UnsupportedCapability as e:
             print(f"error: {e}", file=sys.stderr)
             return 2
-        print("substitution lemma: " + ("PASS" if diff is None else f"FAIL {diff!r}"))
-        if diff is not None:
+        print("substitution lemma: " + ("PASS" if ok else f"FAIL {diff!r}"))
+        if not ok:
             return 3
     return 0
 

@@ -15,7 +15,7 @@ import random
 from ..cbv.gen import TermGen, enumerate_terms, enumerate_values
 from ..cbv.ops import CbvOperatorTable
 from ..cbv.types import (NAT, Base, FragmentConfig, Fun, done_cont_shape, fun,
-                         valid_type)
+                         types_upto, valid_type)
 from ..report import Report
 from ..finpresheaf.structures import enumerate_renamings
 from ..signatures import route_environment
@@ -137,7 +137,7 @@ def check_sem_action_axioms(m: Model, cfg: FragmentConfig, ctx_len: int = 2,
     agree = True
     for ctx in ctxs:
         for pos in range(len(ctx)):
-            if carrier.var(ctx.sort_at(pos), ctx, pos).table() != \
+            if carrier.var(ctx, pos).table() != \
                     projection(ctx, pos, m, nb).table():
                 agree = False
     rep.record(suite, "point equals the unit projections", agree, None)
@@ -181,13 +181,12 @@ def check_compatibility(fragment: str, m: Model, cfg: FragmentConfig,
                         report: Report | None = None) -> Report:
     """The compatibility square for every operator of the fragment: substituting
     after interpreting equals interpreting the strength-routed substitution."""
-    from ..cbv.types import TypeUniverse
     rep = report if report is not None else Report()
     suite = f"compatibility[{fragment},{m.monad.name}]"
     rng = random.Random(seed)
     nb = cfg.nat_bound
     table = CbvOperatorTable(cfg)
-    universe = [t for t in TypeUniverse(cfg).types(type_depth)
+    universe = [t for t in types_upto(cfg, type_depth)
                 if interp_size(t, m, nb) <= type_size_cap]
     b = Base(cfg.base_types[0])
     ctxs = [Context(c) for k in range(ctx_len + 1)

@@ -1,7 +1,7 @@
 """The denotation fold: interpreting generic terms in a strong-monad model.
 
 Each fragment contributes one algebra clause; the environment routing of the
-generic fold supplies weakening (pre-composition with the projection) and the
+generic fold supplies the action (pre-composition with a renaming) and the
 variable interpretation (projections), so the substitution lemma is a theorem
 for whatever the clauses do -- provided each clause is compatible, which the
 check suites verify.  Unbounded iteration uses Elgot iteration with cycle
@@ -74,18 +74,17 @@ def kleene_fixpoint(phi, bottom, max_steps: int):
 
 
 class DenotationCarrier:
-    """The pointed-carrier hooks the generic fold needs."""
+    """Denotations as a pointed carrier: the action is pre-composition with
+    the renaming, the point is the projection."""
 
     def __init__(self, m: Model, nat_bound: int):
         self.m = m
         self.nat_bound = nat_bound
 
-    def weaken(self, d: Denotation, ctx: Context, binder: Context) -> Denotation:
-        extended = Context(ctx.entries + binder.entries)
-        pi1 = Renaming(extended, ctx, range(len(ctx)))
-        return precompose(d, pi1, self.m, self.nat_bound)
+    def act(self, d: Denotation, rho: Renaming) -> Denotation:
+        return precompose(d, rho, self.m, self.nat_bound)
 
-    def var(self, sort_ident, ctx: Context, position: int) -> Denotation:
+    def var(self, ctx: Context, position: int) -> Denotation:
         return projection(ctx, position, self.m, self.nat_bound)
 
 

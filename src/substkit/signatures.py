@@ -5,16 +5,17 @@ result sort and a list of binder-annotated argument sorts.  The table carries
 the one piece of structure every traversal needs, the pointed strength: how to
 push an environment under an operator's binders.  Per-combinator strengths are
 not separate artifacts; after flattening they all collapse into the single
-routing rule implemented by :func:`strength_route` (weaken the environment
-into the extended context, then append the fresh variables' images).
+routing rule :func:`route_environment` (act on the environment along the
+first projection into the extended context, then append the fresh variables'
+point images).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Container, Hashable, Iterable, Protocol, Sequence
+from typing import Callable, Container, Iterable, Protocol, Sequence
 
-from .sorts import Context, Sort, SortingSystem, concat_contexts
+from .sorts import Context, Renaming, Sort, SortingSystem, concat_contexts
 
 
 class NotFlattenable(Exception):
@@ -181,37 +182,29 @@ def flatten(expr, system: SortingSystem) -> OperatorTable:
 # --- the generic pointed strength ------------------------------------------
 
 class PointedHooks(Protocol):
-    """What a carrier must provide for environments to be routed under binders.
+    """A pointed carrier: what environments need to be routed under binders.
 
-    ``weaken`` moves a carrier element from ``ctx`` to ``ctx ++ binder`` (the
-    action along the first projection renaming); ``var`` is the carrier's
-    interpretation of the variable at ``position`` in ``ctx``.
+    ``act`` is the presheaf action, taking a value over ``rho.target`` to one
+    over ``rho.source``; ``var`` is the point, the carrier's image of the
+    variable at ``position`` in ``ctx``.
     """
 
-    def weaken(self, value, ctx: Context, binder: Context): ...
+    def act(self, value, rho: Renaming): ...
 
-    def var(self, sort_ident: Hashable, ctx: Context, position: int): ...
+    def var(self, ctx: Context, position: int): ...
 
 
 def route_environment(binder: Context, ctx: Context, env: Sequence,
                       hooks: PointedHooks) -> tuple[Context, list]:
     """Push an environment over ``ctx`` under a binder.
 
-    Every existing entry is weakened into ``ctx ++ binder`` and the fresh
-    positions are bound to their own variable images.  An empty binder leaves
-    the environment untouched.
+    Every existing entry is moved into ``ctx ++ binder`` along the first
+    projection and the fresh positions are bound to their points.  An empty
+    binder leaves the environment untouched.
     """
     if not len(binder):
         return ctx, list(env)
-    extended, _, _ = concat_contexts(ctx, binder)
-    routed = [hooks.weaken(v, ctx, binder) for v in env]
-    base = len(ctx)
-    for j, s in enumerate(binder.entries):
-        routed.append(hooks.var(s, extended, base + j))
+    extended, pi1, _ = concat_contexts(ctx, binder)
+    routed = [hooks.act(v, pi1) for v in env]
+    routed += [hooks.var(extended, j) for j in range(len(ctx), len(extended))]
     return extended, routed
-
-
-def strength_route(op: Operator, arg_index: int, ctx: Context, env: Sequence,
-                   hooks: PointedHooks) -> tuple[Context, list]:
-    """The composite strength at one argument of an operator."""
-    return route_environment(op.args[arg_index].binder, ctx, env, hooks)

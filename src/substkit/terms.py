@@ -196,18 +196,11 @@ def rename(t: Term, rho: Renaming) -> Term:
 # --- the parameterised fold -------------------------------------------------
 
 class TermCarrier:
-    """The term structure as a pointed carrier: weakening is renaming along the
-    first projection, the point is the variable constructor."""
+    """The term structure as a pointed carrier: the action is renaming, the
+    point is the variable constructor."""
 
-    @staticmethod
-    def weaken(value: Term, ctx: Context, binder: Context) -> Term:
-        extended = Context(ctx.entries + binder.entries)
-        pi1 = Renaming(extended, ctx, range(len(ctx)))
-        return rename(value, pi1)
-
-    @staticmethod
-    def var(sort_ident, ctx: Context, position: int) -> Term:
-        return Var(ctx, position)
+    act = staticmethod(rename)
+    var = Var
 
 
 def _dispatch(alg, key):
@@ -223,8 +216,8 @@ def fold(t: Term, alg_ops, alg_hole, env: Sequence, out_ctx: Context, hooks) -> 
     """The unique environment-carrying traversal out of the syntax.
 
     Variables look up the environment; operator nodes route the environment
-    into each argument (weakened under binders, extended with fresh variable
-    images) and hand the folded children to ``alg_ops``; metavariable nodes
+    into each argument (moved along the first projection under binders,
+    extended with fresh variable images) and hand the folded children to ``alg_ops``; metavariable nodes
     fold their environments and hand them to ``alg_hole``.
 
     ``alg_ops`` is either a callable ``(op, values, ctx) -> value`` or a

@@ -64,6 +64,20 @@ def corrupt_clause(monkeypatch):
     return patch
 
 
+def swap_first_pair(rho: Renaming) -> Renaming:
+    """``rho`` with the images of the first two same-typed positions of
+    ``rho.target`` swapped: still well-sorted, but a different renaming
+    whenever those images differ."""
+    entries = rho.target.entries
+    mapping = list(rho.mapping)
+    same = [(i, j) for j in range(len(entries)) for i in range(j)
+            if entries[i] == entries[j]]
+    if same:
+        i, j = same[0]
+        mapping[i], mapping[j] = mapping[j], mapping[i]
+    return Renaming(rho.source, rho.target, mapping)
+
+
 def all_renamings(src: Context, tgt: Context):
     pools = [[i for i, e in enumerate(src.entries) if e == s] for s in tgt.entries]
     for mapping in itertools.product(*pools):

@@ -1,15 +1,17 @@
 """Fragment-gated type formation, fulfillments, enumeration, type syntax."""
 
 import gc
+import random
 import weakref
 
 import pytest
 
-from substkit.cbv.types import (Base, Fun, NAT, NeedUnfulfilled, Record,
-                                TypeUniverse, UNIT, Variant, all_fragment_configs,
-                                build_type_universe, config, done_cont_shape,
-                                fun, maybe_shape, parse_type, record,
-                                type_depth, type_to_label, type_to_str,
+from substkit.cbv.gen import TermGen
+from substkit.cbv.ops import CbvOperatorTable
+from substkit.cbv.types import (Base, NAT, NeedUnfulfilled, UNIT,
+                                all_fragment_configs, config, done_cont_shape,
+                                fun, maybe_shape, parse_type, record, type_depth,
+                                type_to_label, type_to_str, types_upto,
                                 valid_type, variant, Fulfillment)
 
 B = Base("b")
@@ -79,26 +81,24 @@ def test_all_fragment_configs_count():
 
 def test_universe_types_are_valid():
     for cfg in (config(("functions", "records")), config(("naturals", "while"))):
-        universe, _ = build_type_universe(cfg)
-        for t in universe.types(2):
+        for t in types_upto(cfg, 2):
             assert valid_type(t, cfg)
             assert type_depth(t) <= 2
 
 
-def test_universe_is_freed_and_shares_its_types():
-    """The enumeration cache is keyed on the configuration: it keeps no
-    universe alive, and universes over equal configurations share it."""
-    universe = TypeUniverse(config(("functions", "records")))
-    types = universe.types(2)
-    ref = weakref.ref(universe)
+def test_type_table_is_freed_with_its_config():
+    """The enumeration is owned by the configuration: a generator over it
+    keeps nothing alive once both are gone, without the cycle collector."""
+    cfg = config(("functions", "records"), nat_bound=5)
+    gen = TermGen(cfg, CbvOperatorTable(cfg), random.Random(0))
+    assert gen.universe == list(types_upto(cfg, 2))
+    ref = weakref.ref(cfg)
     gc.disable()
     try:
-        del universe
+        del cfg, gen
         assert ref() is None
     finally:
         gc.enable()
-    again = TypeUniverse(config(("records", "functions"))).types(2)
-    assert again == types and again is types
 
 
 def test_row_label_dedup():

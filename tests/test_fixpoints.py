@@ -1,5 +1,7 @@
 """Elgot iteration, bounded unrolling, Kleene fixed points, letrec references."""
 
+import sys
+
 import pytest
 
 from substkit.semantics import OptionMonad, model
@@ -42,6 +44,33 @@ def test_elgot_countdown_matches_oracle():
 def test_elgot_random_programs_against_unrolling():
     rep = check_elgot_against_unrolling(model(OptionMonad()), seed=17, count=60)
     assert rep.ok, rep.to_text()
+
+
+def test_elgot_revisit_mutant_fails_unrolling_agreement(monkeypatch):
+    """A mutant of ``elgot_iterate`` that answers a revisited state with that
+    state instead of divergence."""
+    def revisit_is_an_answer(f, x0, monad=None):
+        seen, x = set(), x0
+        while x not in seen:
+            seen.add(x)
+            m = f(x)
+            if m == NONE:
+                return NONE
+            tag, v = m[1]
+            if tag == "inl":
+                return some(v)
+            x = v
+        return some(x)
+
+    m = model(OptionMonad(), {"b": 2})
+    assert check_elgot_against_unrolling(m, seed=20260810).ok
+    # the package attribute ``substkit.semantics.denote`` is the function
+    monkeypatch.setattr(sys.modules["substkit.semantics.denote"],
+                        "elgot_iterate", revisit_is_an_answer)
+    failure = check_elgot_against_unrolling(m, seed=20260810).first_failure()
+    assert failure is not None
+    assert failure.name.startswith("unrolling agreement")
+    assert failure.witness.startswith("term ")
 
 
 def test_kleene_identity_map_stays_at_bottom():

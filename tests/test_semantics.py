@@ -2,13 +2,15 @@
 
 import pytest
 
+from conftest import swap_first_pair
 from substkit.cbv import (Base, CbvOperatorTable, NAT, config, fun, maybe_shape,
-                          parse, parse_value, record, typecheck, variant)
+                          parse, record, typecheck, variant)
 from substkit.semantics import (IdentityMonad, OptionMonad, UnsupportedCapability,
                                 check_compatibility, check_sem_action_axioms,
                                 check_substitution_lemma_exhaustive,
                                 check_substitution_lemma_random, denote,
-                                interp_size, interpret_type, model)
+                                interp_size, interpret_type, model, precompose)
+from substkit.semantics.denote import DenotationCarrier
 from substkit.sorts import Context, second
 from substkit.terms import Var
 
@@ -151,6 +153,24 @@ def test_substitution_lemma_random_heavy_fragments():
         cfg = config(exts, ("b",), nat_bound=4)
         rep = check_substitution_lemma_random(cfg, m, seed=11, count=25)
         assert rep.ok, rep.to_text()
+
+
+def test_swapping_act_fails_substitution_lemma_with_witness(monkeypatch):
+    """A well-sorted mutant of the denotation carrier's action: it
+    pre-composes with a renaming whose images of two same-typed positions are
+    swapped."""
+    cfg = config(("sequential", "functions"))
+    m, identity = model(OptionMonad(), {"b": 2}), model(IdentityMonad(), {"b": 2})
+    assert check_substitution_lemma_random(cfg, m, seed=20260810, count=50).ok
+    assert check_substitution_lemma_exhaustive(cfg, identity).ok
+    monkeypatch.setattr(DenotationCarrier, "act", lambda self, d, rho: precompose(
+        d, swap_first_pair(rho), self.m, self.nat_bound))
+    failure = check_substitution_lemma_random(cfg, m, seed=20260810,
+                                              count=50).first_failure()
+    assert failure is not None and failure.witness.startswith("term ")
+    assert " env " in failure.witness
+    failure = check_substitution_lemma_exhaustive(cfg, identity).first_failure()
+    assert failure is not None and failure.witness
 
 
 def test_lemma_var_and_identity_cases():

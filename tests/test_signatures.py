@@ -4,7 +4,8 @@ import pytest
 
 from substkit.signatures import (Argument, At, Coproduct, Hole, NotFlattenable,
                                  OnlyAt, Operator, OperatorTable, Product,
-                                 Restrict, Shift, flatten, strength_route)
+                                 Restrict, Shift, flatten,
+                                 route_environment)
 from substkit.sorts import Context, SortingSystem, first, second
 from substkit.terms import TermCarrier, Var, identity_env
 
@@ -70,7 +71,8 @@ def test_strength_empty_binder_is_identity():
     table = flatten(APP_SIG, SYS)
     ctx = Context(["v", "v"])
     env = list(identity_env(ctx).entries)
-    new_ctx, routed = strength_route(table.op("app"), 0, ctx, env, TermCarrier)
+    new_ctx, routed = route_environment(table.op("app").args[0].binder, ctx,
+                                        env, TermCarrier)
     assert new_ctx == ctx and routed == env
 
 
@@ -78,7 +80,8 @@ def test_strength_routes_binder():
     table = flatten(ABS_SIG, SYS)
     ctx = Context(["v"])
     env = [Var(ctx, 0)]
-    new_ctx, routed = strength_route(table.op("lam"), 0, ctx, env, TermCarrier)
+    new_ctx, routed = route_environment(table.op("lam").args[0].binder, ctx,
+                                        env, TermCarrier)
     assert new_ctx.entries == ("v", "v")
     assert routed == [Var(new_ctx, 0), Var(new_ctx, 1)]
 
@@ -90,7 +93,8 @@ def test_identity_environment_routes_to_identity():
     for entries in ((), ("v",), ("v", "arrow"), ("arrow", "v")):
         ctx = Context(entries)
         env = list(identity_env(ctx).entries)
-        new_ctx, routed = strength_route(table.op("lam"), 0, ctx, env, TermCarrier)
+        new_ctx, routed = route_environment(table.op("lam").args[0].binder, ctx,
+                                            env, TermCarrier)
         assert routed == list(identity_env(new_ctx).entries)
 
 

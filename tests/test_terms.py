@@ -5,9 +5,9 @@ import random
 import pytest
 
 from conftest import (TOY, all_renamings, random_toy_context, random_toy_env,
-                      random_toy_term)
+                      random_toy_term, swap_first_pair)
 from substkit.cbv.types import config
-from substkit.sorts import Context, Renaming, compose_renamings, first, identity_renaming, second
+from substkit.sorts import Context, Renaming, compose_renamings, identity_renaming, second
 from substkit.suites import check_term_laws
 from substkit.terms import (HoleDecl, IllSorted, Meta, MetaSubst, Op, SubstEnv,
                             UnknownHole, Var, collect_holes, compose_meta_subst,
@@ -218,11 +218,11 @@ def test_fold_identity_algebra(rng):
 
 class _CountCarrier:
     @staticmethod
-    def weaken(v, ctx, binder):
+    def act(v, rho):
         return v
 
     @staticmethod
-    def var(s, ctx, pos):
+    def var(ctx, pos):
         return 1
 
 
@@ -275,23 +275,11 @@ def test_serialize_shapes():
     assert serialize(m) == "?h0{#0}"
 
 
-def _swapping_weaken(value, ctx, binder):
-    """A well-sorted mutant of ``TermCarrier.weaken``: its renaming swaps the
-    first two positions of ``ctx`` that carry the same type."""
-    extended = Context(ctx.entries + binder.entries)
-    mapping = list(range(len(ctx)))
-    same = [(i, j) for j in range(len(ctx)) for i in range(j)
-            if ctx.entries[i] == ctx.entries[j]]
-    if same:
-        i, j = same[0]
-        mapping[i], mapping[j] = j, i
-    return rename(value, Renaming(extended, ctx, mapping))
-
-
-def test_swapping_weaken_fails_term_laws_with_witness(monkeypatch):
+def test_swapping_act_fails_term_laws_with_witness(monkeypatch):
     cfg = config(("sequential", "functions"), ("b",))
     assert check_term_laws(cfg, 7, count=10).ok
-    monkeypatch.setattr(TermCarrier, "weaken", staticmethod(_swapping_weaken))
+    monkeypatch.setattr(TermCarrier, "act", staticmethod(
+        lambda value, rho: rename(value, swap_first_pair(rho))))
     rep = check_term_laws(cfg, 7, count=10)
     failed = {r.name.split(" (")[0]: r.witness for r in rep.failures}
     assert failed.get("oracle agreement", "").startswith("item ")
