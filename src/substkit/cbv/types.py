@@ -28,7 +28,13 @@ class DepthExceeded(Exception):
 
 
 class TypeExpr:
+    """A type; each one computes its hash ``_h`` and its depth ``_d`` once,
+    when it is built."""
     __slots__ = ()
+
+
+def _row_depth(row: tuple) -> int:
+    return 1 + max((v._d for _, v in row), default=0)
 
 
 @dataclass(frozen=True)
@@ -37,6 +43,7 @@ class Base(TypeExpr):
 
     def __post_init__(self):
         object.__setattr__(self, "_h", hash(("B", self.name)))
+        object.__setattr__(self, "_d", 1)
 
     def __hash__(self):
         return self._h
@@ -49,6 +56,7 @@ class Fun(TypeExpr):
 
     def __post_init__(self):
         object.__setattr__(self, "_h", hash(("F", self.dom, self.cod)))
+        object.__setattr__(self, "_d", 1 + max(self.dom._d, self.cod._d))
 
     def __hash__(self):
         return self._h
@@ -60,6 +68,7 @@ class Record(TypeExpr):
 
     def __post_init__(self):
         object.__setattr__(self, "_h", hash(("R", self.row)))
+        object.__setattr__(self, "_d", _row_depth(self.row))
 
     def __hash__(self):
         return self._h
@@ -71,6 +80,7 @@ class Variant(TypeExpr):
 
     def __post_init__(self):
         object.__setattr__(self, "_h", hash(("V", self.row)))
+        object.__setattr__(self, "_d", _row_depth(self.row))
 
     def __hash__(self):
         return self._h
@@ -81,6 +91,7 @@ class NatType(TypeExpr):
 
     def __post_init__(self):
         object.__setattr__(self, "_h", hash("NatType"))
+        object.__setattr__(self, "_d", 1)
 
     def __hash__(self):
         return self._h
@@ -136,12 +147,7 @@ def is_context_row(t: TypeExpr) -> bool:
 
 
 def type_depth(t: TypeExpr) -> int:
-    if isinstance(t, (Base, NatType)):
-        return 1
-    if isinstance(t, Fun):
-        return 1 + max(type_depth(t.dom), type_depth(t.cod))
-    row = t.row
-    return 1 + max((type_depth(v) for _, v in row), default=0)
+    return t._d
 
 
 @dataclass(frozen=True)

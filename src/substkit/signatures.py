@@ -4,10 +4,17 @@ An operator table is the flattened form of a signature: each operator has a
 result sort and a list of binder-annotated argument sorts.  The table carries
 the one piece of structure every traversal needs, the pointed strength: how to
 push an environment under an operator's binders.  Per-combinator strengths are
-not separate artifacts; after flattening they all collapse into the single
-routing rule :func:`route_environment` (act on the environment along the
-first projection into the extended context, then append the fresh variables'
-point images).
+not separate artifacts; after flattening they all collapse into a single
+routing rule: act on the environment along the first projection into the
+extended context, then append the fresh variables' point images.
+
+:func:`route_environment` is that rule applied eagerly, to every entry under
+every binder; the compatibility squares of ``semantics.checks`` route with it.
+The fold (``terms.fold``) applies it lazily.  Binders extend contexts on the
+right, so the first projections an entry passes under nested binders compose
+to one projection onto the prefix the entry was made over; the fold keeps each
+entry with the length of that prefix and acts on it once, along the composite
+projection, at the variable that reads it.
 """
 
 from __future__ import annotations
@@ -15,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Container, Iterable, Protocol, Sequence
 
-from .sorts import Context, Renaming, Sort, SortingSystem, concat_contexts
+from .sorts import Context, Renaming, Sort, SortingSystem
 
 
 class NotFlattenable(Exception):
@@ -196,7 +203,7 @@ class PointedHooks(Protocol):
 
 def route_environment(binder: Context, ctx: Context, env: Sequence,
                       hooks: PointedHooks) -> tuple[Context, list]:
-    """Push an environment over ``ctx`` under a binder.
+    """Push an environment over ``ctx`` under a binder, eagerly.
 
     Every existing entry is moved into ``ctx ++ binder`` along the first
     projection and the fresh positions are bound to their points.  An empty
@@ -204,7 +211,8 @@ def route_environment(binder: Context, ctx: Context, env: Sequence,
     """
     if not len(binder):
         return ctx, list(env)
-    extended, pi1, _ = concat_contexts(ctx, binder)
+    extended = Context(ctx.entries + binder.entries)
+    pi1 = Renaming(extended, ctx, range(len(ctx)))
     routed = [hooks.act(v, pi1) for v in env]
     routed += [hooks.var(extended, j) for j in range(len(ctx), len(extended))]
     return extended, routed

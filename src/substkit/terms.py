@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
-from .signatures import Operator, OperatorTable, route_environment
+from .signatures import Operator, OperatorTable
 from .sorts import Context, Renaming, Sort, first
 
 
@@ -216,23 +216,49 @@ def fold(t: Term, alg_ops, alg_hole, env: Sequence, out_ctx: Context, hooks) -> 
     """The unique environment-carrying traversal out of the syntax.
 
     Variables look up the environment; operator nodes route the environment
-    into each argument (moved along the first projection under binders,
-    extended with fresh variable images) and hand the folded children to ``alg_ops``; metavariable nodes
-    fold their environments and hand them to ``alg_hole``.
+    into each argument and hand the folded children to ``alg_ops``;
+    metavariable nodes fold their environments and hand them to ``alg_hole``.
+
+    Routing is lazy.  Binders only extend contexts on the right, so the
+    weakenings an entry goes through under nested binders compose to one
+    projection from the current context onto the prefix the entry was made
+    over.  Each entry is carried with the length of that prefix; a binder
+    appends the points of its fresh positions and leaves the other entries as
+    they are, and a variable that reads an entry over a shorter prefix acts on
+    it once, along that projection.  An entry that no variable reads is never
+    acted on.  By functoriality of ``act`` the result is the eager rule's,
+    :func:`signatures.route_environment` (act on every entry under every
+    binder), which the compatibility squares of ``semantics.checks`` use.
 
     ``alg_ops`` is either a callable ``(op, values, ctx) -> value`` or a
     mapping from operator labels to such callables (missing labels raise
     :class:`MissingAlgebraCase`); ``alg_hole`` likewise keyed by hole ident.
     """
+    n = len(out_ctx)
+    return _fold(t, alg_ops, alg_hole, [(v, n) for v in env], out_ctx, hooks)
+
+
+def _fold(t, alg_ops, alg_hole, env: list, out_ctx: Context, hooks):
+    """``fold`` over an environment of ``(value, prefix length)`` entries."""
     if type(t) is Var:
-        return env[t.index]
+        value, n = env[t.index]
+        if n == len(out_ctx):
+            return value
+        return hooks.act(value, Renaming(out_ctx, Context(out_ctx.entries[:n]),
+                                         range(n)))
     if type(t) is Op:
         values = []
         for arg, decl in zip(t.args, t.op.args):
-            child_ctx, child_env = route_environment(decl.binder, out_ctx, env, hooks)
-            values.append(fold(arg, alg_ops, alg_hole, child_env, child_ctx, hooks))
+            if len(decl.binder):
+                child_ctx = Context(out_ctx.entries + decl.binder.entries)
+                m = len(child_ctx)
+                child_env = env + [(hooks.var(child_ctx, j), m)
+                                   for j in range(len(out_ctx), m)]
+            else:
+                child_ctx, child_env = out_ctx, env
+            values.append(_fold(arg, alg_ops, alg_hole, child_env, child_ctx, hooks))
         return _dispatch(alg_ops, t.op.label)(t.op, values, out_ctx)
-    values = [fold(e, alg_ops, alg_hole, env, out_ctx, hooks) for e in t.env]
+    values = [_fold(e, alg_ops, alg_hole, env, out_ctx, hooks) for e in t.env]
     return _dispatch(alg_hole, t.hole.ident)(t.hole, values, out_ctx)
 
 

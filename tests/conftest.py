@@ -1,4 +1,5 @@
-"""Shared toy signature, random-term helpers and a clause mutant for the test suites."""
+"""Shared toy signature, random-term helpers, a clause mutant and the eager
+reference fold for the test suites."""
 
 import itertools
 import os
@@ -10,7 +11,7 @@ import pytest
 from substkit.semantics import checks
 from substkit.semantics.denote import Interpreter
 from substkit.semantics.model import Denotation, context_space
-from substkit.signatures import Argument, Operator, OperatorTable
+from substkit.signatures import Argument, Operator, OperatorTable, route_environment
 from substkit.sorts import Context, Renaming, SortingSystem, first, second
 from substkit.terms import HoleDecl, Meta, Op, SubstEnv, Var
 
@@ -76,6 +77,23 @@ def swap_first_pair(rho: Renaming) -> Renaming:
         i, j = same[0]
         mapping[i], mapping[j] = mapping[j], mapping[i]
     return Renaming(rho.source, rho.target, mapping)
+
+
+def reference_fold(t, alg_ops, alg_hole, env, out_ctx: Context, hooks):
+    """The fold as it was before routing became lazy: under every binder,
+    ``route_environment`` acts on every entry along the first projection.
+    The algebras must be callables."""
+    if type(t) is Var:
+        return env[t.index]
+    if type(t) is Op:
+        values = []
+        for arg, decl in zip(t.args, t.op.args):
+            child_ctx, child_env = route_environment(decl.binder, out_ctx, env, hooks)
+            values.append(reference_fold(arg, alg_ops, alg_hole, child_env,
+                                         child_ctx, hooks))
+        return alg_ops(t.op, values, out_ctx)
+    values = [reference_fold(e, alg_ops, alg_hole, env, out_ctx, hooks) for e in t.env]
+    return alg_hole(t.hole, values, out_ctx)
 
 
 def all_renamings(src: Context, tgt: Context):

@@ -18,7 +18,7 @@ from substkit.finpresheaf.laws import check_shift_strength, identity_map, map_ce
 from substkit.finpresheaf.structures import (coproduct_structure,
                                              product_structure, reindex_env,
                                              truncate_structure)
-from substkit.sorts import Context, first, second
+from substkit.sorts import Context, Renaming, first, second
 
 
 def rand(seed):
@@ -617,7 +617,8 @@ def test_tensor_dropping_a_swap_fails_action_axioms_with_witness(monkeypatch):
 
 def test_tensor_dropping_a_swap_fails_coend_quotient_with_witness(monkeypatch):
     """Without the swap of [b -> b, b -> b] the permutation identification
-    (fn x. f (g x) against fn x. g (f x)) no longer merges."""
+    (fn x. f (g x) against fn x. g (f x)) no longer merges, and the generator
+    pairs of its cell catch the swap itself."""
     from substkit import suites
     from substkit.report import Report
     from substkit.termstruct import FB
@@ -629,6 +630,9 @@ def test_tensor_dropping_a_swap_fails_coend_quotient_with_witness(monkeypatch):
     suites.coend_quotient(rep, seed=20260810)
     failed = [r for r in rep.records if not r.ok]
     assert [r.name for r in failed] == [
-        "the three motivating identifications merge"], rep.to_text()
+        "the three motivating identifications merge",
+        "random generator pairs symmetric"], rep.to_text()
     assert failed[0].witness.endswith("stay apart")
     assert f"over {Context((FB,))!r}: " in failed[0].witness  # the permutation
+    swap = Renaming(Context((FB, FB)), Context((FB, FB)), (1, 0))
+    assert failed[1].witness.startswith(f"{swap!r} on ")

@@ -1,18 +1,24 @@
 """Type interpretation, denotation clauses, compatibility, substitution lemma."""
 
+import itertools
+import random
+
 import pytest
 
-from conftest import swap_first_pair
+from conftest import reference_fold, swap_first_pair
 from substkit.cbv import (Base, CbvOperatorTable, NAT, config, fun, maybe_shape,
                           parse, record, typecheck, variant)
+from substkit.cbv.gen import TermGen, enumerate_terms
+from substkit.cbv.types import valid_type
 from substkit.semantics import (IdentityMonad, OptionMonad, UnsupportedCapability,
                                 check_compatibility, check_sem_action_axioms,
                                 check_substitution_lemma_exhaustive,
                                 check_substitution_lemma_random, denote,
                                 interp_size, interpret_type, model, precompose)
-from substkit.semantics.denote import DenotationCarrier
+from substkit.semantics.denote import DenotationCarrier, Interpreter
+from substkit.semantics.model import context_space, identity_sem_env
 from substkit.sorts import Context, second
-from substkit.terms import Var
+from substkit.terms import Var, substitute
 
 B = Base("b")
 
@@ -171,6 +177,40 @@ def test_swapping_act_fails_substitution_lemma_with_witness(monkeypatch):
     assert " env " in failure.witness
     failure = check_substitution_lemma_exhaustive(cfg, identity).first_failure()
     assert failure is not None and failure.witness
+
+
+def test_lazy_denotations_match_the_eager_reference():
+    """Subst-lemma cases: every term of the exhaustive corpus's configurations
+    to depth 3, and random terms with their substituted forms, under the
+    identity and option models."""
+    for exts in ((), ("sequential",), ("functions",), ("sequential", "functions")):
+        cfg = config(exts)
+        table = CbvOperatorTable(cfg)
+        universe = tuple(t for t in (B, fun(B, B)) if valid_type(t, cfg))
+        ctxs = [Context(c) for k in range(3)
+                for c in itertools.product(universe, repeat=k)]
+        memo = {}
+        terms = [term for ctx in ctxs for t in universe
+                 for term in enumerate_terms(table, ctx, t, 3, universe, memo,
+                                             max_ctx=3)]
+        for mon in (IdentityMonad(), OptionMonad()):
+            m = model(mon, {"b": 2})
+            gen = TermGen(cfg, table, random.Random(20260810), model=m)
+            cases = list(terms)
+            while len(cases) < len(terms) + 40:
+                ctx = gen.random_context(2)
+                target = gen.random_target(ctx)
+                term = (gen.random_value if target.is_first else gen.random_term)(
+                    ctx, target.ident, 3)
+                env = gen.random_subst(ctx)
+                if context_space(env.target, m, cfg.nat_bound).size <= 256:
+                    cases += [term, substitute(term, env)]
+            interp = Interpreter(m, cfg, table)
+            for term in cases:
+                env = identity_sem_env(term.ctx, m, cfg.nat_bound)
+                eager = reference_fold(term, interp.alg, interp._alg_hole, env,
+                                       term.ctx, interp.carrier)
+                assert interp.denote(term).table() == eager.table(), term
 
 
 def test_lemma_var_and_identity_cases():

@@ -5,10 +5,12 @@ import random
 import pytest
 
 from conftest import (TOY, all_renamings, random_toy_context, random_toy_env,
-                      random_toy_term, swap_first_pair)
-from substkit.cbv.types import config
+                      random_toy_term, reference_fold, swap_first_pair)
+from substkit.cbv import CbvOperatorTable
+from substkit.cbv.gen import TermGen
+from substkit.cbv.types import all_fragment_configs, config
 from substkit.sorts import Context, Renaming, compose_renamings, identity_renaming, second
-from substkit.suites import check_term_laws
+from substkit.suites import _corpus_item, check_term_laws
 from substkit.terms import (HoleDecl, IllSorted, Meta, MetaSubst, Op, SubstEnv,
                             UnknownHole, Var, collect_holes, compose_meta_subst,
                             compose_subst, deserialize, env_of_renaming, fold,
@@ -245,6 +247,67 @@ def test_fold_size_algebra_matches_direct_recursion(rng):
         assert size == node_count(t)
 
 
+def variables(t):
+    if isinstance(t, Var):
+        return [t]
+    return [v for s in (t.args if isinstance(t, Op) else t.env) for v in variables(s)]
+
+
+class _ActLog:
+    """A carrier whose values are labels: it logs every label it acts on, and
+    labels each point it makes with a number of its own."""
+
+    def __init__(self):
+        self.acted, self.points = [], 0
+
+    def act(self, value, rho):
+        self.acted.append(value)
+        return value
+
+    def var(self, ctx, pos):
+        self.points += 1
+        return ("point", self.points)
+
+
+def _reads(node, values, ctx):
+    """The labels the variables under a node read."""
+    return frozenset().union(*(v if isinstance(v, frozenset) else {v}
+                               for v in values))
+
+
+def test_fold_acts_once_per_variable_and_only_on_read_entries(rng):
+    lazy = eager = 0
+    for _ in range(80):
+        ctx = random_toy_context(rng)
+        t = random_toy_term(rng, ctx, second("v"), 4, {}, 0.2)
+        env = [("entry", i) for i in range(len(ctx))]
+        log = _ActLog()
+        read = fold(t, _reads, _reads, env, ctx, log)
+        assert len(log.acted) <= len(variables(t))
+        assert set(log.acted) <= read
+        free = {("entry", v.index) for v in variables(t) if v.index < len(ctx)}
+        assert {v for v in log.acted if v[0] == "entry"} <= free
+        ref = _ActLog()
+        assert reference_fold(t, _reads, _reads, env, ctx, ref) == read
+        lazy, eager = lazy + len(log.acted), eager + len(ref.acted)
+    # the eager rule acts on entries no variable reads
+    assert lazy < eager
+
+
+def test_lazy_fold_substitutes_as_the_eager_reference():
+    """The term-law corpus, with and without holes, of 16 configurations."""
+    rebuild = lambda op, values, ctx: Op(op, ctx, values)
+    rebuild_meta = lambda hole, values, ctx: Meta(hole, ctx, values)
+    for n, cfg in enumerate(all_fragment_configs()[::8]):
+        gen = TermGen(cfg, CbvOperatorTable(cfg), random.Random(20260810 + n))
+        for i in range(24):
+            ctx, term = _corpus_item(gen, 3, 4, {}, hole_prob=0.35 * (i % 2))
+            sigma = gen.random_subst(ctx)
+            assert substitute(term, sigma) == reference_fold(
+                term, rebuild, rebuild_meta, sigma.entries, sigma.target,
+                TermCarrier)
+
+
 def test_fold_missing_algebra_case():
     ctx = Context(["v"])
     t = val(ctx, Var(ctx, 0))
@@ -280,6 +343,23 @@ def test_swapping_act_fails_term_laws_with_witness(monkeypatch):
     assert check_term_laws(cfg, 7, count=10).ok
     monkeypatch.setattr(TermCarrier, "act", staticmethod(
         lambda value, rho: rename(value, swap_first_pair(rho))))
+    rep = check_term_laws(cfg, 7, count=10)
+    failed = {r.name.split(" (")[0]: r.witness for r in rep.failures}
+    assert failed.get("oracle agreement", "").startswith("item ")
+    assert all(r.witness for r in rep.failures)
+
+
+def test_act_wrong_on_composite_projections_fails_term_laws_with_witness(monkeypatch):
+    """A weakening that is not functorial: right along a projection that drops
+    one position, swapped along one that drops two or more.  The lazy fold
+    acts along the composite projection, so the laws see the difference."""
+    def act(value, rho):
+        if len(rho.source) - len(rho.target) >= 2:
+            rho = swap_first_pair(rho)
+        return rename(value, rho)
+    cfg = config(("sequential", "functions"), ("b",))
+    assert check_term_laws(cfg, 7, count=10).ok
+    monkeypatch.setattr(TermCarrier, "act", staticmethod(act))
     rep = check_term_laws(cfg, 7, count=10)
     failed = {r.name.split(" (")[0]: r.witness for r in rep.failures}
     assert failed.get("oracle agreement", "").startswith("item ")
