@@ -23,7 +23,8 @@ from ..terms import split_top
 from .types import (DepthExceeded, Fun, FragmentConfig, NAT, Record, TypeExpr,
                     Variant, fun, is_context_row, is_done_cont_shape,
                     is_maybe_shape, maybe_shape, done_cont_shape, parse_type,
-                    record, type_depth, type_to_label, types_upto, valid_type)
+                    record, type_depth, type_to_label, types_upto, valid_type,
+                    variant)
 
 
 class DisabledConstruct(Exception):
@@ -374,6 +375,5 @@ class CbvOperatorTable(OperatorTable):
 
 
 def variant_of(row) -> Variant:
-    from .types import variant
     return row if isinstance(row, Variant) else variant(row)
 

@@ -14,8 +14,8 @@ from .ops import CbvOperatorTable
 from .surface import (SApp, SFold, SFor, SInject, SLam, SLet, SLetRec, SLit,
                       SRecord, SRecordMatch, SRoll, SUnroll, SVal, SVar,
                       SVariantMatch, SVInject, SVRecord)
-from .types import (Fun, FragmentConfig, NAT, Record, TypeExpr, Variant,
-                    maybe_shape, type_to_str, valid_type)
+from .types import (Fun, FragmentConfig, NAT, Record, TypeExpr, Variant, fun,
+                    maybe_shape, record, type_to_str, valid_type)
 
 
 class UnknownVariable(Exception):
@@ -283,7 +283,6 @@ class _Checker:
         return Op(op, ctx, [scrut] + bodies), result
 
     def _letrec(self, s, scope, expected):
-        from .types import fun, record
         ctx = self.ctx_of(scope)
         defs = tuple((tuple(t for _, t in params), ret)
                      for _, params, ret, _ in s.defs)

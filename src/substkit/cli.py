@@ -179,9 +179,9 @@ def cmd_subst(args) -> int:
     out = substitute(term, env)
     print(pretty(out, table))
     if m is not None:
-        from .semantics.checks import _DenoteCache, _lemma_holds
+        from .semantics.checks import lemma_holds
         try:
-            ok, diff = _lemma_holds(term, env, _DenoteCache(m, cfg, table))
+            ok, diff = lemma_holds(term, env, m, cfg, table, {})
         except UnsupportedCapability as e:
             print(f"error: {e}", file=sys.stderr)
             return 2
@@ -299,8 +299,7 @@ def main(argv=None) -> int:
     try:
         return args.fn(args)
     except BrokenPipeError:
-        import os as _os
-        _os.close(sys.stdout.fileno())
+        os.close(sys.stdout.fileno())
         return 0
 
 

@@ -13,8 +13,9 @@ from dataclasses import dataclass
 from ..report import Report
 from ..sorts import Context, Renaming, Sort, first, second
 from .structures import (FinStructure, TensorResult, empty_structure,
-                         shift_structure, tensor, terminal_structure,
-                         truncate_structure, variables_structure)
+                         free_structure, shift_structure, tensor,
+                         terminal_structure, truncate_structure,
+                         variables_structure)
 
 
 @dataclass
@@ -286,7 +287,6 @@ def pointed_variables(ctx_sorts, bound) -> PointedStructure:
 def pointed_free(rng, ctx_sorts, bound, homes=None) -> PointedStructure:
     """A random pointed structure; the Yoneda element at each singleton
     context determines the point."""
-    from .structures import free_structure
     sorts = tuple(first(s) for s in ctx_sorts)
     ensure = [(first(s), Context((s,))) for s in ctx_sorts]
     st = free_structure(rng, sorts, ctx_sorts, bound, homes=homes, ensure=ensure)

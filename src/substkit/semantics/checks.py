@@ -20,8 +20,9 @@ from ..report import Report
 from ..finpresheaf.structures import enumerate_renamings
 from ..signatures import route_environment
 from ..sorts import Context, first, second
-from ..terms import Op, SubstEnv, Term, substitute
-from .denote import DenotationCarrier, Interpreter, denote
+from ..terms import Op, SubstEnv, Term, Var, substitute
+from .denote import (DenotationCarrier, Interpreter, NonConvergence, denote,
+                     elgot_unrolling_oracle, kleene_fixpoint)
 from .finset import FinSet
 from .monads import NONE, OptionMonad
 from .model import (Denotation, Model, context_space, identity_sem_env,
@@ -247,26 +248,18 @@ def check_compatibility(fragment: str, m: Model, cfg: FragmentConfig,
 
 # --- the substitution lemma ---------------------------------------------------------
 
-class _DenoteCache:
-    def __init__(self, m, cfg, table):
-        self.m, self.cfg, self.table = m, cfg, table
-        self.cache: dict = {}
-
-    def get(self, t: Term) -> Denotation:
-        got = self.cache.get(t)
-        if got is None:
-            got = denote(t, self.m, self.cfg, self.table)
-            self.cache[t] = got
-        return got
-
-
-def _lemma_holds(t: Term, env: SubstEnv, dc: _DenoteCache) -> tuple:
-    m, cfg = dc.m, dc.cfg
-    # the substituted term is one-shot: interpret it without caching
-    lhs = denote(substitute(t, env), m, cfg, dc.table)
-    sem_env = [dc.get(e) for e in env.entries]
-    rhs = subst_denotation(dc.get(t), sem_env, m, cfg.nat_bound,
-                           target=env.target)
+def lemma_holds(t: Term, env: SubstEnv, m: Model, cfg: FragmentConfig,
+                table: CbvOperatorTable, denoted: dict) -> tuple:
+    """Whether the table of ``t[env]`` equals the table of ``t`` composed with
+    the entries' tables, and the first point where they differ.  ``denoted``
+    maps terms to their denotations; the caller owns it and this fills it."""
+    # the substituted term is one-shot: interpret it without keeping it
+    lhs = denote(substitute(t, env), m, cfg, table)
+    for e in (*env.entries, t):
+        if e not in denoted:
+            denoted[e] = denote(e, m, cfg, table)
+    rhs = subst_denotation(denoted[t], [denoted[e] for e in env.entries], m,
+                           cfg.nat_bound, target=env.target)
     diff = lhs.difference_witness(rhs)
     return (diff is None), diff
 
@@ -283,7 +276,7 @@ def check_substitution_lemma_exhaustive(cfg: FragmentConfig, m: Model,
     rep = report if report is not None else Report()
     suite = f"subst-lemma[{cfg.name()},{m.monad.name}]"
     table = CbvOperatorTable(cfg)
-    dc = _DenoteCache(m, cfg, table)
+    denoted: dict = {}
     b = Base(cfg.base_types[0])
     universe = tuple(t for t in (b, fun(b, b)) if valid_type(t, cfg))
     max_ctx = ctx_len + binder_headroom
@@ -313,7 +306,7 @@ def check_substitution_lemma_exhaustive(cfg: FragmentConfig, m: Model,
             for term in enumerate_terms(table, src, t, term_depth, universe,
                                         memo, max_ctx=max_ctx):
                 for env in _select_substs(pool, src, rotate):
-                    ok, diff = _lemma_holds(term, env, dc)
+                    ok, diff = lemma_holds(term, env, m, cfg, table, denoted)
                     checked += 1
                     if not ok:
                         rep.record(suite, "exhaustive corpus", False,
@@ -326,7 +319,6 @@ def check_substitution_lemma_exhaustive(cfg: FragmentConfig, m: Model,
 
 def _select_substs(pool, src: Context, rotate: int) -> list:
     """Every variable-entry substitution, plus one rotating value entry."""
-    from ..terms import Var
     var_only = [env for env in pool
                 if all(isinstance(e, Var) for e in env.entries)]
     out = list(var_only) if var_only else []
@@ -346,7 +338,7 @@ def check_substitution_lemma_random(cfg: FragmentConfig, m: Model, seed: int,
     suite = f"subst-lemma[{cfg.name()},{m.monad.name}]"
     rng = random.Random(seed)
     table = CbvOperatorTable(cfg)
-    dc = _DenoteCache(m, cfg, table)
+    denoted: dict = {}
     gen = TermGen(cfg, table, rng, interp_cap=interp_cap, model=m)
     checked = 0
     while checked < count:
@@ -359,7 +351,7 @@ def check_substitution_lemma_random(cfg: FragmentConfig, m: Model, seed: int,
         env = gen.random_subst(ctx)
         if context_space(env.target, m, cfg.nat_bound).size > 256:
             continue
-        ok, diff = _lemma_holds(term, env, dc)
+        ok, diff = lemma_holds(term, env, m, cfg, table, denoted)
         checked += 1
         if not ok:
             rep.record(suite, f"random corpus (seed {seed})", False,
@@ -375,7 +367,6 @@ class _UnrollingInterpreter(Interpreter):
     """Replaces Elgot iteration by a bounded unrolling: the reference route."""
 
     def _alg_for(self, op, params, values, ctx):
-        from .denote import elgot_unrolling_oracle
         state, result = params
         self._require("elgot", "unbounded iteration")
         monad = self.m.monad
@@ -513,7 +504,6 @@ def check_letrec_references(report: Report | None = None) -> Report:
 def check_kleene_properties(seed: int, report: Report | None = None) -> Report:
     """Fixed-point equations and leastness on tiny random monotone maps, and
     the non-convergence guard on a non-monotone one."""
-    from .denote import NonConvergence, kleene_fixpoint
     rep = report if report is not None else Report()
     suite = "fixpoints"
     rng = random.Random(seed)
@@ -539,8 +529,7 @@ def check_kleene_properties(seed: int, report: Report | None = None) -> Report:
         if phi2(fix) != fix:
             ok, witness = False, f"phi(fix) != fix on trial {trial}"
         # leastness: any other fixed point dominates ours pointwise
-        import itertools as _it
-        for cand in _it.product(values, repeat=n):
+        for cand in itertools.product(values, repeat=n):
             if phi2(cand) == cand and not all(leq(a, b)
                                               for a, b in zip(fix, cand)):
                 ok, witness = False, f"not least on trial {trial}"

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import itertools
 
-from ..sorts import Context, Renaming, Sort
+from ..sorts import Context, Renaming, Sort, first
 from ..cbv.types import Base, Fun, NatType, Record, TypeExpr, Variant
 from .finset import FinSet, FunSpace, ProductSpace
 from .monads import StrongMonad
@@ -137,7 +137,6 @@ class Denotation:
 
 def projection(ctx: Context, pos: int, m: Model, nat_bound: int) -> Denotation:
     """The unit of the semantic substitution structure: project a component."""
-    from ..sorts import first
     return Denotation(first(ctx.sort_at(pos)), ctx,
                       context_space(ctx, m, nat_bound),
                       lambda point: point[pos])

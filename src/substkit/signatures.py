@@ -10,11 +10,10 @@ extended context, then append the fresh variables' point images.
 
 :func:`route_environment` is that rule applied eagerly, to every entry under
 every binder; the compatibility squares of ``semantics.checks`` route with it.
-The fold (``terms.fold``) applies it lazily.  Binders extend contexts on the
-right, so the first projections an entry passes under nested binders compose
-to one projection onto the prefix the entry was made over; the fold keeps each
-entry with the length of that prefix and acts on it once, along the composite
-projection, at the variable that reads it.
+The fold (``terms.fold``) routes nothing: a bound variable is the point at its
+own position, made at the variable, and a free variable's entry is weakened
+once, along the projection onto the caller's context.  The two agree because
+``act`` is functorial and ``var`` is natural along projections.
 """
 
 from __future__ import annotations
@@ -193,7 +192,10 @@ class PointedHooks(Protocol):
 
     ``act`` is the presheaf action, taking a value over ``rho.target`` to one
     over ``rho.source``; ``var`` is the point, the carrier's image of the
-    variable at ``position`` in ``ctx``.
+    variable at ``position`` in ``ctx``.  ``act`` must be functorial and
+    ``var`` natural along projections, ``act(var(c, j), pi) == var(c', j)``
+    for the projection ``pi`` of ``c' = c ++ d`` onto ``c``; ``terms.fold``
+    relies on both.
     """
 
     def act(self, value, rho: Renaming): ...

@@ -215,51 +215,47 @@ def _dispatch(alg, key):
 def fold(t: Term, alg_ops, alg_hole, env: Sequence, out_ctx: Context, hooks) -> object:
     """The unique environment-carrying traversal out of the syntax.
 
-    Variables look up the environment; operator nodes route the environment
-    into each argument and hand the folded children to ``alg_ops``;
-    metavariable nodes fold their environments and hand them to ``alg_hole``.
+    ``env`` has one value over ``out_ctx`` per position of ``t.ctx``.
+    Variables become values; operator nodes hand their folded arguments to
+    ``alg_ops``; metavariable nodes fold their environments and hand them to
+    ``alg_hole``.  The environment is never extended or routed: a variable
+    bound inside ``t`` becomes the point at its own position, and a free one
+    reads its entry, weakened once along the projection onto ``out_ctx``.
 
-    Routing is lazy.  Binders only extend contexts on the right, so the
-    weakenings an entry goes through under nested binders compose to one
-    projection from the current context onto the prefix the entry was made
-    over.  Each entry is carried with the length of that prefix; a binder
-    appends the points of its fresh positions and leaves the other entries as
-    they are, and a variable that reads an entry over a shorter prefix acts on
-    it once, along that projection.  An entry that no variable reads is never
-    acted on.  By functoriality of ``act`` the result is the eager rule's,
-    :func:`signatures.route_environment` (act on every entry under every
-    binder), which the compatibility squares of ``semantics.checks`` use.
+    The result is the eager rule's, :func:`signatures.route_environment` under
+    every binder (used by the compatibility squares of ``semantics.checks``),
+    whenever ``hooks.act`` is functorial and ``hooks.var`` is natural along
+    projections: ``act(var(c, j), pi) == var(c', j)``.
 
     ``alg_ops`` is either a callable ``(op, values, ctx) -> value`` or a
     mapping from operator labels to such callables (missing labels raise
     :class:`MissingAlgebraCase`); ``alg_hole`` likewise keyed by hole ident.
     """
-    n = len(out_ctx)
-    return _fold(t, alg_ops, alg_hole, [(v, n) for v in env], out_ctx, hooks)
+    if len(env) != len(t.ctx):
+        raise IllSorted(f"environment of {len(env)} entries for a term over "
+                        f"{t.ctx!r}")
+    return _fold(t, alg_ops, alg_hole, hooks, env, out_ctx, out_ctx)
 
 
-def _fold(t, alg_ops, alg_hole, env: list, out_ctx: Context, hooks):
-    """``fold`` over an environment of ``(value, prefix length)`` entries."""
+def _fold(t, alg_ops, alg_hole, hooks, env: Sequence, out_ctx: Context,
+          ctx: Context):
+    """``fold`` at a node over ``ctx``, which is ``out_ctx`` followed by the
+    binders passed on the way down."""
     if type(t) is Var:
-        value, n = env[t.index]
-        if n == len(out_ctx):
-            return value
-        return hooks.act(value, Renaming(out_ctx, Context(out_ctx.entries[:n]),
-                                         range(n)))
+        i, k, n = t.index, len(env), len(out_ctx)
+        if i >= k:
+            return hooks.var(ctx, n + i - k)
+        if len(ctx) == n:
+            return env[i]
+        return hooks.act(env[i], Renaming(ctx, out_ctx, range(n)))
     if type(t) is Op:
-        values = []
-        for arg, decl in zip(t.args, t.op.args):
-            if len(decl.binder):
-                child_ctx = Context(out_ctx.entries + decl.binder.entries)
-                m = len(child_ctx)
-                child_env = env + [(hooks.var(child_ctx, j), m)
-                                   for j in range(len(out_ctx), m)]
-            else:
-                child_ctx, child_env = out_ctx, env
-            values.append(_fold(arg, alg_ops, alg_hole, child_env, child_ctx, hooks))
-        return _dispatch(alg_ops, t.op.label)(t.op, values, out_ctx)
-    values = [_fold(e, alg_ops, alg_hole, env, out_ctx, hooks) for e in t.env]
-    return _dispatch(alg_hole, t.hole.ident)(t.hole, values, out_ctx)
+        values = [_fold(arg, alg_ops, alg_hole, hooks, env, out_ctx,
+                        Context(ctx.entries + decl.binder.entries)
+                        if len(decl.binder) else ctx)
+                  for arg, decl in zip(t.args, t.op.args)]
+        return _dispatch(alg_ops, t.op.label)(t.op, values, ctx)
+    values = [_fold(e, alg_ops, alg_hole, hooks, env, out_ctx, ctx) for e in t.env]
+    return _dispatch(alg_hole, t.hole.ident)(t.hole, values, ctx)
 
 
 def _rebuild_ops(op, values, ctx):

@@ -15,7 +15,7 @@ from .cbv.ops import CbvOperatorTable
 from .cbv.types import Base, config, fun
 from .finpresheaf.structures import (FinStructure, build_structure,
                                      enumerate_contexts, enumerate_renamings)
-from .sorts import Context, first, second
+from .sorts import Context, Renaming, first, second
 from .terms import Op, Var, rename
 
 B = Base("b")
@@ -141,5 +141,4 @@ def motivating_identifications(table: CbvOperatorTable):
 
 
 def _swap_renaming(ctx: Context):
-    from .sorts import Renaming
     return Renaming(ctx, ctx, (1, 0))

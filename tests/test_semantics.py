@@ -16,8 +16,8 @@ from substkit.semantics import (IdentityMonad, OptionMonad, UnsupportedCapabilit
                                 check_substitution_lemma_random, denote,
                                 interp_size, interpret_type, model, precompose)
 from substkit.semantics.denote import DenotationCarrier, Interpreter
-from substkit.semantics.model import context_space, identity_sem_env
-from substkit.sorts import Context, second
+from substkit.semantics.model import context_space, identity_sem_env, projection
+from substkit.sorts import Context, Renaming, second
 from substkit.terms import Var, substitute
 
 B = Base("b")
@@ -179,6 +179,22 @@ def test_swapping_act_fails_substitution_lemma_with_witness(monkeypatch):
     assert failure is not None and failure.witness
 
 
+def test_denotation_points_are_natural_along_projections():
+    """The projection at position ``j`` of ``c``, pre-composed with the
+    projection of ``c ++ d`` onto ``c``, has the table of the projection at
+    ``j`` of ``c ++ d``: every context of length up to 3."""
+    m, nb = model(OptionMonad(), {"b": 2}), 4
+    for size in range(4):
+        for entries in itertools.product((B, fun(B, B)), repeat=size):
+            big = Context(entries)
+            for k in range(size + 1):
+                small = Context(entries[:k])
+                pi = Renaming(big, small, range(k))
+                for j in range(k):
+                    moved = precompose(projection(small, j, m, nb), pi, m, nb)
+                    assert moved.same_table(projection(big, j, m, nb))
+
+
 def test_lazy_denotations_match_the_eager_reference():
     """Subst-lemma cases: every term of the exhaustive corpus's configurations
     to depth 3, and random terms with their substituted forms, under the
@@ -218,15 +234,15 @@ def test_lemma_var_and_identity_cases():
     cfg = config(())
     m = model(OptionMonad(), {"b": 2})
     table = CbvOperatorTable(cfg)
-    from substkit.semantics.checks import _DenoteCache, _lemma_holds
+    from substkit.semantics.checks import lemma_holds
     from substkit.terms import SubstEnv, identity_env
     ctx = Context((B, B))
-    dc = _DenoteCache(m, cfg, table)
+    denoted: dict = {}
     term = typecheck(parse("val x1"), ctx, second(B), cfg, table)
-    ok, _ = _lemma_holds(term, identity_env(ctx), dc)
+    ok, _ = lemma_holds(term, identity_env(ctx), m, cfg, table, denoted)
     assert ok
     swap = SubstEnv(ctx, ctx, (Var(ctx, 1), Var(ctx, 0)))
-    ok, _ = _lemma_holds(term, swap, dc)
+    ok, _ = lemma_holds(term, swap, m, cfg, table, denoted)
     assert ok
 
 

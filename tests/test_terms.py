@@ -1,5 +1,6 @@
 """Term construction, renaming/substitution laws, metavariables, fold, text form."""
 
+import itertools
 import random
 
 import pytest
@@ -254,19 +255,20 @@ def variables(t):
 
 
 class _ActLog:
-    """A carrier whose values are labels: it logs every label it acts on, and
-    labels each point it makes with a number of its own."""
+    """A carrier whose values are labels: it logs every label it acts on and
+    every position it makes a point at.  A point is labelled by its position,
+    so acting on it along a projection gives the point again (it is natural)."""
 
     def __init__(self):
-        self.acted, self.points = [], 0
+        self.acted, self.points = [], []
 
     def act(self, value, rho):
         self.acted.append(value)
         return value
 
     def var(self, ctx, pos):
-        self.points += 1
-        return ("point", self.points)
+        self.points.append(pos)
+        return ("point", pos)
 
 
 def _reads(node, values, ctx):
@@ -283,10 +285,12 @@ def test_fold_acts_once_per_variable_and_only_on_read_entries(rng):
         env = [("entry", i) for i in range(len(ctx))]
         log = _ActLog()
         read = fold(t, _reads, _reads, env, ctx, log)
-        assert len(log.acted) <= len(variables(t))
-        assert set(log.acted) <= read
-        free = {("entry", v.index) for v in variables(t) if v.index < len(ctx)}
-        assert {v for v in log.acted if v[0] == "entry"} <= free
+        free = [v for v in variables(t) if v.index < len(ctx)]
+        bound = [v for v in variables(t) if v.index >= len(ctx)]
+        # one point per bound occurrence, at its own position; no act on a point
+        assert sorted(log.points) == sorted(v.index for v in bound)
+        assert len(log.acted) <= len(free)
+        assert set(log.acted) <= read & {("entry", v.index) for v in free}
         ref = _ActLog()
         assert reference_fold(t, _reads, _reads, env, ctx, ref) == read
         lazy, eager = lazy + len(log.acted), eager + len(ref.acted)
@@ -306,6 +310,30 @@ def test_lazy_fold_substitutes_as_the_eager_reference():
             assert substitute(term, sigma) == reference_fold(
                 term, rebuild, rebuild_meta, sigma.entries, sigma.target,
                 TermCarrier)
+
+
+@pytest.mark.parametrize("ctx_len, env_len", [(2, 3), (3, 2)])
+def test_fold_rejects_an_environment_of_the_wrong_length(ctx_len, env_len):
+    """A longer environment, and a shorter one, whose missing entry would
+    otherwise turn the last free variable into a bound one."""
+    ctx = Context(["v"] * ctx_len)
+    t = val(ctx, Var(ctx, ctx_len - 1))
+    with pytest.raises(IllSorted):
+        fold(t, _reads, _reads, [("entry", i) for i in range(env_len)], ctx,
+             _ActLog())
+
+
+def test_term_points_are_natural_along_projections():
+    """``rename(Var(c, j), pi) == Var(c ++ d, j)`` for the projection ``pi``
+    of every context ``c ++ d`` of length up to 3 onto its prefix ``c``."""
+    for size in range(4):
+        for entries in itertools.product(("v", "arrow"), repeat=size):
+            big = Context(entries)
+            for k in range(size + 1):
+                small = Context(entries[:k])
+                pi = Renaming(big, small, range(k))
+                for j in range(k):
+                    assert rename(Var(small, j), pi) == Var(big, j)
 
 
 def test_fold_missing_algebra_case():
@@ -343,6 +371,22 @@ def test_swapping_act_fails_term_laws_with_witness(monkeypatch):
     assert check_term_laws(cfg, 7, count=10).ok
     monkeypatch.setattr(TermCarrier, "act", staticmethod(
         lambda value, rho: rename(value, swap_first_pair(rho))))
+    rep = check_term_laws(cfg, 7, count=10)
+    failed = {r.name.split(" (")[0]: r.witness for r in rep.failures}
+    assert failed.get("oracle agreement", "").startswith("item ")
+    assert all(r.witness for r in rep.failures)
+
+
+def test_wrong_point_fails_term_laws_with_witness(monkeypatch):
+    """A point that answers a bound position with another position of the
+    same sort, whenever the context has one."""
+    def var(ctx, pos):
+        same = [j for j, s in enumerate(ctx.entries) if j != pos
+                and s == ctx.entries[pos]]
+        return Var(ctx, same[0] if same else pos)
+    cfg = config(("sequential", "functions"), ("b",))
+    assert check_term_laws(cfg, 7, count=10).ok
+    monkeypatch.setattr(TermCarrier, "var", staticmethod(var))
     rep = check_term_laws(cfg, 7, count=10)
     failed = {r.name.split(" (")[0]: r.witness for r in rep.failures}
     assert failed.get("oracle agreement", "").startswith("item ")
