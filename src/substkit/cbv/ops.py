@@ -6,9 +6,11 @@ fragment itself (value types first-class, computation types second-class).
 Most fragments contribute an infinite operator family (one instance per type
 or per context of types); the table mints instances lazily, checking on every
 mint that the requested types are formable in the fragment and within the
-configured type depth.  Labels are canonical strings, so a label uniquely
-determines its operator, and the table's resolver parses a label back into the
-family call that mints it (used by the term deserializer).
+configured type depth.  A family call mints once per table: a repeated call
+with equal parameters returns the operator the first one minted.  Labels are
+canonical strings, so a label uniquely determines its operator, and the
+table's resolver parses a label back into the family call that mints it (used
+by the term deserializer).
 """
 
 from __future__ import annotations
@@ -53,6 +55,22 @@ def vmatch_allowed(cfg: FragmentConfig, t: Variant) -> bool:
     return cfg.has("variants") or (cfg.has("naturals") and is_maybe_shape(t))
 
 
+def _mint_once(family):
+    """Run a family method once per table and parameter tuple; later calls
+    with equal parameters return the operator it minted.  A call that raises
+    is not stored, so it raises again."""
+
+    @functools.wraps(family)
+    def call(self, *params):
+        key = (family.__name__, params)
+        got = self._minted.get(key)
+        if got is None:
+            got = self._minted[key] = family(self, *params)
+        return got
+
+    return call
+
+
 class CbvOperatorTable(OperatorTable):
     """Lazy operator table for one fragment configuration."""
 
@@ -63,6 +81,7 @@ class CbvOperatorTable(OperatorTable):
             CbvOperatorTable._resolve, weakref.proxy(self)))
         self.cfg = cfg
         self._meta: dict[str, tuple] = {}
+        self._minted: dict[tuple, Operator] = {}
 
     # -- helpers ---------------------------------------------------------
 
@@ -87,11 +106,13 @@ class CbvOperatorTable(OperatorTable):
 
     # -- operator families -------------------------------------------------
 
+    @_mint_once
     def val(self, t: TypeExpr) -> Operator:
         self._check_type(t)
         return self._intern(f"val<{type_to_label(t)}>", "val", (t,),
                             second(t), [Argument(Context(()), first(t))])
 
+    @_mint_once
     def let(self, bound: tuple, result: TypeExpr) -> Operator:
         if not self.cfg.has("sequential"):
             raise DisabledConstruct("let", self.cfg)
@@ -106,6 +127,7 @@ class CbvOperatorTable(OperatorTable):
         args.append(Argument(Context(bound), second(result)))
         return self._intern(label, "let", (bound, result), second(result), args)
 
+    @_mint_once
     def lam(self, dom: TypeExpr, cod: TypeExpr) -> Operator:
         if not self.cfg.has("functions"):
             raise DisabledConstruct("lam", self.cfg)
@@ -114,6 +136,7 @@ class CbvOperatorTable(OperatorTable):
         return self._intern(label, "lam", (dom, cod), first(fun(dom, cod)),
                             [Argument(Context((dom,)), second(cod))])
 
+    @_mint_once
     def app(self, dom: TypeExpr, cod: TypeExpr) -> Operator:
         fused = (self.cfg.has("recursion") and isinstance(dom, Record)
                  and is_context_row(dom))
@@ -125,6 +148,7 @@ class CbvOperatorTable(OperatorTable):
                             [Argument(Context(()), second(fun(dom, cod))),
                              Argument(Context(()), second(dom))])
 
+    @_mint_once
     def vrec(self, row: tuple) -> Operator:
         t = record(row)
         if not record_allowed(self.cfg, t.row):
@@ -134,6 +158,7 @@ class CbvOperatorTable(OperatorTable):
         args = [Argument(Context(()), first(v)) for _, v in t.row]
         return self._intern(label, "vrec", (t,), first(t), args)
 
+    @_mint_once
     def rec(self, row: tuple) -> Operator:
         t = record(row)
         if not record_allowed(self.cfg, t.row):
@@ -143,6 +168,7 @@ class CbvOperatorTable(OperatorTable):
         args = [Argument(Context(()), second(v)) for _, v in t.row]
         return self._intern(label, "rec", (t,), second(t), args)
 
+    @_mint_once
     def recmatch(self, row: tuple, result: TypeExpr) -> Operator:
         t = record(row)
         if not self.cfg.has("records"):
@@ -155,6 +181,7 @@ class CbvOperatorTable(OperatorTable):
                             [Argument(Context(()), second(t)),
                              Argument(binder, second(result))])
 
+    @_mint_once
     def vinj(self, row: tuple, tag: str) -> Operator:
         t = variant_of(row)
         if not variant_allowed(self.cfg, t):
@@ -165,6 +192,7 @@ class CbvOperatorTable(OperatorTable):
         return self._intern(label, "vinj", (t, tag), first(t),
                             [Argument(Context(()), first(payload))])
 
+    @_mint_once
     def inj(self, row: tuple, tag: str) -> Operator:
         t = variant_of(row)
         if not variant_allowed(self.cfg, t):
@@ -175,6 +203,7 @@ class CbvOperatorTable(OperatorTable):
         return self._intern(label, "inj", (t, tag), second(t),
                             [Argument(Context(()), second(payload))])
 
+    @_mint_once
     def vmatch(self, row: tuple, result: TypeExpr) -> Operator:
         t = variant_of(row)
         if not vmatch_allowed(self.cfg, t):
@@ -186,6 +215,7 @@ class CbvOperatorTable(OperatorTable):
         args += [Argument(Context((v,)), second(result)) for _, v in t.row]
         return self._intern(label, "vmatch", (t, result), second(result), args)
 
+    @_mint_once
     def lit(self, n: int) -> Operator:
         if not self.cfg.has("naturals"):
             raise DisabledConstruct("literal", self.cfg)
@@ -194,18 +224,21 @@ class CbvOperatorTable(OperatorTable):
                              f"0..{self.cfg.nat_bound - 1}")
         return self._intern(f"lit<{n}>", "lit", (n,), first(NAT), [])
 
+    @_mint_once
     def unroll(self) -> Operator:
         if not self.cfg.has("naturals"):
             raise DisabledConstruct("unroll", self.cfg)
         return self._intern("unroll", "unroll", (), second(maybe_shape(NAT)),
                             [Argument(Context(()), second(NAT))])
 
+    @_mint_once
     def roll(self) -> Operator:
         if not self.cfg.has("naturals"):
             raise DisabledConstruct("roll", self.cfg)
         return self._intern("roll", "roll", (), second(NAT),
                             [Argument(Context(()), second(maybe_shape(NAT)))])
 
+    @_mint_once
     def natfold(self, result: TypeExpr) -> Operator:
         if not self.cfg.has("naturals"):
             raise DisabledConstruct("fold", self.cfg)
@@ -215,6 +248,7 @@ class CbvOperatorTable(OperatorTable):
                             [Argument(Context(()), second(NAT)),
                              Argument(Context((maybe_shape(result),)), second(result))])
 
+    @_mint_once
     def forloop(self, state: TypeExpr, result: TypeExpr) -> Operator:
         if not self.cfg.has("while"):
             raise DisabledConstruct("for", self.cfg)
@@ -227,6 +261,7 @@ class CbvOperatorTable(OperatorTable):
                             [Argument(Context(()), second(state)),
                              Argument(Context((state,)), second(body))])
 
+    @_mint_once
     def letrec(self, defs: tuple, result: TypeExpr) -> Operator:
         """``defs`` is a tuple of (parameter types, return type) pairs."""
         if not self.cfg.has("recursion"):

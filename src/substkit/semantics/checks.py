@@ -202,7 +202,7 @@ def check_compatibility(fragment: str, m: Model, cfg: FragmentConfig,
                 # candidate argument tables, one pool per argument
                 pools = []
                 for arg in op.args:
-                    arg_ctx = Context(src.entries + arg.binder.entries)
+                    arg_ctx = src.extend(arg.binder)
                     space = context_space(arg_ctx, m, nb)
                     if arg.sort.is_first:
                         outs = FinSet(interpret_type(arg.sort.ident, m, nb))
@@ -367,7 +367,7 @@ class _UnrollingInterpreter(Interpreter):
     """Replaces Elgot iteration by a bounded unrolling: the reference route."""
 
     def _alg_for(self, op, params, values, ctx):
-        state, result = params
+        state, _ = params
         self._require("elgot", "unbounded iteration")
         monad = self.m.monad
         init, body = values
@@ -380,7 +380,7 @@ class _UnrollingInterpreter(Interpreter):
                 lambda g, v0: elgot_unrolling_oracle(step, v0, state_size + 1),
                 point, init.at(point))
 
-        return self._den(result, ctx, fn)
+        return self._den(op, ctx, fn)
 
 
 def check_elgot_against_unrolling(m: Model, seed: int, count: int = 50,

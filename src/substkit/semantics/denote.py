@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from ..cbv.ops import CbvOperatorTable
 from ..cbv.types import FragmentConfig, record
-from ..sorts import Context, Renaming, second
+from ..sorts import Context, Renaming
 from ..terms import fold
 from .finset import FinSet
 from .model import (Denotation, Model, context_space, identity_sem_env,
@@ -103,8 +103,8 @@ class Interpreter:
     def _interp(self, t):
         return interpret_type(t, self.m, self.cfg.nat_bound)
 
-    def _den(self, t, ctx, fn) -> Denotation:
-        return Denotation(second(t), ctx, self._space(ctx), fn)
+    def _den(self, op, ctx, fn) -> Denotation:
+        return Denotation(op.result_sort, ctx, self._space(ctx), fn)
 
     def _require(self, capability: str, feature: str):
         if not self.m.capabilities[capability]:
@@ -122,13 +122,11 @@ class Interpreter:
         return getattr(self, f"_alg_{family}")(op, params, values, ctx)
 
     def _alg_val(self, op, params, values, ctx):
-        (t,) = params
         unit = self.m.monad.unit
         d = values[0]
-        return self._den(t, ctx, lambda p: unit(d.at(p)))
+        return self._den(op, ctx, lambda p: unit(d.at(p)))
 
     def _alg_let(self, op, params, values, ctx):
-        bound, result = params
         monad = self.m.monad
         *ds, body = values
 
@@ -141,17 +139,17 @@ class Interpreter:
                     point, m)
             return monad.bind(lambda g, delta: body.at(g + delta), point, m)
 
-        return self._den(result, ctx, fn)
+        return self._den(op, ctx, fn)
 
     def _alg_lam(self, op, params, values, ctx):
-        dom, cod = params
+        dom, _ = params
         d = values[0]
         dom_set = self._interp(dom)
         fn = lambda p: tuple(d.at(p + (v,)) for v in dom_set)
-        return Denotation(op.result_sort, ctx, self._space(ctx), fn)
+        return self._den(op, ctx, fn)
 
     def _alg_app(self, op, params, values, ctx):
-        dom, cod = params
+        dom, _ = params
         monad = self.m.monad
         f, a = values
         dom_set = self._interp(dom)
@@ -162,14 +160,13 @@ class Interpreter:
                     lambda phi2, v: phi2[dom_set.index(v)], phi, a.at(g)),
                 point, f.at(point))
 
-        return self._den(cod, ctx, fn)
+        return self._den(op, ctx, fn)
 
     def _alg_vrec(self, op, params, values, ctx):
         fn = lambda p: tuple(d.at(p) for d in values)
-        return Denotation(op.result_sort, ctx, self._space(ctx), fn)
+        return self._den(op, ctx, fn)
 
     def _alg_rec(self, op, params, values, ctx):
-        (t,) = params
         monad = self.m.monad
 
         def fn(point):
@@ -181,27 +178,25 @@ class Interpreter:
                     point, m)
             return m
 
-        return self._den(t, ctx, fn)
+        return self._den(op, ctx, fn)
 
     def _alg_recmatch(self, op, params, values, ctx):
-        t, result = params
         monad = self.m.monad
         scrut, body = values
         fn = lambda p: monad.bind(lambda g, rec: body.at(g + rec), p,
                                   scrut.at(p))
-        return self._den(result, ctx, fn)
+        return self._den(op, ctx, fn)
 
     def _alg_vinj(self, op, params, values, ctx):
-        t, tag = params
+        _, tag = params
         d = values[0]
-        return Denotation(op.result_sort, ctx, self._space(ctx),
-                          lambda p: (tag, d.at(p)))
+        return self._den(op, ctx, lambda p: (tag, d.at(p)))
 
     def _alg_inj(self, op, params, values, ctx):
-        t, tag = params
+        _, tag = params
         monad = self.m.monad
         d = values[0]
-        return self._den(t, ctx,
+        return self._den(op, ctx,
                          lambda p: monad.tmap(lambda v: (tag, v), d.at(p)))
 
     def _alg_vmatch(self, op, params, values, ctx):
@@ -215,18 +210,17 @@ class Interpreter:
                 lambda g, tv: by_tag[tv[0]].at(g + (tv[1],)), point,
                 scrut.at(point))
 
-        return self._den(result, ctx, fn)
+        return self._den(op, ctx, fn)
 
     def _alg_lit(self, op, params, values, ctx):
         (n,) = params
-        return Denotation(op.result_sort, ctx, self._space(ctx), lambda p: n)
+        return self._den(op, ctx, lambda p: n)
 
     def _alg_unroll(self, op, params, values, ctx):
         monad = self.m.monad
         d = values[0]
         conv = lambda n: ("0", ()) if n == 0 else ("1+", n - 1)
-        return Denotation(op.result_sort, ctx, self._space(ctx),
-                          lambda p: monad.tmap(conv, d.at(p)))
+        return self._den(op, ctx, lambda p: monad.tmap(conv, d.at(p)))
 
     def _alg_roll(self, op, params, values, ctx):
         monad = self.m.monad
@@ -241,11 +235,9 @@ class Interpreter:
                 return monad.unit(v + 1)
             return monad.failure()
 
-        return Denotation(op.result_sort, ctx, self._space(ctx),
-                          lambda p: monad.bind(step, None, d.at(p)))
+        return self._den(op, ctx, lambda p: monad.bind(step, None, d.at(p)))
 
     def _alg_natfold(self, op, params, values, ctx):
-        (result,) = params
         monad = self.m.monad
         scrut, body = values
 
@@ -258,10 +250,9 @@ class Interpreter:
                 results.append(acc)
             return monad.bind(lambda g, n: results[n], point, scrut.at(point))
 
-        return self._den(result, ctx, fn)
+        return self._den(op, ctx, fn)
 
     def _alg_for(self, op, params, values, ctx):
-        state, result = params
         self._require("elgot", "unbounded iteration")
         monad = self.m.monad
         init, body = values
@@ -272,10 +263,10 @@ class Interpreter:
             return monad.bind(lambda g, v0: elgot_iterate(step, v0), point,
                               init.at(point))
 
-        return self._den(result, ctx, fn)
+        return self._den(op, ctx, fn)
 
     def _alg_letrec(self, op, params, values, ctx):
-        defs, result = params
+        defs, _ = params
         self._require("fixpoints", "recursive definitions")
         monad = self.m.monad
         *bodies, main = values
@@ -305,7 +296,7 @@ class Interpreter:
             fix = kleene_fixpoint(phi, bottoms, height * 4 + 4)
             return main.at(point + fix)
 
-        return self._den(result, ctx, fn)
+        return self._den(op, ctx, fn)
 
     def _alg_hole(self, hole, values, ctx):
         raise ValueError("terms with holes have no denotation")

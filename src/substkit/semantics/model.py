@@ -98,6 +98,9 @@ def context_space(ctx: Context, m: Model, nat_bound: int) -> ProductSpace:
     return got
 
 
+_MISS = object()
+
+
 class Denotation:
     """A context-indexed table, stored as a memoized query function."""
 
@@ -111,12 +114,11 @@ class Denotation:
         self._memo = {}
 
     def at(self, point: tuple):
-        try:
-            return self._memo[point]
-        except KeyError:
-            got = self._fn(point)
-            self._memo[point] = got
-            return got
+        # most reads miss: a sentinel default keeps a miss from raising
+        got = self._memo.get(point, _MISS)
+        if got is _MISS:
+            got = self._memo[point] = self._fn(point)
+        return got
 
     def table(self) -> tuple:
         return tuple(self.at(p) for p in self.space)
@@ -147,9 +149,13 @@ def precompose(d: Denotation, rho: Renaming, m: Model, nat_bound: int) -> Denota
     if d.ctx != rho.target:
         raise ValueError("renaming does not match the denotation's context")
     space = context_space(rho.source, m, nat_bound)
-    return Denotation(d.sort, rho.source, space,
-                      lambda point: d.at(tuple(point[rho.mapping[y]]
-                                               for y in range(len(rho.target)))))
+    at, mapping, k = d.at, rho.mapping, len(rho.target)
+    if mapping == tuple(range(k)):
+        # a projection onto a prefix, the only renaming the fold acts along
+        fn = lambda point: at(point[:k])
+    else:
+        fn = lambda point: at(tuple([point[x] for x in mapping]))
+    return Denotation(d.sort, rho.source, space, fn)
 
 
 def subst_denotation(d: Denotation, env: list, m: Model, nat_bound: int,
@@ -163,8 +169,9 @@ def subst_denotation(d: Denotation, env: list, m: Model, nat_bound: int,
         if e.ctx != target:
             raise ValueError("environment entries over different contexts")
     space = context_space(target, m, nat_bound)
+    at, ats = d.at, [e.at for e in env]
     return Denotation(d.sort, target, space,
-                      lambda point: d.at(tuple(e.at(point) for e in env)))
+                      lambda point: at(tuple([a(point) for a in ats])))
 
 
 def identity_sem_env(ctx: Context, m: Model, nat_bound: int) -> list:

@@ -213,7 +213,7 @@ def route_environment(binder: Context, ctx: Context, env: Sequence,
     """
     if not len(binder):
         return ctx, list(env)
-    extended = Context(ctx.entries + binder.entries)
+    extended = ctx.extend(binder)
     pi1 = Renaming(extended, ctx, range(len(ctx)))
     routed = [hooks.act(v, pi1) for v in env]
     routed += [hooks.var(extended, j) for j in range(len(ctx), len(extended))]

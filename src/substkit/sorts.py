@@ -88,11 +88,12 @@ class SortingSystem:
 class Context:
     """An ordered, possibly empty list of first-class sort identifiers."""
 
-    __slots__ = ("entries", "_hash")
+    __slots__ = ("entries", "_hash", "_ext")
 
     def __init__(self, entries: Iterable[Hashable] = ()):
         object.__setattr__(self, "entries", tuple(entries))
         object.__setattr__(self, "_hash", hash(self.entries))
+        object.__setattr__(self, "_ext", None)
 
     def __setattr__(self, *a):
         raise AttributeError("Context is immutable")
@@ -110,10 +111,26 @@ class Context:
         return self.entries[pos]
 
     def __eq__(self, other):
-        return isinstance(other, Context) and self.entries == other.entries
+        return self is other or (isinstance(other, Context)
+                                 and self.entries == other.entries)
 
     def __hash__(self):
         return self._hash
+
+    def extend(self, binder: "Context") -> "Context":
+        """This context followed by ``binder``: the context itself for an
+        empty binder, else one shared extension per binder, kept in a table
+        the context makes on its first extension and that dies with it."""
+        if not binder.entries:
+            return self
+        ext = self._ext
+        if ext is None:
+            ext = {}
+            object.__setattr__(self, "_ext", ext)
+        got = ext.get(binder)
+        if got is None:
+            got = ext[binder] = Context(self.entries + binder.entries)
+        return got
 
     def __repr__(self):
         return f"Context{list(self.entries)!r}"

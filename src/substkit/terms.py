@@ -50,7 +50,13 @@ class Term:
         raise AttributeError("terms are immutable")
 
     def __hash__(self):
-        return self._hash
+        # computed on the first call: most terms are built and never hashed
+        try:
+            return self._hash
+        except AttributeError:
+            h = hash(self._hash_key())
+            object.__setattr__(self, "_hash", h)
+            return h
 
 
 class Var(Term):
@@ -62,7 +68,9 @@ class Var(Term):
         object.__setattr__(self, "sort", first(ctx.sort_at(index)))
         object.__setattr__(self, "ctx", ctx)
         object.__setattr__(self, "index", index)
-        object.__setattr__(self, "_hash", hash(("v", index, ctx)))
+
+    def _hash_key(self):
+        return ("v", self.index, self.ctx)
 
     def __eq__(self, other):
         return (type(other) is Var and self.index == other.index
@@ -82,7 +90,7 @@ class Op(Term):
         if len(args) != op.arity:
             raise IllSorted(f"{op.label}: expected {op.arity} arguments, got {len(args)}")
         for i, (arg, decl) in enumerate(zip(args, op.args)):
-            want_ctx = Context(ctx.entries + decl.binder.entries)
+            want_ctx = ctx.extend(decl.binder)
             if arg.sort != decl.sort:
                 raise IllSorted(
                     f"{op.label} argument {i}: sort {arg.sort!r}, expected {decl.sort!r}")
@@ -93,7 +101,9 @@ class Op(Term):
         object.__setattr__(self, "ctx", ctx)
         object.__setattr__(self, "op", op)
         object.__setattr__(self, "args", args)
-        object.__setattr__(self, "_hash", hash(("o", op.label, args, ctx)))
+
+    def _hash_key(self):
+        return ("o", self.op.label, self.args, self.ctx)
 
     def __eq__(self, other):
         return (type(other) is Op and self.op.label == other.op.label
@@ -123,7 +133,9 @@ class Meta(Term):
         object.__setattr__(self, "ctx", ctx)
         object.__setattr__(self, "hole", hole)
         object.__setattr__(self, "env", env)
-        object.__setattr__(self, "_hash", hash(("m", hole.ident, env, ctx)))
+
+    def _hash_key(self):
+        return ("m", self.hole.ident, self.env, self.ctx)
 
     def __eq__(self, other):
         return (type(other) is Meta and self.hole == other.hole
@@ -250,8 +262,7 @@ def _fold(t, alg_ops, alg_hole, hooks, env: Sequence, out_ctx: Context,
         return hooks.act(env[i], Renaming(ctx, out_ctx, range(n)))
     if type(t) is Op:
         values = [_fold(arg, alg_ops, alg_hole, hooks, env, out_ctx,
-                        Context(ctx.entries + decl.binder.entries)
-                        if len(decl.binder) else ctx)
+                        ctx.extend(decl.binder))
                   for arg, decl in zip(t.args, t.op.args)]
         return _dispatch(alg_ops, t.op.label)(t.op, values, ctx)
     values = [_fold(e, alg_ops, alg_hole, hooks, env, out_ctx, ctx) for e in t.env]
@@ -390,7 +401,7 @@ def _from_indexed(t, ctx: Context):
         op = t[1]
         args = []
         for a, decl in zip(t[2], op.args):
-            args.append(_from_indexed(a, Context(ctx.entries + decl.binder.entries)))
+            args.append(_from_indexed(a, ctx.extend(decl.binder)))
         return Op(op, ctx, args)
     return Meta(t[1], ctx, tuple(_from_indexed(e, ctx) for e in t[2]))
 
@@ -478,8 +489,7 @@ def deserialize(text: str, table: OperatorTable, sort: Sort, ctx: Context,
         inner = split_top(text[pos + 1:-1], ",")
         if inner == [""]:
             inner = []
-        args = [deserialize(s, table, decl.sort,
-                            Context(ctx.entries + decl.binder.entries), holes)
+        args = [deserialize(s, table, decl.sort, ctx.extend(decl.binder), holes)
                 for s, decl in zip(inner, op.args)]
         t = Op(op, ctx, args)
     if t.sort != sort:

@@ -100,23 +100,64 @@ def test_depth_exceeded():
         table.lam(fun(B, B), fun(B, B))
 
 
+EVERY_FAMILY = [
+    lambda t: t.val(B), lambda t: t.let((B,), B), lambda t: t.lam(B, B),
+    lambda t: t.app(B, B), lambda t: t.vrec((("A", B),)), lambda t: t.rec(()),
+    lambda t: t.recmatch((("A", B),), B),
+    lambda t: t.vinj((("A", B), ("Z", NAT)), "Z"),
+    lambda t: t.inj(maybe_shape(NAT).row, "1+"),
+    lambda t: t.vmatch(maybe_shape(B).row, B), lambda t: t.lit(3),
+    lambda t: t.unroll(), lambda t: t.roll(), lambda t: t.natfold(NAT),
+    lambda t: t.forloop(NAT, B), lambda t: t.letrec((((B, NAT), B),), NAT)]
+
+
 def test_label_round_trip_every_family():
     cfg = config(("sequential", "functions", "records", "variants", "naturals",
                   "while", "recursion"), nat_bound=4, type_depth=4)
     table = CbvOperatorTable(cfg)
-    ops = [table.val(B), table.let((B,), B), table.lam(B, B), table.app(B, B),
-           table.vrec((("A", B),)), table.rec(()), table.recmatch((("A", B),), B),
-           table.vinj((("A", B), ("Z", NAT)), "Z"),
-           table.inj(maybe_shape(NAT).row, "1+"),
-           table.vmatch(maybe_shape(B).row, B), table.lit(3), table.unroll(),
-           table.roll(), table.natfold(NAT), table.forloop(NAT, B),
-           table.letrec((((B, NAT), B),), NAT)]
+    ops = [call(table) for call in EVERY_FAMILY]
     fresh = CbvOperatorTable(cfg)
     for op in ops:
         back = fresh.op(op.label)
         assert back.label == op.label
         assert back.result_sort == op.result_sort
         assert back.args == op.args
+
+
+def test_repeated_family_call_returns_the_identical_operator():
+    cfg = config(("sequential", "functions", "records", "variants", "naturals",
+                  "while", "recursion"), nat_bound=4, type_depth=4)
+    table = CbvOperatorTable(cfg)
+    ops = [call(table) for call in EVERY_FAMILY]
+    assert len(table) == len(EVERY_FAMILY)
+    assert all(call(table) is op for call, op in zip(EVERY_FAMILY, ops))
+    # equal parameters built anew mint nothing new either
+    assert table.lam(Base("b"), Base("b")) is ops[2]
+    assert table.let(tuple([B]), B) is ops[1]
+    assert len(table) == len(EVERY_FAMILY)
+
+
+@pytest.mark.parametrize("cfg, call, error", [
+    (config(()), lambda t: t.lam(B, B), DisabledConstruct),
+    (config(()), lambda t: t.letrec((((), B),), B), DisabledConstruct),
+    (config(("functions",)), lambda t: t.val(variant((("A", B),))),
+     DisabledConstruct),
+    (config(("functions",), type_depth=2),
+     lambda t: t.lam(fun(B, B), fun(B, B)), DepthExceeded),
+    (config(("naturals",), nat_bound=4), lambda t: t.lit(4), ValueError),
+])
+def test_rejected_family_call_raises_on_every_repeat_and_mints_nothing(
+        cfg, call, error):
+    table = CbvOperatorTable(cfg)
+    table.val(B)
+    messages = []
+    for _ in range(3):
+        with pytest.raises(error) as info:
+            call(table)
+        messages.append(str(info.value))
+    assert len(set(messages)) == 1 and messages[0]
+    assert [op.label for op in table] == ["val<b>"]
+    assert list(table._minted) == [("val", (B,))]
 
 
 @pytest.mark.parametrize("exts", [

@@ -1,9 +1,10 @@
-"""Caches belong to the objects they describe: a model and a fragment
-configuration are freed with their tables, and no cache under ``src/`` grows
-for the life of the process."""
+"""Caches belong to the objects they describe: a model, a fragment
+configuration, a context and an operator table are freed with their tables,
+and no cache under ``src/`` grows for the life of the process."""
 
 import ast
 import gc
+import sys
 import weakref
 
 from conftest import SRC
@@ -29,6 +30,29 @@ def test_model_and_config_are_freed_without_the_cycle_collector():
     gc.disable()
     try:
         del m, cfg, table, term
+        assert [ref() for ref in refs] == [None, None]
+    finally:
+        gc.enable()
+
+
+def test_extended_context_and_minting_table_are_freed_without_the_cycle_collector():
+    """A context owns the extensions it shares, and a table the operators its
+    family calls minted: both go with their last reference."""
+    ctx = Context((B,))
+    ext = ctx.extend(Context((fun(B, B),)))
+    assert ctx.extend(Context((fun(B, B),))) is ext
+    table = CbvOperatorTable(config(("functions", "sequential")))
+    op = table.lam(B, B)
+    assert table.lam(B, B) is op and table.let((B,), B) is table.let((B,), B)
+    refs = (weakref.ref(table), weakref.ref(op))
+    gc.disable()
+    try:
+        # contexts take no weak references: the context is freed when its
+        # table of extensions lets go of the one it shared
+        held = sys.getrefcount(ext)
+        del ctx
+        assert sys.getrefcount(ext) == held - 1
+        del table, op
         assert [ref() for ref in refs] == [None, None]
     finally:
         gc.enable()

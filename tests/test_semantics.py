@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from conftest import reference_fold, swap_first_pair
+from conftest import all_renamings, contexts_upto, reference_fold, swap_first_pair
 from substkit.cbv import (Base, CbvOperatorTable, NAT, config, fun, maybe_shape,
                           parse, record, typecheck, variant)
 from substkit.cbv.gen import TermGen, enumerate_terms
@@ -16,9 +16,10 @@ from substkit.semantics import (IdentityMonad, OptionMonad, UnsupportedCapabilit
                                 check_substitution_lemma_random, denote,
                                 interp_size, interpret_type, model, precompose)
 from substkit.semantics.denote import DenotationCarrier, Interpreter
-from substkit.semantics.model import context_space, identity_sem_env, projection
+from substkit.semantics.model import (Denotation, context_space, identity_sem_env,
+                                      projection)
 from substkit.sorts import Context, Renaming, second
-from substkit.terms import Var, substitute
+from substkit.terms import Op, Var, substitute
 
 B = Base("b")
 
@@ -193,6 +194,81 @@ def test_denotation_points_are_natural_along_projections():
                 for j in range(k):
                     moved = precompose(projection(small, j, m, nb), pi, m, nb)
                     assert moved.same_table(projection(big, j, m, nb))
+
+
+def test_precompose_reindexes_as_the_generator_reference():
+    """Every renaming between contexts of length up to 3 over two types: the
+    prefix path and the general path give the table of the reindexing that
+    builds the point with a generator expression."""
+    m, nb = model(IdentityMonad(), {"b": 2}), 4
+    for tgt in contexts_upto((B, fun(B, B)), 3):
+        d = Denotation(second(B), tgt, context_space(tgt, m, nb), lambda p: p)
+        for src in contexts_upto((B, fun(B, B)), 3):
+            for rho in all_renamings(src, tgt):
+                want = tuple(d.at(tuple(p[rho.mapping[y]]
+                                        for y in range(len(rho.target))))
+                             for p in context_space(src, m, nb))
+                assert precompose(d, rho, m, nb).table() == want, rho
+
+
+def test_prefix_precompose_reading_the_suffix_fails_the_lemma_with_witness(
+        monkeypatch):
+    """A mutant of the prefix path of ``precompose``: it reads the last
+    ``k`` components of the point instead of the first ``k``."""
+    def precompose_suffix(d, rho, m, nat_bound):
+        space = context_space(rho.source, m, nat_bound)
+        at, mapping, k = d.at, rho.mapping, len(rho.target)
+        if mapping == tuple(range(k)):
+            fn = lambda point: at(point[-k:])
+        else:
+            fn = lambda point: at(tuple([point[x] for x in mapping]))
+        return Denotation(d.sort, rho.source, space, fn)
+
+    cfg = config(("sequential", "functions"))
+    m, identity = model(OptionMonad(), {"b": 2}), model(IdentityMonad(), {"b": 2})
+    assert check_substitution_lemma_random(cfg, m, seed=20260810, count=50).ok
+    monkeypatch.setattr(DenotationCarrier, "act", lambda self, d, rho:
+                        precompose_suffix(d, rho, self.m, self.nat_bound))
+    failure = check_substitution_lemma_random(cfg, m, seed=20260810,
+                                              count=50).first_failure()
+    assert failure is not None and failure.witness.startswith("term ")
+    failure = check_substitution_lemma_exhaustive(cfg, identity).first_failure()
+    assert failure is not None and failure.witness
+
+
+def _subterms(t):
+    yield t
+    if type(t) is Op:
+        for arg in t.args:
+            yield from _subterms(arg)
+
+
+@pytest.mark.parametrize("exts", [
+    ("sequential", "functions"),
+    ("records", "variants", "naturals"),
+    ("naturals", "while", "recursion"),
+])
+def test_every_denotation_has_the_sort_of_its_term(exts):
+    """Seeded subst-lemma cases: each term, its substituted form and the
+    substitution's entries, and every subterm of them."""
+    cfg = config(exts, ("b",), nat_bound=4)
+    m = model(OptionMonad(), {"b": 2})
+    table = CbvOperatorTable(cfg)
+    gen = TermGen(cfg, table, random.Random(20260810), interp_cap=40, model=m)
+    checked = 0
+    for _ in range(12):
+        ctx = gen.random_context(2)
+        target = gen.random_target(ctx)
+        term = (gen.random_value if target.is_first else gen.random_term)(
+            ctx, target.ident, 3)
+        env = gen.random_subst(ctx)
+        if context_space(env.target, m, cfg.nat_bound).size > 256:
+            continue
+        for whole in (term, substitute(term, env), *env.entries):
+            for t in _subterms(whole):
+                assert denote(t, m, cfg, table).sort == t.sort, t
+                checked += 1
+    assert checked
 
 
 def test_lazy_denotations_match_the_eager_reference():

@@ -142,3 +142,15 @@ def test_extend_renaming():
     assert ext.source.entries == ("b", "c")
     assert ext.target.entries == ("b", "b", "c")
     assert ext.mapping == (0, 0, 1)
+
+
+def test_extend_context_shares_one_extension_per_binder():
+    ctx = Context(["b", "c"])
+    assert ctx.extend(Context(())) is ctx
+    for binder in contexts_upto(("b", "c"), 2)[1:]:
+        ext = ctx.extend(binder)
+        assert ext == Context(ctx.entries + binder.entries)
+        assert hash(ext) == hash(Context(ctx.entries + binder.entries))
+        # a repeated binder, equal but built anew, gives the identical object
+        assert ctx.extend(Context(binder.entries)) is ext
+    assert Context(()).extend(Context(["b"])) == Context(["b"])

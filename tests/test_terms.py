@@ -344,6 +344,38 @@ def test_fold_missing_algebra_case():
              ctx, TermCarrier)
 
 
+# --- hashing -------------------------------------------------------------------
+
+def subterms(t):
+    yield t
+    for child in (t.args if type(t) is Op else t.env if type(t) is Meta else ()):
+        yield from subterms(child)
+
+
+def test_terms_are_hashed_on_demand_with_the_structural_formula(rng):
+    for t, _ in holed_corpus(rng):
+        nodes = list(subterms(t))
+        assert not any(hasattr(s, "_hash") for s in nodes)
+        for s in nodes:
+            if type(s) is Var:
+                want = hash(("v", s.index, s.ctx))
+            elif type(s) is Op:
+                want = hash(("o", s.op.label, s.args, s.ctx))
+            else:
+                want = hash(("m", s.hole.ident, s.env, s.ctx))
+            assert hash(s) == want
+        assert all(hasattr(s, "_hash") for s in nodes)
+
+
+def test_equal_terms_built_separately_hash_equal(rng):
+    for t, holes in holed_corpus(rng):
+        ctx = Context(t.ctx.entries)
+        back = deserialize(serialize(t), TOY, t.sort, ctx, holes)
+        assert back == t and back.ctx is not t.ctx
+        assert hash(back) == hash(t)
+        assert len({t, back}) == 1
+
+
 # --- canonical text form --------------------------------------------------------
 
 def test_serialize_round_trip(rng):
