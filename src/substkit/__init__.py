@@ -8,7 +8,7 @@ combinations) with finite-set strong-monad semantics.
 """
 
 from .sorts import (Context, Renaming, Sort, SortingSystem, compose_renamings,
-                    concat_contexts, first, identity_renaming, second, vars_of_sort)
+                    concat_contexts, first, identity_renaming, second)
 from .signatures import (Argument, Operator, OperatorTable, flatten,
                          route_environment)
 from .terms import (HoleDecl, Meta, MetaSubst, Op, SubstEnv, Term, Var, fold,
@@ -21,5 +21,5 @@ __all__ = [
     "Var", "compose_renamings", "concat_contexts", "first", "flatten", "fold",
     "identity_env", "identity_renaming", "meta_substitute", "rename",
     "route_environment", "second", "serialize", "substitute",
-    "substitute_direct", "vars_of_sort",
+    "substitute_direct",
 ]

@@ -1,9 +1,9 @@
 """The call-by-value case study: types, operators, surface syntax, checking."""
 
-from .types import (EXTENSIONS, Base, DepthExceeded, FragmentConfig, Fulfillment,
-                    Fun, NAT, NatType, NeedUnfulfilled, Record, TypeExpr,
-                    UNIT, Variant, all_fragment_configs, config,
-                    done_cont_shape, fun, maybe_shape, parse_type, record,
+from .types import (EXTENSIONS, Base, DepthExceeded, FragmentConfig, Fun,
+                    NAT, NatType, Record, TypeExpr, UNIT, Variant,
+                    all_fragment_configs, config, done_cont_shape, fun,
+                    maybe_shape, parse_type, record,
                     type_to_label, type_to_str, types_upto, valid_type, variant)
 from .ops import CbvOperatorTable, DisabledConstruct
 from .surface import SurfaceSyntaxError, parse, parse_value, pretty
@@ -12,9 +12,9 @@ from .typecheck import (ArityMismatch, SortMismatch, UnknownVariable,
 
 __all__ = [
     "ArityMismatch", "Base", "CbvOperatorTable", "DepthExceeded",
-    "DisabledConstruct", "EXTENSIONS", "FragmentConfig", "Fulfillment", "Fun",
-    "NAT", "NatType", "NeedUnfulfilled", "Record", "SortMismatch",
-    "SurfaceSyntaxError", "TypeExpr", "UNIT", "UnknownVariable", "Variant",
+    "DisabledConstruct", "EXTENSIONS", "FragmentConfig", "Fun", "NAT",
+    "NatType", "Record", "SortMismatch", "SurfaceSyntaxError", "TypeExpr",
+    "UNIT", "UnknownVariable", "Variant",
     "all_fragment_configs", "config", "default_names", "done_cont_shape", "fun",
     "maybe_shape", "parse", "parse_type", "parse_value", "pretty", "record",
     "synthesize", "type_to_label", "type_to_str", "typecheck", "types_upto",

@@ -19,10 +19,6 @@ EXTENSIONS = ("sequential", "functions", "records", "variants", "naturals",
               "while", "recursion")
 
 
-class NeedUnfulfilled(Exception):
-    pass
-
-
 class DepthExceeded(Exception):
     pass
 
@@ -244,60 +240,29 @@ def _derivable(t: TypeExpr, cfg: FragmentConfig) -> bool:
     return False
 
 
-class Fulfillment:
-    """Deterministic fulfillment functions for the four typing needs."""
-
-    def __init__(self, cfg: FragmentConfig):
-        self.cfg = cfg
-
-    def unit_type(self) -> TypeExpr:
-        if not (self.cfg.has("records") or self.cfg.has("naturals")):
-            raise NeedUnfulfilled("no fragment provides the unit type")
-        return UNIT
-
-    def nat_type(self) -> TypeExpr:
-        if not self.cfg.has("naturals"):
-            raise NeedUnfulfilled("naturals not enabled")
-        return NAT
-
-    def maybe_type(self, t: TypeExpr) -> TypeExpr:
-        if not (self.cfg.has("naturals") or self.cfg.has("variants")):
-            raise NeedUnfulfilled("no fragment provides the option variant")
-        return maybe_shape(t)
-
-    def done_cont_type(self, done: TypeExpr, cont: TypeExpr) -> TypeExpr:
-        if not (self.cfg.has("while") or self.cfg.has("variants")):
-            raise NeedUnfulfilled("no fragment provides the Done/Cont variant")
-        return done_cont_shape(done, cont)
-
-    def rec_fun_type(self, params, ret: TypeExpr) -> TypeExpr:
-        if not (self.cfg.has("recursion")
-                or (self.cfg.has("functions") and self.cfg.has("records"))):
-            raise NeedUnfulfilled("no fragment provides recursive function types")
-        row = record(tuple((str(i), p) for i, p in enumerate(params)))
-        return fun(row, ret)
-
-    def describe(self) -> list[str]:
-        out = []
-        if self.cfg.has("functions"):
-            out.append("function types (- -> -)")
-        if self.cfg.has("records"):
-            out.append("record types {Ci: -}")
-        if self.cfg.has("variants"):
-            out.append("variant types <Ci: ->")
-        if self.cfg.has("naturals"):
-            fused = "" if self.cfg.has("records") else " (fused unit)"
-            fusedv = "" if self.cfg.has("variants") else " (fused)"
-            out.append(f"Nat, unit {{}}{fused}, option <0: {{}}, 1+: ->{fusedv}")
-        if self.cfg.has("while"):
-            fused = "" if self.cfg.has("variants") else " (fused)"
-            out.append(f"<Done: -, Cont: ->{fused}")
-        if self.cfg.has("recursion"):
-            if self.cfg.has("functions") and self.cfg.has("records"):
-                out.append("({xi: -} -> -) from functions+records")
-            else:
-                out.append("({xi: -} -> -) fused n-ary functions")
-        return out
+def typing_needs(cfg: FragmentConfig) -> list[str]:
+    """The fragment's type formers, one line each, marking the fused ones;
+    which types are valid is decided by :func:`valid_type` alone."""
+    out = []
+    if cfg.has("functions"):
+        out.append("function types (- -> -)")
+    if cfg.has("records"):
+        out.append("record types {Ci: -}")
+    if cfg.has("variants"):
+        out.append("variant types <Ci: ->")
+    if cfg.has("naturals"):
+        fused = "" if cfg.has("records") else " (fused unit)"
+        fusedv = "" if cfg.has("variants") else " (fused)"
+        out.append(f"Nat, unit {{}}{fused}, option <0: {{}}, 1+: ->{fusedv}")
+    if cfg.has("while"):
+        fused = "" if cfg.has("variants") else " (fused)"
+        out.append(f"<Done: -, Cont: ->{fused}")
+    if cfg.has("recursion"):
+        if cfg.has("functions") and cfg.has("records"):
+            out.append("({xi: -} -> -) from functions+records")
+        else:
+            out.append("({xi: -} -> -) fused n-ary functions")
+    return out
 
 
 ROW_LABELS = ("A", "B")

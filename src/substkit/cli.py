@@ -20,9 +20,9 @@ from .cbv.ops import CbvOperatorTable, DisabledConstruct
 from .cbv.surface import SurfaceSyntaxError, parse, parse_value, pretty
 from .cbv.typecheck import (ArityMismatch, SortMismatch, UnknownVariable,
                             synthesize, typecheck)
-from .cbv.types import (EXTENSIONS, DepthExceeded, Fulfillment, NeedUnfulfilled,
-                        all_fragment_configs, config_from_dict, parse_fragment,
-                        parse_type, type_to_str)
+from .cbv.types import (EXTENSIONS, DepthExceeded, all_fragment_configs,
+                        config_from_dict, parse_fragment, parse_type,
+                        type_to_str, typing_needs)
 from .report import Report
 from .semantics.denote import denote
 from .semantics.model import model
@@ -33,7 +33,7 @@ from .terms import SubstEnv, split_top, substitute
 
 # Malformed input: each ends the command with exit 1 and one ``error:`` line.
 INPUT_ERRORS = (ValueError, OSError, UnknownVariable, SortMismatch,
-                ArityMismatch, NeedUnfulfilled, DisabledConstruct, DepthExceeded)
+                ArityMismatch, DisabledConstruct, DepthExceeded)
 
 MODEL_NEEDS = {
     "base": "strong monad over a Cartesian category",
@@ -207,8 +207,7 @@ def cmd_fragments(args) -> int:
     rows = all_fragment_configs()
     print(f"{len(rows)} fragment configurations")
     for cfg in rows:
-        f = Fulfillment(cfg)
-        needs = f.describe() or ["none"]
+        needs = typing_needs(cfg) or ["none"]
         models = [MODEL_NEEDS[e] for e in ("base",) + tuple(
             x for x in EXTENSIONS if cfg.has(x)) if MODEL_NEEDS[e]]
         print(f"- {cfg.name()}")

@@ -137,20 +137,6 @@ def tensor_right_map(gmap: StructMap, tens_src: TensorResult,
     return map_cells(tens_src.structure, tens_tgt.structure, fn)
 
 
-def mediators(p: FinStructure, q: FinStructure, l: FinStructure):
-    """The three mediator maps for the given factors: the left unitor on
-    (variables x Q), the right unitor on (P x variables), and the associator
-    on ((P x Q) x L), each as an elementwise map on quotient classes."""
-    nu = variables_structure(q.ctx_sorts, q.bound)
-    lu = left_unitor_map(tensor(nu, q), q)
-    ru = right_unitor_map(tensor(p, nu), p)
-    t_pq = tensor(p, q)
-    t_ql = tensor(q, l)
-    alpha = associator_map(tensor(t_pq.structure, l), t_pq, t_ql,
-                           tensor(p, t_ql.structure))
-    return lu, ru, alpha
-
-
 # --- actegory axioms ----------------------------------------------------------
 
 def action_pentagon_witness(p: FinStructure, q: FinStructure, l: FinStructure,

@@ -113,13 +113,6 @@ def variables_structure(ctx_sorts: Sequence[Hashable], bound: int) -> FinStructu
                            lambda s, rho, x: rho.mapping[x])
 
 
-def kneut_structure(fst_ids: Sequence, snd_ids: Sequence, bound: int) -> FinStructure:
-    """Variables on the first-class sorts; empty cells at second-class sorts."""
-    nu = variables_structure(fst_ids, bound)
-    sorts = nu.sorts + tuple(Sort("second", i) for i in snd_ids)
-    return FinStructure(sorts, nu.ctx_sorts, bound, nu.cells, nu.action)
-
-
 def terminal_structure(sorts: Sequence[Sort], ctx_sorts, bound: int) -> FinStructure:
     cells = {(s, ctx): ("*",) for s in sorts
              for ctx in enumerate_contexts(ctx_sorts, bound)}
@@ -450,53 +443,3 @@ def exponential(p: FinStructure, q: FinStructure, cap: int = 200_000):
 
     return structure, eval_map, curry
 
-
-# --- structured text form ---------------------------------------------------------
-
-def structure_to_dict(p: FinStructure) -> dict:
-    """JSON-ready form: sorts, bound, element lists, and the action table.
-    Sort identifiers and elements are rendered with repr and parsed back with
-    a caller-supplied decoder."""
-    cells = []
-    for (s, ctx), elems in sorted(p.cells.items(), key=repr):
-        cells.append({"tag": s.tag, "sort": repr(s.ident),
-                      "context": [repr(e) for e in ctx.entries],
-                      "elements": [repr(e) for e in elems]})
-    action = []
-    for (key, s, elem), out in sorted(p.action.items(), key=repr):
-        src, tgt, mapping = key
-        action.append({"source": [repr(e) for e in src],
-                       "target": [repr(e) for e in tgt],
-                       "mapping": list(mapping), "tag": s.tag,
-                       "sort": repr(s.ident), "element": repr(elem),
-                       "image": repr(out)})
-    return {"ctx_sorts": [repr(s) for s in p.ctx_sorts], "bound": p.bound,
-            "sorts": [{"tag": s.tag, "ident": repr(s.ident)} for s in p.sorts],
-            "cells": cells, "action": action}
-
-
-def structure_from_dict(data: dict, decode=None) -> FinStructure:
-    """Load a structure from its dict form and validate the functor laws."""
-    decode = decode if decode is not None else _default_decode
-    ctx_sorts = tuple(decode(s) for s in data["ctx_sorts"])
-    sorts = tuple(Sort(s["tag"], decode(s["ident"])) for s in data["sorts"])
-    cells = {}
-    for cell in data["cells"]:
-        s = Sort(cell["tag"], decode(cell["sort"]))
-        ctx = Context(tuple(decode(e) for e in cell["context"]))
-        cells[(s, ctx)] = tuple(decode(e) for e in cell["elements"])
-    action = {}
-    for row in data["action"]:
-        src = tuple(decode(e) for e in row["source"])
-        tgt = tuple(decode(e) for e in row["target"])
-        key = (src, tgt, tuple(row["mapping"]))
-        s = Sort(row["tag"], decode(row["sort"]))
-        action[(key, s, decode(row["element"]))] = decode(row["image"])
-    out = FinStructure(sorts, ctx_sorts, data["bound"], cells, action)
-    out.validate()
-    return out
-
-
-def _default_decode(text: str):
-    import ast
-    return ast.literal_eval(text)

@@ -123,10 +123,6 @@ class Denotation:
     def table(self) -> tuple:
         return tuple(self.at(p) for p in self.space)
 
-    def same_table(self, other: "Denotation") -> bool:
-        return (self.ctx == other.ctx and self.sort == other.sort
-                and self.table() == other.table())
-
     def difference_witness(self, other: "Denotation"):
         for p in self.space:
             if self.at(p) != other.at(p):

@@ -61,7 +61,7 @@ class SortingSystem:
     """A pair of finite sort sets; the total sort set is their tagged union.
 
     Tags are part of the ``Sort`` values, so the two components may reuse
-    identifiers.  A homogeneous system is one with no second-class sorts.
+    identifiers.
     """
 
     fst_sorts: tuple
@@ -71,14 +71,6 @@ class SortingSystem:
         for name, comp in (("fst_sorts", self.fst_sorts), ("snd_sorts", self.snd_sorts)):
             if len(set(comp)) != len(comp):
                 raise ValueError(f"{name} contains duplicates: {comp!r}")
-
-    @property
-    def is_homogeneous(self) -> bool:
-        return not self.snd_sorts
-
-    def restrict_first(self) -> "SortingSystem":
-        """The homogeneous restriction: same first-class sorts, no second-class."""
-        return SortingSystem(self.fst_sorts, ())
 
     def __contains__(self, sort: Sort) -> bool:
         pool = self.fst_sorts if sort.is_first else self.snd_sorts
@@ -217,8 +209,3 @@ def pair_renamings(f: Renaming, g: Renaming) -> Renaming:
         raise ContextMismatch("pairing requires a common source context")
     tgt = Context(f.target.entries + g.target.entries)
     return Renaming(f.source, tgt, f.mapping + g.mapping)
-
-
-def vars_of_sort(ctx: Context, sort_ident: Hashable) -> list[int]:
-    """The positions of ``ctx`` carrying the given first-class sort, ascending."""
-    return [i for i, e in enumerate(ctx.entries) if e == sort_ident]

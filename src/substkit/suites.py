@@ -35,8 +35,8 @@ def _corpus_item(gen: TermGen, ctx_bound: int, depth: int, holes=None,
 def check_term_laws(cfg: FragmentConfig, seed: int, count: int = 200,
                     depth: int = 4, ctx_bound: int = 3,
                     report: Report | None = None) -> Report:
-    """Left/right unit, associativity, renaming factorization, and agreement
-    with the independent index-shifting substitution, on a seeded corpus."""
+    """Left/right unit, associativity, and agreement with the independent
+    index-shifting substitution, on a seeded corpus."""
     rep = report if report is not None else Report()
     suite = f"term-laws[{cfg.name()}]"
     rng = random.Random(seed)

@@ -182,12 +182,6 @@ def identity_env(ctx: Context) -> SubstEnv:
     return SubstEnv(ctx, ctx, tuple(Var(ctx, i) for i in range(len(ctx))))
 
 
-def env_of_renaming(rho: Renaming) -> SubstEnv:
-    """Renaming as a substitution: each target-indexed position becomes a variable."""
-    return SubstEnv(rho.target, rho.source,
-                    tuple(Var(rho.source, rho.mapping[y]) for y in range(len(rho.target))))
-
-
 # --- renaming ---------------------------------------------------------------
 
 def rename(t: Term, rho: Renaming) -> Term:
@@ -330,21 +324,6 @@ def meta_substitute(t: Term, ms: MetaSubst) -> Term:
 def compose_meta_subst(ms1: MetaSubst, ms2: MetaSubst) -> MetaSubst:
     return MetaSubst({ident: (hole, meta_substitute(body, ms2))
                       for ident, (hole, body) in ms1.mapping.items()})
-
-
-def collect_holes(t: Term) -> dict[str, HoleDecl]:
-    out: dict[str, HoleDecl] = {}
-    stack = [t]
-    while stack:
-        s = stack.pop()
-        if type(s) is Op:
-            stack.extend(s.args)
-        elif type(s) is Meta:
-            prev = out.setdefault(s.hole.ident, s.hole)
-            if prev != s.hole:
-                raise IllSorted(f"conflicting declarations for hole {s.hole.ident}")
-            stack.extend(s.env)
-    return out
 
 
 # --- independent reference substitution --------------------------------------

@@ -1,5 +1,5 @@
-"""Shared toy signature, random-term helpers, a clause mutant and the eager
-reference fold for the test suites."""
+"""Shared toy signature, random-term helpers, a clause mutant, renamings as
+substitutions and the eager reference fold for the test suites."""
 
 import itertools
 import os
@@ -77,6 +77,12 @@ def swap_first_pair(rho: Renaming) -> Renaming:
         i, j = same[0]
         mapping[i], mapping[j] = mapping[j], mapping[i]
     return Renaming(rho.source, rho.target, mapping)
+
+
+def env_of_renaming(rho: Renaming) -> SubstEnv:
+    """Renaming as a substitution: each target-indexed position becomes a variable."""
+    return SubstEnv(rho.target, rho.source,
+                    tuple(Var(rho.source, rho.mapping[y]) for y in range(len(rho.target))))
 
 
 def reference_fold(t, alg_ops, alg_hole, env, out_ctx: Context, hooks):

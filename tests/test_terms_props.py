@@ -3,10 +3,11 @@
 import hypothesis.strategies as strat
 from hypothesis import given, settings
 
-from conftest import TOY, random_toy_context, random_toy_env, random_toy_term
+from conftest import (TOY, env_of_renaming, random_toy_context, random_toy_env,
+                      random_toy_term)
 from substkit.sorts import second
 from substkit.terms import (compose_subst, identity_env, rename, substitute,
-                            substitute_direct, env_of_renaming)
+                            substitute_direct)
 
 import random
 
