@@ -12,7 +12,7 @@ from .sorts import (Context, Renaming, Sort, SortingSystem, compose_renamings,
 from .signatures import (Argument, Operator, OperatorTable, flatten,
                          route_environment)
 from .terms import (HoleDecl, Meta, MetaSubst, Op, SubstEnv, Term, Var, fold,
-                    identity_env, meta_substitute, rename, serialize, substitute,
+                    identity_env, meta_substitute, rename, substitute,
                     substitute_direct)
 
 __all__ = [
@@ -20,6 +20,5 @@ __all__ = [
     "OperatorTable", "Renaming", "Sort", "SortingSystem", "SubstEnv", "Term",
     "Var", "compose_renamings", "concat_contexts", "first", "flatten", "fold",
     "identity_env", "identity_renaming", "meta_substitute", "rename",
-    "route_environment", "second", "serialize", "substitute",
-    "substitute_direct",
+    "route_environment", "second", "substitute", "substitute_direct",
 ]

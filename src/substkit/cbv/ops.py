@@ -8,25 +8,20 @@ or per context of types); the table mints instances lazily, checking on every
 mint that the requested types are formable in the fragment and within the
 configured type depth.  A family call mints once per table: a repeated call
 with equal parameters returns the operator the first one minted.  Labels are
-canonical strings, so a label uniquely determines its operator, and the
-table's resolver parses a label back into the family call that mints it (used
-by the term deserializer).
+canonical strings, so a label uniquely determines its operator.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
-import weakref
 
 from ..signatures import Argument, Operator, OperatorTable
 from ..sorts import Context, first, second
-from ..terms import split_top
 from .types import (DepthExceeded, Fun, FragmentConfig, NAT, Record, TypeExpr,
                     Variant, fun, is_context_row, is_done_cont_shape,
-                    is_maybe_shape, maybe_shape, done_cont_shape, parse_type,
-                    record, type_depth, type_to_label, types_upto, valid_type,
-                    variant)
+                    is_maybe_shape, maybe_shape, done_cont_shape, record,
+                    type_depth, type_to_label, types_upto, valid_type, variant)
 
 
 class DisabledConstruct(Exception):
@@ -75,10 +70,7 @@ class CbvOperatorTable(OperatorTable):
     """Lazy operator table for one fragment configuration."""
 
     def __init__(self, cfg: FragmentConfig):
-        # the resolver reaches the table through a weak proxy: a bound method
-        # would make a cycle that keeps every table alive until the cyclic GC
-        super().__init__(cfg, resolver=functools.partial(
-            CbvOperatorTable._resolve, weakref.proxy(self)))
+        super().__init__(cfg)
         self.cfg = cfg
         self._meta: dict[str, tuple] = {}
         self._minted: dict[tuple, Operator] = {}
@@ -286,67 +278,6 @@ class CbvOperatorTable(OperatorTable):
             args.append(Argument(Context(fctx + tuple(params)), second(ret)))
         args.append(Argument(Context(fctx), second(result)))
         return self._intern(label, "letrec", (defs, result), second(result), args)
-
-    # -- resolver for deserialization -------------------------------------
-    # A ValueError or KeyError here (wrong parameter counts, bad types,
-    # out-of-range instances) means no operator of this table has the label.
-
-    def _resolve(self, label: str) -> Operator:
-        if label == "unroll":
-            return self.unroll()
-        if label == "roll":
-            return self.roll()
-        if "<" not in label or not label.endswith(">"):
-            raise KeyError(label)
-        name, body = label.split("<", 1)
-        body = body[:-1]
-        if name == "val":
-            return self.val(parse_type(body))
-        if name == "let":
-            bound_text, res = split_top(body, ";")
-            return self.let(tuple(parse_type(t) for t in split_top(bound_text, ",")
-                                  if t), parse_type(res))
-        if name == "lam":
-            d, c = split_top(body, ";")
-            return self.lam(parse_type(d), parse_type(c))
-        if name == "app":
-            d, c = split_top(body, ";")
-            return self.app(parse_type(d), parse_type(c))
-        if name == "vrec":
-            return self.vrec(parse_type(body).row)
-        if name == "rec":
-            return self.rec(parse_type(body).row)
-        if name == "recmatch":
-            t, res = split_top(body, ";")
-            return self.recmatch(parse_type(t).row, parse_type(res))
-        if name == "vinj":
-            t, tag = split_top(body, ";")
-            return self.vinj(parse_type(t).row, tag)
-        if name == "inj":
-            t, tag = split_top(body, ";")
-            return self.inj(parse_type(t).row, tag)
-        if name == "vmatch":
-            t, res = split_top(body, ";")
-            return self.vmatch(parse_type(t).row, parse_type(res))
-        if name == "lit":
-            return self.lit(int(body))
-        if name == "natfold":
-            return self.natfold(parse_type(body))
-        if name == "for":
-            s, r = split_top(body, ";")
-            return self.forloop(parse_type(s), parse_type(r))
-        if name == "letrec":
-            *defs_text, res = split_top(body, ";")
-            defs = []
-            for part in (p for p in split_top(";".join(defs_text), ",") if p):
-                if not (part.startswith("(") and part.endswith(")")):
-                    raise ValueError(f"unparenthesised definition {part!r}")
-                params_text, ret = split_top(part[1:-1], ";")
-                params = tuple(parse_type(t) for t in split_top(params_text, ",")
-                               if t)
-                defs.append((params, parse_type(ret)))
-            return self.letrec(tuple(defs), parse_type(res))
-        raise KeyError(label)
 
     # -- bounded materialization -------------------------------------------
 

@@ -334,8 +334,9 @@ def type_to_str(t: TypeExpr) -> str:
 
 
 def type_to_label(t: TypeExpr) -> str:
-    """Canonical rendering for operator labels: fully parenthesized arrows
-    written with a non-bracket glyph so labels scan by bracket balance."""
+    """Canonical rendering for operator labels, with fully parenthesized
+    arrows: equal types render equal and distinct types distinct, so one
+    label names one operator."""
     if isinstance(t, Base):
         return t.name
     if isinstance(t, NatType):
@@ -456,7 +457,12 @@ def parse_fragment(text: str, nat_bound: int, base_types=("b",),
 
 
 def config_from_dict(data: dict) -> FragmentConfig:
-    return FragmentConfig(frozenset(data.get("extensions", ())),
-                          tuple(data.get("base_types", ("b",))),
-                          int(data.get("nat_bound", 8)),
-                          int(data.get("type_depth", 3)))
+    """A configuration from a parsed JSON object; a field of the wrong JSON
+    type raises ``ValueError``."""
+    exts, bases = data.get("extensions", []), data.get("base_types", ["b"])
+    bounds = data.get("nat_bound", 8), data.get("type_depth", 3)
+    if not (all(isinstance(x, list) and all(isinstance(n, str) for n in x)
+                for x in (exts, bases)) and all(type(n) is int for n in bounds)):
+        raise ValueError("extensions and base_types must be lists of names, "
+                         "nat_bound and type_depth integers")
+    return FragmentConfig(frozenset(exts), tuple(bases), *bounds)

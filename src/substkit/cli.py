@@ -29,7 +29,7 @@ from .semantics.model import model
 from .semantics.monads import BUNDLED, UnsupportedCapability, monad_by_name
 from .sorts import Context, first, second
 from .suites import SUITES
-from .terms import SubstEnv, split_top, substitute
+from .terms import SubstEnv, substitute
 
 # Malformed input: each ends the command with exit 1 and one ``error:`` line.
 INPUT_ERRORS = (ValueError, OSError, UnknownVariable, SortMismatch,
@@ -45,6 +45,22 @@ MODEL_NEEDS = {
     "while": "complete Elgot structure for the monad",
     "recursion": "uniform parameterised monadic fixed-points, Kleisli exponentials",
 }
+
+
+def split_top(text: str, sep: str) -> list[str]:
+    """The raw parts of ``text`` between the ``sep`` characters that sit
+    outside every bracket pair ``()[]{}<>``; an arrow ``->`` is not a bracket."""
+    parts, depth, start = [], 0, 0
+    for i, ch in enumerate(text):
+        if ch in "([{<":
+            depth += 1
+        elif ch in ")]}>" and text[i - 1:i + 1] != "->":
+            depth -= 1
+        elif ch == sep and depth == 0:
+            parts.append(text[start:i])
+            start = i + 1
+    parts.append(text[start:])
+    return parts
 
 
 def parse_context(text: str):
@@ -63,22 +79,32 @@ def _read(path: str) -> str:
         return fh.read()
 
 
+def _read_json_object(path: str) -> dict:
+    data = json.loads(_read(path))
+    if not isinstance(data, dict):
+        raise ValueError(f"{path}: expected a JSON object")
+    return data
+
+
 def build_model(args):
     monad_name = args.monad or "option"
-    sizes = {}
-    params = {}
+    sizes, params = {}, {}
     if getattr(args, "model", None):
-        spec = json.loads(_read(args.model))
+        spec = _read_json_object(args.model)
         monad_name = spec.get("monad", monad_name)
-        sizes.update(spec.get("base_sizes", {}))
-        params.update(spec.get("monad_params", {}))
+        sizes, params = spec.get("base_sizes", {}), spec.get("monad_params", {})
+        if not all(isinstance(d, dict) and all(type(n) is int and n >= 0
+                                               for n in d.values())
+                   for d in (sizes, params)):
+            raise ValueError("base_sizes and monad_params must map names to "
+                             "non-negative integers")
     for item in (args.base_size or []):
         name, _, n = item.partition("=")
         if not n.strip().isdigit():
             raise ValueError(f"--base-size expects NAME=SIZE, got {item!r}")
         sizes[name.strip()] = int(n)
     sizes = sizes or {"b": 2}
-    if monad_name not in BUNDLED:
+    if not isinstance(monad_name, str) or monad_name not in BUNDLED:
         raise ValueError(f"unknown monad {monad_name!r}")
     kwargs = {}
     if monad_name == "exception":
@@ -92,7 +118,7 @@ def build_model(args):
 
 def _elaborate(args, text):
     if getattr(args, "fragment_config", None):
-        cfg = config_from_dict(json.loads(_read(args.fragment_config)))
+        cfg = config_from_dict(_read_json_object(args.fragment_config))
     else:
         cfg = parse_fragment(args.fragment, args.nat_bound,
                              tuple((args.base_types or "b").split(",")),
@@ -217,6 +243,17 @@ def cmd_fragments(args) -> int:
 
 
 def cmd_check(args) -> int:
+    # every option is checked before any part runs, so a malformed one is an
+    # input error and a ValueError raised by a law check stays a traceback
+    try:
+        parse_fragment(args.fragment, args.nat_bound)
+        for flag, least in (("count", 1), ("structures", 1), ("ctx_bound", 0)):
+            if getattr(args, flag) < least:
+                raise ValueError(f"--{flag.replace('_', '-')} must be at "
+                                 f"least {least}")
+    except INPUT_ERRORS as e:
+        print(f"error: {e}", file=sys.stderr)
+        return 1
     rep = Report()
     every = args.all_fragments or args.suite == "all"
     options = dict(vars(args), fragment=None if every else args.fragment)

@@ -19,7 +19,7 @@ once, along the projection onto the caller's context.  The two agree because
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Container, Iterable, Protocol, Sequence
+from typing import Container, Iterable, Protocol, Sequence
 
 from .sorts import Context, Renaming, Sort, SortingSystem
 
@@ -54,17 +54,14 @@ class OperatorTable:
     The system is anything that answers ``sort in system``: a finite
     :class:`SortingSystem`, or a type fragment whose first- and second-class
     sorts are the (infinitely many) value and computation types it can form.
-    Tables may describe infinite operator families (one operator per type
-    instance): a ``resolver`` callback materializes such operators on demand
-    from their label.  A label the table does not know, or one the resolver
-    rejects (``None``, ``KeyError`` or ``ValueError``), raises ``KeyError``.
+    A table over such a system holds only the operators added so far (a
+    subclass may mint them on demand); ``op`` of any other label raises
+    ``KeyError``.
     """
 
-    def __init__(self, system: Container[Sort], ops: Iterable[Operator] = (),
-                 resolver: Callable[[str], Operator | None] | None = None):
+    def __init__(self, system: Container[Sort], ops: Iterable[Operator] = ()):
         self.system = system
         self._by_label: dict[str, Operator] = {}
-        self._resolver = resolver
         for op in ops:
             self.add(op)
 
@@ -80,27 +77,13 @@ class OperatorTable:
         self._by_label[op.label] = op
 
     def op(self, label: str) -> Operator:
-        got = self._by_label.get(label)
-        if got is None and self._resolver is not None:
-            try:
-                got = self._resolver(label)
-            except (KeyError, ValueError):
-                got = None
-            # stored under its own label only, so iteration lists it once
-            if got is not None and got.label not in self._by_label:
-                self.add(got)
-        if got is None:
-            raise KeyError(label)
-        return got
+        return self._by_label[label]
 
     def __iter__(self):
         return iter(self._by_label.values())
 
     def __len__(self):
         return len(self._by_label)
-
-    def __contains__(self, label: str) -> bool:
-        return label in self._by_label
 
 
 # --- signature combinator expressions -------------------------------------

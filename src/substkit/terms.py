@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
-from .signatures import Operator, OperatorTable
+from .signatures import Operator
 from .sorts import Context, Renaming, Sort, first
 
 
@@ -392,85 +392,3 @@ def substitute_direct(t: Term, env: SubstEnv) -> Term:
     sub = [_to_indexed(env.entries[n - 1 - j]) for j in range(n)]
     return _from_indexed(_subst_indexed(_to_indexed(t), sub), env.target)
 
-
-# --- canonical text form ------------------------------------------------------
-
-def serialize(t: Term) -> str:
-    """Canonical text: variables as ``#n``, operator nodes as ``label[...]``,
-    holes as ``?id{...}``."""
-    if type(t) is Var:
-        return f"#{t.index}"
-    if type(t) is Op:
-        return f"{t.op.label}[{','.join(serialize(a) for a in t.args)}]"
-    return f"?{t.hole.ident}{{{','.join(serialize(e) for e in t.env)}}}"
-
-
-_OPENERS = {"(": ")", "{": "}", "<": ">", "[": "]"}
-_CLOSERS = set(_OPENERS.values())
-
-
-def split_top(text: str, sep: str) -> list[str]:
-    """The raw parts of ``text`` between the ``sep`` characters that sit
-    outside every bracket pair ``()[]{}<>``; an arrow ``->`` is not a bracket."""
-    parts, depth, start, i = [], 0, 0, 0
-    while i < len(text):
-        if text.startswith("->", i):
-            i += 2
-            continue
-        ch = text[i]
-        if ch in _OPENERS:
-            depth += 1
-        elif ch in _CLOSERS:
-            depth -= 1
-        elif ch == sep and depth == 0:
-            parts.append(text[start:i])
-            start = i + 1
-        i += 1
-    parts.append(text[start:])
-    return parts
-
-
-def deserialize(text: str, table: OperatorTable, sort: Sort, ctx: Context,
-                holes: Mapping[str, HoleDecl] | None = None) -> Term:
-    """Parse the canonical text form back into a term over ``(sort, ctx)``."""
-    text = text.strip()
-    if text.startswith("#"):
-        t = Var(ctx, int(text[1:]))
-    elif text.startswith("?"):
-        body = text[1:]
-        brace = body.index("{")
-        ident = body[:brace]
-        if not body.endswith("}"):
-            raise ValueError(f"malformed hole node: {text!r}")
-        if holes is None or ident not in holes:
-            raise UnknownHole(ident)
-        hole = holes[ident]
-        inner = split_top(body[brace + 1:-1], ",")
-        if inner == [""]:
-            inner = []
-        env = [deserialize(s, table, first(hole.ctx.sort_at(i)), ctx, holes)
-               for i, s in enumerate(inner)]
-        t = Meta(hole, ctx, env)
-    else:
-        depth = 0
-        for pos, ch in enumerate(text):
-            if ch == "[" and depth == 0:
-                break
-            if ch in _OPENERS:
-                depth += 1
-            elif ch in _CLOSERS:
-                depth -= 1
-        else:
-            raise ValueError(f"malformed operator node: {text!r}")
-        op = table.op(text[:pos])
-        if not text.endswith("]"):
-            raise ValueError(f"malformed operator node: {text!r}")
-        inner = split_top(text[pos + 1:-1], ",")
-        if inner == [""]:
-            inner = []
-        args = [deserialize(s, table, decl.sort, ctx.extend(decl.binder), holes)
-                for s, decl in zip(inner, op.args)]
-        t = Op(op, ctx, args)
-    if t.sort != sort:
-        raise IllSorted(f"deserialized term has sort {t.sort!r}, expected {sort!r}")
-    return t

@@ -1,21 +1,12 @@
 """Operator families: shapes from the typing rules, labels, rule coverage."""
 
-import gc
-import random
-import subprocess
-import sys
-import weakref
-
 import pytest
 
-from conftest import child_env
-from substkit.cbv.gen import TermGen
 from substkit.cbv.ops import CbvOperatorTable, DisabledConstruct
 from substkit.cbv.types import (Base, DepthExceeded, NAT, UNIT, config, fun,
                                 maybe_shape, record, variant)
 from substkit.signatures import OperatorTable
 from substkit.sorts import Context, first, second
-from substkit.terms import deserialize, serialize
 
 B = Base("b")
 
@@ -111,19 +102,6 @@ EVERY_FAMILY = [
     lambda t: t.forloop(NAT, B), lambda t: t.letrec((((B, NAT), B),), NAT)]
 
 
-def test_label_round_trip_every_family():
-    cfg = config(("sequential", "functions", "records", "variants", "naturals",
-                  "while", "recursion"), nat_bound=4, type_depth=4)
-    table = CbvOperatorTable(cfg)
-    ops = [call(table) for call in EVERY_FAMILY]
-    fresh = CbvOperatorTable(cfg)
-    for op in ops:
-        back = fresh.op(op.label)
-        assert back.label == op.label
-        assert back.result_sort == op.result_sort
-        assert back.args == op.args
-
-
 def test_repeated_family_call_returns_the_identical_operator():
     cfg = config(("sequential", "functions", "records", "variants", "naturals",
                   "while", "recursion"), nat_bound=4, type_depth=4)
@@ -160,30 +138,6 @@ def test_rejected_family_call_raises_on_every_repeat_and_mints_nothing(
     assert list(table._minted) == [("val", (B,))]
 
 
-@pytest.mark.parametrize("exts", [
-    ("recursion", "naturals"),
-    ("while", "naturals", "sequential"),
-    ("sequential", "functions", "records", "variants", "naturals", "while",
-     "recursion"),
-])
-def test_generated_terms_round_trip_through_a_fresh_table(exts):
-    """Every label a generated term uses resolves in a table that has minted
-    nothing yet, through the resolver ``deserialize`` calls."""
-    cfg = config(exts, nat_bound=4)
-    gen = TermGen(cfg, CbvOperatorTable(cfg), random.Random(20260810))
-    for _ in range(30):
-        ctx = gen.random_context(3)
-        target = gen.random_target(ctx)
-        holes = {}
-        make = gen.random_value if target.is_first else gen.random_term
-        term = make(ctx, target.ident, 4, holes, 0.2)
-        fresh = CbvOperatorTable(cfg)
-        assert len(fresh) == 0
-        back = deserialize(serialize(term), fresh, target, ctx, holes)
-        assert back == term
-        assert all(fresh.family(op) for op in fresh)
-
-
 def test_table_is_an_operator_table_over_its_fragment():
     cfg = config(("functions", "naturals"), type_depth=3)
     table = CbvOperatorTable(cfg)
@@ -196,39 +150,6 @@ def test_table_is_an_operator_table_over_its_fragment():
     assert [o.label for o in table] == [op.label]
     with pytest.raises(ValueError):
         Context((variant((("A", B),)),)).validate(cfg)
-
-
-def test_table_is_freed_without_the_cycle_collector():
-    """The resolver must not hold the table: a suite builds one table per
-    config, and a cycle kept each alive until the cyclic GC ran."""
-    table = CbvOperatorTable(config(("recursion",)))
-    table.op("letrec<(b;b);b>")
-    ref = weakref.ref(table)
-    gc.disable()
-    try:
-        del table
-        assert ref() is None
-    finally:
-        gc.enable()
-
-
-MALFORMED_LETREC = ("from substkit.cbv.ops import CbvOperatorTable\n"
-                    "from substkit.cbv.types import config\n"
-                    "CbvOperatorTable(config(('recursion',))).op('letrec<b;b>')\n")
-
-
-@pytest.mark.parametrize("label", ["letrec<b;b>", "letrec<();b>",
-                                   "letrec<(b);b>", "lam<b>"])
-def test_malformed_label_raises_key_error(label):
-    with pytest.raises(KeyError):
-        CbvOperatorTable(config(("recursion",))).op(label)
-
-
-def test_malformed_letrec_label_raises_key_error():
-    """The definition list must be parenthesised; the check survives -O."""
-    out = subprocess.run([sys.executable, "-O", "-c", MALFORMED_LETREC],
-                         capture_output=True, text=True, env=child_env())
-    assert out.stderr.splitlines()[-1].startswith("KeyError"), out.stderr
 
 
 EXPECTED_FAMILIES = {

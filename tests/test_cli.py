@@ -152,23 +152,59 @@ in (val fact) (val {0 = 3})
     assert "('some', 6)" in out.stdout
 
 
-@pytest.mark.parametrize("case", ["missing model", "bad base size",
-                                  "unknown monad", "point outside"])
-def test_malformed_input_is_one_error_line(tmp_path, case):
-    prog = tmp_path / "prog.cbv"
-    prog.write_text("val x\n")
-    spec = tmp_path / "model.json"
-    spec.write_text(json.dumps({"monad": "nope"}))
-    extra = {"missing model": ["--model", str(tmp_path / "missing.json")],
-             "bad base size": ["--base-size", "b=x"],
-             "unknown monad": ["--model", str(spec)],
-             "point outside": ["--at", "zz"]}[case]
-    out = run_cli("run", str(prog), "--context", "x: b", "--expect", "C b",
-                  *extra)
+def assert_one_error_line(out):
     assert out.returncode == 1
     assert "Traceback" not in out.stderr
     lines = out.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: "), out.stderr
+
+
+# the last item of a case that is not a string is written to a JSON file,
+# whose path replaces it
+MALFORMED_RUN = {
+    "missing model": ["--model", "missing.json"],
+    "bad base size": ["--base-size", "b=x"],
+    "unknown monad": ["--model", {"monad": "nope"}],
+    "model is a list": ["--model", ["option"]],
+    "base size not an integer": ["--model", {"base_sizes": {"b": "x"}}],
+    "state count not an integer": ["--model", {"monad": "state",
+                                               "monad_params": {"states": "x"}}],
+    "fragment config is a list": ["--fragment-config", ["sequential"]],
+    "extensions not a list": ["--fragment-config", {"extensions": 5}],
+    "point outside": ["--at", "zz"],
+}
+
+
+@pytest.mark.parametrize("case", MALFORMED_RUN)
+def test_malformed_input_is_one_error_line(tmp_path, case):
+    prog = tmp_path / "prog.cbv"
+    prog.write_text("val x\n")
+    *extra, last = MALFORMED_RUN[case]
+    if not isinstance(last, str):
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps(last))
+        last = str(spec)
+    out = run_cli("run", str(prog), "--context", "x: b", "--expect", "C b",
+                  *extra, last, cwd=tmp_path)
+    assert_one_error_line(out)
+
+
+MALFORMED_CHECK = {
+    "unknown extension": ["--fragment", "bogus"],
+    "nat bound 0": ["--nat-bound", "0"],
+    "negative context bound": ["--ctx-bound", "-1"],
+    "negative count": ["--count", "-1"],
+    "count 0": ["--count", "0"],
+    "structures 0": ["--structures", "0"],
+}
+
+
+@pytest.mark.parametrize("case", MALFORMED_CHECK)
+def test_malformed_check_option_is_one_error_line(case):
+    """Options are checked before any part runs: no record is printed."""
+    out = run_cli("check", "term-laws", "--count", "1", *MALFORMED_CHECK[case])
+    assert_one_error_line(out)
+    assert out.stdout == ""
 
 
 # sha256 of each report, recorded before the suites moved into one registry;

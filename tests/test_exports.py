@@ -11,7 +11,7 @@ from conftest import SRC
 PERFBENCH = SRC.parent / "perfbench"
 
 # Public names that only the tests call.  Each is a construction of the
-# development whose laws a test checks, or the reader of a form a test checks.
+# development whose laws a test checks.
 TEST_ONLY = {
     "sorts.concat_contexts":
         "the chosen product of contexts, whose universal property test_sorts checks",
@@ -26,10 +26,6 @@ TEST_ONLY = {
     "signatures.flatten":
         "modular signatures as coproducts of operator declarations; test_signatures "
         "checks reassociation",
-    "terms.serialize":
-        "the canonical text form, whose round trip test_terms checks",
-    "terms.deserialize":
-        "the reader of the canonical text form, which reaches CbvOperatorTable's resolver",
 }
 
 

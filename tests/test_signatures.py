@@ -3,8 +3,7 @@
 import pytest
 
 from substkit.signatures import (Argument, At, Coproduct, Hole, NotFlattenable,
-                                 OnlyAt, Operator, OperatorTable, Product,
-                                 Restrict, Shift, flatten,
+                                 OnlyAt, Product, Restrict, Shift, flatten,
                                  route_environment)
 from substkit.sorts import Context, SortingSystem, first, second
 from substkit.terms import TermCarrier, Var, identity_env
@@ -98,38 +97,14 @@ def test_identity_environment_routes_to_identity():
         assert routed == list(identity_env(new_ctx).entries)
 
 
-def test_table_resolver():
-    def resolve(label):
-        if label.startswith("val@"):
-            return Operator(label, second(label[4:]), (Argument(Context(()), first(label[4:])),))
-        return None
-
-    table = OperatorTable(SYS, resolver=resolve)
-    assert table.op("val@v").result_sort == second("v")
-    with pytest.raises(KeyError):
-        table.op("nope")
-
-    # a resolver rejecting a label by raising ValueError or KeyError, or by
-    # returning None, means one thing: the table has no such operator
-    def raises(exc):
-        def resolve(label):
-            raise exc(label)
-        return resolve
-    for resolver in (raises(ValueError), raises(KeyError), lambda label: None):
-        with pytest.raises(KeyError) as info:
-            OperatorTable(SYS, resolver=resolver).op("nope")
-        assert info.value.args == ("nope",)
-
-
-def test_resolved_operator_is_stored_under_its_own_label():
-    canonical = Operator("val@v", second("v"), (Argument(Context(()), first("v")),))
-    table = OperatorTable(SYS, resolver=lambda label: canonical)
-    assert table.op("val@ v") is canonical
-    assert table.op("val@v") is canonical
-    assert list(table) == [canonical] and "val@ v" not in table
-
-
 def test_context_membership_asks_the_system():
     Context(("v", "arrow")).validate(SYS)
     with pytest.raises(ValueError):
         Context(("k",)).validate(SortingSystem(("v",), ("k",)))
+
+
+def test_unknown_label_raises_key_error():
+    table = flatten(ABS_SIG, SYS)
+    with pytest.raises(KeyError) as info:
+        table.op("nope")
+    assert info.value.args == ("nope",)

@@ -1,4 +1,4 @@
-"""Term construction, renaming/substitution laws, metavariables, fold, text form."""
+"""Term construction, renaming/substitution laws, metavariables, fold."""
 
 import itertools
 import random
@@ -12,12 +12,13 @@ from substkit.cbv import CbvOperatorTable
 from substkit.cbv.gen import TermGen
 from substkit.cbv.types import all_fragment_configs, config
 from substkit.sorts import Context, Renaming, compose_renamings, identity_renaming, second
-from substkit.suites import _corpus_item, check_term_laws
+from substkit import suites
+from substkit.suites import _corpus_item, check_meta_laws, check_term_laws
 from substkit.terms import (HoleDecl, IllSorted, Meta, MetaSubst, Op, SubstEnv,
                             UnknownHole, Var, compose_meta_subst,
-                            compose_subst, deserialize, fold,
+                            compose_subst, fold,
                             identity_env, identity_meta_subst, meta_substitute,
-                            rename, serialize, substitute, substitute_direct,
+                            rename, substitute, substitute_direct,
                             MissingAlgebraCase, TermCarrier)
 
 
@@ -362,34 +363,12 @@ def test_terms_are_hashed_on_demand_with_the_structural_formula(rng):
 
 
 def test_equal_terms_built_separately_hash_equal(rng):
-    for t, holes in holed_corpus(rng):
+    for t, _ in holed_corpus(rng):
         ctx = Context(t.ctx.entries)
-        back = deserialize(serialize(t), TOY, t.sort, ctx, holes)
+        back = rename(t, Renaming(ctx, t.ctx, range(len(ctx))))
         assert back == t and back.ctx is not t.ctx
         assert hash(back) == hash(t)
         assert len({t, back}) == 1
-
-
-# --- canonical text form --------------------------------------------------------
-
-def test_serialize_round_trip(rng):
-    for _ in range(80):
-        ctx = random_toy_context(rng)
-        holes = {}
-        t = random_toy_term(rng, ctx, second("v"), 4, holes, 0.25)
-        text = serialize(t)
-        back = deserialize(text, TOY, t.sort, ctx, holes)
-        assert back == t
-        assert serialize(back) == text
-
-
-def test_serialize_shapes():
-    ctx = Context(["v"])
-    t = val(ctx, Var(ctx, 0))
-    assert serialize(t) == "val.v[#0]"
-    h = HoleDecl("h0", second("v"), Context(["v"]))
-    m = Meta(h, ctx, (Var(ctx, 0),))
-    assert serialize(m) == "?h0{#0}"
 
 
 def test_swapping_act_fails_term_laws_with_witness(monkeypatch):
@@ -433,4 +412,16 @@ def test_act_wrong_on_composite_projections_fails_term_laws_with_witness(monkeyp
     rep = check_term_laws(cfg, 7, count=10)
     failed = {r.name.split(" (")[0]: r.witness for r in rep.failures}
     assert failed.get("oracle agreement", "").startswith("item ")
+    assert all(r.witness for r in rep.failures)
+
+
+def test_dropped_second_meta_subst_fails_meta_laws_with_witness(monkeypatch):
+    """A composition of metavariable substitutions that keeps the first and
+    drops the second."""
+    cfg = config(("sequential", "functions"), ("b", "c"), nat_bound=4)
+    assert check_meta_laws(cfg, 20260810, count=20).ok
+    monkeypatch.setattr(suites, "compose_meta_subst", lambda ms1, ms2: ms1)
+    rep = check_meta_laws(cfg, 20260810, count=20)
+    failed = {r.name.split(" (")[0]: r.witness for r in rep.failures}
+    assert failed.get("Kleisli associativity", "").startswith("item ")
     assert all(r.witness for r in rep.failures)

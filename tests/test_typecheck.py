@@ -7,7 +7,7 @@ from substkit.cbv import (ArityMismatch, Base, CbvOperatorTable, DisabledConstru
                           maybe_shape, parse, parse_value, synthesize, typecheck)
 from substkit.cbv.gen import TermGen
 from substkit.sorts import Context, first, second
-from substkit.terms import Op, Var, serialize
+from substkit.terms import Op, Var
 
 B = Base("b")
 
@@ -20,15 +20,19 @@ def test_variable_rule():
 
 def test_val_rule():
     cfg = config(())
-    t = typecheck(parse("val x0"), Context((B,)), second(B), cfg)
-    assert serialize(t) == "val<b>[#0]"
+    ctx = Context((B,))
+    t = typecheck(parse("val x0"), ctx, second(B), cfg)
+    table = CbvOperatorTable(cfg)
+    assert t == Op(table.val(B), ctx, [Var(ctx, 0)])
 
 
 def test_abstraction_rule():
     cfg = config(("functions",))
-    t = typecheck(parse_value("fn x: b . val x"), Context((B,)),
-                  first(fun(B, B)), cfg)
-    assert serialize(t) == "lam<b;b>[val<b>[#1]]"
+    ctx, inner = Context((B,)), Context((B, B))
+    t = typecheck(parse_value("fn x: b . val x"), ctx, first(fun(B, B)), cfg)
+    table = CbvOperatorTable(cfg)
+    assert t == Op(table.lam(B, B), ctx,
+                   [Op(table.val(B), inner, [Var(inner, 1)])])
 
 
 def test_unknown_variable():
@@ -67,9 +71,13 @@ def test_fold_requires_checking_context():
 def test_shadowing_resolves_to_nearest():
     cfg = config(("sequential",))
     src = "let x0 = val x0 in val x0"
-    t = typecheck(parse(src), Context((B,)), second(B), cfg)
+    ctx, inner = Context((B,)), Context((B, B))
+    t = typecheck(parse(src), ctx, second(B), cfg)
+    table = CbvOperatorTable(cfg)
     # the body's x0 is the let-bound one at position 1
-    assert serialize(t) == "let<b;b>[val<b>[#0],val<b>[#1]]"
+    assert t == Op(table.let((B,), B), ctx,
+                   [Op(table.val(B), ctx, [Var(ctx, 0)]),
+                    Op(table.val(B), inner, [Var(inner, 1)])])
 
 
 def test_typechecking_deterministic():
@@ -102,4 +110,4 @@ def test_fragment_monotonicity():
         from substkit.cbv import parse as p, parse_value as pv
         surface = pv(text) if target.is_first else p(text)
         again = typecheck(surface, ctx, target, bigger)
-        assert serialize(again) == serialize(term)
+        assert again == term
