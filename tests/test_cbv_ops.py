@@ -115,6 +115,30 @@ def test_repeated_family_call_returns_the_identical_operator():
     assert len(table) == len(EVERY_FAMILY)
 
 
+def test_minted_label_looks_up_the_identical_operator():
+    cfg = config(("sequential", "functions", "records", "variants", "naturals",
+                  "while", "recursion"), nat_bound=4, type_depth=4)
+    table = CbvOperatorTable(cfg)
+    ops = [call(table) for call in EVERY_FAMILY]
+    assert all(table.op(op.label) is op for op in ops)
+    # a well-formed label is not parsed: until its family call mints it, the
+    # table has no such operator
+    fresh = CbvOperatorTable(cfg)
+    with pytest.raises(KeyError):
+        fresh.op(ops[2].label)
+    assert len(fresh) == 0
+
+
+@pytest.mark.parametrize("label", ["letrec<b;b>", "letrec<();b>",
+                                   "letrec<(b);b>", "lam<b>"])
+def test_malformed_label_raises_key_error(label):
+    table = CbvOperatorTable(config(("recursion",)))
+    with pytest.raises(KeyError) as info:
+        table.op(label)
+    assert info.value.args == (label,)
+    assert len(table) == 0
+
+
 @pytest.mark.parametrize("cfg, call, error", [
     (config(()), lambda t: t.lam(B, B), DisabledConstruct),
     (config(()), lambda t: t.letrec((((), B),), B), DisabledConstruct),
