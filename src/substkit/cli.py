@@ -87,6 +87,9 @@ def _read_json_object(path: str) -> dict:
 
 
 def build_model(args):
+    for flag in ("exceptions", "states"):
+        if getattr(args, flag) < 0:
+            raise ValueError(f"--{flag} must be at least 0")
     monad_name = args.monad or "option"
     sizes, params = {}, {}
     if getattr(args, "model", None):
@@ -247,7 +250,8 @@ def cmd_check(args) -> int:
     # input error and a ValueError raised by a law check stays a traceback
     try:
         parse_fragment(args.fragment, args.nat_bound)
-        for flag, least in (("count", 1), ("structures", 1), ("ctx_bound", 0)):
+        for flag, least in (("count", 1), ("structures", 1), ("depth", 0),
+                            ("ctx_bound", 0)):
             if getattr(args, flag) < least:
                 raise ValueError(f"--{flag.replace('_', '-')} must be at "
                                  f"least {least}")

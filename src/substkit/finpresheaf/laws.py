@@ -3,7 +3,9 @@
 Everything here is elementwise: a mediator is a per-cell dictionary between
 two finite structures, and each axiom is verified on every quotient class the
 bounded enumeration produces.  The axioms are theorems for a correct engine,
-so any failure reports a concrete witness element.
+so any failure reports a concrete witness element.  A law check tensors each
+pair of structure objects once, in a :class:`TensorTable` its laws share and
+that it drops when it returns.
 """
 
 from __future__ import annotations
@@ -16,6 +18,32 @@ from .structures import (FinStructure, TensorResult, empty_structure,
                          free_structure, shift_structure, tensor,
                          terminal_structure, truncate_structure,
                          variables_structure)
+
+
+class TensorTable:
+    """The tensors and variable structures of one law check, each built once.
+
+    A tensor is keyed on the identities of its two operands and stored with
+    them, so neither id can be reused while the table lives.  ``tensor`` is
+    looked up in this module when it is called, so a rebinding of
+    ``laws.tensor`` sees every tensor the table computes.
+    """
+
+    def __init__(self):
+        self._tensors = {}
+        self._nus = {}
+
+    def __call__(self, p: FinStructure, q: FinStructure) -> TensorResult:
+        hit = self._tensors.get((id(p), id(q)))
+        if hit is None:
+            hit = self._tensors[(id(p), id(q))] = (p, q, tensor(p, q))
+        return hit[2]
+
+    def nu(self, ctx_sorts, bound: int) -> FinStructure:
+        key = (tuple(ctx_sorts), bound)
+        if key not in self._nus:
+            self._nus[key] = variables_structure(ctx_sorts, bound)
+        return self._nus[key]
 
 
 @dataclass
@@ -140,20 +168,22 @@ def tensor_right_map(gmap: StructMap, tens_src: TensorResult,
 # --- actegory axioms ----------------------------------------------------------
 
 def action_pentagon_witness(p: FinStructure, q: FinStructure, l: FinStructure,
-                            z: FinStructure) -> str | None:
+                            z: FinStructure,
+                            tensors: TensorTable | None = None) -> str | None:
     """Both reassociation routes ((P*Q)*L)*Z -> P*(Q*(L*Z)) must agree."""
-    t_pq = tensor(p, q)
-    t_ql = tensor(q, l)
-    t_lz = tensor(l, z)
-    t_pq_l = tensor(t_pq.structure, l)
-    t_pq_l_z = tensor(t_pq_l.structure, z)
-    t_pq_lz = tensor(t_pq.structure, t_lz.structure)
-    t_q_lz = tensor(q, t_lz.structure)
-    t_p_q_lz = tensor(p, t_q_lz.structure)
-    t_p_ql = tensor(p, t_ql.structure)
-    t_p_ql_z = tensor(t_p_ql.structure, z)
-    t_ql_z = tensor(t_ql.structure, z)
-    t_p_qlz = tensor(p, t_ql_z.structure)
+    tensors = tensors or TensorTable()
+    t_pq = tensors(p, q)
+    t_ql = tensors(q, l)
+    t_lz = tensors(l, z)
+    t_pq_l = tensors(t_pq.structure, l)
+    t_pq_l_z = tensors(t_pq_l.structure, z)
+    t_pq_lz = tensors(t_pq.structure, t_lz.structure)
+    t_q_lz = tensors(q, t_lz.structure)
+    t_p_q_lz = tensors(p, t_q_lz.structure)
+    t_p_ql = tensors(p, t_ql.structure)
+    t_p_ql_z = tensors(t_p_ql.structure, z)
+    t_ql_z = tensors(t_ql.structure, z)
+    t_p_qlz = tensors(p, t_ql_z.structure)
 
     route1 = associator_map(t_pq_l_z, t_pq_l, t_lz, t_pq_lz).then(
         associator_map(t_pq_lz, t_pq, t_q_lz, t_p_q_lz))
@@ -166,14 +196,16 @@ def action_pentagon_witness(p: FinStructure, q: FinStructure, l: FinStructure,
     return maps_equal(route1, route2)
 
 
-def action_triangle_witness(p: FinStructure, q: FinStructure) -> str | None:
+def action_triangle_witness(p: FinStructure, q: FinStructure,
+                            tensors: TensorTable | None = None) -> str | None:
     """(P * nu) * Q --a--> P * (nu x Q) --id*l--> P * Q equals r * id."""
-    nu = variables_structure(q.ctx_sorts, q.bound)
-    t_pnu = tensor(p, nu)
-    t_nuq = tensor(nu, q)
-    t_pnu_q = tensor(t_pnu.structure, q)
-    t_p_nuq = tensor(p, t_nuq.structure)
-    t_pq = tensor(p, q)
+    tensors = tensors or TensorTable()
+    nu = tensors.nu(q.ctx_sorts, q.bound)
+    t_pnu = tensors(p, nu)
+    t_nuq = tensors(nu, q)
+    t_pnu_q = tensors(t_pnu.structure, q)
+    t_p_nuq = tensors(p, t_nuq.structure)
+    t_pq = tensors(p, q)
 
     alpha = associator_map(t_pnu_q, t_pnu, t_nuq, t_p_nuq)
     lam = left_unitor_map(t_nuq, q)
@@ -182,13 +214,16 @@ def action_triangle_witness(p: FinStructure, q: FinStructure) -> str | None:
     return maps_equal(lhs, rhs)
 
 
-def action_unit_triangle_witness(p: FinStructure, q: FinStructure) -> str | None:
+def action_unit_triangle_witness(p: FinStructure, q: FinStructure,
+                                 tensors: TensorTable | None = None
+                                 ) -> str | None:
     """(P * Q) * nu --a--> P * (Q x nu) --id*r--> P * Q equals r on (P * Q)."""
-    nu = variables_structure(q.ctx_sorts, q.bound)
-    t_pq = tensor(p, q)
-    t_pq_nu = tensor(t_pq.structure, nu)
-    t_qnu = tensor(q, nu)
-    t_p_qnu = tensor(p, t_qnu.structure)
+    tensors = tensors or TensorTable()
+    nu = tensors.nu(q.ctx_sorts, q.bound)
+    t_pq = tensors(p, q)
+    t_pq_nu = tensors(t_pq.structure, nu)
+    t_qnu = tensors(q, nu)
+    t_p_qnu = tensors(p, t_qnu.structure)
 
     alpha = associator_map(t_pq_nu, t_pq, t_qnu, t_p_qnu)
     runit_q = right_unitor_map(t_qnu, q)
@@ -202,19 +237,20 @@ def check_action_axioms(p: FinStructure, q: FinStructure, l: FinStructure,
                         suite: str = "action") -> Report:
     """Mediator naturality/bijectivity and the action pentagon and triangles."""
     rep = report if report is not None else Report()
-    nu = variables_structure(q.ctx_sorts, q.bound)
+    tensors = TensorTable()
+    nu = tensors.nu(q.ctx_sorts, q.bound)
 
-    t_pq = tensor(p, q)
-    t_ql = tensor(q, l)
-    t_pq_l = tensor(t_pq.structure, l)
-    t_p_ql = tensor(p, t_ql.structure)
+    t_pq = tensors(p, q)
+    t_ql = tensors(q, l)
+    t_pq_l = tensors(t_pq.structure, l)
+    t_p_ql = tensors(p, t_ql.structure)
     alpha = associator_map(t_pq_l, t_pq, t_ql, t_p_ql)
     w = alpha.naturality_witness()
     rep.record(suite, "associator natural", w is None, w)
     w = alpha.bijectivity_witness()
     rep.record(suite, "associator bijective", w is None, w)
 
-    t_pnu = tensor(p, nu)
+    t_pnu = tensors(p, nu)
     runit = right_unitor_map(t_pnu, p)
     w = runit.naturality_witness()
     rep.record(suite, "right unitor natural", w is None, w)
@@ -223,18 +259,18 @@ def check_action_axioms(p: FinStructure, q: FinStructure, l: FinStructure,
     w = maps_equal(right_unitor_inv(p, t_pnu).then(runit), identity_map(p))
     rep.record(suite, "right unitor inverse", w is None, w)
 
-    t_nuq = tensor(nu, q)
+    t_nuq = tensors(nu, q)
     lam = left_unitor_map(t_nuq, q)
     w = lam.naturality_witness()
     rep.record(suite, "left unitor natural (homogeneous)", w is None, w)
     w = lam.bijectivity_witness()
     rep.record(suite, "left unitor bijective (homogeneous)", w is None, w)
 
-    w = action_triangle_witness(p, q)
+    w = action_triangle_witness(p, q, tensors)
     rep.record(suite, "action triangle", w is None, w)
-    w = action_unit_triangle_witness(p, q)
+    w = action_unit_triangle_witness(p, q, tensors)
     rep.record(suite, "action unit triangle", w is None, w)
-    w = action_pentagon_witness(p, q, l, q)
+    w = action_pentagon_witness(p, q, l, q, tensors)
     rep.record(suite, "action pentagon", w is None, w)
     return rep
 
@@ -301,11 +337,12 @@ def check_pointed_tensor(a: PointedStructure, b: PointedStructure,
                          report: Report | None = None,
                          suite: str = "pointed") -> Report:
     rep = report if report is not None else Report()
+    tensors = TensorTable()
     for name, ps in (("left factor", a), ("right factor", b)):
         w = ps.point_natural_witness()
         rep.record(suite, f"point of {name} natural", w is None, w)
 
-    tens = tensor(a.structure, b.structure)
+    tens = tensors(a.structure, b.structure)
     tensored = PointedStructure(tens.structure, pointed_tensor_point(a, b, tens))
     w = tensored.point_natural_witness()
     rep.record(suite, "tensored point natural", w is None, w)
@@ -322,7 +359,7 @@ def check_pointed_tensor(a: PointedStructure, b: PointedStructure,
     rep.record(suite, "tensored point agrees with its Yoneda image", ok, witness)
 
     nu = pointed_variables(a.structure.ctx_sorts, a.structure.bound)
-    t_nub = tensor(nu.structure, b.structure)
+    t_nub = tensors(nu.structure, b.structure)
     lu = left_unitor_map(t_nub, b.structure)
     nb = pointed_tensor_point(nu, b, t_nub)
     ok, witness = True, None
@@ -333,7 +370,7 @@ def check_pointed_tensor(a: PointedStructure, b: PointedStructure,
     w = lu.bijectivity_witness()
     rep.record(suite, "left unitor on variables bijective", w is None, w)
 
-    t_anu = tensor(a.structure, nu.structure)
+    t_anu = tensors(a.structure, nu.structure)
     ru = right_unitor_map(t_anu, a.structure)
     an = pointed_tensor_point(a, nu, t_anu)
     ok, witness = True, None
@@ -342,9 +379,9 @@ def check_pointed_tensor(a: PointedStructure, b: PointedStructure,
             ok, witness = False, f"right unitor breaks the point at {ctx!r}#{pos}"
     rep.record(suite, "right unitor preserves points", ok, witness)
 
-    t_ab_b = tensor(tens.structure, b.structure)
-    t_bb = tensor(b.structure, b.structure)
-    t_a_bb = tensor(a.structure, t_bb.structure)
+    t_ab_b = tensors(tens.structure, b.structure)
+    t_bb = tensors(b.structure, b.structure)
+    t_a_bb = tensors(a.structure, t_bb.structure)
     alpha = associator_map(t_ab_b, tens, t_bb, t_a_bb)
     abb = pointed_tensor_point(tensored, b, t_ab_b)
     bb = PointedStructure(t_bb.structure, pointed_tensor_point(b, b, t_bb))
@@ -382,29 +419,30 @@ def check_skew(fst_ids, snd_ids, bound: int, pairs: list[PairObject],
     q = pairs[1 % len(pairs)]
     r = pairs[2 % len(pairs)]
     s4 = pairs[3 % len(pairs)]
-    nu = variables_structure(fst_ids, bound)
+    tensors = TensorTable()
+    nu = tensors.nu(fst_ids, bound)
 
     # (1) pentagon, both components
-    w = action_pentagon_witness(p.mon, q.mon, r.mon, s4.mon)
+    w = action_pentagon_witness(p.mon, q.mon, r.mon, s4.mon, tensors)
     rep.record(suite, "skew pentagon (monoid part)", w is None, w)
-    w = action_pentagon_witness(p.act, q.mon, r.mon, s4.mon)
+    w = action_pentagon_witness(p.act, q.mon, r.mon, s4.mon, tensors)
     rep.record(suite, "skew pentagon (acted part)", w is None, w)
 
     # (2) left axiom.  Monoid part: (nu x b) x c --a--> nu x (b x c) --l--> b x c
     # equals l x id.  Acted part: the source is the empty structure, so the
     # axiom holds iff those cells are empty.
-    t_nb = tensor(nu, q.mon)
-    t_nb_c = tensor(t_nb.structure, r.mon)
-    t_bc = tensor(q.mon, r.mon)
-    t_n_bc = tensor(nu, t_bc.structure)
+    t_nb = tensors(nu, q.mon)
+    t_nb_c = tensors(t_nb.structure, r.mon)
+    t_bc = tensors(q.mon, r.mon)
+    t_n_bc = tensors(nu, t_bc.structure)
     alpha = associator_map(t_nb_c, t_nb, t_bc, t_n_bc)
     lhs = alpha.then(left_unitor_map(t_n_bc, t_bc.structure))
     rhs = tensor_left_map(left_unitor_map(t_nb, q.mon), t_nb_c, t_bc)
     w = maps_equal(lhs, rhs)
     rep.record(suite, "skew left axiom (monoid part)", w is None, w)
     empt = empty_structure(tuple(p.act.sorts), fst_ids, bound)
-    t_eb = tensor(empt, q.mon)
-    t_eb_c = tensor(t_eb.structure, r.mon)
+    t_eb = tensors(empt, q.mon)
+    t_eb_c = tensors(t_eb.structure, r.mon)
     nonempty = [key for key, cell in t_eb_c.structure.cells.items() if cell]
     rep.record(suite, "skew left axiom (acted part: empty source)",
                not nonempty, f"nonempty cells {nonempty!r}" if nonempty else None)
@@ -412,10 +450,10 @@ def check_skew(fst_ids, snd_ids, bound: int, pairs: list[PairObject],
     # (3) right axiom: r' then a equals id x r' on p x q.
     for name, part in (("monoid", (p.mon, q.mon)), ("acted", (p.act, q.mon))):
         x, b = part
-        t_xb = tensor(x, b)
-        t_xb_nu = tensor(t_xb.structure, nu)
-        t_bnu = tensor(b, nu)
-        t_x_bnu = tensor(x, t_bnu.structure)
+        t_xb = tensors(x, b)
+        t_xb_nu = tensors(t_xb.structure, nu)
+        t_bnu = tensors(b, nu)
+        t_x_bnu = tensors(x, t_bnu.structure)
         alpha = associator_map(t_xb_nu, t_xb, t_bnu, t_x_bnu)
         lhs = right_unitor_inv(t_xb.structure, t_xb_nu).then(alpha)
         rhs = tensor_right_map(right_unitor_inv(b, t_bnu), t_xb, t_x_bnu)
@@ -425,11 +463,11 @@ def check_skew(fst_ids, snd_ids, bound: int, pairs: list[PairObject],
     # (4) rectangle: (r' x id);a;(id x l) = id on p x q.
     for name, part in (("monoid", (p.mon, q.mon)), ("acted", (p.act, q.mon))):
         x, b = part
-        t_xb = tensor(x, b)
-        t_xnu = tensor(x, nu)
-        t_xnu_b = tensor(t_xnu.structure, b)
-        t_nub = tensor(nu, b)
-        t_x_nub = tensor(x, t_nub.structure)
+        t_xb = tensors(x, b)
+        t_xnu = tensors(x, nu)
+        t_xnu_b = tensors(t_xnu.structure, b)
+        t_nub = tensors(nu, b)
+        t_x_nub = tensors(x, t_nub.structure)
         step1 = tensor_left_map(right_unitor_inv(x, t_xnu), t_xb, t_xnu_b)
         alpha = associator_map(t_xnu_b, t_xnu, t_nub, t_x_nub)
         step3 = tensor_right_map(left_unitor_map(t_nub, b), t_x_nub, t_xb)
@@ -437,7 +475,7 @@ def check_skew(fst_ids, snd_ids, bound: int, pairs: list[PairObject],
         rep.record(suite, f"skew rectangle ({name} part)", w is None, w)
 
     # (5) unit triangle: r' then l = id on the unit (acted part is empty).
-    t_nn = tensor(nu, nu)
+    t_nn = tensors(nu, nu)
     w = maps_equal(right_unitor_inv(nu, t_nn).then(left_unitor_map(t_nn, nu)),
                    identity_map(nu))
     rep.record(suite, "skew unit triangle", w is None, w)
@@ -448,7 +486,7 @@ def check_skew(fst_ids, snd_ids, bound: int, pairs: list[PairObject],
         terminal_structure(tuple(first(s) for s in fst_ids), fst_ids, bound),
         terminal_structure(tuple(second(s) for s in snd_ids), fst_ids, bound))
     kn = kneut_pair(fst_ids, snd_ids, bound)
-    t_top = tensor(kn.act, top_pair.mon)
+    t_top = tensors(kn.act, top_pair.mon)
     ok, witness = True, None
     for s in kn.act.sorts:
         for ctx in t_top.structure.contexts():
@@ -511,20 +549,21 @@ def check_shift_strength(x: FinStructure, binder: Context, a: PointedStructure,
                          suite: str = "strength") -> Report:
     """Naturality, triangle, and pentagon for the scope-shift strength."""
     rep = report if report is not None else Report()
+    tensors = TensorTable()
     bound = x.bound
     base = bound - len(binder)
     fx = shift_structure(x, binder)
     a_tr = truncate_structure(a.structure, base)
     b_tr = truncate_structure(b.structure, base)
 
-    t_fx_a = tensor(fx, a_tr)
-    pa_a = tensor(x, a.structure)
+    t_fx_a = tensors(fx, a_tr)
+    pa_a = tensors(x, a.structure)
     sig_a = shift_strength_map(x, binder, a, pa_a, t_fx_a)
     w = sig_a.naturality_witness()
     rep.record(suite, "shift strength natural", w is None, w)
 
     # empty binder: the strength is the identity transformer
-    t_x_a_tr = tensor(truncate_structure(x, base), a_tr)
+    t_x_a_tr = tensors(truncate_structure(x, base), a_tr)
     sig_empty = shift_strength_map(truncate_structure(x, base), Context(()),
                                    PointedStructure(a_tr, a.point), t_x_a_tr,
                                    t_x_a_tr)
@@ -534,8 +573,8 @@ def check_shift_strength(x: FinStructure, binder: Context, a: PointedStructure,
     # triangle: sigma_{x,I} then F(r) equals r on (F x) * I
     nu_pt = pointed_variables(x.ctx_sorts, bound)
     nu_tr = truncate_structure(nu_pt.structure, base)
-    t_fx_nu = tensor(fx, nu_tr)
-    pa_nu = tensor(x, nu_pt.structure)
+    t_fx_nu = tensors(fx, nu_tr)
+    pa_nu = tensors(x, nu_pt.structure)
     sig_i = shift_strength_map(x, binder, nu_pt, pa_nu, t_fx_nu)
     lhs = sig_i.then(shift_map(right_unitor_map(pa_nu, x), binder, base))
     rhs = right_unitor_map(t_fx_nu, fx)
@@ -543,21 +582,21 @@ def check_shift_strength(x: FinStructure, binder: Context, a: PointedStructure,
     rep.record(suite, "shift strength triangle", w is None, w)
 
     # pentagon: alpha then sigma_{x, a@b} equals (sigma x id); sigma; F(alpha)
-    t_ab = tensor(a.structure, b.structure)
+    t_ab = tensors(a.structure, b.structure)
     ab = PointedStructure(t_ab.structure, pointed_tensor_point(a, b, t_ab))
-    pa_ab = tensor(x, t_ab.structure)
-    t_ab_tr = tensor(a_tr, b_tr)
-    t_fxa_b = tensor(t_fx_a.structure, b_tr)
-    t_fx_abtr = tensor(fx, t_ab_tr.structure)
+    pa_ab = tensors(x, t_ab.structure)
+    t_ab_tr = tensors(a_tr, b_tr)
+    t_fxa_b = tensors(t_fx_a.structure, b_tr)
+    t_fx_abtr = tensors(fx, t_ab_tr.structure)
     alpha_small = associator_map(t_fxa_b, t_fx_a, t_ab_tr, t_fx_abtr)
     resolve = lambda s, ctx, e: t_ab.class_of(s, ctx, e)
     sig_ab = shift_strength_map(x, binder, ab, pa_ab, t_fx_abtr, resolve)
     route1 = alpha_small.then(sig_ab)
 
     fxa = shift_structure(pa_a.structure, binder)
-    t_fxa_b2 = tensor(fxa, b_tr)
+    t_fxa_b2 = tensors(fxa, b_tr)
     step1 = tensor_left_map(sig_a, t_fxa_b, t_fxa_b2)
-    pa_a_b = tensor(pa_a.structure, b.structure)
+    pa_a_b = tensors(pa_a.structure, b.structure)
     sig_xa_b = shift_strength_map(pa_a.structure, binder, b, pa_a_b, t_fxa_b2)
     alpha_big = associator_map(pa_a_b, pa_a, t_ab, pa_ab)
     route2 = step1.then(sig_xa_b).then(shift_map(alpha_big, binder, base))

@@ -231,26 +231,46 @@ def tensor(p: FinStructure, q: FinStructure, validate: bool = True) -> TensorRes
     p_ctxs = p.contexts()
     envs = {(gp, ctx): list(enumerate_envs(q, gp, ctx))
             for gp in p_ctxs for ctx in out_ctxs}
-    renamings = [(g1, g2, rho.key(), rho.mapping)
-                 for g1 in p_ctxs for g2 in p_ctxs
-                 for rho in enumerate_renamings(g1, g2)]
+    occupied = {gp for gp in p_ctxs if any(p.cell(s, gp) for s in p.sorts)}
+    renamings = [(g1, g2, rho.key(), rho.mapping) for g1 in p_ctxs
+                 for g2 in occupied for rho in enumerate_renamings(g1, g2)]
+    # lands[(key, ctx)][k]: where env . rho lands in Env(G2, ctx), for the
+    # k-th environment env of Env(G1, ctx)
+    lands = {}
+    for ctx in out_ctxs:
+        env_pos = {gp: {env: j for j, env in enumerate(envs[(gp, ctx)])}
+                   for gp in occupied}
+        for g1, g2, key, mapping in renamings:
+            pos = env_pos[g2]
+            lands[(key, ctx)] = [pos[tuple(env[x] for x in mapping)]
+                                 for env in envs[(g1, ctx)]]
     for s in p.sorts:
         p_cells = {gp: p.cell(s, gp) for gp in p_ctxs}
-        # each generator pair: (G1, rho t, env) ~ (G2, t, env . rho)
-        moves = [(g1, g2.entries, mapping,
-                  [(p.action[(key, s, t)], t) for t in p_cells[g2]])
-                 for g1, g2, key, mapping in renamings if p_cells[g2]]
+        elem_pos = {gp: {t: i for i, t in enumerate(p_cells[gp])} for gp in p_ctxs}
+        # each generator pair: (G1, rho t, env) ~ (G2, t, env . rho), as the
+        # positions of rho t in P_s G1 and of t in P_s G2
+        moves = [(g1, g2, key, [(elem_pos[g1][p.action[(key, s, t)]], i)
+                                for i, t in enumerate(p_cells[g2])])
+                 for g1, g2, key, _ in renamings if p_cells[g2]]
         for ctx in out_ctxs:
+            # triple (G', the i-th element, the k-th environment) is number
+            # offset[G'] + i * |Env(G', ctx)| + k
+            offset, width, n = {}, {}, 0
+            for gp in p_ctxs:
+                offset[gp], width[gp] = n, len(envs[(gp, ctx)])
+                n += len(p_cells[gp]) * width[gp]
             triples = [(gp.entries, t, env) for gp in p_ctxs for t in p_cells[gp]
                        for env in envs[(gp, ctx)]]
             index = {t: i for i, t in enumerate(triples)}
             uf = _UnionFind(len(triples))
-            for g1, g2_entries, mapping, pairs in moves:
-                g1_entries, g1_envs = g1.entries, envs[(g1, ctx)]
-                for tr, t in pairs:
-                    for env in g1_envs:
-                        uf.union(index[(g1_entries, tr, env)],
-                                 index[(g2_entries, t, tuple(env[x] for x in mapping))])
+            union = uf.union
+            for g1, g2, key, pairs in moves:
+                land = lands[(key, ctx)]
+                o1, w1, o2, w2 = offset[g1], width[g1], offset[g2], width[g2]
+                for i1, i2 in pairs:
+                    b1, b2 = o1 + i1 * w1, o2 + i2 * w2
+                    for k, j in enumerate(land):
+                        union(b1 + k, b2 + j)
             groups: dict = {}
             for t, i in index.items():
                 groups.setdefault(uf.find(i), []).append((repr(t), t))

@@ -152,6 +152,7 @@ class StateMonad(StrongMonad):
 
     def __init__(self, states=("s0", "s1")):
         self.states = FinSet(states)
+        self._pos = {s: i for i, s in enumerate(self.states.elements)}
 
     @property
     def name(self):
@@ -169,11 +170,15 @@ class StateMonad(StrongMonad):
         return tuple((s, v) for s in self.states)
 
     def bind(self, f, a, m):
+        # m holds one (next state, value) pair per state, in state order; a
+        # loop, because a generator costs more than the two states it reads
+        pos = self._pos
+        if len(m) != len(pos):
+            raise ValueError(f"state computation of length {len(m)} over "
+                             f"{len(pos)} states")
         out = []
-        for s in self.states:
-            s1, v = m[self.states.index(s)]
-            r = f(a, v)
-            out.append(r[self.states.index(s1)])
+        for s1, v in m:
+            out.append(f(a, v)[pos[s1]])
         return tuple(out)
 
 

@@ -172,6 +172,8 @@ MALFORMED_RUN = {
     "fragment config is a list": ["--fragment-config", ["sequential"]],
     "extensions not a list": ["--fragment-config", {"extensions": 5}],
     "point outside": ["--at", "zz"],
+    "negative exception count": ["--monad", "exception", "--exceptions", "-2"],
+    "negative state count": ["--monad", "state", "--states", "-1"],
 }
 
 
@@ -196,6 +198,7 @@ MALFORMED_CHECK = {
     "negative count": ["--count", "-1"],
     "count 0": ["--count", "0"],
     "structures 0": ["--structures", "0"],
+    "negative depth": ["--depth", "-5"],
 }
 
 

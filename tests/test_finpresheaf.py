@@ -166,6 +166,43 @@ def test_corrupted_associator_fails_with_witness():
     assert w is not None and "at" in w
 
 
+def test_corrupted_associator_fails_the_skew_part_with_witness(monkeypatch):
+    """An associator that swaps two images in one cell fails the registry's
+    skew part, each failing record with a witness."""
+    from substkit import suites
+    from substkit.finpresheaf import laws
+    from substkit.report import Report
+    rep = Report()
+    suites.skew(rep, seed=20260810, structures=1)
+    assert rep.ok, rep.to_text()
+    real = laws.associator_map
+
+    def corrupted(*tensors):
+        alpha = real(*tensors)
+        table = dict(alpha.table)
+        for key, inner in table.items():
+            values = sorted(set(inner.values()), key=repr)
+            if len(values) >= 2:
+                swap = {values[0]: values[1], values[1]: values[0]}
+                table[key] = {x: swap.get(y, y) for x, y in inner.items()}
+                break
+        return StructMap(alpha.source, alpha.target, table)
+
+    monkeypatch.setattr(laws, "associator_map", corrupted)
+    rep = Report()
+    suites.skew(rep, seed=20260810, structures=1)
+    failed = [r for r in rep.records if not r.ok]
+    assert all(r.witness for r in failed), rep.to_text()
+    # every record that reads an associator, and no other
+    assert [r.name for r in failed] == [
+        f"skew {law} ({part} part)"
+        for law, parts in (("pentagon", ("monoid", "acted")),
+                           ("left axiom", ("monoid",)),
+                           ("right axiom", ("monoid", "acted")),
+                           ("rectangle", ("monoid", "acted")))
+        for part in parts], rep.to_text()
+
+
 def test_pointed_tensor_random():
     for seed in (20, 21):
         rng = rand(seed)
@@ -535,6 +572,43 @@ def test_tensor_matches_reference_on_nested_tensors(monkeypatch):
     p, q, l = snd_struct(rng), homog(rng, True), homog(rng, True)
     assert action_pentagon_witness(p, q, l, q) is None
     assert len(shapes) == 12
+
+
+def test_each_law_check_tensors_each_operand_pair_once(monkeypatch):
+    """A check computes the tensor of a pair of structure objects once and
+    shares it between its laws; the pentagon alone still builds 12."""
+    from substkit.finpresheaf import laws
+    from substkit.finpresheaf.laws import action_pentagon_witness
+    real = laws.tensor
+    operands = []  # held, so no id is reused while a check runs
+
+    def counted(p, q, validate=True):
+        operands.append((p, q))
+        return real(p, q, validate)
+
+    monkeypatch.setattr(laws, "tensor", counted)
+    rng = rand(113)
+    pair = lambda: PairObject(homog(rng, True), snd_struct(rng))
+    checks = {
+        "action": lambda: check_action_axioms(snd_struct(rng), homog(rng, True),
+                                              homog(rng, True)),
+        "skew": lambda: check_skew(("a",), ("k",), 2, [pair() for _ in range(4)]),
+        "pointed": lambda: check_pointed_tensor(pointed_free(rng, ("a",), 2),
+                                                pointed_free(rng, ("a",), 2)),
+        "strength": lambda: check_shift_strength(
+            snd_struct(rng), Context(("a",)), pointed_free(rng, ("a",), 2),
+            pointed_free(rng, ("a",), 2)),
+        "pentagon": lambda: action_pentagon_witness(
+            snd_struct(rng), homog(rng, True), homog(rng, True), homog(rng, True)),
+    }
+    counts = {}
+    for name, check in checks.items():
+        operands.clear()
+        check()
+        assert len({(id(p), id(q)) for p, q in operands}) == len(operands), name
+        counts[name] = len(operands)
+    assert counts == {"action": 19, "skew": 38, "pointed": 6, "strength": 12,
+                      "pentagon": 12}
 
 
 def test_tensor_action_check_still_raises(monkeypatch):

@@ -4,13 +4,14 @@ and no cache under ``src/`` grows for the life of the process."""
 
 import ast
 import gc
+import random
 import sys
 import weakref
 
 from conftest import SRC
 from substkit.cbv import Base, CbvOperatorTable, config, fun, parse, typecheck, valid_type
 from substkit.semantics import OptionMonad, context_space, denote, interpret_type, model
-from substkit.sorts import Context, second
+from substkit.sorts import Context, first, second
 
 B = Base("b")
 
@@ -54,6 +55,33 @@ def test_extended_context_and_minting_table_are_freed_without_the_cycle_collecto
         assert sys.getrefcount(ext) == held - 1
         del table, op
         assert [ref() for ref in refs] == [None, None]
+    finally:
+        gc.enable()
+
+
+def test_tensors_of_a_law_check_are_freed_on_return(monkeypatch):
+    """A law check shares its tensors only while it runs: each is freed when
+    the check returns, without the cycle collector."""
+    from substkit.finpresheaf import free_structure, laws
+    real = laws.tensor
+    refs = []
+
+    def recorded(p, q, validate=True):
+        result = real(p, q, validate)
+        refs.append(weakref.ref(result))
+        return result
+
+    monkeypatch.setattr(laws, "tensor", recorded)
+    rng = random.Random(114)
+    homog = [free_structure(rng, (first("a"),), ("a",), 2,
+                            ensure=[(first("a"), Context(("a",)))])
+             for _ in range(2)]
+    p = free_structure(rng, (second("k"),), ("a",), 2,
+                       ensure=[(second("k"), Context(()))])
+    gc.disable()
+    try:
+        assert laws.check_action_axioms(p, *homog).ok
+        assert refs and [ref() for ref in refs] == [None] * len(refs)
     finally:
         gc.enable()
 

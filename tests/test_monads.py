@@ -59,6 +59,14 @@ def test_state_threads_state():
     assert out == (("s1", "aa"), ("s0", "bb"))
 
 
+@pytest.mark.parametrize("prog", [(("s1", "a"),),
+                                  (("s1", "a"), ("s0", "b"), ("s0", "c"))])
+def test_state_bind_rejects_a_value_of_the_wrong_length(prog):
+    m = StateMonad(("s0", "s1"))
+    with pytest.raises(ValueError, match="length"):
+        m.bind(lambda _, v: m.unit(v), None, prog)
+
+
 class _BrokenBind(WriterMonad):
     """Drops the incoming log: the unit-projection law must fail."""
     name = "broken-writer"
