@@ -95,12 +95,11 @@ def _settle(cur: set, todo: list, table: _Rules, more: _Rules) -> None:
 
 class TermGen:
     def __init__(self, cfg: FragmentConfig, table: CbvOperatorTable,
-                 rng: random.Random, type_depth: int = 2,
-                 interp_cap: int | None = None, model=None):
+                 rng: random.Random, interp_cap: int | None = None, model=None):
         self.cfg = cfg
         self.table = table
         self.rng = rng
-        self.universe = list(types_upto(cfg, min(type_depth, cfg.type_depth)))
+        self.universe = list(types_upto(cfg, min(2, cfg.type_depth)))
         if interp_cap is not None and model is not None:
             from ..semantics.model import interp_size
             self.universe = [t for t in self.universe
@@ -331,7 +330,7 @@ class TermGen:
                       [self.random_term(ctx, v, d, holes, hole_prob)
                        for _, v in t.row])
         if pick == "recmatch":
-            row = self._random_row(w, record_like=True)
+            row = self._random_row(w)
             if row is not None:
                 scrut = self.random_term(ctx, Record(row), d, holes, hole_prob)
                 inner = Context(ctx.entries + tuple(v for _, v in row))
@@ -406,7 +405,7 @@ class TermGen:
                  if isinstance(t, Variant) and vmatch_allowed(self.cfg, t)]
         return self.rng.choice(cands) if cands else None
 
-    def _random_row(self, w, record_like=False):
+    def _random_row(self, w):
         if not self.cfg.has("records"):
             return None
         pool = [t for t in self._w_sorted(w)
@@ -419,23 +418,23 @@ class TermGen:
 
     # -- substitutions ------------------------------------------------------------
 
-    def random_subst(self, src: Context, depth: int = 2,
-                     extend: bool = True) -> SubstEnv:
-        """A substitution from ``src`` into a shuffled/extended target context.
+    def random_subst(self, src: Context) -> SubstEnv:
+        """A substitution from ``src`` into a shuffled/extended target context,
+        each entry a random value of depth 2.
 
         The target always contains a variable of every source type, so value
         entries exist for any source context."""
         rng = self.rng
         entries = list(src.entries)
         rng.shuffle(entries)
-        if extend and entries and rng.random() < 0.5:
+        if entries and rng.random() < 0.5:
             entries.append(rng.choice(entries))
-        if extend and rng.random() < 0.3:
+        if rng.random() < 0.3:
             entries.append(rng.choice(self.universe))
         tgt = Context(tuple(entries))
         out = []
         for t in src.entries:
-            out.append(self.random_value(tgt, t, depth))
+            out.append(self.random_value(tgt, t, 2))
         return SubstEnv(src, tgt, out)
 
 
@@ -463,8 +462,7 @@ def enumerate_values(table: CbvOperatorTable, ctx: Context, t: TypeExpr,
 
 
 def enumerate_terms(table: CbvOperatorTable, ctx: Context, t: TypeExpr,
-                    depth: int, universe, memo=None, max_bindings: int = 2,
-                    max_ctx: int = 2) -> list:
+                    depth: int, universe, memo=None, max_ctx: int = 2) -> list:
     """Every term of the type over the context within the depth bound, all
     contexts (including under binders) within the length bound."""
     memo = memo if memo is not None else {}
@@ -479,16 +477,14 @@ def enumerate_terms(table: CbvOperatorTable, ctx: Context, t: TypeExpr,
                                   max_ctx=max_ctx):
             out.append(Op(table.val(t), ctx, [v]))
     if depth >= 2 and cfg.has("sequential"):
-        for n in range(1, min(max_bindings, max_ctx - len(ctx)) + 1):
+        for n in range(1, min(2, max_ctx - len(ctx)) + 1):
             for bound in itertools.product(universe, repeat=n):
                 inner = ctx
                 pools = []
                 ok = True
                 for bt in bound:
                     pool = enumerate_terms(table, inner, bt, depth - 1, memo=memo,
-                                           universe=universe,
-                                           max_bindings=max_bindings,
-                                           max_ctx=max_ctx)
+                                           universe=universe, max_ctx=max_ctx)
                     if not pool:
                         ok = False
                         break
@@ -497,9 +493,7 @@ def enumerate_terms(table: CbvOperatorTable, ctx: Context, t: TypeExpr,
                 if not ok:
                     continue
                 bodies = enumerate_terms(table, inner, t, depth - 1, memo=memo,
-                                         universe=universe,
-                                         max_bindings=max_bindings,
-                                         max_ctx=max_ctx)
+                                         universe=universe, max_ctx=max_ctx)
                 op = table.let(tuple(bound), t)
                 for choice in itertools.product(*pools):
                     for body in bodies:
@@ -509,13 +503,11 @@ def enumerate_terms(table: CbvOperatorTable, ctx: Context, t: TypeExpr,
             if type_depth(fun(a, t)) > cfg.type_depth:
                 continue
             fs = enumerate_terms(table, ctx, fun(a, t), depth - 1, memo=memo,
-                                 universe=universe, max_bindings=max_bindings,
-                                 max_ctx=max_ctx)
+                                 universe=universe, max_ctx=max_ctx)
             if not fs:
                 continue
             xs = enumerate_terms(table, ctx, a, depth - 1, memo=memo,
-                                 universe=universe, max_bindings=max_bindings,
-                                 max_ctx=max_ctx)
+                                 universe=universe, max_ctx=max_ctx)
             op = table.app(a, t)
             for f in fs:
                 for x in xs:

@@ -281,15 +281,15 @@ class CbvOperatorTable(OperatorTable):
 
     # -- bounded materialization -------------------------------------------
 
-    def operators(self, depth: int = 2, max_bindings: int = 2,
-                  max_lit: int = 2) -> list[Operator]:
-        """Every operator instance over the depth-bounded type universe, with
-        binder lists capped; used for reports and rule-coverage tests."""
+    def operators(self) -> list[Operator]:
+        """Every operator instance over the types of depth at most 2, with at
+        most two binders per ``let`` and literals up to 2; used for reports and
+        rule-coverage tests."""
         cfg = self.cfg
-        universe = types_upto(cfg, depth)
+        universe = types_upto(cfg, 2)
         out = [self.val(t) for t in universe]
         if cfg.has("sequential"):
-            for n in range(1, max_bindings + 1):
+            for n in (1, 2):
                 for bound in itertools.product(universe, repeat=n):
                     for res in universe:
                         out.append(self.let(bound, res))
@@ -320,7 +320,7 @@ class CbvOperatorTable(OperatorTable):
                 for res in universe:
                     out.append(self.vmatch(t.row, res))
         if cfg.has("naturals"):
-            out += [self.lit(n) for n in range(min(max_lit + 1, cfg.nat_bound))]
+            out += [self.lit(n) for n in range(min(3, cfg.nat_bound))]
             out += [self.unroll(), self.roll()]
             out += [self.natfold(t) for t in universe]
         if cfg.has("while"):

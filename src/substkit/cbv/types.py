@@ -192,12 +192,12 @@ def config(extensions=(), base_types=("b",), nat_bound=8, type_depth=3) -> Fragm
                           type_depth)
 
 
-def all_fragment_configs(base_types=("b",), nat_bound=8, type_depth=3):
-    """All 128 extension subsets, in menu order."""
+def all_fragment_configs(base_types=("b",), nat_bound=8):
+    """All 128 extension subsets, in menu order, at the default type depth."""
     out = []
     for k in range(len(EXTENSIONS) + 1):
         for combo in itertools.combinations(EXTENSIONS, k):
-            out.append(config(combo, base_types, nat_bound, type_depth))
+            out.append(config(combo, base_types, nat_bound))
     return out
 
 

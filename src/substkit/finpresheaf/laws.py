@@ -306,12 +306,12 @@ def pointed_variables(ctx_sorts, bound) -> PointedStructure:
     return PointedStructure(nu, point)
 
 
-def pointed_free(rng, ctx_sorts, bound, homes=None) -> PointedStructure:
+def pointed_free(rng, ctx_sorts, bound) -> PointedStructure:
     """A random pointed structure; the Yoneda element at each singleton
     context determines the point."""
     sorts = tuple(first(s) for s in ctx_sorts)
     ensure = [(first(s), Context((s,))) for s in ctx_sorts]
-    st = free_structure(rng, sorts, ctx_sorts, bound, homes=homes, ensure=ensure)
+    st = free_structure(rng, sorts, ctx_sorts, bound, ensure=ensure)
     chosen = {s: rng.choice(st.cell(first(s), Context((s,)))) for s in ctx_sorts}
     point = {}
     for ctx in st.contexts():

@@ -217,7 +217,7 @@ class TensorResult:
         return self._members[(sort, ctx, rep)]
 
 
-def tensor(p: FinStructure, q: FinStructure, validate: bool = True) -> TensorResult:
+def tensor(p: FinStructure, q: FinStructure) -> TensorResult:
     """The coend of ``P_s G' x Env Q G' G`` over the enumerated contexts."""
     if p.bound != q.bound:
         raise BoundExceeded("tensor factors must share the bound")
@@ -287,7 +287,7 @@ def tensor(p: FinStructure, q: FinStructure, validate: bool = True) -> TensorRes
             cells[(s, ctx)] = tuple(rep for _, rep in cell)
 
     # tau moves a class by moving its environment; the representative heads its
-    # members and sets the image, which with validate every member must reach
+    # members and sets the image, which every member must reach
     q_sort = {s.ident: s for s in q.sorts}
     q_sorts = {gp.entries: tuple(q_sort[e] for e in gp.entries) for gp in p_ctxs}
     action = structure.action
@@ -296,7 +296,7 @@ def tensor(p: FinStructure, q: FinStructure, validate: bool = True) -> TensorRes
         for s in p.sorts:
             for rep in cells.get((s, tau.target), ()):
                 image = None
-                for member in members[(s, tau.target, rep)] if validate else (rep,):
+                for member in members[(s, tau.target, rep)]:
                     gp_entries, t, env = member
                     moved = tuple(q.action[(key, qs, e)]
                                   for qs, e in zip(q_sorts[gp_entries], env))

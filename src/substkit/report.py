@@ -26,9 +26,6 @@ class Report:
         self.records.append(CheckRecord(suite, name, "pass" if ok else "fail",
                                         None if ok else witness))
 
-    def extend(self, other: "Report"):
-        self.records.extend(other.records)
-
     @property
     def ok(self) -> bool:
         return all(r.ok for r in self.records)

@@ -68,15 +68,14 @@ def _sem_envs(src: Context, tgt: Context, m: Model, nat_bound: int,
 
 # --- semantic substitution structure axioms -------------------------------------
 
-def check_sem_action_axioms(m: Model, cfg: FragmentConfig, ctx_len: int = 2,
-                            cap: int = 300, seed: int = 0,
-                            report: Report | None = None,
-                            suite: str = "sem-action") -> Report:
+def check_sem_action_axioms(m: Model, cfg: FragmentConfig, cap: int = 300,
+                            seed: int = 0, report: Report | None = None) -> Report:
     rep = report if report is not None else Report()
+    suite = "sem-action"
     rng = random.Random(seed)
     nb = cfg.nat_bound
     b = Base(cfg.base_types[0])
-    ctxs = [Context(c) for k in range(ctx_len + 1)
+    ctxs = [Context(c) for k in range(3)
             for c in itertools.product((b,), repeat=k)]
 
     left_ok = right_ok = assoc_ok = coend_ok = True
@@ -176,19 +175,21 @@ def _op_instances(family: str, table: CbvOperatorTable, universe):
 
 
 def check_compatibility(fragment: str, m: Model, cfg: FragmentConfig,
-                        ctx_len: int = 1, type_depth: int = 2,
-                        table_cap: int = 12, env_cap: int = 6, seed: int = 0,
-                        type_size_cap: int = 12,
+                        ctx_len: int = 1, seed: int = 0,
                         report: Report | None = None) -> Report:
     """The compatibility square for every operator of the fragment: substituting
-    after interpreting equals interpreting the strength-routed substitution."""
+    after interpreting equals interpreting the strength-routed substitution.
+
+    Operators range over the types of depth at most 2 whose interpretation has
+    at most 12 elements; each argument takes at most 12 tables, each square at
+    most 6 environments."""
     rep = report if report is not None else Report()
     suite = f"compatibility[{fragment},{m.monad.name}]"
     rng = random.Random(seed)
     nb = cfg.nat_bound
     table = CbvOperatorTable(cfg)
-    universe = [t for t in types_upto(cfg, type_depth)
-                if interp_size(t, m, nb) <= type_size_cap]
+    universe = [t for t in types_upto(cfg, 2) if interp_size(t, m, nb) <= 12]
+    table_cap = 12
     b = Base(cfg.base_types[0])
     ctxs = [Context(c) for k in range(ctx_len + 1)
             for c in itertools.product((b,), repeat=k)]
@@ -221,7 +222,7 @@ def check_compatibility(fragment: str, m: Model, cfg: FragmentConfig,
                 for values in tuples:
                     lhs_base = interp.alg(op, list(values), src)
                     for tgt in ctxs:
-                        for env in _sem_envs(src, tgt, m, nb, env_cap, rng):
+                        for env in _sem_envs(src, tgt, m, nb, 6, rng):
                             lhs = subst_denotation(lhs_base, env, m, nb,
                                                    target=tgt)
                             routed_values = []
@@ -265,22 +266,19 @@ def lemma_holds(t: Term, env: SubstEnv, m: Model, cfg: FragmentConfig,
 
 
 def check_substitution_lemma_exhaustive(cfg: FragmentConfig, m: Model,
-                                        term_depth: int = 3, ctx_len: int = 2,
-                                        binder_headroom: int = 1,
-                                        subst_value_depth: int = 2,
                                         subst_ctx_len: int = 2,
                                         report: Report | None = None) -> Report:
-    """All terms within the bounds (source contexts up to the context bound,
-    binder extensions one past it), against the variable-entry substitutions
-    plus a deterministic rotation through the value-entry substitution pool."""
+    """All terms of depth at most 3 over source contexts of length at most 2
+    (binder extensions up to length 3), against the variable-entry
+    substitutions plus a deterministic rotation through the pool of
+    substitutions whose entries are values of depth at most 2."""
     rep = report if report is not None else Report()
     suite = f"subst-lemma[{cfg.name()},{m.monad.name}]"
     table = CbvOperatorTable(cfg)
     denoted: dict = {}
     b = Base(cfg.base_types[0])
     universe = tuple(t for t in (b, fun(b, b)) if valid_type(t, cfg))
-    max_ctx = ctx_len + binder_headroom
-    ctxs = [Context(c) for k in range(ctx_len + 1)
+    ctxs = [Context(c) for k in range(3)
             for c in itertools.product(universe, repeat=k)]
     sub_ctxs = [Context(c) for k in range(subst_ctx_len + 1)
                 for c in itertools.product(universe, repeat=k)]
@@ -292,8 +290,7 @@ def check_substitution_lemma_exhaustive(cfg: FragmentConfig, m: Model,
         for tgt in sub_ctxs:
             entry_pools = []
             for t in src.entries:
-                vals = enumerate_values(table, tgt, t, subst_value_depth,
-                                        universe, memo)
+                vals = enumerate_values(table, tgt, t, 2, universe, memo)
                 entry_pools.append(vals)
             if any(not p for p in entry_pools):
                 continue
@@ -303,8 +300,8 @@ def check_substitution_lemma_exhaustive(cfg: FragmentConfig, m: Model,
             continue
         rotate = 0
         for t in universe:
-            for term in enumerate_terms(table, src, t, term_depth, universe,
-                                        memo, max_ctx=max_ctx):
+            for term in enumerate_terms(table, src, t, 3, universe, memo,
+                                        max_ctx=3):
                 for env in _select_substs(pool, src, rotate):
                     ok, diff = lemma_holds(term, env, m, cfg, table, denoted)
                     checked += 1
@@ -331,23 +328,24 @@ def _select_substs(pool, src: Context, rotate: int) -> list:
 
 
 def check_substitution_lemma_random(cfg: FragmentConfig, m: Model, seed: int,
-                                    count: int = 100, depth: int = 3,
-                                    ctx_len: int = 2, interp_cap: int = 40,
+                                    count: int = 100,
                                     report: Report | None = None) -> Report:
+    """``count`` random terms of depth 3 over contexts of length at most 2,
+    with types whose interpretation has at most 40 elements."""
     rep = report if report is not None else Report()
     suite = f"subst-lemma[{cfg.name()},{m.monad.name}]"
     rng = random.Random(seed)
     table = CbvOperatorTable(cfg)
     denoted: dict = {}
-    gen = TermGen(cfg, table, rng, interp_cap=interp_cap, model=m)
+    gen = TermGen(cfg, table, rng, interp_cap=40, model=m)
     checked = 0
     while checked < count:
-        ctx = gen.random_context(ctx_len)
+        ctx = gen.random_context(2)
         target = gen.random_target(ctx)
         if target.is_first:
-            term = gen.random_value(ctx, target.ident, depth)
+            term = gen.random_value(ctx, target.ident, 3)
         else:
-            term = gen.random_term(ctx, target.ident, depth)
+            term = gen.random_term(ctx, target.ident, 3)
         env = gen.random_subst(ctx)
         if context_space(env.target, m, cfg.nat_bound).size > 256:
             continue

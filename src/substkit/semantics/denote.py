@@ -25,7 +25,7 @@ class NonConvergence(Exception):
     pass
 
 
-def elgot_iterate(f, x0, monad=None):
+def elgot_iterate(f, x0):
     """Iterate ``f : X -> T(Y + X)`` from ``x0`` under the option monad.
 
     Sum values are ('inl', y) or ('inr', x).  An absent step or a revisited

@@ -107,8 +107,5 @@ class ProductSpace:
         return (isinstance(point, tuple) and len(point) == len(self.components)
                 and all(v in s for v, s in zip(point, self.components)))
 
-    def first(self):
-        return tuple(next(iter(s)) for s in self.components)
-
     def __repr__(self):
         return f"ProductSpace({self.size})"

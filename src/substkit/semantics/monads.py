@@ -283,7 +283,7 @@ def _witness(where: str, **case) -> str:
 
 
 def check_monad_laws(monad: StrongMonad, report: Report | None = None,
-                     max_size: int = 2, pair_budget: int = 10_000,
+                     pair_budget: int = 10_000,
                      f_cap: int = 2048, sample_size3: int = 60,
                      seed: int = 0) -> Report:
     rep = report if report is not None else Report()
@@ -291,13 +291,11 @@ def check_monad_laws(monad: StrongMonad, report: Report | None = None,
     rng = random.Random(seed)
     bind, unit = monad.bind, monad.unit
 
-    sizes = [(na, nx, ny) for na in (1, 2) for nx in (1, 2) for ny in (1, 2)
-             if max(na, nx, ny) <= max_size]
     first = {}  # law -> witness of its first failure
     assoc_mode = "exhaustive"
     f_mode = "exhaustive"
 
-    for na, nx, ny in sizes:
+    for na, nx, ny in itertools.product((1, 2), repeat=3):
         where = f"sizes {na, nx, ny}"
         a = _abstract_set("a", na)
         x = _abstract_set("x", nx)

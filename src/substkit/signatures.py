@@ -19,7 +19,7 @@ once, along the projection onto the caller's context.  The two agree because
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Container, Iterable, Protocol, Sequence
+from typing import Container, Protocol, Sequence
 
 from .sorts import Context, Renaming, Sort, SortingSystem
 
@@ -59,11 +59,9 @@ class OperatorTable:
     ``KeyError``.
     """
 
-    def __init__(self, system: Container[Sort], ops: Iterable[Operator] = ()):
+    def __init__(self, system: Container[Sort]):
         self.system = system
         self._by_label: dict[str, Operator] = {}
-        for op in ops:
-            self.add(op)
 
     def add(self, op: Operator) -> None:
         if op.label in self._by_label:

@@ -58,7 +58,8 @@ def corrupt_clause(monkeypatch):
                 out = super().alg(op, values, ctx)
                 if self.table.family(op)[0] != family:
                     return out
-                fixed = context_space(ctx, self.m, self.cfg.nat_bound).first()
+                space = context_space(ctx, self.m, self.cfg.nat_bound)
+                fixed = tuple(next(iter(s)) for s in space.components)
                 return Denotation(out.sort, out.ctx, out.space,
                                   lambda point: out.at(fixed))
         monkeypatch.setattr(checks, "Interpreter", Corrupted)

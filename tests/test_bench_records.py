@@ -1,21 +1,34 @@
-"""Committed benchmark records (``BENCH_*.json`` at the repository root).
+"""The benchmark harness passes its own self-test, and the committed benchmark
+records (``BENCH_*.json`` at the repository root) are well formed.
 
-Each file holds one JSON object per line: a ``perfbench/run.py --workload
-all`` result line (``result``) with the side it measured (``side``: the
-parent commit or the change), its pair number and its ``--seed``.  Runs
+Each record file holds one JSON object per line: a ``perfbench/run.py
+--workload all`` result line (``result``) with the side it measured (``side``:
+the parent commit or the change), its pair number and its ``--seed``.  Runs
 alternate between the two sides, pair by pair.
 """
 
 import json
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
+
+from conftest import child_env
 
 ROOT = Path(__file__).resolve().parents[1]
 BENCHMARK = json.loads((ROOT / "BENCHMARK.json").read_text())
 WORKLOADS = {w["name"] for w in BENCHMARK["workloads"]}
 END_TO_END = {m["name"] for m in BENCHMARK["end_to_end"]}
 RECORDS = sorted(ROOT.glob("BENCH_*.json"))
+
+
+def test_benchmark_selftest_passes():
+    """The harness calls the signatures of ``src/``; its self-test runs every
+    workload at a tiny size, traced and untraced, in fresh processes."""
+    done = subprocess.run([sys.executable, "perfbench/selftest.py"], cwd=ROOT,
+                          capture_output=True, text=True, env=child_env())
+    assert done.returncode == 0, done.stdout + done.stderr
 
 
 def _lines(path: Path) -> list[dict]:

@@ -166,6 +166,39 @@ def test_corrupted_associator_fails_with_witness():
     assert w is not None and "at" in w
 
 
+def test_merged_point_fails_the_pointed_part_with_witness(monkeypatch):
+    """A tensored point that answers the second variable of the first
+    length-2 context with the first one fails the registry's pointed part,
+    each failing record with a witness."""
+    from substkit import suites
+    from substkit.finpresheaf import laws
+    from substkit.report import Report
+    rep = Report()
+    suites.pointed(rep, 20260810, structures=2)
+    assert rep.ok and len(rep.records) == 24, rep.to_text()
+    real = laws.pointed_tensor_point
+
+    def merged(a, b, tens):
+        point = real(a, b, tens)
+        first_two = [key for key in point if len(key[1]) == 2][:2]
+        point[first_two[1]] = point[first_two[0]]
+        return point
+
+    monkeypatch.setattr(laws, "pointed_tensor_point", merged)
+    rep = Report()
+    suites.pointed(rep, 20260810, structures=2)
+    failed = [r for r in rep.records if not r.ok]
+    assert all(r.witness for r in failed), rep.to_text()
+    variables = {r.name: r.witness for r in failed
+                 if r.suite == "pointed[variables]"}
+    assert variables["tensored point natural"] == (
+        "point not natural at Renaming(Context['a', 'a'] -> Context['a'], (1,)) "
+        "position 0")
+    assert sorted(variables) == [
+        "left unitor preserves points", "right unitor preserves points",
+        "tensored point agrees with its Yoneda image", "tensored point natural"]
+
+
 def test_corrupted_associator_fails_the_skew_part_with_witness(monkeypatch):
     """An associator that swaps two images in one cell fails the registry's
     skew part, each failing record with a witness."""
@@ -430,7 +463,7 @@ def test_mediators_are_natural_and_the_right_ones_bijective():
 
 # --- the tensor against its literal reference ------------------------------------
 
-def literal_tensor(p, q, validate=True, skip=None):
+def literal_tensor(p, q, skip=None):
     """The reference: the tensor as first written, re-enumerating envs and
     renamings for every cell and tabulating the action through a closure.
     ``skip`` names one renaming key whose unions are left out (a mutant)."""
@@ -480,8 +513,7 @@ def literal_tensor(p, q, validate=True, skip=None):
 
     structure = build_structure(p.sorts, q.ctx_sorts, p.bound, cells, act)
     result = TensorResult(p, q, structure, reps, members)
-    if validate:
-        _literal_check_action_well_defined(result)
+    _literal_check_action_well_defined(result)
     return result
 
 
@@ -509,9 +541,6 @@ def assert_same_tensor(p, q):
     assert list(got.structure.action.items()) == list(want.structure.action.items())
     assert list(got._reps.items()) == list(want._reps.items())
     assert list(got._members.items()) == list(want._members.items())
-    unchecked = tensor(p, q, validate=False)
-    assert list(unchecked.structure.action.items()) == \
-        list(want.structure.action.items())
     return got
 
 
@@ -563,7 +592,7 @@ def test_tensor_matches_reference_on_nested_tensors(monkeypatch):
     from substkit.finpresheaf.laws import action_pentagon_witness
     shapes = []
 
-    def compared(p, q, validate=True):
+    def compared(p, q):
         shapes.append((len(p.cells), len(q.cells)))
         return assert_same_tensor(p, q)
 
@@ -582,9 +611,9 @@ def test_each_law_check_tensors_each_operand_pair_once(monkeypatch):
     real = laws.tensor
     operands = []  # held, so no id is reused while a check runs
 
-    def counted(p, q, validate=True):
+    def counted(p, q):
         operands.append((p, q))
-        return real(p, q, validate)
+        return real(p, q)
 
     monkeypatch.setattr(laws, "tensor", counted)
     rng = rand(113)
@@ -638,8 +667,6 @@ def test_tensor_action_check_still_raises(monkeypatch):
             fn(p, q)
         messages.append(str(err.value))
     assert messages[0] == messages[1]
-    monkeypatch.setattr(structures, "_UnionFind", corrupting())
-    tensor(p, q, validate=False)
 
 
 # --- a tensor that forgets one renaming's identifications -----------------------
@@ -653,7 +680,7 @@ def _install_tensor(monkeypatch, fn):
 
 
 def _skipping(key):
-    return lambda p, q, validate=True: literal_tensor(p, q, validate, skip=key)
+    return lambda p, q: literal_tensor(p, q, skip=key)
 
 
 SWAP_AA = (("a", "a"), ("a", "a"), (1, 0))

@@ -49,7 +49,7 @@ def test_elgot_random_programs_against_unrolling():
 def test_elgot_revisit_mutant_fails_unrolling_agreement(monkeypatch):
     """A mutant of ``elgot_iterate`` that answers a revisited state with that
     state instead of divergence."""
-    def revisit_is_an_answer(f, x0, monad=None):
+    def revisit_is_an_answer(f, x0):
         seen, x = set(), x0
         while x not in seen:
             seen.add(x)
@@ -81,6 +81,33 @@ def test_kleene_nonconvergence():
     flip = {NONE: some(0), some(0): NONE}
     with pytest.raises(NonConvergence):
         kleene_fixpoint(lambda t: (flip[t[0]],), (NONE,), 6)
+
+
+def test_one_step_fixpoint_fails_the_fixpoint_records_with_witness(monkeypatch):
+    """A ``kleene_fixpoint`` that stops after one step fails every fixpoint
+    record of the registry part, each with a witness, and no Elgot record."""
+    from substkit import suites
+    from substkit.report import Report
+    from substkit.semantics import checks
+    rep = Report()
+    suites.elgot_and_fixpoints(rep, 20260810)
+    assert rep.ok, rep.to_text()
+    one_step = lambda phi, bottom, max_steps: phi(bottom)
+    monkeypatch.setattr(checks, "kleene_fixpoint", one_step)
+    # the package attribute ``substkit.semantics.denote`` is the function
+    monkeypatch.setattr(sys.modules["substkit.semantics.denote"],
+                        "kleene_fixpoint", one_step)
+    rep = Report()
+    suites.elgot_and_fixpoints(rep, 20260810)
+    failed = {r.name: r.witness for r in rep.records if not r.ok}
+    assert failed == {
+        "letrec factorial at nat_bound 25 (inputs 0..5)":
+            "factorial(4) = ('none',), expected ('some', 24)",
+        "mutual even/odd at nat_bound 4": "even(3) = ('none',)",
+        "Kleene: phi(fix) = fix and leastness (30 random maps)":
+            "phi(fix) != fix on trial 25",
+        "non-monotone map raises NonConvergence": "no exception",
+    }
 
 
 def test_kleene_properties_suite():

@@ -66,8 +66,8 @@ def test_tensors_of_a_law_check_are_freed_on_return(monkeypatch):
     real = laws.tensor
     refs = []
 
-    def recorded(p, q, validate=True):
-        result = real(p, q, validate)
+    def recorded(p, q):
+        result = real(p, q)
         refs.append(weakref.ref(result))
         return result
 
