@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .types import TypeExpr, _TypeParser, type_to_str
+from .types import MAX_NESTING, TypeExpr, _TypeParser, type_to_str
 
 
 class SurfaceSyntaxError(ValueError):
@@ -197,6 +197,7 @@ class _Parser:
         self.text = text
         self.toks = lex(text)
         self.i = 0
+        self.depth = 0
 
     def peek(self) -> Token:
         return self.toks[self.i]
@@ -218,9 +219,26 @@ class _Parser:
             raise SurfaceSyntaxError(f"expected a name, found {t.text!r}", t.pos)
         return t
 
+    def deeper(self) -> None:
+        """One level of nesting more; see ``MAX_NESTING``.  Too deep an input
+        is no ``SurfaceSyntaxError``, so that no fallback to another parse
+        hides it."""
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            raise ValueError(f"nesting deeper than {MAX_NESTING} levels "
+                             f"at position {self.peek().pos}")
+
+    def nested(self, parse):
+        """Parse a term or value one level deeper."""
+        self.deeper()
+        out = parse()
+        self.depth -= 1
+        return out
+
     def parse_type(self) -> TypeExpr:
+        # a type nests inside the term around it
         tp = _TypeParser(self.text)
-        tp.i = self.peek().pos
+        tp.i, tp.depth = self.peek().pos, self.depth
         ty = tp.type_()
         while self.peek().kind != "EOF" and self.peek().pos < tp.i:
             self.i += 1
@@ -240,6 +258,9 @@ class _Parser:
     # -- values -----------------------------------------------------------
 
     def value(self):
+        return self.nested(self._value)
+
+    def _value(self):
         t = self.peek()
         if t.text == "fn":
             self.next()
@@ -272,7 +293,7 @@ class _Parser:
             ty = self.parse_type()
             self.expect(".")
             tag = self.label()
-            return SVInject(ty, tag, self.vatom(), t.pos)
+            return SVInject(ty, tag, self.nested(self.vatom), t.pos)
         if t.kind == "NUMBER":
             self.next()
             return SLit(int(t.text), t.pos)
@@ -284,6 +305,9 @@ class _Parser:
     # -- terms ------------------------------------------------------------
 
     def term(self):
+        return self.nested(self._term)
+
+    def _term(self):
         t = self.peek()
         if t.text == "val":
             self.next()
@@ -354,10 +378,12 @@ class _Parser:
                 break
             self.expect("in")
             return SLetRec(tuple(defs), self.term(), t.pos)
-        out = self.atom()
+        # each application nests its function one level deeper
+        out, outer = self.atom(), self.depth
         while self.peek().text in ("(", "{") or self.peek().text == "<":
-            arg = self.atom()
-            out = SApp(out, arg, t.pos)
+            self.deeper()
+            out = SApp(out, self.atom(), t.pos)
+        self.depth = outer
         return out
 
     def case_tail(self, scrut, pos):
@@ -413,7 +439,7 @@ class _Parser:
             ty = self.parse_type()
             self.expect(".")
             tag = self.label()
-            return SInject(ty, tag, self.atom(), t.pos)
+            return SInject(ty, tag, self.nested(self.atom), t.pos)
         raise SurfaceSyntaxError(f"expected a term, found {t.text!r}", t.pos)
 
 

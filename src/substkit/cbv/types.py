@@ -354,10 +354,18 @@ class TypeSyntaxError(ValueError):
         self.pos = pos
 
 
+# How deeply a program or a type may nest: the surface parser and the type
+# parser count one level per nested term, value, application and type, and
+# refuse deeper input.  Every input within the bound is parsed, typechecked,
+# folded and denoted within Python's default recursion limit.
+MAX_NESTING = 100
+
+
 class _TypeParser:
     def __init__(self, text: str):
         self.text = text
         self.i = 0
+        self.depth = 0
 
     def skip(self):
         while self.i < len(self.text) and self.text[self.i].isspace():
@@ -423,14 +431,18 @@ class _TypeParser:
         return NAT if name == "Nat" else Base(name)
 
     def type_(self) -> TypeExpr:
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            raise TypeSyntaxError(f"nesting deeper than {MAX_NESTING} levels", self.i)
         left = self.atom()
         self.skip()
         if self.text.startswith("->", self.i):
             self.i += 2
-            return fun(left, self.type_())
-        if self.text.startswith("→", self.i):
+            left = fun(left, self.type_())
+        elif self.text.startswith("→", self.i):
             self.i += 1
-            return fun(left, self.type_())
+            left = fun(left, self.type_())
+        self.depth -= 1
         return left
 
 

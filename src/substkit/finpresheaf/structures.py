@@ -5,12 +5,21 @@ A :class:`FinStructure` stores one finite set of element labels per
 complete table of the contravariant renaming action.  The substitution tensor
 is computed literally: raw (context, element, environment) triples quotiented
 by a union-find closure over all generator pairs, one per enumerated renaming.
+
+Inside :func:`tensor` everything goes by position.  Contexts are numbered by
+their place in the enumeration, and the triples of a cell are numbered block
+by block, so a triple number names a context, an element position and an
+environment position.  The quotient gives each triple number the number of
+its class representative.  A renaming moves an environment by position: each
+entry's action is read once per renaming and element, and the moved
+environments are numbered in the source context.  Representatives are ordered
+by the ``repr`` of their triples, assembled from one rendering per context,
+element and environment.
 """
 
 from __future__ import annotations
 
 import itertools
-from operator import itemgetter
 from typing import Hashable, Iterable, Sequence
 
 from ..sorts import (Context, Renaming, Sort, compose_renamings, first,
@@ -189,9 +198,14 @@ class _UnionFind:
         return i
 
     def union(self, i, j):
-        ri, rj = self.find(i), self.find(j)
-        if ri != rj:
-            self.parent[rj] = ri
+        # find, inlined twice: this is the tensor's innermost call
+        parent = self.parent
+        while parent[i] != i:
+            parent[i] = i = parent[parent[i]]
+        while parent[j] != j:
+            parent[j] = j = parent[parent[j]]
+        if i != j:
+            parent[j] = i
 
 
 class TensorResult:
@@ -227,86 +241,118 @@ def tensor(p: FinStructure, q: FinStructure) -> TensorResult:
                          "factor's context alphabet")
     reps, members, cells = {}, {}, {}
     structure = FinStructure(p.sorts, q.ctx_sorts, p.bound, cells, {})
-    out_ctxs = structure.contexts()
-    p_ctxs = p.contexts()
-    envs = {(gp, ctx): list(enumerate_envs(q, gp, ctx))
-            for gp in p_ctxs for ctx in out_ctxs}
-    occupied = {gp for gp in p_ctxs if any(p.cell(s, gp) for s in p.sorts)}
-    renamings = [(g1, g2, rho.key(), rho.mapping) for g1 in p_ctxs
-                 for g2 in occupied for rho in enumerate_renamings(g1, g2)]
-    # lands[(key, ctx)][k]: where env . rho lands in Env(G2, ctx), for the
-    # k-th environment env of Env(G1, ctx)
-    lands = {}
-    for ctx in out_ctxs:
-        env_pos = {gp: {env: j for j, env in enumerate(envs[(gp, ctx)])}
-                   for gp in occupied}
-        for g1, g2, key, mapping in renamings:
-            pos = env_pos[g2]
-            lands[(key, ctx)] = [pos[tuple(env[x] for x in mapping)]
-                                 for env in envs[(g1, ctx)]]
+    # contexts go by position: a numbers G' in p_ctxs, c the ambient context
+    # in out_ctxs
+    out_ctxs, p_ctxs = structure.contexts(), p.contexts()
+    out_at = {ctx: c for c, ctx in enumerate(out_ctxs)}
+    envs = [[list(enumerate_envs(q, gp, ctx)) for ctx in out_ctxs] for gp in p_ctxs]
+    occupied = [a for a, gp in enumerate(p_ctxs) if any(p.cell(s, gp) for s in p.sorts)]
+    env_pos = {a: [{env: j for j, env in enumerate(row)} for row in envs[a]]
+               for a in occupied}
+    renamings = [(a1, a2, rho.key(), rho.mapping) for a1, g1 in enumerate(p_ctxs)
+                 for a2 in occupied for rho in enumerate_renamings(g1, p_ctxs[a2])]
+    # lands[r][c][k]: for the r-th renaming rho from G2 into G1, where env . rho
+    # lands in Env(G2, ctx) for the k-th environment env of Env(G1, ctx)
+    lands = [[[pos[tuple(env[x] for x in mapping)] for env in envs[a1][c]]
+              for c, pos in enumerate(env_pos[a2])]
+             for a1, a2, _, mapping in renamings]
+    # the repr of a triple is "(" + repr(entries) + ", " + repr(element) +
+    # ", " + repr(env) + ")", so its parts are rendered once each
+    env_reprs = [[[", " + repr(env) + ")" for env in row] for row in rows]
+                 for rows in envs]
+    # numbered[s][c]: the triples of the cell by number, the number of each
+    # one's representative, and the classes in cell order as member numbers
+    numbered = {}
     for s in p.sorts:
-        p_cells = {gp: p.cell(s, gp) for gp in p_ctxs}
-        elem_pos = {gp: {t: i for i, t in enumerate(p_cells[gp])} for gp in p_ctxs}
+        p_cells = [p.cell(s, gp) for gp in p_ctxs]
+        elem_pos = [{t: i for i, t in enumerate(cell)} for cell in p_cells]
+        elem_reprs = [["(" + repr(gp.entries) + ", " + repr(t) for t in cell]
+                      for gp, cell in zip(p_ctxs, p_cells)]
         # each generator pair: (G1, rho t, env) ~ (G2, t, env . rho), as the
         # positions of rho t in P_s G1 and of t in P_s G2
-        moves = [(g1, g2, key, [(elem_pos[g1][p.action[(key, s, t)]], i)
-                                for i, t in enumerate(p_cells[g2])])
-                 for g1, g2, key, _ in renamings if p_cells[g2]]
-        for ctx in out_ctxs:
+        moves = [(a1, a2, land, [(elem_pos[a1][p.action[(key, s, t)]], i)
+                                 for i, t in enumerate(p_cells[a2])])
+                 for (a1, a2, key, _), land in zip(renamings, lands) if p_cells[a2]]
+        numbered[s] = by_ctx = []
+        for c, ctx in enumerate(out_ctxs):
             # triple (G', the i-th element, the k-th environment) is number
             # offset[G'] + i * |Env(G', ctx)| + k
-            offset, width, n = {}, {}, 0
-            for gp in p_ctxs:
-                offset[gp], width[gp] = n, len(envs[(gp, ctx)])
-                n += len(p_cells[gp]) * width[gp]
-            triples = [(gp.entries, t, env) for gp in p_ctxs for t in p_cells[gp]
-                       for env in envs[(gp, ctx)]]
-            index = {t: i for i, t in enumerate(triples)}
-            uf = _UnionFind(len(triples))
+            offset, width, n = [], [], 0
+            for cell, rows in zip(p_cells, envs):
+                offset.append(n)
+                width.append(len(rows[c]))
+                n += len(cell) * width[-1]
+            triples = [(gp.entries, t, env)
+                       for gp, cell, rows in zip(p_ctxs, p_cells, envs)
+                       for t in cell for env in rows[c]]
+            uf = _UnionFind(n)
             union = uf.union
-            for g1, g2, key, pairs in moves:
-                land = lands[(key, ctx)]
-                o1, w1, o2, w2 = offset[g1], width[g1], offset[g2], width[g2]
+            for a1, a2, land, pairs in moves:
+                land = land[c]
+                o1, w1, o2, w2 = offset[a1], width[a1], offset[a2], width[a2]
                 for i1, i2 in pairs:
                     b1, b2 = o1 + i1 * w1, o2 + i2 * w2
                     for k, j in enumerate(land):
                         union(b1 + k, b2 + j)
+            find = uf.find
             groups: dict = {}
-            for t, i in index.items():
-                groups.setdefault(uf.find(i), []).append((repr(t), t))
-            cell = []
+            for i in range(n):
+                groups.setdefault(find(i), []).append(i)
+            order = [e + v for es, rows in zip(elem_reprs, env_reprs)
+                     for e in es for v in rows[c]]
+            rep_of = [0] * n
+            classes = []
             for grp in groups.values():
                 # stable, so the head is what min(grp, key=repr) would pick
-                ordered = sorted(grp, key=itemgetter(0))
-                rep = ordered[0][1]
-                cell.append(ordered[0])
-                for _, t in grp:
-                    reps[(s, ctx, t)] = rep
-                members[(s, ctx, rep)] = tuple(t for _, t in ordered)
-            cell.sort(key=itemgetter(0))
-            cells[(s, ctx)] = tuple(rep for _, rep in cell)
+                ordered = sorted(grp, key=order.__getitem__)
+                head = ordered[0]
+                rep = triples[head]
+                for i in grp:
+                    reps[(s, ctx, triples[i])] = rep
+                    rep_of[i] = head
+                members[(s, ctx, rep)] = tuple(triples[i] for i in ordered)
+                classes.append(ordered)
+            classes.sort(key=lambda ordered: order[ordered[0]])
+            cells[(s, ctx)] = tuple(triples[cls[0]] for cls in classes)
+            by_ctx.append((triples, rep_of, classes))
 
-    # tau moves a class by moving its environment; the representative heads its
-    # members and sets the image, which every member must reach
+    # tau moves a class by moving its environment: the i-th element with the
+    # k-th environment of Env(G', target) goes to the i-th element with the
+    # qmove[G'][k]-th environment of Env(G', source).  The representative heads
+    # its members and sets the image, which every member must reach.
     q_sort = {s.ident: s for s in q.sorts}
-    q_sorts = {gp.entries: tuple(q_sort[e] for e in gp.entries) for gp in p_ctxs}
+    q_sorts = {a: tuple(q_sort[e] for e in p_ctxs[a].entries) for a in occupied}
+    lengths = {s: [(a, len(p.cell(s, p_ctxs[a]))) for a in occupied] for s in p.sorts}
     action = structure.action
     for tau in structure.renamings():
-        key = tau.key()
+        key, tgt = tau.key(), tau.target
+        cs, ct = out_at[tau.source], out_at[tgt]
+        images = {qs: [q.action[(key, qs, x)] for x in q.cell(qs, tgt)]
+                  for qs in q.sorts}
+        qmove = {a: [env_pos[a][cs][env] for env in
+                     itertools.product(*(images[qs] for qs in q_sorts[a]))]
+                 for a in occupied}
         for s in p.sorts:
-            for rep in cells.get((s, tau.target), ()):
-                image = None
-                for member in members[(s, tau.target, rep)]:
-                    gp_entries, t, env = member
-                    moved = tuple(q.action[(key, qs, e)]
-                                  for qs, e in zip(q_sorts[gp_entries], env))
-                    got = reps[(s, tau.source, (gp_entries, t, moved))]
-                    if image is None:
-                        image = action[(key, s, rep)] = got
-                    elif got != image:
+            triples, _, classes = numbered[s][ct]
+            if not classes:
+                continue
+            src_triples, src_rep, _ = numbered[s][cs]
+            # got[m]: the representative number of tau applied to triple m
+            got, base = [], 0
+            for a, count in lengths[s]:
+                width, move = len(envs[a][cs]), qmove[a]
+                for _ in range(count):
+                    got += [src_rep[base + j] for j in move]
+                    base += width
+            for ordered in classes:
+                image = got[ordered[0]]
+                for m in ordered:
+                    if got[m] != image:
                         raise ValueError(
                             f"tensor action not well-defined at {s!r} {tau!r}: "
-                            f"{member!r} -> {got!r} != {image!r}")
+                            f"{triples[m]!r} -> {src_triples[got[m]]!r} != "
+                            f"{src_triples[image]!r}")
+                action[(key, s, triples[ordered[0]])] = src_triples[image]
     return TensorResult(p, q, structure, reps, members)
 
 

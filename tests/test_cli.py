@@ -10,6 +10,7 @@ import pytest
 
 from conftest import child_env
 from substkit import cli
+from substkit.cbv.types import MAX_NESTING
 from substkit.cli import main
 from substkit.suites import SUITES
 
@@ -174,13 +175,22 @@ MALFORMED_RUN = {
     "point outside": ["--at", "zz"],
     "negative exception count": ["--monad", "exception", "--exceptions", "-2"],
     "negative state count": ["--monad", "state", "--states", "-1"],
+    "600 nested parentheses": ["--fragment", "full"],
+    "250 let bindings": ["--fragment", "full"],
+    "2000 arrows in the context": ["--context", "x: " + " -> ".join(["b"] * 2001)],
+}
+
+# the program of a case that does not run "val x"
+MALFORMED_PROGRAM = {
+    "600 nested parentheses": "(" * 600 + "val x" + ")" * 600,
+    "250 let bindings": "let y = val x in " * 250 + "val x",
 }
 
 
 @pytest.mark.parametrize("case", MALFORMED_RUN)
 def test_malformed_input_is_one_error_line(tmp_path, case):
     prog = tmp_path / "prog.cbv"
-    prog.write_text("val x\n")
+    prog.write_text(MALFORMED_PROGRAM.get(case, "val x") + "\n")
     *extra, last = MALFORMED_RUN[case]
     if not isinstance(last, str):
         spec = tmp_path / "spec.json"
@@ -189,6 +199,34 @@ def test_malformed_input_is_one_error_line(tmp_path, case):
     out = run_cli("run", str(prog), "--context", "x: b", "--expect", "C b",
                   *extra, last, cwd=tmp_path)
     assert_one_error_line(out)
+
+
+DEEPEST = {  # MAX_NESTING levels each: a term level per let, record and paren
+    "let chain": "let y = val x in " * (MAX_NESTING - 2) + "val x",
+    "let in a binding": ("let y = " * (MAX_NESTING - 2) + "val x"
+                         + " in val x" * (MAX_NESTING - 2)),
+    "records": "{a = " * (MAX_NESTING - 2) + "val x" + "}" * (MAX_NESTING - 2),
+    "parentheses": "(" * (MAX_NESTING - 2) + "val x" + ")" * (MAX_NESTING - 2),
+}
+
+
+@pytest.mark.parametrize("case", DEEPEST)
+def test_deepest_accepted_program_typechecks_folds_and_denotes(tmp_path, capsys,
+                                                               case):
+    """The nesting bound leaves room on the stack: ``subst`` typechecks,
+    substitutes, prints and denotes the deepest programs in this process."""
+    prog, subst = tmp_path / "prog.cbv", tmp_path / "subst.txt"
+    prog.write_text(DEEPEST[case])
+    subst.write_text("target z: b\nx = z\n")
+    assert main(["subst", str(prog), str(subst), "--context", "x: b",
+                 "--fragment", "full", "--type-depth", str(MAX_NESTING),
+                 "--monad", "option", "--base-size", "b=1"]) == 0
+    assert capsys.readouterr().out.endswith("substitution lemma: PASS\n")
+    prog.write_text("(" + DEEPEST[case] + ")")
+    assert main(["subst", str(prog), str(subst), "--context", "x: b",
+                 "--fragment", "full"]) == 1
+    assert capsys.readouterr().err.startswith(
+        f"error: nesting deeper than {MAX_NESTING} levels")
 
 
 MALFORMED_CHECK = {

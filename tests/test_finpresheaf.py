@@ -15,7 +15,8 @@ from substkit.finpresheaf import (BoundExceeded, PairObject, StructMap,
                                   shift_structure, tensor, terminal_structure,
                                   variables_structure)
 from substkit.finpresheaf.laws import check_shift_strength, identity_map, map_cells
-from substkit.finpresheaf.structures import (FinStructure, coproduct_structure,
+from substkit.finpresheaf.structures import (FinStructure, build_structure,
+                                             coproduct_structure,
                                              product_structure, reindex_env,
                                              truncate_structure)
 from substkit.sorts import Context, Renaming, first, second
@@ -197,6 +198,36 @@ def test_merged_point_fails_the_pointed_part_with_witness(monkeypatch):
     assert sorted(variables) == [
         "left unitor preserves points", "right unitor preserves points",
         "tensored point agrees with its Yoneda image", "tensored point natural"]
+
+
+def test_fresh_variable_mutant_fails_the_strength_records_with_witness(monkeypatch):
+    """A shift strength that binds the fresh position to the context's first
+    variable instead of ``len(ctx) + j`` fails the registry's presheaf part.
+
+    At this size the triangle, which compares the strength with the right
+    unitor, is the record that sees it.  Naturality still holds, and the
+    pentagon compares two routes that both go through the mutant."""
+    from substkit import suites
+    from substkit.finpresheaf import laws
+    from substkit.finpresheaf.laws import PointedStructure
+    from substkit.report import Report
+    rep = Report()
+    suites.presheaf_laws(rep, 20260810, structures=2)
+    assert rep.ok and len(rep.records) == 28, rep.to_text()
+    real = laws.shift_strength_map
+
+    def first_variable(x, binder, a, pa, lhs, resolve=None):
+        pinned = {(s, ctx, pos): a.var(s, ctx, 0) for s, ctx, pos in a.point}
+        return real(x, binder, PointedStructure(a.structure, pinned), pa, lhs,
+                    resolve)
+
+    monkeypatch.setattr(laws, "shift_strength_map", first_variable)
+    rep = Report()
+    suites.presheaf_laws(rep, 20260810, structures=2)
+    failed = [r for r in rep.records if not r.ok]
+    assert all(r.witness for r in failed), rep.to_text()
+    assert [(r.suite, r.name) for r in failed] == [
+        (f"strength[{i}]", "shift strength triangle") for i in range(2)]
 
 
 def test_corrupted_associator_fails_the_skew_part_with_witness(monkeypatch):
@@ -577,6 +608,39 @@ def test_tensor_matches_reference_on_variables_and_kneut():
     assert_same_tensor(kn, q)
     nu2 = variables_structure(("a", "b"), 2)
     assert_same_tensor(kneut_structure(("a", "b"), ("k",), 2), nu2)
+
+
+def test_tensor_orders_representatives_as_whole_triple_reprs():
+    """Element reprs that prefix one another ("1", "10", "12", and "2" above
+    "10") order the triples as their whole reprs do."""
+    cells = {(second("k"), ctx): (12, 2, 10, 1)
+             for ctx in enumerate_contexts(("a",), 2)}
+    p = build_structure((second("k"),), ("a",), 2, cells, lambda s, rho, x: x)
+    assert_same_tensor(p, variables_structure(("a",), 2))
+    assert_same_tensor(p, homog(rand(114), True))
+
+
+class _CountedReads(dict):
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.reads = {}
+
+    def __getitem__(self, key):
+        self.reads[key] = self.reads.get(key, 0) + 1
+        return super().__getitem__(key)
+
+
+def test_tensor_reads_each_action_entry_of_the_right_factor_once():
+    """The action of a class is read by environment position: each entry of
+    ``q.action`` once per tensor, not once per class member."""
+    rng = rand(115)
+    p = free_structure(rng, (first("a"), second("k")), ("a",), 2,
+                       ensure=[(second("k"), Context(()))])
+    q = homog(rng, True)
+    counted = _CountedReads(q.action)
+    q = FinStructure(q.sorts, q.ctx_sorts, q.bound, q.cells, counted)
+    tensor(p, q)
+    assert counted.reads and max(counted.reads.values()) == 1
 
 
 def test_tensor_matches_reference_on_term_structure():

@@ -5,9 +5,10 @@ import random
 import pytest
 
 from substkit.cbv import (Base, CbvOperatorTable, NAT, SurfaceSyntaxError, config,
-                          fun, parse, parse_value, pretty, typecheck)
+                          fun, parse, parse_type, parse_value, pretty, typecheck)
 from substkit.cbv.gen import TermGen
 from substkit.cbv.surface import SLet, SVal, SVar
+from substkit.cbv.types import MAX_NESTING
 from substkit.sorts import Context, second
 
 B = Base("b")
@@ -38,6 +39,22 @@ def test_syntax_error_carries_position():
     assert "position" in str(info.value)
     with pytest.raises(SurfaceSyntaxError):
         parse_value("fn x b . val x")
+
+
+# each input nests ``n`` levels: a type level per arrow, and a term level per
+# application on top of the function's term and value
+NESTED = {
+    "arrows": lambda n: parse_type(" -> ".join(["b"] * n)),
+    "applications": lambda n: parse("(val f)" + " (val x)" * (n - 3)),
+    "value parentheses": lambda n: parse_value("(" * (n - 1) + "x" + ")" * (n - 1)),
+}
+
+
+@pytest.mark.parametrize("case", NESTED)
+def test_nesting_bound_is_exact(case):
+    NESTED[case](MAX_NESTING)
+    with pytest.raises(ValueError, match=f"nesting deeper than {MAX_NESTING} levels"):
+        NESTED[case](MAX_NESTING + 1)
 
 
 def test_comments_and_whitespace():
