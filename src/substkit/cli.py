@@ -25,6 +25,7 @@ from .cbv.types import (EXTENSIONS, DepthExceeded, all_fragment_configs,
                         type_to_str, typing_needs)
 from .report import Report
 from .semantics.denote import denote
+from .semantics.finset import EnumerationTooLarge
 from .semantics.model import model
 from .semantics.monads import BUNDLED, UnsupportedCapability, monad_by_name
 from .sorts import Context, first, second
@@ -174,6 +175,9 @@ def cmd_run(args) -> int:
     except UnsupportedCapability as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
+    except EnumerationTooLarge as e:
+        print(f"error: too large to enumerate: {e}", file=sys.stderr)
+        return 1
     return 0
 
 

@@ -42,8 +42,10 @@ def _all_tables(space: FinSet, outs: FinSet, cap: int, rng) -> list:
     return out
 
 
-def _table_denotation(sort, ctx, space, mapping) -> Denotation:
-    return Denotation(sort, ctx, space, lambda p: mapping[p])
+def _table_denotation(sort, ctx, m: Model, nat_bound: int,
+                      mapping: dict) -> Denotation:
+    """A fixed table as a view: reading a point looks it up."""
+    return Denotation(sort, ctx, m, nat_bound, mapping.__getitem__)
 
 
 def _sem_envs(src: Context, tgt: Context, m: Model, nat_bound: int,
@@ -61,7 +63,7 @@ def _sem_envs(src: Context, tgt: Context, m: Model, nat_bound: int,
               else (tuple(rng.choice(p) for p in pools) for _ in range(cap)))
     out = []
     for combo in combos:
-        out.append([_table_denotation(first(t), tgt, tgt_space, mapping)
+        out.append([_table_denotation(first(t), tgt, m, nat_bound, mapping)
                     for t, mapping in zip(src.entries, combo)])
     return out
 
@@ -94,7 +96,7 @@ def check_sem_action_axioms(m: Model, cfg: FragmentConfig, cap: int = 300,
                 # pick representative tables over src to substitute into
                 outs = FinSet(m.monad.apply(interpret_type(b, m, nb)))
                 for mapping in _all_tables(src_space, outs, 12, rng):
-                    d = _table_denotation(second(b), src, src_space, mapping)
+                    d = _table_denotation(second(b), src, m, nb, mapping)
                     ident = identity_sem_env(src, m, nb)
                     if subst_denotation(d, ident, m, nb).table() != d.table():
                         right_ok, witness["right"] = False, f"{src!r}"
@@ -211,7 +213,7 @@ def check_compatibility(fragment: str, m: Model, cfg: FragmentConfig,
                         outs = FinSet(m.monad.apply(
                             interpret_type(arg.sort.ident, m, nb)))
                     pool = _all_tables(space, outs, table_cap, rng)
-                    pools.append([_table_denotation(arg.sort, arg_ctx, space, t)
+                    pools.append([_table_denotation(arg.sort, arg_ctx, m, nb, t)
                                   for t in pool])
                 total = 1
                 for p in pools:

@@ -15,9 +15,8 @@ from ..cbv.ops import CbvOperatorTable
 from ..cbv.types import FragmentConfig, record
 from ..sorts import Context, Renaming
 from ..terms import fold
-from .finset import FinSet
-from .model import (Denotation, Model, context_space, identity_sem_env,
-                    interpret_type, precompose, projection)
+from .model import (Denotation, Model, identity_sem_env, interpret_type,
+                    memoized, precompose, projection)
 from .monads import NONE, UnsupportedCapability
 
 
@@ -97,14 +96,17 @@ class Interpreter:
 
     # -- small helpers ------------------------------------------------------
 
-    def _space(self, ctx: Context) -> FinSet:
-        return context_space(ctx, self.m, self.cfg.nat_bound)
-
     def _interp(self, t):
         return interpret_type(t, self.m, self.cfg.nat_bound)
 
     def _den(self, op, ctx, fn) -> Denotation:
-        return Denotation(op.result_sort, ctx, self._space(ctx), fn)
+        """A memoized denotation, for a ``fn`` that runs the monad or reads a
+        child at several points."""
+        return self._view(op, ctx, memoized(fn))
+
+    def _view(self, op, ctx, fn) -> Denotation:
+        """A denotation that stores nothing: ``fn`` reads each child once."""
+        return Denotation(op.result_sort, ctx, self.m, self.cfg.nat_bound, fn)
 
     def _require(self, capability: str, feature: str):
         if not self.m.capabilities[capability]:
@@ -124,7 +126,7 @@ class Interpreter:
     def _alg_val(self, op, params, values, ctx):
         unit = self.m.monad.unit
         d = values[0]
-        return self._den(op, ctx, lambda p: unit(d.at(p)))
+        return self._view(op, ctx, lambda p: unit(d.at(p)))
 
     def _alg_let(self, op, params, values, ctx):
         monad = self.m.monad
@@ -164,7 +166,7 @@ class Interpreter:
 
     def _alg_vrec(self, op, params, values, ctx):
         fn = lambda p: tuple(d.at(p) for d in values)
-        return self._den(op, ctx, fn)
+        return self._view(op, ctx, fn)
 
     def _alg_rec(self, op, params, values, ctx):
         monad = self.m.monad
@@ -190,7 +192,7 @@ class Interpreter:
     def _alg_vinj(self, op, params, values, ctx):
         _, tag = params
         d = values[0]
-        return self._den(op, ctx, lambda p: (tag, d.at(p)))
+        return self._view(op, ctx, lambda p: (tag, d.at(p)))
 
     def _alg_inj(self, op, params, values, ctx):
         _, tag = params
@@ -214,7 +216,7 @@ class Interpreter:
 
     def _alg_lit(self, op, params, values, ctx):
         (n,) = params
-        return self._den(op, ctx, lambda p: n)
+        return self._view(op, ctx, lambda p: n)
 
     def _alg_unroll(self, op, params, values, ctx):
         monad = self.m.monad

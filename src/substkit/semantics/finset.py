@@ -60,7 +60,8 @@ class FunSpace:
 
     def __iter__(self):
         if self.size > ENUM_CAP:
-            raise EnumerationTooLarge(f"function space of size {self.size}")
+            raise EnumerationTooLarge(
+                f"function space of more than {ENUM_CAP} elements")
         return iter(itertools.product(tuple(self.cod), repeat=self.dom.size))
 
     def __contains__(self, f):
@@ -100,7 +101,7 @@ class ProductSpace:
 
     def __iter__(self):
         if self.size > ENUM_CAP:
-            raise EnumerationTooLarge(f"product of size {self.size}")
+            raise EnumerationTooLarge(f"product of more than {ENUM_CAP} elements")
         return iter(itertools.product(*[tuple(s) for s in self.components]))
 
     def __contains__(self, point):

@@ -3,8 +3,11 @@
 Types denote finite sets (functions as Kleisli exponentials), contexts denote
 products, and a term of a first-class sort denotes a function from the context
 product, a term of a second-class sort a Kleisli map into the monad.
-Denotations are memoized query functions; comparisons materialize them over
-the full enumeration of their (small) context space.
+A denotation is a query function from context points to values.  Clauses that
+only reindex or wrap what their children answer are views that store nothing;
+the others keep what they computed in a memo.  Comparisons materialize
+denotations over the full enumeration of their (small) context space, which is
+looked up only then.
 
 Each ``Model`` owns the sets its types and contexts denote, in two tables keyed
 by (type, nat bound) and (context, nat bound), since one model serves several
@@ -101,32 +104,54 @@ def context_space(ctx: Context, m: Model, nat_bound: int) -> ProductSpace:
 _MISS = object()
 
 
+def memoized(fn):
+    """``fn`` with each answer stored by point.  The returned closure owns its
+    memo and refers to nothing that refers back to it."""
+    memo = {}
+    get = memo.get
+
+    def at(point):
+        # most reads miss: a sentinel default keeps a miss from raising
+        got = get(point, _MISS)
+        if got is _MISS:
+            got = memo[point] = fn(point)
+        return got
+    return at
+
+
 class Denotation:
-    """A context-indexed table, stored as a memoized query function."""
+    """A context-indexed table, stored as a query function ``at``.
 
-    __slots__ = ("sort", "ctx", "space", "_fn", "_memo")
+    ``at`` is either a clause's function itself (a view) or that function
+    wrapped by ``memoized``.  A denotation is a view when its function reads
+    each child once, at one point derived from its own, and runs no monadic
+    iteration: projections, renamings, semantic substitution, fixed tables and
+    the ``val``/``vrec``/``vinj``/``lit`` clauses.  Every other clause is
+    memoized.  The context space is looked up from ``(m, nat_bound)`` when
+    ``space`` is read, which only tabulating and comparing do."""
 
-    def __init__(self, sort: Sort, ctx: Context, space: FinSet, fn):
+    __slots__ = ("sort", "ctx", "m", "nat_bound", "at")
+
+    def __init__(self, sort: Sort, ctx: Context, m: Model, nat_bound: int, at):
         self.sort = sort
         self.ctx = ctx
-        self.space = space
-        self._fn = fn
-        self._memo = {}
+        self.m = m
+        self.nat_bound = nat_bound
+        self.at = at
 
-    def at(self, point: tuple):
-        # most reads miss: a sentinel default keeps a miss from raising
-        got = self._memo.get(point, _MISS)
-        if got is _MISS:
-            got = self._memo[point] = self._fn(point)
-        return got
+    @property
+    def space(self) -> ProductSpace:
+        return context_space(self.ctx, self.m, self.nat_bound)
 
     def table(self) -> tuple:
-        return tuple(self.at(p) for p in self.space)
+        return tuple(map(self.at, self.space))
 
     def difference_witness(self, other: "Denotation"):
+        at, other_at = self.at, other.at
         for p in self.space:
-            if self.at(p) != other.at(p):
-                return p, self.at(p), other.at(p)
+            mine, theirs = at(p), other_at(p)
+            if mine != theirs:
+                return p, mine, theirs
         return None
 
     def __repr__(self):
@@ -135,8 +160,7 @@ class Denotation:
 
 def projection(ctx: Context, pos: int, m: Model, nat_bound: int) -> Denotation:
     """The unit of the semantic substitution structure: project a component."""
-    return Denotation(first(ctx.sort_at(pos)), ctx,
-                      context_space(ctx, m, nat_bound),
+    return Denotation(first(ctx.sort_at(pos)), ctx, m, nat_bound,
                       lambda point: point[pos])
 
 
@@ -144,14 +168,13 @@ def precompose(d: Denotation, rho: Renaming, m: Model, nat_bound: int) -> Denota
     """The renaming action: reindex the input point along the renaming."""
     if d.ctx != rho.target:
         raise ValueError("renaming does not match the denotation's context")
-    space = context_space(rho.source, m, nat_bound)
     at, mapping, k = d.at, rho.mapping, len(rho.target)
     if mapping == tuple(range(k)):
         # a projection onto a prefix, the only renaming the fold acts along
         fn = lambda point: at(point[:k])
     else:
         fn = lambda point: at(tuple([point[x] for x in mapping]))
-    return Denotation(d.sort, rho.source, space, fn)
+    return Denotation(d.sort, rho.source, m, nat_bound, fn)
 
 
 def subst_denotation(d: Denotation, env: list, m: Model, nat_bound: int,
@@ -164,9 +187,8 @@ def subst_denotation(d: Denotation, env: list, m: Model, nat_bound: int,
     for e in env:
         if e.ctx != target:
             raise ValueError("environment entries over different contexts")
-    space = context_space(target, m, nat_bound)
     at, ats = d.at, [e.at for e in env]
-    return Denotation(d.sort, target, space,
+    return Denotation(d.sort, target, m, nat_bound,
                       lambda point: at(tuple([a(point) for a in ats])))
 
 

@@ -60,7 +60,7 @@ def corrupt_clause(monkeypatch):
                     return out
                 space = context_space(ctx, self.m, self.cfg.nat_bound)
                 fixed = tuple(next(iter(s)) for s in space.components)
-                return Denotation(out.sort, out.ctx, out.space,
+                return Denotation(out.sort, out.ctx, out.m, out.nat_bound,
                                   lambda point: out.at(fixed))
         monkeypatch.setattr(checks, "Interpreter", Corrupted)
     return patch

@@ -3,15 +3,21 @@
 import hashlib
 import inspect
 import json
+import random
 import subprocess
 import sys
+from collections import Counter
 
 import pytest
 
 from conftest import child_env
 from substkit import cli
-from substkit.cbv.types import MAX_NESTING
+from substkit.cbv import CbvOperatorTable
+from substkit.cbv.gen import TermGen
+from substkit.cbv.surface import pretty
+from substkit.cbv.types import MAX_NESTING, parse_fragment, type_to_str
 from substkit.cli import main
+from substkit.semantics import OptionMonad, model
 from substkit.suites import SUITES
 
 PY = [sys.executable, "-m", "substkit.cli"]
@@ -178,6 +184,14 @@ MALFORMED_RUN = {
     "600 nested parentheses": ["--fragment", "full"],
     "250 let bindings": ["--fragment", "full"],
     "2000 arrows in the context": ["--context", "x: " + " -> ".join(["b"] * 2001)],
+    # context spaces past the enumeration cap; the second one's size has more
+    # digits than Python converts to a string
+    "context space too large": [
+        "--fragment", "functions", "--context",
+        "x: b, f: (b -> b) -> b, g: (b -> b) -> b, h: (b -> b) -> b"],
+    "context space size too long to print": [
+        "--fragment", "functions", "--context", "x: b, f: ((b -> b) -> b) -> b",
+        "--type-depth", "4"],
 }
 
 # the program of a case that does not run "val x"
@@ -227,6 +241,46 @@ def test_deepest_accepted_program_typechecks_folds_and_denotes(tmp_path, capsys,
                  "--fragment", "full"]) == 1
     assert capsys.readouterr().err.startswith(
         f"error: nesting deeper than {MAX_NESTING} levels")
+
+
+def test_mutated_generated_programs_end_in_exit_0_or_1(tmp_path, capsys):
+    """Seeded mutation fuzz: pretty-printed generated ``full``-fragment
+    programs with 1 to 3 character edits each (a deletion, or a character of
+    the program inserted or written over one), run in this process."""
+    cfg = parse_fragment("full", 3)
+    table = CbvOperatorTable(cfg)
+    rng = random.Random(20260810)
+    gen = TermGen(cfg, table, rng, interp_cap=12,
+                  model=model(OptionMonad(), {"b": 2}))
+    prog = tmp_path / "prog.cbv"
+    codes = Counter()
+    for _ in range(1000):
+        ctx = gen.random_context(2)
+        target = gen.random_target(ctx)
+        make = gen.random_value if target.is_first else gen.random_term
+        text = pretty(make(ctx, target.ident, 3), table)
+        chars = list(text)
+        for _ in range(rng.randint(1, 3)):
+            k = rng.randrange(len(chars) + 1)
+            edit, c = rng.randrange(3), rng.choice(text)
+            if edit == 0 or k == len(chars):
+                chars.insert(k, c)
+            elif edit == 1:
+                del chars[k]
+            else:
+                chars[k] = c
+        prog.write_text("".join(chars))
+        context = ", ".join(f"x{i}: {type_to_str(t)}"
+                            for i, t in enumerate(ctx.entries))
+        expect = ("" if target.is_first else "C ") + type_to_str(target.ident)
+        code = main(["run", str(prog), "--fragment", "full", "--nat-bound", "3",
+                     "--monad", "option", "--context", context,
+                     "--expect", expect])
+        assert code in (0, 1), "".join(chars)
+        codes[code] += 1
+        capsys.readouterr()
+    # the edits leave some programs well formed and break most
+    assert codes[0] and codes[1]
 
 
 MALFORMED_CHECK = {

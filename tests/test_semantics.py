@@ -1,5 +1,6 @@
 """Type interpretation, denotation clauses, compatibility, substitution lemma."""
 
+import importlib
 import itertools
 import random
 
@@ -18,10 +19,13 @@ from substkit.semantics import (IdentityMonad, OptionMonad, UnsupportedCapabilit
 from substkit.semantics.denote import DenotationCarrier, Interpreter
 from substkit.semantics.model import (Denotation, context_space, identity_sem_env,
                                       projection)
-from substkit.sorts import Context, Renaming, second
+from substkit.sorts import Context, Renaming, first, second
 from substkit.terms import Op, Var, substitute
 
 B = Base("b")
+# the package re-exports functions named like these modules
+denote_module = importlib.import_module("substkit.semantics.denote")
+model_module = importlib.import_module("substkit.semantics.model")
 
 
 def same_table(d1: Denotation, d2: Denotation) -> bool:
@@ -206,7 +210,7 @@ def test_precompose_reindexes_as_the_generator_reference():
     builds the point with a generator expression."""
     m, nb = model(IdentityMonad(), {"b": 2}), 4
     for tgt in contexts_upto((B, fun(B, B)), 3):
-        d = Denotation(second(B), tgt, context_space(tgt, m, nb), lambda p: p)
+        d = Denotation(second(B), tgt, m, nb, lambda p: p)
         for src in contexts_upto((B, fun(B, B)), 3):
             for rho in all_renamings(src, tgt):
                 want = tuple(d.at(tuple(p[rho.mapping[y]]
@@ -220,13 +224,12 @@ def test_prefix_precompose_reading_the_suffix_fails_the_lemma_with_witness(
     """A mutant of the prefix path of ``precompose``: it reads the last
     ``k`` components of the point instead of the first ``k``."""
     def precompose_suffix(d, rho, m, nat_bound):
-        space = context_space(rho.source, m, nat_bound)
         at, mapping, k = d.at, rho.mapping, len(rho.target)
         if mapping == tuple(range(k)):
             fn = lambda point: at(point[-k:])
         else:
             fn = lambda point: at(tuple([point[x] for x in mapping]))
-        return Denotation(d.sort, rho.source, space, fn)
+        return Denotation(d.sort, rho.source, m, nat_bound, fn)
 
     cfg = config(("sequential", "functions"))
     m, identity = model(OptionMonad(), {"b": 2}), model(IdentityMonad(), {"b": 2})
@@ -307,6 +310,94 @@ def test_lazy_denotations_match_the_eager_reference():
                 eager = reference_fold(term, interp.alg, interp._alg_hole, env,
                                        term.ctx, interp.carrier)
                 assert interp.denote(term).table() == eager.table(), term
+
+
+def count_context_spaces(monkeypatch) -> list:
+    """Record every ``context_space`` lookup that goes through the model
+    module, where ``Denotation.space`` looks it up."""
+    calls = []
+    real = model_module.context_space
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+    monkeypatch.setattr(model_module, "context_space", counted)
+    return calls
+
+
+def test_denoting_looks_up_no_space_and_a_table_one(monkeypatch):
+    cfg = config(("sequential", "functions"))
+    m = model(OptionMonad(), {"b": 2})
+    table = CbvOperatorTable(cfg)
+    ctx = Context((B, B))
+    term = typecheck(parse("let y = (val fn z: b . val z) (val x1) in val y"),
+                     ctx, second(B), cfg, table)
+    calls = count_context_spaces(monkeypatch)
+    d = Interpreter(m, cfg, table).denote(term)
+    assert calls == []
+    nb = cfg.nat_bound
+    assert d.table() == tuple(("some", p[1]) for p in context_space(ctx, m, nb))
+    assert calls == [(ctx, m, nb)]
+
+
+class CountingPoint(tuple):
+    """A context point that records which components are read."""
+    reads: list
+
+    def __getitem__(self, i):
+        self.reads.append(i)
+        return tuple.__getitem__(self, i)
+
+
+def test_views_store_no_points_and_memoized_clauses_do():
+    """A projection and a ``val`` read their input on every read; a ``let``
+    reads its bound term once per point."""
+    cfg = config(("sequential",))
+    m = model(IdentityMonad(), {"b": 2})
+    table = CbvOperatorTable(cfg)
+    ctx = Context((B, B))
+    point = CountingPoint(("b0", "b1"))
+    point.reads = []
+    d = projection(ctx, 1, m, 8)
+    assert d.at(point) == d.at(point) == "b1"
+    assert point.reads == [1, 1]
+
+    runs = []
+    child = Denotation(first(B), ctx, m, 8,
+                       lambda p: runs.append(p) or p[0])
+    val = Interpreter(m, cfg, table).alg(table.val(B), [child], ctx)
+    assert val.at(("b0", "b1")) == val.at(("b0", "b1")) == "b0"
+    assert runs == [("b0", "b1")] * 2
+
+    runs.clear()
+    bound = Denotation(second(B), ctx, m, 8, lambda p: runs.append(p) or p[1])
+    body = projection(ctx.extend(Context((B,))), 2, m, 8)
+    let = Interpreter(m, cfg, table).alg(table.let((B,), B), [bound, body], ctx)
+    assert let.at(("b0", "b1")) == let.at(("b0", "b1")) == "b1"
+    assert runs == [("b0", "b1")]
+
+
+def test_memo_keyed_on_a_prefix_of_the_point_fails_the_lemma_with_witness(
+        monkeypatch):
+    """A mutant of ``memoized`` that stores each answer under the first
+    component of the point, so points that share it share an answer."""
+    def memoized_by_first(fn):
+        memo = {}
+
+        def at(point):
+            key = point[:1]
+            if key not in memo:
+                memo[key] = fn(point)
+            return memo[key]
+        return at
+
+    cfg = config(("functions",))
+    assert check_substitution_lemma_exhaustive(
+        cfg, model(IdentityMonad(), {"b": 2})).ok
+    monkeypatch.setattr(denote_module, "memoized", memoized_by_first)
+    failure = check_substitution_lemma_exhaustive(
+        cfg, model(IdentityMonad(), {"b": 2})).first_failure()
+    assert failure is not None and failure.witness
 
 
 def test_lemma_var_and_identity_cases():
