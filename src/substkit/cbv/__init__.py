@@ -3,10 +3,10 @@
 from .types import (EXTENSIONS, Base, DepthExceeded, FragmentConfig, Fun,
                     NAT, NatType, Record, TypeExpr, UNIT, Variant,
                     all_fragment_configs, config, done_cont_shape, fun,
-                    maybe_shape, parse_type, record,
+                    maybe_shape, record,
                     type_to_label, type_to_str, types_upto, valid_type, variant)
 from .ops import CbvOperatorTable, DisabledConstruct
-from .surface import SurfaceSyntaxError, parse, parse_value, pretty
+from .surface import SurfaceSyntaxError, parse, parse_type, parse_value, pretty
 from .typecheck import (ArityMismatch, SortMismatch, UnknownVariable,
                         default_names, synthesize, typecheck)
 

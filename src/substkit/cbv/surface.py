@@ -1,17 +1,23 @@
-"""Concrete syntax: lexer, parser into the raw surface AST, pretty-printer.
+"""Concrete syntax: one lexer and one parser for programs, types and typed
+contexts, into the raw surface AST; and the pretty-printer.
 
 The grammar mirrors the calculus' raw terms; values and terms are separate
-syntactic categories resolved by position.  Application is juxtaposition of
-atoms, so compound function and argument terms are parenthesized.  Binders
-are printed with position-derived names, which makes printing injective on
-well-sorted terms and the parse/print round trip exact.
+syntactic categories resolved by position.  Types are read by the same
+parser, inside a program or on their own (``parse_type``), and so are the
+``name: type`` contexts that programs are checked in (``parse_context``).
+Application is juxtaposition of atoms, so compound function and argument
+terms are parenthesized.  Binders are printed with position-derived names,
+which makes printing injective on well-sorted terms and the parse/print round
+trip exact.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .types import MAX_NESTING, TypeExpr, _TypeParser, type_to_str
+from ..sorts import Context
+from .types import (MAX_NESTING, NAT, Base, TypeExpr, fun, record, type_to_str,
+                    variant)
 
 
 class SurfaceSyntaxError(ValueError):
@@ -47,6 +53,10 @@ def lex(text: str) -> list[Token]:
         if any(text.startswith(t, i) for t in two_char):
             out.append(Token("PUNCT", text[i:i + 2], i))
             i += 2
+            continue
+        if ch == "→":  # the arrow of ``type_to_label``
+            out.append(Token("PUNCT", "->", i))
+            i += 1
             continue
         if ch.isdigit():
             j = i
@@ -236,13 +246,53 @@ class _Parser:
         return out
 
     def parse_type(self) -> TypeExpr:
-        # a type nests inside the term around it
-        tp = _TypeParser(self.text)
-        tp.i, tp.depth = self.peek().pos, self.depth
-        ty = tp.type_()
-        while self.peek().kind != "EOF" and self.peek().pos < tp.i:
-            self.i += 1
-        return ty
+        """``(T)``, a ``{row}`` record, a ``<row>`` variant or a name, and
+        optionally ``-> T``; a type nests inside the term around it."""
+        return self.nested(self._type)
+
+    def _type(self) -> TypeExpr:
+        t = self.next()
+        if t.text == "(":
+            left = self.parse_type()
+            self.expect(")")
+        elif t.text == "{":
+            left = record(self.row("}"))
+        elif t.text == "<":
+            left = variant(self.row(">"))
+        elif t.kind == "IDENT":
+            left = NAT if t.text == "Nat" else Base(t.text)
+        else:
+            raise SurfaceSyntaxError(f"expected a type, found {t.text!r}", t.pos)
+        if self.peek().text == "->":
+            self.next()
+            return fun(left, self.parse_type())
+        return left
+
+    def row(self, close: str) -> list:
+        """``label: T`` parts separated by commas, up to ``close``."""
+        pairs = []
+        while self.peek().text != close:
+            if pairs:
+                self.expect(",")
+            lab = self.label()
+            self.expect(":")
+            pairs.append((lab, self.parse_type()))
+        self.next()
+        return pairs
+
+    def context(self) -> list:
+        """``name: T`` parts separated by commas; empty parts are skipped."""
+        pairs = []
+        while True:
+            while self.peek().text == ",":
+                self.next()
+            if self.peek().kind == "EOF":
+                return pairs
+            name = self.ident()
+            self.expect(":")
+            pairs.append((name.text, self.parse_type()))
+            if self.peek().text != ",":
+                return pairs
 
     def label(self) -> str:
         t = self.next()
@@ -443,22 +493,41 @@ class _Parser:
         raise SurfaceSyntaxError(f"expected a term, found {t.text!r}", t.pos)
 
 
-def parse(text: str):
+def _whole(text: str, read):
+    """What ``read`` reads from the parser of ``text``, which must be all of it."""
     p = _Parser(text)
-    out = p.term()
+    out = read(p)
     t = p.peek()
     if t.kind != "EOF":
         raise SurfaceSyntaxError(f"trailing input {t.text!r}", t.pos)
     return out
+
+
+def parse(text: str):
+    return _whole(text, _Parser.term)
 
 
 def parse_value(text: str):
-    p = _Parser(text)
-    out = p.value()
-    t = p.peek()
-    if t.kind != "EOF":
-        raise SurfaceSyntaxError(f"trailing input {t.text!r}", t.pos)
-    return out
+    return _whole(text, _Parser.value)
+
+
+def _no_comment(text: str) -> str:
+    """A type or context given on its own has no comments: ``b --> b`` is an
+    error, not ``b`` and a comment."""
+    i = text.find("--")
+    if i >= 0:
+        raise SurfaceSyntaxError("unexpected '--'", i)
+    return text
+
+
+def parse_type(text: str) -> TypeExpr:
+    return _whole(_no_comment(text), _Parser.parse_type)
+
+
+def parse_context(text: str):
+    """The names and the context of ``x: T, y: U, ...``."""
+    pairs = _whole(_no_comment(text), _Parser.context)
+    return [name for name, _ in pairs], Context(tuple(ty for _, ty in pairs))
 
 
 # --- pretty-printing generic terms ------------------------------------------

@@ -302,17 +302,22 @@ def default_names(ctx: Context) -> list[str]:
     return [f"x{i}" for i in range(len(ctx))]
 
 
+def _setup(ctx: Context, cfg: FragmentConfig, table, names):
+    """The checker and scope of both entry points, once the context's types
+    are known to be the fragment's."""
+    for t in ctx.entries:
+        if not valid_type(t, cfg):
+            raise SortMismatch("a context of fragment types", _ty(t), 0)
+    table = table if table is not None else CbvOperatorTable(cfg)
+    names = names if names is not None else default_names(ctx)
+    return _Checker(cfg, table), list(zip(names, ctx.entries))
+
+
 def typecheck(surface, ctx: Context, expected: Sort, cfg: FragmentConfig,
               table: CbvOperatorTable | None = None,
               names: list[str] | None = None) -> Term:
     """Elaborate a surface term against an expected sort over a typed context."""
-    table = table if table is not None else CbvOperatorTable(cfg)
-    names = names if names is not None else default_names(ctx)
-    checker = _Checker(cfg, table)
-    scope = list(zip(names, ctx.entries))
-    for t in ctx.entries:
-        if not valid_type(t, cfg):
-            raise SortMismatch("a context of fragment types", _ty(t), 0)
+    checker, scope = _setup(ctx, cfg, table, names)
     if expected.is_first:
         return checker.check_value(surface, scope, expected.ident)
     return checker.check_term(surface, scope, expected.ident)
@@ -323,10 +328,7 @@ def synthesize(surface, ctx: Context, cfg: FragmentConfig,
                names: list[str] | None = None,
                value: bool = False):
     """Synthesis entry point: returns (term, Sort)."""
-    table = table if table is not None else CbvOperatorTable(cfg)
-    names = names if names is not None else default_names(ctx)
-    checker = _Checker(cfg, table)
-    scope = list(zip(names, ctx.entries))
+    checker, scope = _setup(ctx, cfg, table, names)
     if value:
         term, t = checker.synth_value(surface, scope)
         return term, first(t)

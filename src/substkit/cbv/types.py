@@ -348,111 +348,12 @@ def type_to_label(t: TypeExpr) -> str:
     return open_ + inner + close
 
 
-class TypeSyntaxError(ValueError):
-    def __init__(self, message, pos):
-        super().__init__(f"{message} at position {pos}")
-        self.pos = pos
-
-
-# How deeply a program or a type may nest: the surface parser and the type
-# parser count one level per nested term, value, application and type, and
-# refuse deeper input.  Every input within the bound is parsed, typechecked,
-# folded and denoted within Python's default recursion limit.
+# How deeply a program, a type or a context may nest: the surface parser
+# (``cbv.surface``), the one reader of all three, counts one level per nested
+# term, value, application and type, and refuses deeper input.  Every input
+# within the bound is parsed, typechecked, folded and denoted within Python's
+# default recursion limit.
 MAX_NESTING = 100
-
-
-class _TypeParser:
-    def __init__(self, text: str):
-        self.text = text
-        self.i = 0
-        self.depth = 0
-
-    def skip(self):
-        while self.i < len(self.text) and self.text[self.i].isspace():
-            self.i += 1
-
-    def peek(self):
-        self.skip()
-        return self.text[self.i] if self.i < len(self.text) else ""
-
-    def expect(self, ch):
-        if self.peek() != ch:
-            raise TypeSyntaxError(f"expected {ch!r}", self.i)
-        self.i += 1
-
-    def label(self) -> str:
-        self.skip()
-        j = self.i
-        while j < len(self.text) and (self.text[j].isalnum() or self.text[j] in "_+"):
-            j += 1
-        if j == self.i:
-            raise TypeSyntaxError("expected a row label", self.i)
-        out = self.text[self.i:j]
-        self.i = j
-        return out
-
-    def row(self, close: str) -> tuple:
-        pairs = []
-        if self.peek() == close:
-            self.i += 1
-            return tuple(pairs)
-        while True:
-            l = self.label()
-            self.expect(":")
-            pairs.append((l, self.type_()))
-            ch = self.peek()
-            if ch == ",":
-                self.i += 1
-                continue
-            self.expect(close)
-            return tuple(pairs)
-
-    def atom(self) -> TypeExpr:
-        ch = self.peek()
-        if ch == "(":
-            self.i += 1
-            t = self.type_()
-            self.expect(")")
-            return t
-        if ch == "{":
-            self.i += 1
-            return record(self.row("}"))
-        if ch == "<":
-            self.i += 1
-            return variant(self.row(">"))
-        self.skip()
-        j = self.i
-        while j < len(self.text) and (self.text[j].isalnum() or self.text[j] == "_"):
-            j += 1
-        if j == self.i:
-            raise TypeSyntaxError("expected a type", self.i)
-        name = self.text[self.i:j]
-        self.i = j
-        return NAT if name == "Nat" else Base(name)
-
-    def type_(self) -> TypeExpr:
-        self.depth += 1
-        if self.depth > MAX_NESTING:
-            raise TypeSyntaxError(f"nesting deeper than {MAX_NESTING} levels", self.i)
-        left = self.atom()
-        self.skip()
-        if self.text.startswith("->", self.i):
-            self.i += 2
-            left = fun(left, self.type_())
-        elif self.text.startswith("→", self.i):
-            self.i += 1
-            left = fun(left, self.type_())
-        self.depth -= 1
-        return left
-
-
-def parse_type(text: str) -> TypeExpr:
-    p = _TypeParser(text)
-    t = p.type_()
-    p.skip()
-    if p.i != len(text):
-        raise TypeSyntaxError("trailing input after type", p.i)
-    return t
 
 
 def parse_fragment(text: str, nat_bound: int, base_types=("b",),

@@ -17,18 +17,19 @@ import os
 import sys
 
 from .cbv.ops import CbvOperatorTable, DisabledConstruct
-from .cbv.surface import SurfaceSyntaxError, parse, parse_value, pretty
+from .cbv.surface import (SurfaceSyntaxError, parse, parse_context, parse_type,
+                           parse_value, pretty)
 from .cbv.typecheck import (ArityMismatch, SortMismatch, UnknownVariable,
                             synthesize, typecheck)
 from .cbv.types import (EXTENSIONS, DepthExceeded, all_fragment_configs,
-                        config_from_dict, parse_fragment, parse_type,
-                        type_to_str, typing_needs)
+                        config_from_dict, parse_fragment, type_to_str,
+                        typing_needs)
 from .report import Report
 from .semantics.denote import denote
 from .semantics.finset import EnumerationTooLarge
 from .semantics.model import model
 from .semantics.monads import BUNDLED, UnsupportedCapability, monad_by_name
-from .sorts import Context, first, second
+from .sorts import first, second
 from .suites import SUITES
 from .terms import SubstEnv, substitute
 
@@ -46,33 +47,6 @@ MODEL_NEEDS = {
     "while": "complete Elgot structure for the monad",
     "recursion": "uniform parameterised monadic fixed-points, Kleisli exponentials",
 }
-
-
-def split_top(text: str, sep: str) -> list[str]:
-    """The raw parts of ``text`` between the ``sep`` characters that sit
-    outside every bracket pair ``()[]{}<>``; an arrow ``->`` is not a bracket."""
-    parts, depth, start = [], 0, 0
-    for i, ch in enumerate(text):
-        if ch in "([{<":
-            depth += 1
-        elif ch in ")]}>" and text[i - 1:i + 1] != "->":
-            depth -= 1
-        elif ch == sep and depth == 0:
-            parts.append(text[start:i])
-            start = i + 1
-    parts.append(text[start:])
-    return parts
-
-
-def parse_context(text: str):
-    names, types = [], []
-    text = text.strip()
-    if text:
-        for part in (p for p in split_top(text, ",") if p.strip()):
-            name, _, ty = part.partition(":")
-            names.append(name.strip())
-            types.append(parse_type(ty.strip()))
-    return names, Context(tuple(types))
 
 
 def _read(path: str) -> str:
@@ -136,14 +110,23 @@ def _elaborate(args, text):
         surface = parse(text) if is_comp else parse_value(text)
         term = typecheck(surface, ctx, sort, cfg, table, names or None)
     else:
-        try:
-            surface = parse(text)
-            term, sort = synthesize(surface, ctx, cfg, table, names or None)
-        except SurfaceSyntaxError:
-            surface = parse_value(text)
-            term, sort = synthesize(surface, ctx, cfg, table, names or None,
-                                    value=True)
+        surface, value = _parse_term_or_value(text)
+        term, sort = synthesize(surface, ctx, cfg, table, names or None,
+                                value=value)
     return cfg, table, ctx, term, sort
+
+
+def _parse_term_or_value(text):
+    """A term and ``False``, or else a value and ``True``; text that is
+    neither reports the error of the reading that got further."""
+    try:
+        return parse(text), False
+    except SurfaceSyntaxError as e:
+        as_term = e
+    try:
+        return parse_value(text), True
+    except SurfaceSyntaxError as as_value:
+        raise max(as_value, as_term, key=lambda e: e.pos) from None
 
 
 def _parse_value(text: str):
@@ -164,7 +147,7 @@ def cmd_run(args) -> int:
         d = denote(term, m, cfg, table)
         points = d.space
         if args.at is not None:
-            points = [tuple(_parse_value(v) for v in split_top(args.at, ",")
+            points = [tuple(_parse_value(v) for v in args.at.split(",")
                             if v.strip())]
             if points[0] not in d.space:
                 print(f"error: --at {args.at!r} is not a point of the context",
@@ -196,8 +179,7 @@ def cmd_subst(args) -> int:
         assignment = {}
         for line in lines[1:]:
             name, _, body = line.partition("=")
-            value = parse(f"val ({body.strip()})").value
-            assignment[name.strip()] = value
+            assignment[name.strip()] = parse_value(body)
         entries = []
         for name, ty in zip(names, ctx.entries):
             if name not in assignment:

@@ -8,8 +8,9 @@ import pytest
 
 from substkit.cbv.gen import TermGen
 from substkit.cbv.ops import CbvOperatorTable
+from substkit.cbv.surface import parse_type
 from substkit.cbv.types import (Base, NAT, UNIT, all_fragment_configs, config,
-                                done_cont_shape, fun, maybe_shape, parse_type,
+                                done_cont_shape, fun, maybe_shape,
                                 record, type_depth, type_to_label, type_to_str,
                                 types_upto, valid_type, variant)
 

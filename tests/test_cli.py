@@ -192,6 +192,12 @@ MALFORMED_RUN = {
     "context space size too long to print": [
         "--fragment", "functions", "--context", "x: b, f: ((b -> b) -> b) -> b",
         "--type-depth", "4"],
+    # types and contexts are read by the program parser: '--' starts a
+    # comment, a label takes '+' only as 'N+', and a name is no keyword
+    "comment in a type": ["--expect", "b --> b"],
+    "plus in a row label": ["--context", "x: <A+: b>"],
+    "context name missing": ["--context", ": b"],
+    "keyword as a context name": ["--context", "val: b"],
 }
 
 # the program of a case that does not run "val x"
@@ -213,6 +219,34 @@ def test_malformed_input_is_one_error_line(tmp_path, case):
     out = run_cli("run", str(prog), "--context", "x: b", "--expect", "C b",
                   *extra, last, cwd=tmp_path)
     assert_one_error_line(out)
+
+
+def test_synthesis_rejects_a_context_outside_the_fragment(tmp_path):
+    prog = tmp_path / "q.cbv"
+    prog.write_text("val x\n")
+    out = run_cli("run", str(prog), "--context", "x: b, f: b -> b",
+                  "--monad", "identity")
+    assert_one_error_line(out)
+    assert "a context of fragment types, found b -> b" in out.stderr
+
+
+# without --expect a program is read as a term and then as a value; the
+# reading that got further names the fault
+FURTHEST_FAULT = {
+    "val (x": ("base", "expected ')', found '' at position 6"),
+    "val (fn y: (b . val y)": ("functions",
+                               "expected ')', found '.' at position 14"),
+}
+
+
+@pytest.mark.parametrize("text", FURTHEST_FAULT)
+def test_syntax_error_of_the_reading_that_got_further(tmp_path, capsys, text):
+    fragment, message = FURTHEST_FAULT[text]
+    prog = tmp_path / "prog.cbv"
+    prog.write_text(text)
+    assert main(["run", str(prog), "--context", "x: b",
+                 "--fragment", fragment]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 DEEPEST = {  # MAX_NESTING levels each: a term level per let, record and paren
@@ -243,43 +277,77 @@ def test_deepest_accepted_program_typechecks_folds_and_denotes(tmp_path, capsys,
         f"error: nesting deeper than {MAX_NESTING} levels")
 
 
-def test_mutated_generated_programs_end_in_exit_0_or_1(tmp_path, capsys):
-    """Seeded mutation fuzz: pretty-printed generated ``full``-fragment
-    programs with 1 to 3 character edits each (a deletion, or a character of
-    the program inserted or written over one), run in this process."""
+def mutate(text, rng):
+    """``text`` with 1 to 3 seeded character edits: a deletion, or a character
+    of ``text`` inserted or written over one."""
+    chars = list(text)
+    for _ in range(rng.randint(1, 3)):
+        k = rng.randrange(len(chars) + 1)
+        edit, c = rng.randrange(3), rng.choice(text)
+        if edit == 0 or k == len(chars):
+            chars.insert(k, c)
+        elif edit == 1:
+            del chars[k]
+        else:
+            chars[k] = c
+    return "".join(chars)
+
+
+def generated_runs(seed, count):
+    """``count`` generated ``full``-fragment programs, each with its rendered
+    ``--context`` and ``--expect``, and the generator's random source."""
     cfg = parse_fragment("full", 3)
     table = CbvOperatorTable(cfg)
-    rng = random.Random(20260810)
+    rng = random.Random(seed)
     gen = TermGen(cfg, table, rng, interp_cap=12,
                   model=model(OptionMonad(), {"b": 2}))
-    prog = tmp_path / "prog.cbv"
-    codes = Counter()
-    for _ in range(1000):
+    for _ in range(count):
         ctx = gen.random_context(2)
         target = gen.random_target(ctx)
         make = gen.random_value if target.is_first else gen.random_term
         text = pretty(make(ctx, target.ident, 3), table)
-        chars = list(text)
-        for _ in range(rng.randint(1, 3)):
-            k = rng.randrange(len(chars) + 1)
-            edit, c = rng.randrange(3), rng.choice(text)
-            if edit == 0 or k == len(chars):
-                chars.insert(k, c)
-            elif edit == 1:
-                del chars[k]
-            else:
-                chars[k] = c
-        prog.write_text("".join(chars))
         context = ", ".join(f"x{i}: {type_to_str(t)}"
                             for i, t in enumerate(ctx.entries))
         expect = ("" if target.is_first else "C ") + type_to_str(target.ident)
-        code = main(["run", str(prog), "--fragment", "full", "--nat-bound", "3",
-                     "--monad", "option", "--context", context,
-                     "--expect", expect])
-        assert code in (0, 1), "".join(chars)
+        yield rng, text, context, expect
+
+
+def run_full(prog, context, expect):
+    return main(["run", str(prog), "--fragment", "full", "--nat-bound", "3",
+                 "--monad", "option", "--context", context, "--expect", expect])
+
+
+def test_mutated_generated_programs_end_in_exit_0_or_1(tmp_path, capsys):
+    """Seeded mutation fuzz: pretty-printed generated ``full``-fragment
+    programs with 1 to 3 character edits each, run in this process."""
+    prog = tmp_path / "prog.cbv"
+    codes = Counter()
+    for rng, text, context, expect in generated_runs(20260810, 1000):
+        prog.write_text(mutate(text, rng))
+        code = run_full(prog, context, expect)
+        assert code in (0, 1), prog.read_text()
         codes[code] += 1
         capsys.readouterr()
     # the edits leave some programs well formed and break most
+    assert codes[0] and codes[1]
+
+
+def test_mutated_contexts_and_expected_types_end_in_exit_0_or_1(tmp_path,
+                                                                 capsys):
+    """The same edits made to the ``--context`` or the ``--expect`` string of
+    a generated program, which the program parser reads as well."""
+    prog = tmp_path / "prog.cbv"
+    codes = Counter()
+    for rng, text, context, expect in generated_runs(20261019, 300):
+        prog.write_text(text)
+        if context and rng.randrange(2):
+            context = mutate(context, rng)
+        else:
+            expect = mutate(expect, rng)
+        code = run_full(prog, context, expect)
+        assert code in (0, 1), (context, expect)
+        codes[code] += 1
+        capsys.readouterr()
     assert codes[0] and codes[1]
 
 
