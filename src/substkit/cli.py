@@ -113,7 +113,7 @@ def _elaborate(args, text):
         surface, value = _parse_term_or_value(text)
         term, sort = synthesize(surface, ctx, cfg, table, names or None,
                                 value=value)
-    return cfg, table, ctx, term, sort
+    return cfg, table, names, ctx, term, sort
 
 
 def _parse_term_or_value(text):
@@ -137,7 +137,7 @@ def _parse_value(text: str):
 def cmd_run(args) -> int:
     try:
         text = _read(args.program) if args.program != "-" else sys.stdin.read()
-        cfg, table, ctx, term, sort = _elaborate(args, text)
+        cfg, table, _, ctx, term, sort = _elaborate(args, text)
         m = build_model(args)
     except INPUT_ERRORS as e:
         print(f"error: {e}", file=sys.stderr)
@@ -166,7 +166,7 @@ def cmd_run(args) -> int:
 
 def cmd_subst(args) -> int:
     try:
-        cfg, table, ctx, term, sort = _elaborate(args, _read(args.term))
+        cfg, table, names, ctx, term, sort = _elaborate(args, _read(args.term))
         m = build_model(args) if args.monad or args.model else None
         lines = [l for l in _read(args.subst).splitlines()
                  if l.strip() and not l.strip().startswith("--")]
@@ -175,11 +175,19 @@ def cmd_subst(args) -> int:
                   file=sys.stderr)
             return 1
         tnames, tctx = parse_context(lines[0][len("target"):])
-        names, _ = parse_context(args.context or "")
         assignment = {}
         for line in lines[1:]:
             name, _, body = line.partition("=")
-            assignment[name.strip()] = parse_value(body)
+            name, value = name.strip(), parse_value(body)
+            if name not in names:
+                print(f"error: the substitution assigns {name!r}, which "
+                      f"--context does not name", file=sys.stderr)
+                return 1
+            if name in assignment:
+                print(f"error: the substitution assigns {name!r} twice",
+                      file=sys.stderr)
+                return 1
+            assignment[name] = value
         entries = []
         for name, ty in zip(names, ctx.entries):
             if name not in assignment:

@@ -10,16 +10,25 @@ Inside :func:`tensor` everything goes by position.  Contexts are numbered by
 their place in the enumeration, and the triples of a cell are numbered block
 by block, so a triple number names a context, an element position and an
 environment position.  The quotient gives each triple number the number of
-its class representative.  A renaming moves an environment by position: each
-entry's action is read once per renaming and element, and the moved
-environments are numbered in the source context.  Representatives are ordered
-by the ``repr`` of their triples, assembled from one rendering per context,
-element and environment.
+its class representative.  Representatives are ordered by the ``repr`` of
+their triples, assembled from one rendering per context, element and
+environment.
+
+What depends only on the right factor Q is built once per Q and left
+alphabet, in a plan that Q keeps (:func:`_right_plan`): the environments and
+their renderings, and every map of environments by position.  Environments
+are products of Q-cells, so a renaming of the left contexts moves an
+environment by position arithmetic, and a renaming of the ambient contexts
+moves it by the positions of its entries' images, for which the plan reads
+each entry of Q's action once.  Each tensor keeps the work that depends on
+the left factor: its elements, their generator pairs, the union-find, the
+representatives and the check that the action is well defined.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from typing import Hashable, Iterable, Sequence
 
 from ..sorts import (Context, Renaming, Sort, compose_renamings, first,
@@ -41,14 +50,26 @@ def enumerate_contexts(sort_ids: Sequence[Hashable], max_len: int) -> list[Conte
     return out
 
 
+def _maps(g1: Context, g2: Context):
+    """The position maps of :func:`enumerate_renamings`, in its order."""
+    pools = [[i for i, e in enumerate(g1.entries) if e == s] for s in g2.entries]
+    return itertools.product(*pools)
+
+
 def enumerate_renamings(g1: Context, g2: Context) -> list[Renaming]:
     """All sort-preserving position maps from ``g2`` into ``g1``."""
-    pools = [[i for i, e in enumerate(g1.entries) if e == s] for s in g2.entries]
-    return [Renaming(g1, g2, m) for m in itertools.product(*pools)]
+    return [Renaming(g1, g2, m) for m in _maps(g1, g2)]
 
 
 class FinStructure:
-    """An explicit presheaf: finite cells plus a total renaming-action table."""
+    """An explicit presheaf: finite cells plus a total renaming-action table.
+
+    ``_plans`` holds the plans of :func:`tensor` with this structure as its
+    right factor, one per left alphabet.  A plan holds positions and tuples
+    only, never a structure or a tensor, so it dies with the structure that
+    owns it.  A plan is a reading of the cells and the action, so a structure
+    is not mutated once it has been tensored.
+    """
 
     def __init__(self, sorts: Sequence[Sort], ctx_sorts: Sequence[Hashable],
                  bound: int, cells: dict, action: dict):
@@ -58,6 +79,7 @@ class FinStructure:
         self._contexts = enumerate_contexts(self.ctx_sorts, bound)
         self.cells = cells
         self.action = action
+        self._plans = {}
 
     def contexts(self) -> list[Context]:
         return self._contexts
@@ -231,6 +253,93 @@ class TensorResult:
         return self._members[(sort, ctx, rep)]
 
 
+def _positions(columns) -> list[int]:
+    """``sum(col[d] for col, d in zip(columns, digits))`` for every digit
+    string, in ``itertools.product`` order: environments are products of
+    cells, so a map of environments is a sum of one term per entry."""
+    out = [0]
+    for col in columns:
+        out = [base + x for base in out for x in col]
+    return out
+
+
+class _RightPlan:
+    """What every tensor with right factor ``q`` over one left alphabet needs
+    of ``q``, by position; see :func:`_right_plan`."""
+
+    __slots__ = ("envs", "env_reprs", "renamings", "taus", "__weakref__")
+
+    def __init__(self, q: FinStructure, left_ctx_sorts: tuple):
+        # a numbers G' in p_ctxs, c the ambient context in out_ctxs; e is an
+        # entry of the alphabet, whose Q-cell over the ambient context is
+        # q_cells[c][e]
+        out_ctxs = q.contexts()
+        p_ctxs = enumerate_contexts(left_ctx_sorts, q.bound)
+        q_sort = {s.ident: s for s in q.sorts}
+        q_cells = [{e: q.cell(qs, ctx) for e, qs in q_sort.items()} for ctx in out_ctxs]
+        self.envs = [[list(itertools.product(*(q_cells[c][e] for e in gp.entries)))
+                      for c in range(len(out_ctxs))] for gp in p_ctxs]
+        # the repr of a triple is "(" + repr(entries) + ", " + repr(element) +
+        # ", " + repr(env) + ")", so its parts are rendered once each, and an
+        # environment from the reprs of its entries
+        reprs = [{e: [repr(x) for x in cell] for e, cell in row.items()}
+                 for row in q_cells]
+        self.env_reprs = [
+            [[", (" + ", ".join(parts) + ("," if len(gp) == 1 else "") + "))"
+              for parts in itertools.product(*(reprs[c][e] for e in gp.entries))]
+             for c in range(len(out_ctxs))] for gp in p_ctxs]
+        # stride[a][c][i]: what a step of the i-th entry of an environment of
+        # Env(G', ctx) adds to its position
+        stride = [[[math.prod(len(row[e]) for e in gp.entries[i + 1:])
+                    for i in range(len(gp))] for row in q_cells] for gp in p_ctxs]
+        # (a1, a2, key, lands) per renaming rho from G2 into G1, where
+        # lands[c][k] is the position in Env(G2, ctx) of env . rho for the
+        # k-th environment env of Env(G1, ctx).  Entry y of env . rho is entry
+        # rho(y) of env, so a step of entry i of env adds the strides of the
+        # entries that rho sends to i.
+        self.renamings = []
+        for a1, g1 in enumerate(p_ctxs):
+            for a2, g2 in enumerate(p_ctxs):
+                for mapping in _maps(g1, g2):
+                    lands = []
+                    for c, row in enumerate(q_cells):
+                        weight = [0] * len(g1)
+                        for y, x in enumerate(mapping):
+                            weight[x] += stride[a2][c][y]
+                        lands.append(_positions([[d * w for d in range(len(row[e]))]
+                                                 for e, w in zip(g1.entries, weight)]))
+                    self.renamings.append((a1, a2, (g1.entries, g2.entries, mapping),
+                                           lands))
+        # (key, source, target, qmove) per renaming tau of the ambient
+        # contexts: tau takes the k-th environment of Env(G', target) to the
+        # qmove[a][k]-th one of Env(G', source).  Only this reads q.action,
+        # once per entry.
+        cell_pos = [{e: {x: i for i, x in enumerate(cell)} for e, cell in row.items()}
+                    for row in q_cells]
+        self.taus = []
+        for cs, g1 in enumerate(out_ctxs):
+            for ct, g2 in enumerate(out_ctxs):
+                for mapping in _maps(g1, g2):
+                    key = (g1.entries, g2.entries, mapping)
+                    images = {e: [cell_pos[cs][e][q.action[(key, qs, x)]]
+                                  for x in q_cells[ct][e]]
+                              for e, qs in q_sort.items()}
+                    qmove = [_positions([[i * st for i in images[e]]
+                                         for e, st in zip(gp.entries, stride[a][cs])])
+                             for a, gp in enumerate(p_ctxs)]
+                    self.taus.append((key, cs, ct, qmove))
+
+
+def _right_plan(q: FinStructure, left_ctx_sorts: tuple) -> _RightPlan:
+    """The plan of right factor ``q`` for left factors over ``left_ctx_sorts``,
+    built on first use and kept by ``q``.  The alphabet's order numbers the
+    left contexts, so it is the key."""
+    plan = q._plans.get(left_ctx_sorts)
+    if plan is None:
+        plan = q._plans[left_ctx_sorts] = _RightPlan(q, left_ctx_sorts)
+    return plan
+
+
 def tensor(p: FinStructure, q: FinStructure) -> TensorResult:
     """The coend of ``P_s G' x Env Q G' G`` over the enumerated contexts."""
     if p.bound != q.bound:
@@ -239,32 +348,19 @@ def tensor(p: FinStructure, q: FinStructure) -> TensorResult:
     if set(q.sorts) != want:
         raise ValueError("right tensor factor must be homogeneous over the left "
                          "factor's context alphabet")
+    plan = _right_plan(q, p.ctx_sorts)
+    envs, env_reprs = plan.envs, plan.env_reprs
     reps, members, cells = {}, {}, {}
     structure = FinStructure(p.sorts, q.ctx_sorts, p.bound, cells, {})
-    # contexts go by position: a numbers G' in p_ctxs, c the ambient context
-    # in out_ctxs
     out_ctxs, p_ctxs = structure.contexts(), p.contexts()
-    out_at = {ctx: c for c, ctx in enumerate(out_ctxs)}
-    envs = [[list(enumerate_envs(q, gp, ctx)) for ctx in out_ctxs] for gp in p_ctxs]
-    occupied = [a for a, gp in enumerate(p_ctxs) if any(p.cell(s, gp) for s in p.sorts)]
-    env_pos = {a: [{env: j for j, env in enumerate(row)} for row in envs[a]]
-               for a in occupied}
-    renamings = [(a1, a2, rho.key(), rho.mapping) for a1, g1 in enumerate(p_ctxs)
-                 for a2 in occupied for rho in enumerate_renamings(g1, p_ctxs[a2])]
-    # lands[r][c][k]: for the r-th renaming rho from G2 into G1, where env . rho
-    # lands in Env(G2, ctx) for the k-th environment env of Env(G1, ctx)
-    lands = [[[pos[tuple(env[x] for x in mapping)] for env in envs[a1][c]]
-              for c, pos in enumerate(env_pos[a2])]
-             for a1, a2, _, mapping in renamings]
-    # the repr of a triple is "(" + repr(entries) + ", " + repr(element) +
-    # ", " + repr(env) + ")", so its parts are rendered once each
-    env_reprs = [[[", " + repr(env) + ")" for env in row] for row in rows]
-                 for rows in envs]
     # numbered[s][c]: the triples of the cell by number, the number of each
     # one's representative, and the classes in cell order as member numbers
     numbered = {}
+    # lengths[s]: (a, |P_s G'|) for each G' where P_s is not empty
+    lengths = {}
     for s in p.sorts:
         p_cells = [p.cell(s, gp) for gp in p_ctxs]
+        lengths[s] = [(a, len(cell)) for a, cell in enumerate(p_cells) if cell]
         elem_pos = [{t: i for i, t in enumerate(cell)} for cell in p_cells]
         elem_reprs = [["(" + repr(gp.entries) + ", " + repr(t) for t in cell]
                       for gp, cell in zip(p_ctxs, p_cells)]
@@ -272,7 +368,7 @@ def tensor(p: FinStructure, q: FinStructure) -> TensorResult:
         # positions of rho t in P_s G1 and of t in P_s G2
         moves = [(a1, a2, land, [(elem_pos[a1][p.action[(key, s, t)]], i)
                                  for i, t in enumerate(p_cells[a2])])
-                 for (a1, a2, key, _), land in zip(renamings, lands) if p_cells[a2]]
+                 for a1, a2, key, land in plan.renamings if p_cells[a2]]
         numbered[s] = by_ctx = []
         for c, ctx in enumerate(out_ctxs):
             # triple (G', the i-th element, the k-th environment) is number
@@ -320,18 +416,8 @@ def tensor(p: FinStructure, q: FinStructure) -> TensorResult:
     # k-th environment of Env(G', target) goes to the i-th element with the
     # qmove[G'][k]-th environment of Env(G', source).  The representative heads
     # its members and sets the image, which every member must reach.
-    q_sort = {s.ident: s for s in q.sorts}
-    q_sorts = {a: tuple(q_sort[e] for e in p_ctxs[a].entries) for a in occupied}
-    lengths = {s: [(a, len(p.cell(s, p_ctxs[a]))) for a in occupied] for s in p.sorts}
     action = structure.action
-    for tau in structure.renamings():
-        key, tgt = tau.key(), tau.target
-        cs, ct = out_at[tau.source], out_at[tgt]
-        images = {qs: [q.action[(key, qs, x)] for x in q.cell(qs, tgt)]
-                  for qs in q.sorts}
-        qmove = {a: [env_pos[a][cs][env] for env in
-                     itertools.product(*(images[qs] for qs in q_sorts[a]))]
-                 for a in occupied}
+    for key, cs, ct, qmove in plan.taus:
         for s in p.sorts:
             triples, _, classes = numbered[s][ct]
             if not classes:
@@ -348,6 +434,7 @@ def tensor(p: FinStructure, q: FinStructure) -> TensorResult:
                 image = got[ordered[0]]
                 for m in ordered:
                     if got[m] != image:
+                        tau = Renaming(out_ctxs[cs], out_ctxs[ct], key[2])
                         raise ValueError(
                             f"tensor action not well-defined at {s!r} {tau!r}: "
                             f"{triples[m]!r} -> {src_triples[got[m]]!r} != "

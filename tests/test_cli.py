@@ -221,6 +221,31 @@ def test_malformed_input_is_one_error_line(tmp_path, case):
     assert_one_error_line(out)
 
 
+# substitution files for "val x" under --context "x: b", with the message
+# each one ends in
+MALFORMED_SUBST = {
+    "entry for a variable the context lacks": (
+        "target y: b\nx = y\nz = y\n",
+        "the substitution assigns 'z', which --context does not name"),
+    "variable assigned twice": (
+        "target y: b, w: b\nx = y\nx = w\n",
+        "the substitution assigns 'x' twice"),
+}
+
+
+@pytest.mark.parametrize("case", MALFORMED_SUBST)
+def test_malformed_substitution_is_one_error_line(tmp_path, case):
+    text, message = MALFORMED_SUBST[case]
+    term = tmp_path / "t.cbv"
+    term.write_text("val x\n")
+    sub = tmp_path / "s.subst"
+    sub.write_text(text)
+    out = run_cli("subst", str(term), str(sub), "--context", "x: b",
+                  "--expect", "C b")
+    assert_one_error_line(out)
+    assert out.stderr == f"error: {message}\n"
+
+
 def test_synthesis_rejects_a_context_outside_the_fragment(tmp_path):
     prog = tmp_path / "q.cbv"
     prog.write_text("val x\n")

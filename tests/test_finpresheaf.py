@@ -620,27 +620,89 @@ def test_tensor_orders_representatives_as_whole_triple_reprs():
     assert_same_tensor(p, homog(rand(114), True))
 
 
-class _CountedReads(dict):
-    def __init__(self, *args):
-        super().__init__(*args)
-        self.reads = {}
+class _ReadsAsRightFactor(dict):
+    """An action table that counts, per key, the reads made while a tensor
+    with ``owner`` as its right factor runs (``running`` lists the right
+    factors of the running tensors, innermost last)."""
+
+    def __init__(self, action, running):
+        super().__init__(action)
+        self.running, self.owner, self.reads = running, None, {}
 
     def __getitem__(self, key):
-        self.reads[key] = self.reads.get(key, 0) + 1
+        if self.running and self.running[-1] is self.owner:
+            self.reads[key] = self.reads.get(key, 0) + 1
         return super().__getitem__(key)
 
 
-def test_tensor_reads_each_action_entry_of_the_right_factor_once():
-    """The action of a class is read by environment position: each entry of
-    ``q.action`` once per tensor, not once per class member."""
+def test_tensor_reads_each_action_entry_of_the_right_factor_once(monkeypatch):
+    """A right factor's action is read by environment position, once per
+    entry across every tensor of a check that has it on the right, not once
+    per tensor or per class member."""
+    from substkit.finpresheaf import laws
+    real, running, tensored = laws.tensor, [], {}
+
+    def tracked(p, q):
+        tensored[id(q)] = tensored.get(id(q), 0) + 1
+        running.append(q)
+        try:
+            return real(p, q)
+        finally:
+            running.pop()
+
+    monkeypatch.setattr(laws, "tensor", tracked)
     rng = rand(115)
     p = free_structure(rng, (first("a"), second("k")), ("a",), 2,
                        ensure=[(second("k"), Context(()))])
-    q = homog(rng, True)
-    counted = _CountedReads(q.action)
-    q = FinStructure(q.sorts, q.ctx_sorts, q.bound, q.cells, counted)
-    tensor(p, q)
-    assert counted.reads and max(counted.reads.values()) == 1
+    counted = []
+    for q in (homog(rng, True), homog(rng, True)):
+        action = _ReadsAsRightFactor(q.action, running)
+        action.owner = FinStructure(q.sorts, q.ctx_sorts, q.bound, q.cells, action)
+        counted.append(action)
+    q, l = (action.owner for action in counted)
+    assert check_action_axioms(p, q, l).ok
+    assert tensored[id(q)] == 7 and tensored[id(l)] == 2
+    for action in counted:
+        assert action.reads and max(action.reads.values()) == 1
+
+
+def _alphabet_orders(seed):
+    """One right factor over the alphabet (a, b), and left factors over
+    (a, b) and over (b, a): the same alphabet, numbered the other way."""
+    rng = rand(seed)
+    q = free_structure(rng, (first("a"), first("b")), ("a", "b"), 2,
+                       ensure=[(first("a"), Context(("a",))),
+                               (first("b"), Context(("b",)))])
+    homes = [Context(()), Context(("a",)), Context(("a", "b"))]
+    lefts = [free_structure(rng, (second("k"), first("a")), order, 2, homes=homes,
+                            ensure=[(second("k"), Context(("a", "b")))])
+             for order in (("a", "b"), ("b", "a"))]
+    return q, lefts
+
+
+def test_tensor_plans_are_keyed_on_the_left_alphabet_order():
+    q, lefts = _alphabet_orders(116)
+    assert [p.ctx_sorts for p in lefts] == [("a", "b"), ("b", "a")]
+    for p in lefts:
+        assert_same_tensor(p, q)
+    assert sorted(q._plans) == [("a", "b"), ("b", "a")]
+
+
+def test_tensor_plan_keyed_on_the_right_factor_alone_fails(monkeypatch):
+    """A plan reused for a left factor whose alphabet runs the other way
+    numbers its contexts wrongly, and the test above fails."""
+    from substkit.finpresheaf import structures
+
+    def keyed_on_q(q, left_ctx_sorts):
+        if "plan" not in q._plans:
+            q._plans["plan"] = structures._RightPlan(q, left_ctx_sorts)
+        return q._plans["plan"]
+
+    monkeypatch.setattr(structures, "_right_plan", keyed_on_q)
+    # the left factor over (b, a) is read with the contexts of (a, b): its
+    # elements at [a] are looked up under renamings of [b]
+    with pytest.raises(KeyError):
+        test_tensor_plans_are_keyed_on_the_left_alphabet_order()
 
 
 def test_tensor_matches_reference_on_term_structure():

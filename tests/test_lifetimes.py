@@ -86,6 +86,40 @@ def test_tensors_of_a_law_check_are_freed_on_return(monkeypatch):
         gc.enable()
 
 
+def test_right_factors_and_their_plans_are_freed_on_return(monkeypatch):
+    """A right factor keeps its tensor plans, and a plan refers to no
+    structure: both go with the last reference to the right factor, without
+    the cycle collector, the variable structure the check builds included."""
+    from substkit.finpresheaf import free_structure, laws, structures
+    real = structures._right_plan
+    refs = {}
+
+    def recorded(q, left_ctx_sorts):
+        plan = real(q, left_ctx_sorts)
+        refs[id(plan)] = (weakref.ref(q), weakref.ref(plan))
+        return plan
+
+    monkeypatch.setattr(structures, "_right_plan", recorded)
+    rng = random.Random(114)
+
+    def structures_of_a_check():
+        homog = [free_structure(rng, (first("a"),), ("a",), 2,
+                                ensure=[(first("a"), Context(("a",)))])
+                 for _ in range(2)]
+        p = free_structure(rng, (second("k"),), ("a",), 2,
+                           ensure=[(second("k"), Context(()))])
+        return p, *homog
+
+    gc.disable()
+    try:
+        assert laws.check_action_axioms(*structures_of_a_check()).ok
+        assert len(refs) > 3
+        assert [(q(), plan()) for q, plan in refs.values()] == \
+            [(None, None)] * len(refs)
+    finally:
+        gc.enable()
+
+
 def unbounded_caches(source: str) -> list[str]:
     """``line: function`` for each function decorated with ``cache``, or with
     ``lru_cache`` and no explicit numeric bound: ``maxsize=None`` grows without
