@@ -24,10 +24,11 @@ import random
 
 from ..sorts import Context, Sort, first, second
 from ..terms import HoleDecl, Meta, Op, SubstEnv, Term, Var
-from .ops import CbvOperatorTable, record_allowed, variant_allowed, vmatch_allowed
-from .types import (Base, FragmentConfig, Fun, NAT, NatType, Record, TypeExpr,
-                    Variant, done_cont_shape, fun, maybe_shape, record,
-                    type_depth, type_to_label, types_upto, valid_type)
+from .ops import CbvOperatorTable, vmatch_allowed
+from .types import (Base, DepthExceeded, FragmentConfig, Fun, NAT, NatType,
+                    Record, TypeExpr, Variant, done_cont_shape, fun,
+                    maybe_shape, record, type_depth, type_to_label, types_upto,
+                    valid_type)
 
 
 class _Rules:
@@ -49,15 +50,16 @@ class _Rules:
             t = todo.pop()
             if t in self.pool or t in known:
                 continue
+            # a valid record or variant is one the fragment can build
             if isinstance(t, Fun):
                 comps = (t.dom, t.cod)
                 need_all = True if cfg.has("functions") else None
             elif isinstance(t, Record):
                 comps = tuple(v for _, v in t.row)
-                need_all = True if record_allowed(cfg, t.row) else None
+                need_all = True
             elif isinstance(t, Variant):
                 comps = tuple(v for _, v in t.row)
-                need_all = False if variant_allowed(cfg, t) else None
+                need_all = False
             else:
                 comps = ()
                 need_all = True if isinstance(t, NatType) else None
@@ -171,6 +173,20 @@ class TermGen:
         t = self.rng.choice(w)
         return first(t) if self.rng.random() < 0.3 else second(t)
 
+    def random_item(self, ctx_bound: int, depth: int, holes=None,
+                    hole_prob=0.0) -> tuple[Context, Term]:
+        """One corpus draw: a random context, a random inhabited sort over it,
+        then a value or a term of that sort."""
+        ctx = self.random_context(ctx_bound)
+        target = self.random_target(ctx)
+        return ctx, self.random_at(ctx, target, depth, holes, hole_prob)
+
+    def random_at(self, ctx: Context, sort: Sort, depth: int, holes=None,
+                  hole_prob=0.0) -> Term:
+        """A random value of a first-class sort, or term of a second-class one."""
+        draw = self.random_value if sort.is_first else self.random_term
+        return draw(ctx, sort.ident, depth, holes, hole_prob)
+
     # -- minimal fallbacks ----------------------------------------------------
 
     def min_value(self, ctx: Context, t: TypeExpr) -> Term:
@@ -211,7 +227,7 @@ class TermGen:
                     and t.cod in self.inhabited(frozenset(ctx.entries) | {t.dom}))
         w = self._w(ctx)
         if isinstance(t, Record):
-            return record_allowed(cfg, t.row) and all(v in w for _, v in t.row)
+            return all(v in w for _, v in t.row)
         if isinstance(t, Variant):
             return self._can_inj(t, w)
         return False
@@ -282,8 +298,7 @@ class TermGen:
             choices.append("let")
         if cfg.has("functions") and depth >= 2:
             choices.append("app")
-        if (isinstance(t, Record) and record_allowed(cfg, t.row)
-                and all(v in w for _, v in t.row)):
+        if isinstance(t, Record) and all(v in w for _, v in t.row):
             choices.append("rec")
         if cfg.has("records") and depth >= 2:
             choices.append("recmatch")
@@ -376,7 +391,7 @@ class TermGen:
             ret = rng.choice(self._w_sorted(w))
             try:
                 op = self.table.letrec(((params, ret),), t)
-            except Exception:
+            except DepthExceeded:
                 op = None
             if op is not None:
                 ft = fun(record(tuple((str(i), p) for i, p in enumerate(params))),
@@ -393,7 +408,7 @@ class TermGen:
         return type_depth(t) <= self.cfg.type_depth
 
     def _can_inj(self, t: Variant, w) -> bool:
-        return variant_allowed(self.cfg, t) and any(v in w for _, v in t.row)
+        return any(v in w for _, v in t.row)
 
     def _vmatchable(self, w) -> bool:
         # not a pure test: it draws from the RNG through _random_variant, and

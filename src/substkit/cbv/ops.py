@@ -9,6 +9,13 @@ mint that the requested types are formable in the fragment and within the
 configured type depth.  A family call mints once per table: a repeated call
 with equal parameters returns the operator the first one minted.  Labels are
 canonical strings, so a label uniquely determines its operator.
+
+The family checks are what guarantee that every sort a minted operator names
+belongs to the fragment, so a mint stores its operator without the membership
+checks of :meth:`~substkit.signatures.OperatorTable.add`.  Each sort is a type
+the family passed through ``_check_type``, a component of such a type (a valid
+type's components are valid), or, under the ``naturals`` gate, ``Nat`` or an
+option shape over a valid type.
 """
 
 from __future__ import annotations
@@ -88,8 +95,7 @@ class CbvOperatorTable(OperatorTable):
     def _intern(self, label, family, params, result, args) -> Operator:
         got = self._by_label.get(label)
         if got is None:
-            got = Operator(label, result, tuple(args))
-            self.add(got)
+            got = self._by_label[label] = Operator(label, result, tuple(args))
             self._meta[label] = (family, params)
         return got
 
@@ -293,21 +299,17 @@ class CbvOperatorTable(OperatorTable):
                 for bound in itertools.product(universe, repeat=n):
                     for res in universe:
                         out.append(self.let(bound, res))
+        # every function, record and variant type in the universe is valid,
+        # so the fragment can apply, build and inject at it
         funs = [t for t in universe if isinstance(t, Fun)]
         for t in funs:
             if cfg.has("functions"):
                 out.append(self.lam(t.dom, t.cod))
-            try:
-                out.append(self.app(t.dom, t.cod))
-            except DisabledConstruct:
-                pass
+            out.append(self.app(t.dom, t.cod))
         records = [t for t in universe if isinstance(t, Record)]
         for t in records:
-            try:
-                out.append(self.vrec(t.row))
-                out.append(self.rec(t.row))
-            except DisabledConstruct:
-                pass
+            out.append(self.vrec(t.row))
+            out.append(self.rec(t.row))
             if cfg.has("records"):
                 for res in universe:
                     out.append(self.recmatch(t.row, res))
@@ -316,7 +318,7 @@ class CbvOperatorTable(OperatorTable):
             for tag, _ in t.row:
                 out.append(self.vinj(t.row, tag))
                 out.append(self.inj(t.row, tag))
-            if cfg.has("variants") or (cfg.has("naturals") and is_maybe_shape(t)):
+            if vmatch_allowed(cfg, t):
                 for res in universe:
                     out.append(self.vmatch(t.row, res))
         if cfg.has("naturals"):
@@ -336,8 +338,7 @@ class CbvOperatorTable(OperatorTable):
                             out.append(self.letrec(((params, ret),), res))
                         except DepthExceeded:
                             pass
-        # interned: a repeated label is the same operator, kept at its first place
-        return list({op.label: op for op in out}.values())
+        return out
 
 
 def variant_of(row) -> Variant:

@@ -134,6 +134,11 @@ def _parse_value(text: str):
     return int(text) if text.lstrip("-").isdigit() else text
 
 
+def _sort_to_str(sort) -> str:
+    """A sort as the CLI prints it: ``C `` before a computation type."""
+    return ("" if sort.is_first else "C ") + type_to_str(sort.ident)
+
+
 def cmd_run(args) -> int:
     try:
         text = _read(args.program) if args.program != "-" else sys.stdin.read()
@@ -142,7 +147,7 @@ def cmd_run(args) -> int:
     except INPUT_ERRORS as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
-    print(f"sort: {'C ' if not sort.is_first else ''}{type_to_str(sort.ident)}")
+    print(f"sort: {_sort_to_str(sort)}")
     try:
         d = denote(term, m, cfg, table)
         points = d.space
@@ -221,11 +226,8 @@ def cmd_fragments(args) -> int:
         for op in table.operators():
             args_s = ", ".join(
                 f"[{';'.join(type_to_str(e) for e in a.binder.entries)}]"
-                f"{'C ' if not a.sort.is_first else ''}{type_to_str(a.sort.ident)}"
-                for a in op.args)
-            result = (f"{'C ' if not op.result_sort.is_first else ''}"
-                      f"{type_to_str(op.result_sort.ident)}")
-            print(f"{op.label}: ({args_s}) -> {result}")
+                f"{_sort_to_str(a.sort)}" for a in op.args)
+            print(f"{op.label}: ({args_s}) -> {_sort_to_str(op.result_sort)}")
         return 0
     rows = all_fragment_configs()
     print(f"{len(rows)} fragment configurations")

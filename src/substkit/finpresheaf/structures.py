@@ -191,9 +191,10 @@ def free_structure(rng, sorts: Sequence[Sort], ctx_sorts, bound: int,
             cells[(s, ctx)] = tuple(sorted(elems, key=repr))
 
     def act(s, tau, elem):
+        # the position map of tau followed by the element's renaming, which
+        # enumerate_renamings built and checked
         g, home_entries, mapping = elem
-        rho = Renaming(tau.target, Context(home_entries), mapping)
-        return (g, home_entries, compose_renamings(tau, rho).mapping)
+        return (g, home_entries, tuple(tau.mapping[y] for y in mapping))
 
     return build_structure(sorts, ctx_sorts, bound, cells, act)
 

@@ -17,7 +17,7 @@ from ..cbv.ops import CbvOperatorTable
 from ..cbv.types import (NAT, Base, FragmentConfig, Fun, done_cont_shape, fun,
                          types_upto, valid_type)
 from ..report import Report
-from ..finpresheaf.structures import enumerate_renamings
+from ..finpresheaf.structures import enumerate_contexts, enumerate_renamings
 from ..signatures import route_environment
 from ..sorts import Context, first, second
 from ..terms import Op, SubstEnv, Term, Var, substitute
@@ -77,8 +77,7 @@ def check_sem_action_axioms(m: Model, cfg: FragmentConfig, cap: int = 300,
     rng = random.Random(seed)
     nb = cfg.nat_bound
     b = Base(cfg.base_types[0])
-    ctxs = [Context(c) for k in range(3)
-            for c in itertools.product((b,), repeat=k)]
+    ctxs = enumerate_contexts((b,), 2)
 
     left_ok = right_ok = assoc_ok = coend_ok = True
     witness = {}
@@ -193,8 +192,7 @@ def check_compatibility(fragment: str, m: Model, cfg: FragmentConfig,
     universe = [t for t in types_upto(cfg, 2) if interp_size(t, m, nb) <= 12]
     table_cap = 12
     b = Base(cfg.base_types[0])
-    ctxs = [Context(c) for k in range(ctx_len + 1)
-            for c in itertools.product((b,), repeat=k)]
+    ctxs = enumerate_contexts((b,), ctx_len)
     interp = Interpreter(m, cfg, table)
     carrier = DenotationCarrier(m, nb)
 
@@ -280,10 +278,8 @@ def check_substitution_lemma_exhaustive(cfg: FragmentConfig, m: Model,
     denoted: dict = {}
     b = Base(cfg.base_types[0])
     universe = tuple(t for t in (b, fun(b, b)) if valid_type(t, cfg))
-    ctxs = [Context(c) for k in range(3)
-            for c in itertools.product(universe, repeat=k)]
-    sub_ctxs = [Context(c) for k in range(subst_ctx_len + 1)
-                for c in itertools.product(universe, repeat=k)]
+    ctxs = enumerate_contexts(universe, 2)
+    sub_ctxs = enumerate_contexts(universe, subst_ctx_len)
     memo: dict = {}
     checked = 0
     for src in ctxs:
@@ -300,11 +296,18 @@ def check_substitution_lemma_exhaustive(cfg: FragmentConfig, m: Model,
                 pool.append(SubstEnv(src, tgt, combo))
         if not pool:
             continue
+        # every term meets every variable-entry substitution and one value
+        # entry, rotating through the rest
+        var_only, rest = [], []
+        for env in pool:
+            (var_only if all(isinstance(e, Var) for e in env.entries)
+             else rest).append(env)
         rotate = 0
         for t in universe:
             for term in enumerate_terms(table, src, t, 3, universe, memo,
                                         max_ctx=3):
-                for env in _select_substs(pool, src, rotate):
+                envs = var_only + [rest[rotate % len(rest)]] if rest else var_only
+                for env in envs:
                     ok, diff = lemma_holds(term, env, m, cfg, table, denoted)
                     checked += 1
                     if not ok:
@@ -314,19 +317,6 @@ def check_substitution_lemma_exhaustive(cfg: FragmentConfig, m: Model,
                 rotate += 1
     rep.record(suite, f"exhaustive corpus ({checked} checks)", True, None)
     return rep
-
-
-def _select_substs(pool, src: Context, rotate: int) -> list:
-    """Every variable-entry substitution, plus one rotating value entry."""
-    var_only = [env for env in pool
-                if all(isinstance(e, Var) for e in env.entries)]
-    out = list(var_only) if var_only else []
-    rest = [env for env in pool if env not in var_only]
-    if rest:
-        out.append(rest[rotate % len(rest)])
-    if not out:
-        out = pool[:1]
-    return out
 
 
 def check_substitution_lemma_random(cfg: FragmentConfig, m: Model, seed: int,
@@ -342,12 +332,7 @@ def check_substitution_lemma_random(cfg: FragmentConfig, m: Model, seed: int,
     gen = TermGen(cfg, table, rng, interp_cap=40, model=m)
     checked = 0
     while checked < count:
-        ctx = gen.random_context(2)
-        target = gen.random_target(ctx)
-        if target.is_first:
-            term = gen.random_value(ctx, target.ident, 3)
-        else:
-            term = gen.random_term(ctx, target.ident, 3)
+        ctx, term = gen.random_item(2, 3)
         env = gen.random_subst(ctx)
         if context_space(env.target, m, cfg.nat_bound).size > 256:
             continue
@@ -368,7 +353,7 @@ class _UnrollingInterpreter(Interpreter):
 
     def _alg_for(self, op, params, values, ctx):
         state, _ = params
-        self._require("elgot", "unbounded iteration")
+        self._require(self.m.monad.elgot_capable, "unbounded iteration")
         monad = self.m.monad
         init, body = values
         state_size = interp_size(state, self.m, self.cfg.nat_bound)

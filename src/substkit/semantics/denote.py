@@ -108,8 +108,10 @@ class Interpreter:
         """A denotation that stores nothing: ``fn`` reads each child once."""
         return Denotation(op.result_sort, ctx, self.m, self.cfg.nat_bound, fn)
 
-    def _require(self, capability: str, feature: str):
-        if not self.m.capabilities[capability]:
+    def _require(self, capable: bool, feature: str):
+        """Raise unless the monad has the capability ``feature`` needs: one of
+        its ``elgot_capable`` / ``fixpoint_capable`` flags."""
+        if not capable:
             raise UnsupportedCapability(feature, self.m.monad)
 
     # -- the algebra --------------------------------------------------------
@@ -255,7 +257,7 @@ class Interpreter:
         return self._den(op, ctx, fn)
 
     def _alg_for(self, op, params, values, ctx):
-        self._require("elgot", "unbounded iteration")
+        self._require(self.m.monad.elgot_capable, "unbounded iteration")
         monad = self.m.monad
         init, body = values
         conv = lambda tv: ("inl", tv[1]) if tv[0] == "Done" else ("inr", tv[1])
@@ -269,7 +271,7 @@ class Interpreter:
 
     def _alg_letrec(self, op, params, values, ctx):
         defs, _ = params
-        self._require("fixpoints", "recursive definitions")
+        self._require(self.m.monad.fixpoint_capable, "recursive definitions")
         monad = self.m.monad
         *bodies, main = values
         dom_sets = []

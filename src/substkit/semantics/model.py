@@ -35,12 +35,6 @@ class Model:
         self.type_sets: dict = {}
         self.context_spaces: dict = {}
 
-    @property
-    def capabilities(self) -> dict:
-        return {"kleisli_exponentials": True,
-                "elgot": self.monad.elgot_capable,
-                "fixpoints": self.monad.fixpoint_capable}
-
 
 def model(monad: StrongMonad, sizes: dict | None = None) -> Model:
     sizes = sizes if sizes is not None else {"b": 2}

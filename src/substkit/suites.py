@@ -21,17 +21,6 @@ from .terms import (MetaSubst, Var, compose_meta_subst, compose_subst,
                     substitute, substitute_direct)
 
 
-def _corpus_item(gen: TermGen, ctx_bound: int, depth: int, holes=None,
-                 hole_prob=0.0):
-    ctx = gen.random_context(ctx_bound)
-    target = gen.random_target(ctx)
-    if target.is_first:
-        term = gen.random_value(ctx, target.ident, depth, holes, hole_prob)
-    else:
-        term = gen.random_term(ctx, target.ident, depth, holes, hole_prob)
-    return ctx, term
-
-
 def check_term_laws(cfg: FragmentConfig, seed: int, count: int = 200,
                     depth: int = 4, ctx_bound: int = 3,
                     report: Report | None = None) -> Report:
@@ -44,7 +33,7 @@ def check_term_laws(cfg: FragmentConfig, seed: int, count: int = 200,
     gen = TermGen(cfg, table, rng)
     fails = {}
     for i in range(count):
-        ctx, term = _corpus_item(gen, ctx_bound, depth)
+        ctx, term = gen.random_item(ctx_bound, depth)
         s1 = gen.random_subst(ctx)
         s2 = gen.random_subst(s1.target)
         if len(ctx) and "left unit" not in fails:
@@ -77,26 +66,19 @@ def check_meta_laws(cfg: FragmentConfig, seed: int, count: int = 200,
     fails = {}
     for i in range(count):
         holes: dict = {}
-        ctx, term = _corpus_item(gen, ctx_bound, depth, holes, hole_prob=0.35)
+        ctx, term = gen.random_item(ctx_bound, depth, holes, hole_prob=0.35)
         if meta_substitute(term, identity_meta_subst(holes.values())) != term:
             fails.setdefault("Kleisli unit", f"item {i}")
         mid_holes: dict = {}
-        ms1 = MetaSubst({ident: (h, gen.random_term(h.ctx, h.sort.ident, 2,
-                                                    mid_holes, 0.3)
-                                 if not h.sort.is_first else
-                                 gen.random_value(h.ctx, h.sort.ident, 2,
+        ms1 = MetaSubst({ident: (h, gen.random_at(h.ctx, h.sort, 2,
                                                   mid_holes, 0.3))
                          for ident, h in holes.items()})
-        ms2 = MetaSubst({ident: (h, gen.random_term(h.ctx, h.sort.ident, 2)
-                                 if not h.sort.is_first else
-                                 gen.random_value(h.ctx, h.sort.ident, 2))
+        ms2 = MetaSubst({ident: (h, gen.random_at(h.ctx, h.sort, 2))
                          for ident, h in mid_holes.items()})
         lhs = meta_substitute(meta_substitute(term, ms1), ms2)
         if lhs != meta_substitute(term, compose_meta_subst(ms1, ms2)):
             fails.setdefault("Kleisli associativity", f"item {i}")
-        ms_closed = MetaSubst({ident: (h, gen.random_term(h.ctx, h.sort.ident, 2)
-                                       if not h.sort.is_first else
-                                       gen.random_value(h.ctx, h.sort.ident, 2))
+        ms_closed = MetaSubst({ident: (h, gen.random_at(h.ctx, h.sort, 2))
                                for ident, h in holes.items()})
         sigma = gen.random_subst(ctx)
         if substitute(meta_substitute(term, ms_closed), sigma) != \

@@ -4,7 +4,6 @@ import random
 
 import pytest
 
-from substkit import suites
 from substkit.cbv.gen import TermGen
 from substkit.cbv.ops import CbvOperatorTable, record_allowed, variant_allowed
 from substkit.cbv.types import (EXTENSIONS, NAT, UNIT, Base, Fun, NatType,
@@ -12,6 +11,7 @@ from substkit.cbv.types import (EXTENSIONS, NAT, UNIT, Base, Fun, NatType,
                                 done_cont_shape, fun, maybe_shape, record,
                                 valid_type, variant)
 from substkit.semantics import model, monads
+from substkit.sorts import Context
 
 CONFIGS = all_fragment_configs(("b", "c"), 4)
 
@@ -147,6 +147,21 @@ def test_inhabited_agrees_on_every_call_of_a_holed_corpus(exts):
 
     gen.inhabited = recording
     for _ in range(20):
-        suites._corpus_item(gen, 3, 3, holes={}, hole_prob=0.35)
+        gen.random_item(3, 3, holes={}, hole_prob=0.35)
     assert len(calls) > 20
     _assert_agrees(_gen(cfg), calls)
+
+
+def test_letrec_falls_back_only_on_a_too_deep_definition():
+    """The letrec production becomes a ``val`` only when its mint exceeds the
+    type depth; any other error from the mint propagates."""
+    cfg = config(("recursion",), nat_bound=4)
+    gen = _gen(cfg)
+
+    def broken(defs, result):
+        raise ZeroDivisionError
+
+    gen.table.letrec = broken
+    with pytest.raises(ZeroDivisionError):
+        for _ in range(50):
+            gen.random_term(Context((Base("b"),)), Base("b"), 3)

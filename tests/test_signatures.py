@@ -3,8 +3,8 @@
 import pytest
 
 from substkit.signatures import (Argument, At, Coproduct, Hole, NotFlattenable,
-                                 OnlyAt, Product, Restrict, Shift, flatten,
-                                 route_environment)
+                                 OnlyAt, OperatorTable, Product, Restrict,
+                                 Shift, flatten, route_environment)
 from substkit.sorts import Context, SortingSystem, first, second
 from substkit.terms import TermCarrier, Var, identity_env
 
@@ -59,6 +59,26 @@ def test_flatten_rejects_restrict():
 def test_flatten_rejects_bad_summand():
     with pytest.raises(NotFlattenable):
         flatten(Coproduct((("x", Product((Hole(),))),)), SYS)
+
+
+@pytest.mark.parametrize("expr, message", [
+    (OnlyAt(second("k"), At(second("v"), Hole())), "result sort"),
+    (OnlyAt(second("v"), At(second("k"), Hole())), "argument sort"),
+    (OnlyAt(second("v"), At(second("v"), Shift(Context(["k"]), Hole()))),
+     "context entry"),
+])
+def test_sorts_outside_the_system_rejected(expr, message):
+    """Result, argument and binder sorts are checked against the system, both
+    when flattening and when adding to a hand-built table."""
+    sig = Coproduct((("bad", expr),))
+    with pytest.raises(ValueError, match=message):
+        flatten(sig, SYS)
+    wider = SortingSystem(SYS.fst_sorts + ("k",), SYS.snd_sorts + ("k",))
+    op = flatten(sig, wider).op("bad")
+    table = OperatorTable(SYS)
+    with pytest.raises(ValueError, match=message):
+        table.add(op)
+    assert len(table) == 0
 
 
 def test_duplicate_labels_rejected():

@@ -13,7 +13,7 @@ from substkit.cbv.gen import TermGen
 from substkit.cbv.types import all_fragment_configs, config
 from substkit.sorts import Context, Renaming, compose_renamings, identity_renaming, second
 from substkit import suites
-from substkit.suites import _corpus_item, check_meta_laws, check_term_laws
+from substkit.suites import check_meta_laws, check_term_laws
 from substkit.terms import (HoleDecl, IllSorted, Meta, MetaSubst, Op, SubstEnv,
                             UnknownHole, Var, compose_meta_subst,
                             compose_subst, fold,
@@ -300,7 +300,7 @@ def test_lazy_fold_substitutes_as_the_eager_reference():
     for n, cfg in enumerate(all_fragment_configs()[::8]):
         gen = TermGen(cfg, CbvOperatorTable(cfg), random.Random(20260810 + n))
         for i in range(24):
-            ctx, term = _corpus_item(gen, 3, 4, {}, hole_prob=0.35 * (i % 2))
+            ctx, term = gen.random_item(3, 4, {}, hole_prob=0.35 * (i % 2))
             sigma = gen.random_subst(ctx)
             assert substitute(term, sigma) == reference_fold(
                 term, rebuild, rebuild_meta, sigma.entries, sigma.target,
