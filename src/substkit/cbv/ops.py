@@ -26,31 +26,15 @@ import itertools
 from ..signatures import Argument, Operator, OperatorTable
 from ..sorts import Context, first, second
 from .types import (DepthExceeded, Fun, FragmentConfig, NAT, Record, TypeExpr,
-                    Variant, fun, is_context_row, is_done_cont_shape,
-                    is_maybe_shape, maybe_shape, done_cont_shape, record,
-                    type_depth, type_to_label, types_upto, valid_type, variant)
+                    Variant, done_cont_shape, fun, is_context_row,
+                    is_maybe_shape, maybe_shape, record, type_depth,
+                    type_to_label, types_upto, valid_type, variant)
 
 
 class DisabledConstruct(Exception):
     def __init__(self, family, cfg):
         super().__init__(f"construct {family!r} is not enabled in {cfg.name()}")
         self.family = family
-
-
-def record_allowed(cfg: FragmentConfig, row: tuple) -> bool:
-    if cfg.has("records"):
-        return True
-    if row == () and cfg.has("naturals"):
-        return True
-    return cfg.has("recursion") and is_context_row(Record(row))
-
-
-def variant_allowed(cfg: FragmentConfig, t: Variant) -> bool:
-    if cfg.has("variants"):
-        return True
-    if cfg.has("naturals") and is_maybe_shape(t):
-        return True
-    return cfg.has("while") and is_done_cont_shape(t)
 
 
 def vmatch_allowed(cfg: FragmentConfig, t: Variant) -> bool:
@@ -149,8 +133,6 @@ class CbvOperatorTable(OperatorTable):
     @_mint_once
     def vrec(self, row: tuple) -> Operator:
         t = record(row)
-        if not record_allowed(self.cfg, t.row):
-            raise DisabledConstruct("record value", self.cfg)
         self._check_type(t)
         label = f"vrec<{type_to_label(t)}>"
         args = [Argument(Context(()), first(v)) for _, v in t.row]
@@ -159,8 +141,6 @@ class CbvOperatorTable(OperatorTable):
     @_mint_once
     def rec(self, row: tuple) -> Operator:
         t = record(row)
-        if not record_allowed(self.cfg, t.row):
-            raise DisabledConstruct("record term", self.cfg)
         self._check_type(t)
         label = f"rec<{type_to_label(t)}>"
         args = [Argument(Context(()), second(v)) for _, v in t.row]
@@ -182,8 +162,6 @@ class CbvOperatorTable(OperatorTable):
     @_mint_once
     def vinj(self, row: tuple, tag: str) -> Operator:
         t = variant_of(row)
-        if not variant_allowed(self.cfg, t):
-            raise DisabledConstruct("variant value", self.cfg)
         self._check_type(t)
         label = f"vinj<{type_to_label(t)};{tag}>"
         payload = dict(t.row)[tag]
@@ -193,8 +171,6 @@ class CbvOperatorTable(OperatorTable):
     @_mint_once
     def inj(self, row: tuple, tag: str) -> Operator:
         t = variant_of(row)
-        if not variant_allowed(self.cfg, t):
-            raise DisabledConstruct("variant term", self.cfg)
         self._check_type(t)
         label = f"inj<{type_to_label(t)};{tag}>"
         payload = dict(t.row)[tag]

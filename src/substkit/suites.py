@@ -42,10 +42,10 @@ def check_term_laws(cfg: FragmentConfig, seed: int, count: int = 200,
                 fails["left unit"] = f"item {i}"
         if substitute(term, identity_env(ctx)) != term:
             fails.setdefault("right unit", f"item {i}")
-        lhs = substitute(substitute(term, s1), s2)
-        if lhs != substitute(term, compose_subst(s1, s2)):
+        by_s1 = substitute(term, s1)
+        if substitute(by_s1, s2) != substitute(term, compose_subst(s1, s2)):
             fails.setdefault("associativity", f"item {i}")
-        if substitute(term, s1) != substitute_direct(term, s1):
+        if by_s1 != substitute_direct(term, s1):
             fails.setdefault("oracle agreement", f"item {i}")
     for law in ("left unit", "right unit", "associativity", "oracle agreement"):
         rep.record(suite, f"{law} ({count} terms, seed {seed})",

@@ -40,7 +40,8 @@ import pytest
 from substkit import suites
 from substkit.cbv import all_fragment_configs, config
 from substkit.report import Report
-from substkit.semantics import OptionMonad, check_compatibility, model
+from substkit.semantics import OptionMonad, model
+from substkit.semantics.checks import check_compatibility
 from substkit.suites import check_meta_laws
 
 SEED = 20260810

@@ -5,11 +5,12 @@ import random
 import pytest
 
 from substkit.cbv.gen import TermGen
-from substkit.cbv.ops import CbvOperatorTable, record_allowed, variant_allowed
+from substkit.cbv.ops import CbvOperatorTable
 from substkit.cbv.types import (EXTENSIONS, NAT, UNIT, Base, Fun, NatType,
                                 Record, Variant, all_fragment_configs, config,
-                                done_cont_shape, fun, maybe_shape, record,
-                                valid_type, variant)
+                                done_cont_shape, fun, is_context_row,
+                                is_done_cont_shape, is_maybe_shape, maybe_shape,
+                                record, valid_type, variant)
 from substkit.semantics import model, monads
 from substkit.sorts import Context
 
@@ -24,6 +25,27 @@ def _subtypes(t):
     elif isinstance(t, (Record, Variant)):
         for _, v in t.row:
             yield from _subtypes(v)
+
+
+def record_allowed(cfg, row: tuple) -> bool:
+    """The sweep's own statement of record formation: any row under
+    ``records``, the unit row under ``naturals``, binder rows under
+    ``recursion``."""
+    if cfg.has("records"):
+        return True
+    if row == () and cfg.has("naturals"):
+        return True
+    return cfg.has("recursion") and is_context_row(Record(row))
+
+
+def variant_allowed(cfg, t: Variant) -> bool:
+    """Variant formation: any row under ``variants``, option shapes under
+    ``naturals``, done/continue shapes under ``while``."""
+    if cfg.has("variants"):
+        return True
+    if cfg.has("naturals") and is_maybe_shape(t):
+        return True
+    return cfg.has("while") and is_done_cont_shape(t)
 
 
 def sweep_inhabited(gen: TermGen, avail: frozenset, memo: dict) -> frozenset:

@@ -144,6 +144,7 @@ def test_malformed_label_raises_key_error(label):
     (config(()), lambda t: t.letrec((((), B),), B), DisabledConstruct),
     (config(("functions",)), lambda t: t.val(variant((("A", B),))),
      DisabledConstruct),
+    (config(("naturals",)), lambda t: t.vrec((("A", B),)), DisabledConstruct),
     (config(("functions",), type_depth=2),
      lambda t: t.lam(fun(B, B), fun(B, B)), DepthExceeded),
     (config(("naturals",), nat_bound=4), lambda t: t.lit(4), ValueError),

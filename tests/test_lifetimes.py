@@ -9,8 +9,11 @@ import sys
 import weakref
 
 from conftest import SRC
-from substkit.cbv import Base, CbvOperatorTable, config, fun, parse, typecheck, valid_type
-from substkit.semantics import OptionMonad, context_space, denote, interpret_type, model
+from substkit.cbv import Base, CbvOperatorTable, config, fun, valid_type
+from substkit.cbv.surface import parse
+from substkit.cbv.typecheck import typecheck
+from substkit.semantics import OptionMonad, context_space, interpret_type, model
+from substkit.semantics.denote import denote
 from substkit.sorts import Context, first, second
 
 B = Base("b")

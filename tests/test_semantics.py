@@ -8,15 +8,17 @@ import pytest
 
 from conftest import all_renamings, contexts_upto, reference_fold, swap_first_pair
 from substkit.cbv import (Base, CbvOperatorTable, NAT, config, fun, maybe_shape,
-                          parse, record, typecheck, variant)
+                          record, variant)
 from substkit.cbv.gen import TermGen, enumerate_terms
+from substkit.cbv.surface import parse
+from substkit.cbv.typecheck import typecheck
 from substkit.cbv.types import valid_type
 from substkit.semantics import (IdentityMonad, OptionMonad, UnsupportedCapability,
-                                check_compatibility, check_sem_action_axioms,
-                                check_substitution_lemma_exhaustive,
-                                check_substitution_lemma_random, denote,
                                 interp_size, interpret_type, model, precompose)
-from substkit.semantics.denote import DenotationCarrier, Interpreter
+from substkit.semantics.checks import (check_compatibility, check_sem_action_axioms,
+                                       check_substitution_lemma_exhaustive,
+                                       check_substitution_lemma_random)
+from substkit.semantics.denote import DenotationCarrier, Interpreter, denote
 from substkit.semantics.model import (Denotation, context_space, identity_sem_env,
                                       projection)
 from substkit.sorts import Context, Renaming, first, second

@@ -4,10 +4,11 @@ import random
 
 import pytest
 
-from substkit.cbv import (Base, CbvOperatorTable, NAT, SurfaceSyntaxError, config,
-                          fun, parse, parse_type, parse_value, pretty, typecheck)
+from substkit.cbv import Base, CbvOperatorTable, NAT, config, fun
 from substkit.cbv.gen import TermGen
-from substkit.cbv.surface import SLet, SVal, SVar
+from substkit.cbv.surface import (SLet, SurfaceSyntaxError, SVal, SVar, parse,
+                                  parse_type, parse_value, pretty)
+from substkit.cbv.typecheck import typecheck
 from substkit.cbv.types import MAX_NESTING
 from substkit.sorts import Context, second
 

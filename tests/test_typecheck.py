@@ -2,10 +2,12 @@
 
 import pytest
 
-from substkit.cbv import (ArityMismatch, Base, CbvOperatorTable, DisabledConstruct,
-                          NAT, SortMismatch, UnknownVariable, config, fun,
-                          maybe_shape, parse, parse_value, synthesize, typecheck)
+from substkit.cbv import (Base, CbvOperatorTable, DisabledConstruct, NAT, config,
+                          fun, maybe_shape)
 from substkit.cbv.gen import TermGen
+from substkit.cbv.surface import parse, parse_value, pretty
+from substkit.cbv.typecheck import (ArityMismatch, SortMismatch, UnknownVariable,
+                                    synthesize, typecheck)
 from substkit.sorts import Context, first, second
 from substkit.terms import Op, Var
 
@@ -92,7 +94,7 @@ def test_typechecking_deterministic():
 def test_fragment_monotonicity():
     """A term typable in a config stays typable when extensions are added."""
     import random
-    from substkit.cbv import all_fragment_configs, EXTENSIONS, pretty
+    from substkit.cbv import all_fragment_configs, EXTENSIONS
     rng = random.Random(4)
     for cfg in all_fragment_configs(("b",), nat_bound=4)[::12]:
         table = CbvOperatorTable(cfg)
@@ -107,7 +109,6 @@ def test_fragment_monotonicity():
         bigger = config(tuple(cfg.extensions) + (rng.choice(missing),),
                         cfg.base_types, cfg.nat_bound, cfg.type_depth)
         text = pretty(term, table)
-        from substkit.cbv import parse as p, parse_value as pv
-        surface = pv(text) if target.is_first else p(text)
+        surface = parse_value(text) if target.is_first else parse(text)
         again = typecheck(surface, ctx, target, bigger)
         assert again == term
