@@ -1,8 +1,9 @@
-"""The call-by-value case study: types and operators.
+"""The call-by-value case study: the package re-exports its types only.
 
-The reader (:mod:`.surface`), the typechecker (:mod:`.typecheck`) and the
-corpus generator (:mod:`.gen`) are imported from their own modules, so a
-caller that only needs types and operators does not load them.
+The operator table (:mod:`.ops`), the reader (:mod:`.surface`), the
+typechecker (:mod:`.typecheck`) and the corpus generator (:mod:`.gen`) are
+imported from their own modules, so a caller that only needs types (a model
+interpreting them, say) loads none of them, nor the signatures they rest on.
 """
 
 from .types import (EXTENSIONS, Base, DepthExceeded, FragmentConfig, Fun,
@@ -10,12 +11,10 @@ from .types import (EXTENSIONS, Base, DepthExceeded, FragmentConfig, Fun,
                     all_fragment_configs, config, done_cont_shape, fun,
                     maybe_shape, record,
                     type_to_label, type_to_str, types_upto, valid_type, variant)
-from .ops import CbvOperatorTable, DisabledConstruct
 
 __all__ = [
-    "Base", "CbvOperatorTable", "DepthExceeded", "DisabledConstruct",
-    "EXTENSIONS", "FragmentConfig", "Fun", "NAT", "NatType", "Record",
-    "TypeExpr", "UNIT", "Variant",
+    "Base", "DepthExceeded", "EXTENSIONS", "FragmentConfig", "Fun", "NAT",
+    "NatType", "Record", "TypeExpr", "UNIT", "Variant",
     "all_fragment_configs", "config", "done_cont_shape", "fun", "maybe_shape",
     "record", "type_to_label", "type_to_str", "types_upto", "valid_type",
     "variant",

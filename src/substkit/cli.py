@@ -61,7 +61,10 @@ def _read_json_object(path: str) -> dict:
     return data
 
 
-def build_model(args):
+def build_model(args, cfg):
+    """The model the options name for fragment ``cfg``.  By default every
+    base type of the fragment has size 2; a model that leaves one of them
+    without a size is an input error."""
     for flag in ("exceptions", "states"):
         if getattr(args, flag) < 0:
             raise ValueError(f"--{flag} must be at least 0")
@@ -81,7 +84,10 @@ def build_model(args):
         if not n.strip().isdigit():
             raise ValueError(f"--base-size expects NAME=SIZE, got {item!r}")
         sizes[name.strip()] = int(n)
-    sizes = sizes or {"b": 2}
+    sizes = sizes or dict.fromkeys(cfg.base_types, 2)
+    for name in cfg.base_types:
+        if name not in sizes:
+            raise ValueError(f"the model gives no size to base type {name!r}")
     if not isinstance(monad_name, str) or monad_name not in BUNDLED:
         raise ValueError(f"unknown monad {monad_name!r}")
     kwargs = {}
@@ -143,7 +149,7 @@ def cmd_run(args) -> int:
     try:
         text = _read(args.program) if args.program != "-" else sys.stdin.read()
         cfg, table, _, ctx, term, sort = _elaborate(args, text)
-        m = build_model(args)
+        m = build_model(args, cfg)
     except INPUT_ERRORS as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
@@ -172,7 +178,7 @@ def cmd_run(args) -> int:
 def cmd_subst(args) -> int:
     try:
         cfg, table, names, ctx, term, sort = _elaborate(args, _read(args.term))
-        m = build_model(args) if args.monad or args.model else None
+        m = build_model(args, cfg) if args.monad or args.model else None
         lines = [l for l in _read(args.subst).splitlines()
                  if l.strip() and not l.strip().startswith("--")]
         if not lines or not lines[0].startswith("target"):
@@ -221,7 +227,11 @@ def cmd_subst(args) -> int:
 
 def cmd_fragments(args) -> int:
     if args.ops:
-        cfg = parse_fragment(args.ops, 4)
+        try:
+            cfg = parse_fragment(args.ops, 4)
+        except INPUT_ERRORS as e:
+            print(f"error: {e}", file=sys.stderr)
+            return 1
         table = CbvOperatorTable(cfg)
         for op in table.operators():
             args_s = ", ".join(

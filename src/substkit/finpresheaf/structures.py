@@ -31,34 +31,13 @@ import itertools
 import math
 from typing import Hashable, Iterable, Sequence
 
-from ..sorts import (Context, Renaming, Sort, compose_renamings, first,
+from ..sorts import (Context, Renaming, Sort, _maps, compose_renamings,
+                     enumerate_contexts, enumerate_renamings, first,
                      identity_renaming)
 
 
 class BoundExceeded(Exception):
     pass
-
-
-def enumerate_contexts(sort_ids: Sequence[Hashable], max_len: int) -> list[Context]:
-    """All contexts over the given alphabet up to the length bound, shortest
-    first, entries in alphabet order."""
-    if max_len < 0:
-        raise ValueError("max_len must be nonnegative")
-    out = []
-    for k in range(max_len + 1):
-        out.extend(Context(c) for c in itertools.product(sort_ids, repeat=k))
-    return out
-
-
-def _maps(g1: Context, g2: Context):
-    """The position maps of :func:`enumerate_renamings`, in its order."""
-    pools = [[i for i, e in enumerate(g1.entries) if e == s] for s in g2.entries]
-    return itertools.product(*pools)
-
-
-def enumerate_renamings(g1: Context, g2: Context) -> list[Renaming]:
-    """All sort-preserving position maps from ``g2`` into ``g1``."""
-    return [Renaming(g1, g2, m) for m in _maps(g1, g2)]
 
 
 class FinStructure:

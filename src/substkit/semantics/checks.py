@@ -17,9 +17,9 @@ from ..cbv.ops import CbvOperatorTable
 from ..cbv.types import (NAT, Base, FragmentConfig, Fun, done_cont_shape, fun,
                          types_upto, valid_type)
 from ..report import Report
-from ..finpresheaf.structures import enumerate_contexts, enumerate_renamings
 from ..signatures import route_environment
-from ..sorts import Context, first, second
+from ..sorts import (Context, enumerate_contexts, enumerate_renamings, first,
+                     second)
 from ..terms import Op, SubstEnv, Term, Var, substitute
 from .denote import (DenotationCarrier, Interpreter, NonConvergence, denote,
                      elgot_unrolling_oracle, kleene_fixpoint)

@@ -1,4 +1,4 @@
-"""Sorting systems, sorted contexts, and renamings.
+"""Sorting systems, sorted contexts, renamings, and their enumeration.
 
 Sorts come in two classes.  First-class sorts may appear in contexts and be
 substituted for; second-class sorts have terms but no variables.  Contexts are
@@ -12,6 +12,7 @@ by contexts are contravariant in renamings.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Container, Hashable, Iterable, Sequence
 
@@ -209,3 +210,25 @@ def pair_renamings(f: Renaming, g: Renaming) -> Renaming:
         raise ContextMismatch("pairing requires a common source context")
     tgt = Context(f.target.entries + g.target.entries)
     return Renaming(f.source, tgt, f.mapping + g.mapping)
+
+
+def enumerate_contexts(sort_ids: Sequence[Hashable], max_len: int) -> list[Context]:
+    """All contexts over the given alphabet up to the length bound, shortest
+    first, entries in alphabet order."""
+    if max_len < 0:
+        raise ValueError("max_len must be nonnegative")
+    out = []
+    for k in range(max_len + 1):
+        out.extend(Context(c) for c in itertools.product(sort_ids, repeat=k))
+    return out
+
+
+def _maps(g1: Context, g2: Context):
+    """The position maps of :func:`enumerate_renamings`, in its order."""
+    pools = [[i for i, e in enumerate(g1.entries) if e == s] for s in g2.entries]
+    return itertools.product(*pools)
+
+
+def enumerate_renamings(g1: Context, g2: Context) -> list[Renaming]:
+    """All sort-preserving position maps from ``g2`` into ``g1``."""
+    return [Renaming(g1, g2, m) for m in _maps(g1, g2)]

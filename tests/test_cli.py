@@ -12,7 +12,7 @@ import pytest
 
 from conftest import child_env
 from substkit import cli
-from substkit.cbv import CbvOperatorTable
+from substkit.cbv.ops import CbvOperatorTable
 from substkit.cbv.gen import TermGen
 from substkit.cbv.surface import pretty
 from substkit.cbv.types import MAX_NESTING, parse_fragment, type_to_str
@@ -70,6 +70,22 @@ def test_fragments_lists_128():
     assert out.stdout.count("- base") == 128
     assert "strong monad over a Cartesian category" in out.stdout
     assert "Done" in out.stdout  # the while row shows the Done/Cont need
+
+
+def test_fragments_ops_unknown_extension_is_one_error_line():
+    out = run_cli("fragments", "--ops", "nosuch")
+    assert_one_error_line(out)
+    assert out.stderr == "error: unknown extensions ['nosuch']\n"
+    assert out.stdout == ""
+
+
+def test_default_model_sizes_every_base_type_of_the_fragment(tmp_path):
+    prog = tmp_path / "prog.cbv"
+    prog.write_text("val x\n")
+    out = run_cli("run", str(prog), "--base-types", "c", "--context", "x: c")
+    assert out.returncode == 0, out.stderr
+    assert out.stdout == ("sort: C c\n('c0',) -> ('some', 'c0')\n"
+                          "('c1',) -> ('some', 'c1')\n")
 
 
 def test_subst_identity_env_prints_term_and_passes(tmp_path):
@@ -174,6 +190,11 @@ MALFORMED_RUN = {
     "unknown monad": ["--model", {"monad": "nope"}],
     "model is a list": ["--model", ["option"]],
     "base size not an integer": ["--model", {"base_sizes": {"b": "x"}}],
+    # every base type of the fragment needs a size; the context's is 'b'
+    "base size given for another type": ["--base-size", "c=2"],
+    "model sizes another type": ["--model", {"base_sizes": {"c": 2}}],
+    "second base type without a size": ["--base-types", "b,c", "--base-size",
+                                        "b=2"],
     "state count not an integer": ["--model", {"monad": "state",
                                                "monad_params": {"states": "x"}}],
     "fragment config is a list": ["--fragment-config", ["sequential"]],

@@ -35,10 +35,25 @@ def test_monads_load_no_syntax_interpreter_or_checks():
                   "print(json.dumps(sorted(m for m in sys.modules "
                   "if m.startswith('substkit'))))")
     assert "substkit.semantics.monads" in loaded
+    # the monad laws concern the strong monad alone: a model reads its types
+    # from cbv.types, and the top-level package re-exports sorts only
     heavy = ("substkit.semantics.checks", "substkit.semantics.denote",
              "substkit.cbv.gen", "substkit.cbv.surface", "substkit.cbv.typecheck",
+             "substkit.cbv.ops", "substkit.signatures", "substkit.terms",
              "substkit.finpresheaf")
     assert [m for m in loaded if m.startswith(heavy)] == []
+    assert len(loaded) <= 9, loaded
+
+
+def test_checks_load_no_presheaf_layer():
+    """The substitution lemma never uses the presheaf tensor: contexts and
+    renamings are enumerated in ``sorts``."""
+    loaded = _run("import json, sys\n"
+                  "import substkit.semantics.checks\n"
+                  "print(json.dumps(sorted(m for m in sys.modules "
+                  "if m.startswith('substkit'))))")
+    assert "substkit.semantics.checks" in loaded
+    assert [m for m in loaded if m.startswith("substkit.finpresheaf")] == []
 
 
 def test_model_stays_the_builder_after_the_checks_load():

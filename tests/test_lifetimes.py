@@ -9,7 +9,8 @@ import sys
 import weakref
 
 from conftest import SRC
-from substkit.cbv import Base, CbvOperatorTable, config, fun, valid_type
+from substkit.cbv import Base, config, fun, valid_type
+from substkit.cbv.ops import CbvOperatorTable
 from substkit.cbv.surface import parse
 from substkit.cbv.typecheck import typecheck
 from substkit.semantics import OptionMonad, context_space, interpret_type, model

@@ -7,8 +7,8 @@ import random
 import pytest
 
 from conftest import all_renamings, contexts_upto, reference_fold, swap_first_pair
-from substkit.cbv import (Base, CbvOperatorTable, NAT, config, fun, maybe_shape,
-                          record, variant)
+from substkit.cbv import Base, NAT, config, fun, maybe_shape, record, variant
+from substkit.cbv.ops import CbvOperatorTable
 from substkit.cbv.gen import TermGen, enumerate_terms
 from substkit.cbv.surface import parse
 from substkit.cbv.typecheck import typecheck

@@ -4,7 +4,8 @@ import random
 
 import pytest
 
-from substkit.cbv import Base, CbvOperatorTable, NAT, config, fun
+from substkit.cbv import Base, NAT, config, fun
+from substkit.cbv.ops import CbvOperatorTable
 from substkit.cbv.gen import TermGen
 from substkit.cbv.surface import (SLet, SurfaceSyntaxError, SVal, SVar, parse,
                                   parse_type, parse_value, pretty)

@@ -8,7 +8,7 @@ import pytest
 from conftest import (TOY, all_renamings, env_of_renaming, random_toy_context,
                       random_toy_env, random_toy_term, reference_fold,
                       swap_first_pair)
-from substkit.cbv import CbvOperatorTable
+from substkit.cbv.ops import CbvOperatorTable
 from substkit.cbv.gen import TermGen
 from substkit.cbv.types import all_fragment_configs, config
 from substkit.sorts import Context, Renaming, compose_renamings, identity_renaming, second

@@ -2,8 +2,8 @@
 
 import pytest
 
-from substkit.cbv import (Base, CbvOperatorTable, DisabledConstruct, NAT, config,
-                          fun, maybe_shape)
+from substkit.cbv import Base, NAT, config, fun, maybe_shape
+from substkit.cbv.ops import CbvOperatorTable, DisabledConstruct
 from substkit.cbv.gen import TermGen
 from substkit.cbv.surface import parse, parse_value, pretty
 from substkit.cbv.typecheck import (ArityMismatch, SortMismatch, UnknownVariable,
