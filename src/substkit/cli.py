@@ -25,7 +25,7 @@ from .cbv.types import (EXTENSIONS, DepthExceeded, all_fragment_configs,
                         config_from_dict, parse_fragment, type_to_str,
                         typing_needs)
 from .report import Report
-from .semantics.denote import denote
+from .semantics.denote import Interpreter, denote
 from .semantics.finset import EnumerationTooLarge
 from .semantics.model import model
 from .semantics.monads import BUNDLED, UnsupportedCapability, monad_by_name
@@ -215,7 +215,7 @@ def cmd_subst(args) -> int:
     if m is not None:
         from .semantics.checks import lemma_holds
         try:
-            ok, diff = lemma_holds(term, env, m, cfg, table, {})
+            ok, diff = lemma_holds(term, env, Interpreter(m, cfg, table))
         except UnsupportedCapability as e:
             print(f"error: {e}", file=sys.stderr)
             return 2

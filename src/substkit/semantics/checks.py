@@ -249,18 +249,17 @@ def check_compatibility(fragment: str, m: Model, cfg: FragmentConfig,
 
 # --- the substitution lemma ---------------------------------------------------------
 
-def lemma_holds(t: Term, env: SubstEnv, m: Model, cfg: FragmentConfig,
-                table: CbvOperatorTable, denoted: dict) -> tuple:
+def lemma_holds(t: Term, env: SubstEnv, interp: Interpreter) -> tuple:
     """Whether the table of ``t[env]`` equals the table of ``t`` composed with
-    the entries' tables, and the first point where they differ.  ``denoted``
-    maps terms to their denotations; the caller owns it and this fills it."""
-    # the substituted term is one-shot: interpret it without keeping it
-    lhs = denote(substitute(t, env), m, cfg, table)
-    for e in (*env.entries, t):
-        if e not in denoted:
-            denoted[e] = denote(e, m, cfg, table)
-    rhs = subst_denotation(denoted[t], [denoted[e] for e in env.entries], m,
-                           cfg.nat_bound, target=env.target)
+    the entries' tables, and the first point where they differ.  ``interp`` is
+    the caller's: the substituted term, ``t`` and the entries are denoted
+    through it, so each shares what the others and earlier cases built."""
+    m, cfg, table = interp.m, interp.cfg, interp.table
+    lhs = denote(substitute(t, env), m, cfg, table, interp)
+    rhs = subst_denotation(denote(t, m, cfg, table, interp),
+                           [denote(e, m, cfg, table, interp)
+                            for e in env.entries],
+                           m, cfg.nat_bound, target=env.target)
     diff = lhs.difference_witness(rhs)
     return (diff is None), diff
 
@@ -275,7 +274,8 @@ def check_substitution_lemma_exhaustive(cfg: FragmentConfig, m: Model,
     rep = report if report is not None else Report()
     suite = f"subst-lemma[{cfg.name()},{m.monad.name}]"
     table = CbvOperatorTable(cfg)
-    denoted: dict = {}
+    # one interpreter for the whole corpus, whose terms share subterms
+    interp = Interpreter(m, cfg, table)
     b = Base(cfg.base_types[0])
     universe = tuple(t for t in (b, fun(b, b)) if valid_type(t, cfg))
     ctxs = enumerate_contexts(universe, 2)
@@ -308,7 +308,7 @@ def check_substitution_lemma_exhaustive(cfg: FragmentConfig, m: Model,
                                         max_ctx=3):
                 envs = var_only + [rest[rotate % len(rest)]] if rest else var_only
                 for env in envs:
-                    ok, diff = lemma_holds(term, env, m, cfg, table, denoted)
+                    ok, diff = lemma_holds(term, env, interp)
                     checked += 1
                     if not ok:
                         rep.record(suite, "exhaustive corpus", False,
@@ -328,7 +328,6 @@ def check_substitution_lemma_random(cfg: FragmentConfig, m: Model, seed: int,
     suite = f"subst-lemma[{cfg.name()},{m.monad.name}]"
     rng = random.Random(seed)
     table = CbvOperatorTable(cfg)
-    denoted: dict = {}
     gen = TermGen(cfg, table, rng, interp_cap=40, model=m)
     checked = 0
     while checked < count:
@@ -336,7 +335,9 @@ def check_substitution_lemma_random(cfg: FragmentConfig, m: Model, seed: int,
         env = gen.random_subst(ctx)
         if context_space(env.target, m, cfg.nat_bound).size > 256:
             continue
-        ok, diff = lemma_holds(term, env, m, cfg, table, denoted)
+        # one interpreter per case: random cases share little, and a table
+        # kept for the whole corpus would keep every case alive
+        ok, diff = lemma_holds(term, env, Interpreter(m, cfg, table))
         checked += 1
         if not ok:
             rep.record(suite, f"random corpus (seed {seed})", False,

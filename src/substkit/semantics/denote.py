@@ -7,6 +7,14 @@ for whatever the clauses do -- provided each clause is compatible, which the
 check suites verify.  Unbounded iteration uses Elgot iteration with cycle
 detection; recursive definitions take a least fixed point in the flat
 pointwise order, both only under the option monad.
+
+An ``Interpreter`` shares the denotations it builds, as hash-consing shares
+terms: one per (operator label, context, child denotations), one projection
+per (context, position) and one weakening per (denotation, context).  A
+subterm that recurs, in one term or across the terms an interpreter denotes,
+is denoted once, and its memo answers for every occurrence.  The tables go
+with their interpreter, which a check owns for as long as its terms may
+share.
 """
 
 from __future__ import annotations
@@ -15,8 +23,8 @@ from ..cbv.ops import CbvOperatorTable
 from ..cbv.types import FragmentConfig, record
 from ..sorts import Context, Renaming
 from ..terms import fold
-from .model import (Denotation, Model, identity_sem_env, interpret_type,
-                    memoized, precompose, projection)
+from .model import (Denotation, Model, interpret_type, memoized, precompose,
+                    projection)
 from .monads import NONE, UnsupportedCapability
 
 
@@ -87,12 +95,43 @@ class DenotationCarrier:
         return projection(ctx, position, self.m, self.nat_bound)
 
 
+class SharingCarrier(DenotationCarrier):
+    """The denotation carrier with one projection per (context, position) and
+    one weakening per (denotation, context).  The fold acts only along the
+    projection of a context onto a prefix, which the source context fixes."""
+
+    def __init__(self, m: Model, nat_bound: int):
+        super().__init__(m, nat_bound)
+        self.projections: dict = {}
+        self.weakenings: dict = {}
+
+    def act(self, d: Denotation, rho: Renaming) -> Denotation:
+        key = (d, rho.source)
+        got = self.weakenings.get(key)
+        if got is None:
+            got = self.weakenings[key] = super().act(d, rho)
+        return got
+
+    def var(self, ctx: Context, position: int) -> Denotation:
+        key = (ctx, position)
+        got = self.projections.get(key)
+        if got is None:
+            got = self.projections[key] = super().var(ctx, position)
+        return got
+
+
 class Interpreter:
+    """The algebra of the denotation fold, and the owner of the denotations
+    ``denote`` builds with it.  ``alg`` is the plain clause dispatch, which
+    the compatibility squares call directly; ``denote`` shares through
+    ``_build`` and ``_shared``."""
+
     def __init__(self, m: Model, cfg: FragmentConfig, table: CbvOperatorTable):
         self.m = m
         self.cfg = cfg
         self.table = table
-        self.carrier = DenotationCarrier(m, cfg.nat_bound)
+        self._shared = SharingCarrier(m, cfg.nat_bound)
+        self._built: dict = {}
 
     # -- small helpers ------------------------------------------------------
 
@@ -117,9 +156,19 @@ class Interpreter:
     # -- the algebra --------------------------------------------------------
 
     def denote(self, t) -> Denotation:
-        """Interpret a well-sorted term over its ambient context."""
-        env = identity_sem_env(t.ctx, self.m, self.cfg.nat_bound)
-        return fold(t, self.alg, self._alg_hole, env, t.ctx, self.carrier)
+        """Interpret a well-sorted term over its ambient context, reusing every
+        denotation this interpreter built before."""
+        shared = self._shared
+        env = [shared.var(t.ctx, i) for i in range(len(t.ctx))]
+        return fold(t, self._build, self._alg_hole, env, t.ctx, shared)
+
+    def _build(self, op, values, ctx):
+        """``alg``, once per (operator label, context, child denotations)."""
+        key = (op.label, ctx, *values)
+        got = self._built.get(key)
+        if got is None:
+            got = self._built[key] = self.alg(op, values, ctx)
+        return got
 
     def alg(self, op, values, ctx):
         family, params = self.table.family(op)
@@ -243,12 +292,13 @@ class Interpreter:
 
     def _alg_natfold(self, op, params, values, ctx):
         monad = self.m.monad
+        bound = self.cfg.nat_bound
         scrut, body = values
 
         def fn(point):
             acc = body.at(point + (("0", ()),))
             results = [acc]
-            for _ in range(self.cfg.nat_bound - 1):
+            for _ in range(bound - 1):
                 acc = monad.bind(
                     lambda g, prev: body.at(g + (("1+", prev),)), point, acc)
                 results.append(acc)
@@ -306,6 +356,11 @@ class Interpreter:
         raise ValueError("terms with holes have no denotation")
 
 
-def denote(t, m: Model, cfg: FragmentConfig, table: CbvOperatorTable) -> Denotation:
-    """Interpret a well-sorted term over its ambient context."""
-    return Interpreter(m, cfg, table).denote(t)
+def denote(t, m: Model, cfg: FragmentConfig, table: CbvOperatorTable,
+           interp: Interpreter | None = None) -> Denotation:
+    """Interpret a well-sorted term over its ambient context: with ``interp``,
+    an interpreter over the same model, configuration and table, sharing what
+    it built; otherwise with a fresh one."""
+    if interp is None:
+        interp = Interpreter(m, cfg, table)
+    return interp.denote(t)

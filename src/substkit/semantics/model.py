@@ -5,9 +5,11 @@ products, and a term of a first-class sort denotes a function from the context
 product, a term of a second-class sort a Kleisli map into the monad.
 A denotation is a query function from context points to values.  Clauses that
 only reindex or wrap what their children answer are views that store nothing;
-the others keep what they computed in a memo.  Comparisons materialize
-denotations over the full enumeration of their (small) context space, which is
-looked up only then.
+the others keep what they computed in a memo.  A denotation does not know the
+term it came from: the interpreter that built it shares it with equal
+subterms over the same context, so its memo serves them all.  Comparisons
+materialize denotations over the full enumeration of their (small) context
+space, which is looked up only then.
 
 Each ``Model`` owns the sets its types and contexts denote, in two tables keyed
 by (type, nat bound) and (context, nat bound), since one model serves several

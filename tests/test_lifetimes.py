@@ -9,12 +9,12 @@ import sys
 import weakref
 
 from conftest import SRC
-from substkit.cbv import Base, config, fun, valid_type
+from substkit.cbv import NAT, Base, config, fun, valid_type
 from substkit.cbv.ops import CbvOperatorTable
 from substkit.cbv.surface import parse
 from substkit.cbv.typecheck import typecheck
 from substkit.semantics import OptionMonad, context_space, interpret_type, model
-from substkit.semantics.denote import denote
+from substkit.semantics.denote import Interpreter, denote
 from substkit.sorts import Context, first, second
 
 B = Base("b")
@@ -36,6 +36,32 @@ def test_model_and_config_are_freed_without_the_cycle_collector():
     try:
         del m, cfg, table, term
         assert [ref() for ref in refs] == [None, None]
+    finally:
+        gc.enable()
+
+
+def test_interpreter_and_its_denotations_are_freed_without_the_cycle_collector():
+    """An interpreter keeps the denotations it built, and none refers back to
+    it, a naturals fold's included: the interpreter and every denotation go
+    with the last reference.  A denotation takes no weak reference, so the
+    test watches its query function, which only the denotation holds."""
+    cfg = config(("naturals",), nat_bound=3)
+    m = model(OptionMonad(), {"b": 2})
+    table = CbvOperatorTable(cfg)
+    term = typecheck(parse("fold (val x0) a . val x0"), Context((NAT,)),
+                     second(NAT), cfg, table)
+    interp = Interpreter(m, cfg, table)
+    d = interp.denote(term)
+    assert d.table() == tuple(("some", n) for n in range(3))
+    shared = interp._shared
+    built = [*interp._built.values(), *shared.projections.values(),
+             *shared.weakenings.values()]
+    refs = [weakref.ref(interp)] + [weakref.ref(b.at) for b in built]
+    assert len(refs) > 3
+    gc.disable()
+    try:
+        del interp, d, shared, built
+        assert [ref() for ref in refs] == [None] * len(refs)
     finally:
         gc.enable()
 

@@ -22,7 +22,7 @@ from substkit.semantics.denote import DenotationCarrier, Interpreter, denote
 from substkit.semantics.model import (Denotation, context_space, identity_sem_env,
                                       projection)
 from substkit.sorts import Context, Renaming, first, second
-from substkit.terms import Op, Var, substitute
+from substkit.terms import Op, Var, identity_env, substitute
 
 B = Base("b")
 # the package re-exports functions named like these modules
@@ -307,10 +307,11 @@ def test_lazy_denotations_match_the_eager_reference():
                 if context_space(env.target, m, cfg.nat_bound).size <= 256:
                     cases += [term, substitute(term, env)]
             interp = Interpreter(m, cfg, table)
+            carrier = DenotationCarrier(m, cfg.nat_bound)
             for term in cases:
                 env = identity_sem_env(term.ctx, m, cfg.nat_bound)
                 eager = reference_fold(term, interp.alg, interp._alg_hole, env,
-                                       term.ctx, interp.carrier)
+                                       term.ctx, carrier)
                 assert interp.denote(term).table() == eager.table(), term
 
 
@@ -402,6 +403,81 @@ def test_memo_keyed_on_a_prefix_of_the_point_fails_the_lemma_with_witness(
     assert failure is not None and failure.witness
 
 
+def test_sharing_key_without_the_operator_label_fails_the_lemma(monkeypatch):
+    """A mutant of the sharing key that drops the operator label, so two
+    operators over one context with the same children share a denotation:
+    with variants, injections with different tags do.  On the base,
+    sequential and functions corpora the mutant is equivalent, because there
+    the context and the children fix the operator."""
+    def build_without_label(self, op, values, ctx):
+        key = (ctx, *values)
+        got = self._built.get(key)
+        if got is None:
+            got = self._built[key] = self.alg(op, values, ctx)
+        return got
+
+    cfg = config(("variants",), ("b",), nat_bound=4)
+    m = model(OptionMonad(), {"b": 2})
+    assert check_substitution_lemma_random(cfg, m, seed=20260810, count=100).ok
+    monkeypatch.setattr(Interpreter, "_build", build_without_label)
+    try:
+        ok = check_substitution_lemma_random(cfg, m, seed=20260810,
+                                             count=100).ok
+    except KeyError:  # a match reads a tag its scrutinee's type lacks
+        ok = False
+    assert not ok
+
+
+def sharing_cases():
+    """Two ``let`` terms over one context whose bound subterm is one object."""
+    cfg = config(("sequential", "functions"))
+    table = CbvOperatorTable(cfg)
+    ctx = Context((B, B))
+    app = typecheck(parse("(val fn z: b . val z) (val x1)"), ctx, second(B),
+                    cfg, table)
+    inner = ctx.extend(Context((B,)))
+    bodies = [typecheck(parse(f"val x{i}"), inner, second(B), cfg, table)
+              for i in (2, 0)]
+    let = table.let((B,), B)
+    return cfg, table, [Op(let, ctx, [app, body]) for body in bodies]
+
+
+def test_an_interpreter_denotes_a_shared_subterm_once():
+    cfg, table, (t1, t2) = sharing_cases()
+    interp = Interpreter(model(OptionMonad(), {"b": 2}), cfg, table)
+    built = []
+    real = interp.alg
+
+    def recording(op, values, ctx):
+        built.append((op.label, values))
+        return real(op, values, ctx)
+    interp.alg = recording
+    interp.denote(t1)
+    interp.denote(t2)
+    lets = [values for label, values in built if label.startswith("let<")]
+    assert len(lets) == 2 and lets[0][0] is lets[1][0]
+    assert [label for label, _ in built].count("app<b;b>") == 1
+
+
+def test_an_interpreter_shares_with_an_equal_term_substitute_rebuilt():
+    cfg, table, (t1, _) = sharing_cases()
+    m = model(OptionMonad(), {"b": 2})
+    interp = Interpreter(m, cfg, table)
+    rebuilt = substitute(t1, identity_env(t1.ctx))
+    assert rebuilt == t1 and rebuilt is not t1
+    assert interp.denote(rebuilt) is interp.denote(t1)
+
+
+def test_two_interpreters_share_nothing():
+    cfg, table, (t1, _) = sharing_cases()
+    m = model(OptionMonad(), {"b": 2})
+    one, two = Interpreter(m, cfg, table), Interpreter(m, cfg, table)
+    assert one.denote(t1) is not two.denote(t1)
+    assert one.denote(t1).table() == two.denote(t1).table()
+    mine = {id(d) for d in one._built.values()}
+    assert mine and mine.isdisjoint(id(d) for d in two._built.values())
+
+
 def test_lemma_var_and_identity_cases():
     # M = Var x: both sides are the entry's table; identity env: both sides M
     cfg = config(())
@@ -410,12 +486,12 @@ def test_lemma_var_and_identity_cases():
     from substkit.semantics.checks import lemma_holds
     from substkit.terms import SubstEnv, identity_env
     ctx = Context((B, B))
-    denoted: dict = {}
+    interp = Interpreter(m, cfg, table)
     term = typecheck(parse("val x1"), ctx, second(B), cfg, table)
-    ok, _ = lemma_holds(term, identity_env(ctx), m, cfg, table, denoted)
+    ok, _ = lemma_holds(term, identity_env(ctx), interp)
     assert ok
     swap = SubstEnv(ctx, ctx, (Var(ctx, 1), Var(ctx, 0)))
-    ok, _ = lemma_holds(term, swap, m, cfg, table, denoted)
+    ok, _ = lemma_holds(term, swap, interp)
     assert ok
 
 
