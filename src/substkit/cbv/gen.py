@@ -15,6 +15,16 @@ fixpoint (semi-naive evaluation): it starts from what the rules build without
 variables, adds the variables' types, and re-examines a type only when one of
 its components has just become inhabited.  A function type whose domain stays
 uninhabited falls back to a query with a variable of the domain added.
+
+A generator keeps what its draws derive, until it is dropped: the inhabited
+set of each variable-type set and of each context, and per inhabited set its
+list sorted by label and one candidate record (``_Candidates``) that the
+``vmatch``, ``recmatch``, ``app`` and ``for`` productions read instead of
+rescanning the set.  Depth gates are arithmetic on the components' depths.
+The configuration keeps only ``valid_type``'s answers and the ``types_upto``
+universes.  The rule table stays with the generator too: a table kept by the
+configuration would live as long as it, and a caller that holds all 128
+configurations for a whole run would hold 128 tables.
 """
 
 from __future__ import annotations
@@ -25,10 +35,14 @@ import random
 from ..sorts import Context, Sort, first, second
 from ..terms import HoleDecl, Meta, Op, SubstEnv, Term, Var
 from .ops import CbvOperatorTable, vmatch_allowed
-from .types import (Base, DepthExceeded, FragmentConfig, Fun, NAT, NatType,
-                    Record, TypeExpr, Variant, done_cont_shape, fun,
+from .types import (NAT, UNIT, Base, DepthExceeded, FragmentConfig, Fun,
+                    NatType, Record, TypeExpr, Variant, done_cont_shape, fun,
                     maybe_shape, record, type_depth, type_to_label, types_upto,
                     valid_type)
+
+
+# the scrutinee type of ``unroll``, and the argument type of ``roll``
+_MAYBE_NAT = maybe_shape(NAT)
 
 
 class _Rules:
@@ -95,6 +109,41 @@ def _settle(cur: set, todo: list, table: _Rules, more: _Rules) -> None:
             todo.extend(more_parents.get(t, ()))
 
 
+def _rule_table(cfg: FragmentConfig, universe) -> tuple:
+    """The rule table of a universe, and what its rules build from no
+    variables at all: every inhabitation query starts there."""
+    rules = _Rules(cfg, universe)
+    always: set = set()
+    _settle(always, list(rules.rules), rules, _NO_RULES)
+    return rules, frozenset(always)
+
+
+class _Candidates:
+    """What the draws over one inhabited set choose from, each list in the
+    set's sorted order: the variants ``vmatch`` may scrutinise, the types
+    shallower than the depth bound (record components and loop states), and
+    per codomain the set's function types within the bound whose domain is
+    in the set (``app``'s choices).  ``least_depth`` is the least depth of a
+    type in the set."""
+
+    __slots__ = ("variants", "shallow", "funs", "least_depth")
+
+    def __init__(self, cfg: FragmentConfig, ws: list):
+        bound = cfg.type_depth
+        self.variants = [t for t in ws
+                         if isinstance(t, Variant) and vmatch_allowed(cfg, t)]
+        self.shallow = [t for t in ws if t._d < bound]
+        pos = {t: i for i, t in enumerate(ws)}
+        funs: dict = {}
+        for t in ws:
+            if isinstance(t, Fun) and t._d <= bound and t.dom in pos:
+                funs.setdefault(t.cod, []).append(t)
+        for group in funs.values():
+            group.sort(key=lambda f: pos[f.dom])
+        self.funs = funs
+        self.least_depth = min((t._d for t in ws), default=None)
+
+
 class TermGen:
     def __init__(self, cfg: FragmentConfig, table: CbvOperatorTable,
                  rng: random.Random, interp_cap: int | None = None, model=None):
@@ -106,13 +155,11 @@ class TermGen:
             from ..semantics.model import interp_size
             self.universe = [t for t in self.universe
                              if interp_size(t, model, cfg.nat_bound) <= interp_cap]
+        self._rules, self._always = _rule_table(cfg, self.universe)
         self._w_memo: dict = {}
+        self._ctx_memo: dict = {}
         self._sorted_memo: dict = {}
-        self._rules = _Rules(cfg, self.universe)
-        # what the rules build from no variables at all: every call starts here
-        always: set = set()
-        _settle(always, list(self._rules.rules), self._rules, _NO_RULES)
-        self._always = frozenset(always)
+        self._cand_memo: dict = {}
 
     # -- inhabitation -------------------------------------------------------
 
@@ -149,7 +196,10 @@ class TermGen:
         return result
 
     def _w(self, ctx: Context) -> frozenset:
-        return self.inhabited(frozenset(ctx.entries))
+        got = self._ctx_memo.get(ctx)
+        if got is None:
+            got = self._ctx_memo[ctx] = self.inhabited(frozenset(ctx.entries))
+        return got
 
     def _w_sorted(self, arg) -> list:
         w = arg if isinstance(arg, frozenset) else self._w(arg)
@@ -157,6 +207,12 @@ class TermGen:
         if got is None:
             got = sorted(w, key=type_to_label)
             self._sorted_memo[w] = got
+        return got
+
+    def _cands(self, w: frozenset) -> _Candidates:
+        got = self._cand_memo.get(w)
+        if got is None:
+            got = self._cand_memo[w] = _Candidates(self.cfg, self._w_sorted(w))
         return got
 
     # -- contexts -------------------------------------------------------------
@@ -307,14 +363,14 @@ class TermGen:
         if self._vmatchable(w) and depth >= 2:
             choices.append("vmatch")
         if cfg.has("naturals"):
-            if t == maybe_shape(NAT):
+            if t == _MAYBE_NAT:
                 choices.append("unroll")
             if isinstance(t, NatType):
                 choices.append("roll")
-            if self._fits(maybe_shape(t)):
+            if self._fits(UNIT._d, t._d):  # maybe_shape(t)
                 choices.append("natfold")
-        if cfg.has("while") and any(self._fits(done_cont_shape(t, s))
-                                    for s in w):
+        # done_cont_shape(t, s) for the shallowest s of w
+        if cfg.has("while") and w and self._fits(t._d, self._cands(w).least_depth):
             choices.append("for")
         if cfg.has("recursion") and depth >= 2:
             choices.append("letrec")
@@ -325,7 +381,7 @@ class TermGen:
             inner = ctx
             bound_types, bound_terms = [], []
             for _ in range(n):
-                bt = rng.choice(self._w_sorted(self.inhabited(frozenset(inner.entries))))
+                bt = rng.choice(self._w_sorted(inner))
                 bound_terms.append(self.random_term(inner, bt, d, holes, hole_prob))
                 bound_types.append(bt)
                 inner = Context(inner.entries + (bt,))
@@ -333,13 +389,12 @@ class TermGen:
             op = self.table.let(tuple(bound_types), t)
             return Op(op, ctx, bound_terms + [body])
         if pick == "app":
-            doms = [a for a in self._w_sorted(w)
-                    if fun(a, t) in w and self._fits(fun(a, t))]
-            if doms:
-                a = rng.choice(doms)
-                f = self.random_term(ctx, fun(a, t), d, holes, hole_prob)
-                x = self.random_term(ctx, a, d, holes, hole_prob)
-                return Op(self.table.app(a, t), ctx, [f, x])
+            funs = self._cands(w).funs.get(t)
+            if funs:
+                ft = rng.choice(funs)
+                f = self.random_term(ctx, ft, d, holes, hole_prob)
+                x = self.random_term(ctx, ft.dom, d, holes, hole_prob)
+                return Op(self.table.app(ft.dom, t), ctx, [f, x])
         if pick == "rec":
             return Op(self.table.rec(t.row), ctx,
                       [self.random_term(ctx, v, d, holes, hole_prob)
@@ -369,7 +424,7 @@ class TermGen:
             scrut = self.random_term(ctx, NAT, d, holes, hole_prob)
             return Op(self.table.unroll(), ctx, [scrut])
         if pick == "roll":
-            arg = self.random_term(ctx, maybe_shape(NAT), d, holes, hole_prob)
+            arg = self.random_term(ctx, _MAYBE_NAT, d, holes, hole_prob)
             return Op(self.table.roll(), ctx, [arg])
         if pick == "natfold":
             scrut = self.random_term(ctx, NAT, d, holes, hole_prob)
@@ -377,9 +432,8 @@ class TermGen:
             body = self.random_term(inner, t, d, holes, hole_prob)
             return Op(self.table.natfold(t), ctx, [scrut, body])
         if pick == "for":
-            states = [s for s in self._w_sorted(w)
-                      if self._fits(done_cont_shape(t, s))]
-            state = rng.choice(states)
+            # the gate admitted t, so a state fits exactly when it is shallow
+            state = rng.choice(self._cands(w).shallow)
             init = self.random_term(ctx, state, d, holes, hole_prob)
             inner = Context(ctx.entries + (state,))
             body = self.random_term(inner, done_cont_shape(t, state), d,
@@ -404,8 +458,10 @@ class TermGen:
         value = self.random_value(ctx, t, d, holes, hole_prob)
         return Op(self.table.val(t), ctx, [value])
 
-    def _fits(self, t: TypeExpr) -> bool:
-        return type_depth(t) <= self.cfg.type_depth
+    def _fits(self, d1: int, d2: int) -> bool:
+        """Is a type former over components of depths ``d1`` and ``d2``
+        within the depth bound?"""
+        return 1 + max(d1, d2) <= self.cfg.type_depth
 
     def _can_inj(self, t: Variant, w) -> bool:
         return any(v in w for _, v in t.row)
@@ -416,15 +472,13 @@ class TermGen:
         return self._random_variant(w) is not None
 
     def _random_variant(self, w):
-        cands = [t for t in self._w_sorted(w)
-                 if isinstance(t, Variant) and vmatch_allowed(self.cfg, t)]
+        cands = self._cands(w).variants
         return self.rng.choice(cands) if cands else None
 
     def _random_row(self, w):
         if not self.cfg.has("records"):
             return None
-        pool = [t for t in self._w_sorted(w)
-                if type_depth(t) < self.cfg.type_depth]
+        pool = self._cands(w).shallow
         if not pool:
             return None
         k = self.rng.randrange(0, 3)

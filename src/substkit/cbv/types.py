@@ -13,7 +13,7 @@ demands.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 EXTENSIONS = ("sequential", "functions", "records", "variants", "naturals",
               "while", "recursion")
@@ -25,8 +25,19 @@ class DepthExceeded(Exception):
 
 class TypeExpr:
     """A type; each one computes its hash ``_h`` and its depth ``_d`` once,
-    when it is built."""
+    when it is built, and stores its label (``_label``, of
+    :func:`type_to_label`) and surface string (``_str``, of
+    :func:`type_to_str`) the first time each is asked for."""
     __slots__ = ()
+
+    def __reduce__(self):
+        # copies and pickles are built from the fields, which derive the rest
+        return type(self), tuple(getattr(self, f.name) for f in fields(self))
+
+
+# what each type derives from its fields (see TypeExpr); slots, not an
+# instance dict, so that a type stays small
+_DERIVED = ("_h", "_d", "_label", "_str")
 
 
 def _row_depth(row: tuple) -> int:
@@ -35,6 +46,7 @@ def _row_depth(row: tuple) -> int:
 
 @dataclass(frozen=True)
 class Base(TypeExpr):
+    __slots__ = ("name",) + _DERIVED
     name: str
 
     def __post_init__(self):
@@ -47,6 +59,7 @@ class Base(TypeExpr):
 
 @dataclass(frozen=True)
 class Fun(TypeExpr):
+    __slots__ = ("dom", "cod") + _DERIVED
     dom: TypeExpr
     cod: TypeExpr
 
@@ -60,6 +73,7 @@ class Fun(TypeExpr):
 
 @dataclass(frozen=True)
 class Record(TypeExpr):
+    __slots__ = ("row",) + _DERIVED
     row: tuple  # of (label, TypeExpr), label-sorted
 
     def __post_init__(self):
@@ -72,6 +86,7 @@ class Record(TypeExpr):
 
 @dataclass(frozen=True)
 class Variant(TypeExpr):
+    __slots__ = ("row",) + _DERIVED
     row: tuple
 
     def __post_init__(self):
@@ -84,6 +99,7 @@ class Variant(TypeExpr):
 
 @dataclass(frozen=True)
 class NatType(TypeExpr):
+    __slots__ = _DERIVED
 
     def __post_init__(self):
         object.__setattr__(self, "_h", hash("NatType"))
@@ -317,35 +333,45 @@ def types_upto(cfg: FragmentConfig, depth: int) -> tuple:
 
 def type_to_str(t: TypeExpr) -> str:
     """Surface rendering; function arrows associate to the right."""
+    try:
+        return t._str
+    except AttributeError:
+        pass
     if isinstance(t, Base):
-        return t.name
-    if isinstance(t, NatType):
-        return "Nat"
-    if isinstance(t, Fun):
+        out = t.name
+    elif isinstance(t, NatType):
+        out = "Nat"
+    elif isinstance(t, Fun):
         dom = type_to_str(t.dom)
         if isinstance(t.dom, Fun):
             dom = f"({dom})"
-        return f"{dom} -> {type_to_str(t.cod)}"
-    if isinstance(t, Record):
-        inner = ", ".join(f"{l}: {type_to_str(v)}" for l, v in t.row)
-        return "{" + inner + "}"
-    inner = ", ".join(f"{l}: {type_to_str(v)}" for l, v in t.row)
-    return "<" + inner + ">"
+        out = f"{dom} -> {type_to_str(t.cod)}"
+    else:
+        open_, close = ("{", "}") if isinstance(t, Record) else ("<", ">")
+        out = open_ + ", ".join(f"{l}: {type_to_str(v)}" for l, v in t.row) + close
+    object.__setattr__(t, "_str", out)
+    return out
 
 
 def type_to_label(t: TypeExpr) -> str:
     """Canonical rendering for operator labels, with fully parenthesized
     arrows: equal types render equal and distinct types distinct, so one
     label names one operator."""
+    try:
+        return t._label
+    except AttributeError:
+        pass
     if isinstance(t, Base):
-        return t.name
-    if isinstance(t, NatType):
-        return "Nat"
-    if isinstance(t, Fun):
-        return f"({type_to_label(t.dom)}→{type_to_label(t.cod)})"
-    open_, close = ("{", "}") if isinstance(t, Record) else ("<", ">")
-    inner = ",".join(f"{l}:{type_to_label(v)}" for l, v in t.row)
-    return open_ + inner + close
+        out = t.name
+    elif isinstance(t, NatType):
+        out = "Nat"
+    elif isinstance(t, Fun):
+        out = f"({type_to_label(t.dom)}→{type_to_label(t.cod)})"
+    else:
+        open_, close = ("{", "}") if isinstance(t, Record) else ("<", ">")
+        out = open_ + ",".join(f"{l}:{type_to_label(v)}" for l, v in t.row) + close
+    object.__setattr__(t, "_label", out)
+    return out
 
 
 # How deeply a program, a type or a context may nest: the surface parser

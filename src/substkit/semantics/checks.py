@@ -254,12 +254,24 @@ def lemma_holds(t: Term, env: SubstEnv, interp: Interpreter) -> tuple:
     the entries' tables, and the first point where they differ.  ``interp`` is
     the caller's: the substituted term, ``t`` and the entries are denoted
     through it, so each shares what the others and earlier cases built."""
-    m, cfg, table = interp.m, interp.cfg, interp.table
-    lhs = denote(substitute(t, env), m, cfg, table, interp)
-    rhs = subst_denotation(denote(t, m, cfg, table, interp),
-                           [denote(e, m, cfg, table, interp)
-                            for e in env.entries],
-                           m, cfg.nat_bound, target=env.target)
+    return _lemma_at(t, env, interp, _denote(t, interp), _entries(env, interp))
+
+
+def _denote(t: Term, interp: Interpreter):
+    return denote(t, interp.m, interp.cfg, interp.table, interp)
+
+
+def _entries(env: SubstEnv, interp: Interpreter) -> list:
+    return [_denote(e, interp) for e in env.entries]
+
+
+def _lemma_at(t: Term, env: SubstEnv, interp: Interpreter, t_den,
+              entry_dens: list) -> tuple:
+    """``lemma_holds`` given the denotations of ``t`` and of the entries,
+    which a caller that meets them in many cases denotes once."""
+    lhs = _denote(substitute(t, env), interp)
+    rhs = subst_denotation(t_den, entry_dens, interp.m, interp.cfg.nat_bound,
+                           target=env.target)
     diff = lhs.difference_witness(rhs)
     return (diff is None), diff
 
@@ -297,18 +309,27 @@ def check_substitution_lemma_exhaustive(cfg: FragmentConfig, m: Model,
         if not pool:
             continue
         # every term meets every variable-entry substitution and one value
-        # entry, rotating through the rest
+        # entry, rotating through the rest; each term and each substitution's
+        # entries are denoted once, not once per case
         var_only, rest = [], []
         for env in pool:
             (var_only if all(isinstance(e, Var) for e in env.entries)
              else rest).append(env)
+        var_only = [(env, _entries(env, interp)) for env in var_only]
+        rest_dens: dict = {}
         rotate = 0
         for t in universe:
             for term in enumerate_terms(table, src, t, 3, universe, memo,
                                         max_ctx=3):
-                envs = var_only + [rest[rotate % len(rest)]] if rest else var_only
-                for env in envs:
-                    ok, diff = lemma_holds(term, env, interp)
+                cases = var_only
+                if rest:
+                    k = rotate % len(rest)
+                    if k not in rest_dens:
+                        rest_dens[k] = _entries(rest[k], interp)
+                    cases = var_only + [(rest[k], rest_dens[k])]
+                term_den = _denote(term, interp)
+                for env, entry_dens in cases:
+                    ok, diff = _lemma_at(term, env, interp, term_den, entry_dens)
                     checked += 1
                     if not ok:
                         rep.record(suite, "exhaustive corpus", False,

@@ -1,16 +1,19 @@
-"""Type inhabitation: the rule-table worklist against the full re-sweep."""
+"""Type inhabitation and seeded draws: the rule-table worklist against the
+full re-sweep, each candidate record against the scans it replaces, and a
+golden digest of seeded corpora."""
 
+import hashlib
 import random
 
 import pytest
 
-from substkit.cbv.gen import TermGen
-from substkit.cbv.ops import CbvOperatorTable
+from substkit.cbv.gen import _MAYBE_NAT, TermGen
+from substkit.cbv.ops import CbvOperatorTable, vmatch_allowed
 from substkit.cbv.types import (EXTENSIONS, NAT, UNIT, Base, Fun, NatType,
                                 Record, Variant, all_fragment_configs, config,
                                 done_cont_shape, fun, is_context_row,
                                 is_done_cont_shape, is_maybe_shape, maybe_shape,
-                                record, valid_type, variant)
+                                record, type_depth, valid_type, variant)
 from substkit.semantics import model, monads
 from substkit.sorts import Context
 
@@ -187,3 +190,88 @@ def test_letrec_falls_back_only_on_a_too_deep_definition():
     with pytest.raises(ZeroDivisionError):
         for _ in range(50):
             gen.random_term(Context((Base("b"),)), Base("b"), 3)
+
+
+def scanned_candidates(gen: TermGen, w: frozenset):
+    """The reference: the scans of the sorted inhabited set that each draw
+    made before the generator kept one candidate record per set.  They give
+    ``vmatch``'s variants, the record-row pool, ``app``'s domains and ``for``'s
+    states of a target ``t`` (with its gate), and ``natfold``'s gate."""
+    cfg = gen.cfg
+    ws = gen._w_sorted(w)
+    fits = lambda t: type_depth(t) <= cfg.type_depth
+    variants = [t for t in ws
+                if isinstance(t, Variant) and vmatch_allowed(cfg, t)]
+    rows = [t for t in ws if type_depth(t) < cfg.type_depth]
+
+    def doms(t):
+        return [a for a in ws if (f := fun(a, t)) in w and fits(f)]
+
+    def for_gate(t):
+        return any(fits(done_cont_shape(t, s)) for s in w)
+
+    def states(t):
+        return [s for s in ws if fits(done_cont_shape(t, s))]
+
+    def natfold_gate(t):
+        return fits(maybe_shape(t))
+
+    return variants, rows, doms, for_gate, states, natfold_gate
+
+
+@pytest.mark.parametrize("cfg", CONFIGS, ids=lambda c: c.name())
+def test_candidates_agree_with_the_scans(cfg):
+    """Each candidate record, and each gate read off a type's depth, against
+    the scans it replaces, for every target in the inhabited set."""
+    gen = _gen(cfg)
+    avails = _seeded_avails(random.Random(cfg.name()), gen.universe)
+    for w in {gen.inhabited(avail) for avail in avails}:
+        cands = gen._cands(w)
+        variants, rows, doms, for_gate, states, natfold_gate = \
+            scanned_candidates(gen, w)
+        assert (cands.variants, cands.shallow) == (variants, rows)
+        for t in gen._w_sorted(w):
+            assert [f.dom for f in cands.funs.get(t, ())] == doms(t)
+            gate = bool(w) and gen._fits(t._d, cands.least_depth)
+            assert gate == for_gate(t), t
+            if gate:
+                assert cands.shallow == states(t), t
+            assert gen._fits(UNIT._d, t._d) == natfold_gate(t), t
+    assert _MAYBE_NAT == maybe_shape(NAT)
+
+
+def _corpus_digest() -> str:
+    """sha256 over the ``repr`` of seeded draws: ``random_item`` and
+    ``random_subst`` for each configuration over two base types, with holes
+    and without, then the capped lemma generator of ``semantics.checks``."""
+    h = hashlib.sha256()
+
+    def draw(gen, ctx_bound, depth, holed):
+        holes = {} if holed else None
+        ctx, term = gen.random_item(ctx_bound, depth, holes,
+                                    0.35 if holed else 0.0)
+        env = gen.random_subst(ctx)
+        h.update(repr((ctx, term, env.target, env, holes)).encode())
+
+    for i, cfg in enumerate(CONFIGS):
+        for holed in (False, True):
+            gen = _gen(cfg, seed=20260810 + i)
+            for _ in range(4):
+                # the depths of the meta-law and term-law suites
+                draw(gen, 3, 3 if holed else 4, holed)
+    cfg = config(EXTENSIONS, ("b",), nat_bound=4)
+    m = model(monads.monad_by_name("option"), {"b": 2})
+    gen = _gen(cfg, seed=20260810, interp_cap=40, model=m)
+    for _ in range(100):
+        draw(gen, 2, 3, False)
+    return h.hexdigest()
+
+
+GOLDEN_CORPUS = "d26969a8032ef7d53e1cd57f5b8ac0b9ebeef29ec97fc93986838c7e2aab0939"
+
+
+def test_seeded_corpora_match_golden_digest():
+    """Passing reports name no terms, so a generator change that alters a
+    corpus shows only here: every RNG draw and every term must stay the
+    same."""
+    assert _corpus_digest() == GOLDEN_CORPUS

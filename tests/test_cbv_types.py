@@ -1,6 +1,8 @@
 """Fragment-gated type formation, typing needs, enumeration, type syntax."""
 
+import copy
 import gc
+import pickle
 import random
 import weakref
 
@@ -86,11 +88,14 @@ def test_universe_types_are_valid():
 
 
 def test_type_table_is_freed_with_its_config():
-    """The enumeration is owned by the configuration: a generator over it
-    keeps nothing alive once both are gone, without the cycle collector."""
+    """The enumeration is owned by the configuration: a generator that has
+    drawn over it keeps nothing alive once both are gone, without the cycle
+    collector."""
     cfg = config(("functions", "records"), nat_bound=5)
     gen = TermGen(cfg, CbvOperatorTable(cfg), random.Random(0))
     assert gen.universe == list(types_upto(cfg, 2))
+    for _ in range(10):
+        gen.random_subst(gen.random_item(3, 4, holes={}, hole_prob=0.2)[0])
     ref = weakref.ref(cfg)
     gc.disable()
     try:
@@ -113,6 +118,15 @@ def test_type_syntax_round_trip():
     for t in samples:
         assert parse_type(type_to_str(t)) == t
         assert parse_type(type_to_label(t)) == t
+
+
+def test_renderings_are_stored_on_the_type_and_rebuilt_in_copies():
+    t = fun(record((("A", B), ("B", NAT))), variant((("0", UNIT), ("1+", B))))
+    label, text = type_to_label(t), type_to_str(t)
+    assert type_to_label(t) is label and type_to_str(t) is text
+    for u in (copy.deepcopy(t), pickle.loads(pickle.dumps(t))):
+        assert u == t and hash(u) == hash(t) and type_depth(u) == type_depth(t)
+        assert (type_to_label(u), type_to_str(u)) == (label, text)
 
 
 def test_label_form_is_bracket_balanced():

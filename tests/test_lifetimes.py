@@ -10,6 +10,7 @@ import weakref
 
 from conftest import SRC
 from substkit.cbv import NAT, Base, config, fun, valid_type
+from substkit.cbv.gen import TermGen
 from substkit.cbv.ops import CbvOperatorTable
 from substkit.cbv.surface import parse
 from substkit.cbv.typecheck import typecheck
@@ -85,6 +86,32 @@ def test_extended_context_and_minting_table_are_freed_without_the_cycle_collecto
         assert sys.getrefcount(ext) == held - 1
         del table, op
         assert [ref() for ref in refs] == [None, None]
+    finally:
+        gc.enable()
+
+
+def test_generator_memos_are_freed_with_it_without_the_cycle_collector():
+    """A generator keeps, per inhabited set, its sorted list and candidate
+    record, and per context its inhabited set; none refers back to it, so
+    all of them go with the generator."""
+    cfg = config(("functions", "records", "variants", "while"), ("b", "c"),
+                 nat_bound=4)
+    gen = TermGen(cfg, CbvOperatorTable(cfg), random.Random(0))
+    for _ in range(20):
+        gen.random_item(3, 4, holes={}, hole_prob=0.2)
+    ctx, w = next(iter(gen._ctx_memo.items()))
+    kept = [ctx, w, gen._sorted_memo[w], gen._cands(w)]
+    assert len(gen._cand_memo) > 1
+    ref = weakref.ref(gen)
+    # the memos take no weak references: each is freed when the generator
+    # lets go of the one reference it holds
+    held = [sys.getrefcount(x) for x in kept]
+    gc.disable()
+    try:
+        del gen
+        assert ref() is None
+        after = [sys.getrefcount(x) for x in kept]
+        assert all(a < b for a, b in zip(after, held)), (after, held)
     finally:
         gc.enable()
 
