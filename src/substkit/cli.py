@@ -219,6 +219,9 @@ def cmd_subst(args) -> int:
         except UnsupportedCapability as e:
             print(f"error: {e}", file=sys.stderr)
             return 2
+        except EnumerationTooLarge as e:
+            print(f"error: too large to enumerate: {e}", file=sys.stderr)
+            return 1
         print("substitution lemma: " + ("PASS" if ok else f"FAIL {diff!r}"))
         if not ok:
             return 3

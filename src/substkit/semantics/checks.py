@@ -1,8 +1,11 @@
 """Semantic law suites: action axioms, compatibility squares, substitution lemma.
 
 Compatibility quantifies over arbitrary sub-denotation tables, not just
-denotations of terms, so the squares genuinely test each algebra clause's
-naturality in the context.  The substitution lemma suite compares the table of
+denotations of terms, so the squares genuinely test an algebra clause's
+naturality in the context.  They take their operators from the operator
+table's enumeration; the configurations the registry runs mint ``val``,
+``let``, ``lam`` and ``app``, and the other clauses rest on the sampled
+substitution lemma.  The substitution lemma suite compares the table of
 a substituted term with the composite of tables, exhaustively on enumerated
 corpora for the small fragments and on seeded random corpora elsewhere.
 """
@@ -14,7 +17,7 @@ import random
 
 from ..cbv.gen import TermGen, enumerate_terms, enumerate_values
 from ..cbv.ops import CbvOperatorTable
-from ..cbv.types import (NAT, Base, FragmentConfig, Fun, done_cont_shape, fun,
+from ..cbv.types import (NAT, Base, FragmentConfig, done_cont_shape, fun,
                          types_upto, valid_type)
 from ..report import Report
 from ..signatures import route_environment
@@ -147,103 +150,77 @@ def check_sem_action_axioms(m: Model, cfg: FragmentConfig, cap: int = 300,
 
 # --- compatibility ---------------------------------------------------------------
 
-FRAGMENT_FAMILIES = {
-    "base": ("val",),
-    "sequential": ("let",),
-    "functions": ("lam", "app"),
-    # the cotupled algebra of several fragments at once: compatibility of the
-    # coproduct equals per-summand compatibility, checked jointly here
-    "joint": ("val", "let", "lam", "app"),
-}
-
-
-def _op_instances(family: str, table: CbvOperatorTable, universe):
-    cfg = table.cfg
-    if family == "val":
-        return [table.val(t) for t in universe]
-    if family == "let":
-        out = []
-        for n in (1, 2):
-            for bound in itertools.product(universe, repeat=n):
-                for res in universe:
-                    out.append(table.let(bound, res))
-        return out
-    if family == "lam":
-        return [table.lam(t.dom, t.cod) for t in universe if isinstance(t, Fun)]
-    if family == "app":
-        return [table.app(t.dom, t.cod) for t in universe if isinstance(t, Fun)]
-    raise ValueError(family)
-
-
-def check_compatibility(fragment: str, m: Model, cfg: FragmentConfig,
-                        ctx_len: int = 1, seed: int = 0,
+def check_compatibility(m: Model, cfg: FragmentConfig, seed: int = 0,
                         report: Report | None = None) -> Report:
-    """The compatibility square for every operator of the fragment: substituting
-    after interpreting equals interpreting the strength-routed substitution.
+    """The compatibility square for every operator of ``table.operators()``
+    whose sorts and binder types lie in the universe: substituting after
+    interpreting equals interpreting the strength-routed substitution.
 
-    Operators range over the types of depth at most 2 whose interpretation has
-    at most 12 elements; each argument takes at most 12 tables, each square at
-    most 6 environments."""
+    The universe is the types of depth at most 2 whose interpretation has at
+    most 12 elements; source and target contexts have length at most 2, each
+    argument takes at most 12 tables, each square at most 6 environments."""
     rep = report if report is not None else Report()
-    suite = f"compatibility[{fragment},{m.monad.name}]"
+    suite = f"compatibility[{cfg.name()},{m.monad.name}]"
     rng = random.Random(seed)
     nb = cfg.nat_bound
     table = CbvOperatorTable(cfg)
-    universe = [t for t in types_upto(cfg, 2) if interp_size(t, m, nb) <= 12]
+    universe = {t for t in types_upto(cfg, 2) if interp_size(t, m, nb) <= 12}
+    ops = [op for op in table.operators()
+           if op.result_sort.ident in universe
+           and all(a.sort.ident in universe
+                   and universe.issuperset(a.binder.entries) for a in op.args)]
     table_cap = 12
     b = Base(cfg.base_types[0])
-    ctxs = enumerate_contexts((b,), ctx_len)
+    ctxs = enumerate_contexts((b,), 2)
     interp = Interpreter(m, cfg, table)
     carrier = DenotationCarrier(m, nb)
 
     checked = 0
-    for family in FRAGMENT_FAMILIES[fragment]:
-        for op in _op_instances(family, table, universe):
-            for src in ctxs:
-                # candidate argument tables, one pool per argument
-                pools = []
-                for arg in op.args:
-                    arg_ctx = src.extend(arg.binder)
-                    space = context_space(arg_ctx, m, nb)
-                    if arg.sort.is_first:
-                        outs = FinSet(interpret_type(arg.sort.ident, m, nb))
-                    else:
-                        outs = FinSet(m.monad.apply(
-                            interpret_type(arg.sort.ident, m, nb)))
-                    pool = _all_tables(space, outs, table_cap, rng)
-                    pools.append([_table_denotation(arg.sort, arg_ctx, m, nb, t)
-                                  for t in pool])
-                total = 1
-                for p in pools:
-                    total *= len(p)
-                tuples = (itertools.product(*pools) if total <= table_cap ** 2
-                          else [tuple(rng.choice(p) for p in pools)
-                                for _ in range(table_cap)])
-                for values in tuples:
-                    lhs_base = interp.alg(op, list(values), src)
-                    for tgt in ctxs:
-                        for env in _sem_envs(src, tgt, m, nb, 6, rng):
-                            lhs = subst_denotation(lhs_base, env, m, nb,
-                                                   target=tgt)
-                            routed_values = []
-                            for arg, d in zip(op.args, values):
-                                new_ctx, routed = route_environment(
-                                    arg.binder, tgt, env, carrier)
-                                routed_values.append(
-                                    subst_denotation(d, routed, m, nb,
-                                                     target=new_ctx))
-                            rhs = interp.alg(op, routed_values, tgt)
-                            checked += 1
-                            diff = lhs.difference_witness(rhs)
-                            if diff is not None:
-                                rep.record(
-                                    suite, f"{op.label} over {src.entries}",
-                                    False,
-                                    f"point {diff[0]!r}: {diff[1]!r} vs "
-                                    f"{diff[2]!r} under a substitution into "
-                                    f"{tgt.entries}")
-                                return rep
-    rep.record(suite, f"{fragment}: {checked} squares", True, None)
+    for op in ops:
+        for src in ctxs:
+            # candidate argument tables, one pool per argument
+            pools = []
+            for arg in op.args:
+                arg_ctx = src.extend(arg.binder)
+                space = context_space(arg_ctx, m, nb)
+                if arg.sort.is_first:
+                    outs = FinSet(interpret_type(arg.sort.ident, m, nb))
+                else:
+                    outs = FinSet(m.monad.apply(
+                        interpret_type(arg.sort.ident, m, nb)))
+                pool = _all_tables(space, outs, table_cap, rng)
+                pools.append([_table_denotation(arg.sort, arg_ctx, m, nb, t)
+                              for t in pool])
+            total = 1
+            for p in pools:
+                total *= len(p)
+            tuples = (itertools.product(*pools) if total <= table_cap ** 2
+                      else [tuple(rng.choice(p) for p in pools)
+                            for _ in range(table_cap)])
+            for values in tuples:
+                lhs_base = interp.alg(op, list(values), src)
+                for tgt in ctxs:
+                    for env in _sem_envs(src, tgt, m, nb, 6, rng):
+                        lhs = subst_denotation(lhs_base, env, m, nb, target=tgt)
+                        routed_values = []
+                        for arg, d in zip(op.args, values):
+                            new_ctx, routed = route_environment(
+                                arg.binder, tgt, env, carrier)
+                            routed_values.append(
+                                subst_denotation(d, routed, m, nb,
+                                                 target=new_ctx))
+                        rhs = interp.alg(op, routed_values, tgt)
+                        checked += 1
+                        diff = lhs.difference_witness(rhs)
+                        if diff is not None:
+                            rep.record(suite, f"{op.label} over {src.entries}",
+                                       False,
+                                       f"point {diff[0]!r}: {diff[1]!r} vs "
+                                       f"{diff[2]!r} under a substitution "
+                                       f"into {tgt.entries}")
+                            return rep
+    families = dict.fromkeys(table.family(op)[0] for op in ops)
+    rep.record(suite, f"{', '.join(families)}: {checked} squares", True, None)
     return rep
 
 

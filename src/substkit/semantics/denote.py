@@ -3,8 +3,9 @@
 Each fragment contributes one algebra clause; the environment routing of the
 generic fold supplies the action (pre-composition with a renaming) and the
 variable interpretation (projections), so the substitution lemma is a theorem
-for whatever the clauses do -- provided each clause is compatible, which the
-check suites verify.  Unbounded iteration uses Elgot iteration with cycle
+for whatever the clauses do -- provided each clause is compatible.  The
+compatibility squares check this for ``val``, ``let``, ``lam`` and ``app``;
+the other clauses rest on the sampled substitution lemma.  Unbounded iteration uses Elgot iteration with cycle
 detection; recursive definitions take a least fixed point in the flat
 pointwise order, both only under the option monad.
 

@@ -9,7 +9,8 @@ routing rule: act on the environment along the first projection into the
 extended context, then append the fresh variables' point images.
 
 :func:`route_environment` is that rule applied eagerly, to every entry under
-every binder; the compatibility squares of ``semantics.checks`` route with it.
+every binder; the compatibility squares of ``semantics.checks`` route with it
+(for the ``val``, ``let``, ``lam`` and ``app`` clauses).
 The fold (``terms.fold``) routes nothing: a bound variable is the point at its
 own position, made at the variable, and a free variable's entry is weakened
 once, along the projection onto the caller's context.  The two agree because

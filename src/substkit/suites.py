@@ -228,17 +228,21 @@ def monad_laws(rep: Report, seed: int, monad: str | None = None) -> None:
         check_monad_laws(monad_by_name(name), report=rep, seed=seed)
 
 
-def compatibility(rep: Report, seed: int, ctx_len: int = 1) -> None:
+# the extensions of the configurations whose compatibility squares
+# ``compatibility`` checks, under identity and option
+COMPATIBILITY_EXTENSIONS = ((), ("sequential",), ("functions",))
+
+
+def compatibility(rep: Report, seed: int) -> None:
     """Compatibility squares of the base/sequential/functional fragments under
     identity and option, then the semantic action axioms."""
     from .semantics.checks import check_compatibility, check_sem_action_axioms
     from .semantics.model import model
     from .semantics.monads import IdentityMonad, OptionMonad
-    for fragment in ("base", "sequential", "functions"):
-        cfg = config(() if fragment == "base" else (fragment,))
+    for exts in COMPATIBILITY_EXTENSIONS:
         for mon in (IdentityMonad(), OptionMonad()):
-            check_compatibility(fragment, model(mon, {"b": 2}), cfg,
-                                ctx_len=ctx_len, seed=seed, report=rep)
+            check_compatibility(model(mon, {"b": 2}), config(exts), seed=seed,
+                                report=rep)
     check_sem_action_axioms(model(OptionMonad(), {"b": 2}),
                             config(("sequential",)), seed=seed, report=rep)
 

@@ -28,10 +28,6 @@ class UnknownHole(KeyError):
     pass
 
 
-class MissingAlgebraCase(KeyError):
-    pass
-
-
 @dataclass(frozen=True)
 class HoleDecl:
     """A metavariable: a placeholder of a given sort with its own context."""
@@ -209,15 +205,6 @@ class TermCarrier:
     var = Var
 
 
-def _dispatch(alg, key):
-    if callable(alg):
-        return alg
-    try:
-        return alg[key]
-    except KeyError:
-        raise MissingAlgebraCase(key) from None
-
-
 def fold(t: Term, alg_ops, alg_hole, env: Sequence, out_ctx: Context, hooks) -> object:
     """The unique environment-carrying traversal out of the syntax.
 
@@ -233,9 +220,8 @@ def fold(t: Term, alg_ops, alg_hole, env: Sequence, out_ctx: Context, hooks) -> 
     whenever ``hooks.act`` is functorial and ``hooks.var`` is natural along
     projections: ``act(var(c, j), pi) == var(c', j)``.
 
-    ``alg_ops`` is either a callable ``(op, values, ctx) -> value`` or a
-    mapping from operator labels to such callables (missing labels raise
-    :class:`MissingAlgebraCase`); ``alg_hole`` likewise keyed by hole ident.
+    The algebras are called as ``alg_ops(op, values, ctx)`` and
+    ``alg_hole(hole, values, ctx)``.
     """
     if len(env) != len(t.ctx):
         raise IllSorted(f"environment of {len(env)} entries for a term over "
@@ -258,9 +244,9 @@ def _fold(t, alg_ops, alg_hole, hooks, env: Sequence, out_ctx: Context,
         values = [_fold(arg, alg_ops, alg_hole, hooks, env, out_ctx,
                         ctx.extend(decl.binder))
                   for arg, decl in zip(t.args, t.op.args)]
-        return _dispatch(alg_ops, t.op.label)(t.op, values, ctx)
+        return alg_ops(t.op, values, ctx)
     values = [_fold(e, alg_ops, alg_hole, hooks, env, out_ctx, ctx) for e in t.env]
-    return _dispatch(alg_hole, t.hole.ident)(t.hole, values, ctx)
+    return alg_hole(t.hole, values, ctx)
 
 
 def _rebuild_ops(op, values, ctx):

@@ -16,9 +16,10 @@ witness from the structured report.  Criteria and tolerances:
    sizes <=2 (seeded sweeps where a pair space exceeds the budget) and
    sampled at size 3;
 5. compatibility squares for the base/sequential/functional fragments under
-   identity and option, the semantic action axioms, plus failing mutations
-   (the remaining fragments are covered through criterion 3, which subsumes
-   compatibility on its corpus);
+   identity and option, over contexts of length <=2, for the families those
+   fragments mint (``val``, ``let``, ``lam``, ``app``), the semantic action
+   axioms, plus one failing mutation per family (the other families rest on
+   criterion 3's sampled lemma);
 6. finite-presheaf laws on >=20 seeded random structures plus the
    non-invertibility witness;
 7. the coend quotient: the three motivating identifications and >=100 random
@@ -39,6 +40,7 @@ import pytest
 
 from substkit import suites
 from substkit.cbv import all_fragment_configs, config
+from substkit.cbv.ops import CbvOperatorTable
 from substkit.report import Report
 from substkit.semantics import OptionMonad, model
 from substkit.semantics.checks import check_compatibility
@@ -98,21 +100,24 @@ def test_criterion_4_strong_monad_laws():
 
 def test_criterion_5_compatibility_and_mutations(corrupt_clause):
     rep = Report()
-    suites.compatibility(rep, SEED, ctx_len=2)
+    suites.compatibility(rep, SEED)
     _assert_ok(rep, "criterion 5a: compatibility squares, base/sequential/"
                     "functions under identity and option")
-    for fragment, exts, fam in (("base", (), "val"),
-                                ("sequential", ("sequential",), "let"),
-                                ("functions", ("functions",), "lam"),
-                                ("functions", ("functions",), "app")):
-        corrupt_clause(fam)
-        broken = check_compatibility(fragment, model(OptionMonad(), {"b": 2}),
-                                     config(exts), ctx_len=2, seed=SEED)
-        failure = broken.first_failure()
-        assert failure is not None and failure.witness, \
-            f"mutation {fam} unexpectedly passed"
-    print("PASS criterion 5b: corrupted clauses fail with witnesses "
-          "(remaining fragments subsumed by criterion 3)")
+    mutants = 0
+    for exts in suites.COMPATIBILITY_EXTENSIONS:
+        cfg = config(exts)
+        table = CbvOperatorTable(cfg)
+        for fam in dict.fromkeys(table.family(op)[0]
+                                 for op in table.operators()):
+            corrupt_clause(fam)
+            broken = check_compatibility(model(OptionMonad(), {"b": 2}), cfg,
+                                         seed=SEED)
+            failure = broken.first_failure()
+            assert failure is not None and failure.witness, \
+                f"mutation {fam} in {cfg.name()} unexpectedly passed"
+            mutants += 1
+    print(f"PASS criterion 5b: {mutants} corrupted clauses fail with "
+          "witnesses (remaining families subsumed by criterion 3)")
 
 
 def test_criterion_6_finite_presheaf_laws():

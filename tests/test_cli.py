@@ -251,18 +251,30 @@ MALFORMED_SUBST = {
     "variable assigned twice": (
         "target y: b, w: b\nx = y\nx = w\n",
         "the substitution assigns 'x' twice"),
+    # the lemma's tables range over Nat -> Nat, too many functions to list
+    "space too large for the lemma": (
+        "target g: Nat -> Nat\nf = g\n",
+        "too large to enumerate: product of more than 1000000 elements"),
+}
+
+# the term and options of a case that does not substitute into "val x"
+MALFORMED_SUBST_INPUT = {
+    "space too large for the lemma": (
+        "val f", ["--fragment", "naturals,functions",
+                  "--context", "f: Nat -> Nat", "--monad", "option"]),
 }
 
 
 @pytest.mark.parametrize("case", MALFORMED_SUBST)
 def test_malformed_substitution_is_one_error_line(tmp_path, case):
     text, message = MALFORMED_SUBST[case]
+    program, options = MALFORMED_SUBST_INPUT.get(
+        case, ("val x", ["--context", "x: b", "--expect", "C b"]))
     term = tmp_path / "t.cbv"
-    term.write_text("val x\n")
+    term.write_text(program + "\n")
     sub = tmp_path / "s.subst"
     sub.write_text(text)
-    out = run_cli("subst", str(term), str(sub), "--context", "x: b",
-                  "--expect", "C b")
+    out = run_cli("subst", str(term), str(sub), *options)
     assert_one_error_line(out)
     assert out.stderr == f"error: {message}\n"
 
@@ -416,8 +428,9 @@ def test_malformed_check_option_is_one_error_line(case):
     assert out.stdout == ""
 
 
-# sha256 of each report, recorded before the suites moved into one registry;
-# the bytes do not depend on PYTHONHASHSEED.
+# sha256 of each report, recorded before the suites moved into one registry
+# (compatibility's once its squares came from the operator enumeration); the
+# bytes do not depend on PYTHONHASHSEED.
 GOLDEN_REPORTS = {
     "term-laws --all-fragments --count 2":
         "f04eae5d5205bce0fdb5dffa2f8bf32ee523cb268b8b8e39a705de6ad48947ae",
@@ -432,7 +445,7 @@ GOLDEN_REPORTS = {
     "pointed --structures 2":
         "b8314f0a865cdde80b9e1e2538e5a24e9ae56f4569ba566560b1688d4d68c7d4",
     "compatibility":
-        "9502aa78a46f886c3009580279ed332a7fae0b8652892ea0c2fc442358d38cf9",
+        "7d3dacbb38331602aaf34078918b58c7b36dbf77b52f2c3fa0b29f10ad73e53f",
     "monad-laws --monad option":
         "6a0b9f9069db9d77dc8e6f9e46bdf648f4e8ed1d9c5af215f4c20b3a7f62f37b",
 }
@@ -488,12 +501,12 @@ def test_check_report_dir_names_the_report_after_the_suite(tmp_path,
 
 def test_every_suite_parameter_is_a_check_option(monkeypatch):
     """A part parameter that no check option names would silently keep its
-    default; ``ctx_len`` is set only by the acceptance tests."""
+    default."""
     seen = []
     monkeypatch.setattr(cli, "cmd_check", lambda args: seen.append(args) or 0)
     assert main(["check", "all"]) == 0
     options = set(vars(seen[0]))
     for parts in SUITES.values():
         for part in parts:
-            params = set(inspect.signature(part).parameters) - {"rep", "ctx_len"}
+            params = set(inspect.signature(part).parameters) - {"rep"}
             assert params <= options, (part.__name__, params - options)

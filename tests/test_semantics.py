@@ -12,9 +12,10 @@ from substkit.cbv.ops import CbvOperatorTable
 from substkit.cbv.gen import TermGen, enumerate_terms
 from substkit.cbv.surface import parse
 from substkit.cbv.typecheck import typecheck
-from substkit.cbv.types import valid_type
+from substkit.cbv.types import types_upto, valid_type
 from substkit.semantics import (IdentityMonad, OptionMonad, UnsupportedCapability,
                                 interp_size, interpret_type, model, precompose)
+from substkit.semantics import checks
 from substkit.semantics.checks import (check_compatibility, check_sem_action_axioms,
                                        check_substitution_lemma_exhaustive,
                                        check_substitution_lemma_random)
@@ -134,27 +135,6 @@ def test_sem_action_axioms_both_monads():
         rep = check_sem_action_axioms(model(mon, {"b": 2}),
                                       config(("sequential",)), cap=60)
         assert rep.ok, rep.to_text()
-
-
-@pytest.mark.parametrize("fragment,exts", [("base", ()),
-                                           ("sequential", ("sequential",)),
-                                           ("functions", ("functions",))])
-def test_compatibility(fragment, exts):
-    for mon in (IdentityMonad(), OptionMonad()):
-        rep = check_compatibility(fragment, model(mon, {"b": 2}), config(exts))
-        assert rep.ok, rep.to_text()
-
-
-@pytest.mark.parametrize("fragment,exts,fam", [("base", (), "val"),
-                                               ("sequential", ("sequential",), "let"),
-                                               ("functions", ("functions",), "lam"),
-                                               ("functions", ("functions",), "app")])
-def test_compatibility_mutations_fail(fragment, exts, fam, corrupt_clause):
-    corrupt_clause(fam)
-    rep = check_compatibility(fragment, model(OptionMonad(), {"b": 2}),
-                              config(exts))
-    failure = rep.first_failure()
-    assert failure is not None and failure.witness
 
 
 def test_substitution_lemma_exhaustive_small():
@@ -501,5 +481,33 @@ def test_joint_cotupled_compatibility():
     joint interpreter too."""
     cfg = config(("sequential", "functions"))
     for mon in (IdentityMonad(), OptionMonad()):
-        rep = check_compatibility("joint", model(mon, {"b": 2}), cfg)
+        rep = check_compatibility(model(mon, {"b": 2}), cfg)
         assert rep.ok, rep.to_text()
+
+
+def test_compatibility_squares_every_operator_within_the_universe(
+        monkeypatch):
+    """The squares take their operators from ``table.operators()``: the labels
+    the interpreter sees are those of every listed operator whose sorts and
+    binder types lie in the universe, so a family added to the enumeration
+    gets squares without an edit to the check."""
+    seen = set()
+
+    class Recording(Interpreter):
+        def alg(self, op, values, ctx):
+            seen.add(op.label)
+            return super().alg(op, values, ctx)
+
+    monkeypatch.setattr(checks, "Interpreter", Recording)
+    cfg = config(("sequential", "functions"))
+    m = model(OptionMonad(), {"b": 2})
+    assert check_compatibility(m, cfg).ok
+    universe = {t for t in types_upto(cfg, 2)
+                if interp_size(t, m, cfg.nat_bound) <= 12}
+    within = {op.label for op in CbvOperatorTable(cfg).operators()
+              if op.result_sort.ident in universe
+              and all(a.sort.ident in universe
+                      and set(a.binder.entries) <= universe for a in op.args)}
+    assert seen == within
+    assert {label.split("<")[0] for label in seen} == {"val", "let", "lam",
+                                                       "app"}

@@ -18,8 +18,7 @@ from substkit.terms import (HoleDecl, IllSorted, Meta, MetaSubst, Op, SubstEnv,
                             UnknownHole, Var, compose_meta_subst,
                             compose_subst, fold,
                             identity_env, identity_meta_subst, meta_substitute,
-                            rename, substitute, substitute_direct,
-                            MissingAlgebraCase, TermCarrier)
+                            rename, substitute, substitute_direct, TermCarrier)
 
 
 def lam(ctx, body):
@@ -329,14 +328,6 @@ def test_term_points_are_natural_along_projections():
                 pi = Renaming(big, small, range(k))
                 for j in range(k):
                     assert rename(Var(small, j), pi) == Var(big, j)
-
-
-def test_fold_missing_algebra_case():
-    ctx = Context(["v"])
-    t = val(ctx, Var(ctx, 0))
-    with pytest.raises(MissingAlgebraCase):
-        fold(t, {"app": lambda op, vs, c: None}, {}, identity_env(ctx).entries,
-             ctx, TermCarrier)
 
 
 # --- hashing -------------------------------------------------------------------
