@@ -7,6 +7,7 @@ import random
 import pytest
 
 from conftest import all_renamings, contexts_upto, reference_fold, swap_first_pair
+from substkit import suites
 from substkit.cbv import Base, NAT, config, fun, maybe_shape, record, variant
 from substkit.cbv.ops import CbvOperatorTable
 from substkit.cbv.gen import TermGen, enumerate_terms
@@ -485,12 +486,18 @@ def test_joint_cotupled_compatibility():
         assert rep.ok, rep.to_text()
 
 
+@pytest.mark.parametrize("mon", [IdentityMonad(), OptionMonad()],
+                         ids=lambda mon: mon.name)
+@pytest.mark.parametrize("exts", suites.COMPATIBILITY_EXTENSIONS
+                         + (("sequential", "functions"),),
+                         ids=lambda exts: config(exts).name())
 def test_compatibility_squares_every_operator_within_the_universe(
-        monkeypatch):
+        monkeypatch, exts, mon):
     """The squares take their operators from ``table.operators()``: the labels
     the interpreter sees are those of every listed operator whose sorts and
     binder types lie in the universe, so a family added to the enumeration
-    gets squares without an edit to the check."""
+    gets squares without an edit to the check.  Every family the
+    configuration mints has at least one square."""
     seen = set()
 
     class Recording(Interpreter):
@@ -499,15 +506,17 @@ def test_compatibility_squares_every_operator_within_the_universe(
             return super().alg(op, values, ctx)
 
     monkeypatch.setattr(checks, "Interpreter", Recording)
-    cfg = config(("sequential", "functions"))
-    m = model(OptionMonad(), {"b": 2})
+    cfg = config(exts)
+    m = model(mon, {"b": 2})
     assert check_compatibility(m, cfg).ok
     universe = {t for t in types_upto(cfg, 2)
                 if interp_size(t, m, cfg.nat_bound) <= 12}
-    within = {op.label for op in CbvOperatorTable(cfg).operators()
+    table = CbvOperatorTable(cfg)
+    ops = table.operators()
+    within = {op.label for op in ops
               if op.result_sort.ident in universe
               and all(a.sort.ident in universe
                       and set(a.binder.entries) <= universe for a in op.args)}
     assert seen == within
-    assert {label.split("<")[0] for label in seen} == {"val", "let", "lam",
-                                                       "app"}
+    family = {op.label: table.family(op)[0] for op in ops}
+    assert {family[label] for label in seen} == set(family.values())
