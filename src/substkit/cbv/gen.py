@@ -515,7 +515,7 @@ def enumerate_values(table: CbvOperatorTable, ctx: Context, t: TypeExpr,
     contexts (including under binders) within the length bound; covers the
     base/sequential/functional constructs."""
     memo = memo if memo is not None else {}
-    key = ("v", ctx.entries, t, depth)
+    key = ("v", ctx.entries, t, depth, max_ctx)
     got = memo.get(key)
     if got is not None:
         return got
@@ -535,7 +535,7 @@ def enumerate_terms(table: CbvOperatorTable, ctx: Context, t: TypeExpr,
     """Every term of the type over the context within the depth bound, all
     contexts (including under binders) within the length bound."""
     memo = memo if memo is not None else {}
-    key = ("t", ctx.entries, t, depth)
+    key = ("t", ctx.entries, t, depth, max_ctx)
     got = memo.get(key)
     if got is not None:
         return got

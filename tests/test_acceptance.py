@@ -88,6 +88,10 @@ def test_criterion_3_substitution_lemma():
     rep = Report()
     suites.substitution_lemma(rep, SEED, count=100)
     assert len([r for r in rep.records if "random" in r.name]) == 124
+    # base, sequential, functions, both: identity then option
+    assert [r.name for r in rep.records if "exhaustive" in r.name] == [
+        f"exhaustive corpus ({n} checks)"
+        for n in (13, 13, 997, 997, 129, 129, 4035, 4035)]
     _assert_ok(rep, "criterion 3: substitution lemma "
                     "(8 exhaustive combinations + 124 randomized configs)")
 
