@@ -1,6 +1,6 @@
 """Type inhabitation and seeded draws: the rule-table worklist against the
-full re-sweep, each candidate record against the scans it replaces, and a
-golden digest of seeded corpora."""
+full re-sweep, each candidate record against the scans it replaces, and
+golden digests of seeded corpora and of the exhaustive lemma's cases."""
 
 import hashlib
 import random
@@ -275,3 +275,49 @@ def test_seeded_corpora_match_golden_digest():
     corpus shows only here: every RNG draw and every term must stay the
     same."""
     assert _corpus_digest() == GOLDEN_CORPUS
+
+
+# sha256 of the exhaustive lemma's cases, ``f"{term!r}|{env!r}"`` joined by
+# newlines, per combination and substitution context bound, with the case
+# count; the enumerated terms, their order and the pools decide every case
+GOLDEN_EXHAUSTIVE = {
+    ((), 1): (3, "d950cf71e6652d32b7082e0858f053bc393fa0f46d5b616d4c7a0ccd87ce06ed"),
+    (("sequential",), 1):
+        (315, "e354ece4f94e3d77e680c776a27d9c8b9eb411e8c5d67121b1386f884076bf6b"),
+    (("functions",), 1):
+        (33, "5a924c5583e71d7f9f72ea36712cb913bdd48eec9ecf5cf75fb5955a7230bb29"),
+    (("sequential", "functions"), 1):
+        (1095, "76d97ec1beb563470a38a2e1e194ee7848ec328764836538d241cdeda5fd7b06"),
+    ((), 2): (13, "c34be358ec3932dd06e1734e8b9e65bee43e1b24967a90fb9b3a6bdf613c491a"),
+    (("sequential",), 2):
+        (997, "c6c267067b9163be827886cfe2927df4e86c99560e819e4c17758961fdfff194"),
+    (("functions",), 2):
+        (129, "67724f74577fcff6a8c137ceeb47717f97c993584136b00ef385fa4ee3dec1d0"),
+    (("sequential", "functions"), 2):
+        (4035, "dac087a8d3a9dd275b65905c58ea2c07b92e3da4439b3992f509e45a04e663d1"),
+}
+
+
+@pytest.mark.parametrize(
+    "exts,subst_ctx_len", GOLDEN_EXHAUSTIVE,
+    ids=[f"{'+'.join(e) or 'base'}-{n}" for e, n in GOLDEN_EXHAUSTIVE])
+def test_exhaustive_corpus_matches_golden_digest(exts, subst_ctx_len,
+                                                 monkeypatch):
+    """Every case the exhaustive substitution lemma visits, in order, at the
+    registry's (2) and the benchmark's (1) substitution context bound.
+    Passing reports name no terms, so a change to the enumerator shows
+    here.  The lemma itself is criterion 3's: the cases are recorded, not
+    checked."""
+    from substkit.semantics import checks
+    cases = []
+
+    def record(term, env, *_):
+        cases.append(f"{term!r}|{env!r}")
+        return True, None
+
+    monkeypatch.setattr(checks, "_lemma_at", record)
+    checks.check_substitution_lemma_exhaustive(
+        config(exts), model(monads.monad_by_name("identity"), {"b": 2}),
+        subst_ctx_len=subst_ctx_len)
+    digest = hashlib.sha256("\n".join(cases).encode()).hexdigest()
+    assert (len(cases), digest) == GOLDEN_EXHAUSTIVE[exts, subst_ctx_len]
