@@ -25,6 +25,11 @@ The configuration keeps only ``valid_type``'s answers and the ``types_upto``
 universes.  The rule table stays with the generator too: a table kept by the
 configuration would live as long as it, and a caller that holds all 128
 configurations for a whole run would hold 128 tables.
+
+The exhaustive corpora come from an :class:`Enumeration`, which has no
+productions of its own: it iterates the signature by depth over the instances
+``CbvOperatorTable.operators(results)`` lists, so a family the table lists
+reaches the corpus with no edit here.
 """
 
 from __future__ import annotations
@@ -37,8 +42,7 @@ from ..terms import HoleDecl, Meta, Op, SubstEnv, Term, Var
 from .ops import CbvOperatorTable, vmatch_allowed
 from .types import (NAT, UNIT, Base, DepthExceeded, FragmentConfig, Fun,
                     NatType, Record, TypeExpr, Variant, done_cont_shape, fun,
-                    maybe_shape, record, type_depth, type_to_label, types_upto,
-                    valid_type)
+                    maybe_shape, record, type_to_label, types_upto, valid_type)
 
 
 # the scrutinee type of ``unroll``, and the argument type of ``roll``
@@ -509,77 +513,52 @@ class TermGen:
 
 # --- systematic enumeration (for the exhaustive semantic corpora) --------------
 
-def enumerate_values(table: CbvOperatorTable, ctx: Context, t: TypeExpr,
-                     depth: int, universe, memo=None, max_ctx: int = 2) -> list:
-    """Every value of the type over the context within the depth bound, all
-    contexts (including under binders) within the length bound; covers the
-    base/sequential/functional constructs."""
-    memo = memo if memo is not None else {}
-    key = ("v", ctx.entries, t, depth, max_ctx)
-    got = memo.get(key)
-    if got is not None:
-        return got
-    out = [Var(ctx, i) for i, e in enumerate(ctx.entries) if e == t]
-    if (depth >= 2 and isinstance(t, Fun) and table.cfg.has("functions")
-            and len(ctx) < max_ctx):
-        inner = Context(ctx.entries + (t.dom,))
-        for body in enumerate_terms(table, inner, t.cod, depth - 1, universe,
-                                    memo, max_ctx=max_ctx):
-            out.append(Op(table.lam(t.dom, t.cod), ctx, [body]))
-    memo[key] = out
-    return out
+class Enumeration:
+    """Every term of a sort over a context within a depth bound, read off
+    operator instances: the variables of a first-class sort, then for each
+    instance whose result is the sort the product of its arguments, each
+    one level shallower over the context extended by its binder.  An
+    instance whose binder would take a context past ``max_ctx`` is skipped.
+    The lists are kept until the enumeration is dropped."""
+
+    def __init__(self, instances: dict, max_ctx: int):
+        self.instances = instances  # result sort -> operators, in table order
+        self.max_ctx = max_ctx
+        self._memo: dict = {}
+
+    @staticmethod
+    def instances_of(table: CbvOperatorTable, results) -> dict:
+        """``table.operators(results)`` grouped by result sort."""
+        out: dict = {}
+        for op in table.operators(results):
+            out.setdefault(op.result_sort, []).append(op)
+        return out
+
+    def at(self, ctx: Context, sort: Sort, depth: int) -> list:
+        key = (ctx.entries, sort, depth)
+        got = self._memo.get(key)
+        if got is not None:
+            return got
+        out = ([Var(ctx, i) for i, e in enumerate(ctx.entries) if e == sort.ident]
+               if sort.is_first else [])
+        for op in self.instances.get(sort, ()):
+            if depth <= 0 or len(ctx) + max(
+                    (len(a.binder) for a in op.args), default=0) > self.max_ctx:
+                continue
+            pools = [self.at(ctx.extend(a.binder), a.sort, depth - 1)
+                     for a in op.args]
+            out += [Op(op, ctx, args) for args in itertools.product(*pools)]
+        self._memo[key] = out
+        return out
 
 
-def enumerate_terms(table: CbvOperatorTable, ctx: Context, t: TypeExpr,
-                    depth: int, universe, memo=None, max_ctx: int = 2) -> list:
-    """Every term of the type over the context within the depth bound, all
-    contexts (including under binders) within the length bound."""
-    memo = memo if memo is not None else {}
-    key = ("t", ctx.entries, t, depth, max_ctx)
-    got = memo.get(key)
-    if got is not None:
-        return got
-    cfg = table.cfg
-    out = []
-    if depth >= 1:
-        for v in enumerate_values(table, ctx, t, depth - 1, universe, memo,
-                                  max_ctx=max_ctx):
-            out.append(Op(table.val(t), ctx, [v]))
-    if depth >= 2 and cfg.has("sequential"):
-        for n in range(1, min(2, max_ctx - len(ctx)) + 1):
-            for bound in itertools.product(universe, repeat=n):
-                inner = ctx
-                pools = []
-                ok = True
-                for bt in bound:
-                    pool = enumerate_terms(table, inner, bt, depth - 1, memo=memo,
-                                           universe=universe, max_ctx=max_ctx)
-                    if not pool:
-                        ok = False
-                        break
-                    pools.append(pool)
-                    inner = Context(inner.entries + (bt,))
-                if not ok:
-                    continue
-                bodies = enumerate_terms(table, inner, t, depth - 1, memo=memo,
-                                         universe=universe, max_ctx=max_ctx)
-                op = table.let(tuple(bound), t)
-                for choice in itertools.product(*pools):
-                    for body in bodies:
-                        out.append(Op(op, ctx, list(choice) + [body]))
-    if depth >= 2 and cfg.has("functions"):
-        for a in universe:
-            if type_depth(fun(a, t)) > cfg.type_depth:
-                continue
-            fs = enumerate_terms(table, ctx, fun(a, t), depth - 1, memo=memo,
-                                 universe=universe, max_ctx=max_ctx)
-            if not fs:
-                continue
-            xs = enumerate_terms(table, ctx, a, depth - 1, memo=memo,
-                                 universe=universe, max_ctx=max_ctx)
-            op = table.app(a, t)
-            for f in fs:
-                for x in xs:
-                    out.append(Op(op, ctx, [f, x]))
-    memo[key] = out
-    return out
+def enumerate_values(enum: Enumeration, ctx: Context, t: TypeExpr,
+                     depth: int) -> list:
+    """Every value of the type over the context within the depth bound."""
+    return enum.at(ctx, first(t), depth)
+
+
+def enumerate_terms(enum: Enumeration, ctx: Context, t: TypeExpr,
+                    depth: int) -> list:
+    """Every term of the type over the context within the depth bound."""
+    return enum.at(ctx, second(t), depth)

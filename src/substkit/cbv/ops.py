@@ -263,21 +263,27 @@ class CbvOperatorTable(OperatorTable):
 
     # -- bounded materialization -------------------------------------------
 
-    def operators(self) -> list[Operator]:
+    def operators(self, results=None) -> list[Operator]:
         """Every operator instance over the types of depth at most 2, with at
-        most two binders per ``let`` and literals up to 2; used for reports and
-        rule-coverage tests."""
+        most two binders per ``let`` and literals up to 2.  ``val`` and
+        ``let`` range their result, and ``lam`` and ``app`` their function
+        type, over ``results`` instead (by default the same types); function
+        types are listed by domain in universe order.  ``fragments --ops``
+        prints this list, the compatibility squares and the exhaustive corpus
+        read it."""
         cfg = self.cfg
         universe = types_upto(cfg, 2)
-        out = [self.val(t) for t in universe]
+        results = universe if results is None else results
+        out = [self.val(t) for t in results]
         if cfg.has("sequential"):
             for n in (1, 2):
                 for bound in itertools.product(universe, repeat=n):
-                    for res in universe:
+                    for res in results:
                         out.append(self.let(bound, res))
-        # every function, record and variant type in the universe is valid,
-        # so the fragment can apply, build and inject at it
-        funs = [t for t in universe if isinstance(t, Fun)]
+        # every function, record and variant type listed is valid, so the
+        # fragment can apply, build and inject at it
+        funs = [t for a in universe for t in results
+                if isinstance(t, Fun) and t.dom == a]
         for t in funs:
             if cfg.has("functions"):
                 out.append(self.lam(t.dom, t.cod))

@@ -6,8 +6,9 @@ naturality in the context.  They take their operators from the operator
 table's enumeration; the configurations the registry runs mint ``val``,
 ``let``, ``lam`` and ``app``, and the other clauses rest on the sampled
 substitution lemma.  The substitution lemma suite compares the table of
-a substituted term with the composite of tables, exhaustively on enumerated
-corpora for the small fragments and on seeded random corpora elsewhere.
+a substituted term with the composite of tables, exhaustively on corpora
+enumerated from the operator table for the small fragments and on seeded
+random corpora elsewhere.
 """
 
 from __future__ import annotations
@@ -15,10 +16,10 @@ from __future__ import annotations
 import itertools
 import random
 
-from ..cbv.gen import TermGen, enumerate_terms, enumerate_values
+from ..cbv.gen import (Enumeration, TermGen, enumerate_terms,
+                       enumerate_values)
 from ..cbv.ops import CbvOperatorTable
-from ..cbv.types import (NAT, Base, FragmentConfig, done_cont_shape, fun,
-                         types_upto, valid_type)
+from ..cbv.types import NAT, Base, FragmentConfig, done_cont_shape, types_upto
 from ..report import Report
 from ..signatures import route_environment
 from ..sorts import (Context, enumerate_contexts, enumerate_renamings, first,
@@ -256,29 +257,32 @@ def _lemma_at(t: Term, env: SubstEnv, interp: Interpreter, t_den,
 def check_substitution_lemma_exhaustive(cfg: FragmentConfig, m: Model,
                                         subst_ctx_len: int = 2,
                                         report: Report | None = None) -> Report:
-    """All terms of depth at most 3 over source contexts of length at most 2
-    (binder extensions up to length 3), against the variable-entry
-    substitutions plus a deterministic rotation through the pool of
-    substitutions whose entries are values of depth at most 2."""
+    """All terms of depth at most 3 of the types of depth at most 2, over
+    source contexts of those types of length at most 2 (binder extensions up
+    to length 3), against the variable-entry substitutions plus a
+    deterministic rotation through the pool of substitutions into contexts
+    of length at most ``subst_ctx_len`` whose entries are values of depth at
+    most 2 (binder extensions up to length 2).  Both are enumerated from the
+    operator table's instances at result types up to the fragment's depth."""
     rep = report if report is not None else Report()
     suite = f"subst-lemma[{cfg.name()},{m.monad.name}]"
     table = CbvOperatorTable(cfg)
     # one interpreter for the whole corpus, whose terms share subterms
     interp = Interpreter(m, cfg, table)
-    b = Base(cfg.base_types[0])
-    universe = tuple(t for t in (b, fun(b, b)) if valid_type(t, cfg))
+    universe = types_upto(cfg, 2)
     ctxs = enumerate_contexts(universe, 2)
     sub_ctxs = enumerate_contexts(universe, subst_ctx_len)
-    memo: dict = {}
+    # the entries' values and the corpus's terms keep a list per bound
+    instances = Enumeration.instances_of(table, types_upto(cfg, cfg.type_depth))
+    values = Enumeration(instances, max_ctx=2)
+    corpus = Enumeration(instances, max_ctx=3)
     checked = 0
     for src in ctxs:
         # the substitution pool for this source context
         pool = []
         for tgt in sub_ctxs:
-            entry_pools = []
-            for t in src.entries:
-                vals = enumerate_values(table, tgt, t, 2, universe, memo)
-                entry_pools.append(vals)
+            entry_pools = [enumerate_values(values, tgt, t, 2)
+                           for t in src.entries]
             if any(not p for p in entry_pools):
                 continue
             for combo in itertools.product(*entry_pools):
@@ -296,8 +300,7 @@ def check_substitution_lemma_exhaustive(cfg: FragmentConfig, m: Model,
         rest_dens: dict = {}
         rotate = 0
         for t in universe:
-            for term in enumerate_terms(table, src, t, 3, universe, memo,
-                                        max_ctx=3):
+            for term in enumerate_terms(corpus, src, t, 3):
                 cases = var_only
                 if rest:
                     k = rotate % len(rest)

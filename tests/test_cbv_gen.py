@@ -7,15 +7,18 @@ import random
 
 import pytest
 
-from substkit.cbv.gen import _MAYBE_NAT, TermGen
+from substkit.cbv.gen import (_MAYBE_NAT, Enumeration, TermGen, enumerate_terms,
+                              enumerate_values)
 from substkit.cbv.ops import CbvOperatorTable, vmatch_allowed
 from substkit.cbv.types import (EXTENSIONS, NAT, UNIT, Base, Fun, NatType,
                                 Record, Variant, all_fragment_configs, config,
                                 done_cont_shape, fun, is_context_row,
                                 is_done_cont_shape, is_maybe_shape, maybe_shape,
-                                record, type_depth, valid_type, variant)
+                                record, type_depth, types_upto, valid_type,
+                                variant)
 from substkit.semantics import model, monads
 from substkit.sorts import Context
+from substkit.terms import Op
 
 CONFIGS = all_fragment_configs(("b", "c"), 4)
 
@@ -275,6 +278,32 @@ def test_seeded_corpora_match_golden_digest():
     corpus shows only here: every RNG draw and every term must stay the
     same."""
     assert _corpus_digest() == GOLDEN_CORPUS
+
+
+@pytest.mark.parametrize("exts", [("records", "variants"), ("naturals",),
+                                  ("recursion",)])
+def test_enumeration_reaches_every_listed_family(exts):
+    """The enumerator has no productions of its own: every family the
+    operator table lists shows up among the values and terms of depth 2 and
+    3 over the empty context."""
+    cfg = config(exts, nat_bound=2)
+    table = CbvOperatorTable(cfg)
+    results = types_upto(cfg, 3)
+    enum = Enumeration(Enumeration.instances_of(table, results), max_ctx=2)
+    seen = set()
+
+    def walk(term):
+        if isinstance(term, Op):
+            seen.add(table.family(term.op)[0])
+            for arg in term.args:
+                walk(arg)
+
+    for t in types_upto(cfg, 2):
+        for depth in (2, 3):
+            for term in (enumerate_values(enum, Context(()), t, depth)
+                         + enumerate_terms(enum, Context(()), t, depth)):
+                walk(term)
+    assert seen == {table.family(op)[0] for op in table.operators(results)}
 
 
 # sha256 of the exhaustive lemma's cases, ``f"{term!r}|{env!r}"`` joined by

@@ -10,10 +10,10 @@ from conftest import all_renamings, contexts_upto, reference_fold, swap_first_pa
 from substkit import suites
 from substkit.cbv import Base, NAT, config, fun, maybe_shape, record, variant
 from substkit.cbv.ops import CbvOperatorTable
-from substkit.cbv.gen import TermGen, enumerate_terms
+from substkit.cbv.gen import Enumeration, TermGen, enumerate_terms
 from substkit.cbv.surface import parse
 from substkit.cbv.typecheck import typecheck
-from substkit.cbv.types import types_upto, valid_type
+from substkit.cbv.types import types_upto
 from substkit.semantics import (IdentityMonad, OptionMonad, UnsupportedCapability,
                                 interp_size, interpret_type, model, precompose)
 from substkit.semantics import checks
@@ -268,13 +268,13 @@ def test_lazy_denotations_match_the_eager_reference():
     for exts in ((), ("sequential",), ("functions",), ("sequential", "functions")):
         cfg = config(exts)
         table = CbvOperatorTable(cfg)
-        universe = tuple(t for t in (B, fun(B, B)) if valid_type(t, cfg))
+        universe = types_upto(cfg, 2)
         ctxs = [Context(c) for k in range(3)
                 for c in itertools.product(universe, repeat=k)]
-        memo = {}
+        corpus = Enumeration(Enumeration.instances_of(
+            table, types_upto(cfg, cfg.type_depth)), max_ctx=3)
         terms = [term for ctx in ctxs for t in universe
-                 for term in enumerate_terms(table, ctx, t, 3, universe, memo,
-                                             max_ctx=3)]
+                 for term in enumerate_terms(corpus, ctx, t, 3)]
         for mon in (IdentityMonad(), OptionMonad()):
             m = model(mon, {"b": 2})
             gen = TermGen(cfg, table, random.Random(20260810), model=m)
