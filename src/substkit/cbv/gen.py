@@ -521,18 +521,15 @@ class Enumeration:
     instance whose binder would take a context past ``max_ctx`` is skipped.
     The lists are kept until the enumeration is dropped."""
 
-    def __init__(self, instances: dict, max_ctx: int):
-        self.instances = instances  # result sort -> operators, in table order
+    def __init__(self, table: CbvOperatorTable, results, max_ctx: int):
+        # result sort -> (instance, the length of its longest binder), for
+        # the instances of ``table.operators(results)`` in order
+        self.instances: dict = {}
+        for op in table.operators(results):
+            self.instances.setdefault(op.result_sort, []).append(
+                (op, max((len(a.binder) for a in op.args), default=0)))
         self.max_ctx = max_ctx
         self._memo: dict = {}
-
-    @staticmethod
-    def instances_of(table: CbvOperatorTable, results) -> dict:
-        """``table.operators(results)`` grouped by result sort."""
-        out: dict = {}
-        for op in table.operators(results):
-            out.setdefault(op.result_sort, []).append(op)
-        return out
 
     def at(self, ctx: Context, sort: Sort, depth: int) -> list:
         key = (ctx.entries, sort, depth)
@@ -541,13 +538,18 @@ class Enumeration:
             return got
         out = ([Var(ctx, i) for i, e in enumerate(ctx.entries) if e == sort.ident]
                if sort.is_first else [])
-        for op in self.instances.get(sort, ()):
-            if depth <= 0 or len(ctx) + max(
-                    (len(a.binder) for a in op.args), default=0) > self.max_ctx:
+        room = self.max_ctx - len(ctx)
+        for op, width in self.instances.get(sort, ()):
+            if depth <= 0 or width > room:
                 continue
-            pools = [self.at(ctx.extend(a.binder), a.sort, depth - 1)
-                     for a in op.args]
-            out += [Op(op, ctx, args) for args in itertools.product(*pools)]
+            pools = []
+            for a in op.args:  # an empty pool leaves the later ones unbuilt
+                pool = self.at(ctx.extend(a.binder), a.sort, depth - 1)
+                if not pool:
+                    break
+                pools.append(pool)
+            else:
+                out += [Op(op, ctx, args) for args in itertools.product(*pools)]
         self._memo[key] = out
         return out
 

@@ -272,10 +272,9 @@ def check_substitution_lemma_exhaustive(cfg: FragmentConfig, m: Model,
     universe = types_upto(cfg, 2)
     ctxs = enumerate_contexts(universe, 2)
     sub_ctxs = enumerate_contexts(universe, subst_ctx_len)
-    # the entries' values and the corpus's terms keep a list per bound
-    instances = Enumeration.instances_of(table, types_upto(cfg, cfg.type_depth))
-    values = Enumeration(instances, max_ctx=2)
-    corpus = Enumeration(instances, max_ctx=3)
+    results = types_upto(cfg, cfg.type_depth)
+    values = Enumeration(table, results, max_ctx=2)
+    corpus = Enumeration(table, results, max_ctx=3)
     checked = 0
     for src in ctxs:
         # the substitution pool for this source context

@@ -289,7 +289,7 @@ def test_enumeration_reaches_every_listed_family(exts):
     cfg = config(exts, nat_bound=2)
     table = CbvOperatorTable(cfg)
     results = types_upto(cfg, 3)
-    enum = Enumeration(Enumeration.instances_of(table, results), max_ctx=2)
+    enum = Enumeration(table, results, max_ctx=2)
     seen = set()
 
     def walk(term):
