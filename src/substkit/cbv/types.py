@@ -286,21 +286,23 @@ ROW_LABELS = ("A", "B")
 
 def types_upto(cfg: FragmentConfig, depth: int) -> tuple:
     """The fragment's valid types of depth at most ``depth``, by depth and
-    then by rendering."""
+    then by rendering.  Each depth adds one layer of type formers to the
+    types of the depth below, so the universes of one fragment share their
+    type objects, and equal types among them are identical."""
     try:
         return cfg._types[depth]
     except KeyError:
         pass
-    pool = [Base(b) for b in cfg.base_types]
-    if cfg.has("naturals"):
-        pool.append(NAT)
-    if cfg.has("records") or cfg.has("naturals"):
-        pool.append(UNIT)
-    seen = set(pool)
-    for _ in range(depth - 1):
+    if depth <= 1:
+        seen = {Base(b) for b in cfg.base_types}
+        if cfg.has("naturals"):
+            seen.add(NAT)
+        if cfg.has("records") or cfg.has("naturals"):
+            seen.add(UNIT)
+    else:
+        seen = set(types_upto(cfg, depth - 1))
+        smaller = sorted(seen, key=type_to_str)
         layer = []
-        smaller = list(seen)
-        smaller.sort(key=type_to_str)
         if cfg.has("functions"):
             layer += [fun(a, b) for a in smaller for b in smaller]
         if cfg.has("records"):

@@ -87,6 +87,18 @@ def test_universe_types_are_valid():
             assert type_depth(t) <= 2
 
 
+@pytest.mark.parametrize("exts", [("functions",), ("sequential", "functions"),
+                                  ("records", "variants"), ("naturals", "while"),
+                                  ("recursion",)])
+def test_universes_share_their_type_objects(exts):
+    """A universe extends the one a depth below with the same type objects,
+    so the exhaustive corpus, whose contexts range over depth 2 and whose
+    operators over the fragment's depth, compares its types by identity."""
+    cfg = config(exts)
+    deeper = {t: t for t in types_upto(cfg, 3)}
+    assert all(deeper[t] is t for t in types_upto(cfg, 2))
+
+
 def test_type_table_is_freed_with_its_config():
     """The enumeration is owned by the configuration: a generator that has
     drawn over it keeps nothing alive once both are gone, without the cycle
