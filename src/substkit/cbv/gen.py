@@ -28,8 +28,10 @@ configurations for a whole run would hold 128 tables.
 
 The exhaustive corpora come from an :class:`Enumeration`, which has no
 productions of its own: it iterates the signature by depth over the instances
-``CbvOperatorTable.operators(results)`` lists, so a family the table lists
-reaches the corpus with no edit here.
+``CbvOperatorTable.operators(results)`` lists for the result types up to the
+fragment's depth.  Only ``val``, ``let``, ``lam`` and ``app`` range over those
+results; the other families stay on the depth-2 universe, so a deeper record,
+variant or ``Maybe`` type gets no value beyond its variables.
 """
 
 from __future__ import annotations
@@ -515,17 +517,19 @@ class TermGen:
 
 class Enumeration:
     """Every term of a sort over a context within a depth bound, read off
-    operator instances: the variables of a first-class sort, then for each
-    instance whose result is the sort the product of its arguments, each
-    one level shallower over the context extended by its binder.  An
-    instance whose binder would take a context past ``max_ctx`` is skipped.
-    The lists are kept until the enumeration is dropped."""
+    the table's instances at result types up to the fragment's depth: the
+    variables of a first-class sort, then for each instance whose result is
+    the sort the product of its arguments, each one level shallower over the
+    context extended by its binder.  An instance whose binder would take a
+    context past ``max_ctx`` is skipped.  The lists are kept until the
+    enumeration is dropped."""
 
-    def __init__(self, table: CbvOperatorTable, results, max_ctx: int):
-        # result sort -> (instance, the length of its longest binder), for
-        # the instances of ``table.operators(results)`` in order
+    def __init__(self, table: CbvOperatorTable, max_ctx: int):
+        cfg = table.cfg
+        # result sort -> (instance, the length of its longest binder), in
+        # the order ``operators`` lists them
         self.instances: dict = {}
-        for op in table.operators(results):
+        for op in table.operators(types_upto(cfg, cfg.type_depth)):
             self.instances.setdefault(op.result_sort, []).append(
                 (op, max((len(a.binder) for a in op.args), default=0)))
         self.max_ctx = max_ctx

@@ -272,9 +272,8 @@ def check_substitution_lemma_exhaustive(cfg: FragmentConfig, m: Model,
     universe = types_upto(cfg, 2)
     ctxs = enumerate_contexts(universe, 2)
     sub_ctxs = enumerate_contexts(universe, subst_ctx_len)
-    results = types_upto(cfg, cfg.type_depth)
-    values = Enumeration(table, results, max_ctx=2)
-    corpus = Enumeration(table, results, max_ctx=3)
+    values = Enumeration(table, max_ctx=2)
+    corpus = Enumeration(table, max_ctx=3)
     checked = 0
     for src in ctxs:
         # the substitution pool for this source context

@@ -288,8 +288,7 @@ def test_enumeration_reaches_every_listed_family(exts):
     3 over the empty context."""
     cfg = config(exts, nat_bound=2)
     table = CbvOperatorTable(cfg)
-    results = types_upto(cfg, 3)
-    enum = Enumeration(table, results, max_ctx=2)
+    enum = Enumeration(table, max_ctx=2)
     seen = set()
 
     def walk(term):
@@ -303,7 +302,8 @@ def test_enumeration_reaches_every_listed_family(exts):
             for term in (enumerate_values(enum, Context(()), t, depth)
                          + enumerate_terms(enum, Context(()), t, depth)):
                 walk(term)
-    assert seen == {table.family(op)[0] for op in table.operators(results)}
+    assert seen == {table.family(op)[0]
+                    for op in table.operators(types_upto(cfg, 3))}
 
 
 # sha256 of the exhaustive lemma's cases, ``f"{term!r}|{env!r}"`` joined by

@@ -271,7 +271,7 @@ def test_lazy_denotations_match_the_eager_reference():
         universe = types_upto(cfg, 2)
         ctxs = [Context(c) for k in range(3)
                 for c in itertools.product(universe, repeat=k)]
-        corpus = Enumeration(table, types_upto(cfg, cfg.type_depth), max_ctx=3)
+        corpus = Enumeration(table, max_ctx=3)
         terms = [term for ctx in ctxs for t in universe
                  for term in enumerate_terms(corpus, ctx, t, 3)]
         for mon in (IdentityMonad(), OptionMonad()):
