@@ -7,12 +7,16 @@ Kleisli unit law, and parameterized associativity -- are checked pointwise by
 enumerating whole function spaces at small sizes and sampling at size 3.
 
 The laws are statements about the Kleisli extension ``bind(f, a, .)``, so the
-checker tabulates it: each ``bind(f, a, m)`` is computed once per ``f`` and
-read by naturality, the Kleisli unit law and the inner bind of associativity,
-and each ``bind(g, b, n)`` once per (f, g) pair, where both sides of
-associativity read it.  The outer bind of each right-hand side (and the
-left-hand side of naturality) remains a real call per point.  Function spaces
-are indexed, not listed, so a sampled space builds only the graphs it draws.
+checker tabulates it and reads it by position.  For each ``f`` it computes one
+row of ``bind(f, a, m)`` per parameter ``a``, over the elements ``m`` of ``T x``
+in order; naturality, the Kleisli unit law and the inner bind of
+associativity read ``row[i]`` (a unit outside ``T x`` gets a real bind).
+Associativity hands ``bind(g, b, .)`` only the rows' values and ``f``'s values,
+so these are numbered once per ``f`` and ``bind(g, b, n)`` is computed once per
+(f, g) pair for each ``b`` and each of them, where both sides read it.  The
+outer bind of each right-hand side (and the left-hand side of naturality)
+remains a real call per point.  Function spaces are indexed, not listed, so a
+sampled space builds only the graphs it draws.
 A failing law records its first counterexample: the sizes, the functions and
 the point, each printed with sets in sorted order.
 """
@@ -254,18 +258,6 @@ class _FunctionSpace(Sequence):
             yield dict(zip(self.dom, outs))
 
 
-class _Memo(dict):
-    """``fn(*key)`` for each key, computed on its first lookup."""
-
-    def __init__(self, fn):
-        super().__init__()
-        self.fn = fn
-
-    def __missing__(self, key):
-        value = self[key] = self.fn(*key)
-        return value
-
-
 def _show(v) -> str:
     """``repr`` with set elements sorted, so it does not depend on hash seeds."""
     if isinstance(v, (set, frozenset)):
@@ -301,6 +293,7 @@ def check_monad_laws(monad: StrongMonad, report: Report | None = None,
         x = _abstract_set("x", nx)
         y = _abstract_set("y", ny)
         tx = monad.apply(x)
+        txl = tx.elements
 
         # (1) unit projection: bind (unit . pi2) = pi2
         for av in a:
@@ -328,41 +321,51 @@ def check_monad_laws(monad: StrongMonad, report: Report | None = None,
         draws = max(1, pair_budget // max(len(fs), 1))
 
         for f in fs:
-            # the Kleisli extension of f, one bind per (a, m); every closure
-            # below is used only in this iteration
+            # the Kleisli extension of f: rows[q][i] is bind(f, q, txl[i]);
+            # every closure below is used only in this iteration
             f_at = lambda q, v: f[(q, v)]
-            ext = _Memo(lambda q, m: bind(f_at, q, m))
+            rows = {av: [bind(f_at, av, m) for m in txl] for av in a}
             # (2) naturality in the parameter, over all h : a' -> a
             for h in hs:
                 f_h = lambda q, v: f[(h[q], v)]
                 for ap in aprime:
-                    for m in tx:
+                    row = rows[h[ap]]
+                    for i, m in enumerate(txl):
                         lhs = bind(f_h, ap, m)
-                        rhs = ext[(h[ap], m)]
-                        if lhs != rhs and "nat" not in first:
+                        if lhs != row[i] and "nat" not in first:
                             first["nat"] = _witness(where, f=f, h=h, p=ap, m=m,
-                                                    lhs=lhs, rhs=rhs)
+                                                    lhs=lhs, rhs=row[i])
             # (3) Kleisli unit: bind f . (id x unit) = f
             for av in a:
                 for xv in x:
-                    got = ext[(av, unit(xv))]
+                    u = unit(xv)
+                    got = (rows[av][tx.index(u)] if u in tx
+                           else bind(f_at, av, u))
                     if got != f[(av, xv)] and "kleisli" not in first:
-                        first["kleisli"] = _witness(where, f=f, a=av, m=unit(xv),
+                        first["kleisli"] = _witness(where, f=f, a=av, m=u,
                                                     got=got, want=f[(av, xv)])
 
-            # (4) parameterized associativity, per g drawn for this f
+            # (4) parameterized associativity, per g drawn for this f.  Both
+            # sides hand bind(g, b, .) only the rows' values and f's values:
+            # ns numbers them in first-seen order, and cols and f_col read
+            # rows and f as those numbers
+            ns = {}
+            cols = {av: [ns.setdefault(n, len(ns)) for n in rows[av]]
+                    for av in a}
+            f_col = {k: ns.setdefault(n, len(ns)) for k, n in f.items()}
             gs = g_space if exhaustive_g else [rng.choice(g_space)
                                                for _ in range(draws)]
             for g in gs:
-                # bind(g, b, .), shared by both sides within this pair only
                 g_at = lambda q, w: g[(q, w)]
-                ext_g = _Memo(lambda q, n: bind(g_at, q, n))
-                f_then_g = lambda q, v: ext_g[(q[0], f[(q[1], v)])]
+                ext_g = {bv: [bind(g_at, bv, n) for n in ns] for bv in b}
+                f_then_g = lambda q, v: ext_g[q[0]][f_col[(q[1], v)]]
                 for bv in b:
+                    eg = ext_g[bv]
                     for av in a:
-                        for m in tx:
-                            lhs = ext_g[(bv, ext[(av, m)])]
-                            rhs = bind(f_then_g, (bv, av), m)
+                        ba, col = (bv, av), cols[av]
+                        for i, m in enumerate(txl):
+                            lhs = eg[col[i]]
+                            rhs = bind(f_then_g, ba, m)
                             if lhs != rhs and "assoc" not in first:
                                 first["assoc"] = _witness(
                                     where, f=f, g=g, b=bv, a=av, m=m,

@@ -7,6 +7,7 @@ is listed.  The tabulated checker must give the same records.
 
 import itertools
 import random
+import re
 import subprocess
 import sys
 
@@ -225,17 +226,66 @@ def reference_monad_laws(monad, max_size=2, pair_budget=10_000, f_cap=2048,
     return rep
 
 
+class _SkipsX1Option(OptionMonad):
+    """Gives ``NONE`` at ``("some", "x1")`` without calling ``f``, so the
+    tabulated checker computes binds of ``g`` that no law reads."""
+    name = "skip-x1-option"
+
+    def bind(self, f, a, m):
+        return NONE if m in (NONE, ("some", "x1")) else f(a, m[1])
+
+
+class _StaleState(StateMonad):
+    """Reads ``f(a, v)`` at the starting state rather than at the state the
+    computation moved to."""
+    name = "stale-state"
+
+    def bind(self, f, a, m):
+        return tuple(f(a, v)[i] for i, (_, v) in enumerate(m))
+
+
+REFERENCE_BUDGET = dict(f_cap=64, pair_budget=500, sample_size3=5, seed=3)
 REFERENCE_CASES = {**{name: (lambda name=name: monad_by_name(name))
                       for name in sorted(BUNDLED)},
-                   "broken-writer": _BrokenBind, "magma-writer": _magma_writer}
+                   "broken-writer": _BrokenBind, "magma-writer": _magma_writer,
+                   "skip-x1-option": _SkipsX1Option, "stale-state": _StaleState}
 
 
 @pytest.mark.parametrize("case", REFERENCE_CASES)
 def test_tabulated_laws_match_the_reference(case):
-    budget = dict(f_cap=64, pair_budget=500, sample_size3=5, seed=3)
-    got = check_monad_laws(REFERENCE_CASES[case](), **budget)
-    want = reference_monad_laws(REFERENCE_CASES[case](), **budget)
+    got = check_monad_laws(REFERENCE_CASES[case](), **REFERENCE_BUDGET)
+    want = reference_monad_laws(REFERENCE_CASES[case](), **REFERENCE_BUDGET)
     assert got.records == want.records
+
+
+# every bind call the law loops make at the reference budget, nested ones
+# included: a tabulation that drops a real bind or adds one changes these
+BIND_CALLS = {"identity": 4_623, "option": 26_623, "exception": 52_279,
+              "writer": 77_713, "state": 176_739, "powerset": 37_213}
+
+
+@pytest.mark.parametrize("name", sorted(BUNDLED))
+def test_law_loops_make_every_bind_call(name, monkeypatch):
+    cls, calls = BUNDLED[name], []
+    real = cls.bind
+
+    def counted(self, f, a, m):
+        calls.append(None)
+        return real(self, f, a, m)
+
+    monkeypatch.setattr(cls, "bind", counted)
+    check_monad_laws(monad_by_name(name), **REFERENCE_BUDGET)
+    assert len(calls) == BIND_CALLS[name]
+
+
+def test_stale_state_fails_with_state_witnesses():
+    rep = check_monad_laws(_StaleState(), **REFERENCE_BUDGET)
+    witnesses = {r.name: r.witness for r in rep.failures}
+    assert set(witnesses) == {"unit projection law (seeded sample of 64, <=2)",
+                              "size-3 samples"}
+    state = r"m=\(\('s[01]', 'x\d'\), \('s[01]', 'x\d'\)\)"
+    for witness in witnesses.values():
+        assert re.search(state, witness), witness
 
 
 SPACES = [((), ("t0", "t1")), (("d0",), ()), (("d0", "d1", "d2"), ("t0", "t1")),
