@@ -329,12 +329,11 @@ def check_monad_laws(monad: StrongMonad, report: Report | None = None,
             for h in hs:
                 f_h = lambda q, v: f[(h[q], v)]
                 for ap in aprime:
-                    row = rows[h[ap]]
-                    for i, m in enumerate(txl):
+                    for m, rhs in zip(txl, rows[h[ap]]):
                         lhs = bind(f_h, ap, m)
-                        if lhs != row[i] and "nat" not in first:
+                        if lhs != rhs and "nat" not in first:
                             first["nat"] = _witness(where, f=f, h=h, p=ap, m=m,
-                                                    lhs=lhs, rhs=row[i])
+                                                    lhs=lhs, rhs=rhs)
             # (3) Kleisli unit: bind f . (id x unit) = f
             for av in a:
                 for xv in x:
@@ -362,9 +361,9 @@ def check_monad_laws(monad: StrongMonad, report: Report | None = None,
                 for bv in b:
                     eg = ext_g[bv]
                     for av in a:
-                        ba, col = (bv, av), cols[av]
-                        for i, m in enumerate(txl):
-                            lhs = eg[col[i]]
+                        ba = (bv, av)
+                        for m, k in zip(txl, cols[av]):
+                            lhs = eg[k]
                             rhs = bind(f_then_g, ba, m)
                             if lhs != rhs and "assoc" not in first:
                                 first["assoc"] = _witness(
