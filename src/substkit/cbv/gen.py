@@ -1,10 +1,15 @@
 """Seeded random well-typed terms, substitutions, and holed corpora.
 
 Generation is type-directed: a value-inhabitation fixpoint over the bounded
-type universe decides which targets are constructible in a given context, a
-minimal-value fallback guarantees termination when the depth budget runs out,
-and every production mints its operator through the fragment table, so every
-generated tree is well-sorted by construction.
+type universe decides which targets are constructible in a given context, and
+a minimal-value fallback guarantees termination when the depth budget runs
+out.  A draw first mints its operator through the fragment table and then
+fills the operator's arguments from ``op.args``, each one drawn over the
+context extended by its binder (the shared extension that ``Op`` checks it
+against), so every generated tree is well-sorted by construction and no
+production restates a family's binders.  ``let`` is the one production that
+builds its own node: each bound type is drawn after the terms before it, so
+its operator is known only at the end.
 
 Computation types never enter contexts, so inhabitation is decided from the
 set of value types in scope alone.  Each generator reads off the introduction
@@ -37,18 +42,22 @@ variant or ``Maybe`` type gets no value beyond its variables.
 from __future__ import annotations
 
 import itertools
+import operator
 import random
 
 from ..sorts import Context, Sort, first, second
 from ..terms import HoleDecl, Meta, Op, SubstEnv, Term, Var
 from .ops import CbvOperatorTable, vmatch_allowed
 from .types import (NAT, UNIT, Base, DepthExceeded, FragmentConfig, Fun,
-                    NatType, Record, TypeExpr, Variant, done_cont_shape, fun,
-                    maybe_shape, record, type_to_label, types_upto, valid_type)
+                    NatType, Record, TypeExpr, Variant, maybe_shape,
+                    type_to_label, types_upto, valid_type)
 
 
 # the scrutinee type of ``unroll``, and the argument type of ``roll``
 _MAYBE_NAT = maybe_shape(NAT)
+
+# the minimal fallback's choice of a literal or a tag
+_first = operator.itemgetter(0)
 
 
 class _Rules:
@@ -246,35 +255,51 @@ class TermGen:
     def random_at(self, ctx: Context, sort: Sort, depth: int, holes=None,
                   hole_prob=0.0) -> Term:
         """A random value of a first-class sort, or term of a second-class one."""
-        draw = self.random_value if sort.is_first else self.random_term
-        return draw(ctx, sort.ident, depth, holes, hole_prob)
+        if sort.is_first:
+            return self.random_value(ctx, sort.ident, depth, holes, hole_prob)
+        return self.random_term(ctx, sort.ident, depth, holes, hole_prob)
+
+    def _fill(self, op, ctx: Context, draw, *params) -> Term:
+        """The node of ``op`` over ``ctx``: each argument, in order, is
+        ``draw(ctx extended by its binder, its sort, *params)``."""
+        return Op(op, ctx, [draw(ctx.extend(a.binder), a.sort, *params)
+                            for a in op.args])
+
+    def _intro(self, ctx: Context, t: TypeExpr, choose):
+        """The introduction operator of a value of ``t`` over ``ctx``, or
+        None: ``choose`` picks the literal or the inhabited tag (``rng.choice``
+        over ``range(n)`` draws as ``rng.randrange(n)`` does)."""
+        if isinstance(t, NatType):
+            return self.table.lit(choose(range(self.cfg.nat_bound)))
+        if isinstance(t, Fun):
+            return self.table.lam(t.dom, t.cod)
+        if isinstance(t, Record):
+            return self.table.vrec(t.row)
+        if isinstance(t, Variant):
+            w = self._w(ctx)
+            tags = [tag for tag, v in t.row if v in w]
+            if tags:
+                return self.table.vinj(t.row, choose(tags))
+        return None
 
     # -- minimal fallbacks ----------------------------------------------------
+
+    def _min_at(self, ctx: Context, sort: Sort) -> Term:
+        if sort.is_first:
+            return self.min_value(ctx, sort.ident)
+        return self.min_term(ctx, sort.ident)
 
     def min_value(self, ctx: Context, t: TypeExpr) -> Term:
         positions = [i for i, e in enumerate(ctx.entries) if e == t]
         if positions:
             return Var(ctx, positions[0])
-        if isinstance(t, NatType):
-            return Op(self.table.lit(0), ctx, [])
-        if isinstance(t, Fun):
-            inner = Context(ctx.entries + (t.dom,))
-            return Op(self.table.lam(t.dom, t.cod), ctx,
-                      [self.min_term(inner, t.cod)])
-        if isinstance(t, Record):
-            return Op(self.table.vrec(t.row), ctx,
-                      [self.min_value(ctx, v) for _, v in t.row])
-        if isinstance(t, Variant):
-            w = self._w(ctx)
-            for tag, v in t.row:
-                if v in w:
-                    return Op(self.table.vinj(t.row, tag), ctx,
-                              [self.min_value(ctx, v)])
-        raise ValueError(f"no value of type {t!r} in {ctx!r}")
+        op = self._intro(ctx, t, _first)
+        if op is None:
+            raise ValueError(f"no value of type {t!r} in {ctx!r}")
+        return self._fill(op, ctx, self._min_at)
 
     def min_term(self, ctx: Context, t: TypeExpr) -> Term:
-        v = self.min_value(ctx, t)
-        return Op(self.table.val(t), ctx, [v])
+        return self._fill(self.table.val(t), ctx, self._min_at)
 
     # -- random terms ------------------------------------------------------------
 
@@ -309,22 +334,8 @@ class TermGen:
             return Var(ctx, rng.choice(positions))
         if not intro_ok:
             return self.min_value(ctx, t)
-        if isinstance(t, NatType):
-            return Op(self.table.lit(rng.randrange(self.cfg.nat_bound)), ctx, [])
-        if isinstance(t, Fun):
-            inner = Context(ctx.entries + (t.dom,))
-            body = self.random_term(inner, t.cod, depth - 1, holes, hole_prob)
-            return Op(self.table.lam(t.dom, t.cod), ctx, [body])
-        if isinstance(t, Record):
-            return Op(self.table.vrec(t.row), ctx,
-                      [self.random_value(ctx, v, depth - 1, holes, hole_prob)
-                       for _, v in t.row])
-        w = self._w(ctx)
-        tags = [tag for tag, v in t.row if v in w]
-        tag = rng.choice(tags)
-        payload = dict(t.row)[tag]
-        return Op(self.table.vinj(t.row, tag), ctx,
-                  [self.random_value(ctx, payload, depth - 1, holes, hole_prob)])
+        return self._fill(self._intro(ctx, t, rng.choice), ctx, self.random_at,
+                          depth - 1, holes, hole_prob)
 
     def _hole(self, ctx: Context, sort: Sort, holes: dict, depth: int) -> Term:
         rng = self.rng
@@ -350,6 +361,7 @@ class TermGen:
                     holes=None, hole_prob=0.0) -> Term:
         rng = self.rng
         cfg = self.cfg
+        table = self.table
         if holes is not None and depth > 0 and rng.random() < hole_prob:
             return self._hole(ctx, second(t), holes, depth)
         if depth <= 0:
@@ -382,7 +394,11 @@ class TermGen:
             choices.append("letrec")
         pick = rng.choice(choices)
         d = depth - 1
+        op = None
         if pick == "let":
+            # built by hand: each bound type is drawn after the terms before
+            # it, so the operator is known only once every binding is; each
+            # prefix extends ctx, so the terms share the extensions Op checks
             n = rng.randrange(1, 3)
             inner = ctx
             bound_types, bound_terms = [], []
@@ -390,79 +406,46 @@ class TermGen:
                 bt = rng.choice(self._w_sorted(inner))
                 bound_terms.append(self.random_term(inner, bt, d, holes, hole_prob))
                 bound_types.append(bt)
-                inner = Context(inner.entries + (bt,))
+                inner = ctx.extend(Context(tuple(bound_types)))
             body = self.random_term(inner, t, d, holes, hole_prob)
-            op = self.table.let(tuple(bound_types), t)
-            return Op(op, ctx, bound_terms + [body])
+            return Op(table.let(tuple(bound_types), t), ctx,
+                      bound_terms + [body])
         if pick == "app":
             funs = self._cands(w).funs.get(t)
             if funs:
-                ft = rng.choice(funs)
-                f = self.random_term(ctx, ft, d, holes, hole_prob)
-                x = self.random_term(ctx, ft.dom, d, holes, hole_prob)
-                return Op(self.table.app(ft.dom, t), ctx, [f, x])
-        if pick == "rec":
-            return Op(self.table.rec(t.row), ctx,
-                      [self.random_term(ctx, v, d, holes, hole_prob)
-                       for _, v in t.row])
-        if pick == "recmatch":
+                op = table.app(rng.choice(funs).dom, t)
+        elif pick == "rec":
+            op = table.rec(t.row)
+        elif pick == "recmatch":
             row = self._random_row(w)
             if row is not None:
-                scrut = self.random_term(ctx, Record(row), d, holes, hole_prob)
-                inner = Context(ctx.entries + tuple(v for _, v in row))
-                body = self.random_term(inner, t, d, holes, hole_prob)
-                return Op(self.table.recmatch(row, t), ctx, [scrut, body])
-        if pick == "inj":
-            tags = [tag for tag, v in t.row if v in w]
-            tag = rng.choice(tags)
-            arg = self.random_term(ctx, dict(t.row)[tag], d, holes, hole_prob)
-            return Op(self.table.inj(t.row, tag), ctx, [arg])
-        if pick == "vmatch":
+                op = table.recmatch(row, t)
+        elif pick == "inj":
+            op = table.inj(t.row, rng.choice([tag for tag, v in t.row if v in w]))
+        elif pick == "vmatch":
             vt = self._random_variant(w)
             if vt is not None:
-                scrut = self.random_term(ctx, vt, d, holes, hole_prob)
-                bodies = []
-                for _, payload in vt.row:
-                    inner = Context(ctx.entries + (payload,))
-                    bodies.append(self.random_term(inner, t, d, holes, hole_prob))
-                return Op(self.table.vmatch(vt.row, t), ctx, [scrut] + bodies)
-        if pick == "unroll":
-            scrut = self.random_term(ctx, NAT, d, holes, hole_prob)
-            return Op(self.table.unroll(), ctx, [scrut])
-        if pick == "roll":
-            arg = self.random_term(ctx, _MAYBE_NAT, d, holes, hole_prob)
-            return Op(self.table.roll(), ctx, [arg])
-        if pick == "natfold":
-            scrut = self.random_term(ctx, NAT, d, holes, hole_prob)
-            inner = Context(ctx.entries + (maybe_shape(t),))
-            body = self.random_term(inner, t, d, holes, hole_prob)
-            return Op(self.table.natfold(t), ctx, [scrut, body])
-        if pick == "for":
+                op = table.vmatch(vt.row, t)
+        elif pick == "unroll":
+            op = table.unroll()
+        elif pick == "roll":
+            op = table.roll()
+        elif pick == "natfold":
+            op = table.natfold(t)
+        elif pick == "for":
             # the gate admitted t, so a state fits exactly when it is shallow
-            state = rng.choice(self._cands(w).shallow)
-            init = self.random_term(ctx, state, d, holes, hole_prob)
-            inner = Context(ctx.entries + (state,))
-            body = self.random_term(inner, done_cont_shape(t, state), d,
-                                    holes, hole_prob)
-            return Op(self.table.forloop(state, t), ctx, [init, body])
-        if pick == "letrec":
+            op = table.forloop(rng.choice(self._cands(w).shallow), t)
+        elif pick == "letrec":
             arity = rng.randrange(0, 2)
             params = tuple(rng.choice(self._w_sorted(w)) for _ in range(arity))
             ret = rng.choice(self._w_sorted(w))
             try:
-                op = self.table.letrec(((params, ret),), t)
+                op = table.letrec(((params, ret),), t)
             except DepthExceeded:
-                op = None
-            if op is not None:
-                ft = fun(record(tuple((str(i), p) for i, p in enumerate(params))),
-                         ret)
-                defctx = Context(ctx.entries + (ft,) + params)
-                defbody = self.random_term(defctx, ret, d, holes, hole_prob)
-                mainctx = Context(ctx.entries + (ft,))
-                main = self.random_term(mainctx, t, d, holes, hole_prob)
-                return Op(op, ctx, [defbody, main])
-        value = self.random_value(ctx, t, d, holes, hole_prob)
-        return Op(self.table.val(t), ctx, [value])
+                pass
+        if op is None:
+            op = table.val(t)
+        return self._fill(op, ctx, self.random_at, d, holes, hole_prob)
 
     def _fits(self, d1: int, d2: int) -> bool:
         """Is a type former over components of depths ``d1`` and ``d2``

@@ -288,7 +288,12 @@ def types_upto(cfg: FragmentConfig, depth: int) -> tuple:
     """The fragment's valid types of depth at most ``depth``, by depth and
     then by rendering.  Each depth adds one layer of type formers to the
     types of the depth below, so the universes of one fragment share their
-    type objects, and equal types among them are identical."""
+    type objects, and equal types among them are identical.
+
+    One gap: with ``recursion`` and neither ``records`` nor ``naturals``,
+    the empty record ``{}`` (depth 1) enters only as a component of the
+    depth-2 layer, so the depth-2 types built on it, ``{} -> {}`` and
+    ``{0: {}}``, first appear at depth 3."""
     try:
         return cfg._types[depth]
     except KeyError:

@@ -11,6 +11,8 @@ the default report directory.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import dataclasses
 import inspect
 import json
 import os
@@ -21,7 +23,7 @@ from .cbv.surface import (SurfaceSyntaxError, parse, parse_context, parse_type,
                            parse_value, pretty)
 from .cbv.typecheck import (ArityMismatch, SortMismatch, UnknownVariable,
                             synthesize, typecheck)
-from .cbv.types import (EXTENSIONS, DepthExceeded, all_fragment_configs,
+from .cbv.types import (EXTENSIONS, Base, DepthExceeded, all_fragment_configs,
                         config_from_dict, parse_fragment, type_to_str,
                         typing_needs)
 from .report import Report
@@ -100,12 +102,30 @@ def build_model(args, cfg):
     return model(monad_by_name(monad_name, **kwargs), sizes)
 
 
+def _base_types(names, option: str) -> tuple:
+    """The base types ``names`` lists, each read by the type reader: a name
+    it reads as anything but a base type is an input error naming ``option``."""
+    read = []
+    for name in names:
+        try:
+            t = parse_type(name)
+        except SurfaceSyntaxError:
+            t = None
+        if not isinstance(t, Base):
+            raise ValueError(f"{option}: {name!r} is not a base type name")
+        read.append(t.name)
+    return tuple(read)
+
+
 def _elaborate(args, text):
     if getattr(args, "fragment_config", None):
         cfg = config_from_dict(_read_json_object(args.fragment_config))
+        cfg = dataclasses.replace(cfg, base_types=_base_types(
+            cfg.base_types, "--fragment-config base_types"))
     else:
         cfg = parse_fragment(args.fragment, args.nat_bound,
-                             tuple((args.base_types or "b").split(",")),
+                             _base_types((args.base_types or "b").split(","),
+                                         "--base-types"),
                              args.type_depth)
     table = CbvOperatorTable(cfg)
     names, ctx = parse_context(args.context or "")
@@ -182,28 +202,22 @@ def cmd_subst(args) -> int:
         lines = [l for l in _read(args.subst).splitlines()
                  if l.strip() and not l.strip().startswith("--")]
         if not lines or not lines[0].startswith("target"):
-            print("error: substitution file must start with a 'target' line",
-                  file=sys.stderr)
-            return 1
+            raise ValueError("substitution file must start with a 'target' line")
         tnames, tctx = parse_context(lines[0][len("target"):])
         assignment = {}
         for line in lines[1:]:
             name, _, body = line.partition("=")
             name, value = name.strip(), parse_value(body)
             if name not in names:
-                print(f"error: the substitution assigns {name!r}, which "
-                      f"--context does not name", file=sys.stderr)
-                return 1
+                raise ValueError(f"the substitution assigns {name!r}, which "
+                                 f"--context does not name")
             if name in assignment:
-                print(f"error: the substitution assigns {name!r} twice",
-                      file=sys.stderr)
-                return 1
+                raise ValueError(f"the substitution assigns {name!r} twice")
             assignment[name] = value
         entries = []
         for name, ty in zip(names, ctx.entries):
             if name not in assignment:
-                print(f"error: no entry for variable {name!r}", file=sys.stderr)
-                return 1
+                raise ValueError(f"no entry for variable {name!r}")
             entries.append(typecheck(assignment[name], tctx, first(ty), cfg,
                                      table, tnames or None))
         env = SubstEnv(ctx, tctx, entries)
@@ -255,8 +269,13 @@ def cmd_fragments(args) -> int:
 
 
 def cmd_check(args) -> int:
-    # every option is checked before any part runs, so a malformed one is an
-    # input error and a ValueError raised by a law check stays a traceback
+    # every option is checked, and the report opened, before any part runs,
+    # so a malformed one is an input error and a ValueError raised by a law
+    # check stays a traceback
+    report_path = args.report
+    if report_path is None and os.environ.get("SUBSTKIT_REPORT_DIR"):
+        report_path = os.path.join(os.environ["SUBSTKIT_REPORT_DIR"],
+                                   f"{args.suite}.jsonl")
     try:
         parse_fragment(args.fragment, args.nat_bound)
         for flag, least in (("count", 1), ("structures", 1), ("depth", 0),
@@ -264,28 +283,27 @@ def cmd_check(args) -> int:
             if getattr(args, flag) < least:
                 raise ValueError(f"--{flag.replace('_', '-')} must be at "
                                  f"least {least}")
+        report = None
+        if report_path:
+            os.makedirs(os.path.dirname(report_path) or ".", exist_ok=True)
+            report = open(report_path, "w")
     except INPUT_ERRORS as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
-    rep = Report()
-    every = args.all_fragments or args.suite == "all"
-    options = dict(vars(args), fragment=None if every else args.fragment)
-    for name in SUITES if args.suite == "all" else (args.suite,):
-        for part in SUITES[name]:
-            # each part takes the check options its signature names
-            wanted = inspect.signature(part).parameters
-            part(rep, **{k: v for k, v in options.items() if k in wanted})
+    with report or contextlib.nullcontext():
+        rep = Report()
+        every = args.all_fragments or args.suite == "all"
+        options = dict(vars(args), fragment=None if every else args.fragment)
+        for name in SUITES if args.suite == "all" else (args.suite,):
+            for part in SUITES[name]:
+                # each part takes the check options its signature names
+                wanted = inspect.signature(part).parameters
+                part(rep, **{k: v for k, v in options.items() if k in wanted})
 
-    text = rep.to_text()
-    print(text)
-    report_path = args.report
-    if report_path is None and os.environ.get("SUBSTKIT_REPORT_DIR"):
-        report_path = os.path.join(os.environ["SUBSTKIT_REPORT_DIR"],
-                                   f"{args.suite}.jsonl")
-    if report_path:
-        os.makedirs(os.path.dirname(report_path) or ".", exist_ok=True)
-        with open(report_path, "w") as fh:
-            fh.write(rep.to_json_lines() + "\n")
+        print(rep.to_text())
+        if report is not None:
+            report.write(rep.to_json_lines() + "\n")
+    if report is not None:
         print(f"report written to {report_path}")
     return 0 if rep.ok else 3
 

@@ -351,21 +351,9 @@ def check_substitution_lemma_random(cfg: FragmentConfig, m: Model, seed: int,
 class _UnrollingInterpreter(Interpreter):
     """Replaces Elgot iteration by a bounded unrolling: the reference route."""
 
-    def _alg_for(self, op, params, values, ctx):
-        state, _ = params
-        self._require(self.m.monad.elgot_capable, "unbounded iteration")
-        monad = self.m.monad
-        init, body = values
-        state_size = interp_size(state, self.m, self.cfg.nat_bound)
-        conv = lambda tv: ("inl", tv[1]) if tv[0] == "Done" else ("inr", tv[1])
-
-        def fn(point):
-            step = lambda v: monad.tmap(conv, body.at(point + (v,)))
-            return monad.bind(
-                lambda g, v0: elgot_unrolling_oracle(step, v0, state_size + 1),
-                point, init.at(point))
-
-        return self._den(op, ctx, fn)
+    def _iteration(self, state):
+        unrollings = interp_size(state, self.m, self.cfg.nat_bound) + 1
+        return lambda step, x0: elgot_unrolling_oracle(step, x0, unrollings)
 
 
 def check_elgot_against_unrolling(m: Model, seed: int, count: int = 50,

@@ -307,15 +307,20 @@ class Interpreter:
 
         return self._den(op, ctx, fn)
 
+    def _iteration(self, state):
+        """The ``iterate(step, x0)`` that ``for`` runs at loop state ``state``."""
+        return elgot_iterate
+
     def _alg_for(self, op, params, values, ctx):
         self._require(self.m.monad.elgot_capable, "unbounded iteration")
         monad = self.m.monad
         init, body = values
+        iterate = self._iteration(params[0])
         conv = lambda tv: ("inl", tv[1]) if tv[0] == "Done" else ("inr", tv[1])
 
         def fn(point):
             step = lambda v: monad.tmap(conv, body.at(point + (v,)))
-            return monad.bind(lambda g, v0: elgot_iterate(step, v0), point,
+            return monad.bind(lambda g, v0: iterate(step, v0), point,
                               init.at(point))
 
         return self._den(op, ctx, fn)

@@ -18,7 +18,7 @@ from substkit.cbv.types import (EXTENSIONS, NAT, UNIT, Base, Fun, NatType,
                                 variant)
 from substkit.semantics import model, monads
 from substkit.sorts import Context
-from substkit.terms import Op
+from substkit.terms import Meta, Op
 
 CONFIGS = all_fragment_configs(("b", "c"), 4)
 
@@ -278,6 +278,30 @@ def test_seeded_corpora_match_golden_digest():
     corpus shows only here: every RNG draw and every term must stay the
     same."""
     assert _corpus_digest() == GOLDEN_CORPUS
+
+
+def test_sampled_arguments_live_on_the_shared_extension():
+    """Every argument of a sampled node lies over the very context object
+    ``Op`` checks it against, ``node.ctx.extend(binder)``, not over an equal
+    copy: the sampler fills each node from its operator's arguments."""
+    def walk(term):
+        if isinstance(term, Op):
+            for arg, decl in zip(term.args, term.op.args):
+                assert arg.ctx is term.ctx.extend(decl.binder), term.op.label
+                walk(arg)
+        elif isinstance(term, Meta):
+            for entry in term.env:
+                walk(entry)
+
+    for i, cfg in enumerate(CONFIGS):
+        gen = _gen(cfg, seed=20260810 + i)
+        for holed in (False, True):
+            for _ in range(3):
+                holes = {} if holed else None
+                ctx, term = gen.random_item(3, 4, holes, 0.35 if holed else 0.0)
+                walk(term)
+                for entry in gen.random_subst(ctx).entries:
+                    walk(entry)
 
 
 @pytest.mark.parametrize("exts", [("records", "variants"), ("naturals",),

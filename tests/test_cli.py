@@ -7,6 +7,7 @@ import random
 import subprocess
 import sys
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
@@ -219,6 +220,12 @@ MALFORMED_RUN = {
     "plus in a row label": ["--context", "x: <A+: b>"],
     "context name missing": ["--context", ": b"],
     "keyword as a context name": ["--context", "val: b"],
+    # each base type name is read as a type, and must read as a base type
+    "empty base type name": ["--base-types", "b,"],
+    "Nat as a base type name": ["--base-types", "b,Nat"],
+    "function type as a base type name": ["--base-types", "b,b -> b"],
+    "Nat as a configured base type": ["--fragment-config",
+                                      {"base_types": ["b", "Nat"]}],
 }
 
 # the program of a case that does not run "val x"
@@ -226,6 +233,16 @@ MALFORMED_PROGRAM = {
     "600 nested parentheses": "(" * 600 + "val x" + ")" * 600,
     "250 let bindings": "let y = val x in " * 250 + "val x",
 }
+
+
+def test_base_type_names_are_read_as_types(tmp_path):
+    """A space after the comma of ``--base-types`` is no part of the name."""
+    prog = tmp_path / "prog.cbv"
+    prog.write_text("val x\n")
+    out = run_cli("run", str(prog), "--base-types", "b, c", "--context",
+                  "x: b, y: c", "--expect", "C b", "--monad", "identity")
+    assert out.returncode == 0, out.stderr
+    assert "('b0', 'c1') -> 'b0'" in out.stdout
 
 
 @pytest.mark.parametrize("case", MALFORMED_RUN)
@@ -362,8 +379,7 @@ def generated_runs(seed, count):
     for _ in range(count):
         ctx = gen.random_context(2)
         target = gen.random_target(ctx)
-        make = gen.random_value if target.is_first else gen.random_term
-        text = pretty(make(ctx, target.ident, 3), table)
+        text = pretty(gen.random_at(ctx, target, 3), table)
         context = ", ".join(f"x{i}: {type_to_str(t)}"
                             for i, t in enumerate(ctx.entries))
         expect = ("" if target.is_first else "C ") + type_to_str(target.ident)
@@ -417,6 +433,8 @@ MALFORMED_CHECK = {
     "count 0": ["--count", "0"],
     "structures 0": ["--structures", "0"],
     "negative depth": ["--depth", "-5"],
+    # the report is opened before any part runs
+    "report path below a file": ["--report", str(Path(__file__) / "x.jsonl")],
 }
 
 
@@ -424,6 +442,13 @@ MALFORMED_CHECK = {
 def test_malformed_check_option_is_one_error_line(case):
     """Options are checked before any part runs: no record is printed."""
     out = run_cli("check", "term-laws", "--count", "1", *MALFORMED_CHECK[case])
+    assert_one_error_line(out)
+    assert out.stdout == ""
+
+
+def test_report_dir_naming_a_file_is_one_error_line(monkeypatch):
+    monkeypatch.setenv("SUBSTKIT_REPORT_DIR", __file__)
+    out = run_cli("check", "term-laws", "--count", "1")
     assert_one_error_line(out)
     assert out.stdout == ""
 

@@ -249,8 +249,7 @@ def test_every_denotation_has_the_sort_of_its_term(exts):
     for _ in range(12):
         ctx = gen.random_context(2)
         target = gen.random_target(ctx)
-        term = (gen.random_value if target.is_first else gen.random_term)(
-            ctx, target.ident, 3)
+        term = gen.random_at(ctx, target, 3)
         env = gen.random_subst(ctx)
         if context_space(env.target, m, cfg.nat_bound).size > 256:
             continue
@@ -281,8 +280,7 @@ def test_lazy_denotations_match_the_eager_reference():
             while len(cases) < len(terms) + 40:
                 ctx = gen.random_context(2)
                 target = gen.random_target(ctx)
-                term = (gen.random_value if target.is_first else gen.random_term)(
-                    ctx, target.ident, 3)
+                term = gen.random_at(ctx, target, 3)
                 env = gen.random_subst(ctx)
                 if context_space(env.target, m, cfg.nat_bound).size <= 256:
                     cases += [term, substitute(term, env)]

@@ -73,10 +73,7 @@ def test_round_trip_corpus_50_programs():
     while done < 50:
         ctx = gen.random_context(2)
         target = gen.random_target(ctx)
-        if target.is_first:
-            term = gen.random_value(ctx, target.ident, 3)
-        else:
-            term = gen.random_term(ctx, target.ident, 3)
+        term = gen.random_at(ctx, target, 3)
         text = pretty(term, table)
         back = typecheck(parse(text) if not target.is_first
                          else parse_value(text), ctx, target, FULL, table)

@@ -101,8 +101,7 @@ def test_fragment_monotonicity():
         gen = TermGen(cfg, table, rng)
         ctx = gen.random_context(2)
         target = gen.random_target(ctx)
-        term = (gen.random_value(ctx, target.ident, 3) if target.is_first
-                else gen.random_term(ctx, target.ident, 3))
+        term = gen.random_at(ctx, target, 3)
         missing = [e for e in EXTENSIONS if not cfg.has(e)]
         if not missing:
             continue
