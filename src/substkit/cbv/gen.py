@@ -160,16 +160,19 @@ class _Candidates:
 
 
 class TermGen:
-    def __init__(self, cfg: FragmentConfig, table: CbvOperatorTable,
-                 rng: random.Random, interp_cap: int | None = None, model=None):
-        self.cfg = cfg
+    def __init__(self, table: CbvOperatorTable, rng: random.Random,
+                 interp_cap: tuple | None = None):
+        """``interp_cap``, a pair ``(model, cap)``, keeps only the universe
+        types that ``model`` interprets by at most ``cap`` elements."""
+        self.cfg = cfg = table.cfg
         self.table = table
         self.rng = rng
         self.universe = list(types_upto(cfg, min(2, cfg.type_depth)))
-        if interp_cap is not None and model is not None:
+        if interp_cap is not None:
             from ..semantics.model import interp_size
+            model, cap = interp_cap
             self.universe = [t for t in self.universe
-                             if interp_size(t, model, cfg.nat_bound) <= interp_cap]
+                             if interp_size(t, model, cfg.nat_bound) <= cap]
         self._rules, self._always = _rule_table(cfg, self.universe)
         self._w_memo: dict = {}
         self._ctx_memo: dict = {}

@@ -8,7 +8,11 @@ or per context of types); the table mints instances lazily, checking on every
 mint that the requested types are formable in the fragment and within the
 configured type depth.  A family call mints once per table: a repeated call
 with equal parameters returns the operator the first one minted.  Labels are
-canonical strings, so a label uniquely determines its operator.
+canonical strings, so a label uniquely determines its operator, and with it
+the family and parameters the operator carries (``op.family``, and in
+``op.params`` the family method's arguments, rows label-sorted): a reader of
+terms needs the operator alone, not the table that minted it, and the method
+(``forloop`` for ``for``) given ``op.params`` mints ``op`` again.
 
 The family checks are what guarantee that every sort a minted operator names
 belongs to the fragment, so a mint stores its operator without the membership
@@ -63,7 +67,6 @@ class CbvOperatorTable(OperatorTable):
     def __init__(self, cfg: FragmentConfig):
         super().__init__(cfg)
         self.cfg = cfg
-        self._meta: dict[str, tuple] = {}
         self._minted: dict[tuple, Operator] = {}
 
     # -- helpers ---------------------------------------------------------
@@ -79,12 +82,9 @@ class CbvOperatorTable(OperatorTable):
     def _intern(self, label, family, params, result, args) -> Operator:
         got = self._by_label.get(label)
         if got is None:
-            got = self._by_label[label] = Operator(label, result, tuple(args))
-            self._meta[label] = (family, params)
+            got = self._by_label[label] = Operator(label, result, tuple(args),
+                                                   family, params)
         return got
-
-    def family(self, op: Operator) -> tuple:
-        return self._meta[op.label]
 
     # -- operator families -------------------------------------------------
 
@@ -136,7 +136,7 @@ class CbvOperatorTable(OperatorTable):
         self._check_type(t)
         label = f"vrec<{type_to_label(t)}>"
         args = [Argument(Context(()), first(v)) for _, v in t.row]
-        return self._intern(label, "vrec", (t,), first(t), args)
+        return self._intern(label, "vrec", (t.row,), first(t), args)
 
     @_mint_once
     def rec(self, row: tuple) -> Operator:
@@ -144,7 +144,7 @@ class CbvOperatorTable(OperatorTable):
         self._check_type(t)
         label = f"rec<{type_to_label(t)}>"
         args = [Argument(Context(()), second(v)) for _, v in t.row]
-        return self._intern(label, "rec", (t,), second(t), args)
+        return self._intern(label, "rec", (t.row,), second(t), args)
 
     @_mint_once
     def recmatch(self, row: tuple, result: TypeExpr) -> Operator:
@@ -155,31 +155,31 @@ class CbvOperatorTable(OperatorTable):
         self._check_type(result)
         label = f"recmatch<{type_to_label(t)};{type_to_label(result)}>"
         binder = Context(tuple(v for _, v in t.row))
-        return self._intern(label, "recmatch", (t, result), second(result),
+        return self._intern(label, "recmatch", (t.row, result), second(result),
                             [Argument(Context(()), second(t)),
                              Argument(binder, second(result))])
 
     @_mint_once
     def vinj(self, row: tuple, tag: str) -> Operator:
-        t = variant_of(row)
+        t = variant(row)
         self._check_type(t)
         label = f"vinj<{type_to_label(t)};{tag}>"
         payload = dict(t.row)[tag]
-        return self._intern(label, "vinj", (t, tag), first(t),
+        return self._intern(label, "vinj", (t.row, tag), first(t),
                             [Argument(Context(()), first(payload))])
 
     @_mint_once
     def inj(self, row: tuple, tag: str) -> Operator:
-        t = variant_of(row)
+        t = variant(row)
         self._check_type(t)
         label = f"inj<{type_to_label(t)};{tag}>"
         payload = dict(t.row)[tag]
-        return self._intern(label, "inj", (t, tag), second(t),
+        return self._intern(label, "inj", (t.row, tag), second(t),
                             [Argument(Context(()), second(payload))])
 
     @_mint_once
     def vmatch(self, row: tuple, result: TypeExpr) -> Operator:
-        t = variant_of(row)
+        t = variant(row)
         if not vmatch_allowed(self.cfg, t):
             raise DisabledConstruct("variant match", self.cfg)
         self._check_type(t)
@@ -187,7 +187,8 @@ class CbvOperatorTable(OperatorTable):
         label = f"vmatch<{type_to_label(t)};{type_to_label(result)}>"
         args = [Argument(Context(()), second(t))]
         args += [Argument(Context((v,)), second(result)) for _, v in t.row]
-        return self._intern(label, "vmatch", (t, result), second(result), args)
+        return self._intern(label, "vmatch", (t.row, result), second(result),
+                            args)
 
     @_mint_once
     def lit(self, n: int) -> Operator:
@@ -321,8 +322,3 @@ class CbvOperatorTable(OperatorTable):
                         except DepthExceeded:
                             pass
         return out
-
-
-def variant_of(row) -> Variant:
-    return row if isinstance(row, Variant) else variant(row)
-

@@ -536,10 +536,11 @@ def _name(pos: int) -> str:
     return f"x{pos}"
 
 
-def pretty(term, table) -> str:
-    """Render a generic well-sorted term in the concrete syntax.  Binder names
-    are derived from positions, so printing is injective and reparsing with the
-    same context yields the identical term."""
+def pretty(term) -> str:
+    """Render a generic well-sorted term in the concrete syntax, reading each
+    node's family and parameters off its operator.  Binder names are derived
+    from positions, so printing is injective and reparsing with the same
+    context yields the identical term."""
     from ..terms import Meta, Var
 
     def pv(t):  # value position
@@ -547,19 +548,19 @@ def pretty(term, table) -> str:
             return _name(t.index)
         if isinstance(t, Meta):
             raise ValueError("holes have no concrete syntax")
-        family, params = table.family(t.op)
+        family, params = t.op.family, t.op.params
         n = len(t.ctx)
         if family == "lam":
             dom, _cod = params
             return (f"fn {_name(n)}: {type_to_str(dom)} . "
                     f"{pt(t.args[0])}")
         if family == "vrec":
-            row = params[0].row
+            row = params[0]
             inner = ", ".join(f"{l} = {pv(a)}" for (l, _), a in zip(row, t.args))
             return "{" + inner + "}"
         if family == "vinj":
-            ty, tag = params
-            return f"<{_row_str(ty)}>.{tag} {_v_atom(t.args[0])}"
+            row, tag = params
+            return f"<{_row_str(row)}>.{tag} {_v_atom(t.args[0])}"
         if family == "lit":
             return str(params[0])
         raise ValueError(f"not a value operator: {t.op.label}")
@@ -567,12 +568,12 @@ def pretty(term, table) -> str:
     def _v_atom(t):
         s = pv(t)
         if isinstance(t, Var) or (hasattr(t, "op")
-                                  and table.family(t.op)[0] in ("vrec", "lit")):
+                                  and t.op.family in ("vrec", "lit")):
             return s
         return f"({s})"
 
-    def _row_str(ty):
-        return ", ".join(f"{l}: {type_to_str(v)}" for l, v in ty.row)
+    def _row_str(row):
+        return ", ".join(f"{l}: {type_to_str(v)}" for l, v in row)
 
     def atom(t):
         return f"({pt(t)})"
@@ -582,12 +583,11 @@ def pretty(term, table) -> str:
             raise ValueError("holes have no concrete syntax")
         if isinstance(t, Var):
             raise ValueError("variables are values, not terms")
-        family, params = table.family(t.op)
+        family, params = t.op.family, t.op.params
         n = len(t.ctx)
         if family == "val":
             return f"val {_v_atom(t.args[0])}"
         if family == "let":
-            bound, _res = params
             parts = []
             for i, arg in enumerate(t.args[:-1]):
                 parts.append(f"{_name(n + i)} = {pt(arg)}")
@@ -595,20 +595,20 @@ def pretty(term, table) -> str:
         if family == "app":
             return f"{atom(t.args[0])} {atom(t.args[1])}"
         if family == "rec":
-            row = params[0].row
+            row = params[0]
             inner = ", ".join(f"{l} = {pt(a)}" for (l, _), a in zip(row, t.args))
             return "{" + inner + "}"
         if family == "recmatch":
-            row = params[0].row
+            row = params[0]
             binders = ", ".join(f"{l} = {_name(n + i)}"
                                 for i, (l, _) in enumerate(row))
             return (f"case {atom(t.args[0])} of {{{binders}}} in "
                     f"{pt(t.args[1])}")
         if family == "inj":
-            ty, tag = params
-            return f"<{_row_str(ty)}>.{tag} {atom(t.args[0])}"
+            row, tag = params
+            return f"<{_row_str(row)}>.{tag} {atom(t.args[0])}"
         if family == "vmatch":
-            row = params[0].row
+            row = params[0]
             clauses = " | ".join(
                 f"{l} {_name(n)} -> {pt(arg)}"
                 for (l, _), arg in zip(row, t.args[1:]))

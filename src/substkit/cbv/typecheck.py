@@ -14,8 +14,8 @@ from .ops import CbvOperatorTable
 from .surface import (SApp, SFold, SFor, SInject, SLam, SLet, SLetRec, SLit,
                       SRecord, SRecordMatch, SRoll, SUnroll, SVal, SVar,
                       SVariantMatch, SVInject, SVRecord)
-from .types import (Fun, FragmentConfig, NAT, Record, TypeExpr, Variant, fun,
-                    maybe_shape, record, type_to_str, valid_type)
+from .types import (Fun, NAT, Record, TypeExpr, Variant, fun, maybe_shape,
+                    record, type_to_str, valid_type)
 
 
 class UnknownVariable(Exception):
@@ -41,8 +41,7 @@ def _ty(t: TypeExpr) -> str:
 
 
 class _Checker:
-    def __init__(self, cfg: FragmentConfig, table: CbvOperatorTable):
-        self.cfg = cfg
+    def __init__(self, table: CbvOperatorTable):
         self.table = table
 
     # scope is a list of (name, type); positions are list indices
@@ -64,7 +63,7 @@ class _Checker:
             i, t = self.lookup(scope, s.name, s.pos)
             return Var(ctx, i), t
         if isinstance(s, SLam):
-            if not valid_type(s.param_type, self.cfg):
+            if not valid_type(s.param_type, self.table.cfg):
                 raise SortMismatch("a type of this fragment", _ty(s.param_type), s.pos)
             inner = scope + [(s.param, s.param_type)]
             body, cod = self.synth_term(s.body, inner)
@@ -302,33 +301,30 @@ def default_names(ctx: Context) -> list[str]:
     return [f"x{i}" for i in range(len(ctx))]
 
 
-def _setup(ctx: Context, cfg: FragmentConfig, table, names):
+def _setup(ctx: Context, table: CbvOperatorTable, names):
     """The checker and scope of both entry points, once the context's types
     are known to be the fragment's."""
     for t in ctx.entries:
-        if not valid_type(t, cfg):
+        if not valid_type(t, table.cfg):
             raise SortMismatch("a context of fragment types", _ty(t), 0)
-    table = table if table is not None else CbvOperatorTable(cfg)
     names = names if names is not None else default_names(ctx)
-    return _Checker(cfg, table), list(zip(names, ctx.entries))
+    return _Checker(table), list(zip(names, ctx.entries))
 
 
-def typecheck(surface, ctx: Context, expected: Sort, cfg: FragmentConfig,
-              table: CbvOperatorTable | None = None,
+def typecheck(surface, ctx: Context, expected: Sort, table: CbvOperatorTable,
               names: list[str] | None = None) -> Term:
-    """Elaborate a surface term against an expected sort over a typed context."""
-    checker, scope = _setup(ctx, cfg, table, names)
+    """Elaborate a surface term against an expected sort over a typed context,
+    minting its operators through ``table``."""
+    checker, scope = _setup(ctx, table, names)
     if expected.is_first:
         return checker.check_value(surface, scope, expected.ident)
     return checker.check_term(surface, scope, expected.ident)
 
 
-def synthesize(surface, ctx: Context, cfg: FragmentConfig,
-               table: CbvOperatorTable | None = None,
-               names: list[str] | None = None,
-               value: bool = False):
+def synthesize(surface, ctx: Context, table: CbvOperatorTable,
+               names: list[str] | None = None, value: bool = False):
     """Synthesis entry point: returns (term, Sort)."""
-    checker, scope = _setup(ctx, cfg, table, names)
+    checker, scope = _setup(ctx, table, names)
     if value:
         term, t = checker.synth_value(surface, scope)
         return term, first(t)

@@ -65,8 +65,9 @@ def _read_json_object(path: str) -> dict:
 
 def build_model(args, cfg):
     """The model the options name for fragment ``cfg``.  By default every
-    base type of the fragment has size 2; a model that leaves one of them
-    without a size is an input error."""
+    base type of the fragment has size 2; a model that leaves one without a
+    size, sizes a non-base type or gives its monad a parameter it lacks is an
+    input error."""
     for flag in ("exceptions", "states"):
         if getattr(args, flag) < 0:
             raise ValueError(f"--{flag} must be at least 0")
@@ -81,24 +82,30 @@ def build_model(args, cfg):
                    for d in (sizes, params)):
             raise ValueError("base_sizes and monad_params must map names to "
                              "non-negative integers")
+        sizes = dict(zip(_base_types(sizes, "--model base_sizes"),
+                         sizes.values()))
     for item in (args.base_size or []):
         name, _, n = item.partition("=")
         if not n.strip().isdigit():
             raise ValueError(f"--base-size expects NAME=SIZE, got {item!r}")
-        sizes[name.strip()] = int(n)
+        (name,) = _base_types([name], "--base-size")
+        sizes[name] = int(n)
     sizes = sizes or dict.fromkeys(cfg.base_types, 2)
     for name in cfg.base_types:
         if name not in sizes:
             raise ValueError(f"the model gives no size to base type {name!r}")
     if not isinstance(monad_name, str) or monad_name not in BUNDLED:
         raise ValueError(f"unknown monad {monad_name!r}")
+    param, prefix = {"exception": ("exceptions", "e"),
+                     "state": ("states", "s")}.get(monad_name, (None, None))
+    for key in params:
+        if key != param:
+            raise ValueError(f"--model monad_params: the {monad_name} monad "
+                             f"takes no parameter {key!r}")
     kwargs = {}
-    if monad_name == "exception":
-        kwargs["exceptions"] = tuple(
-            f"e{i}" for i in range(params.get("exceptions", args.exceptions)))
-    if monad_name == "state":
-        kwargs["states"] = tuple(
-            f"s{i}" for i in range(params.get("states", args.states)))
+    if param is not None:
+        kwargs[param] = tuple(f"{prefix}{i}" for i in
+                              range(params.get(param, getattr(args, param))))
     return model(monad_by_name(monad_name, **kwargs), sizes)
 
 
@@ -134,12 +141,12 @@ def _elaborate(args, text):
         expected = parse_type(args.expect[2:] if is_comp else args.expect)
         sort = second(expected) if is_comp else first(expected)
         surface = parse(text) if is_comp else parse_value(text)
-        term = typecheck(surface, ctx, sort, cfg, table, names or None)
+        term = typecheck(surface, ctx, sort, table, names or None)
     else:
         surface, value = _parse_term_or_value(text)
-        term, sort = synthesize(surface, ctx, cfg, table, names or None,
+        term, sort = synthesize(surface, ctx, table, names or None,
                                 value=value)
-    return cfg, table, names, ctx, term, sort
+    return table, names, ctx, term, sort
 
 
 def _parse_term_or_value(text):
@@ -168,14 +175,14 @@ def _sort_to_str(sort) -> str:
 def cmd_run(args) -> int:
     try:
         text = _read(args.program) if args.program != "-" else sys.stdin.read()
-        cfg, table, _, ctx, term, sort = _elaborate(args, text)
-        m = build_model(args, cfg)
+        table, _, _, term, sort = _elaborate(args, text)
+        m = build_model(args, table.cfg)
     except INPUT_ERRORS as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
     print(f"sort: {_sort_to_str(sort)}")
     try:
-        d = denote(term, m, cfg, table)
+        d = denote(term, m, table.cfg)
         points = d.space
         if args.at is not None:
             points = [tuple(_parse_value(v) for v in args.at.split(",")
@@ -197,13 +204,14 @@ def cmd_run(args) -> int:
 
 def cmd_subst(args) -> int:
     try:
-        cfg, table, names, ctx, term, sort = _elaborate(args, _read(args.term))
-        m = build_model(args, cfg) if args.monad or args.model else None
+        table, names, ctx, term, sort = _elaborate(args, _read(args.term))
+        m = build_model(args, table.cfg) if args.monad or args.model else None
         lines = [l for l in _read(args.subst).splitlines()
                  if l.strip() and not l.strip().startswith("--")]
-        if not lines or not lines[0].startswith("target"):
+        keyword, *target = lines[0].split(maxsplit=1) if lines else ("",)
+        if keyword != "target":
             raise ValueError("substitution file must start with a 'target' line")
-        tnames, tctx = parse_context(lines[0][len("target"):])
+        tnames, tctx = parse_context(" ".join(target))
         assignment = {}
         for line in lines[1:]:
             name, _, body = line.partition("=")
@@ -218,18 +226,18 @@ def cmd_subst(args) -> int:
         for name, ty in zip(names, ctx.entries):
             if name not in assignment:
                 raise ValueError(f"no entry for variable {name!r}")
-            entries.append(typecheck(assignment[name], tctx, first(ty), cfg,
-                                     table, tnames or None))
+            entries.append(typecheck(assignment[name], tctx, first(ty), table,
+                                     tnames or None))
         env = SubstEnv(ctx, tctx, entries)
     except INPUT_ERRORS as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
     out = substitute(term, env)
-    print(pretty(out, table))
+    print(pretty(out))
     if m is not None:
         from .semantics.checks import lemma_holds
         try:
-            ok, diff = lemma_holds(term, env, Interpreter(m, cfg, table))
+            ok, diff = lemma_holds(term, env, Interpreter(m, table.cfg))
         except UnsupportedCapability as e:
             print(f"error: {e}", file=sys.stderr)
             return 2

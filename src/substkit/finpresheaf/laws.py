@@ -509,7 +509,7 @@ def shift_map(m: StructMap, binder: Context, bound: int) -> StructMap:
     table = {}
     for s in src.sorts:
         for ctx in src.contexts():
-            ext = Context(ctx.entries + binder.entries)
+            ext = ctx.extend(binder)
             table[(s, ctx)] = dict(m.table[(s, ext)])
     return StructMap(src, tgt, table)
 
@@ -530,7 +530,7 @@ def shift_strength_map(x: FinStructure, binder: Context, a: PointedStructure,
     def fn(s, ctx, rep):
         gpe, t, env = rep
         gp = Context(gpe)
-        ext = Context(ctx.entries + binder.entries)
+        ext = ctx.extend(binder)
         pi1 = Renaming(ext, ctx, range(len(ctx)))
         entries = []
         for i, e in enumerate(env):

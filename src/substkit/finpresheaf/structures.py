@@ -441,7 +441,7 @@ def shift_structure(p: FinStructure, binder: Context) -> FinStructure:
     bound = p.bound - len(binder)
     cells = {}
     for ctx in enumerate_contexts(p.ctx_sorts, bound):
-        ext = Context(ctx.entries + binder.entries)
+        ext = ctx.extend(binder)
         for s in p.sorts:
             cells[(s, ctx)] = p.cell(s, ext)
     return build_structure(p.sorts, p.ctx_sorts, bound, cells,

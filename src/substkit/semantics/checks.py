@@ -173,7 +173,7 @@ def check_compatibility(m: Model, cfg: FragmentConfig, seed: int = 0,
     table_cap = 12
     b = Base(cfg.base_types[0])
     ctxs = enumerate_contexts((b,), 2)
-    interp = Interpreter(m, cfg, table)
+    interp = Interpreter(m, cfg)
     carrier = DenotationCarrier(m, nb)
 
     checked = 0
@@ -220,7 +220,7 @@ def check_compatibility(m: Model, cfg: FragmentConfig, seed: int = 0,
                                        f"{diff[2]!r} under a substitution "
                                        f"into {tgt.entries}")
                             return rep
-    families = dict.fromkeys(table.family(op)[0] for op in ops)
+    families = dict.fromkeys(op.family for op in ops)
     rep.record(suite, f"{', '.join(families)}: {checked} squares", True, None)
     return rep
 
@@ -236,7 +236,7 @@ def lemma_holds(t: Term, env: SubstEnv, interp: Interpreter) -> tuple:
 
 
 def _denote(t: Term, interp: Interpreter):
-    return denote(t, interp.m, interp.cfg, interp.table, interp)
+    return denote(t, interp.m, interp.cfg, interp)
 
 
 def _entries(env: SubstEnv, interp: Interpreter) -> list:
@@ -268,7 +268,7 @@ def check_substitution_lemma_exhaustive(cfg: FragmentConfig, m: Model,
     suite = f"subst-lemma[{cfg.name()},{m.monad.name}]"
     table = CbvOperatorTable(cfg)
     # one interpreter for the whole corpus, whose terms share subterms
-    interp = Interpreter(m, cfg, table)
+    interp = Interpreter(m, cfg)
     universe = types_upto(cfg, 2)
     ctxs = enumerate_contexts(universe, 2)
     sub_ctxs = enumerate_contexts(universe, subst_ctx_len)
@@ -326,8 +326,7 @@ def check_substitution_lemma_random(cfg: FragmentConfig, m: Model, seed: int,
     rep = report if report is not None else Report()
     suite = f"subst-lemma[{cfg.name()},{m.monad.name}]"
     rng = random.Random(seed)
-    table = CbvOperatorTable(cfg)
-    gen = TermGen(cfg, table, rng, interp_cap=40, model=m)
+    gen = TermGen(CbvOperatorTable(cfg), rng, interp_cap=(m, 40))
     checked = 0
     while checked < count:
         ctx, term = gen.random_item(2, 3)
@@ -336,7 +335,7 @@ def check_substitution_lemma_random(cfg: FragmentConfig, m: Model, seed: int,
             continue
         # one interpreter per case: random cases share little, and a table
         # kept for the whole corpus would keep every case alive
-        ok, diff = lemma_holds(term, env, Interpreter(m, cfg, table))
+        ok, diff = lemma_holds(term, env, Interpreter(m, cfg))
         checked += 1
         if not ok:
             rep.record(suite, f"random corpus (seed {seed})", False,
@@ -366,8 +365,8 @@ def check_elgot_against_unrolling(m: Model, seed: int, count: int = 50,
                          nat_bound=3, type_depth=3)
     table = CbvOperatorTable(cfg)
     rng = random.Random(seed)
-    gen = TermGen(cfg, table, rng, interp_cap=12, model=m)
-    unrolling = _UnrollingInterpreter(m, cfg, table)
+    gen = TermGen(table, rng, interp_cap=(m, 12))
+    unrolling = _UnrollingInterpreter(m, cfg)
     checked = 0
     while checked < count:
         ctx = gen.random_context(2)
@@ -377,10 +376,10 @@ def check_elgot_against_unrolling(m: Model, seed: int, count: int = 50,
         if interp_size(state, m, cfg.nat_bound) > 8:
             continue
         init = gen.random_term(ctx, state, 2)
-        inner = Context(ctx.entries + (state,))
+        inner = ctx.extend(Context((state,)))
         body = gen.random_term(inner, done_cont_shape(result, state), 3)
         term = Op(table.forloop(state, result), ctx, [init, body])
-        lhs = denote(term, m, cfg, table)
+        lhs = denote(term, m, cfg)
         rhs = unrolling.denote(term)
         diff = lhs.difference_witness(rhs)
         checked += 1
@@ -395,8 +394,8 @@ def check_elgot_against_unrolling(m: Model, seed: int, count: int = 50,
     self_loop = "for i = val 0 do val (<Done: Nat, Cont: Nat>.Cont i)"
     from ..cbv.surface import parse
     from ..cbv.typecheck import typecheck
-    term = typecheck(parse(self_loop), Context(()), second(NAT), cfg, table)
-    d = denote(term, m, cfg, table)
+    term = typecheck(parse(self_loop), Context(()), second(NAT), table)
+    d = denote(term, m, cfg)
     ok = d.at(()) == NONE
     rep.record(suite, "self-loop yields the divergence value", ok,
                None if ok else repr(d.at(())))
@@ -447,10 +446,9 @@ def check_letrec_references(report: Report | None = None) -> Report:
     cfg = FragmentConfig(
         frozenset({"recursion", "naturals", "sequential", "functions"}),
         ("b",), nat_bound=25, type_depth=4)
-    table = CbvOperatorTable(cfg)
     ctx = Context((NAT,))
-    term = typecheck(parse(FACTORIAL), ctx, second(NAT), cfg, table)
-    d = denote(term, m, cfg, table)
+    term = typecheck(parse(FACTORIAL), ctx, second(NAT), CbvOperatorTable(cfg))
+    d = denote(term, m, cfg)
     ok, witness = True, None
     for n in range(6):
         got = d.at((n,))
@@ -462,9 +460,9 @@ def check_letrec_references(report: Report | None = None) -> Report:
     cfg2 = FragmentConfig(
         frozenset({"recursion", "naturals", "sequential", "functions"}),
         ("b",), nat_bound=4, type_depth=4)
-    table2 = CbvOperatorTable(cfg2)
-    term2 = typecheck(parse(EVEN_ODD), ctx, second(NAT), cfg2, table2)
-    d2 = denote(term2, m, cfg2, table2)
+    term2 = typecheck(parse(EVEN_ODD), ctx, second(NAT),
+                      CbvOperatorTable(cfg2))
+    d2 = denote(term2, m, cfg2)
     ok, witness = True, None
     for n in range(4):
         want = ("some", 1 if n % 2 == 0 else 0)

@@ -20,7 +20,6 @@ share.
 
 from __future__ import annotations
 
-from ..cbv.ops import CbvOperatorTable
 from ..cbv.types import FragmentConfig, record
 from ..sorts import Context, Renaming
 from ..terms import fold
@@ -127,10 +126,9 @@ class Interpreter:
     the compatibility squares call directly; ``denote`` shares through
     ``_build`` and ``_shared``."""
 
-    def __init__(self, m: Model, cfg: FragmentConfig, table: CbvOperatorTable):
+    def __init__(self, m: Model, cfg: FragmentConfig):
         self.m = m
         self.cfg = cfg
-        self.table = table
         self._shared = SharingCarrier(m, cfg.nat_bound)
         self._built: dict = {}
 
@@ -172,8 +170,7 @@ class Interpreter:
         return got
 
     def alg(self, op, values, ctx):
-        family, params = self.table.family(op)
-        return getattr(self, f"_alg_{family}")(op, params, values, ctx)
+        return getattr(self, f"_alg_{op.family}")(op, op.params, values, ctx)
 
     def _alg_val(self, op, params, values, ctx):
         unit = self.m.monad.unit
@@ -254,10 +251,10 @@ class Interpreter:
                          lambda p: monad.tmap(lambda v: (tag, v), d.at(p)))
 
     def _alg_vmatch(self, op, params, values, ctx):
-        t, result = params
+        row, _ = params
         monad = self.m.monad
         scrut, *bodies = values
-        by_tag = {tag: body for (tag, _), body in zip(t.row, bodies)}
+        by_tag = {tag: body for (tag, _), body in zip(row, bodies)}
 
         def fn(point):
             return monad.bind(
@@ -328,7 +325,6 @@ class Interpreter:
     def _alg_letrec(self, op, params, values, ctx):
         defs, _ = params
         self._require(self.m.monad.fixpoint_capable, "recursive definitions")
-        monad = self.m.monad
         *bodies, main = values
         dom_sets = []
         perms = []
@@ -362,11 +358,11 @@ class Interpreter:
         raise ValueError("terms with holes have no denotation")
 
 
-def denote(t, m: Model, cfg: FragmentConfig, table: CbvOperatorTable,
+def denote(t, m: Model, cfg: FragmentConfig,
            interp: Interpreter | None = None) -> Denotation:
     """Interpret a well-sorted term over its ambient context: with ``interp``,
-    an interpreter over the same model, configuration and table, sharing what
-    it built; otherwise with a fresh one."""
+    an interpreter over the same model and configuration, sharing what it
+    built; otherwise with a fresh one."""
     if interp is None:
-        interp = Interpreter(m, cfg, table)
+        interp = Interpreter(m, cfg)
     return interp.denote(t)

@@ -19,7 +19,7 @@ once, along the projection onto the caller's context.  The two agree because
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Container, Protocol, Sequence
 
 from .sorts import Context, Renaming, Sort, SortingSystem
@@ -40,6 +40,9 @@ class Operator:
     label: str
     result_sort: Sort
     args: tuple[Argument, ...]
+    # the family and parameters of the instance: the label determines both
+    family: str = field(compare=False)
+    params: tuple = field(compare=False)
 
     @property
     def arity(self) -> int:
@@ -147,7 +150,7 @@ def _flatten_summand(label, expr, table: OperatorTable) -> None:
     body = expr.inner
     factors = body.factors if isinstance(body, Product) else (body,)
     args = tuple(_flatten_atom(f) for f in factors)
-    table.add(Operator(label, expr.sort, args))
+    table.add(Operator(label, expr.sort, args, family=label, params=()))
 
 
 def flatten(expr, system: SortingSystem) -> OperatorTable:

@@ -176,9 +176,8 @@ class Renaming:
     def extend(self, binder: Context) -> "Renaming":
         """Extend identically on a binder appended to the right of both contexts."""
         n = len(self.source)
-        src = Context(self.source.entries + binder.entries)
-        tgt = Context(self.target.entries + binder.entries)
-        return Renaming(src, tgt, self.mapping + tuple(range(n, n + len(binder))))
+        return Renaming(self.source.extend(binder), self.target.extend(binder),
+                        self.mapping + tuple(range(n, n + len(binder))))
 
 
 def identity_renaming(ctx: Context) -> Renaming:

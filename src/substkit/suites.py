@@ -29,8 +29,7 @@ def check_term_laws(cfg: FragmentConfig, seed: int, count: int = 200,
     rep = report if report is not None else Report()
     suite = f"term-laws[{cfg.name()}]"
     rng = random.Random(seed)
-    table = CbvOperatorTable(cfg)
-    gen = TermGen(cfg, table, rng)
+    gen = TermGen(CbvOperatorTable(cfg), rng)
     fails = {}
     for i in range(count):
         ctx, term = gen.random_item(ctx_bound, depth)
@@ -61,8 +60,7 @@ def check_meta_laws(cfg: FragmentConfig, seed: int, count: int = 200,
     rep = report if report is not None else Report()
     suite = f"meta-laws[{cfg.name()}]"
     rng = random.Random(seed)
-    table = CbvOperatorTable(cfg)
-    gen = TermGen(cfg, table, rng)
+    gen = TermGen(CbvOperatorTable(cfg), rng)
     fails = {}
     for i in range(count):
         holes: dict = {}

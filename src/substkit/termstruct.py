@@ -24,7 +24,7 @@ FB = fun(B, B)
 
 def _compose_lam(table: CbvOperatorTable, ctx: Context, f_pos: int, g_pos: int):
     """``fn x: b . (val f) ((val g) (val x))`` with f, g at the given positions."""
-    inner = Context(ctx.entries + (B,))
+    inner = ctx.extend(Context((B,)))
     f = Op(table.val(FB), inner, [Var(inner, f_pos)])
     g = Op(table.val(FB), inner, [Var(inner, g_pos)])
     x = Op(table.val(B), inner, [Var(inner, len(ctx))])
@@ -114,7 +114,7 @@ def motivating_identifications(table: CbvOperatorTable):
     fzctx = Context((FB, B))
 
     def lam_z(ctx, z_pos):
-        inner = Context(ctx.entries + (B,))
+        inner = ctx.extend(Context((B,)))
         return Op(table.lam(B, B), ctx,
                   [Op(table.val(B), inner, [Var(inner, z_pos)])])
 

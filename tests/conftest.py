@@ -21,16 +21,20 @@ TOY_SYS = SortingSystem(("v", "arrow"), ("v", "arrow"))
 
 
 def toy_table() -> OperatorTable:
+    """Each toy operator is its own family, as a summand of a flattened
+    signature is."""
     t = OperatorTable(TOY_SYS)
+
+    def add(label, result, *args):
+        t.add(Operator(label, result, args, family=label, params=()))
+
     for s in ("v", "arrow"):
-        t.add(Operator(f"val.{s}", second(s), (Argument(Context(()), first(s)),)))
-    t.add(Operator("lam", first("arrow"), (Argument(Context(["v"]), second("v")),)))
-    t.add(Operator("app", second("v"),
-                   (Argument(Context(()), second("arrow")),
-                    Argument(Context(()), second("v")))))
-    t.add(Operator("let", second("v"),
-                   (Argument(Context(()), second("v")),
-                    Argument(Context(["v"]), second("v")))))
+        add(f"val.{s}", second(s), Argument(Context(()), first(s)))
+    add("lam", first("arrow"), Argument(Context(["v"]), second("v")))
+    add("app", second("v"), Argument(Context(()), second("arrow")),
+        Argument(Context(()), second("v")))
+    add("let", second("v"), Argument(Context(()), second("v")),
+        Argument(Context(["v"]), second("v")))
     return t
 
 
@@ -56,7 +60,7 @@ def corrupt_clause(monkeypatch):
         class Corrupted(Interpreter):
             def alg(self, op, values, ctx):
                 out = super().alg(op, values, ctx)
-                if self.table.family(op)[0] != family:
+                if op.family != family:
                     return out
                 space = context_space(ctx, self.m, self.cfg.nat_bound)
                 fixed = tuple(next(iter(s)) for s in space.components)

@@ -110,8 +110,7 @@ def test_criterion_5_compatibility_and_mutations(corrupt_clause):
     for exts in suites.COMPATIBILITY_EXTENSIONS:
         cfg = config(exts)
         table = CbvOperatorTable(cfg)
-        for fam in dict.fromkeys(table.family(op)[0]
-                                 for op in table.operators()):
+        for fam in dict.fromkeys(op.family for op in table.operators()):
             corrupt_clause(fam)
             broken = check_compatibility(model(OptionMonad(), {"b": 2}), cfg,
                                          seed=SEED)

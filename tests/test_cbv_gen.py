@@ -98,7 +98,7 @@ def sweep_inhabited(gen: TermGen, avail: frozenset, memo: dict) -> frozenset:
 
 
 def _gen(cfg, seed=0, **kw) -> TermGen:
-    return TermGen(cfg, CbvOperatorTable(cfg), random.Random(seed), **kw)
+    return TermGen(CbvOperatorTable(cfg), random.Random(seed), **kw)
 
 
 def _assert_agrees(gen: TermGen, avails) -> None:
@@ -152,7 +152,7 @@ def test_inhabited_agrees_under_an_interpretation_cap():
     types from the universe, and the rule table is read off after it."""
     cfg = config(EXTENSIONS, ("b",), nat_bound=4)
     m = model(monads.monad_by_name("option"), {"b": 2})
-    gen = _gen(cfg, interp_cap=40, model=m)
+    gen = _gen(cfg, interp_cap=(m, 40))
     assert len(gen.universe) < len(_gen(cfg).universe)
     rng = random.Random(1)
     candidates = gen.universe + _outside_and_invalid(cfg, gen.universe, rng)
@@ -264,7 +264,7 @@ def _corpus_digest() -> str:
                 draw(gen, 3, 3 if holed else 4, holed)
     cfg = config(EXTENSIONS, ("b",), nat_bound=4)
     m = model(monads.monad_by_name("option"), {"b": 2})
-    gen = _gen(cfg, seed=20260810, interp_cap=40, model=m)
+    gen = _gen(cfg, seed=20260810, interp_cap=(m, 40))
     for _ in range(100):
         draw(gen, 2, 3, False)
     return h.hexdigest()
@@ -317,7 +317,7 @@ def test_enumeration_reaches_every_listed_family(exts):
 
     def walk(term):
         if isinstance(term, Op):
-            seen.add(table.family(term.op)[0])
+            seen.add(term.op.family)
             for arg in term.args:
                 walk(arg)
 
@@ -326,8 +326,7 @@ def test_enumeration_reaches_every_listed_family(exts):
             for term in (enumerate_values(enum, Context(()), t, depth)
                          + enumerate_terms(enum, Context(()), t, depth)):
                 walk(term)
-    assert seen == {table.family(op)[0]
-                    for op in table.operators(types_upto(cfg, 3))}
+    assert seen == {op.family for op in table.operators(types_upto(cfg, 3))}
 
 
 # sha256 of the exhaustive lemma's cases, ``f"{term!r}|{env!r}"`` joined by

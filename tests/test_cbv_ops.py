@@ -14,7 +14,7 @@ B = Base("b")
 def test_base_fragment_has_only_val():
     table = CbvOperatorTable(config(()))
     ops = table.operators()
-    assert {table.family(op)[0] for op in ops} == {"val"}
+    assert {op.family for op in ops} == {"val"}
     val = table.val(B)
     assert val.result_sort == second(B)
     assert val.args[0].sort == first(B) and len(val.args[0].binder) == 0
@@ -199,9 +199,28 @@ def test_rule_coverage(exts):
     cfg = config(exts, nat_bound=4)
     table = CbvOperatorTable(cfg)
     ops = table.operators()
-    assert {table.family(op)[0] for op in ops} == EXPECTED_FAMILIES[exts]
+    assert {op.family for op in ops} == EXPECTED_FAMILIES[exts]
     for op in ops:
         assert op.result_sort in cfg, op
         for arg in op.args:
             assert arg.sort in cfg, op
             arg.binder.validate(cfg)
+
+
+# the table method that mints a family, where the two names differ
+MINTER = {"for": "forloop"}
+
+
+@pytest.mark.parametrize("exts", sorted(EXPECTED_FAMILIES))
+def test_every_listed_operator_is_reminted_from_its_family_and_params(exts):
+    """An operator describes itself: its family's method, given
+    ``op.params``, mints it again -- the very operator on its own table, and
+    one with the same label, family and parameters on a fresh table."""
+    cfg = config(exts, nat_bound=4)
+    table, fresh = CbvOperatorTable(cfg), CbvOperatorTable(cfg)
+    for op in table.operators():
+        mint = MINTER.get(op.family, op.family)
+        assert getattr(table, mint)(*op.params) is op, op
+        again = getattr(fresh, mint)(*op.params)
+        assert ((again.label, again.family, again.params)
+                == (op.label, op.family, op.params)), op

@@ -104,7 +104,7 @@ def test_type_table_is_freed_with_its_config():
     drawn over it keeps nothing alive once both are gone, without the cycle
     collector."""
     cfg = config(("functions", "records"), nat_bound=5)
-    gen = TermGen(cfg, CbvOperatorTable(cfg), random.Random(0))
+    gen = TermGen(CbvOperatorTable(cfg), random.Random(0))
     assert gen.universe == list(types_upto(cfg, 2))
     for _ in range(10):
         gen.random_subst(gen.random_item(3, 4, holes={}, hole_prob=0.2)[0])

@@ -226,6 +226,16 @@ MALFORMED_RUN = {
     "function type as a base type name": ["--base-types", "b,b -> b"],
     "Nat as a configured base type": ["--fragment-config",
                                       {"base_types": ["b", "Nat"]}],
+    # a sized name is read as a type too, and an unknown monad parameter is
+    # named, not dropped
+    "empty base size name": ["--base-size", "b=2", "--base-size", "=3"],
+    "Nat given a base size": ["--base-size", "b=2", "--base-size", "Nat=3"],
+    "function type given a base size": ["--base-size", "b -> b=2",
+                                        "--base-size", "b=2"],
+    "model sizes Nat": ["--model", {"base_sizes": {"b": 2, "Nat": 3}}],
+    "model sizes an empty name": ["--model", {"base_sizes": {"b": 2, "": 3}}],
+    "monad parameter the monad does not take": [
+        "--model", {"monad": "state", "monad_params": {"exceptions": 3}}],
 }
 
 # the program of a case that does not run "val x"
@@ -272,6 +282,13 @@ MALFORMED_SUBST = {
     "space too large for the lemma": (
         "target g: Nat -> Nat\nf = g\n",
         "too large to enumerate: product of more than 1000000 elements"),
+    # 'target' is a word of its own
+    "target keyword run into a name": (
+        "targety: b\nx = y\n",
+        "substitution file must start with a 'target' line"),
+    "target keyword joined to a name": (
+        "target_y: b\nx = y\n",
+        "substitution file must start with a 'target' line"),
 }
 
 # the term and options of a case that does not substitute into "val x"
@@ -374,12 +391,11 @@ def generated_runs(seed, count):
     cfg = parse_fragment("full", 3)
     table = CbvOperatorTable(cfg)
     rng = random.Random(seed)
-    gen = TermGen(cfg, table, rng, interp_cap=12,
-                  model=model(OptionMonad(), {"b": 2}))
+    gen = TermGen(table, rng, interp_cap=(model(OptionMonad(), {"b": 2}), 12))
     for _ in range(count):
         ctx = gen.random_context(2)
         target = gen.random_target(ctx)
-        text = pretty(gen.random_at(ctx, target, 3), table)
+        text = pretty(gen.random_at(ctx, target, 3))
         context = ", ".join(f"x{i}: {type_to_str(t)}"
                             for i, t in enumerate(ctx.entries))
         expect = ("" if target.is_first else "C ") + type_to_str(target.ident)

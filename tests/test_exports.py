@@ -1,7 +1,10 @@
-"""Every public export resolves, and two guards keep unused code out of
-``src/``: ``test_every_public_name_under_src_has_a_caller`` (a helper only the
-tests call cannot land) and ``test_every_defaulted_parameter_has_a_setter`` (a
-setting no caller sets is a constant, not a parameter)."""
+"""Every public export resolves, and three guards keep unused code and
+redundant parameters out of ``src/``:
+``test_every_public_name_under_src_has_a_caller`` (a helper only the tests
+call cannot land), ``test_every_defaulted_parameter_has_a_setter`` (a setting
+no caller sets is a constant, not a parameter) and
+``test_no_def_takes_a_configuration_beside_a_table`` (a table knows its
+configuration, so a second one passed beside it can only disagree)."""
 
 import ast
 import importlib
@@ -204,3 +207,47 @@ def test_unset_defaults_scan_sees_each_form():
         "a.K.method.n", "a.f.kw_only", "a.f.unset", "a.recursive.depth"]
     assert unset_defaults(defining, ["f(0, kw_only=1)\nobj.method(1)\n"],
                           {"a.part"}) == ["a.f.unset", "a.recursive.depth"]
+
+
+def cfg_beside_table(defining: dict[str, str]) -> list[str]:
+    """``module.qualname`` of each function or method, at any depth, that
+    takes both a ``cfg`` and a ``table`` parameter."""
+    found = []
+
+    def visit(mod, node, prefix):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                qualname = f"{prefix}{child.name}"
+                if isinstance(child, ast.FunctionDef):
+                    args = child.args
+                    names = {a.arg for a in (*args.posonlyargs, *args.args,
+                                             *args.kwonlyargs)}
+                    if {"cfg", "table"} <= names:
+                        found.append(f"{mod}.{qualname}")
+                visit(mod, child, f"{qualname}.")
+            else:
+                visit(mod, child, prefix)
+
+    for mod, text in defining.items():
+        visit(mod, ast.parse(text), "")
+    return sorted(found)
+
+
+def test_no_def_takes_a_configuration_beside_a_table():
+    """Code that mints takes the table and reads ``table.cfg``; code that
+    reads a term takes no table, the operator carries its family."""
+    assert cfg_beside_table(_sources()[0]) == []
+
+
+def test_cfg_beside_table_scan_sees_each_form():
+    defining = {
+        "a": ("def f(cfg, table): pass\n"
+              "def g(table, *, cfg=None): pass\n"
+              "def h(cfg, tables): pass\n"
+              "class K:\n"
+              "    def __init__(self, cfg, table): pass\n"
+              "    def m(self, table):\n"
+              "        def inner(cfg, table): pass\n"),
+    }
+    assert cfg_beside_table(defining) == ["a.K.__init__", "a.K.m.inner", "a.f",
+                                          "a.g"]

@@ -27,8 +27,8 @@ def test_model_and_config_are_freed_without_the_cycle_collector():
     table = CbvOperatorTable(cfg)
     ctx = Context((B,))
     term = typecheck(parse("(val fn y: b . val y) (val x0)"), ctx, second(B),
-                     cfg, table)
-    assert denote(term, m, cfg, table).table() == (("some", "b0"), ("some", "b1"))
+                     table)
+    assert denote(term, m, cfg).table() == (("some", "b0"), ("some", "b1"))
     assert interpret_type(fun(B, B), m, 3).size == 9
     assert context_space(Context((B, B)), m, 3).size == 4
     assert valid_type(fun(B, B), cfg)
@@ -50,8 +50,8 @@ def test_interpreter_and_its_denotations_are_freed_without_the_cycle_collector()
     m = model(OptionMonad(), {"b": 2})
     table = CbvOperatorTable(cfg)
     term = typecheck(parse("fold (val x0) a . val x0"), Context((NAT,)),
-                     second(NAT), cfg, table)
-    interp = Interpreter(m, cfg, table)
+                     second(NAT), table)
+    interp = Interpreter(m, cfg)
     d = interp.denote(term)
     assert d.table() == tuple(("some", n) for n in range(3))
     shared = interp._shared
@@ -96,7 +96,7 @@ def test_generator_memos_are_freed_with_it_without_the_cycle_collector():
     all of them go with the generator."""
     cfg = config(("functions", "records", "variants", "while"), ("b", "c"),
                  nat_bound=4)
-    gen = TermGen(cfg, CbvOperatorTable(cfg), random.Random(0))
+    gen = TermGen(CbvOperatorTable(cfg), random.Random(0))
     for _ in range(20):
         gen.random_item(3, 4, holes={}, hole_prob=0.2)
     ctx, w = next(iter(gen._ctx_memo.items()))

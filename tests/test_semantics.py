@@ -52,8 +52,7 @@ def test_interpret_type_spec_examples():
 def test_variable_denotes_projection():
     cfg = config(())
     m = model(IdentityMonad(), {"b": 2})
-    table = CbvOperatorTable(cfg)
-    d = denote(Var(Context((B,)), 0), m, cfg, table)
+    d = denote(Var(Context((B,)), 0), m, cfg)
     assert d.table() == ("b0", "b1")
 
 
@@ -61,8 +60,8 @@ def test_val_under_identity_is_identity():
     cfg = config(())
     m = model(IdentityMonad(), {"b": 3})
     table = CbvOperatorTable(cfg)
-    t = typecheck(parse("val x0"), Context((B,)), second(B), cfg, table)
-    d = denote(t, m, cfg, table)
+    t = typecheck(parse("val x0"), Context((B,)), second(B), table)
+    d = denote(t, m, cfg)
     assert d.table() == tuple(p[0] for p in d.space)
 
 
@@ -74,9 +73,9 @@ def test_let_of_val_collapses(monad_name):
     m = model(monad_by_name(monad_name), {"b": 2})
     table = CbvOperatorTable(cfg)
     ctx = Context((B,))
-    t1 = typecheck(parse("let y = val x0 in val y"), ctx, second(B), cfg, table)
-    t2 = typecheck(parse("val x0"), ctx, second(B), cfg, table)
-    assert same_table(denote(t1, m, cfg, table), denote(t2, m, cfg, table))
+    t1 = typecheck(parse("let y = val x0 in val y"), ctx, second(B), table)
+    t2 = typecheck(parse("val x0"), ctx, second(B), table)
+    assert same_table(denote(t1, m, cfg), denote(t2, m, cfg))
 
 
 def test_app_beta_on_identity_function():
@@ -85,8 +84,8 @@ def test_app_beta_on_identity_function():
     table = CbvOperatorTable(cfg)
     ctx = Context((B,))
     t = typecheck(parse("(val fn y: b . val y) (val x0)"), ctx, second(B),
-                  cfg, table)
-    d = denote(t, m, cfg, table)
+                  table)
+    d = denote(t, m, cfg)
     assert d.table() == tuple(("some", p[0]) for p in d.space)
 
 
@@ -97,8 +96,8 @@ def test_records_and_variants_evaluate():
     src = ("case (val <A: b, Z: b>.A x0) of "
            "{A u -> val {L = u, R = x0} | Z w -> val {L = w, R = w}}")
     t = typecheck(parse(src), Context((B,)),
-                  second(record((("L", B), ("R", B)))), cfg, table)
-    d = denote(t, m, cfg, table)
+                  second(record((("L", B), ("R", B)))), table)
+    d = denote(t, m, cfg)
     assert d.at(("b1",)) == ("some", ("b1", "b1"))
 
 
@@ -107,8 +106,8 @@ def test_roll_overflow_is_absence_under_option():
     m = model(OptionMonad(), {"b": 2})
     table = CbvOperatorTable(cfg)
     t = typecheck(parse("roll (val <0: {}, 1+: Nat>.1+ 1)"), Context(()),
-                  second(NAT), cfg, table)
-    assert denote(t, m, cfg, table).at(()) == ("none",)
+                  second(NAT), table)
+    assert denote(t, m, cfg).at(()) == ("none",)
 
 
 def test_roll_overflow_errors_without_partiality():
@@ -116,9 +115,9 @@ def test_roll_overflow_errors_without_partiality():
     m = model(IdentityMonad(), {"b": 2})
     table = CbvOperatorTable(cfg)
     t = typecheck(parse("roll (val <0: {}, 1+: Nat>.1+ 1)"), Context(()),
-                  second(NAT), cfg, table)
+                  second(NAT), table)
     with pytest.raises(UnsupportedCapability):
-        denote(t, m, cfg, table).at(())
+        denote(t, m, cfg).at(())
 
 
 def test_while_requires_elgot_capability():
@@ -126,9 +125,9 @@ def test_while_requires_elgot_capability():
     m = model(IdentityMonad(), {"b": 2})
     table = CbvOperatorTable(cfg)
     src = "for i = val x0 do val (<Done: b, Cont: b>.Done i)"
-    t = typecheck(parse(src), Context((B,)), second(B), cfg, table)
+    t = typecheck(parse(src), Context((B,)), second(B), table)
     with pytest.raises(UnsupportedCapability):
-        denote(t, m, cfg, table)
+        denote(t, m, cfg)
 
 
 def test_sem_action_axioms_both_monads():
@@ -244,7 +243,7 @@ def test_every_denotation_has_the_sort_of_its_term(exts):
     cfg = config(exts, ("b",), nat_bound=4)
     m = model(OptionMonad(), {"b": 2})
     table = CbvOperatorTable(cfg)
-    gen = TermGen(cfg, table, random.Random(20260810), interp_cap=40, model=m)
+    gen = TermGen(table, random.Random(20260810), interp_cap=(m, 40))
     checked = 0
     for _ in range(12):
         ctx = gen.random_context(2)
@@ -255,7 +254,7 @@ def test_every_denotation_has_the_sort_of_its_term(exts):
             continue
         for whole in (term, substitute(term, env), *env.entries):
             for t in _subterms(whole):
-                assert denote(t, m, cfg, table).sort == t.sort, t
+                assert denote(t, m, cfg).sort == t.sort, t
                 checked += 1
     assert checked
 
@@ -275,7 +274,7 @@ def test_lazy_denotations_match_the_eager_reference():
                  for term in enumerate_terms(corpus, ctx, t, 3)]
         for mon in (IdentityMonad(), OptionMonad()):
             m = model(mon, {"b": 2})
-            gen = TermGen(cfg, table, random.Random(20260810), model=m)
+            gen = TermGen(table, random.Random(20260810))
             cases = list(terms)
             while len(cases) < len(terms) + 40:
                 ctx = gen.random_context(2)
@@ -284,7 +283,7 @@ def test_lazy_denotations_match_the_eager_reference():
                 env = gen.random_subst(ctx)
                 if context_space(env.target, m, cfg.nat_bound).size <= 256:
                     cases += [term, substitute(term, env)]
-            interp = Interpreter(m, cfg, table)
+            interp = Interpreter(m, cfg)
             carrier = DenotationCarrier(m, cfg.nat_bound)
             for term in cases:
                 env = identity_sem_env(term.ctx, m, cfg.nat_bound)
@@ -312,9 +311,9 @@ def test_denoting_looks_up_no_space_and_a_table_one(monkeypatch):
     table = CbvOperatorTable(cfg)
     ctx = Context((B, B))
     term = typecheck(parse("let y = (val fn z: b . val z) (val x1) in val y"),
-                     ctx, second(B), cfg, table)
+                     ctx, second(B), table)
     calls = count_context_spaces(monkeypatch)
-    d = Interpreter(m, cfg, table).denote(term)
+    d = Interpreter(m, cfg).denote(term)
     assert calls == []
     nb = cfg.nat_bound
     assert d.table() == tuple(("some", p[1]) for p in context_space(ctx, m, nb))
@@ -346,14 +345,14 @@ def test_views_store_no_points_and_memoized_clauses_do():
     runs = []
     child = Denotation(first(B), ctx, m, 8,
                        lambda p: runs.append(p) or p[0])
-    val = Interpreter(m, cfg, table).alg(table.val(B), [child], ctx)
+    val = Interpreter(m, cfg).alg(table.val(B), [child], ctx)
     assert val.at(("b0", "b1")) == val.at(("b0", "b1")) == "b0"
     assert runs == [("b0", "b1")] * 2
 
     runs.clear()
     bound = Denotation(second(B), ctx, m, 8, lambda p: runs.append(p) or p[1])
     body = projection(ctx.extend(Context((B,))), 2, m, 8)
-    let = Interpreter(m, cfg, table).alg(table.let((B,), B), [bound, body], ctx)
+    let = Interpreter(m, cfg).alg(table.let((B,), B), [bound, body], ctx)
     assert let.at(("b0", "b1")) == let.at(("b0", "b1")) == "b1"
     assert runs == [("b0", "b1")]
 
@@ -412,17 +411,17 @@ def sharing_cases():
     table = CbvOperatorTable(cfg)
     ctx = Context((B, B))
     app = typecheck(parse("(val fn z: b . val z) (val x1)"), ctx, second(B),
-                    cfg, table)
+                    table)
     inner = ctx.extend(Context((B,)))
-    bodies = [typecheck(parse(f"val x{i}"), inner, second(B), cfg, table)
+    bodies = [typecheck(parse(f"val x{i}"), inner, second(B), table)
               for i in (2, 0)]
     let = table.let((B,), B)
-    return cfg, table, [Op(let, ctx, [app, body]) for body in bodies]
+    return cfg, [Op(let, ctx, [app, body]) for body in bodies]
 
 
 def test_an_interpreter_denotes_a_shared_subterm_once():
-    cfg, table, (t1, t2) = sharing_cases()
-    interp = Interpreter(model(OptionMonad(), {"b": 2}), cfg, table)
+    cfg, (t1, t2) = sharing_cases()
+    interp = Interpreter(model(OptionMonad(), {"b": 2}), cfg)
     built = []
     real = interp.alg
 
@@ -438,18 +437,18 @@ def test_an_interpreter_denotes_a_shared_subterm_once():
 
 
 def test_an_interpreter_shares_with_an_equal_term_substitute_rebuilt():
-    cfg, table, (t1, _) = sharing_cases()
+    cfg, (t1, _) = sharing_cases()
     m = model(OptionMonad(), {"b": 2})
-    interp = Interpreter(m, cfg, table)
+    interp = Interpreter(m, cfg)
     rebuilt = substitute(t1, identity_env(t1.ctx))
     assert rebuilt == t1 and rebuilt is not t1
     assert interp.denote(rebuilt) is interp.denote(t1)
 
 
 def test_two_interpreters_share_nothing():
-    cfg, table, (t1, _) = sharing_cases()
+    cfg, (t1, _) = sharing_cases()
     m = model(OptionMonad(), {"b": 2})
-    one, two = Interpreter(m, cfg, table), Interpreter(m, cfg, table)
+    one, two = Interpreter(m, cfg), Interpreter(m, cfg)
     assert one.denote(t1) is not two.denote(t1)
     assert one.denote(t1).table() == two.denote(t1).table()
     mine = {id(d) for d in one._built.values()}
@@ -464,8 +463,8 @@ def test_lemma_var_and_identity_cases():
     from substkit.semantics.checks import lemma_holds
     from substkit.terms import SubstEnv, identity_env
     ctx = Context((B, B))
-    interp = Interpreter(m, cfg, table)
-    term = typecheck(parse("val x1"), ctx, second(B), cfg, table)
+    interp = Interpreter(m, cfg)
+    term = typecheck(parse("val x1"), ctx, second(B), table)
     ok, _ = lemma_holds(term, identity_env(ctx), interp)
     assert ok
     swap = SubstEnv(ctx, ctx, (Var(ctx, 1), Var(ctx, 0)))
@@ -515,5 +514,5 @@ def test_compatibility_squares_every_operator_within_the_universe(
               and all(a.sort.ident in universe
                       and set(a.binder.entries) <= universe for a in op.args)}
     assert seen == within
-    family = {op.label: table.family(op)[0] for op in ops}
+    family = {op.label: op.family for op in ops}
     assert {family[label] for label in seen} == set(family.values())

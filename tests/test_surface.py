@@ -27,11 +27,9 @@ def test_val_single_production():
 def test_sequencing_form_round_trips():
     table = CbvOperatorTable(config(("sequential",)))
     src = "let y = val x0; z = val y in val z"
-    t = typecheck(parse(src), Context((B,)), second(B), config(("sequential",)),
-                  table)
-    printed = pretty(t, table)
-    t2 = typecheck(parse(printed), Context((B,)), second(B),
-                   config(("sequential",)), table)
+    t = typecheck(parse(src), Context((B,)), second(B), table)
+    printed = pretty(t)
+    t2 = typecheck(parse(printed), Context((B,)), second(B), table)
     assert t2 == t
 
 
@@ -68,15 +66,15 @@ def test_round_trip_corpus_50_programs():
     """Printing then reparsing and rechecking yields the identical term."""
     rng = random.Random(99)
     table = CbvOperatorTable(FULL)
-    gen = TermGen(FULL, table, rng)
+    gen = TermGen(table, rng)
     done = 0
     while done < 50:
         ctx = gen.random_context(2)
         target = gen.random_target(ctx)
         term = gen.random_at(ctx, target, 3)
-        text = pretty(term, table)
+        text = pretty(term)
         back = typecheck(parse(text) if not target.is_first
-                         else parse_value(text), ctx, target, FULL, table)
+                         else parse_value(text), ctx, target, table)
         assert back == term, text
         done += 1
 
@@ -84,7 +82,6 @@ def test_round_trip_corpus_50_programs():
 def test_pretty_rejects_holes():
     from substkit.terms import HoleDecl, Meta
     from substkit.sorts import second as snd
-    table = CbvOperatorTable(FULL)
     hole = HoleDecl("h", snd(B), Context(()))
     with pytest.raises(ValueError):
-        pretty(Meta(hole, Context(()), ()), table)
+        pretty(Meta(hole, Context(()), ()))

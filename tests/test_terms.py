@@ -297,7 +297,7 @@ def test_lazy_fold_substitutes_as_the_eager_reference():
     rebuild = lambda op, values, ctx: Op(op, ctx, values)
     rebuild_meta = lambda hole, values, ctx: Meta(hole, ctx, values)
     for n, cfg in enumerate(all_fragment_configs()[::8]):
-        gen = TermGen(cfg, CbvOperatorTable(cfg), random.Random(20260810 + n))
+        gen = TermGen(CbvOperatorTable(cfg), random.Random(20260810 + n))
         for i in range(24):
             ctx, term = gen.random_item(3, 4, {}, hole_prob=0.35 * (i % 2))
             sigma = gen.random_subst(ctx)
