@@ -82,14 +82,19 @@ def build_model(args, cfg):
                    for d in (sizes, params)):
             raise ValueError("base_sizes and monad_params must map names to "
                              "non-negative integers")
-        sizes = dict(zip(_base_types(sizes, "--model base_sizes"),
-                         sizes.values()))
+        read = {}
+        for name, n in zip(_base_types(sizes, "--model base_sizes"),
+                           sizes.values()):
+            _size_once(read, name, n, "--model base_sizes")
+        sizes = read
+    given = {}
     for item in (args.base_size or []):
         name, _, n = item.partition("=")
         if not n.strip().isdigit():
             raise ValueError(f"--base-size expects NAME=SIZE, got {item!r}")
         (name,) = _base_types([name], "--base-size")
-        sizes[name] = int(n)
+        _size_once(given, name, int(n), "--base-size")
+    sizes.update(given)
     sizes = sizes or dict.fromkeys(cfg.base_types, 2)
     for name in cfg.base_types:
         if name not in sizes:
@@ -107,6 +112,14 @@ def build_model(args, cfg):
         kwargs[param] = tuple(f"{prefix}{i}" for i in
                               range(params.get(param, getattr(args, param))))
     return model(monad_by_name(monad_name, **kwargs), sizes)
+
+
+def _size_once(sizes: dict, name: str, n: int, option: str) -> None:
+    """Enter size ``n`` for base type ``name``: two sizes for one base type,
+    however its names are spelt, are an input error naming ``option``."""
+    if name in sizes:
+        raise ValueError(f"{option}: base type {name!r} is given two sizes")
+    sizes[name] = n
 
 
 def _base_types(names, option: str) -> tuple:

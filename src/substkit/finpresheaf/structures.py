@@ -14,24 +14,41 @@ its class representative.  Representatives are ordered by the ``repr`` of
 their triples, assembled from one rendering per context, element and
 environment.
 
-What depends only on the right factor Q is built once per Q and left
-alphabet, in a plan that Q keeps (:func:`_right_plan`): the environments and
-their renderings, and every map of environments by position.  Environments
-are products of Q-cells, so a renaming of the left contexts moves an
-environment by position arithmetic, and a renaming of the ambient contexts
-moves it by the positions of its entries' images, for which the plan reads
-each entry of Q's action once.  Each tensor keeps the work that depends on
-the left factor: its elements, their generator pairs, the union-find, the
-representatives and the check that the action is well defined.
+What a tensor needs of one factor alone is derived once and kept.  Who keeps
+what:
+
+- The renaming table (:func:`_renamings`) holds every renaming between the
+  contexts of one alphabet and bound, enumerated and checked once.
+  :meth:`FinStructure.renamings`, :func:`build_structure` and the naturality
+  loops read it.
+- The shape table (:func:`_shape`) holds what depends only on the left
+  alphabet, the bound and the sizes of Q's cells: the strides of the
+  environments, and for every renaming of the left contexts the map of
+  environments by position.  Environments are products of Q-cells, so a
+  renaming of the left contexts moves an environment by position
+  arithmetic.  A pass tensors hundreds of right factors of a few shapes.
+- The right plan (:func:`_right_plan`), kept by Q per left alphabet, holds
+  what depends on Q's content: the environments, their renderings, and for
+  every renaming of the ambient contexts the positions of the images of the
+  environments, for which it reads each entry of Q's action once.
+- The left plan (:func:`_left_plan`), kept by P, holds P's cells by context
+  number, the renderings of its elements and the generator pairs of every
+  renaming, for which it reads each entry of P's action once.
+
+The two tables are bounded and hold positions, contexts and renamings only,
+never a structure or a tensor.  Each tensor keeps the work that needs both
+factors: the union-find, the representatives and the check that the action
+is well defined.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from typing import Hashable, Iterable, Sequence
 
-from ..sorts import (Context, Renaming, Sort, _maps, compose_renamings,
+from ..sorts import (Context, Renaming, Sort, compose_renamings,
                      enumerate_contexts, enumerate_renamings, first,
                      identity_renaming)
 
@@ -44,10 +61,13 @@ class FinStructure:
     """An explicit presheaf: finite cells plus a total renaming-action table.
 
     ``_plans`` holds the plans of :func:`tensor` with this structure as its
-    right factor, one per left alphabet.  A plan holds positions and tuples
+    right factor, one per left alphabet, and ``_left`` the plan of the
+    tensors with it as the left factor.  A plan holds positions and tuples
     only, never a structure or a tensor, so it dies with the structure that
     owns it.  A plan is a reading of the cells and the action, so a structure
-    is not mutated once it has been tensored.
+    is not mutated once it has been tensored.  The shapes of its tensors and
+    its renamings are kept by the module's bounded tables, which any
+    structure of the same alphabet and bound shares.
     """
 
     def __init__(self, sorts: Sequence[Sort], ctx_sorts: Sequence[Hashable],
@@ -59,6 +79,7 @@ class FinStructure:
         self.cells = cells
         self.action = action
         self._plans = {}
+        self._left = None
 
     def contexts(self) -> list[Context]:
         return self._contexts
@@ -69,10 +90,8 @@ class FinStructure:
     def act(self, sort: Sort, rho: Renaming, elem):
         return self.action[(rho.key(), sort, elem)]
 
-    def renamings(self):
-        for g1 in self._contexts:
-            for g2 in self._contexts:
-                yield from enumerate_renamings(g1, g2)
+    def renamings(self) -> tuple:
+        return _renamings(self.ctx_sorts, self.bound)
 
     def validate(self) -> None:
         """Check the functor laws and that the action lands in the right cells."""
@@ -88,27 +107,29 @@ class FinStructure:
                 for x in self.cell(s, ctx):
                     if self.act(s, ident, x) != x:
                         raise ValueError(f"identity law fails at {s!r}, {ctx!r}, {x!r}")
-        for g1 in self._contexts:
-            for g2 in self._contexts:
-                for r1 in enumerate_renamings(g1, g2):
-                    for g3 in self._contexts:
-                        for r2 in enumerate_renamings(g2, g3):
-                            comp = compose_renamings(r1, r2)
-                            for s in self.sorts:
-                                for q in self.cell(s, g3):
-                                    if self.act(s, comp, q) != self.act(s, r1, self.act(s, r2, q)):
-                                        raise ValueError(
-                                            f"composition law fails at {s!r}, {q!r}")
+        # the renamings out of each context, in the table's order
+        out_of: dict = {}
+        for rho in self.renamings():
+            out_of.setdefault(rho.source, []).append(rho)
+        for r1 in self.renamings():
+            for r2 in out_of[r1.target]:
+                comp = compose_renamings(r1, r2)
+                for s in self.sorts:
+                    for q in self.cell(s, r2.target):
+                        if self.act(s, comp, q) != self.act(s, r1, self.act(s, r2, q)):
+                            raise ValueError(
+                                f"composition law fails at {s!r}, {q!r}")
 
 
 def build_structure(sorts, ctx_sorts, bound, cells, act_fn) -> FinStructure:
     """Materialize the dense action table from an action function."""
-    skeleton = FinStructure(sorts, ctx_sorts, bound, cells, {})
+    sorts = tuple(sorts)
     action = {}
-    for rho in skeleton.renamings():
-        for s in skeleton.sorts:
+    for rho in _renamings(tuple(ctx_sorts), bound):
+        key = rho.key()
+        for s in sorts:
             for x in cells.get((s, rho.target), ()):
-                action[(rho.key(), s, x)] = act_fn(s, rho, x)
+                action[(key, s, x)] = act_fn(s, rho, x)
     return FinStructure(sorts, ctx_sorts, bound, cells, action)
 
 
@@ -243,11 +264,65 @@ def _positions(columns) -> list[int]:
     return out
 
 
+@functools.lru_cache(maxsize=32)
+def _renamings(ctx_sorts: tuple, bound: int) -> tuple:
+    """Every renaming between the contexts over ``ctx_sorts`` up to
+    ``bound``, in :meth:`FinStructure.renamings` order, enumerated and
+    checked once per alphabet and bound.  Renamings hold contexts only."""
+    contexts = enumerate_contexts(ctx_sorts, bound)
+    return tuple(rho for g1 in contexts for g2 in contexts
+                 for rho in enumerate_renamings(g1, g2))
+
+
+class _Shape:
+    """What every tensor over one left alphabet needs of a right factor with
+    given cell sizes, by position; see :func:`_shape`."""
+
+    __slots__ = ("stride", "renamings", "lands")
+
+    def __init__(self, left_ctx_sorts: tuple, bound: int, sizes: tuple):
+        # a numbers G' in p_ctxs, c the ambient context; sizes[c][i] is the
+        # size of the Q-cell over c of the i-th entry of the alphabet
+        p_ctxs = enumerate_contexts(left_ctx_sorts, bound)
+        number = {gp: a for a, gp in enumerate(p_ctxs)}
+        at = {e: i for i, e in enumerate(left_ctx_sorts)}
+        widths = [[[row[at[e]] for e in gp.entries] for row in sizes] for gp in p_ctxs]
+        # stride[a][c][i]: what a step of the i-th entry of an environment of
+        # Env(G', ctx) adds to its position
+        self.stride = [[[math.prod(w[i + 1:]) for i in range(len(w))] for w in row]
+                       for row in widths]
+        # (a1, a2, key) per renaming rho from G2 into G1, and lands[r][c][k]:
+        # the position in Env(G2, ctx) of env . rho for the k-th environment
+        # env of Env(G1, ctx), rho being the r-th renaming.  Entry y of
+        # env . rho is entry rho(y) of env, so a step of entry i of env adds
+        # the strides of the entries that rho sends to i.
+        self.renamings, self.lands = [], []
+        for rho in _renamings(left_ctx_sorts, bound):
+            a1, a2 = number[rho.source], number[rho.target]
+            self.renamings.append((a1, a2, rho.key()))
+            lands = []
+            for c, w in enumerate(widths[a1]):
+                weight = [0] * len(w)
+                for y, x in enumerate(rho.mapping):
+                    weight[x] += self.stride[a2][c][y]
+                lands.append(_positions([[d * st for d in range(n)]
+                                         for n, st in zip(w, weight)]))
+            self.lands.append(lands)
+
+
+@functools.lru_cache(maxsize=64)
+def _shape(left_ctx_sorts: tuple, bound: int, sizes: tuple) -> _Shape:
+    """The shape of tensors over ``left_ctx_sorts`` whose right factor has
+    the cell sizes ``sizes`` (per ambient context, per alphabet entry in
+    alphabet order), built once per shape."""
+    return _Shape(left_ctx_sorts, bound, sizes)
+
+
 class _RightPlan:
     """What every tensor with right factor ``q`` over one left alphabet needs
-    of ``q``, by position; see :func:`_right_plan`."""
+    of ``q``'s content, by position; see :func:`_right_plan`."""
 
-    __slots__ = ("envs", "env_reprs", "renamings", "taus", "__weakref__")
+    __slots__ = ("shape", "envs", "env_reprs", "taus", "__weakref__")
 
     def __init__(self, q: FinStructure, left_ctx_sorts: tuple):
         # a numbers G' in p_ctxs, c the ambient context in out_ctxs; e is an
@@ -257,6 +332,10 @@ class _RightPlan:
         p_ctxs = enumerate_contexts(left_ctx_sorts, q.bound)
         q_sort = {s.ident: s for s in q.sorts}
         q_cells = [{e: q.cell(qs, ctx) for e, qs in q_sort.items()} for ctx in out_ctxs]
+        self.shape = _shape(left_ctx_sorts, q.bound,
+                            tuple(tuple(len(row[e]) for e in left_ctx_sorts)
+                                  for row in q_cells))
+        stride = self.shape.stride
         self.envs = [[list(itertools.product(*(q_cells[c][e] for e in gp.entries)))
                       for c in range(len(out_ctxs))] for gp in p_ctxs]
         # the repr of a triple is "(" + repr(entries) + ", " + repr(element) +
@@ -268,46 +347,23 @@ class _RightPlan:
             [[", (" + ", ".join(parts) + ("," if len(gp) == 1 else "") + "))"
               for parts in itertools.product(*(reprs[c][e] for e in gp.entries))]
              for c in range(len(out_ctxs))] for gp in p_ctxs]
-        # stride[a][c][i]: what a step of the i-th entry of an environment of
-        # Env(G', ctx) adds to its position
-        stride = [[[math.prod(len(row[e]) for e in gp.entries[i + 1:])
-                    for i in range(len(gp))] for row in q_cells] for gp in p_ctxs]
-        # (a1, a2, key, lands) per renaming rho from G2 into G1, where
-        # lands[c][k] is the position in Env(G2, ctx) of env . rho for the
-        # k-th environment env of Env(G1, ctx).  Entry y of env . rho is entry
-        # rho(y) of env, so a step of entry i of env adds the strides of the
-        # entries that rho sends to i.
-        self.renamings = []
-        for a1, g1 in enumerate(p_ctxs):
-            for a2, g2 in enumerate(p_ctxs):
-                for mapping in _maps(g1, g2):
-                    lands = []
-                    for c, row in enumerate(q_cells):
-                        weight = [0] * len(g1)
-                        for y, x in enumerate(mapping):
-                            weight[x] += stride[a2][c][y]
-                        lands.append(_positions([[d * w for d in range(len(row[e]))]
-                                                 for e, w in zip(g1.entries, weight)]))
-                    self.renamings.append((a1, a2, (g1.entries, g2.entries, mapping),
-                                           lands))
         # (key, source, target, qmove) per renaming tau of the ambient
         # contexts: tau takes the k-th environment of Env(G', target) to the
         # qmove[a][k]-th one of Env(G', source).  Only this reads q.action,
         # once per entry.
+        number = {ctx: c for c, ctx in enumerate(out_ctxs)}
         cell_pos = [{e: {x: i for i, x in enumerate(cell)} for e, cell in row.items()}
                     for row in q_cells]
         self.taus = []
-        for cs, g1 in enumerate(out_ctxs):
-            for ct, g2 in enumerate(out_ctxs):
-                for mapping in _maps(g1, g2):
-                    key = (g1.entries, g2.entries, mapping)
-                    images = {e: [cell_pos[cs][e][q.action[(key, qs, x)]]
-                                  for x in q_cells[ct][e]]
-                              for e, qs in q_sort.items()}
-                    qmove = [_positions([[i * st for i in images[e]]
-                                         for e, st in zip(gp.entries, stride[a][cs])])
-                             for a, gp in enumerate(p_ctxs)]
-                    self.taus.append((key, cs, ct, qmove))
+        for tau in q.renamings():
+            key, cs, ct = tau.key(), number[tau.source], number[tau.target]
+            images = {e: [cell_pos[cs][e][q.action[(key, qs, x)]]
+                          for x in q_cells[ct][e]]
+                      for e, qs in q_sort.items()}
+            qmove = [_positions([[i * st for i in images[e]]
+                                 for e, st in zip(gp.entries, stride[a][cs])])
+                     for a, gp in enumerate(p_ctxs)]
+            self.taus.append((key, cs, ct, qmove))
 
 
 def _right_plan(q: FinStructure, left_ctx_sorts: tuple) -> _RightPlan:
@@ -320,6 +376,46 @@ def _right_plan(q: FinStructure, left_ctx_sorts: tuple) -> _RightPlan:
     return plan
 
 
+class _LeftPlan:
+    """What every tensor with left factor ``p`` needs of ``p``, by position;
+    see :func:`_left_plan`.  ``sorts[s]`` is ``(cells, lengths, reprs,
+    moves)``: the cells of sort ``s`` by context number, ``(a, |P_s G'|)``
+    for each G' where the cell is not empty, the rendering of the start of a
+    triple per element, and the generator pairs per renaming."""
+
+    __slots__ = ("sorts", "__weakref__")
+
+    def __init__(self, p: FinStructure, renamings: list):
+        p_ctxs = p.contexts()
+        self.sorts = {}
+        for s in p.sorts:
+            p_cells = [p.cell(s, gp) for gp in p_ctxs]
+            elem_pos = [{t: i for i, t in enumerate(cell)} for cell in p_cells]
+            # each generator pair of the r-th renaming rho: (G1, rho t, env) ~
+            # (G2, t, env . rho), as the positions of rho t in P_s G1 and of t
+            # in P_s G2
+            moves = [(r, a1, a2, [(elem_pos[a1][p.action[(key, s, t)]], i)
+                                  for i, t in enumerate(p_cells[a2])])
+                     for r, (a1, a2, key) in enumerate(renamings) if p_cells[a2]]
+            self.sorts[s] = (
+                p_cells,
+                [(a, len(cell)) for a, cell in enumerate(p_cells) if cell],
+                [["(" + repr(gp.entries) + ", " + repr(t) for t in cell]
+                 for gp, cell in zip(p_ctxs, p_cells)],
+                moves)
+
+
+def _left_plan(p: FinStructure, renamings: list) -> _LeftPlan:
+    """The plan of left factor ``p``, built on first use and kept by ``p``.
+    ``renamings`` numbers the renamings between P's contexts, as the shape of
+    every tensor with left factor ``p`` does: that numbering depends only on
+    P's alphabet and bound."""
+    plan = p._left
+    if plan is None:
+        plan = p._left = _LeftPlan(p, renamings)
+    return plan
+
+
 def tensor(p: FinStructure, q: FinStructure) -> TensorResult:
     """The coend of ``P_s G' x Env Q G' G`` over the enumerated contexts."""
     if p.bound != q.bound:
@@ -329,26 +425,16 @@ def tensor(p: FinStructure, q: FinStructure) -> TensorResult:
         raise ValueError("right tensor factor must be homogeneous over the left "
                          "factor's context alphabet")
     plan = _right_plan(q, p.ctx_sorts)
-    envs, env_reprs = plan.envs, plan.env_reprs
+    envs, env_reprs, lands = plan.envs, plan.env_reprs, plan.shape.lands
+    left = _left_plan(p, plan.shape.renamings)
     reps, members, cells = {}, {}, {}
     structure = FinStructure(p.sorts, q.ctx_sorts, p.bound, cells, {})
     out_ctxs, p_ctxs = structure.contexts(), p.contexts()
     # numbered[s][c]: the triples of the cell by number, the number of each
     # one's representative, and the classes in cell order as member numbers
     numbered = {}
-    # lengths[s]: (a, |P_s G'|) for each G' where P_s is not empty
-    lengths = {}
     for s in p.sorts:
-        p_cells = [p.cell(s, gp) for gp in p_ctxs]
-        lengths[s] = [(a, len(cell)) for a, cell in enumerate(p_cells) if cell]
-        elem_pos = [{t: i for i, t in enumerate(cell)} for cell in p_cells]
-        elem_reprs = [["(" + repr(gp.entries) + ", " + repr(t) for t in cell]
-                      for gp, cell in zip(p_ctxs, p_cells)]
-        # each generator pair: (G1, rho t, env) ~ (G2, t, env . rho), as the
-        # positions of rho t in P_s G1 and of t in P_s G2
-        moves = [(a1, a2, land, [(elem_pos[a1][p.action[(key, s, t)]], i)
-                                 for i, t in enumerate(p_cells[a2])])
-                 for a1, a2, key, land in plan.renamings if p_cells[a2]]
+        p_cells, _, elem_reprs, moves = left.sorts[s]
         numbered[s] = by_ctx = []
         for c, ctx in enumerate(out_ctxs):
             # triple (G', the i-th element, the k-th environment) is number
@@ -363,8 +449,8 @@ def tensor(p: FinStructure, q: FinStructure) -> TensorResult:
                        for t in cell for env in rows[c]]
             uf = _UnionFind(n)
             union = uf.union
-            for a1, a2, land, pairs in moves:
-                land = land[c]
+            for r, a1, a2, pairs in moves:
+                land = lands[r][c]
                 o1, w1, o2, w2 = offset[a1], width[a1], offset[a2], width[a2]
                 for i1, i2 in pairs:
                     b1, b2 = o1 + i1 * w1, o2 + i2 * w2
@@ -405,7 +491,8 @@ def tensor(p: FinStructure, q: FinStructure) -> TensorResult:
             src_triples, src_rep, _ = numbered[s][cs]
             # got[m]: the representative number of tau applied to triple m
             got, base = [], 0
-            for a, count in lengths[s]:
+            _, lengths, _, _ = left.sorts[s]
+            for a, count in lengths:
                 width, move = len(envs[a][cs]), qmove[a]
                 for _ in range(count):
                     got += [src_rep[base + j] for j in move]

@@ -234,6 +234,11 @@ MALFORMED_RUN = {
                                         "--base-size", "b=2"],
     "model sizes Nat": ["--model", {"base_sizes": {"b": 2, "Nat": 3}}],
     "model sizes an empty name": ["--model", {"base_sizes": {"b": 2, "": 3}}],
+    # one base type gets one size, however its names are spelt
+    "model sizes a base type twice": ["--model", {"base_sizes": {"b": 3, " b": 1}}],
+    "base size given twice": ["--base-size", "b=3", "--base-size", "b=1"],
+    "base size given twice in two spellings": ["--base-size", "b=3",
+                                               "--base-size", " b=1"],
     "monad parameter the monad does not take": [
         "--model", {"monad": "state", "monad_params": {"exceptions": 3}}],
 }

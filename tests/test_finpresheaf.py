@@ -61,6 +61,17 @@ def test_variables_structure_laws():
     variables_structure(("a", "b"), 2).validate()
 
 
+def test_validate_rejects_a_broken_composition():
+    """Weakening [a] into [a, a] at the second position, corrupted to land
+    at the first, breaks its composite with the swap."""
+    nu = variables_structure(("a",), 2)
+    action = dict(nu.action)
+    action[((("a", "a"), ("a",), (1,)), first("a"), 0)] = 0
+    broken = FinStructure(nu.sorts, nu.ctx_sorts, nu.bound, nu.cells, action)
+    with pytest.raises(ValueError, match="composition law fails"):
+        broken.validate()
+
+
 def test_free_structure_laws():
     for seed in range(5):
         rng = rand(seed)
@@ -703,6 +714,95 @@ def test_tensor_plan_keyed_on_the_right_factor_alone_fails(monkeypatch):
     # elements at [a] are looked up under renamings of [b]
     with pytest.raises(KeyError):
         test_tensor_plans_are_keyed_on_the_left_alphabet_order()
+
+
+def _keyed_shape(monkeypatch, key):
+    """Install a shape table keyed on ``key(left_ctx_sorts, bound, sizes)``."""
+    from substkit.finpresheaf import structures
+    table = {}
+
+    def shape(left_ctx_sorts, bound, sizes):
+        k = key(left_ctx_sorts, bound, sizes)
+        if k not in table:
+            table[k] = structures._Shape(left_ctx_sorts, bound, sizes)
+        return table[k]
+
+    monkeypatch.setattr(structures, "_shape", shape)
+
+
+def _two_sizes(seed):
+    """One left factor and two right factors over (a) whose cells differ in
+    size: variables have one element per position."""
+    rng = rand(seed)
+    return snd_struct(rng), homog(rng, True), variables_structure(("a",), 2)
+
+
+def test_tensor_shapes_are_keyed_on_the_cell_sizes():
+    p, q1, q2 = _two_sizes(117)
+    for q in (q1, q2):
+        assert_same_tensor(p, q)
+    assert q1._plans[("a",)].shape is not q2._plans[("a",)].shape
+
+
+def test_tensor_shape_keyed_without_the_cell_sizes_fails(monkeypatch):
+    """Positions laid out for the cells of one right factor miss the
+    environments of another."""
+    _keyed_shape(monkeypatch, lambda left_ctx_sorts, bound, sizes:
+                 (left_ctx_sorts, bound))
+    with pytest.raises(IndexError):
+        test_tensor_shapes_are_keyed_on_the_cell_sizes()
+
+
+def test_tensor_shape_keyed_without_the_alphabet_order_fails(monkeypatch):
+    """A key that names the alphabet as a set, and the cell sizes per named
+    sort, hands the left factor over (b, a) the shape of (a, b), whose
+    renamings number the contexts of (a, b)."""
+    _keyed_shape(monkeypatch, lambda left_ctx_sorts, bound, sizes: (
+        tuple(sorted(left_ctx_sorts)), bound,
+        tuple(tuple(sorted(zip(left_ctx_sorts, row))) for row in sizes)))
+    with pytest.raises(KeyError):
+        test_tensor_plans_are_keyed_on_the_left_alphabet_order()
+
+
+def test_right_factors_of_one_shape_share_it():
+    """Two right factors with equal cell sizes and other elements, in another
+    order, share one shape and keep their own plans."""
+    rng = rand(118)
+    p, q1 = snd_struct(rng), homog(rng, True)
+    q2 = coproduct_structure([("t", FinStructure(
+        q1.sorts, q1.ctx_sorts, q1.bound,
+        {key: cell[::-1] for key, cell in q1.cells.items()}, q1.action))])
+    assert q2.cells != q1.cells
+    for q in (q1, q2):
+        assert_same_tensor(p, q)
+    plans = [q1._plans[("a",)], q2._plans[("a",)]]
+    assert plans[0] is not plans[1] and plans[0].shape is plans[1].shape
+
+
+def test_tensor_left_plans_are_kept_per_left_factor():
+    """The same cells and action read over the alphabet (b, a) number their
+    contexts the other way, so that left factor gets a plan of its own."""
+    q, (p, _) = _alphabet_orders(119)
+    lefts = [p, FinStructure(p.sorts, ("b", "a"), p.bound, p.cells, p.action)]
+    for left in lefts:
+        assert_same_tensor(left, q)
+    assert lefts[0]._left is not lefts[1]._left
+
+
+def test_tensor_left_plan_reused_across_alphabets_fails(monkeypatch):
+    """A left plan kept per action table, not per left factor, hands the
+    factor over (b, a) the numbering of (a, b), and the test above fails."""
+    from substkit.finpresheaf import structures
+    kept = {}
+
+    def per_action(p, renamings):
+        if id(p.action) not in kept:
+            kept[id(p.action)] = (p.action, structures._LeftPlan(p, renamings))
+        return kept[id(p.action)][1]
+
+    monkeypatch.setattr(structures, "_left_plan", per_action)
+    with pytest.raises(AssertionError):
+        test_tensor_left_plans_are_kept_per_left_factor()
 
 
 def test_tensor_matches_reference_on_term_structure():

@@ -177,6 +177,62 @@ def test_right_factors_and_their_plans_are_freed_on_return(monkeypatch):
         gc.enable()
 
 
+def test_left_factor_and_its_plan_are_freed_together():
+    """A left factor keeps its tensor plan, which refers to no structure:
+    both go with the last reference to the left factor, without the cycle
+    collector."""
+    from substkit.finpresheaf import free_structure, tensor
+    rng = random.Random(115)
+    p = free_structure(rng, (second("k"),), ("a",), 2,
+                       ensure=[(second("k"), Context(()))])
+    q = free_structure(rng, (first("a"),), ("a",), 2,
+                       ensure=[(first("a"), Context(("a",)))])
+    result = tensor(p, q)
+    plan = p._left
+    assert tensor(p, q).structure.cells == result.structure.cells
+    assert p._left is plan
+    refs = (weakref.ref(p), weakref.ref(plan))
+    gc.disable()
+    try:
+        del p, plan, result
+        assert [ref() for ref in refs] == [None, None]
+    finally:
+        gc.enable()
+
+
+def test_shape_and_renaming_tables_hold_no_structure(monkeypatch):
+    """The shape and renaming tables outlive the structures of a check, but
+    hold positions, contexts and renamings only: every structure and tensor
+    the check made is freed when it returns, without the cycle collector."""
+    from substkit.finpresheaf import free_structure, laws, structures
+    refs = []
+    for cls in (structures.FinStructure, structures.TensorResult):
+        real = cls.__init__
+
+        def recorded(self, *args, real=real):
+            real(self, *args)
+            refs.append(weakref.ref(self))
+
+        monkeypatch.setattr(cls, "__init__", recorded)
+    rng = random.Random(116)
+    homog = [free_structure(rng, (first("a"),), ("a",), 2,
+                            ensure=[(first("a"), Context(("a",)))])
+             for _ in range(2)]
+    p = free_structure(rng, (second("k"),), ("a",), 2,
+                       ensure=[(second("k"), Context(()))])
+    gc.disable()
+    try:
+        assert laws.check_action_axioms(p, *homog).ok
+        del p, homog
+        kinds = {type(ref()).__name__ for ref in refs if ref() is not None}
+        assert kinds == set(), kinds
+        assert len(refs) > 20
+        assert structures._shape.cache_info().currsize > 0
+        assert structures._renamings.cache_info().currsize > 0
+    finally:
+        gc.enable()
+
+
 def unbounded_caches(source: str) -> list[str]:
     """``line: function`` for each function decorated with ``cache``, or with
     ``lru_cache`` and no explicit numeric bound: ``maxsize=None`` grows without
