@@ -20,6 +20,17 @@ checks of :meth:`~substkit.signatures.OperatorTable.add`.  Each sort is a type
 the family passed through ``_check_type``, a component of such a type (a valid
 type's components are valid), or, under the ``naturals`` gate, ``Nat`` or an
 option shape over a valid type.
+
+Who owns what a minted operator is made of: its sorts are those its types
+keep (``sorts.first`` and ``sorts.second``), and the table reads each type
+through its own map, seeded with the fragment's depth-2 universe that the
+variables of generated contexts draw from, so that equal types, and with
+them equal sorts, are one object.  Its binder contexts are the table's: one
+empty binder, and one extension of it per list of bound types, which ``let``
+prefixes and every other binder share.  Map and binders are the table's
+alone and go with it and its operators; a module constant would keep every
+extension for the life of the process.  So ``Op`` finds the sorts and
+contexts it checks identical whenever they are equal.
 """
 
 from __future__ import annotations
@@ -68,16 +79,40 @@ class CbvOperatorTable(OperatorTable):
         super().__init__(cfg)
         self.cfg = cfg
         self._minted: dict[tuple, Operator] = {}
+        # the empty binder of every argument without one; its extensions
+        # are the other binders, one object per prefix, freed with the table
+        self._empty = Context(())
+        # one object per type the table's sorts are made of (see _canon)
+        self._types: dict | None = None
 
     # -- helpers ---------------------------------------------------------
 
-    def _check_type(self, t: TypeExpr):
+    def _binder(self, entries: tuple) -> Context:
+        """The binder context of ``entries``: the table's one context of
+        them, an extension of its empty binder."""
+        return self._empty.extend(Context(entries)) if entries else self._empty
+
+    def _canon(self, t: TypeExpr) -> TypeExpr:
+        """The table's one object of the type ``t``: the depth-2 universe's,
+        which variables' contexts draw from, else the first the table met;
+        so its sorts are one object too."""
+        types = self._types
+        if types is None:
+            types = self._types = {u: u for u in types_upto(self.cfg, 2)}
+        return types.setdefault(t, t)
+
+    def _row(self, row: tuple) -> tuple:
+        return tuple((label, self._canon(v)) for label, v in row)
+
+    def _check_type(self, t: TypeExpr) -> TypeExpr:
+        """``t`` as the table's object, if the fragment forms it within its
+        type depth."""
         if not valid_type(t, self.cfg):
             raise DisabledConstruct(f"type {type_to_label(t)}", self.cfg)
         if type_depth(t) > self.cfg.type_depth:
             raise DepthExceeded(
                 f"type {type_to_label(t)} exceeds depth {self.cfg.type_depth}")
-        return t
+        return self._canon(t)
 
     def _intern(self, label, family, params, result, args) -> Operator:
         got = self._by_label.get(label)
@@ -90,9 +125,9 @@ class CbvOperatorTable(OperatorTable):
 
     @_mint_once
     def val(self, t: TypeExpr) -> Operator:
-        self._check_type(t)
+        t = self._check_type(t)
         return self._intern(f"val<{type_to_label(t)}>", "val", (t,),
-                            second(t), [Argument(Context(()), first(t))])
+                            second(t), [Argument(self._empty, first(t))])
 
     @_mint_once
     def let(self, bound: tuple, result: TypeExpr) -> Operator:
@@ -100,23 +135,24 @@ class CbvOperatorTable(OperatorTable):
             raise DisabledConstruct("let", self.cfg)
         if not bound:
             raise ValueError("sequencing needs at least one binding")
-        for t in bound:
-            self._check_type(t)
-        self._check_type(result)
+        bound = tuple(self._check_type(t) for t in bound)
+        result = self._check_type(result)
         label = (f"let<{','.join(type_to_label(t) for t in bound)};"
                  f"{type_to_label(result)}>")
-        args = [Argument(Context(bound[:i]), second(t)) for i, t in enumerate(bound)]
-        args.append(Argument(Context(bound), second(result)))
+        args = [Argument(self._binder(bound[:i]), second(t))
+                for i, t in enumerate(bound)]
+        args.append(Argument(self._binder(bound), second(result)))
         return self._intern(label, "let", (bound, result), second(result), args)
 
     @_mint_once
     def lam(self, dom: TypeExpr, cod: TypeExpr) -> Operator:
         if not self.cfg.has("functions"):
             raise DisabledConstruct("lam", self.cfg)
-        self._check_type(fun(dom, cod))
+        dom, cod = self._canon(dom), self._canon(cod)
+        f = self._check_type(fun(dom, cod))
         label = f"lam<{type_to_label(dom)};{type_to_label(cod)}>"
-        return self._intern(label, "lam", (dom, cod), first(fun(dom, cod)),
-                            [Argument(Context((dom,)), second(cod))])
+        return self._intern(label, "lam", (dom, cod), first(f),
+                            [Argument(self._binder((dom,)), second(cod))])
 
     @_mint_once
     def app(self, dom: TypeExpr, cod: TypeExpr) -> Operator:
@@ -124,69 +160,66 @@ class CbvOperatorTable(OperatorTable):
                  and is_context_row(dom))
         if not (self.cfg.has("functions") or fused):
             raise DisabledConstruct("app", self.cfg)
-        self._check_type(fun(dom, cod))
+        dom, cod = self._canon(dom), self._canon(cod)
+        f = self._check_type(fun(dom, cod))
         label = f"app<{type_to_label(dom)};{type_to_label(cod)}>"
         return self._intern(label, "app", (dom, cod), second(cod),
-                            [Argument(Context(()), second(fun(dom, cod))),
-                             Argument(Context(()), second(dom))])
+                            [Argument(self._empty, second(f)),
+                             Argument(self._empty, second(dom))])
 
     @_mint_once
     def vrec(self, row: tuple) -> Operator:
-        t = record(row)
-        self._check_type(t)
+        t = self._check_type(record(self._row(row)))
         label = f"vrec<{type_to_label(t)}>"
-        args = [Argument(Context(()), first(v)) for _, v in t.row]
+        args = [Argument(self._empty, first(v)) for _, v in t.row]
         return self._intern(label, "vrec", (t.row,), first(t), args)
 
     @_mint_once
     def rec(self, row: tuple) -> Operator:
-        t = record(row)
-        self._check_type(t)
+        t = self._check_type(record(self._row(row)))
         label = f"rec<{type_to_label(t)}>"
-        args = [Argument(Context(()), second(v)) for _, v in t.row]
+        args = [Argument(self._empty, second(v)) for _, v in t.row]
         return self._intern(label, "rec", (t.row,), second(t), args)
 
     @_mint_once
     def recmatch(self, row: tuple, result: TypeExpr) -> Operator:
-        t = record(row)
+        t = record(self._row(row))
         if not self.cfg.has("records"):
             raise DisabledConstruct("record match", self.cfg)
-        self._check_type(t)
-        self._check_type(result)
+        t = self._check_type(t)
+        result = self._check_type(result)
         label = f"recmatch<{type_to_label(t)};{type_to_label(result)}>"
-        binder = Context(tuple(v for _, v in t.row))
+        binder = self._binder(tuple(v for _, v in t.row))
         return self._intern(label, "recmatch", (t.row, result), second(result),
-                            [Argument(Context(()), second(t)),
+                            [Argument(self._empty, second(t)),
                              Argument(binder, second(result))])
 
     @_mint_once
     def vinj(self, row: tuple, tag: str) -> Operator:
-        t = variant(row)
-        self._check_type(t)
+        t = self._check_type(variant(self._row(row)))
         label = f"vinj<{type_to_label(t)};{tag}>"
         payload = dict(t.row)[tag]
         return self._intern(label, "vinj", (t.row, tag), first(t),
-                            [Argument(Context(()), first(payload))])
+                            [Argument(self._empty, first(payload))])
 
     @_mint_once
     def inj(self, row: tuple, tag: str) -> Operator:
-        t = variant(row)
-        self._check_type(t)
+        t = self._check_type(variant(self._row(row)))
         label = f"inj<{type_to_label(t)};{tag}>"
         payload = dict(t.row)[tag]
         return self._intern(label, "inj", (t.row, tag), second(t),
-                            [Argument(Context(()), second(payload))])
+                            [Argument(self._empty, second(payload))])
 
     @_mint_once
     def vmatch(self, row: tuple, result: TypeExpr) -> Operator:
-        t = variant(row)
+        t = variant(self._row(row))
         if not vmatch_allowed(self.cfg, t):
             raise DisabledConstruct("variant match", self.cfg)
-        self._check_type(t)
-        self._check_type(result)
+        t = self._check_type(t)
+        result = self._check_type(result)
         label = f"vmatch<{type_to_label(t)};{type_to_label(result)}>"
-        args = [Argument(Context(()), second(t))]
-        args += [Argument(Context((v,)), second(result)) for _, v in t.row]
+        args = [Argument(self._empty, second(t))]
+        args += [Argument(self._binder((v,)), second(result)) for _, v in t.row]
         return self._intern(label, "vmatch", (t.row, result), second(result),
                             args)
 
@@ -203,38 +236,40 @@ class CbvOperatorTable(OperatorTable):
     def unroll(self) -> Operator:
         if not self.cfg.has("naturals"):
             raise DisabledConstruct("unroll", self.cfg)
-        return self._intern("unroll", "unroll", (), second(maybe_shape(NAT)),
-                            [Argument(Context(()), second(NAT))])
+        return self._intern("unroll", "unroll", (),
+                            second(self._canon(maybe_shape(NAT))),
+                            [Argument(self._empty, second(NAT))])
 
     @_mint_once
     def roll(self) -> Operator:
         if not self.cfg.has("naturals"):
             raise DisabledConstruct("roll", self.cfg)
         return self._intern("roll", "roll", (), second(NAT),
-                            [Argument(Context(()), second(maybe_shape(NAT)))])
+                            [Argument(self._empty,
+                                      second(self._canon(maybe_shape(NAT))))])
 
     @_mint_once
     def natfold(self, result: TypeExpr) -> Operator:
         if not self.cfg.has("naturals"):
             raise DisabledConstruct("fold", self.cfg)
-        self._check_type(result)
+        result = self._check_type(result)
         label = f"natfold<{type_to_label(result)}>"
         return self._intern(label, "natfold", (result,), second(result),
-                            [Argument(Context(()), second(NAT)),
-                             Argument(Context((maybe_shape(result),)), second(result))])
+                            [Argument(self._empty, second(NAT)),
+                             Argument(self._binder((self._canon(maybe_shape(result)),)),
+                                      second(result))])
 
     @_mint_once
     def forloop(self, state: TypeExpr, result: TypeExpr) -> Operator:
         if not self.cfg.has("while"):
             raise DisabledConstruct("for", self.cfg)
-        self._check_type(state)
-        self._check_type(result)
-        body = done_cont_shape(result, state)
-        self._check_type(body)
+        state = self._check_type(state)
+        result = self._check_type(result)
+        body = self._check_type(done_cont_shape(result, state))
         label = f"for<{type_to_label(state)};{type_to_label(result)}>"
         return self._intern(label, "for", (state, result), second(result),
-                            [Argument(Context(()), second(state)),
-                             Argument(Context((state,)), second(body))])
+                            [Argument(self._empty, second(state)),
+                             Argument(self._binder((state,)), second(body))])
 
     @_mint_once
     def letrec(self, defs: tuple, result: TypeExpr) -> Operator:
@@ -243,23 +278,21 @@ class CbvOperatorTable(OperatorTable):
             raise DisabledConstruct("letrec", self.cfg)
         if not defs:
             raise ValueError("letrec needs at least one definition")
-        ftypes = []
+        ftypes, checked = [], []
         for params, ret in defs:
+            params = tuple(self._check_type(p) for p in params)
             dom = record(tuple((str(i), p) for i, p in enumerate(params)))
-            ftypes.append(fun(dom, ret))
-            for p in params:
-                self._check_type(p)
-            self._check_type(ftypes[-1])
-        self._check_type(result)
+            ftypes.append(self._check_type(fun(dom, self._canon(ret))))
+            checked.append(params)
+        result = self._check_type(result)
         defs_label = ",".join(
             f"({','.join(type_to_label(p) for p in params)};{type_to_label(ret)})"
             for params, ret in defs)
         label = f"letrec<{defs_label};{type_to_label(result)}>"
         fctx = tuple(ftypes)
-        args = []
-        for (params, ret), _ft in zip(defs, ftypes):
-            args.append(Argument(Context(fctx + tuple(params)), second(ret)))
-        args.append(Argument(Context(fctx), second(result)))
+        args = [Argument(self._binder(fctx + params), second(ft.cod))
+                for params, ft in zip(checked, ftypes)]
+        args.append(Argument(self._binder(fctx), second(result)))
         return self._intern(label, "letrec", (defs, result), second(result), args)
 
     # -- bounded materialization -------------------------------------------

@@ -28,7 +28,7 @@ from .cbv.types import (EXTENSIONS, Base, DepthExceeded, all_fragment_configs,
                         typing_needs)
 from .report import Report
 from .semantics.denote import Interpreter, denote
-from .semantics.finset import EnumerationTooLarge
+from .semantics.finset import ENUM_CAP, EnumerationTooLarge
 from .semantics.model import model
 from .semantics.monads import BUNDLED, UnsupportedCapability, monad_by_name
 from .sorts import first, second
@@ -56,11 +56,27 @@ def _read(path: str) -> str:
         return fh.read()
 
 
-def _read_json_object(path: str) -> dict:
+def _read_json_object(path: str, option: str, keys: tuple) -> dict:
+    """The JSON object in ``path``, which ``option`` names; a key outside
+    ``keys`` is an input error."""
     data = json.loads(_read(path))
     if not isinstance(data, dict):
         raise ValueError(f"{path}: expected a JSON object")
+    for key in data:
+        if key not in keys:
+            raise ValueError(f"{option}: unknown key {key!r} (the keys are "
+                             f"{', '.join(keys)})")
     return data
+
+
+def _capped(n: int, what: str) -> int:
+    """``n``, if it is at most ``ENUM_CAP``: every size names a set that is
+    built before anything is enumerated, so a larger one is an input error
+    before anything is built."""
+    if n > ENUM_CAP:
+        raise ValueError(f"{what} is {n}, more than the enumeration cap "
+                         f"{ENUM_CAP}")
+    return n
 
 
 def build_model(args, cfg):
@@ -71,10 +87,12 @@ def build_model(args, cfg):
     for flag in ("exceptions", "states"):
         if getattr(args, flag) < 0:
             raise ValueError(f"--{flag} must be at least 0")
+        _capped(getattr(args, flag), f"--{flag}")
     monad_name = args.monad or "option"
     sizes, params = {}, {}
     if getattr(args, "model", None):
-        spec = _read_json_object(args.model)
+        spec = _read_json_object(args.model, "--model",
+                                 ("monad", "base_sizes", "monad_params"))
         monad_name = spec.get("monad", monad_name)
         sizes, params = spec.get("base_sizes", {}), spec.get("monad_params", {})
         if not all(isinstance(d, dict) and all(type(n) is int and n >= 0
@@ -82,9 +100,12 @@ def build_model(args, cfg):
                    for d in (sizes, params)):
             raise ValueError("base_sizes and monad_params must map names to "
                              "non-negative integers")
+        for key, n in params.items():
+            _capped(n, f"--model monad_params: {key!r}")
         read = {}
         for name, n in zip(_base_types(sizes, "--model base_sizes"),
                            sizes.values()):
+            _capped(n, f"--model base_sizes: the size of {name!r}")
             _size_once(read, name, n, "--model base_sizes")
         sizes = read
     given = {}
@@ -93,7 +114,8 @@ def build_model(args, cfg):
         if not n.strip().isdigit():
             raise ValueError(f"--base-size expects NAME=SIZE, got {item!r}")
         (name,) = _base_types([name], "--base-size")
-        _size_once(given, name, int(n), "--base-size")
+        n = _capped(int(n), f"--base-size: the size of {name!r}")
+        _size_once(given, name, n, "--base-size")
     sizes.update(given)
     sizes = sizes or dict.fromkeys(cfg.base_types, 2)
     for name in cfg.base_types:
@@ -139,14 +161,18 @@ def _base_types(names, option: str) -> tuple:
 
 def _elaborate(args, text):
     if getattr(args, "fragment_config", None):
-        cfg = config_from_dict(_read_json_object(args.fragment_config))
+        cfg = config_from_dict(_read_json_object(
+            args.fragment_config, "--fragment-config",
+            ("extensions", "base_types", "nat_bound", "type_depth")))
         cfg = dataclasses.replace(cfg, base_types=_base_types(
             cfg.base_types, "--fragment-config base_types"))
+        _capped(cfg.nat_bound, "--fragment-config nat_bound")
     else:
         cfg = parse_fragment(args.fragment, args.nat_bound,
                              _base_types((args.base_types or "b").split(","),
                                          "--base-types"),
                              args.type_depth)
+        _capped(cfg.nat_bound, "--nat-bound")
     table = CbvOperatorTable(cfg)
     names, ctx = parse_context(args.context or "")
     if args.expect:
@@ -298,7 +324,8 @@ def cmd_check(args) -> int:
         report_path = os.path.join(os.environ["SUBSTKIT_REPORT_DIR"],
                                    f"{args.suite}.jsonl")
     try:
-        parse_fragment(args.fragment, args.nat_bound)
+        _capped(parse_fragment(args.fragment, args.nat_bound).nat_bound,
+                "--nat-bound")
         for flag, least in (("count", 1), ("structures", 1), ("depth", 0),
                             ("ctx_bound", 0)):
             if getattr(args, flag) < least:

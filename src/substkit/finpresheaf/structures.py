@@ -20,7 +20,8 @@ what:
 - The renaming table (:func:`_renamings`) holds every renaming between the
   contexts of one alphabet and bound, enumerated and checked once.
   :meth:`FinStructure.renamings`, :func:`build_structure` and the naturality
-  loops read it.
+  loops read it; :func:`free_structure` reads it grouped by source and
+  target (:func:`_renamings_between`).
 - The shape table (:func:`_shape`) holds what depends only on the left
   alphabet, the bound and the sizes of Q's cells: the strides of the
   environments, and for every renaming of the left contexts the map of
@@ -35,7 +36,7 @@ what:
   number, the renderings of its elements and the generator pairs of every
   renaming, for which it reads each entry of P's action once.
 
-The two tables are bounded and hold positions, contexts and renamings only,
+The tables are bounded and hold positions, contexts and renamings only,
 never a structure or a tensor.  Each tensor keeps the work that needs both
 factors: the union-find, the representatives and the check that the action
 is well defined.
@@ -178,6 +179,7 @@ def free_structure(rng, sorts: Sequence[Sort], ctx_sorts, bound: int,
     for s, ctx in ensure:
         if not gens.get((s, ctx)):
             gens[(s, ctx)] = [f"g{ctx.entries}"]
+    between = _renamings_between(tuple(ctx_sorts), bound)
     cells = {}
     for s in sorts:
         for ctx in contexts:
@@ -185,14 +187,18 @@ def free_structure(rng, sorts: Sequence[Sort], ctx_sorts, bound: int,
             for (gs, home), labels in gens.items():
                 if gs != s:
                     continue
+                # a home past the bound has no entry in the table
+                rhos = between.get((ctx, home))
+                if rhos is None:
+                    rhos = enumerate_renamings(ctx, home)
                 for g in labels:
-                    for rho in enumerate_renamings(ctx, home):
+                    for rho in rhos:
                         elems.append((g, home.entries, rho.mapping))
             cells[(s, ctx)] = tuple(sorted(elems, key=repr))
 
     def act(s, tau, elem):
         # the position map of tau followed by the element's renaming, which
-        # enumerate_renamings built and checked
+        # was enumerated and checked
         g, home_entries, mapping = elem
         return (g, home_entries, tuple(tau.mapping[y] for y in mapping))
 
@@ -272,6 +278,18 @@ def _renamings(ctx_sorts: tuple, bound: int) -> tuple:
     contexts = enumerate_contexts(ctx_sorts, bound)
     return tuple(rho for g1 in contexts for g2 in contexts
                  for rho in enumerate_renamings(g1, g2))
+
+
+@functools.lru_cache(maxsize=32)
+def _renamings_between(ctx_sorts: tuple, bound: int) -> dict:
+    """The renamings of :func:`_renamings`, grouped by source and target
+    context, each group in the table's order; every pair of contexts has a
+    group, empty if no renaming joins them."""
+    contexts = enumerate_contexts(ctx_sorts, bound)
+    out = {(g1, g2): [] for g1 in contexts for g2 in contexts}
+    for rho in _renamings(ctx_sorts, bound):
+        out[(rho.source, rho.target)].append(rho)
+    return out
 
 
 class _Shape:

@@ -8,6 +8,15 @@ A renaming ``rho : g1 -> g2`` acts on variables *of g2*, producing variables
 of ``g1`` (the mnemonic is the judgement ``g1 |- rho : g2``).  Consequently
 renamings compose like functions in the opposite order, and structures indexed
 by contexts are contravariant in renamings.
+
+Who owns a sort: a type (``cbv.types.TypeExpr``) keeps its first- and
+second-class sort in two slots, which :func:`first` and :func:`second` fill on
+first use and return from then on, so equal sorts of one type object are one
+object and die with it.  Any other identifier, such as the strings of the toy
+signatures and the presheaf alphabets, gets a fresh sort per call.  Sorts
+compare by tag and identifier, so a check tests identity first and keeps
+``!=`` as the exact fallback.  A context owns the extensions it shares
+(:meth:`Context.extend`).
 """
 
 from __future__ import annotations
@@ -24,22 +33,42 @@ class ContextMismatch(Exception):
     """Raised when composing renamings whose contexts do not line up."""
 
 
-@dataclass(frozen=True)
-class Sort:
-    tag: str
-    ident: Hashable
-    _hash = None  # not a field: hash((tag, ident)), kept from the first hash
+_set = object.__setattr__
 
-    def __post_init__(self):
-        if self.tag not in (FIRST, SECOND):
-            raise ValueError(f"bad sort tag {self.tag!r}")
+
+class Sort:
+    """A tag, :data:`FIRST` or :data:`SECOND`, and an identifier; immutable,
+    equal when both are."""
+
+    __slots__ = ("tag", "ident", "_hash")
+
+    def __init__(self, tag: str, ident: Hashable):
+        if tag != FIRST and tag != SECOND:
+            raise ValueError(f"bad sort tag {tag!r}")
+        _set(self, "tag", tag)
+        _set(self, "ident", ident)
+        _set(self, "_hash", None)
+
+    def __setattr__(self, *a):
+        raise AttributeError("Sort is immutable")
+
+    def __eq__(self, other):
+        if other.__class__ is not Sort:
+            return NotImplemented
+        return (self.tag, self.ident) == (other.tag, other.ident)
 
     def __hash__(self):
-        # sorts key every action lookup of the tensor, but the many sorts that
-        # variables and projections build are never hashed
+        # hash((tag, ident)), kept from the first hash: sorts key every
+        # action lookup of the tensor, but most sorts a type keeps are never
+        # hashed, and a kept hash is one more object per sort
         if self._hash is None:
-            object.__setattr__(self, "_hash", hash((self.tag, self.ident)))
+            _set(self, "_hash", hash((self.tag, self.ident)))
         return self._hash
+
+    def __reduce__(self):
+        # a copy is the sort of the copied identifier, owned by it as the
+        # original is by its own
+        return (first if self.tag == FIRST else second), (self.ident,)
 
     @property
     def is_first(self) -> bool:
@@ -49,12 +78,26 @@ class Sort:
         return f"{'Fst' if self.is_first else 'Snd'}({self.ident!r})"
 
 
+def _owned(ident: Hashable, slot: str, tag: str) -> Sort:
+    """A new sort, kept in the identifier's ``slot`` if its class declares
+    one; the slot is read, and found empty, before this is called."""
+    sort = Sort(tag, ident)
+    if slot in type(ident).__dict__.get("__slots__", ()):
+        _set(ident, slot, sort)
+    return sort
+
+
+# The slots are read with a default, not in a ``try``: an identifier without
+# them, such as a string, would raise and catch an AttributeError per call.
+
 def first(ident: Hashable) -> Sort:
-    return Sort(FIRST, ident)
+    sort = getattr(ident, "_fst", None)
+    return _owned(ident, "_fst", FIRST) if sort is None else sort
 
 
 def second(ident: Hashable) -> Sort:
-    return Sort(SECOND, ident)
+    sort = getattr(ident, "_snd", None)
+    return _owned(ident, "_snd", SECOND) if sort is None else sort
 
 
 @dataclass(frozen=True)
@@ -91,6 +134,10 @@ class Context:
     def __setattr__(self, *a):
         raise AttributeError("Context is immutable")
 
+    def __reduce__(self):
+        # a copy has the entries; it shares extensions of its own
+        return Context, (self.entries,)
+
     def __len__(self):
         return len(self.entries)
 
@@ -108,6 +155,11 @@ class Context:
                                  and self.entries == other.entries)
 
     def __hash__(self):
+        # hash((tag, ident)), kept from the first hash: sorts key every
+        # action lookup of the tensor, but most sorts a type keeps are never
+        # hashed, and a kept hash is one more object per sort
+        if self._hash is None:
+            _set(self, "_hash", hash((self.tag, self.ident)))
         return self._hash
 
     def extend(self, binder: "Context") -> "Context":

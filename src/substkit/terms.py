@@ -5,6 +5,14 @@ ill-sorted trees cannot be built.  Binders extend the ambient context on the
 right; as a consequence weakening never renumbers variables and alpha
 equivalence is plain structural equality.
 
+A term owns neither its sort nor the contexts it is checked against: a
+variable reads the sort its context entry's type keeps (``sorts.first``), an
+operator node the sorts and binder contexts of its operator, which the
+operator table that minted it shares among its operators.  So the checks
+test identity first, and compare with ``!=`` only when the objects differ:
+equal sorts and contexts that are distinct objects, such as those of
+strings, of pickled terms or of two tables, are still accepted.
+
 Substitution is the environment-carrying fold instantiated at the term carrier
 itself.  A second, independently written substitution (classical index
 arithmetic with explicit shifting, operating on indices counted from the
@@ -61,9 +69,13 @@ class Var(Term):
     def __init__(self, ctx: Context, index: int):
         if not 0 <= index < len(ctx):
             raise IllSorted(f"variable {index} out of range for {ctx!r}")
-        object.__setattr__(self, "sort", first(ctx.sort_at(index)))
+        object.__setattr__(self, "sort", first(ctx.entries[index]))
         object.__setattr__(self, "ctx", ctx)
         object.__setattr__(self, "index", index)
+
+    def __reduce__(self):
+        # a copy is built, and checked, by the constructor
+        return Var, (self.ctx, self.index)
 
     def _hash_key(self):
         return ("v", self.index, self.ctx)
@@ -83,20 +95,23 @@ class Op(Term):
 
     def __init__(self, op: Operator, ctx: Context, args: Sequence[Term]):
         args = tuple(args)
-        if len(args) != op.arity:
+        if len(args) != len(op.args):
             raise IllSorted(f"{op.label}: expected {op.arity} arguments, got {len(args)}")
         for i, (arg, decl) in enumerate(zip(args, op.args)):
-            want_ctx = ctx.extend(decl.binder)
-            if arg.sort != decl.sort:
+            if arg.sort is not decl.sort and arg.sort != decl.sort:
                 raise IllSorted(
                     f"{op.label} argument {i}: sort {arg.sort!r}, expected {decl.sort!r}")
-            if arg.ctx != want_ctx:
+            want_ctx = ctx.extend(decl.binder) if decl.binder.entries else ctx
+            if arg.ctx is not want_ctx and arg.ctx != want_ctx:
                 raise IllSorted(
                     f"{op.label} argument {i}: context {arg.ctx!r}, expected {want_ctx!r}")
         object.__setattr__(self, "sort", op.result_sort)
         object.__setattr__(self, "ctx", ctx)
         object.__setattr__(self, "op", op)
         object.__setattr__(self, "args", args)
+
+    def __reduce__(self):
+        return Op, (self.op, self.ctx, self.args)
 
     def _hash_key(self):
         return ("o", self.op.label, self.args, self.ctx)
@@ -120,15 +135,19 @@ class Meta(Term):
             raise IllSorted(f"hole {hole.ident}: environment arity {len(env)}, "
                             f"expected {len(hole.ctx)}")
         for i, entry in enumerate(env):
-            if entry.sort != first(hole.ctx.sort_at(i)):
+            want = first(hole.ctx.entries[i])
+            if entry.sort is not want and entry.sort != want:
                 raise IllSorted(f"hole {hole.ident}: entry {i} has sort {entry.sort!r}")
-            if entry.ctx != ctx:
+            if entry.ctx is not ctx and entry.ctx != ctx:
                 raise IllSorted(f"hole {hole.ident}: entry {i} over {entry.ctx!r}, "
                                 f"expected {ctx!r}")
         object.__setattr__(self, "sort", hole.sort)
         object.__setattr__(self, "ctx", ctx)
         object.__setattr__(self, "hole", hole)
         object.__setattr__(self, "env", env)
+
+    def __reduce__(self):
+        return Meta, (self.hole, self.ctx, self.env)
 
     def _hash_key(self):
         return ("m", self.hole.ident, self.env, self.ctx)
@@ -154,10 +173,10 @@ class SubstEnv:
         if len(entries) != len(source):
             raise IllSorted("substitution must cover every source position")
         for i, t in enumerate(entries):
-            if t.sort != first(source.sort_at(i)):
-                raise IllSorted(f"entry {i}: sort {t.sort!r}, "
-                                f"expected {first(source.sort_at(i))!r}")
-            if t.ctx != target:
+            want = first(source.entries[i])
+            if t.sort is not want and t.sort != want:
+                raise IllSorted(f"entry {i}: sort {t.sort!r}, expected {want!r}")
+            if t.ctx is not target and t.ctx != target:
                 raise IllSorted(f"entry {i} over {t.ctx!r}, expected {target!r}")
         object.__setattr__(self, "source", source)
         object.__setattr__(self, "target", target)
@@ -165,6 +184,9 @@ class SubstEnv:
 
     def __setattr__(self, *a):
         raise AttributeError("SubstEnv is immutable")
+
+    def __reduce__(self):
+        return SubstEnv, (self.source, self.target, self.entries)
 
     def __eq__(self, other):
         return (isinstance(other, SubstEnv) and self.source == other.source

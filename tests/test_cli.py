@@ -19,6 +19,7 @@ from substkit.cbv.surface import pretty
 from substkit.cbv.types import MAX_NESTING, parse_fragment, type_to_str
 from substkit.cli import main
 from substkit.semantics import OptionMonad, model
+from substkit.semantics.finset import ENUM_CAP
 from substkit.suites import SUITES
 
 PY = [sys.executable, "-m", "substkit.cli"]
@@ -241,6 +242,29 @@ MALFORMED_RUN = {
                                                "--base-size", " b=1"],
     "monad parameter the monad does not take": [
         "--model", {"monad": "state", "monad_params": {"exceptions": 3}}],
+    # every size is checked against the enumeration cap before its set is
+    # built: each case is one past the cap, and nothing of that size is made
+    "base size past the cap": ["--base-size", f"b={ENUM_CAP + 1}"],
+    "model base size past the cap": ["--model",
+                                     {"base_sizes": {"b": ENUM_CAP + 1}}],
+    "model state count past the cap": [
+        "--model", {"monad": "state", "monad_params": {"states": ENUM_CAP + 1}}],
+    "model exception count past the cap": [
+        "--model", {"monad": "exception",
+                    "monad_params": {"exceptions": ENUM_CAP + 1}}],
+    "state count past the cap": ["--monad", "state", "--states",
+                                 str(ENUM_CAP + 1)],
+    "exception count past the cap": ["--monad", "exception", "--exceptions",
+                                     str(ENUM_CAP + 1)],
+    "nat bound past the cap": ["--fragment", "naturals", "--nat-bound",
+                               str(ENUM_CAP + 1)],
+    "configured nat bound past the cap": [
+        "--fragment-config", {"extensions": ["naturals"],
+                              "nat_bound": ENUM_CAP + 1}],
+    # a key the file format does not have is named, not ignored
+    "unknown model key": ["--model", {"monad": "option", "foo": 1}],
+    "unknown fragment config key": ["--fragment-config",
+                                    {"extensions": [], "foo": 1}],
 }
 
 # the program of a case that does not run "val x"
@@ -449,6 +473,7 @@ def test_mutated_contexts_and_expected_types_end_in_exit_0_or_1(tmp_path,
 MALFORMED_CHECK = {
     "unknown extension": ["--fragment", "bogus"],
     "nat bound 0": ["--nat-bound", "0"],
+    "nat bound past the cap": ["--nat-bound", str(ENUM_CAP + 1)],
     "negative context bound": ["--ctx-bound", "-1"],
     "negative count": ["--count", "-1"],
     "count 0": ["--count", "0"],

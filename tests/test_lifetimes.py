@@ -9,7 +9,7 @@ import sys
 import weakref
 
 from conftest import SRC
-from substkit.cbv import NAT, Base, config, fun, valid_type
+from substkit.cbv import NAT, Base, config, fun, record, valid_type
 from substkit.cbv.gen import TermGen
 from substkit.cbv.ops import CbvOperatorTable
 from substkit.cbv.surface import parse
@@ -88,6 +88,42 @@ def test_extended_context_and_minting_table_are_freed_without_the_cycle_collecto
         assert [ref() for ref in refs] == [None, None]
     finally:
         gc.enable()
+
+
+def test_binder_contexts_are_freed_with_their_table_without_the_cycle_collector():
+    """A table's binder contexts are the extensions of its one empty binder,
+    which keeps them: equal binders of its operators are one object, a
+    second table has its own, and they go with the table and its operators."""
+    cfg = config(("functions", "sequential"))
+    table, other = CbvOperatorTable(cfg), CbvOperatorTable(cfg)
+    op = table.let((B, fun(B, B)), B)
+    assert op.args[0].binder is table.val(B).args[0].binder
+    assert not len(op.args[0].binder)
+    prefix, full = op.args[1].binder, op.args[2].binder
+    assert prefix is table.lam(B, B).args[0].binder
+    assert other.let((B, fun(B, B)), B).args[1].binder is not prefix
+    gc.disable()
+    try:
+        # contexts take no weak references: once the table and its operators
+        # are gone, only this frame refers to each binder
+        del table, op
+        assert [sys.getrefcount(prefix), sys.getrefcount(full)] == [2, 2]
+    finally:
+        gc.enable()
+
+
+def test_a_dropped_type_takes_its_sorts_with_it():
+    """A type keeps its sorts and each sort names its type, so the cycle
+    collector frees the two together; the components of the type are then
+    let go of, and no table outside the type kept a sort of it."""
+    inner = record((("A", B),))
+    t = fun(inner, inner)
+    sorts = (first(t), second(t))
+    assert first(t) is sorts[0] and second(t) is sorts[1]
+    held = sys.getrefcount(inner)
+    del t, sorts
+    gc.collect()
+    assert sys.getrefcount(inner) == held - 2
 
 
 def test_generator_memos_are_freed_with_it_without_the_cycle_collector():
@@ -233,12 +269,73 @@ def test_shape_and_renaming_tables_hold_no_structure(monkeypatch):
         gc.enable()
 
 
+# the methods through which a function grows a dict, set or list in place
+_GROWING = ("setdefault", "add", "append", "update")
+_CONTAINERS = (ast.Dict, ast.Set, ast.List, ast.DictComp, ast.SetComp,
+               ast.ListComp)
+
+
+def _module_containers(tree: ast.Module) -> dict:
+    """Name -> line of each dict, set or list the module binds at top level,
+    as a display, a comprehension or a ``dict()``/``set()``/``list()`` call."""
+    found = {}
+    for node in tree.body:
+        if isinstance(node, ast.Assign):
+            targets, value = node.targets, node.value
+        elif isinstance(node, ast.AnnAssign) and node.value is not None:
+            targets, value = [node.target], node.value
+        else:
+            continue
+        made = isinstance(value, _CONTAINERS) or (
+            isinstance(value, ast.Call) and isinstance(value.func, ast.Name)
+            and value.func.id in ("dict", "set", "list"))
+        if made:
+            for target in targets:
+                if isinstance(target, ast.Name):
+                    found[target.id] = node.lineno
+    return found
+
+
+def _written_in_functions(tree: ast.Module, names: dict) -> set:
+    """The names of ``names`` that some function stores into by subscript
+    or grows by one of ``_GROWING``, and does not bind as a local."""
+    written = set()
+    for fn in ast.walk(tree):
+        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef,
+                               ast.Lambda)):
+            continue
+        local = {a.arg for a in ast.walk(fn.args) if isinstance(a, ast.arg)}
+        declared = set()
+        for node in ast.walk(fn):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+                local.add(node.id)
+            elif isinstance(node, (ast.Global, ast.Nonlocal)):
+                declared.update(node.names)
+        local -= declared
+        for node in ast.walk(fn):
+            target = None
+            if (isinstance(node, ast.Subscript)
+                    and isinstance(node.ctx, ast.Store)):
+                target = node.value
+            elif (isinstance(node, ast.Call)
+                  and isinstance(node.func, ast.Attribute)
+                  and node.func.attr in _GROWING):
+                target = node.func.value
+            if (isinstance(target, ast.Name) and target.id in names
+                    and target.id not in local):
+                written.add(target.id)
+    return written
+
+
 def unbounded_caches(source: str) -> list[str]:
-    """``line: function`` for each function decorated with ``cache``, or with
-    ``lru_cache`` and no explicit numeric bound: ``maxsize=None`` grows without
-    end, and the default of 128 is a bound nobody chose."""
+    """``line: name`` for each function decorated with ``cache``, or with
+    ``lru_cache`` and no explicit numeric bound (``maxsize=None`` grows
+    without end, and the default of 128 is a bound nobody chose), and for
+    each module-level dict, set or list that a function of the module writes
+    into: such a table lives, and grows, for the life of the process."""
+    tree = ast.parse(source)
     found = []
-    for node in ast.walk(ast.parse(source)):
+    for node in ast.walk(tree):
         for dec in getattr(node, "decorator_list", ()):
             target, bound = dec, []
             if isinstance(dec, ast.Call):
@@ -251,6 +348,9 @@ def unbounded_caches(source: str) -> list[str]:
                        and isinstance(bound[0].value, int))
             if name == "cache" or (name == "lru_cache" and not numeric):
                 found.append((dec.lineno, node.name))
+    containers = _module_containers(tree)
+    for name in _written_in_functions(tree, containers):
+        found.append((containers[name], name))
     return [f"{line}: {name}" for line, name in sorted(found)]
 
 
@@ -261,6 +361,10 @@ def test_no_unbounded_cache_under_src():
 
 
 def test_unbounded_cache_scan_sees_each_form():
+    """Each unbounded decorator, and each module-level dict, set or list
+    that a function writes into, whichever way it is written; a bounded
+    decorator, a table no function writes and one a function shadows are
+    not flagged."""
     source = ("import functools\nfrom functools import cache, lru_cache\n"
               "@functools.lru_cache(maxsize=None)\ndef a(x): pass\n"
               "@lru_cache\ndef b(x): pass\n"
@@ -268,5 +372,24 @@ def test_unbounded_cache_scan_sees_each_form():
               "class K:\n    @staticmethod\n    @lru_cache(None)\n"
               "    def d(x): pass\n"
               "@functools.lru_cache(maxsize=16)\ndef e(x): pass\n"
-              "@lru_cache(32)\ndef f(x): pass\n")
-    assert unbounded_caches(source) == ["3: a", "5: b", "7: c", "11: d"]
+              "@lru_cache(32)\ndef f(x): pass\n"
+              "STORE = {}\n"
+              "DEFAULTS = dict()\n"
+              "SEEN = set()\n"
+              "LOG = []\n"
+              "MERGED: dict = {}\n"
+              "SQUARES = {n: n * n for n in range(3)}\n"
+              "FIXED = {'a': 1}\n"
+              "SHADOWED = []\n"
+              "def put(k, v):\n    STORE[k] = v\n"
+              "def get(k):\n    return DEFAULTS.setdefault(k, 0)\n"
+              "def note(x):\n    SEEN.add(x)\n"
+              "class L:\n    def log(self, x):\n        LOG.append(x)\n"
+              "merge = lambda d: MERGED.update(d)\n"
+              "def square(n):\n    SQUARES[n] += 1\n"
+              "def read(k):\n    return FIXED[k]\n"
+              "def local():\n    SHADOWED = []\n    SHADOWED.append(1)\n"
+              "    return SHADOWED\n")
+    assert unbounded_caches(source) == [
+        "3: a", "5: b", "7: c", "11: d", "17: STORE", "18: DEFAULTS",
+        "19: SEEN", "20: LOG", "21: MERGED", "22: SQUARES"]

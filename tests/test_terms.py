@@ -1,6 +1,8 @@
 """Term construction, renaming/substitution laws, metavariables, fold."""
 
+import copy
 import itertools
+import pickle
 import random
 
 import pytest
@@ -10,8 +12,10 @@ from conftest import (TOY, all_renamings, env_of_renaming, random_toy_context,
                       swap_first_pair)
 from substkit.cbv.ops import CbvOperatorTable
 from substkit.cbv.gen import TermGen
-from substkit.cbv.types import all_fragment_configs, config
-from substkit.sorts import Context, Renaming, compose_renamings, identity_renaming, second
+from substkit.cbv.types import (Base, all_fragment_configs, config, fun, record,
+                                types_upto)
+from substkit.sorts import (Context, Renaming, Sort, compose_renamings, first,
+                            identity_renaming, second)
 from substkit import suites
 from substkit.suites import check_meta_laws, check_term_laws
 from substkit.terms import (HoleDecl, IllSorted, Meta, MetaSubst, Op, SubstEnv,
@@ -416,3 +420,144 @@ def test_dropped_second_meta_subst_fails_meta_laws_with_witness(monkeypatch):
     failed = {r.name.split(" (")[0]: r.witness for r in rep.failures}
     assert failed.get("Kleisli associativity", "").startswith("item ")
     assert all(r.witness for r in rep.failures)
+
+
+# --- one sort per type, one binder context per table ---------------------------
+
+def _op_children(t):
+    """Every (operator node, argument declaration, argument) of a term."""
+    if type(t) is Op:
+        for decl, arg in zip(t.op.args, t.args):
+            yield t, decl, arg
+            yield from _op_children(arg)
+    elif type(t) is Meta:
+        for e in t.env:
+            yield from _op_children(e)
+
+
+def test_a_type_owns_one_sort_of_each_class_and_a_string_gets_a_fresh_one():
+    t = fun(Base("b"), record((("A", Base("b")),)))
+    assert first(t) is first(t) and second(t) is second(t)
+    assert first(t) != second(t) and first(t).ident is t
+    assert first("v") is not first("v") and first("v") == first("v")
+    assert hash(first("v")) == hash(first("v")) == hash(Sort("first", "v"))
+    assert repr(second(t)) == f"Snd({t!r})"
+    with pytest.raises(AttributeError):
+        first(t).tag = "second"
+    with pytest.raises(ValueError):
+        Sort("third", "v")
+
+
+def test_generated_variables_share_the_sorts_of_the_minted_operators():
+    """A variable over a universe type and the argument it fills have one
+    sort object, and every binder context of a table is its one object."""
+    checked = 0
+    for n, cfg in enumerate(all_fragment_configs()[::8]):
+        table = CbvOperatorTable(cfg)
+        gen = TermGen(table, random.Random(n))
+        universe = {t: t for t in types_upto(cfg, 2)}
+        for _ in range(20):
+            _, term = gen.random_item(3, 4)
+            for node, decl, arg in _op_children(term):
+                assert arg.ctx is node.ctx.extend(decl.binder)
+                if type(arg) is Var:
+                    entry = arg.ctx.entries[arg.index]
+                    if universe.get(entry) is entry:
+                        assert arg.sort is decl.sort, (node, arg)
+                        checked += 1
+    assert checked > 100
+
+
+def test_family_types_are_read_through_the_fragment_universe():
+    cfg = config(("functions", "records", "variants", "sequential"))
+    table = CbvOperatorTable(cfg)
+    universe = {t: t for t in types_upto(cfg, 2)}
+    b = Base("b")
+    fresh_fun, fresh_rec = fun(b, b), record((("A", b),))
+    assert universe[fresh_fun] is not fresh_fun
+    assert table.val(fresh_fun).args[0].sort is first(universe[fresh_fun])
+    assert table.lam(b, b).result_sort is first(universe[fresh_fun])
+    assert table.vrec(fresh_rec.row).result_sort is first(universe[fresh_rec])
+    assert table.let((b, fresh_fun), b).args[1].binder is \
+        table.lam(b, b).args[0].binder
+
+
+def test_equal_but_distinct_sorts_and_contexts_pass_the_equality_fallback():
+    # string identifiers get a fresh sort per call
+    ctx = Context(["v"])
+    v = Var(ctx, 0)
+    assert v.sort is not TOY.op("val.v").args[0].sort
+    assert Op(TOY.op("val.v"), ctx, [v]).args == (v,)
+    # an unpickled term has sorts and contexts of its own, equal to those of
+    # the table that minted its operators
+    cfg = config(("functions", "sequential"))
+    gen = TermGen(CbvOperatorTable(cfg), random.Random(3))
+    for _ in range(20):
+        _, term = gen.random_item(3, 4)
+        copy_ = pickle.loads(pickle.dumps(term))
+        if type(term) is not Op:
+            continue
+        rebuilt = Op(term.op, Context(term.ctx.entries), copy_.args)
+        assert rebuilt == term
+        assert all(a.sort is not d.sort and a.sort == d.sort
+                   for a, d in zip(copy_.args, term.op.args))
+
+
+ILL_SORTED = {
+    "operator argument sort": (
+        lambda: Op(TOY.op("val.arrow"), Context(["v"]), [Var(Context(["v"]), 0)]),
+        "val.arrow argument 0: sort Fst('v'), expected Fst('arrow')"),
+    "operator argument context": (
+        lambda: lam(Context(["v"]), val(Context(["v"]), Var(Context(["v"]), 0))),
+        "lam argument 0: context Context['v'], expected Context['v', 'v']"),
+    "hole entry sort": (
+        lambda: Meta(HoleDecl("h", second("v"), Context(["arrow"])),
+                     Context(["v"]), [Var(Context(["v"]), 0)]),
+        "hole h: entry 0 has sort Fst('v')"),
+    "hole entry context": (
+        lambda: Meta(HoleDecl("h", second("v"), Context(["v"])),
+                     Context(["v"]), [Var(Context(["v", "v"]), 0)]),
+        "hole h: entry 0 over Context['v', 'v'], expected Context['v']"),
+    "substitution entry sort": (
+        lambda: SubstEnv(Context(["arrow"]), Context(["v"]),
+                         [Var(Context(["v"]), 0)]),
+        "entry 0: sort Fst('v'), expected Fst('arrow')"),
+    "substitution entry context": (
+        lambda: SubstEnv(Context(["v"]), Context(["v"]),
+                         [Var(Context(["v", "v"]), 0)]),
+        "entry 0 over Context['v', 'v'], expected Context['v']"),
+    "type-owned sort": (
+        lambda: Op(CbvOperatorTable(config(("functions",))).val(Base("b")),
+                   Context((fun(Base("b"), Base("b")),)),
+                   [Var(Context((fun(Base("b"), Base("b")),)), 0)]),
+        "val<b> argument 0: sort Fst(Fun(dom=Base(name='b'), "
+        "cod=Base(name='b'))), expected Fst(Base(name='b'))"),
+}
+
+
+@pytest.mark.parametrize("case", ILL_SORTED)
+def test_mismatched_sorts_and_contexts_raise_the_same_message(case):
+    build, message = ILL_SORTED[case]
+    with pytest.raises(IllSorted) as err:
+        build()
+    assert str(err.value) == message
+
+
+def test_sorts_types_and_terms_round_trip_through_pickle_and_deepcopy():
+    t = fun(Base("b"), record((("A", Base("b")),)))
+    for copier in (copy.deepcopy, lambda x: pickle.loads(pickle.dumps(x))):
+        for s in (first("v"), second("v"), first(t), second(t)):
+            c = copier(s)
+            assert c == s and hash(c) == hash(s) and repr(c) == repr(s)
+        u, s = copier((t, first(t)))
+        # the copied sort is the one the copied type owns
+        assert u == t and s is first(u) and s is not first(t)
+        cfg = config(("functions", "sequential", "records", "variants"))
+        gen = TermGen(CbvOperatorTable(cfg), random.Random(5))
+        for _ in range(20):
+            ctx, term = gen.random_item(3, 4, holes={}, hole_prob=0.2)
+            c = copier(term)
+            assert c == term and hash(c) == hash(term) and c.sort == term.sort
+            env = identity_env(ctx)
+            assert copier(env) == env
+            assert substitute(c, copier(env)) == term
