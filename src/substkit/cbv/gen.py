@@ -239,7 +239,10 @@ class TermGen:
         k = self.rng.randrange(max_len + 1)
         entries = [self.rng.choice(self.universe) for _ in range(k)]
         if not self.inhabited(frozenset(entries)):
-            entries.append(Base(self.cfg.base_types[0]))
+            # the universe's object of the base type, the one the table's
+            # sorts name
+            base = Base(self.cfg.base_types[0])
+            entries.append(next((t for t in self.universe if t == base), base))
         return Context(tuple(entries))
 
     def random_target(self, ctx: Context) -> Sort:

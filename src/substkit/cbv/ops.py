@@ -21,16 +21,17 @@ the family passed through ``_check_type``, a component of such a type (a valid
 type's components are valid), or, under the ``naturals`` gate, ``Nat`` or an
 option shape over a valid type.
 
-Who owns what a minted operator is made of: its sorts are those its types
-keep (``sorts.first`` and ``sorts.second``), and the table reads each type
+What a minted operator is made of: its sorts are pairs of a class and a
+type (``sorts.first`` and ``sorts.second``), and the table reads each type
 through its own map, seeded with the fragment's depth-2 universe that the
-variables of generated contexts draw from, so that equal types, and with
-them equal sorts, are one object.  Its binder contexts are the table's: one
-empty binder, and one extension of it per list of bound types, which ``let``
+variables of generated contexts draw from, so that equal types are one
+object and the C compare of two equal sorts meets identical types, not the
+types' Python ``__eq__``.  Its binder contexts are the table's: one empty
+binder, and one extension of it per list of bound types, which ``let``
 prefixes and every other binder share.  Map and binders are the table's
 alone and go with it and its operators; a module constant would keep every
-extension for the life of the process.  So ``Op`` finds the sorts and
-contexts it checks identical whenever they are equal.
+extension for the life of the process.  So ``Op`` finds the contexts it
+checks identical whenever they are equal.
 """
 
 from __future__ import annotations
@@ -95,7 +96,7 @@ class CbvOperatorTable(OperatorTable):
     def _canon(self, t: TypeExpr) -> TypeExpr:
         """The table's one object of the type ``t``: the depth-2 universe's,
         which variables' contexts draw from, else the first the table met;
-        so its sorts are one object too."""
+        so comparing its sorts with a variable's finds the type identical."""
         types = self._types
         if types is None:
             types = self._types = {u: u for u in types_upto(self.cfg, 2)}

@@ -26,11 +26,9 @@ class DepthExceeded(Exception):
 class TypeExpr:
     """A type; each one computes its hash ``_h`` and its depth ``_d`` once,
     when it is built, and stores its label (``_label``, of
-    :func:`type_to_label`), surface string (``_str``, of
-    :func:`type_to_str`) and value and computation sorts (``_fst`` and
-    ``_snd``, of :func:`~substkit.sorts.first` and
-    :func:`~substkit.sorts.second`) the first time each is asked for.  So
-    one type object owns one sort of each class, and they die with it."""
+    :func:`type_to_label`) and surface string (``_str``, of
+    :func:`type_to_str`) the first time each is asked for.  A type keeps no
+    sort: its sorts are pairs (:func:`~substkit.sorts.first`)."""
     __slots__ = ()
 
     def __reduce__(self):
@@ -40,7 +38,7 @@ class TypeExpr:
 
 # what each type derives from its fields (see TypeExpr); slots, not an
 # instance dict, so that a type stays small
-_DERIVED = ("_h", "_d", "_label", "_str", "_fst", "_snd")
+_DERIVED = ("_h", "_d", "_label", "_str")
 
 
 def _row_depth(row: tuple) -> int:

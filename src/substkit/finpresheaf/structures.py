@@ -532,10 +532,12 @@ def truncate_structure(p: FinStructure, bound: int) -> FinStructure:
     """Restrict a structure to contexts within a smaller bound."""
     if bound > p.bound:
         raise BoundExceeded("cannot truncate upwards")
-    keep = set(enumerate_contexts(p.ctx_sorts, bound))
-    cells = {(s, c): e for (s, c), e in p.cells.items() if c in keep}
+    # the entries of the kept contexts: an action key names its renaming's
+    # contexts by their entries (Renaming.key)
+    keep = {c.entries for c in enumerate_contexts(p.ctx_sorts, bound)}
+    cells = {(s, c): e for (s, c), e in p.cells.items() if c.entries in keep}
     action = {k: v for k, v in p.action.items()
-              if Context(k[0][0]) in keep and Context(k[0][1]) in keep}
+              if k[0][0] in keep and k[0][1] in keep}
     return FinStructure(p.sorts, p.ctx_sorts, bound, cells, action)
 
 

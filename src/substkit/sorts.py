@@ -9,19 +9,16 @@ of ``g1`` (the mnemonic is the judgement ``g1 |- rho : g2``).  Consequently
 renamings compose like functions in the opposite order, and structures indexed
 by contexts are contravariant in renamings.
 
-Who owns a sort: a type (``cbv.types.TypeExpr``) keeps its first- and
-second-class sort in two slots, which :func:`first` and :func:`second` fill on
-first use and return from then on, so equal sorts of one type object are one
-object and die with it.  Any other identifier, such as the strings of the toy
-signatures and the presheaf alphabets, gets a fresh sort per call.  Sorts
-compare by tag and identifier, so a check tests identity first and keeps
-``!=`` as the exact fallback.  A context owns the extensions it shares
-(:meth:`Context.extend`).
+A sort is a value: the pair of its tag and its identifier, which nothing
+owns and which compares in C, so :func:`first` and :func:`second` build a
+new pair per call and a check compares sorts with ``!=``.  A context owns
+the extensions it shares (:meth:`Context.extend`).
 """
 
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 from typing import Container, Hashable, Iterable, Sequence
 
@@ -33,42 +30,25 @@ class ContextMismatch(Exception):
     """Raised when composing renamings whose contexts do not line up."""
 
 
-_set = object.__setattr__
+class Sort(tuple):
+    """A tag, :data:`FIRST` or :data:`SECOND`, and an identifier: an
+    immutable pair, which compares and hashes as the tuple ``(tag, ident)``
+    does, in C.  So a sort also equals that plain pair; no table of this
+    package mixes sorts with plain pairs, and the one pair test
+    (:func:`~substkit.signatures.flatten`) never sees a sort."""
 
+    __slots__ = ()
 
-class Sort:
-    """A tag, :data:`FIRST` or :data:`SECOND`, and an identifier; immutable,
-    equal when both are."""
+    tag = property(operator.itemgetter(0))
+    ident = property(operator.itemgetter(1))
 
-    __slots__ = ("tag", "ident", "_hash")
-
-    def __init__(self, tag: str, ident: Hashable):
+    def __new__(cls, tag: str, ident: Hashable):
         if tag != FIRST and tag != SECOND:
             raise ValueError(f"bad sort tag {tag!r}")
-        _set(self, "tag", tag)
-        _set(self, "ident", ident)
-        _set(self, "_hash", None)
-
-    def __setattr__(self, *a):
-        raise AttributeError("Sort is immutable")
-
-    def __eq__(self, other):
-        if other.__class__ is not Sort:
-            return NotImplemented
-        return (self.tag, self.ident) == (other.tag, other.ident)
-
-    def __hash__(self):
-        # hash((tag, ident)), kept from the first hash: sorts key every
-        # action lookup of the tensor, but most sorts a type keeps are never
-        # hashed, and a kept hash is one more object per sort
-        if self._hash is None:
-            _set(self, "_hash", hash((self.tag, self.ident)))
-        return self._hash
+        return tuple.__new__(cls, (tag, ident))
 
     def __reduce__(self):
-        # a copy is the sort of the copied identifier, owned by it as the
-        # original is by its own
-        return (first if self.tag == FIRST else second), (self.ident,)
+        return Sort, tuple(self)
 
     @property
     def is_first(self) -> bool:
@@ -78,26 +58,17 @@ class Sort:
         return f"{'Fst' if self.is_first else 'Snd'}({self.ident!r})"
 
 
-def _owned(ident: Hashable, slot: str, tag: str) -> Sort:
-    """A new sort, kept in the identifier's ``slot`` if its class declares
-    one; the slot is read, and found empty, before this is called."""
-    sort = Sort(tag, ident)
-    if slot in type(ident).__dict__.get("__slots__", ()):
-        _set(ident, slot, sort)
-    return sort
+# the pair is built without the tag check of Sort(...): that would be one
+# more Python frame per variable
+_new = tuple.__new__
 
-
-# The slots are read with a default, not in a ``try``: an identifier without
-# them, such as a string, would raise and catch an AttributeError per call.
 
 def first(ident: Hashable) -> Sort:
-    sort = getattr(ident, "_fst", None)
-    return _owned(ident, "_fst", FIRST) if sort is None else sort
+    return _new(Sort, (FIRST, ident))
 
 
 def second(ident: Hashable) -> Sort:
-    sort = getattr(ident, "_snd", None)
-    return _owned(ident, "_snd", SECOND) if sort is None else sort
+    return _new(Sort, (SECOND, ident))
 
 
 @dataclass(frozen=True)
@@ -155,11 +126,6 @@ class Context:
                                  and self.entries == other.entries)
 
     def __hash__(self):
-        # hash((tag, ident)), kept from the first hash: sorts key every
-        # action lookup of the tensor, but most sorts a type keeps are never
-        # hashed, and a kept hash is one more object per sort
-        if self._hash is None:
-            _set(self, "_hash", hash((self.tag, self.ident)))
         return self._hash
 
     def extend(self, binder: "Context") -> "Context":

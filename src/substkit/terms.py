@@ -6,12 +6,14 @@ right; as a consequence weakening never renumbers variables and alpha
 equivalence is plain structural equality.
 
 A term owns neither its sort nor the contexts it is checked against: a
-variable reads the sort its context entry's type keeps (``sorts.first``), an
-operator node the sorts and binder contexts of its operator, which the
-operator table that minted it shares among its operators.  So the checks
-test identity first, and compare with ``!=`` only when the objects differ:
-equal sorts and contexts that are distinct objects, such as those of
-strings, of pickled terms or of two tables, are still accepted.
+variable's sort is the pair ``sorts.first`` makes of its context entry, an
+operator node's are those of its operator, whose binder contexts the
+operator table that minted it shares among its operators.  Sorts are pairs
+compared in C, so the sort checks are a plain ``!=``; ``Context.__eq__``
+runs in Python, so the context checks test identity first and compare with
+``!=`` only when the objects differ: equal contexts that are distinct
+objects, such as those of pickled terms or of two tables, are still
+accepted.
 
 Substitution is the environment-carrying fold instantiated at the term carrier
 itself.  A second, independently written substitution (classical index
@@ -98,7 +100,7 @@ class Op(Term):
         if len(args) != len(op.args):
             raise IllSorted(f"{op.label}: expected {op.arity} arguments, got {len(args)}")
         for i, (arg, decl) in enumerate(zip(args, op.args)):
-            if arg.sort is not decl.sort and arg.sort != decl.sort:
+            if arg.sort != decl.sort:
                 raise IllSorted(
                     f"{op.label} argument {i}: sort {arg.sort!r}, expected {decl.sort!r}")
             want_ctx = ctx.extend(decl.binder) if decl.binder.entries else ctx
@@ -136,7 +138,7 @@ class Meta(Term):
                             f"expected {len(hole.ctx)}")
         for i, entry in enumerate(env):
             want = first(hole.ctx.entries[i])
-            if entry.sort is not want and entry.sort != want:
+            if entry.sort != want:
                 raise IllSorted(f"hole {hole.ident}: entry {i} has sort {entry.sort!r}")
             if entry.ctx is not ctx and entry.ctx != ctx:
                 raise IllSorted(f"hole {hole.ident}: entry {i} over {entry.ctx!r}, "
@@ -174,7 +176,7 @@ class SubstEnv:
             raise IllSorted("substitution must cover every source position")
         for i, t in enumerate(entries):
             want = first(source.entries[i])
-            if t.sort is not want and t.sort != want:
+            if t.sort != want:
                 raise IllSorted(f"entry {i}: sort {t.sort!r}, expected {want!r}")
             if t.ctx is not target and t.ctx != target:
                 raise IllSorted(f"entry {i} over {t.ctx!r}, expected {target!r}")

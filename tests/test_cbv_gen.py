@@ -304,6 +304,25 @@ def test_sampled_arguments_live_on_the_shared_extension():
                     walk(entry)
 
 
+def test_random_contexts_draw_every_entry_from_the_universe():
+    """A context entry is a universe object, the base type added to an
+    uninhabited draw included, so a variable's type is the one the table's
+    operators name."""
+    added = 0
+    for i, cfg in enumerate(CONFIGS):
+        gen = _gen(cfg, seed=i)
+        universe = {id(t) for t in gen.universe}
+        for _ in range(20):
+            ctx = gen.random_context(3)
+            assert all(id(e) in universe for e in ctx.entries), ctx
+        if not gen.inhabited(frozenset()):
+            # a draw of no entries gets the first base type
+            (entry,) = gen.random_context(0).entries
+            assert entry == Base("b") and id(entry) in universe
+            added += 1
+    assert added > 0
+
+
 @pytest.mark.parametrize("exts", [("records", "variants"), ("naturals",),
                                   ("recursion",)])
 def test_enumeration_reaches_every_listed_family(exts):

@@ -428,6 +428,17 @@ def test_truncate_and_shift():
     shift_structure(p, Context(("a",))).validate()
 
 
+def test_truncate_keeps_the_cells_and_actions_within_the_bound_in_order():
+    p = snd_struct(rand(53))
+    for bound in range(p.bound + 1):
+        t = truncate_structure(p, bound)
+        assert list(t.cells.items()) == [
+            (k, e) for k, e in p.cells.items() if len(k[1]) <= bound]
+        assert list(t.action.items()) == [
+            (k, v) for k, v in p.action.items()
+            if len(k[0][0]) <= bound and len(k[0][1]) <= bound]
+
+
 def test_validate_rejects_a_non_functorial_action():
     p = variables_structure(("a",), 1)
     p.validate()

@@ -422,7 +422,7 @@ def test_dropped_second_meta_subst_fails_meta_laws_with_witness(monkeypatch):
     assert all(r.witness for r in rep.failures)
 
 
-# --- one sort per type, one binder context per table ---------------------------
+# --- sorts are pairs, one binder context per table -----------------------------
 
 def _op_children(t):
     """Every (operator node, argument declaration, argument) of a term."""
@@ -435,22 +435,30 @@ def _op_children(t):
             yield from _op_children(e)
 
 
-def test_a_type_owns_one_sort_of_each_class_and_a_string_gets_a_fresh_one():
+def test_a_sort_is_the_value_pair_of_its_tag_and_identifier():
     t = fun(Base("b"), record((("A", Base("b")),)))
-    assert first(t) is first(t) and second(t) is second(t)
+    u = fun(Base("b"), record((("A", Base("b")),)))
+    assert first(t) == first(u) == Sort("first", t) and second(t) == second(u)
     assert first(t) != second(t) and first(t).ident is t
-    assert first("v") is not first("v") and first("v") == first("v")
-    assert hash(first("v")) == hash(first("v")) == hash(Sort("first", "v"))
-    assert repr(second(t)) == f"Snd({t!r})"
+    assert first(t).tag == "first" and first(t).is_first
+    assert second(t).tag == "second" and not second(t).is_first
+    assert first("v") == first("v") == ("first", "v")
+    assert hash(first(t)) == hash(("first", t)) == hash(Sort("first", u))
+    assert hash(second("v")) == hash(("second", "v"))
+    assert repr(first(t)) == repr(first(u)) == f"Fst({t!r})"
+    assert repr(second(t)) == repr(Sort("second", t)) == f"Snd({t!r})"
     with pytest.raises(AttributeError):
         first(t).tag = "second"
+    with pytest.raises(AttributeError):
+        first(t).owner = t
     with pytest.raises(ValueError):
         Sort("third", "v")
 
 
-def test_generated_variables_share_the_sorts_of_the_minted_operators():
-    """A variable over a universe type and the argument it fills have one
-    sort object, and every binder context of a table is its one object."""
+def test_generated_variables_and_minted_operators_name_one_type_object():
+    """A variable over a universe type and the argument it fills name that
+    one type object, and every binder context of a table is its one
+    object."""
     checked = 0
     for n, cfg in enumerate(all_fragment_configs()[::8]):
         table = CbvOperatorTable(cfg)
@@ -463,7 +471,8 @@ def test_generated_variables_share_the_sorts_of_the_minted_operators():
                 if type(arg) is Var:
                     entry = arg.ctx.entries[arg.index]
                     if universe.get(entry) is entry:
-                        assert arg.sort is decl.sort, (node, arg)
+                        assert decl.sort.ident is entry, (node, arg)
+                        assert arg.sort == decl.sort
                         checked += 1
     assert checked > 100
 
@@ -475,9 +484,9 @@ def test_family_types_are_read_through_the_fragment_universe():
     b = Base("b")
     fresh_fun, fresh_rec = fun(b, b), record((("A", b),))
     assert universe[fresh_fun] is not fresh_fun
-    assert table.val(fresh_fun).args[0].sort is first(universe[fresh_fun])
-    assert table.lam(b, b).result_sort is first(universe[fresh_fun])
-    assert table.vrec(fresh_rec.row).result_sort is first(universe[fresh_rec])
+    assert table.val(fresh_fun).args[0].sort.ident is universe[fresh_fun]
+    assert table.lam(b, b).result_sort.ident is universe[fresh_fun]
+    assert table.vrec(fresh_rec.row).result_sort.ident is universe[fresh_rec]
     assert table.let((b, fresh_fun), b).args[1].binder is \
         table.lam(b, b).args[0].binder
 
@@ -526,7 +535,7 @@ ILL_SORTED = {
         lambda: SubstEnv(Context(["v"]), Context(["v"]),
                          [Var(Context(["v", "v"]), 0)]),
         "entry 0 over Context['v', 'v'], expected Context['v']"),
-    "type-owned sort": (
+    "sort over a type": (
         lambda: Op(CbvOperatorTable(config(("functions",))).val(Base("b")),
                    Context((fun(Base("b"), Base("b")),)),
                    [Var(Context((fun(Base("b"), Base("b")),)), 0)]),
@@ -550,8 +559,7 @@ def test_sorts_types_and_terms_round_trip_through_pickle_and_deepcopy():
             c = copier(s)
             assert c == s and hash(c) == hash(s) and repr(c) == repr(s)
         u, s = copier((t, first(t)))
-        # the copied sort is the one the copied type owns
-        assert u == t and s is first(u) and s is not first(t)
+        assert u == t and s == first(u) and s.ident is u
         cfg = config(("functions", "sequential", "records", "variants"))
         gen = TermGen(CbvOperatorTable(cfg), random.Random(5))
         for _ in range(20):
