@@ -181,6 +181,8 @@ class FragmentConfig:
             raise ValueError(f"unknown extensions {sorted(bad)!r}")
         if not self.base_types:
             raise ValueError("at least one base type is required")
+        if len(set(self.base_types)) != len(self.base_types):
+            raise ValueError(f"base_types contains duplicates: {self.base_types!r}")
         if self.nat_bound < 1 or self.type_depth < 1:
             raise ValueError("bounds must be positive")
         object.__setattr__(self, "_h", hash((self.extensions, self.base_types,

@@ -9,10 +9,14 @@ by a union-find closure over all generator pairs, one per enumerated renaming.
 Inside :func:`tensor` everything goes by position.  Contexts are numbered by
 their place in the enumeration, and the triples of a cell are numbered block
 by block, so a triple number names a context, an element position and an
-environment position.  The quotient gives each triple number the number of
-its class representative.  Representatives are ordered by the ``repr`` of
-their triples, assembled from one rendering per context, element and
-environment.
+environment position.  The closure is a union-find over the triple numbers of
+one cell, run in place on a list of parents; the diagonal pairs of identity
+renamings, which would join a triple with itself, are never generated.  The
+quotient gives each triple number the number of its class, and classes are
+ordered by the ``repr`` of their triples, assembled from one rendering per
+context, element and environment.  The action reads the class number of the
+image of every triple; a renaming that fixes every environment fixes every
+class, so it is read off without that pass.
 
 What a tensor needs of one factor alone is derived once and kept.  Who keeps
 what:
@@ -37,9 +41,11 @@ what:
   renaming, for which it reads each entry of P's action once.
 
 The tables are bounded and hold positions, contexts and renamings only,
-never a structure or a tensor.  Each tensor keeps the work that needs both
-factors: the union-find, the representatives and the check that the action
-is well defined.
+never a structure or a tensor.  Each tensor does the work that needs both
+factors: the union-find, the classes and the check that the action is well
+defined.  Its :class:`TensorResult` keeps, per cell, the raw triples, the
+class of each and the classes, and indexes a cell's triples on its first
+lookup; it holds no table keyed on raw triples across cells.
 """
 
 from __future__ import annotations
@@ -216,48 +222,60 @@ def reindex_env(env: tuple, rho: Renaming) -> tuple:
     return tuple(env[rho.mapping[y]] for y in range(len(rho.target)))
 
 
-class _UnionFind:
-    def __init__(self, n):
-        self.parent = list(range(n))
-
-    def find(self, i):
-        while self.parent[i] != i:
-            self.parent[i] = self.parent[self.parent[i]]
-            i = self.parent[i]
-        return i
-
-    def union(self, i, j):
-        # find, inlined twice: this is the tensor's innermost call
-        parent = self.parent
-        while parent[i] != i:
-            parent[i] = i = parent[parent[i]]
-        while parent[j] != j:
-            parent[j] = j = parent[parent[j]]
-        if i != j:
-            parent[j] = i
-
-
 class TensorResult:
     """The substitution tensor of two structures with its quotient map.
 
     Cells of ``structure`` hold canonical representative triples
     ``(ctx_entries, element, environment)``; ``class_of`` resolves any raw
-    triple to its representative.
+    triple to its representative, and ``members`` lists a representative's
+    class.
+
+    The result keeps one :class:`_Quotient` per (sort, context) cell: the raw
+    triples by number, each one's class number and the classes.  The index
+    from a triple to its number is built on the cell's first lookup and kept
+    by the result, so a cell nobody asks about is never indexed.
     """
 
     def __init__(self, p: FinStructure, q: FinStructure, structure: FinStructure,
-                 reps: dict, members: dict):
+                 quotients: dict):
         self.p = p
         self.q = q
         self.structure = structure
-        self._reps = reps
-        self._members = members
+        self._quotients = quotients
 
     def class_of(self, sort: Sort, ctx: Context, triple):
-        return self._reps[(sort, ctx, triple)]
+        cell = self._quotients[(sort, ctx)]
+        return cell.reps[cell.rep_of[cell.number(triple)]]
 
     def members(self, sort: Sort, ctx: Context, rep) -> tuple:
-        return self._members[(sort, ctx, rep)]
+        cell = self._quotients[(sort, ctx)]
+        i = cell.number(rep)
+        ordered = cell.classes[cell.rep_of[i]]
+        if ordered[0] != i:
+            raise KeyError(rep)
+        return tuple(cell.triples[m] for m in ordered)
+
+
+class _Quotient:
+    """One cell of a tensor: ``triples[m]`` is the m-th raw triple,
+    ``rep_of[m]`` the number of its class, ``classes[k]`` the members of the
+    k-th class in ``repr`` order and ``reps[k]`` its representative, its
+    first member.  ``reps`` is the cell of the tensor's structure."""
+
+    __slots__ = ("triples", "rep_of", "classes", "reps", "_index")
+
+    def __init__(self, triples: list, rep_of: list, classes: list, reps: tuple):
+        self.triples = triples
+        self.rep_of = rep_of
+        self.classes = classes
+        self.reps = reps
+        self._index = None
+
+    def number(self, triple) -> int:
+        index = self._index
+        if index is None:
+            index = self._index = {t: m for m, t in enumerate(self.triples)}
+        return index[triple]
 
 
 def _positions(columns) -> list[int]:
@@ -372,12 +390,18 @@ class _RightPlan:
         number = {ctx: c for c, ctx in enumerate(out_ctxs)}
         cell_pos = [{e: {x: i for i, x in enumerate(cell)} for e, cell in row.items()}
                     for row in q_cells]
+        # A tau that maps its context to itself and fixes every element of
+        # Q over it fixes every environment: its qmove is None.
         self.taus = []
         for tau in q.renamings():
             key, cs, ct = tau.key(), number[tau.source], number[tau.target]
             images = {e: [cell_pos[cs][e][q.action[(key, qs, x)]]
                           for x in q_cells[ct][e]]
                       for e, qs in q_sort.items()}
+            if cs == ct and all(image == list(range(len(image)))
+                                for image in images.values()):
+                self.taus.append((key, cs, ct, None))
+                continue
             qmove = [_positions([[i * st for i in images[e]]
                                  for e, st in zip(gp.entries, stride[a][cs])])
                      for a, gp in enumerate(p_ctxs)]
@@ -411,10 +435,19 @@ class _LeftPlan:
             elem_pos = [{t: i for i, t in enumerate(cell)} for cell in p_cells]
             # each generator pair of the r-th renaming rho: (G1, rho t, env) ~
             # (G2, t, env . rho), as the positions of rho t in P_s G1 and of t
-            # in P_s G2
-            moves = [(r, a1, a2, [(elem_pos[a1][p.action[(key, s, t)]], i)
-                                  for i, t in enumerate(p_cells[a2])])
-                     for r, (a1, a2, key) in enumerate(renamings) if p_cells[a2]]
+            # in P_s G2.  An identity rho leaves every environment in place,
+            # so its pair (i, i) would join a triple with itself and is left
+            # out; a pair (j, i) stays, from a P whose identity moves t.
+            moves = []
+            for r, (a1, a2, key) in enumerate(renamings):
+                ident = a1 == a2 and key[2] == tuple(range(len(key[2])))
+                pairs = []
+                for i, t in enumerate(p_cells[a2]):
+                    j = elem_pos[a1][p.action[(key, s, t)]]
+                    if j != i or not ident:
+                        pairs.append((j, i))
+                if pairs:
+                    moves.append((r, a1, a2, pairs))
             self.sorts[s] = (
                 p_cells,
                 [(a, len(cell)) for a, cell in enumerate(p_cells) if cell],
@@ -434,6 +467,27 @@ def _left_plan(p: FinStructure, renamings: list) -> _LeftPlan:
     return plan
 
 
+def _classes(parent: list, order: list) -> tuple[list, list]:
+    """The classes of a closed union-find forest over triple numbers, and the
+    class number of each triple.  A class lists its members by ``order``, and
+    the classes go by the order of their first members; the sorts are
+    stable, so equal keys keep the order of the triple numbers."""
+    groups: dict = {}
+    for i in range(len(parent)):
+        x = i
+        while parent[x] != x:
+            parent[x] = x = parent[parent[x]]
+        groups.setdefault(x, []).append(i)
+    key = order.__getitem__
+    classes = sorted((sorted(grp, key=key) for grp in groups.values()),
+                     key=lambda ordered: order[ordered[0]])
+    rep_of = [0] * len(parent)
+    for k, ordered in enumerate(classes):
+        for m in ordered:
+            rep_of[m] = k
+    return rep_of, classes
+
+
 def tensor(p: FinStructure, q: FinStructure) -> TensorResult:
     """The coend of ``P_s G' x Env Q G' G`` over the enumerated contexts."""
     if p.bound != q.bound:
@@ -445,11 +499,10 @@ def tensor(p: FinStructure, q: FinStructure) -> TensorResult:
     plan = _right_plan(q, p.ctx_sorts)
     envs, env_reprs, lands = plan.envs, plan.env_reprs, plan.shape.lands
     left = _left_plan(p, plan.shape.renamings)
-    reps, members, cells = {}, {}, {}
+    quotients, cells = {}, {}
     structure = FinStructure(p.sorts, q.ctx_sorts, p.bound, cells, {})
     out_ctxs, p_ctxs = structure.contexts(), p.contexts()
-    # numbered[s][c]: the triples of the cell by number, the number of each
-    # one's representative, and the classes in cell order as member numbers
+    # numbered[s][c]: the quotient of the cell of sort s over the c-th context
     numbered = {}
     for s in p.sorts:
         p_cells, _, elem_reprs, moves = left.sorts[s]
@@ -465,67 +518,76 @@ def tensor(p: FinStructure, q: FinStructure) -> TensorResult:
             triples = [(gp.entries, t, env)
                        for gp, cell, rows in zip(p_ctxs, p_cells, envs)
                        for t in cell for env in rows[c]]
-            uf = _UnionFind(n)
-            union = uf.union
+            # the closure: union-find over triple numbers with path halving,
+            # joining triple b1 + k with b2 + land[k] for every generator pair
+            parent = list(range(n))
             for r, a1, a2, pairs in moves:
                 land = lands[r][c]
                 o1, w1, o2, w2 = offset[a1], width[a1], offset[a2], width[a2]
                 for i1, i2 in pairs:
                     b1, b2 = o1 + i1 * w1, o2 + i2 * w2
                     for k, j in enumerate(land):
-                        union(b1 + k, b2 + j)
-            find = uf.find
-            groups: dict = {}
-            for i in range(n):
-                groups.setdefault(find(i), []).append(i)
+                        x, y = b1 + k, b2 + j
+                        while parent[x] != x:
+                            parent[x] = x = parent[parent[x]]
+                        while parent[y] != y:
+                            parent[y] = y = parent[parent[y]]
+                        if x != y:
+                            parent[y] = x
             order = [e + v for es, rows in zip(elem_reprs, env_reprs)
                      for e in es for v in rows[c]]
-            rep_of = [0] * n
-            classes = []
-            for grp in groups.values():
-                # stable, so the head is what min(grp, key=repr) would pick
-                ordered = sorted(grp, key=order.__getitem__)
-                head = ordered[0]
-                rep = triples[head]
-                for i in grp:
-                    reps[(s, ctx, triples[i])] = rep
-                    rep_of[i] = head
-                members[(s, ctx, rep)] = tuple(triples[i] for i in ordered)
-                classes.append(ordered)
-            classes.sort(key=lambda ordered: order[ordered[0]])
-            cells[(s, ctx)] = tuple(triples[cls[0]] for cls in classes)
-            by_ctx.append((triples, rep_of, classes))
+            rep_of, classes = _classes(parent, order)
+            reps = cells[(s, ctx)] = tuple(triples[cls[0]] for cls in classes)
+            quotients[(s, ctx)] = quot = _Quotient(triples, rep_of, classes, reps)
+            by_ctx.append(quot)
 
     # tau moves a class by moving its environment: the i-th element with the
     # k-th environment of Env(G', target) goes to the i-th element with the
     # qmove[G'][k]-th environment of Env(G', source).  The representative heads
-    # its members and sets the image, which every member must reach.
+    # its members and sets the image, which every member must reach.  A tau
+    # without qmove takes each triple to itself, and so each class.
     action = structure.action
     for key, cs, ct, qmove in plan.taus:
         for s in p.sorts:
-            triples, _, classes = numbered[s][ct]
-            if not classes:
+            tgt = numbered[s][ct]
+            if not tgt.reps:
                 continue
-            src_triples, src_rep, _ = numbered[s][cs]
-            # got[m]: the representative number of tau applied to triple m
+            if qmove is None:
+                for rep in tgt.reps:
+                    action[(key, s, rep)] = rep
+                continue
+            src = numbered[s][cs]
+            src_rep = src.rep_of
+            # got[m]: the class number of tau applied to triple m
             got, base = [], 0
             _, lengths, _, _ = left.sorts[s]
             for a, count in lengths:
                 width, move = len(envs[a][cs]), qmove[a]
-                for _ in range(count):
-                    got += [src_rep[base + j] for j in move]
-                    base += width
-            for ordered in classes:
-                image = got[ordered[0]]
-                for m in ordered:
-                    if got[m] != image:
-                        tau = Renaming(out_ctxs[cs], out_ctxs[ct], key[2])
-                        raise ValueError(
-                            f"tensor action not well-defined at {s!r} {tau!r}: "
-                            f"{triples[m]!r} -> {src_triples[got[m]]!r} != "
-                            f"{src_triples[image]!r}")
-                action[(key, s, triples[ordered[0]])] = src_triples[image]
-    return TensorResult(p, q, structure, reps, members)
+                if width:
+                    end = base + count * width
+                    got += [src_rep[b + j] for b in range(base, end, width)
+                            for j in move]
+                    base = end
+            images = [got[ordered[0]] for ordered in tgt.classes]
+            if [images[k] for k in tgt.rep_of] != got:
+                _raise_ill_defined(s, out_ctxs[cs], out_ctxs[ct], key, tgt, src,
+                                   got, images)
+            for rep, image in zip(tgt.reps, images):
+                action[(key, s, rep)] = src.reps[image]
+    return TensorResult(p, q, structure, quotients)
+
+
+def _raise_ill_defined(s, source, target, key, tgt, src, got, images):
+    """Name the first member, in cell order, that tau takes out of the image
+    of its class's representative."""
+    for ordered, image in zip(tgt.classes, images):
+        for m in ordered:
+            if got[m] != image:
+                tau = Renaming(source, target, key[2])
+                raise ValueError(
+                    f"tensor action not well-defined at {s!r} {tau!r}: "
+                    f"{tgt.triples[m]!r} -> {src.reps[got[m]]!r} != "
+                    f"{src.reps[image]!r}")
 
 
 def truncate_structure(p: FinStructure, bound: int) -> FinStructure:

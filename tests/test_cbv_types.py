@@ -27,6 +27,14 @@ def test_base_only_config():
     assert not valid_type(record((("A", B),)), cfg)
 
 
+def test_duplicate_base_types_are_refused():
+    """Two equal base types would make a configuration distinct from the one
+    with a single copy but with the same universe."""
+    with pytest.raises(ValueError, match="base_types contains duplicates"):
+        config((), ("b", "b"))
+    assert config((), ("b", "c")).base_types == ("b", "c")
+
+
 def test_functions_config():
     cfg = config(("functions",))
     assert valid_type(fun(B, fun(B, B)), cfg)

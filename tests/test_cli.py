@@ -16,9 +16,10 @@ from substkit import cli
 from substkit.cbv.ops import CbvOperatorTable
 from substkit.cbv.gen import TermGen
 from substkit.cbv.surface import pretty
-from substkit.cbv.types import MAX_NESTING, parse_fragment, type_to_str
+from substkit.cbv.types import EXTENSIONS, MAX_NESTING, parse_fragment, type_to_str
 from substkit.cli import main
 from substkit.semantics import OptionMonad, model
+from substkit.semantics.monads import BUNDLED
 from substkit.semantics.finset import ENUM_CAP
 from substkit.suites import SUITES
 
@@ -227,6 +228,10 @@ MALFORMED_RUN = {
     "function type as a base type name": ["--base-types", "b,b -> b"],
     "Nat as a configured base type": ["--fragment-config",
                                       {"base_types": ["b", "Nat"]}],
+    # a base type is listed once
+    "base type listed twice": ["--base-types", "b,b"],
+    "configured base type listed twice": ["--fragment-config",
+                                          {"base_types": ["b", "b"]}],
     # a sized name is read as a type too, and an unknown monad parameter is
     # named, not dropped
     "empty base size name": ["--base-size", "b=2", "--base-size", "=3"],
@@ -467,6 +472,101 @@ def test_mutated_contexts_and_expected_types_end_in_exit_0_or_1(tmp_path,
         assert code in (0, 1), (context, expect)
         codes[code] += 1
         capsys.readouterr()
+    assert codes[0] and codes[1]
+
+
+# the values and names a JSON mutation writes; every size among them is small
+# or past the enumeration cap, so no case builds a large set
+JSON_VALUES = [None, True, False, 0, -1, 1, 2, 3, 1.5, "", "x", "b", [], {},
+               ["b"], {"b": 2}, ENUM_CAP + 1]
+JSON_NAMES = ["b", "c", " b", "", "Nat", "b -> b", "{}", "nosuch", "b,b",
+              "states", "exceptions", "foo", *EXTENSIONS]
+
+
+def valid_json_inputs(rng):
+    """A ``--fragment-config`` and a ``--model`` document that the CLI
+    accepts together, each key present or left to its default."""
+    cfg, spec = {}, {}
+    bases = ["b"] if rng.randrange(2) else ["b", "c"]
+    if rng.randrange(4):
+        cfg["extensions"] = rng.sample(EXTENSIONS, rng.randint(0, 3))
+    if len(bases) > 1 or rng.randrange(2):
+        cfg["base_types"] = bases
+    if rng.randrange(2):
+        cfg["nat_bound"] = rng.randint(1, 4)
+    if rng.randrange(2):
+        cfg["type_depth"] = rng.randint(1, 3)
+    monad = rng.choice(sorted(BUNDLED))
+    if rng.randrange(4):
+        spec["monad"] = monad
+    if len(bases) > 1 or rng.randrange(2):
+        spec["base_sizes"] = {b: rng.randint(0, 3) for b in bases}
+    param = {"state": "states", "exception": "exceptions"}.get(spec.get("monad"))
+    if param and rng.randrange(2):
+        spec["monad_params"] = {param: rng.randint(1, 3)}
+    return cfg, spec
+
+
+def mutate_json(doc, rng):
+    """``doc`` with 1 to 3 seeded edits of its keys, values and JSON types:
+    a key dropped, renamed or added, a value or list item replaced by another
+    JSON value or name, a list item repeated, or the whole document replaced."""
+    for _ in range(rng.randint(1, 3)):
+        # every container of the document, top level included
+        spots = [doc] if isinstance(doc, (dict, list)) else []
+        for spot in spots:
+            items = spot.values() if isinstance(spot, dict) else spot
+            spots += [v for v in items if isinstance(v, (dict, list))]
+        if not spots or rng.randrange(10) == 0:
+            doc = rng.choice(JSON_VALUES + JSON_NAMES)
+            continue
+        spot = rng.choice(spots)
+        keys = list(spot) if isinstance(spot, dict) else list(range(len(spot)))
+        edit = rng.randrange(4)
+        if edit == 0 and keys:  # drop
+            del spot[rng.choice(keys)]
+        elif edit == 1 and keys and isinstance(spot, dict):  # rename
+            key = rng.choice(keys)
+            spot[rng.choice(JSON_NAMES)] = spot.pop(key)
+        elif edit == 2 and keys:  # replace
+            spot[rng.choice(keys)] = rng.choice(JSON_VALUES + JSON_NAMES)
+        elif isinstance(spot, dict):  # add
+            spot[rng.choice(JSON_NAMES)] = rng.choice(JSON_VALUES)
+        else:  # add or repeat an item
+            spot.append(spot[rng.choice(keys)] if keys and rng.randrange(2)
+                        else rng.choice(JSON_NAMES))
+    return doc
+
+
+def test_mutated_json_inputs_end_in_exit_0_or_1_and_one_error_line(tmp_path,
+                                                                   capsys):
+    """Seeded mutation fuzz of the ``--fragment-config`` and ``--model``
+    files: a valid pair of documents with 1 to 3 edits to one of them or
+    both, run in this process on ``val x``."""
+    prog, cfg_path, spec_path = (tmp_path / name for name in
+                                 ("prog.cbv", "cfg.json", "spec.json"))
+    prog.write_text("val x\n")
+    rng = random.Random(20261020)
+    codes = Counter()
+    for _ in range(400):
+        cfg, spec = valid_json_inputs(rng)
+        which = rng.randrange(3)
+        if which != 1:
+            cfg = mutate_json(cfg, rng)
+        if which != 0:
+            spec = mutate_json(spec, rng)
+        cfg_path.write_text(json.dumps(cfg))
+        spec_path.write_text(json.dumps(spec))
+        code = main(["run", str(prog), "--context", "x: b", "--expect", "C b",
+                     "--fragment-config", str(cfg_path), "--model", str(spec_path)])
+        err = capsys.readouterr().err
+        assert code in (0, 1), (cfg, spec)
+        if code == 1:
+            assert "Traceback" not in err, (cfg, spec)
+            lines = err.splitlines()
+            assert len(lines) == 1 and lines[0].startswith("error: "), (cfg, spec, err)
+        codes[code] += 1
+    # the edits leave some pairs valid and break most
     assert codes[0] and codes[1]
 
 

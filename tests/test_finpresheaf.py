@@ -19,7 +19,7 @@ from substkit.finpresheaf.structures import (FinStructure, build_structure,
                                              coproduct_structure,
                                              product_structure, reindex_env,
                                              truncate_structure)
-from substkit.sorts import Context, Renaming, first, second
+from substkit.sorts import Context, Renaming, first, identity_renaming, second
 
 
 def kneut_structure(fst_ids, snd_ids, bound: int) -> FinStructure:
@@ -516,12 +516,42 @@ def test_mediators_are_natural_and_the_right_ones_bijective():
 
 # --- the tensor against its literal reference ------------------------------------
 
+class _RefUnionFind:
+    """The reference's own union-find, plain and without shortcuts."""
+
+    def __init__(self, n):
+        self.parent = list(range(n))
+
+    def find(self, i):
+        while self.parent[i] != i:
+            i = self.parent[i]
+        return i
+
+    def union(self, i, j):
+        i, j = self.find(i), self.find(j)
+        if i != j:
+            self.parent[j] = i
+
+
+class _LiteralResult:
+    """The reference's quotient map: flat tables from every raw triple to its
+    representative, and from every representative to its class."""
+
+    def __init__(self, q, structure, reps, members):
+        self.q, self.structure = q, structure
+        self.reps, self.classes = reps, members
+
+    def class_of(self, s, ctx, triple):
+        return self.reps[(s, ctx, triple)]
+
+    def members(self, s, ctx, rep):
+        return self.classes[(s, ctx, rep)]
+
+
 def literal_tensor(p, q, skip=None):
     """The reference: the tensor as first written, re-enumerating envs and
     renamings for every cell and tabulating the action through a closure.
     ``skip`` names one renaming key whose unions are left out (a mutant)."""
-    from substkit.finpresheaf.structures import (TensorResult, _UnionFind,
-                                                 build_structure)
     from substkit.sorts import Context as Ctx
     out_ctxs = enumerate_contexts(q.ctx_sorts, p.bound)
     p_ctxs = p.contexts()
@@ -534,7 +564,7 @@ def literal_tensor(p, q, skip=None):
                     for env in enumerate_envs(q, gp, ctx):
                         triples.append((gp.entries, t, env))
             index = {t: i for i, t in enumerate(triples)}
-            uf = _UnionFind(len(triples))
+            uf = _RefUnionFind(len(triples))
             for g1 in p_ctxs:
                 for g2 in p_ctxs:
                     for rho in enumerate_renamings(g1, g2):
@@ -565,7 +595,7 @@ def literal_tensor(p, q, skip=None):
         return reps[(s, tau.source, (gp_entries, t, moved))]
 
     structure = build_structure(p.sorts, q.ctx_sorts, p.bound, cells, act)
-    result = TensorResult(p, q, structure, reps, members)
+    result = _LiteralResult(q, structure, reps, members)
     _literal_check_action_well_defined(result)
     return result
 
@@ -588,12 +618,16 @@ def _literal_check_action_well_defined(tr) -> None:
 
 
 def assert_same_tensor(p, q):
-    """``tensor`` equals the reference part by part, insertion order included."""
+    """``tensor`` equals the reference part by part: cells and action in
+    insertion order, the representative of every raw triple and the members
+    of every class, both in the reference's order."""
     got, want = tensor(p, q), literal_tensor(p, q)
     assert list(got.structure.cells.items()) == list(want.structure.cells.items())
     assert list(got.structure.action.items()) == list(want.structure.action.items())
-    assert list(got._reps.items()) == list(want._reps.items())
-    assert list(got._members.items()) == list(want._members.items())
+    for (s, ctx, triple), rep in want.reps.items():
+        assert got.class_of(s, ctx, triple) == rep, (s, ctx, triple)
+    for (s, ctx, rep), members in want.classes.items():
+        assert got.members(s, ctx, rep) == members, (s, ctx, rep)
     return got
 
 
@@ -816,6 +850,93 @@ def test_tensor_left_plan_reused_across_alphabets_fails(monkeypatch):
         test_tensor_left_plans_are_kept_per_left_factor()
 
 
+# --- the shortcuts of identity renamings and identity taus ----------------------
+
+def _identity_moves_one(s: FinStructure, sort, ctx) -> FinStructure:
+    """``s`` with an identity action that sends the first element of the
+    cell of ``sort`` over ``ctx`` to the second: no presheaf, but a tensor
+    factor all the same."""
+    x, y = s.cell(sort, ctx)[:2]
+    action = dict(s.action)
+    action[(identity_renaming(ctx).key(), sort, x)] = y
+    return FinStructure(s.sorts, s.ctx_sorts, s.bound, s.cells, action)
+
+
+def assert_same_outcome(p, q):
+    """``tensor`` equals the reference, or both raise the same message."""
+    try:
+        literal_tensor(p, q)
+    except ValueError as err:
+        with pytest.raises(ValueError) as got:
+            tensor(p, q)
+        assert str(got.value) == str(err)
+    else:
+        assert_same_tensor(p, q)
+
+
+def _is_identity(key) -> bool:
+    return key[0] == key[1] and key[2] == tuple(range(len(key[2])))
+
+
+def _moving_factors():
+    rng = rand(121)
+    p = free_structure(rng, (second("k"),), ("a",), 2,
+                       ensure=[(second("k"), Context(("a",)))])
+    return p, homog(rng, True)
+
+
+def test_tensor_joins_what_an_identity_renaming_of_p_moves():
+    """The identity of [a] moves an element of P: its generator pairs are not
+    all diagonal, and the ones that are not still join two triples."""
+    p, q = _moving_factors()
+    assert_same_outcome(_identity_moves_one(p, second("k"), Context(("a",))), q)
+
+
+def test_tensor_dropping_identity_renamings_by_key_fails(monkeypatch):
+    """A left plan that drops every pair of an identity renaming, not just
+    the diagonal ones, misses the join, and the test above fails."""
+    from substkit.finpresheaf import structures
+
+    class ByKey(structures._LeftPlan):
+        __slots__ = ()
+
+        def __init__(self, p, renamings):
+            super().__init__(p, renamings)
+            for s, (cells, lengths, reprs, moves) in self.sorts.items():
+                self.sorts[s] = (cells, lengths, reprs,
+                                 [m for m in moves if not _is_identity(renamings[m[0]][2])])
+
+    monkeypatch.setattr(structures, "_LeftPlan", ByKey)
+    with pytest.raises(AssertionError):
+        test_tensor_joins_what_an_identity_renaming_of_p_moves()
+
+
+def test_tensor_acts_by_an_identity_of_q_that_moves_an_environment():
+    """The identity of [a] moves an element of Q, so it moves environments
+    over [a]: the tensor acts by it as by any other renaming."""
+    p, q = _moving_factors()
+    assert_same_outcome(p, _identity_moves_one(q, first("a"), Context(("a",))))
+
+
+def test_tensor_skipping_identity_taus_by_key_fails(monkeypatch):
+    """A right plan that takes every identity renaming for one that fixes
+    each class maps the classes over [a] to themselves, and the test above
+    fails."""
+    from substkit.finpresheaf import structures
+
+    class ByKey(structures._RightPlan):
+        __slots__ = ()
+
+        def __init__(self, q, left_ctx_sorts):
+            super().__init__(q, left_ctx_sorts)
+            self.taus = [(key, cs, ct, None if _is_identity(key) else qmove)
+                         for key, cs, ct, qmove in self.taus]
+
+    monkeypatch.setattr(structures, "_RightPlan", ByKey)
+    with pytest.raises(AssertionError):
+        test_tensor_acts_by_an_identity_of_q_that_moves_an_environment()
+
+
 def test_tensor_matches_reference_on_term_structure():
     from substkit.termstruct import cbv_term_structure
     P, Q, _table = cbv_term_structure()
@@ -879,29 +1000,40 @@ def test_each_law_check_tensors_each_operand_pair_once(monkeypatch):
 
 def test_tensor_action_check_still_raises(monkeypatch):
     """A quotient that also merges the first two raw triples of the cell at
-    [a] is no coend; both tensors reject it with the same message."""
+    [a] is no coend; both tensors reject it with the same message.  The
+    kernel is corrupted where its closure meets the class grouping, the
+    reference in its own union-find."""
+    import sys
     from substkit.finpresheaf import structures
-    real = structures._UnionFind
+    real_classes, real_uf = structures._classes, _RefUnionFind
+    seen = []
 
-    def corrupting():
-        built = []
+    def merging_classes(parent, order):
+        seen.append(parent)
+        if len(seen) == 2:  # the second cell: (k, [a])
+            root = lambda i: i if parent[i] == i else root(parent[i])
+            parent[root(1)] = root(0)
+        return real_classes(parent, order)
 
-        def make(n):
-            built.append(real(n))
-            if len(built) == 2:  # the second cell: (k, [a])
-                built[-1].union(0, 1)
-            return built[-1]
-        return make
+    def merging_union_find(n):
+        seen.append(real_uf(n))
+        if len(seen) == 2:
+            seen[-1].union(0, 1)
+        return seen[-1]
 
     rng = rand(112)
     p = free_structure(rng, (second("k"),), ("a",), 2,
                        ensure=[(second("k"), Context(("a",)))])
     q = homog(rng, True)
     messages = []
-    for fn in (tensor, literal_tensor):
-        monkeypatch.setattr(structures, "_UnionFind", corrupting())
-        with pytest.raises(ValueError, match="tensor action not well-defined") as err:
-            fn(p, q)
+    for fn, module, name, corrupt in (
+            (tensor, structures, "_classes", merging_classes),
+            (literal_tensor, sys.modules[__name__], "_RefUnionFind", merging_union_find)):
+        seen.clear()
+        with monkeypatch.context() as patch:
+            patch.setattr(module, name, corrupt)
+            with pytest.raises(ValueError, match="tensor action not well-defined") as err:
+                fn(p, q)
         messages.append(str(err.value))
     assert messages[0] == messages[1]
 
