@@ -12,24 +12,35 @@ builds its own node: each bound type is drawn after the terms before it, so
 its operator is known only at the end.
 
 Computation types never enter contexts, so inhabitation is decided from the
-set of value types in scope alone.  Each generator reads off the introduction
-rule of every valid subtype of its universe once, into a rule table that also
-indexes each type under its components.  A query extends that table only with
-the subtypes of its variables' types that lie outside it, then runs a worklist
-fixpoint (semi-naive evaluation): it starts from what the rules build without
-variables, adds the variables' types, and re-examines a type only when one of
-its components has just become inhabited.  A function type whose domain stays
-uninhabited falls back to a query with a variable of the domain added.
+set of value types in scope alone: a Horn-clause closure, where a record needs
+all its components and a variant any one (Dowling & Gallier, "Linear-time
+algorithms for testing the satisfiability of propositional Horn formulae", JLP
+1984).  Each generator owns one kernel (``_Kernel``) that numbers every type
+it meets, so a set of types is an ``int`` bitmask.  It reads the introduction
+rule of every valid subtype of its universe once, as a flag (all components or
+any one) and the mask of the components, and keeps for each type the mask of
+the types whose rule names it.  A query's pool is the universe's mask together
+with the valid subtypes of each of its variable types that lie outside the
+universe, walked once per such type; a type that only another query's
+variables brought in never joins it.  The closure is a semi-naive fixpoint on
+masks: it starts from what the rules build without variables, adds the
+variables' types, and re-examines a type only when one of its components has
+just become inhabited.  A function type whose domain stays uninhabited falls
+back to a query with a variable of the domain added, while there are fewer
+than five variable types.  That query has the same pool and starts from the
+closure without the domain; a codomain already in that closure needs no query
+at all.  The recursion runs on masks, and its answers are memoized per mask.
 
-A generator keeps what its draws derive, until it is dropped: the inhabited
-set of each variable-type set and of each context, and per inhabited set its
-list sorted by label and one candidate record (``_Candidates``) that the
-``vmatch``, ``recmatch``, ``app`` and ``for`` productions read instead of
+A generator keeps what its draws derive, until it is dropped: the kernel's
+numbering, walks and mask memo, one frozenset per distinct inhabited mask, the
+inhabited set of each variable-type set and of each context, and per inhabited
+set its list sorted by label and one candidate record (``_Candidates``) that
+the ``vmatch``, ``recmatch``, ``app`` and ``for`` productions read instead of
 rescanning the set.  Depth gates are arithmetic on the components' depths.
 The configuration keeps only ``valid_type``'s answers and the ``types_upto``
-universes.  The rule table stays with the generator too: a table kept by the
+universes.  The kernel stays with the generator too: one kept by the
 configuration would live as long as it, and a caller that holds all 128
-configurations for a whole run would hold 128 tables.
+configurations for a whole run would hold 128 kernels.
 
 The exhaustive corpora come from an :class:`Enumeration`, which has no
 productions of its own: it iterates the signature by depth over the instances
@@ -60,24 +71,85 @@ _MAYBE_NAT = maybe_shape(NAT)
 _first = operator.itemgetter(0)
 
 
-class _Rules:
-    """The introduction rule of every valid subtype of some roots.
+def _ones(mask: int):
+    """The numbers of the bits set in ``mask``, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
-    A record or ``Nat`` needs all its components, a variant any one, a
-    function type its domain and codomain (``funs`` lists these for the
-    fallback in ``TermGen.inhabited``).  Base types and the constructs a
-    fragment lacks get no rule: their values come only from variables."""
 
-    def __init__(self, cfg: FragmentConfig, roots, known=frozenset()):
-        self.pool: set = set()      # the valid subtypes of the roots
-        # type -> (needs all components?, components), for each type a rule builds
+class _Kernel:
+    """Type inhabitation as a Horn closure on numbered types (Dowling &
+    Gallier, JLP 1984): one per generator, kept until it is dropped.
+
+    Every type the kernel meets gets a number, and a set of types is an
+    ``int`` with one bit per number.  A record or ``Nat`` needs all its
+    components, a variant any one, a function type its domain and codomain;
+    base types and the constructs a fragment lacks get no rule, so their
+    values come only from variables.  A rule is that flag and the mask of its
+    components, and each type has the mask of the types whose rule names it
+    (its parents)."""
+
+    __slots__ = ("cfg", "types", "numbers", "rules", "parents", "pool", "funs",
+                 "always", "extras", "memo", "decoded")
+
+    def __init__(self, cfg: FragmentConfig, universe):
+        self.cfg = cfg
+        self.types: list = []       # number -> type
+        self.numbers: dict = {}     # type -> number
+        # number -> (needs all components?, their mask), per type a rule builds
         self.rules: dict = {}
-        self.parents: dict = {}     # component -> the types whose rule names it
-        self.funs: list = []
+        self.parents: dict = {}     # number -> its parents
+        self.pool, self.funs, built = self._walk(universe, 0)
+        # what the rules build without variables: every query starts here
+        self.always = self._settle(0, built, self.pool)
+        # an out-of-universe type -> the walk of its valid subtypes
+        self.extras: dict = {}
+        self.memo: dict = {}        # variable types -> inhabited types
+        # inhabited types -> their frozenset
+        self.decoded = {self.always: frozenset(map(self.types.__getitem__,
+                                                   _ones(self.always)))}
+
+    def number(self, t: TypeExpr) -> int:
+        n = self.numbers.get(t)
+        if n is None:
+            n = self.numbers[t] = len(self.types)
+            self.types.append(t)
+        return n
+
+    def mask(self, types) -> int:
+        m = 0
+        for t in types:
+            m |= 1 << self.number(t)
+        return m
+
+    def decode(self, mask: int) -> frozenset:
+        """The types of ``mask``, an answer of ``inhabited``; each distinct
+        mask is decoded once, as a union with the decoded ``always`` (a union
+        of frozensets hashes no type again)."""
+        got = self.decoded.get(mask)
+        if got is None:
+            types, always = self.types, self.always
+            got = self.decoded[mask] = self.decoded[always].union(
+                [types[n] for n in _ones(mask & ~always)])
+        return got
+
+    def _walk(self, roots, known: int) -> tuple:
+        """The valid subtypes of ``roots`` outside ``known``, as a mask, with
+        the function types among them as ``(fun, dom, cod)`` in the order a
+        depth-first walk meets them, and the mask of the types a rule builds.
+        Every type the walk meets gets a number."""
+        cfg, numbers, number = self.cfg, self.numbers, self.number
+        rules, parents = self.rules, self.parents
+        pool, funs, built = 0, [], 0
         todo = list(roots)
         while todo:
             t = todo.pop()
-            if t in self.pool or t in known:
+            n = numbers.get(t)
+            if n is None:  # a type met for the first time is in no pool
+                n = number(t)
+            elif (pool | known) >> n & 1:
                 continue
             # a valid record or variant is one the fragment can build
             if isinstance(t, Fun):
@@ -95,42 +167,99 @@ class _Rules:
             todo.extend(comps)
             if not valid_type(t, cfg):
                 continue
-            self.pool.add(t)
-            if need_all is not None:
-                self.rules[t] = (need_all, comps)
-                for c in comps:
-                    self.parents.setdefault(c, []).append(t)
-                if isinstance(t, Fun):
-                    self.funs.append(t)
+            pool |= 1 << n
+            if need_all is None:
+                continue
+            built |= 1 << n
+            if n not in rules:
+                mask = 0
+                for c in map(number, comps):
+                    mask |= 1 << c
+                    parents[c] = parents.get(c, 0) | 1 << n
+                rules[n] = (need_all, mask)
+            if isinstance(t, Fun):
+                funs.append((n, numbers[t.dom], numbers[t.cod]))
+        return pool, funs, built
 
+    def _pool(self, avail: int) -> tuple:
+        """The pool of a query on ``avail``, its function types and the types
+        its extra rules build: the universe's, and the valid subtypes of each
+        variable type outside it, walked once per such type."""
+        pool, funs, todo = self.pool, self.funs, 0
+        outside = avail & ~pool
+        if outside:
+            funs = list(funs)
+            for n in _ones(outside):
+                got = self.extras.get(n)
+                if got is None:
+                    got = self.extras[n] = self._walk((self.types[n],),
+                                                      self.pool)
+                pool |= got[0]
+                funs += got[1]
+                todo |= got[2]
+        return pool, funs, todo
 
-_NO_RULES = _Rules(None, ())
+    def _settle(self, cur: int, todo: int, pool: int) -> int:
+        """Close ``cur`` under the rules of the types of ``pool``, semi-naive:
+        each round examines the types of ``todo`` not yet in ``cur``, and the
+        next round those whose rule names a type just added."""
+        rules, parents = self.rules, self.parents
+        todo &= pool & ~cur
+        while todo:
+            more = 0
+            while todo:
+                low = todo & -todo
+                todo ^= low
+                n = low.bit_length() - 1
+                need_all, comps = rules[n]
+                if (comps & cur == comps) if need_all else (comps & cur):
+                    cur |= low
+                    more |= parents.get(n, 0)
+            todo = more & pool & ~cur
+        return cur
 
+    def inhabited(self, avail: int) -> int:
+        """The types with a constructible value given variables of the types
+        of ``avail``: the closure of ``avail`` and of what the rules build
+        without variables, then ``_fall_back``."""
+        got = self.memo.get(avail)
+        if got is None:
+            pool, funs, todo = self._pool(avail)
+            parents = self.parents
+            new = avail & pool & ~self.always
+            for n in _ones(new):
+                todo |= parents.get(n, 0)
+            got = self._fall_back(avail, self._settle(self.always | new, todo,
+                                                      pool), pool, funs)
+        return got
 
-def _settle(cur: set, todo: list, table: _Rules, more: _Rules) -> None:
-    """Close ``cur`` under the rules of ``table`` and ``more`` by a worklist:
-    a type is examined once from ``todo`` and again only when one of its
-    components has just been added."""
-    rules, parents = table.rules, table.parents
-    more_rules, more_parents = more.rules, more.parents
-    while todo:
-        t = todo.pop()
-        if t in cur:
-            continue
-        need_all, comps = rules.get(t) or more_rules[t]
-        if (cur.issuperset(comps) if need_all else not cur.isdisjoint(comps)):
-            cur.add(t)
-            todo.extend(parents.get(t, ()))
-            todo.extend(more_parents.get(t, ()))
-
-
-def _rule_table(cfg: FragmentConfig, universe) -> tuple:
-    """The rule table of a universe, and what its rules build from no
-    variables at all: every inhabitation query starts there."""
-    rules = _Rules(cfg, universe)
-    always: set = set()
-    _settle(always, list(rules.rules), rules, _NO_RULES)
-    return rules, frozenset(always)
+    def _fall_back(self, avail: int, closed: int, pool: int,
+                   funs: list) -> int:
+        """``closed``, the closure of ``avail``, and each function type whose
+        domain is not inhabited here but whose codomain is once a variable of
+        the domain is added (while ``avail`` has fewer than five types).  The
+        domain is a type of the pool, and so are its subtypes: the query with
+        it added has the same pool and starts from ``closed``."""
+        cur, parents = closed, self.parents
+        if avail.bit_count() < 5:
+            for t, dom, cod in funs:
+                if cur >> t & 1 or cur >> dom & 1:
+                    continue
+                # a variable added takes nothing out of the closure
+                if not closed >> cod & 1:
+                    more = avail | 1 << dom
+                    got = self.memo.get(more)
+                    if got is None:
+                        got = self._fall_back(more, self._settle(
+                            closed | 1 << dom, parents.get(dom, 0), pool),
+                            pool, funs)
+                    if not got >> cod & 1:
+                        continue
+                cur |= 1 << t
+                if t in parents:
+                    cur = self._settle(cur, parents[t], pool)
+        self.memo[avail] = cur
+        return cur
 
 
 class _Candidates:
@@ -173,7 +302,7 @@ class TermGen:
             model, cap = interp_cap
             self.universe = [t for t in self.universe
                              if interp_size(t, model, cfg.nat_bound) <= cap]
-        self._rules, self._always = _rule_table(cfg, self.universe)
+        self._kernel = _Kernel(cfg, self.universe)
         self._w_memo: dict = {}
         self._ctx_memo: dict = {}
         self._sorted_memo: dict = {}
@@ -189,29 +318,11 @@ class TermGen:
         codomain is once a variable of the domain is added (while ``avail``
         has fewer than five types)."""
         got = self._w_memo.get(avail)
-        if got is not None:
-            return got
-        table = self._rules
-        more = (_NO_RULES if avail <= table.pool
-                else _Rules(self.cfg, avail, known=table.pool))
-        cur = set(self._always)
-        todo = list(more.rules)
-        for a in avail:
-            if a not in cur and (a in table.pool or a in more.pool):
-                cur.add(a)
-                todo.extend(table.parents.get(a, ()))
-                todo.extend(more.parents.get(a, ()))
-        _settle(cur, todo, table, more)
-        if len(avail) < 5:
-            for t in itertools.chain(table.funs, more.funs):
-                if (t not in cur and t.dom not in cur
-                        and t.cod in self.inhabited(avail | {t.dom})):
-                    cur.add(t)
-                    _settle(cur, table.parents.get(t, [])
-                            + more.parents.get(t, []), table, more)
-        result = frozenset(cur)
-        self._w_memo[avail] = result
-        return result
+        if got is None:
+            kernel = self._kernel
+            got = self._w_memo[avail] = kernel.decode(
+                kernel.inhabited(kernel.mask(avail)))
+        return got
 
     def _w(self, ctx: Context) -> frozenset:
         got = self._ctx_memo.get(ctx)

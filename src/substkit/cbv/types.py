@@ -402,6 +402,10 @@ def parse_fragment(text: str, nat_bound: int, base_types=("b",),
         exts = EXTENSIONS
     else:
         exts = tuple(p.strip() for p in text.replace("+", ",").split(",") if p.strip())
+        whole = [e for e in exts if e in ("base", "full")]
+        if whole:
+            raise ValueError(f"fragment {text!r}: {whole[0]!r} names a whole "
+                             f"fragment, not an extension, so it stands alone")
     return config(exts, base_types, nat_bound, type_depth)
 
 

@@ -202,8 +202,10 @@ def _parse_term_or_value(text):
 
 
 def _parse_value(text: str):
+    """An integer if ``text`` is one, with at most one leading minus, else
+    the text itself."""
     text = text.strip()
-    return int(text) if text.lstrip("-").isdigit() else text
+    return int(text) if text.removeprefix("-").isdecimal() else text
 
 
 def _sort_to_str(sort) -> str:

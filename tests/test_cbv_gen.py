@@ -1,14 +1,16 @@
-"""Type inhabitation and seeded draws: the rule-table worklist against the
-full re-sweep, each candidate record against the scans it replaces, and
-golden digests of seeded corpora and of the exhaustive lemma's cases."""
+"""Type inhabitation and seeded draws: the numbered kernel against the full
+re-sweep, with seeded mutants of the kernel, each candidate record against the
+scans it replaces, and golden digests of seeded corpora and of the exhaustive
+lemma's cases."""
 
 import hashlib
 import random
+import re
 
 import pytest
 
-from substkit.cbv.gen import (_MAYBE_NAT, Enumeration, TermGen, enumerate_terms,
-                              enumerate_values)
+from substkit.cbv.gen import (_MAYBE_NAT, Enumeration, TermGen, _Kernel, _ones,
+                              enumerate_terms, enumerate_values)
 from substkit.cbv.ops import CbvOperatorTable, vmatch_allowed
 from substkit.cbv.types import (EXTENSIONS, NAT, UNIT, Base, Fun, NatType,
                                 Record, Variant, all_fragment_configs, config,
@@ -101,11 +103,29 @@ def _gen(cfg, seed=0, **kw) -> TermGen:
     return TermGen(CbvOperatorTable(cfg), random.Random(seed), **kw)
 
 
+def _named(gen: TermGen, avail) -> str:
+    return f"{gen.cfg.name()}: avail {sorted(map(repr, avail))}"
+
+
 def _assert_agrees(gen: TermGen, avails) -> None:
     memo: dict = {}
     for avail in avails:
         assert gen.inhabited(avail) == sweep_inhabited(gen, avail, memo), \
-            (gen.cfg.name(), sorted(map(repr, avail)))
+            _named(gen, avail)
+
+
+def _assert_memo_agrees(gen: TermGen) -> None:
+    """Every entry of the kernel's mask memo, decoded, recursive queries
+    included: the generator's own ``inhabited`` sees only top-level ones."""
+    kernel, memo = gen._kernel, {}
+
+    def types(mask):
+        return frozenset(kernel.types[n] for n in _ones(mask))
+
+    for avail, got in kernel.memo.items():
+        avail = types(avail)
+        assert types(got) == sweep_inhabited(gen, avail, memo), \
+            _named(gen, avail)
 
 
 def _seeded_avails(rng: random.Random, candidates: list, per_size: int = 3):
@@ -159,13 +179,24 @@ def test_inhabited_agrees_under_an_interpretation_cap():
     _assert_agrees(gen, _seeded_avails(rng, candidates, per_size=6))
 
 
-@pytest.mark.parametrize("exts", [EXTENSIONS, ("functions", "records"),
-                                  ("sequential", "naturals", "while")],
-                         ids=lambda e: "+".join(e))
+HOLED = [EXTENSIONS, ("functions", "records"),
+         ("sequential", "naturals", "while"), "capped"]
+
+
+@pytest.mark.parametrize("exts", HOLED,
+                         ids=lambda e: e if e == "capped" else "+".join(e))
 def test_inhabited_agrees_on_every_call_of_a_holed_corpus(exts):
-    """Every query a seeded generation makes, recursive ones included."""
-    cfg = config(exts, ("b", "c"), nat_bound=4)
-    gen = _gen(cfg, seed=3)
+    """Every query a seeded generation makes: each top-level one, asked again
+    of a fresh generator, and each recursive one through the kernel's memo.
+    ``capped`` is a generator as ``semantics.checks`` builds them."""
+    kw = {}
+    if exts == "capped":
+        cfg = config(EXTENSIONS, ("b",), nat_bound=4)
+        m = model(monads.monad_by_name("option"), {"b": 2})
+        kw["interp_cap"] = (m, 40)
+    else:
+        cfg = config(exts, ("b", "c"), nat_bound=4)
+    gen = _gen(cfg, seed=3, **kw)
     calls = []
     real = gen.inhabited
 
@@ -177,7 +208,93 @@ def test_inhabited_agrees_on_every_call_of_a_holed_corpus(exts):
     for _ in range(20):
         gen.random_item(3, 3, holes={}, hole_prob=0.35)
     assert len(calls) > 20
-    _assert_agrees(_gen(cfg), calls)
+    _assert_agrees(_gen(cfg, **kw), calls)
+    # with functions, the fallback's recursive queries are memo entries too
+    assert (len(gen._kernel.memo) > len(set(calls))) == cfg.has("functions")
+    _assert_memo_agrees(gen)
+
+
+class _Uncounted(int):
+    """A mask whose variable types count as none, so the fallback never
+    meets its cutoff; a union with it is another such mask."""
+
+    def bit_count(self):
+        return 0
+
+    def __or__(self, other):
+        return _Uncounted(int(self) | other)
+
+
+C = Base("c")
+# five variable types without ``b``, so only a fallback with a variable of
+# type ``b`` inhabits ``b -> b``; fewer than five would take that fallback
+FIVE = frozenset({C, fun(C, C), fun(C, fun(C, C)), fun(fun(C, C), C),
+                  fun(fun(C, C), fun(C, C))})
+
+
+def test_fallback_ignoring_the_cutoff_fails_agreement(monkeypatch):
+    """A seeded mutant of the kernel whose fallback ignores the
+    five-variable cutoff: it inhabits ``b -> b`` over five variable types,
+    and the agreement check names that set."""
+    cfg = config(("functions",), ("b", "c"), nat_bound=4)
+    b_to_b = fun(Base("b"), Base("b"))
+    assert b_to_b in _gen(cfg).inhabited(FIVE - {C})
+    _assert_agrees(_gen(cfg), [FIVE])
+    real = _Kernel.inhabited
+    monkeypatch.setattr(_Kernel, "inhabited",
+                        lambda self, avail: real(self, _Uncounted(avail)))
+    gen = _gen(cfg)
+    assert b_to_b in gen.inhabited(FIVE)
+    with pytest.raises(AssertionError, match=re.escape(_named(gen, FIVE))):
+        _assert_agrees(_gen(cfg), [FIVE])
+
+
+def _leaky_pool(real):
+    """A mutant pool: every out-of-universe type an earlier query walked
+    joins it."""
+    def pool(self, avail):
+        got, funs, todo = real(self, avail)
+        for walked, _, _ in self.extras.values():
+            got |= walked
+        return got, funs, todo
+    return pool
+
+
+def _pool_without_start(real):
+    """A mutant pool whose extra rule types are left out of the starting
+    worklist."""
+    def pool(self, avail):
+        got, funs, _ = real(self, avail)
+        return got, funs, 0
+    return pool
+
+
+B = Base("b")
+# the extra type of the first mutant is the depth-3 ``((b -> b) -> b) -> b``,
+# built from ``b`` once the second query makes ``b`` a variable; the second
+# mutant's is a depth-3 record of ``{}``, built from nothing
+MUTANT_POOLS = {
+    "earlier extras leak": (_leaky_pool, ("functions",), [
+        frozenset({fun(fun(fun(B, B), B), B)}), frozenset({B})]),
+    "no extra rules at the start": (_pool_without_start,
+                                    ("functions", "records"), [
+        frozenset({B}),
+        frozenset({fun(record((("A", record((("A", UNIT),))),)), B)})]),
+}
+
+
+@pytest.mark.parametrize("case", MUTANT_POOLS)
+def test_mutant_query_pools_fail_agreement(monkeypatch, case):
+    """Seeded mutants of a query's pool: the agreement check fails on the
+    last of the queries, and names it."""
+    mutant, exts, avails = MUTANT_POOLS[case]
+    cfg = config(exts, ("b", "c"), nat_bound=4)
+    _assert_agrees(_gen(cfg), avails)
+    monkeypatch.setattr(_Kernel, "_pool", mutant(_Kernel._pool))
+    gen = _gen(cfg)
+    with pytest.raises(AssertionError,
+                       match=re.escape(_named(gen, avails[-1]))):
+        _assert_agrees(gen, avails)
 
 
 def test_letrec_falls_back_only_on_a_too_deep_definition():

@@ -82,6 +82,15 @@ def test_fragments_ops_unknown_extension_is_one_error_line():
     assert out.stdout == ""
 
 
+@pytest.mark.parametrize("text", ["base+", "functions,full", "base+functions"])
+def test_a_whole_fragment_name_in_a_list_is_named_as_the_problem(text):
+    """``base`` and ``full`` stand alone; an empty list item is skipped."""
+    whole = "full" if "full" in text else "base"
+    with pytest.raises(ValueError, match=f"{whole!r} names a whole fragment"):
+        parse_fragment(text, 4)
+    assert parse_fragment("+functions", 4) == parse_fragment("functions", 4)
+
+
 def test_default_model_sizes_every_base_type_of_the_fragment(tmp_path):
     prog = tmp_path / "prog.cbv"
     prog.write_text("val x\n")
@@ -203,6 +212,7 @@ MALFORMED_RUN = {
     "fragment config is a list": ["--fragment-config", ["sequential"]],
     "extensions not a list": ["--fragment-config", {"extensions": 5}],
     "point outside": ["--at", "zz"],
+    "point with a doubled minus": ["--at=--0"],
     "negative exception count": ["--monad", "exception", "--exceptions", "-2"],
     "negative state count": ["--monad", "state", "--states", "-1"],
     "600 nested parentheses": ["--fragment", "full"],
@@ -270,6 +280,9 @@ MALFORMED_RUN = {
     "unknown model key": ["--model", {"monad": "option", "foo": 1}],
     "unknown fragment config key": ["--fragment-config",
                                     {"extensions": [], "foo": 1}],
+    # 'base' and 'full' name whole fragments: neither is listed with others
+    "base in a list of extensions": ["--fragment", "base+"],
+    "full in a list of extensions": ["--fragment", "functions,full"],
 }
 
 # the program of a case that does not run "val x"
@@ -403,13 +416,13 @@ def test_deepest_accepted_program_typechecks_folds_and_denotes(tmp_path, capsys,
         f"error: nesting deeper than {MAX_NESTING} levels")
 
 
-def mutate(text, rng):
+def mutate(text, rng, extra=""):
     """``text`` with 1 to 3 seeded character edits: a deletion, or a character
-    of ``text`` inserted or written over one."""
+    of ``text`` (or of ``extra``) inserted or written over one."""
     chars = list(text)
     for _ in range(rng.randint(1, 3)):
         k = rng.randrange(len(chars) + 1)
-        edit, c = rng.randrange(3), rng.choice(text)
+        edit, c = rng.randrange(3), rng.choice(text + extra)
         if edit == 0 or k == len(chars):
             chars.insert(k, c)
         elif edit == 1:
@@ -538,6 +551,14 @@ def mutate_json(doc, rng):
     return doc
 
 
+def assert_exit_0_or_1_and_one_error_line(code, err, case):
+    assert code in (0, 1), case
+    if code == 1:
+        assert "Traceback" not in err, case
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: "), (case, err)
+
+
 def test_mutated_json_inputs_end_in_exit_0_or_1_and_one_error_line(tmp_path,
                                                                    capsys):
     """Seeded mutation fuzz of the ``--fragment-config`` and ``--model``
@@ -559,14 +580,72 @@ def test_mutated_json_inputs_end_in_exit_0_or_1_and_one_error_line(tmp_path,
         spec_path.write_text(json.dumps(spec))
         code = main(["run", str(prog), "--context", "x: b", "--expect", "C b",
                      "--fragment-config", str(cfg_path), "--model", str(spec_path)])
-        err = capsys.readouterr().err
-        assert code in (0, 1), (cfg, spec)
-        if code == 1:
-            assert "Traceback" not in err, (cfg, spec)
-            lines = err.splitlines()
-            assert len(lines) == 1 and lines[0].startswith("error: "), (cfg, spec, err)
+        assert_exit_0_or_1_and_one_error_line(code, capsys.readouterr().err,
+                                              (cfg, spec))
         codes[code] += 1
     # the edits leave some pairs valid and break most
+    assert codes[0] and codes[1]
+
+
+# per option: the valid strings a mutation starts from, the characters it may
+# add besides theirs, and the rest of the ``run`` of ``val x``; the sizes a
+# mutation can write stay far below the enumeration cap
+OPTION_FUZZ = {
+    "--fragment": (["base", "full", "functions", "sequential,functions",
+                    "records+variants", "+naturals"], "+, ",
+                   ["--context", "x: b"]),
+    "--base-types": (["b", "b,c", "b, c", "c,b"], ", ", ["--context", "x: b"]),
+    "--base-size": (["b=2", "b=3", " b=1", "b=0"], "=,- ",
+                    ["--context", "x: b"]),
+    "--at": (["b0,c0", "b1,c1", "b0, c1"], ",- ",
+             ["--base-types", "b,c", "--context", "x: b, y: c"]),
+}
+
+
+@pytest.mark.parametrize("option", OPTION_FUZZ)
+def test_mutated_option_strings_end_in_exit_0_or_1_and_one_error_line(
+        tmp_path, capsys, option):
+    """Seeded mutation fuzz of one option's string: a valid string with 1 to
+    3 character edits, run in this process on ``val x``."""
+    prog = tmp_path / "prog.cbv"
+    prog.write_text("val x\n")
+    valid, extra, rest = OPTION_FUZZ[option]
+    rng = random.Random(f"20261021 {option}")
+    codes = Counter()
+    for _ in range(150):
+        text = mutate(rng.choice(valid), rng, extra)
+        # the '=' form keeps a string that starts with '-' an option value
+        code = main(["run", str(prog), "--expect", "C b", *rest,
+                     f"{option}={text}"])
+        assert_exit_0_or_1_and_one_error_line(code, capsys.readouterr().err,
+                                              text)
+        codes[code] += 1
+    # the edits leave some strings valid and break others
+    assert codes[0] and codes[1]
+
+
+# substitution files for "val x" under --context "x: b" and base types b, c
+SUBST_FUZZ = ["target y: b\nx = y\n", "target y: b, z: c\nx = z\n",
+              "target f: b -> b, y: b\n-- a comment\nx = y\n"]
+
+
+def test_mutated_substitution_files_end_in_exit_0_or_1_and_one_error_line(
+        tmp_path, capsys):
+    """Seeded mutation fuzz of ``subst`` files: a valid file with 1 to 3
+    character edits, substituted into ``val x`` and checked against the
+    lemma in this process."""
+    term, sub = tmp_path / "t.cbv", tmp_path / "s.subst"
+    term.write_text("val x\n")
+    rng = random.Random(20261021)
+    codes = Counter()
+    for _ in range(200):
+        sub.write_text(mutate(rng.choice(SUBST_FUZZ), rng, " ,:=-\n"))
+        code = main(["subst", str(term), str(sub), "--base-types", "b,c",
+                     "--context", "x: b", "--expect", "C b", "--monad",
+                     "option"])
+        assert_exit_0_or_1_and_one_error_line(code, capsys.readouterr().err,
+                                              sub.read_text())
+        codes[code] += 1
     assert codes[0] and codes[1]
 
 

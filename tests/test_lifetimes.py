@@ -132,16 +132,23 @@ def test_a_type_that_handed_out_its_sorts_is_freed_without_the_cycle_collector()
 
 def test_generator_memos_are_freed_with_it_without_the_cycle_collector():
     """A generator keeps, per inhabited set, its sorted list and candidate
-    record, and per context its inhabited set; none refers back to it, so
-    all of them go with the generator."""
+    record, and per context its inhabited set; its inhabitation kernel keeps
+    the numbering of the types it met, the walk of each out-of-universe
+    variable type, the mask memo and the decoded sets.  None refers back to
+    the generator, so all of them go with it."""
     cfg = config(("functions", "records", "variants", "while"), ("b", "c"),
                  nat_bound=4)
     gen = TermGen(CbvOperatorTable(cfg), random.Random(0))
     for _ in range(20):
         gen.random_item(3, 4, holes={}, hole_prob=0.2)
+    # a depth-3 variable type lies outside the universe
+    gen.inhabited(frozenset({fun(fun(fun(B, B), B), B)}))
     ctx, w = next(iter(gen._ctx_memo.items()))
-    kept = [ctx, w, gen._sorted_memo[w], gen._cands(w)]
-    assert len(gen._cand_memo) > 1
+    kernel = gen._kernel
+    kept = [ctx, w, gen._sorted_memo[w], gen._cands(w), kernel.numbers,
+            kernel.types, kernel.extras, kernel.memo, kernel.decoded]
+    assert len(gen._cand_memo) > 1 and len(kernel.memo) > 1 and kernel.extras
+    del kernel
     ref = weakref.ref(gen)
     # the memos take no weak references: each is freed when the generator
     # lets go of the one reference it holds
