@@ -394,7 +394,9 @@ MAX_NESTING = 100
 
 def parse_fragment(text: str, nat_bound: int, base_types=("b",),
                    type_depth: int = 3) -> FragmentConfig:
-    """A configuration from 'base', 'full', or a list like 'sequential,functions'."""
+    """A configuration from 'base', 'full', a list like 'sequential,functions',
+    or a name as ``FragmentConfig.name`` prints it, such as
+    'base+sequential+functions'."""
     text = text.strip()
     if text in ("base", ""):
         exts = ()
@@ -402,6 +404,9 @@ def parse_fragment(text: str, nat_bound: int, base_types=("b",),
         exts = EXTENSIONS
     else:
         exts = tuple(p.strip() for p in text.replace("+", ",").split(",") if p.strip())
+        # a printed name puts 'base+' before the extensions it lists
+        if text.startswith("base+") and len(exts) > 1:
+            exts = exts[1:]
         whole = [e for e in exts if e in ("base", "full")]
         if whole:
             raise ValueError(f"fragment {text!r}: {whole[0]!r} names a whole "

@@ -364,7 +364,8 @@ def main(argv=None) -> int:
 
     def common(p):
         p.add_argument("--fragment", default="base",
-                       help="extension list, e.g. 'sequential,functions', or 'full'")
+                       help="extension list, e.g. 'sequential,functions', a "
+                       "listed name such as 'base+functions', or 'full'")
         p.add_argument("--base-types", default="b")
         p.add_argument("--context", default="", help="e.g. 'x: b, f: b -> b'")
         p.add_argument("--expect", default=None,

@@ -24,7 +24,7 @@ from ..report import Report
 from ..signatures import route_environment
 from ..sorts import (Context, enumerate_contexts, enumerate_renamings, first,
                      second)
-from ..terms import Op, SubstEnv, Term, Var, substitute
+from ..terms import FoldMemo, Op, SubstEnv, Term, Var, substitute
 from .denote import (DenotationCarrier, Interpreter, NonConvergence, denote,
                      elgot_unrolling_oracle, kleene_fixpoint)
 from .finset import FinSet
@@ -244,10 +244,12 @@ def _entries(env: SubstEnv, interp: Interpreter) -> list:
 
 
 def _lemma_at(t: Term, env: SubstEnv, interp: Interpreter, t_den,
-              entry_dens: list) -> tuple:
+              entry_dens: list, memo: FoldMemo | None = None) -> tuple:
     """``lemma_holds`` given the denotations of ``t`` and of the entries,
-    which a caller that meets them in many cases denotes once."""
-    lhs = _denote(substitute(t, env), interp)
+    which a caller that meets them in many cases denotes once; ``memo``, the
+    caller's ``FoldMemo(env)``, shares the substituted subterms of its
+    cases."""
+    lhs = _denote(substitute(t, env, memo), interp)
     rhs = subst_denotation(t_den, entry_dens, interp.m, interp.cfg.nat_bound,
                            target=env.target)
     diff = lhs.difference_witness(rhs)
@@ -263,7 +265,17 @@ def check_substitution_lemma_exhaustive(cfg: FragmentConfig, m: Model,
     deterministic rotation through the pool of substitutions into contexts
     of length at most ``subst_ctx_len`` whose entries are values of depth at
     most 2 (binder extensions up to length 2).  Both are enumerated from the
-    operator table's instances at result types up to the fragment's depth."""
+    operator table's instances at result types up to the fragment's depth.
+
+    The corpus terms share subterm objects, and the check folds each shared
+    subterm once per substitution and once per ambient context.  The check
+    owns one ``FoldMemo`` per substitution of a source context's pool,
+    freed with that pool once the next source context's replaces it, and
+    hands it through ``_lemma_at`` to ``substitute``.  The check's
+    interpreter owns the fold memos of the denotations, one per ambient
+    context, and drops them at the same point.  Each distinct
+    substituted node is still built, and checked, by ``Op``, and every case
+    is still compared at every point of its space."""
     rep = report if report is not None else Report()
     suite = f"subst-lemma[{cfg.name()},{m.monad.name}]"
     table = CbvOperatorTable(cfg)
@@ -287,6 +299,9 @@ def check_substitution_lemma_exhaustive(cfg: FragmentConfig, m: Model,
                 pool.append(SubstEnv(src, tgt, combo))
         if not pool:
             continue
+        # the corpus terms of earlier source contexts, and the terms
+        # substituted into them, do not recur
+        interp.drop_fold_memos()
         # every term meets every variable-entry substitution and one value
         # entry, rotating through the rest; each term and each substitution's
         # entries are denoted once, not once per case
@@ -294,20 +309,23 @@ def check_substitution_lemma_exhaustive(cfg: FragmentConfig, m: Model,
         for env in pool:
             (var_only if all(isinstance(e, Var) for e in env.entries)
              else rest).append(env)
-        var_only = [(env, _entries(env, interp)) for env in var_only]
-        rest_dens: dict = {}
+        var_only = [(env, _entries(env, interp), FoldMemo(env))
+                    for env in var_only]
+        rest_cases: dict = {}
         rotate = 0
         for t in universe:
             for term in enumerate_terms(corpus, src, t, 3):
                 cases = var_only
                 if rest:
                     k = rotate % len(rest)
-                    if k not in rest_dens:
-                        rest_dens[k] = _entries(rest[k], interp)
-                    cases = var_only + [(rest[k], rest_dens[k])]
+                    if k not in rest_cases:
+                        rest_cases[k] = (rest[k], _entries(rest[k], interp),
+                                         FoldMemo(rest[k]))
+                    cases = var_only + [rest_cases[k]]
                 term_den = _denote(term, interp)
-                for env, entry_dens in cases:
-                    ok, diff = _lemma_at(term, env, interp, term_den, entry_dens)
+                for env, entry_dens, memo in cases:
+                    ok, diff = _lemma_at(term, env, interp, term_den,
+                                         entry_dens, memo)
                     checked += 1
                     if not ok:
                         rep.record(suite, "exhaustive corpus", False,

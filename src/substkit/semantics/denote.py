@@ -13,16 +13,22 @@ An ``Interpreter`` shares the denotations it builds, as hash-consing shares
 terms: one per (operator label, context, child denotations), one projection
 per (context, position) and one weakening per (denotation, context).  A
 subterm that recurs, in one term or across the terms an interpreter denotes,
-is denoted once, and its memo answers for every occurrence.  The tables go
-with their interpreter, which a check owns for as long as its terms may
-share.
+is denoted once, and its memo answers for every occurrence.  Beside those
+tables the interpreter keeps one ``terms.FoldMemo`` per ambient context,
+which ``denote`` folds through: a subterm object it has met under that
+context is not walked again, and its denotation is read back by the
+identity of the subterm.  Every term denoted under one ambient context is folded over
+that context with its projections, so a subterm's denotation depends on the
+subterm alone.  The tables and memos go with their interpreter, which a
+check owns for as long as its terms may share; a check that is done with
+its terms drops the memos earlier, with ``drop_fold_memos``.
 """
 
 from __future__ import annotations
 
 from ..cbv.types import FragmentConfig, record
 from ..sorts import Context, Renaming
-from ..terms import fold
+from ..terms import FoldMemo, fold
 from .model import (Denotation, Model, interpret_type, memoized, precompose,
                     projection)
 from .monads import NONE, UnsupportedCapability
@@ -124,13 +130,15 @@ class Interpreter:
     """The algebra of the denotation fold, and the owner of the denotations
     ``denote`` builds with it.  ``alg`` is the plain clause dispatch, which
     the compatibility squares call directly; ``denote`` shares through
-    ``_build`` and ``_shared``."""
+    ``_build`` and ``_shared``, and folds through ``_folds``, one memo per
+    ambient context."""
 
     def __init__(self, m: Model, cfg: FragmentConfig):
         self.m = m
         self.cfg = cfg
         self._shared = SharingCarrier(m, cfg.nat_bound)
         self._built: dict = {}
+        self._folds: dict = {}
 
     # -- small helpers ------------------------------------------------------
 
@@ -154,12 +162,21 @@ class Interpreter:
 
     # -- the algebra --------------------------------------------------------
 
+    def drop_fold_memos(self) -> None:
+        """Forget which subterm objects were denoted, and let them go, once
+        the terms denoted so far will not recur; the shared denotations
+        stay."""
+        self._folds = {}
+
     def denote(self, t) -> Denotation:
         """Interpret a well-sorted term over its ambient context, reusing every
         denotation this interpreter built before."""
-        shared = self._shared
-        env = [shared.var(t.ctx, i) for i in range(len(t.ctx))]
-        return fold(t, self._build, self._alg_hole, env, t.ctx, shared)
+        ctx, shared = t.ctx, self._shared
+        memo = self._folds.get(ctx)
+        if memo is None:
+            memo = self._folds[ctx] = FoldMemo(ctx)
+        env = [shared.var(ctx, i) for i in range(len(ctx))]
+        return fold(t, self._build, self._alg_hole, env, ctx, shared, memo)
 
     def _build(self, op, values, ctx):
         """``alg``, once per (operator label, context, child denotations)."""

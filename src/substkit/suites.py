@@ -245,6 +245,12 @@ def compatibility(rep: Report, seed: int) -> None:
                             config(("sequential",)), seed=seed, report=rep)
 
 
+# the extensions of the configurations whose substitution lemma
+# ``substitution_lemma`` checks exhaustively, each with the size of ``b``
+LEMMA_EXHAUSTIVE = (((), 3), (("sequential",), 3), (("functions",), 2),
+                    (("sequential", "functions"), 2))
+
+
 def substitution_lemma(rep: Report, seed: int, count: int) -> None:
     """Exhaustive for the base/sequential/functional combinations under
     identity and option; ``count`` random cases for each other config."""
@@ -252,13 +258,11 @@ def substitution_lemma(rep: Report, seed: int, count: int) -> None:
                                    check_substitution_lemma_random)
     from .semantics.model import model
     from .semantics.monads import IdentityMonad, OptionMonad
-    exhaustive = [((), 3), (("sequential",), 3), (("functions",), 2),
-                  (("sequential", "functions"), 2)]
-    for exts, size in exhaustive:
+    for exts, size in LEMMA_EXHAUSTIVE:
         for mon in (IdentityMonad(), OptionMonad()):
             check_substitution_lemma_exhaustive(
                 config(exts), model(mon, {"b": size}), report=rep)
-    small = {frozenset(e) for e, _ in exhaustive}
+    small = {frozenset(e) for e, _ in LEMMA_EXHAUSTIVE}
     mdl = model(OptionMonad(), {"b": 2})
     for i, cfg in enumerate(all_fragment_configs(("b",), nat_bound=4)):
         if cfg.extensions not in small:

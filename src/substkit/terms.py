@@ -229,7 +229,24 @@ class TermCarrier:
     var = Var
 
 
-def fold(t: Term, alg_ops, alg_hole, env: Sequence, out_ctx: Context, hooks) -> object:
+class FoldMemo:
+    """The results of a fold at operator nodes, for the folds of one owner.
+
+    ``results`` maps the identity of a subterm to the pair of the subterm and
+    its result: keeping the subterm keeps its ``id`` from being reused while
+    the memo lives.  ``serves`` names what the memo was made for, such as the
+    ``SubstEnv`` of ``substitute``, so that handing it to another owner can
+    be refused instead of answered from the wrong table."""
+
+    __slots__ = ("serves", "results")
+
+    def __init__(self, serves):
+        self.serves = serves
+        self.results: dict = {}
+
+
+def fold(t: Term, alg_ops, alg_hole, env: Sequence, out_ctx: Context, hooks,
+         memo: FoldMemo | None = None) -> object:
     """The unique environment-carrying traversal out of the syntax.
 
     ``env`` has one value over ``out_ctx`` per position of ``t.ctx``.
@@ -246,17 +263,28 @@ def fold(t: Term, alg_ops, alg_hole, env: Sequence, out_ctx: Context, hooks) -> 
 
     The algebras are called as ``alg_ops(op, values, ctx)`` and
     ``alg_hole(hole, values, ctx)``.
+
+    With a ``memo``, an operator node whose subterm object the memo has seen
+    is not folded again: its result is read back, keyed on the identity of
+    the subterm.  The caller keeps one memo per environment and
+    ``out_ctx``, and folds through it only terms over one context, with the
+    same algebras and hooks.  Identity is then a sound key: a subterm ``s``
+    of such a term is reached over ``out_ctx`` extended by the binders that
+    ``s.ctx`` adds to ``t.ctx``, which ``s`` alone determines, so each of its
+    occurrences folds to the same result.  Without a memo each operator node
+    pays one ``is None`` test.
     """
     if len(env) != len(t.ctx):
         raise IllSorted(f"environment of {len(env)} entries for a term over "
                         f"{t.ctx!r}")
-    return _fold(t, alg_ops, alg_hole, hooks, env, out_ctx, out_ctx)
+    return _fold(t, alg_ops, alg_hole, hooks, env, out_ctx, out_ctx,
+                 None if memo is None else memo.results)
 
 
 def _fold(t, alg_ops, alg_hole, hooks, env: Sequence, out_ctx: Context,
-          ctx: Context):
+          ctx: Context, memo: dict | None):
     """``fold`` at a node over ``ctx``, which is ``out_ctx`` followed by the
-    binders passed on the way down."""
+    binders passed on the way down; ``memo`` is the ``FoldMemo``'s table."""
     if type(t) is Var:
         i, k, n = t.index, len(env), len(out_ctx)
         if i >= k:
@@ -265,11 +293,20 @@ def _fold(t, alg_ops, alg_hole, hooks, env: Sequence, out_ctx: Context,
             return env[i]
         return hooks.act(env[i], Renaming(ctx, out_ctx, range(n)))
     if type(t) is Op:
-        values = [_fold(arg, alg_ops, alg_hole, hooks, env, out_ctx,
-                        ctx.extend(decl.binder))
-                  for arg, decl in zip(t.args, t.op.args)]
-        return alg_ops(t.op, values, ctx)
-    values = [_fold(e, alg_ops, alg_hole, hooks, env, out_ctx, ctx) for e in t.env]
+        if memo is None:
+            values = [_fold(arg, alg_ops, alg_hole, hooks, env, out_ctx,
+                            ctx.extend(decl.binder), None)
+                      for arg, decl in zip(t.args, t.op.args)]
+            return alg_ops(t.op, values, ctx)
+        got = memo.get(id(t))
+        if got is None:
+            values = [_fold(arg, alg_ops, alg_hole, hooks, env, out_ctx,
+                            ctx.extend(decl.binder), memo)
+                      for arg, decl in zip(t.args, t.op.args)]
+            got = memo[id(t)] = (t, alg_ops(t.op, values, ctx))
+        return got[1]
+    values = [_fold(e, alg_ops, alg_hole, hooks, env, out_ctx, ctx, memo)
+              for e in t.env]
     return alg_hole(t.hole, values, ctx)
 
 
@@ -281,12 +318,19 @@ def _rebuild_hole(hole, values, ctx):
     return Meta(hole, ctx, values)
 
 
-def substitute(t: Term, env: SubstEnv) -> Term:
-    """Capture-avoiding simultaneous substitution, as the fold at the term carrier."""
+def substitute(t: Term, env: SubstEnv, memo: FoldMemo | None = None) -> Term:
+    """Capture-avoiding simultaneous substitution, as the fold at the term
+    carrier.  ``memo``, made as ``FoldMemo(env)``, shares the substituted
+    subterms among the terms substituted through it; a memo made for another
+    substitution is refused."""
     if t.ctx != env.source:
         raise IllSorted(f"term over {t.ctx!r} cannot take a substitution from "
                         f"{env.source!r}")
-    return fold(t, _rebuild_ops, _rebuild_hole, env.entries, env.target, TermCarrier)
+    if memo is not None and memo.serves is not env:
+        raise ValueError(f"a fold memo made for {memo.serves!r} cannot serve "
+                         f"{env!r}")
+    return fold(t, _rebuild_ops, _rebuild_hole, env.entries, env.target,
+                TermCarrier, memo)
 
 
 def compose_subst(s1: SubstEnv, s2: SubstEnv) -> SubstEnv:

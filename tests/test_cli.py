@@ -82,13 +82,32 @@ def test_fragments_ops_unknown_extension_is_one_error_line():
     assert out.stdout == ""
 
 
-@pytest.mark.parametrize("text", ["base+", "functions,full", "base+functions"])
+@pytest.mark.parametrize("text", ["base+", "functions,full", "base,functions",
+                                  "base+base"])
 def test_a_whole_fragment_name_in_a_list_is_named_as_the_problem(text):
-    """``base`` and ``full`` stand alone; an empty list item is skipped."""
+    """``base`` and ``full`` stand alone, but for the ``base+`` that starts a
+    printed name before its extensions; an empty list item is skipped."""
     whole = "full" if "full" in text else "base"
     with pytest.raises(ValueError, match=f"{whole!r} names a whole fragment"):
         parse_fragment(text, 4)
     assert parse_fragment("+functions", 4) == parse_fragment("functions", 4)
+
+
+def test_every_listed_fragment_name_parses_back_to_its_extensions():
+    """``substkit fragments`` lists each configuration by ``cfg.name()``, and
+    ``--fragment`` takes that name back."""
+    from substkit.cbv.types import all_fragment_configs
+    for cfg in all_fragment_configs(("b", "c"), 4):
+        assert parse_fragment(cfg.name(), 4).extensions == cfg.extensions, \
+            cfg.name()
+
+
+def test_a_listed_fragment_name_runs(tmp_path):
+    prog = tmp_path / "prog.cbv"
+    prog.write_text("(val fn y: b . val y) (val x)\n")
+    out = run_cli("run", str(prog), "--context", "x: b", "--expect", "C b",
+                  "--fragment", "base+sequential+functions")
+    assert out.returncode == 0, out.stderr
 
 
 def test_default_model_sizes_every_base_type_of_the_fragment(tmp_path):

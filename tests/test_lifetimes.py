@@ -4,6 +4,7 @@ and no cache under ``src/`` grows for the life of the process."""
 
 import ast
 import gc
+import importlib
 import random
 import sys
 import weakref
@@ -59,9 +60,68 @@ def test_interpreter_and_its_denotations_are_freed_without_the_cycle_collector()
              *shared.weakenings.values()]
     refs = [weakref.ref(interp)] + [weakref.ref(b.at) for b in built]
     assert len(refs) > 3
+    # the fold memos, one per ambient context, take no weak references:
+    # each is freed when the interpreter lets go of the one it holds
+    memos = list(interp._folds.values())
+    assert [memo.serves for memo in memos] == [term.ctx]
+    assert len(memos[0].results) == 3
+    held = [sys.getrefcount(memo) for memo in memos]
     gc.disable()
     try:
         del interp, d, shared, built
+        assert [sys.getrefcount(memo) for memo in memos] == \
+            [n - 1 for n in held]
+        del memos
+        assert [ref() for ref in refs] == [None] * len(refs)
+    finally:
+        gc.enable()
+
+
+def test_pool_fold_memos_are_freed_with_their_pool(monkeypatch):
+    """The exhaustive lemma owns one substitution memo per substitution of
+    a source context's pool, and its interpreter one denotation memo per
+    ambient context, which the check drops at each new pool.  Without the
+    cycle collector: while the substitution memos of a pool are made, those
+    of the pools before the previous one are gone; once the denotation
+    memos are dropped, every one made before is gone; on return every memo
+    is."""
+    from substkit.semantics import IdentityMonad, checks
+    from substkit.terms import FoldMemo, SubstEnv
+
+    class Watched(FoldMemo):
+        __slots__ = ("__weakref__",)
+
+    substs, dens, sources, drops = [], [], [], []
+
+    def watched(serves):
+        if isinstance(serves, SubstEnv) and serves.source not in sources:
+            sources.append(serves.source)
+            alive = {ref().serves.source for ref in substs
+                     if ref() is not None}
+            assert alive <= set(sources[-2:]), alive
+        memo = Watched(serves)
+        (substs if isinstance(serves, SubstEnv) else dens).append(
+            weakref.ref(memo))
+        return memo
+
+    def dropped(interp):
+        real_drop(interp)
+        drops.append(len(dens))
+        assert [ref() for ref in dens] == [None] * len(dens)
+
+    denote_module = importlib.import_module("substkit.semantics.denote")
+    real_drop = denote_module.Interpreter.drop_fold_memos
+    monkeypatch.setattr(checks, "FoldMemo", watched)
+    monkeypatch.setattr(denote_module, "FoldMemo", watched)
+    monkeypatch.setattr(denote_module.Interpreter, "drop_fold_memos", dropped)
+    gc.disable()
+    try:
+        assert checks.check_substitution_lemma_exhaustive(
+            config(("sequential", "functions")),
+            model(IdentityMonad(), {"b": 2}), subst_ctx_len=1).ok
+        assert len(substs) > 10 and len(sources) > 3
+        assert len(drops) == len(sources) and drops[-1] > 10
+        refs = substs + dens
         assert [ref() for ref in refs] == [None] * len(refs)
     finally:
         gc.enable()

@@ -3,6 +3,8 @@
 import importlib
 import itertools
 import random
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -24,9 +26,13 @@ from substkit.semantics.denote import DenotationCarrier, Interpreter, denote
 from substkit.semantics.model import (Denotation, context_space, identity_sem_env,
                                       projection)
 from substkit.sorts import Context, Renaming, first, second
-from substkit.terms import Op, Var, identity_env, substitute
+from substkit import terms
+from substkit.terms import IllSorted, Op, Var, identity_env, substitute
 
 B = Base("b")
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+# the Op nodes substitute builds in one exhaustive lemma check, below
+BUILT_AFTER_SHARING = 1470
 # the package re-exports functions named like these modules
 denote_module = importlib.import_module("substkit.semantics.denote")
 model_module = importlib.import_module("substkit.semantics.model")
@@ -403,6 +409,110 @@ def test_sharing_key_without_the_operator_label_fails_the_lemma(monkeypatch):
     except KeyError:  # a match reads a tag its scrutinee's type lacks
         ok = False
     assert not ok
+
+
+def _unguarded_substitute(t, env, memo=None):
+    """``substitute`` without its check that ``memo`` serves ``env``."""
+    return terms.fold(t, terms._rebuild_ops, terms._rebuild_hole, env.entries,
+                      env.target, terms.TermCarrier, memo)
+
+
+def test_a_substitution_memo_reused_across_the_pool_is_refused_or_fails(
+        monkeypatch):
+    """A mutant of the check that hands one substitution memo to every
+    substitution of the pool with the same source and target, so a subterm
+    substituted under one answers for it under another.  ``substitute``
+    refuses a memo made for another substitution; with that guard gone, the
+    lemma fails with a witness, since the rotating value substitutions into
+    ``b`` send ``f: b -> b`` to functions with different tables."""
+    cfg = config(("sequential", "functions"))
+    m = model(IdentityMonad(), {"b": 2})
+    assert check_substitution_lemma_exhaustive(cfg, m, subst_ctx_len=1).ok
+    shared = {}
+
+    def one_per_target(env):
+        key = env.source, env.target
+        if key not in shared:
+            shared[key] = terms.FoldMemo(env)
+        return shared[key]
+
+    monkeypatch.setattr(checks, "FoldMemo", one_per_target)
+    with pytest.raises(ValueError, match="cannot serve"):
+        check_substitution_lemma_exhaustive(cfg, m, subst_ctx_len=1)
+    shared.clear()
+    monkeypatch.setattr(checks, "substitute", _unguarded_substitute)
+    failure = check_substitution_lemma_exhaustive(
+        cfg, m, subst_ctx_len=1).first_failure()
+    assert failure is not None and failure.witness.startswith("term ")
+    assert " env " in failure.witness
+
+
+def test_a_fold_memo_keyed_on_the_operator_label_fails_the_lemma(monkeypatch):
+    """A mutant of the fold's memo that keys an operator node's result on
+    its operator's label, not on the subterm's identity, so two different
+    subterms with one operator share a result.  It reaches both memo owners:
+    a substituted term or a denotation over the wrong context is refused
+    where it meets another (``IllSorted``, ``ValueError``), and one over the
+    right context fails the lemma with a witness."""
+    real = terms._fold
+
+    def fold_by_label(t, alg_ops, alg_hole, hooks, env, out_ctx, ctx, memo):
+        if memo is None or type(t) is not Op:
+            return real(t, alg_ops, alg_hole, hooks, env, out_ctx, ctx, memo)
+        got = memo.get(t.op.label)
+        if got is None:
+            values = [fold_by_label(arg, alg_ops, alg_hole, hooks, env,
+                                    out_ctx, ctx.extend(decl.binder), memo)
+                      for arg, decl in zip(t.args, t.op.args)]
+            got = memo[t.op.label] = (t, alg_ops(t.op, values, ctx))
+        return got[1]
+
+    cfg = config(("sequential", "functions"))
+    m = model(IdentityMonad(), {"b": 2})
+    assert check_substitution_lemma_exhaustive(cfg, m, subst_ctx_len=1).ok
+    monkeypatch.setattr(terms, "_fold", fold_by_label)
+    try:
+        failure = check_substitution_lemma_exhaustive(
+            cfg, m, subst_ctx_len=1).first_failure()
+    except (IllSorted, ValueError):
+        return
+    assert failure is not None and failure.witness.startswith("term ")
+    assert " env " in failure.witness
+
+
+def test_the_exhaustive_lemma_builds_each_shared_substituted_node_once(
+        monkeypatch):
+    """The Op nodes ``substitute`` builds in the exhaustive lemma of the
+    sequential and functional fragment under identity, at substitution
+    contexts of length 1.  Without the substitution memos it built 7,759,
+    one per operator node of every substituted case; with one memo per pool
+    substitution it builds 1,470, one per distinct pair of an operator
+    subterm and a substitution."""
+    built = 0
+    real = terms._rebuild_ops
+
+    def counted(op, values, ctx):
+        nonlocal built
+        built += 1
+        return real(op, values, ctx)
+
+    monkeypatch.setattr(terms, "_rebuild_ops", counted)
+    rep = check_substitution_lemma_exhaustive(
+        config(("sequential", "functions")), model(IdentityMonad(), {"b": 2}),
+        subst_ctx_len=1)
+    assert rep.ok, rep.to_text()
+    assert 0 < built <= BUILT_AFTER_SHARING
+
+
+def test_the_workload_runs_the_registry_exhaustive_lemma_configurations():
+    """The benchmark's subst-lemma workload keeps its own copy of the
+    exhaustive configurations, which must be the registry's."""
+    sys.path.insert(0, str(PERFBENCH))
+    try:
+        from workloads import LEMMA_EXHAUSTIVE
+    finally:
+        sys.path.remove(str(PERFBENCH))
+    assert tuple(LEMMA_EXHAUSTIVE) == suites.LEMMA_EXHAUSTIVE
 
 
 def sharing_cases():

@@ -18,8 +18,8 @@ from substkit.sorts import (Context, Renaming, Sort, compose_renamings, first,
                             identity_renaming, second)
 from substkit import suites
 from substkit.suites import check_meta_laws, check_term_laws
-from substkit.terms import (HoleDecl, IllSorted, Meta, MetaSubst, Op, SubstEnv,
-                            UnknownHole, Var, compose_meta_subst,
+from substkit.terms import (FoldMemo, HoleDecl, IllSorted, Meta, MetaSubst, Op,
+                            SubstEnv, UnknownHole, Var, compose_meta_subst,
                             compose_subst, fold,
                             identity_env, identity_meta_subst, meta_substitute,
                             rename, substitute, substitute_direct, TermCarrier)
@@ -308,6 +308,34 @@ def test_lazy_fold_substitutes_as_the_eager_reference():
             assert substitute(term, sigma) == reference_fold(
                 term, rebuild, rebuild_meta, sigma.entries, sigma.target,
                 TermCarrier)
+
+
+def test_a_fold_memo_substitutes_as_the_fold_without_one(rng):
+    """Through one memo per substitution, terms with and without holes are
+    substituted as without a memo; a subterm object met twice is
+    substituted once, and its image is one object; a memo made for another
+    substitution is refused."""
+    for _ in range(40):
+        ctx = random_toy_context(rng)
+        sigma = random_toy_env(rng, ctx, random_toy_context(rng))
+        memo = FoldMemo(sigma)
+        for _ in range(4):
+            t = random_toy_term(rng, ctx, second("v"), 3, {}, 0.3)
+            assert substitute(t, sigma, memo) == substitute(t, sigma)
+    ctx = Context(["v", "arrow"])
+    inner = ctx.extend(Context(["v"]))
+    sigma = random_toy_env(rng, ctx, Context(["v", "arrow"]))
+    # val (fn y. val x0), met in two applications
+    shared = val(ctx, lam(ctx, val(inner, Var(inner, 0))), "arrow")
+    memo = FoldMemo(sigma)
+    one = substitute(app(ctx, shared, val(ctx, Var(ctx, 0))), sigma, memo)
+    two = substitute(app(ctx, shared, app(ctx, val(ctx, Var(ctx, 1), "arrow"),
+                                         val(ctx, Var(ctx, 0)))), sigma, memo)
+    assert one.args[0] is two.args[0]
+    assert one.args[0] == substitute(shared, sigma)
+    other = SubstEnv(sigma.source, sigma.target, sigma.entries)
+    with pytest.raises(ValueError, match="cannot serve"):
+        substitute(shared, other, memo)
 
 
 @pytest.mark.parametrize("ctx_len, env_len", [(2, 3), (3, 2)])
