@@ -273,7 +273,7 @@ def check_substitution_lemma_exhaustive(cfg: FragmentConfig, m: Model,
     freed with that pool once the next source context's replaces it, and
     hands it through ``_lemma_at`` to ``substitute``.  The check's
     interpreter owns the fold memos of the denotations, one per ambient
-    context, and drops them at the same point.  Each distinct
+    context, which the check renews at the same point.  Each distinct
     substituted node is still built, and checked, by ``Op``, and every case
     is still compared at every point of its space."""
     rep = report if report is not None else Report()
@@ -301,7 +301,7 @@ def check_substitution_lemma_exhaustive(cfg: FragmentConfig, m: Model,
             continue
         # the corpus terms of earlier source contexts, and the terms
         # substituted into them, do not recur
-        interp.drop_fold_memos()
+        interp.fresh_fold_memos()
         # every term meets every variable-entry substitution and one value
         # entry, rotating through the rest; each term and each substitution's
         # entries are denoted once, not once per case

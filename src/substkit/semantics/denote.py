@@ -13,15 +13,18 @@ An ``Interpreter`` shares the denotations it builds, as hash-consing shares
 terms: one per (operator label, context, child denotations), one projection
 per (context, position) and one weakening per (denotation, context).  A
 subterm that recurs, in one term or across the terms an interpreter denotes,
-is denoted once, and its memo answers for every occurrence.  Beside those
-tables the interpreter keeps one ``terms.FoldMemo`` per ambient context,
-which ``denote`` folds through: a subterm object it has met under that
-context is not walked again, and its denotation is read back by the
-identity of the subterm.  Every term denoted under one ambient context is folded over
-that context with its projections, so a subterm's denotation depends on the
-subterm alone.  The tables and memos go with their interpreter, which a
-check owns for as long as its terms may share; a check that is done with
-its terms drops the memos earlier, with ``drop_fold_memos``.
+is denoted once, and its memo answers for every occurrence.
+
+A check whose terms share subterm objects also has the interpreter fold
+through memos, with ``fresh_fold_memos``: beside its tables the interpreter
+then keeps one ``terms.FoldMemo`` per ambient context, and a subterm object
+``denote`` has met under that context is not walked again; its denotation
+is read back by the identity of the subterm.  Every term denoted under one
+ambient context is folded over that context with its projections, so a
+subterm's denotation depends on the subterm alone.  Without that call
+``denote`` folds without a memo.  The tables and memos go with their
+interpreter, which a check owns for as long as its terms may share; the
+memos go earlier, at the next ``fresh_fold_memos``.
 """
 
 from __future__ import annotations
@@ -130,15 +133,15 @@ class Interpreter:
     """The algebra of the denotation fold, and the owner of the denotations
     ``denote`` builds with it.  ``alg`` is the plain clause dispatch, which
     the compatibility squares call directly; ``denote`` shares through
-    ``_build`` and ``_shared``, and folds through ``_folds``, one memo per
-    ambient context."""
+    ``_build`` and ``_shared``, and, once ``fresh_fold_memos`` has made
+    them, folds through ``_folds``, one memo per ambient context."""
 
     def __init__(self, m: Model, cfg: FragmentConfig):
         self.m = m
         self.cfg = cfg
         self._shared = SharingCarrier(m, cfg.nat_bound)
         self._built: dict = {}
-        self._folds: dict = {}
+        self._folds: dict | None = None
 
     # -- small helpers ------------------------------------------------------
 
@@ -162,19 +165,21 @@ class Interpreter:
 
     # -- the algebra --------------------------------------------------------
 
-    def drop_fold_memos(self) -> None:
-        """Forget which subterm objects were denoted, and let them go, once
-        the terms denoted so far will not recur; the shared denotations
-        stay."""
+    def fresh_fold_memos(self) -> None:
+        """Fold through new memos from here on, one per ambient context, for
+        terms that share subterm objects; the memos made before, and the
+        subterms they keep, go, since no term denoted so far recurs.  The
+        shared denotations stay."""
         self._folds = {}
 
     def denote(self, t) -> Denotation:
         """Interpret a well-sorted term over its ambient context, reusing every
         denotation this interpreter built before."""
-        ctx, shared = t.ctx, self._shared
-        memo = self._folds.get(ctx)
-        if memo is None:
-            memo = self._folds[ctx] = FoldMemo(ctx)
+        ctx, shared, folds, memo = t.ctx, self._shared, self._folds, None
+        if folds is not None:
+            memo = folds.get(ctx)
+            if memo is None:
+                memo = folds[ctx] = FoldMemo(ctx)
         env = [shared.var(ctx, i) for i in range(len(ctx))]
         return fold(t, self._build, self._alg_hole, env, ctx, shared, memo)
 

@@ -53,6 +53,7 @@ def test_interpreter_and_its_denotations_are_freed_without_the_cycle_collector()
     term = typecheck(parse("fold (val x0) a . val x0"), Context((NAT,)),
                      second(NAT), table)
     interp = Interpreter(m, cfg)
+    interp.fresh_fold_memos()
     d = interp.denote(term)
     assert d.table() == tuple(("some", n) for n in range(3))
     shared = interp._shared
@@ -80,10 +81,10 @@ def test_interpreter_and_its_denotations_are_freed_without_the_cycle_collector()
 def test_pool_fold_memos_are_freed_with_their_pool(monkeypatch):
     """The exhaustive lemma owns one substitution memo per substitution of
     a source context's pool, and its interpreter one denotation memo per
-    ambient context, which the check drops at each new pool.  Without the
+    ambient context, which the check renews at each new pool.  Without the
     cycle collector: while the substitution memos of a pool are made, those
     of the pools before the previous one are gone; once the denotation
-    memos are dropped, every one made before is gone; on return every memo
+    memos are renewed, every one made before is gone; on return every memo
     is."""
     from substkit.semantics import IdentityMonad, checks
     from substkit.terms import FoldMemo, SubstEnv
@@ -91,7 +92,7 @@ def test_pool_fold_memos_are_freed_with_their_pool(monkeypatch):
     class Watched(FoldMemo):
         __slots__ = ("__weakref__",)
 
-    substs, dens, sources, drops = [], [], [], []
+    substs, dens, sources, renewals = [], [], [], []
 
     def watched(serves):
         if isinstance(serves, SubstEnv) and serves.source not in sources:
@@ -104,23 +105,23 @@ def test_pool_fold_memos_are_freed_with_their_pool(monkeypatch):
             weakref.ref(memo))
         return memo
 
-    def dropped(interp):
-        real_drop(interp)
-        drops.append(len(dens))
+    def renewed(interp):
+        real_renew(interp)
+        renewals.append(len(dens))
         assert [ref() for ref in dens] == [None] * len(dens)
 
     denote_module = importlib.import_module("substkit.semantics.denote")
-    real_drop = denote_module.Interpreter.drop_fold_memos
+    real_renew = denote_module.Interpreter.fresh_fold_memos
     monkeypatch.setattr(checks, "FoldMemo", watched)
     monkeypatch.setattr(denote_module, "FoldMemo", watched)
-    monkeypatch.setattr(denote_module.Interpreter, "drop_fold_memos", dropped)
+    monkeypatch.setattr(denote_module.Interpreter, "fresh_fold_memos", renewed)
     gc.disable()
     try:
         assert checks.check_substitution_lemma_exhaustive(
             config(("sequential", "functions")),
             model(IdentityMonad(), {"b": 2}), subst_ctx_len=1).ok
         assert len(substs) > 10 and len(sources) > 3
-        assert len(drops) == len(sources) and drops[-1] > 10
+        assert len(renewals) == len(sources) and renewals[-1] > 10
         refs = substs + dens
         assert [ref() for ref in refs] == [None] * len(refs)
     finally:

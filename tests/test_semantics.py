@@ -555,6 +555,32 @@ def test_an_interpreter_shares_with_an_equal_term_substitute_rebuilt():
     assert interp.denote(rebuilt) is interp.denote(t1)
 
 
+def test_fold_memos_walk_a_shared_subterm_object_once():
+    """Without ``fresh_fold_memos`` ``denote`` walks every occurrence of a
+    subterm; after it, a subterm object met before under the same ambient
+    context is read back, not walked, and its denotation is the same."""
+    cfg, (t1, t2) = sharing_cases()
+    m = model(OptionMonad(), {"b": 2})
+    walked = {}
+    for memos in (False, True):
+        interp = Interpreter(m, cfg)
+        if memos:
+            interp.fresh_fold_memos()
+        labels, real = [], interp._build
+
+        def build(op, values, ctx, labels=labels, real=real):
+            labels.append(op.label)
+            return real(op, values, ctx)
+        interp._build = build
+        d1 = interp.denote(t1)
+        shared = interp.denote(t2.args[0])
+        interp.denote(t2)
+        assert d1.table() == denote(t1, m, cfg).table()
+        assert shared is interp.denote(t1.args[0])
+        walked[memos] = labels.count("app<b;b>")
+    assert walked == {False: 4, True: 1}
+
+
 def test_two_interpreters_share_nothing():
     cfg, (t1, _) = sharing_cases()
     m = model(OptionMonad(), {"b": 2})
