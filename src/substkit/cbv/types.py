@@ -405,7 +405,7 @@ def parse_fragment(text: str, nat_bound: int, base_types=("b",),
     else:
         exts = tuple(p.strip() for p in text.replace("+", ",").split(",") if p.strip())
         # a printed name puts 'base+' before the extensions it lists
-        if text.startswith("base+") and len(exts) > 1:
+        if text.split("+", 1)[0].strip() == "base" and len(exts) > 1:
             exts = exts[1:]
         whole = [e for e in exts if e in ("base", "full")]
         if whole:

@@ -100,6 +100,9 @@ def test_every_listed_fragment_name_parses_back_to_its_extensions():
     for cfg in all_fragment_configs(("b", "c"), 4):
         assert parse_fragment(cfg.name(), 4).extensions == cfg.extensions, \
             cfg.name()
+    # as in a list, spaces around the '+' are allowed
+    assert parse_fragment(" base + functions ", 4) == parse_fragment(
+        "functions", 4)
 
 
 def test_a_listed_fragment_name_runs(tmp_path):
