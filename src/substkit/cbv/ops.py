@@ -1,25 +1,24 @@
 """Operators of the call-by-value fragments, minted on demand per type instance.
 
-There is one operator-table type: :class:`CbvOperatorTable` is an
-:class:`~substkit.signatures.OperatorTable` whose sorting system is the
-fragment itself (value types first-class, computation types second-class).
+:class:`CbvOperatorTable` is the one operator table: its sorts are the types
+the fragment forms (value types first-class, computation types second-class).
 Most fragments contribute an infinite operator family (one instance per type
 or per context of types); the table mints instances lazily, checking on every
 mint that the requested types are formable in the fragment and within the
 configured type depth.  A family call mints once per table: a repeated call
-with equal parameters returns the operator the first one minted.  Labels are
-canonical strings, so a label uniquely determines its operator, and with it
-the family and parameters the operator carries (``op.family``, and in
-``op.params`` the family method's arguments, rows label-sorted): a reader of
-terms needs the operator alone, not the table that minted it, and the method
-(``forloop`` for ``for``) given ``op.params`` mints ``op`` again.
+with equal parameters returns the operator the first one minted, and that
+memo, keyed by family and parameters, is the table's one store of operators.
+Labels are canonical strings, so a label uniquely determines its operator,
+and with it the family and parameters the operator carries (``op.family``,
+and in ``op.params`` the family method's arguments, rows label-sorted): a
+reader of terms needs the operator alone, not the table that minted it, and
+the method (``forloop`` for ``for``) given ``op.params`` mints ``op`` again.
 
 The family checks are what guarantee that every sort a minted operator names
-belongs to the fragment, so a mint stores its operator without the membership
-checks of :meth:`~substkit.signatures.OperatorTable.add`.  Each sort is a type
-the family passed through ``_check_type``, a component of such a type (a valid
-type's components are valid), or, under the ``naturals`` gate, ``Nat`` or an
-option shape over a valid type.
+belongs to the fragment.  Each sort is a type the family passed through
+``_check_type``, a component of such a type (a valid type's components are
+valid), or, under the ``naturals`` gate, ``Nat`` or an option shape over a
+valid type.
 
 What a minted operator is made of: its sorts are pairs of a class and a
 type (``sorts.first`` and ``sorts.second``), and the table reads each type
@@ -39,7 +38,7 @@ from __future__ import annotations
 import functools
 import itertools
 
-from ..signatures import Argument, Operator, OperatorTable
+from ..signatures import Argument, Operator
 from ..sorts import Context, first, second
 from .types import (DepthExceeded, Fun, FragmentConfig, NAT, Record, TypeExpr,
                     Variant, done_cont_shape, fun, is_context_row,
@@ -73,11 +72,10 @@ def _mint_once(family):
     return call
 
 
-class CbvOperatorTable(OperatorTable):
+class CbvOperatorTable:
     """Lazy operator table for one fragment configuration."""
 
     def __init__(self, cfg: FragmentConfig):
-        super().__init__(cfg)
         self.cfg = cfg
         self._minted: dict[tuple, Operator] = {}
         # the empty binder of every argument without one; its extensions
@@ -115,20 +113,13 @@ class CbvOperatorTable(OperatorTable):
                 f"type {type_to_label(t)} exceeds depth {self.cfg.type_depth}")
         return self._canon(t)
 
-    def _intern(self, label, family, params, result, args) -> Operator:
-        got = self._by_label.get(label)
-        if got is None:
-            got = self._by_label[label] = Operator(label, result, tuple(args),
-                                                   family, params)
-        return got
-
     # -- operator families -------------------------------------------------
 
     @_mint_once
     def val(self, t: TypeExpr) -> Operator:
         t = self._check_type(t)
-        return self._intern(f"val<{type_to_label(t)}>", "val", (t,),
-                            second(t), [Argument(self._empty, first(t))])
+        return Operator(f"val<{type_to_label(t)}>", second(t),
+                        (Argument(self._empty, first(t)),), "val", (t,))
 
     @_mint_once
     def let(self, bound: tuple, result: TypeExpr) -> Operator:
@@ -143,7 +134,8 @@ class CbvOperatorTable(OperatorTable):
         args = [Argument(self._binder(bound[:i]), second(t))
                 for i, t in enumerate(bound)]
         args.append(Argument(self._binder(bound), second(result)))
-        return self._intern(label, "let", (bound, result), second(result), args)
+        return Operator(label, second(result), tuple(args), "let",
+                        (bound, result))
 
     @_mint_once
     def lam(self, dom: TypeExpr, cod: TypeExpr) -> Operator:
@@ -152,8 +144,8 @@ class CbvOperatorTable(OperatorTable):
         dom, cod = self._canon(dom), self._canon(cod)
         f = self._check_type(fun(dom, cod))
         label = f"lam<{type_to_label(dom)};{type_to_label(cod)}>"
-        return self._intern(label, "lam", (dom, cod), first(f),
-                            [Argument(self._binder((dom,)), second(cod))])
+        arg = Argument(self._binder((dom,)), second(cod))
+        return Operator(label, first(f), (arg,), "lam", (dom, cod))
 
     @_mint_once
     def app(self, dom: TypeExpr, cod: TypeExpr) -> Operator:
@@ -164,23 +156,22 @@ class CbvOperatorTable(OperatorTable):
         dom, cod = self._canon(dom), self._canon(cod)
         f = self._check_type(fun(dom, cod))
         label = f"app<{type_to_label(dom)};{type_to_label(cod)}>"
-        return self._intern(label, "app", (dom, cod), second(cod),
-                            [Argument(self._empty, second(f)),
-                             Argument(self._empty, second(dom))])
+        args = (Argument(self._empty, second(f)), Argument(self._empty, second(dom)))
+        return Operator(label, second(cod), args, "app", (dom, cod))
 
     @_mint_once
     def vrec(self, row: tuple) -> Operator:
         t = self._check_type(record(self._row(row)))
         label = f"vrec<{type_to_label(t)}>"
-        args = [Argument(self._empty, first(v)) for _, v in t.row]
-        return self._intern(label, "vrec", (t.row,), first(t), args)
+        args = tuple(Argument(self._empty, first(v)) for _, v in t.row)
+        return Operator(label, first(t), args, "vrec", (t.row,))
 
     @_mint_once
     def rec(self, row: tuple) -> Operator:
         t = self._check_type(record(self._row(row)))
         label = f"rec<{type_to_label(t)}>"
-        args = [Argument(self._empty, second(v)) for _, v in t.row]
-        return self._intern(label, "rec", (t.row,), second(t), args)
+        args = tuple(Argument(self._empty, second(v)) for _, v in t.row)
+        return Operator(label, second(t), args, "rec", (t.row,))
 
     @_mint_once
     def recmatch(self, row: tuple, result: TypeExpr) -> Operator:
@@ -191,25 +182,22 @@ class CbvOperatorTable(OperatorTable):
         result = self._check_type(result)
         label = f"recmatch<{type_to_label(t)};{type_to_label(result)}>"
         binder = self._binder(tuple(v for _, v in t.row))
-        return self._intern(label, "recmatch", (t.row, result), second(result),
-                            [Argument(self._empty, second(t)),
-                             Argument(binder, second(result))])
+        args = (Argument(self._empty, second(t)), Argument(binder, second(result)))
+        return Operator(label, second(result), args, "recmatch", (t.row, result))
 
     @_mint_once
     def vinj(self, row: tuple, tag: str) -> Operator:
         t = self._check_type(variant(self._row(row)))
         label = f"vinj<{type_to_label(t)};{tag}>"
-        payload = dict(t.row)[tag]
-        return self._intern(label, "vinj", (t.row, tag), first(t),
-                            [Argument(self._empty, first(payload))])
+        arg = Argument(self._empty, first(dict(t.row)[tag]))
+        return Operator(label, first(t), (arg,), "vinj", (t.row, tag))
 
     @_mint_once
     def inj(self, row: tuple, tag: str) -> Operator:
         t = self._check_type(variant(self._row(row)))
         label = f"inj<{type_to_label(t)};{tag}>"
-        payload = dict(t.row)[tag]
-        return self._intern(label, "inj", (t.row, tag), second(t),
-                            [Argument(self._empty, second(payload))])
+        arg = Argument(self._empty, second(dict(t.row)[tag]))
+        return Operator(label, second(t), (arg,), "inj", (t.row, tag))
 
     @_mint_once
     def vmatch(self, row: tuple, result: TypeExpr) -> Operator:
@@ -221,8 +209,8 @@ class CbvOperatorTable(OperatorTable):
         label = f"vmatch<{type_to_label(t)};{type_to_label(result)}>"
         args = [Argument(self._empty, second(t))]
         args += [Argument(self._binder((v,)), second(result)) for _, v in t.row]
-        return self._intern(label, "vmatch", (t.row, result), second(result),
-                            args)
+        return Operator(label, second(result), tuple(args), "vmatch",
+                        (t.row, result))
 
     @_mint_once
     def lit(self, n: int) -> Operator:
@@ -231,23 +219,21 @@ class CbvOperatorTable(OperatorTable):
         if not 0 <= n < self.cfg.nat_bound:
             raise ValueError(f"literal {n} outside the modelled range "
                              f"0..{self.cfg.nat_bound - 1}")
-        return self._intern(f"lit<{n}>", "lit", (n,), first(NAT), [])
+        return Operator(f"lit<{n}>", first(NAT), (), "lit", (n,))
 
     @_mint_once
     def unroll(self) -> Operator:
         if not self.cfg.has("naturals"):
             raise DisabledConstruct("unroll", self.cfg)
-        return self._intern("unroll", "unroll", (),
-                            second(self._canon(maybe_shape(NAT))),
-                            [Argument(self._empty, second(NAT))])
+        return Operator("unroll", second(self._canon(maybe_shape(NAT))),
+                        (Argument(self._empty, second(NAT)),), "unroll", ())
 
     @_mint_once
     def roll(self) -> Operator:
         if not self.cfg.has("naturals"):
             raise DisabledConstruct("roll", self.cfg)
-        return self._intern("roll", "roll", (), second(NAT),
-                            [Argument(self._empty,
-                                      second(self._canon(maybe_shape(NAT))))])
+        arg = Argument(self._empty, second(self._canon(maybe_shape(NAT))))
+        return Operator("roll", second(NAT), (arg,), "roll", ())
 
     @_mint_once
     def natfold(self, result: TypeExpr) -> Operator:
@@ -255,10 +241,9 @@ class CbvOperatorTable(OperatorTable):
             raise DisabledConstruct("fold", self.cfg)
         result = self._check_type(result)
         label = f"natfold<{type_to_label(result)}>"
-        return self._intern(label, "natfold", (result,), second(result),
-                            [Argument(self._empty, second(NAT)),
-                             Argument(self._binder((self._canon(maybe_shape(result)),)),
-                                      second(result))])
+        binder = self._binder((self._canon(maybe_shape(result)),))
+        args = (Argument(self._empty, second(NAT)), Argument(binder, second(result)))
+        return Operator(label, second(result), args, "natfold", (result,))
 
     @_mint_once
     def forloop(self, state: TypeExpr, result: TypeExpr) -> Operator:
@@ -268,9 +253,9 @@ class CbvOperatorTable(OperatorTable):
         result = self._check_type(result)
         body = self._check_type(done_cont_shape(result, state))
         label = f"for<{type_to_label(state)};{type_to_label(result)}>"
-        return self._intern(label, "for", (state, result), second(result),
-                            [Argument(self._empty, second(state)),
-                             Argument(self._binder((state,)), second(body))])
+        args = (Argument(self._empty, second(state)),
+                Argument(self._binder((state,)), second(body)))
+        return Operator(label, second(result), args, "for", (state, result))
 
     @_mint_once
     def letrec(self, defs: tuple, result: TypeExpr) -> Operator:
@@ -294,7 +279,8 @@ class CbvOperatorTable(OperatorTable):
         args = [Argument(self._binder(fctx + params), second(ft.cod))
                 for params, ft in zip(checked, ftypes)]
         args.append(Argument(self._binder(fctx), second(result)))
-        return self._intern(label, "letrec", (defs, result), second(result), args)
+        return Operator(label, second(result), tuple(args), "letrec",
+                        (defs, result))
 
     # -- bounded materialization -------------------------------------------
 

@@ -165,10 +165,10 @@ def type_depth(t: TypeExpr) -> int:
 
 @dataclass(frozen=True)
 class FragmentConfig:
-    """A fragment, which is also its own sorting system: the value types it
-    can form are its first-class sorts and its computation types (the same
-    types, second-class) are its second-class sorts.  Membership ignores the
-    type depth bound, which only limits what operators are minted."""
+    """A fragment: the extensions it enables over its base types, and the
+    bounds of its models and operators.  The types it forms (``valid_type``)
+    are its operators' sorts, first-class as values and second-class as
+    computations; ``type_depth`` only limits what operators are minted."""
 
     extensions: frozenset
     base_types: tuple
@@ -197,9 +197,6 @@ class FragmentConfig:
 
     def has(self, ext: str) -> bool:
         return ext in self.extensions
-
-    def __contains__(self, sort) -> bool:
-        return valid_type(sort.ident, self)
 
     def name(self) -> str:
         enabled = [e for e in EXTENSIONS if e in self.extensions]

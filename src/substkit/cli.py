@@ -30,7 +30,8 @@ from .report import Report
 from .semantics.denote import Interpreter, denote
 from .semantics.finset import ENUM_CAP, EnumerationTooLarge
 from .semantics.model import model
-from .semantics.monads import BUNDLED, UnsupportedCapability, monad_by_name
+from .semantics.monads import (BUNDLED, UnsupportedCapability, _show,
+                               monad_by_name)
 from .sorts import first, second
 from .suites import SUITES
 from .terms import SubstEnv, substitute
@@ -233,7 +234,7 @@ def cmd_run(args) -> int:
                       file=sys.stderr)
                 return 1
         for p in points:
-            print(f"{p!r} -> {d.at(p)!r}")
+            print(f"{_show(p)} -> {_show(d.at(p))}")
     except UnsupportedCapability as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
@@ -285,7 +286,7 @@ def cmd_subst(args) -> int:
         except EnumerationTooLarge as e:
             print(f"error: too large to enumerate: {e}", file=sys.stderr)
             return 1
-        print("substitution lemma: " + ("PASS" if ok else f"FAIL {diff!r}"))
+        print("substitution lemma: " + ("PASS" if ok else f"FAIL {_show(diff)}"))
         if not ok:
             return 3
     return 0

@@ -1,12 +1,15 @@
 """Binding signatures and the environment-routing strength.
 
-An operator table is the flattened form of a signature: each operator has a
-result sort and a list of binder-annotated argument sorts.  The table carries
-the one piece of structure every traversal needs, the pointed strength: how to
-push an environment under an operator's binders.  Per-combinator strengths are
-not separate artifacts; after flattening they all collapse into a single
-routing rule: act on the environment along the first projection into the
-extended context, then append the fresh variables' point images.
+A signature flattens (:func:`flatten`) to its operators, keyed by label: each
+operator has a result sort and a list of binder-annotated argument sorts, all
+in the signature's sorting system.  The one operator-table class is the CBV
+fragment's (``cbv.ops``), which mints the operators of its infinite families
+on demand.  Operators carry the one piece of structure every traversal needs,
+the pointed strength: how to push an environment under an operator's
+binders.  Per-combinator strengths are not separate artifacts; after
+flattening they all collapse into a single routing rule: act on the
+environment along the first projection into the extended context, then
+append the fresh variables' point images.
 
 :func:`route_environment` is that rule applied eagerly, to every entry under
 every binder; the compatibility squares of ``semantics.checks`` route with it
@@ -20,7 +23,7 @@ once, along the projection onto the caller's context.  The two agree because
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Container, Protocol, Sequence
+from typing import Protocol, Sequence
 
 from .sorts import Context, Renaming, Sort, SortingSystem
 
@@ -50,42 +53,6 @@ class Operator:
 
     def __repr__(self):
         return f"Operator({self.label!r})"
-
-
-class OperatorTable:
-    """A label-indexed set of operators over one sorting system.
-
-    The system is anything that answers ``sort in system``: a finite
-    :class:`SortingSystem`, or a type fragment whose first- and second-class
-    sorts are the (infinitely many) value and computation types it can form.
-    A table over such a system holds only the operators added so far (a
-    subclass may mint them on demand); ``op`` of any other label raises
-    ``KeyError``.
-    """
-
-    def __init__(self, system: Container[Sort]):
-        self.system = system
-        self._by_label: dict[str, Operator] = {}
-
-    def add(self, op: Operator) -> None:
-        if op.label in self._by_label:
-            raise ValueError(f"duplicate operator label {op.label!r}")
-        if op.result_sort not in self.system:
-            raise ValueError(f"result sort {op.result_sort!r} not in system")
-        for arg in op.args:
-            if arg.sort not in self.system:
-                raise ValueError(f"argument sort {arg.sort!r} not in system")
-            arg.binder.validate(self.system)
-        self._by_label[op.label] = op
-
-    def op(self, label: str) -> Operator:
-        return self._by_label[label]
-
-    def __iter__(self):
-        return iter(self._by_label.values())
-
-    def __len__(self):
-        return len(self._by_label)
 
 
 # --- signature combinator expressions -------------------------------------
@@ -144,30 +111,39 @@ def _flatten_atom(expr) -> Argument:
     raise NotFlattenable(f"argument not of the form (shift? hole) at a sort: {expr!r}")
 
 
-def _flatten_summand(label, expr, table: OperatorTable) -> None:
+def _flatten_summand(label, expr, ops: dict, system: SortingSystem) -> None:
     if not isinstance(expr, OnlyAt):
         raise NotFlattenable(f"summand {label!r} is not OnlyAt-wrapped: {expr!r}")
     body = expr.inner
     factors = body.factors if isinstance(body, Product) else (body,)
     args = tuple(_flatten_atom(f) for f in factors)
-    table.add(Operator(label, expr.sort, args, family=label, params=()))
+    if label in ops:
+        raise ValueError(f"duplicate operator label {label!r}")
+    if expr.sort not in system:
+        raise ValueError(f"result sort {expr.sort!r} not in system")
+    for arg in args:
+        if arg.sort not in system:
+            raise ValueError(f"argument sort {arg.sort!r} not in system")
+        arg.binder.validate(system)
+    ops[label] = Operator(label, expr.sort, args, family=label, params=())
 
 
-def flatten(expr, system: SortingSystem) -> OperatorTable:
-    """Flatten a normal-form signature expression into an operator table."""
-    table = OperatorTable(system)
+def flatten(expr, system: SortingSystem) -> dict[str, Operator]:
+    """Flatten a normal-form signature expression into its operators, keyed
+    by label in summand order; every sort they name must be in ``system``."""
+    ops: dict[str, Operator] = {}
     stack = [expr]
     while stack:
         e = stack.pop()
         if isinstance(e, Coproduct):
             stack.extend(reversed(e.summands))
         elif isinstance(e, tuple) and len(e) == 2:
-            _flatten_summand(e[0], e[1], table)
+            _flatten_summand(e[0], e[1], ops, system)
         elif isinstance(e, Restrict):
             raise NotFlattenable(f"restriction is not flattenable: {e!r}")
         else:
             raise NotFlattenable(f"not a labelled summand: {e!r}")
-    return table
+    return ops
 
 
 # --- the generic pointed strength ------------------------------------------

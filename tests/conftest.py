@@ -11,34 +11,28 @@ import pytest
 from substkit.semantics import checks
 from substkit.semantics.denote import Interpreter
 from substkit.semantics.model import Denotation, context_space
-from substkit.signatures import Argument, Operator, OperatorTable, route_environment
+from substkit.signatures import (At, Coproduct, Hole, OnlyAt, Product, Shift,
+                                 flatten, route_environment)
 from substkit.sorts import Context, Renaming, SortingSystem, first, second
 from substkit.terms import HoleDecl, Meta, Op, SubstEnv, Var
 
 # A miniature two-sort calculus: values and computations at sorts v (base)
 # and arrow (functions), enough to exercise binders, permutation, weakening.
+# Each toy operator is a summand of one flattened signature, so its sorts pass
+# flatten's membership checks.
 TOY_SYS = SortingSystem(("v", "arrow"), ("v", "arrow"))
 
-
-def toy_table() -> OperatorTable:
-    """Each toy operator is its own family, as a summand of a flattened
-    signature is."""
-    t = OperatorTable(TOY_SYS)
-
-    def add(label, result, *args):
-        t.add(Operator(label, result, args, family=label, params=()))
-
-    for s in ("v", "arrow"):
-        add(f"val.{s}", second(s), Argument(Context(()), first(s)))
-    add("lam", first("arrow"), Argument(Context(["v"]), second("v")))
-    add("app", second("v"), Argument(Context(()), second("arrow")),
-        Argument(Context(()), second("v")))
-    add("let", second("v"), Argument(Context(()), second("v")),
-        Argument(Context(["v"]), second("v")))
-    return t
-
-
-TOY = toy_table()
+TOY = flatten(Coproduct((
+    *((f"val.{s}", OnlyAt(second(s), At(first(s), Hole())))
+      for s in ("v", "arrow")),
+    ("lam", OnlyAt(first("arrow"),
+                   At(second("v"), Shift(Context(["v"]), Hole())))),
+    ("app", OnlyAt(second("v"), Product((At(second("arrow"), Hole()),
+                                         At(second("v"), Hole()))))),
+    ("let", OnlyAt(second("v"), Product((
+        At(second("v"), Hole()),
+        At(second("v"), Shift(Context(["v"]), Hole())))))),
+)), TOY_SYS)
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -139,7 +133,7 @@ def random_toy_term(rng: random.Random, ctx: Context, sort, depth: int,
             inner = Context(ctx.entries + ("v",))
             body = random_toy_term(rng, inner, second("v"), max(depth - 1, 0),
                                    holes, hole_prob)
-            return Op(TOY.op("lam"), ctx, [body])
+            return Op(TOY["lam"], ctx, [body])
         if not positions:
             raise RuntimeError(f"no value of sort {sort.ident!r} in {ctx!r}")
         return Var(ctx, rng.choice(positions))
@@ -151,14 +145,14 @@ def random_toy_term(rng: random.Random, ctx: Context, sort, depth: int,
     if pick == "app":
         f = random_toy_term(rng, ctx, second("arrow"), depth - 1, holes, hole_prob)
         a = random_toy_term(rng, ctx, second("v"), depth - 1, holes, hole_prob)
-        return Op(TOY.op("app"), ctx, [f, a])
+        return Op(TOY["app"], ctx, [f, a])
     if pick == "let":
         bound = random_toy_term(rng, ctx, second("v"), depth - 1, holes, hole_prob)
         inner = Context(ctx.entries + ("v",))
         body = random_toy_term(rng, inner, second("v"), depth - 1, holes, hole_prob)
-        return Op(TOY.op("let"), ctx, [bound, body])
+        return Op(TOY["let"], ctx, [bound, body])
     v = random_toy_term(rng, ctx, first(sort.ident), max(depth - 1, 0), holes, hole_prob)
-    return Op(TOY.op(f"val.{sort.ident}"), ctx, [v])
+    return Op(TOY[f"val.{sort.ident}"], ctx, [v])
 
 
 def random_toy_env(rng: random.Random, source: Context, target: Context,

@@ -1,12 +1,13 @@
 """Operator families: shapes from the typing rules, labels, rule coverage."""
 
+import gc
+
 import pytest
 
 from substkit.cbv.ops import CbvOperatorTable, DisabledConstruct
 from substkit.cbv.types import (Base, DepthExceeded, NAT, UNIT, config, fun,
-                                maybe_shape, record, variant)
-from substkit.signatures import OperatorTable
-from substkit.sorts import Context, first, second
+                                maybe_shape, record, valid_type, variant)
+from substkit.sorts import first, second
 
 B = Base("b")
 
@@ -107,36 +108,25 @@ def test_repeated_family_call_returns_the_identical_operator():
                   "while", "recursion"), nat_bound=4, type_depth=4)
     table = CbvOperatorTable(cfg)
     ops = [call(table) for call in EVERY_FAMILY]
-    assert len(table) == len(EVERY_FAMILY)
+    assert len(table._minted) == len(EVERY_FAMILY)
     assert all(call(table) is op for call, op in zip(EVERY_FAMILY, ops))
     # equal parameters built anew mint nothing new either
     assert table.lam(Base("b"), Base("b")) is ops[2]
     assert table.let(tuple([B]), B) is ops[1]
-    assert len(table) == len(EVERY_FAMILY)
+    assert len(table._minted) == len(EVERY_FAMILY)
 
 
-def test_minted_label_looks_up_the_identical_operator():
+def test_the_table_keeps_each_operator_in_one_container():
+    """The mint memo is the table's one store of operators: no second map,
+    such as one keyed by label, refers to a minted operator."""
     cfg = config(("sequential", "functions", "records", "variants", "naturals",
                   "while", "recursion"), nat_bound=4, type_depth=4)
     table = CbvOperatorTable(cfg)
     ops = [call(table) for call in EVERY_FAMILY]
-    assert all(table.op(op.label) is op for op in ops)
-    # a well-formed label is not parsed: until its family call mints it, the
-    # table has no such operator
-    fresh = CbvOperatorTable(cfg)
-    with pytest.raises(KeyError):
-        fresh.op(ops[2].label)
-    assert len(fresh) == 0
-
-
-@pytest.mark.parametrize("label", ["letrec<b;b>", "letrec<();b>",
-                                   "letrec<(b);b>", "lam<b>"])
-def test_malformed_label_raises_key_error(label):
-    table = CbvOperatorTable(config(("recursion",)))
-    with pytest.raises(KeyError) as info:
-        table.op(label)
-    assert info.value.args == (label,)
-    assert len(table) == 0
+    own = [v for v in vars(table).values() if isinstance(v, (dict, list))]
+    holders = [c for c in gc.get_referrers(*ops) if any(c is o for o in own)]
+    assert holders == [table._minted]
+    assert set(map(id, ops)) == set(map(id, table._minted.values()))
 
 
 @pytest.mark.parametrize("cfg, call, error", [
@@ -159,22 +149,20 @@ def test_rejected_family_call_raises_on_every_repeat_and_mints_nothing(
             call(table)
         messages.append(str(info.value))
     assert len(set(messages)) == 1 and messages[0]
-    assert [op.label for op in table] == ["val<b>"]
     assert list(table._minted) == [("val", (B,))]
 
 
-def test_table_is_an_operator_table_over_its_fragment():
+def test_table_sorts_are_types_the_fragment_forms():
     cfg = config(("functions", "naturals"), type_depth=3)
     table = CbvOperatorTable(cfg)
-    assert isinstance(table, OperatorTable) and table.system is cfg
-    assert first(fun(B, B)) in cfg and second(NAT) in cfg
-    assert first(variant((("A", B),))) not in cfg
-    # membership ignores the depth bound: natfold's binder is one deeper
+    assert valid_type(fun(B, B), cfg) and valid_type(NAT, cfg)
+    assert not valid_type(variant((("A", B),)), cfg)
+    # formation ignores the depth bound: natfold's binder is one deeper
     op = table.natfold(fun(B, fun(B, B)))
-    assert op.args[1].binder.entries == (maybe_shape(fun(B, fun(B, B))),)
-    assert [o.label for o in table] == [op.label]
-    with pytest.raises(ValueError):
-        Context((variant((("A", B),)),)).validate(cfg)
+    (binder_type,) = op.args[1].binder.entries
+    assert binder_type == maybe_shape(fun(B, fun(B, B)))
+    assert valid_type(binder_type, cfg)
+    assert list(table._minted.values()) == [op]
 
 
 EXPECTED_FAMILIES = {
@@ -193,18 +181,18 @@ EXPECTED_FAMILIES = {
 @pytest.mark.parametrize("exts", sorted(EXPECTED_FAMILIES))
 def test_rule_coverage(exts):
     """Operators emitted per fragment cover exactly the typing rules the
-    fragment enables (fused donors included), and vice versa.  Every sort they
-    name belongs to the fragment: a mint does not re-check that, the family
-    checks guarantee it."""
+    fragment enables (fused donors included), and vice versa.  Every type
+    they name, as a result, an argument or a binder entry, is one the fragment
+    forms: a mint does not re-check that, the family checks guarantee it."""
     cfg = config(exts, nat_bound=4)
     table = CbvOperatorTable(cfg)
     ops = table.operators()
     assert {op.family for op in ops} == EXPECTED_FAMILIES[exts]
     for op in ops:
-        assert op.result_sort in cfg, op
+        assert valid_type(op.result_sort.ident, cfg), op
         for arg in op.args:
-            assert arg.sort in cfg, op
-            arg.binder.validate(cfg)
+            assert valid_type(arg.sort.ident, cfg), op
+            assert all(valid_type(t, cfg) for t in arg.binder.entries), op
 
 
 # the table method that mints a family, where the two names differ

@@ -66,6 +66,37 @@ def test_run_divergence_marker(tmp_path):
     assert "('none',)" in out.stdout
 
 
+def test_run_output_does_not_depend_on_the_hash_seed(tmp_path):
+    """Powerset values are frozensets; ``run`` prints points and values as
+    the monad-law witnesses do, with set elements sorted."""
+    prog = tmp_path / "p.cbv"
+    prog.write_text("val x\n")
+    args = ["run", str(prog), "--context", "x: b -> b", "--fragment",
+            "functions", "--expect", "C b -> b", "--monad", "powerset"]
+    outs = {subprocess.run(PY + args, capture_output=True, text=True,
+                           check=True,
+                           env={**child_env(), "PYTHONHASHSEED": str(h)}).stdout
+            for h in range(4)}
+    assert len(outs) == 1
+    assert "(({}, {'b0', 'b1'}),) -> {({}, {'b0', 'b1'})}\n" in outs.pop()
+
+
+def test_a_failing_lemma_prints_its_witness_sorted(tmp_path, monkeypatch,
+                                                   capsys):
+    from substkit.semantics import checks
+    witness = ((frozenset({"b1", "b0"}),), frozenset(), frozenset({"b0"}))
+    monkeypatch.setattr(checks, "lemma_holds",
+                        lambda t, env, interp: (False, witness))
+    term = tmp_path / "t.cbv"
+    term.write_text("val x\n")
+    sub = tmp_path / "s.subst"
+    sub.write_text("target y: b\nx = y\n")
+    assert main(["subst", str(term), str(sub), "--context", "x: b",
+                 "--expect", "C b", "--monad", "powerset"]) == 3
+    assert capsys.readouterr().out.splitlines()[-1] == (
+        "substitution lemma: FAIL (({'b0', 'b1'},), {}, {'b0'})")
+
+
 def test_fragments_lists_128():
     out = run_cli("fragments")
     assert out.returncode == 0

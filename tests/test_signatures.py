@@ -1,10 +1,10 @@
-"""Operator tables, flattening, and the environment-routing strength."""
+"""Flattening signatures to operators, and the environment-routing strength."""
 
 import pytest
 
 from substkit.signatures import (Argument, At, Coproduct, Hole, NotFlattenable,
-                                 OnlyAt, OperatorTable, Product, Restrict,
-                                 Shift, flatten, route_environment)
+                                 OnlyAt, Product, Restrict, Shift, flatten,
+                                 route_environment)
 from substkit.sorts import Context, SortingSystem, first, second
 from substkit.terms import TermCarrier, Var, identity_env
 
@@ -25,27 +25,27 @@ APP_SIG = Coproduct(((
 
 
 def test_flatten_abstraction():
-    table = flatten(ABS_SIG, SYS)
-    op = table.op("lam")
+    op = flatten(ABS_SIG, SYS)["lam"]
     assert op.result_sort == first("arrow")
     assert op.args == (Argument(Context(["v"]), second("v")),)
 
 
 def test_flatten_value_inclusion():
-    op = flatten(VAL_SIG, SYS).op("val")
+    op = flatten(VAL_SIG, SYS)["val"]
     assert op.result_sort == second("v")
     assert op.args == (Argument(Context(()), first("v")),)
 
 
 def test_flatten_coproduct_union():
-    table = flatten(Coproduct((ABS_SIG, VAL_SIG)), SYS)
-    assert {op.label for op in table} == {"lam", "val"}
+    ops = flatten(Coproduct((ABS_SIG, VAL_SIG)), SYS)
+    assert list(ops) == ["lam", "val"]
+    assert all(op.label == label for label, op in ops.items())
 
 
 def test_flatten_reassociation_stable():
     left = flatten(Coproduct((Coproduct((ABS_SIG, VAL_SIG)), APP_SIG)), SYS)
     right = flatten(Coproduct((ABS_SIG, Coproduct((VAL_SIG, APP_SIG)))), SYS)
-    key = lambda t: sorted((op.label, op.result_sort, op.args) for op in t)
+    key = lambda t: sorted((op.label, op.result_sort, op.args) for op in t.values())
     assert key(left) == key(right)
 
 
@@ -68,21 +68,17 @@ def test_flatten_rejects_bad_summand():
      "context entry"),
 ])
 def test_sorts_outside_the_system_rejected(expr, message):
-    """Result, argument and binder sorts are checked against the system, both
-    when flattening and when adding to a hand-built table."""
+    """Result, argument and binder sorts are checked against the system when
+    flattening; over a system with those sorts the summand flattens."""
     sig = Coproduct((("bad", expr),))
     with pytest.raises(ValueError, match=message):
         flatten(sig, SYS)
     wider = SortingSystem(SYS.fst_sorts + ("k",), SYS.snd_sorts + ("k",))
-    op = flatten(sig, wider).op("bad")
-    table = OperatorTable(SYS)
-    with pytest.raises(ValueError, match=message):
-        table.add(op)
-    assert len(table) == 0
+    assert list(flatten(sig, wider)) == ["bad"]
 
 
 def test_duplicate_labels_rejected():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="duplicate operator label 'val'"):
         flatten(Coproduct((VAL_SIG, VAL_SIG)), SYS)
 
 
@@ -90,7 +86,7 @@ def test_strength_empty_binder_is_identity():
     table = flatten(APP_SIG, SYS)
     ctx = Context(["v", "v"])
     env = list(identity_env(ctx).entries)
-    new_ctx, routed = route_environment(table.op("app").args[0].binder, ctx,
+    new_ctx, routed = route_environment(table["app"].args[0].binder, ctx,
                                         env, TermCarrier)
     assert new_ctx == ctx and routed == env
 
@@ -99,7 +95,7 @@ def test_strength_routes_binder():
     table = flatten(ABS_SIG, SYS)
     ctx = Context(["v"])
     env = [Var(ctx, 0)]
-    new_ctx, routed = route_environment(table.op("lam").args[0].binder, ctx,
+    new_ctx, routed = route_environment(table["lam"].args[0].binder, ctx,
                                         env, TermCarrier)
     assert new_ctx.entries == ("v", "v")
     assert routed == [Var(new_ctx, 0), Var(new_ctx, 1)]
@@ -112,7 +108,7 @@ def test_identity_environment_routes_to_identity():
     for entries in ((), ("v",), ("v", "arrow"), ("arrow", "v")):
         ctx = Context(entries)
         env = list(identity_env(ctx).entries)
-        new_ctx, routed = route_environment(table.op("lam").args[0].binder, ctx,
+        new_ctx, routed = route_environment(table["lam"].args[0].binder, ctx,
                                             env, TermCarrier)
         assert routed == list(identity_env(new_ctx).entries)
 
@@ -126,5 +122,5 @@ def test_context_membership_asks_the_system():
 def test_unknown_label_raises_key_error():
     table = flatten(ABS_SIG, SYS)
     with pytest.raises(KeyError) as info:
-        table.op("nope")
+        table["nope"]
     assert info.value.args == ("nope",)

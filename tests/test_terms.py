@@ -26,15 +26,15 @@ from substkit.terms import (FoldMemo, HoleDecl, IllSorted, Meta, MetaSubst, Op,
 
 
 def lam(ctx, body):
-    return Op(TOY.op("lam"), ctx, [body])
+    return Op(TOY["lam"], ctx, [body])
 
 
 def val(ctx, v, s="v"):
-    return Op(TOY.op(f"val.{s}"), ctx, [v])
+    return Op(TOY[f"val.{s}"], ctx, [v])
 
 
 def app(ctx, f, a):
-    return Op(TOY.op("app"), ctx, [f, a])
+    return Op(TOY["app"], ctx, [f, a])
 
 
 def test_smart_constructors_enforce_sorting():
@@ -42,12 +42,12 @@ def test_smart_constructors_enforce_sorting():
     with pytest.raises(IllSorted):
         Var(ctx, 1)
     with pytest.raises(IllSorted):
-        Op(TOY.op("val.v"), ctx, [Var(ctx, 0), Var(ctx, 0)])
+        Op(TOY["val.v"], ctx, [Var(ctx, 0), Var(ctx, 0)])
     with pytest.raises(IllSorted):
-        Op(TOY.op("val.arrow"), ctx, [Var(ctx, 0)])
+        Op(TOY["val.arrow"], ctx, [Var(ctx, 0)])
     # binder context must be extended on the right
     with pytest.raises(IllSorted):
-        Op(TOY.op("lam"), ctx, [val(ctx, Var(ctx, 0))])
+        Op(TOY["lam"], ctx, [val(ctx, Var(ctx, 0))])
 
 
 def test_rename_identity_law(rng):
@@ -523,8 +523,8 @@ def test_equal_but_distinct_sorts_and_contexts_pass_the_equality_fallback():
     # string identifiers get a fresh sort per call
     ctx = Context(["v"])
     v = Var(ctx, 0)
-    assert v.sort is not TOY.op("val.v").args[0].sort
-    assert Op(TOY.op("val.v"), ctx, [v]).args == (v,)
+    assert v.sort is not TOY["val.v"].args[0].sort
+    assert Op(TOY["val.v"], ctx, [v]).args == (v,)
     # an unpickled term has sorts and contexts of its own, equal to those of
     # the table that minted its operators
     cfg = config(("functions", "sequential"))
@@ -542,7 +542,7 @@ def test_equal_but_distinct_sorts_and_contexts_pass_the_equality_fallback():
 
 ILL_SORTED = {
     "operator argument sort": (
-        lambda: Op(TOY.op("val.arrow"), Context(["v"]), [Var(Context(["v"]), 0)]),
+        lambda: Op(TOY["val.arrow"], Context(["v"]), [Var(Context(["v"]), 0)]),
         "val.arrow argument 0: sort Fst('v'), expected Fst('arrow')"),
     "operator argument context": (
         lambda: lam(Context(["v"]), val(Context(["v"]), Var(Context(["v"]), 0))),
