@@ -7,7 +7,8 @@ or per context of types); the table mints instances lazily, checking on every
 mint that the requested types are formable in the fragment and within the
 configured type depth.  A family call mints once per table: a repeated call
 with equal parameters returns the operator the first one minted, and that
-memo, keyed by family and parameters, is the table's one store of operators.
+memo, keyed by family and parameters (a row sorted by label, so its order
+does not matter), is the table's one store of operators.
 Labels are canonical strings, so a label uniquely determines its operator,
 and with it the family and parameters the operator carries (``op.family``,
 and in ``op.params`` the family method's arguments, rows label-sorted): a
@@ -37,6 +38,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import operator
 
 from ..signatures import Argument, Operator
 from ..sorts import Context, first, second
@@ -56,20 +58,32 @@ def vmatch_allowed(cfg: FragmentConfig, t: Variant) -> bool:
     return cfg.has("variants") or (cfg.has("naturals") and is_maybe_shape(t))
 
 
-def _mint_once(family):
+def _mint_once(family, per_row: bool = False):
     """Run a family method once per table and parameter tuple; later calls
     with equal parameters return the operator it minted.  A call that raises
-    is not stored, so it raises again."""
+    is not stored, so it raises again.  With ``per_row`` the first parameter
+    is a row, and the memo is keyed on it sorted by label, as the family's
+    record or variant type lists it: one row given in two orders mints one
+    operator."""
 
     @functools.wraps(family)
     def call(self, *params):
-        key = (family.__name__, params)
+        key = (family.__name__,
+               (_label_sorted(params[0]), *params[1:]) if per_row else params)
         got = self._minted.get(key)
         if got is None:
             got = self._minted[key] = family(self, *params)
         return got
 
     return call
+
+
+def _mint_once_per_row(family):
+    return _mint_once(family, per_row=True)
+
+
+def _label_sorted(row: tuple) -> tuple:
+    return tuple(sorted(row, key=operator.itemgetter(0)))
 
 
 class CbvOperatorTable:
@@ -159,21 +173,21 @@ class CbvOperatorTable:
         args = (Argument(self._empty, second(f)), Argument(self._empty, second(dom)))
         return Operator(label, second(cod), args, "app", (dom, cod))
 
-    @_mint_once
+    @_mint_once_per_row
     def vrec(self, row: tuple) -> Operator:
         t = self._check_type(record(self._row(row)))
         label = f"vrec<{type_to_label(t)}>"
         args = tuple(Argument(self._empty, first(v)) for _, v in t.row)
         return Operator(label, first(t), args, "vrec", (t.row,))
 
-    @_mint_once
+    @_mint_once_per_row
     def rec(self, row: tuple) -> Operator:
         t = self._check_type(record(self._row(row)))
         label = f"rec<{type_to_label(t)}>"
         args = tuple(Argument(self._empty, second(v)) for _, v in t.row)
         return Operator(label, second(t), args, "rec", (t.row,))
 
-    @_mint_once
+    @_mint_once_per_row
     def recmatch(self, row: tuple, result: TypeExpr) -> Operator:
         t = record(self._row(row))
         if not self.cfg.has("records"):
@@ -185,21 +199,21 @@ class CbvOperatorTable:
         args = (Argument(self._empty, second(t)), Argument(binder, second(result)))
         return Operator(label, second(result), args, "recmatch", (t.row, result))
 
-    @_mint_once
+    @_mint_once_per_row
     def vinj(self, row: tuple, tag: str) -> Operator:
         t = self._check_type(variant(self._row(row)))
         label = f"vinj<{type_to_label(t)};{tag}>"
         arg = Argument(self._empty, first(dict(t.row)[tag]))
         return Operator(label, first(t), (arg,), "vinj", (t.row, tag))
 
-    @_mint_once
+    @_mint_once_per_row
     def inj(self, row: tuple, tag: str) -> Operator:
         t = self._check_type(variant(self._row(row)))
         label = f"inj<{type_to_label(t)};{tag}>"
         arg = Argument(self._empty, second(dict(t.row)[tag]))
         return Operator(label, second(t), (arg,), "inj", (t.row, tag))
 
-    @_mint_once
+    @_mint_once_per_row
     def vmatch(self, row: tuple, result: TypeExpr) -> Operator:
         t = variant(self._row(row))
         if not vmatch_allowed(self.cfg, t):

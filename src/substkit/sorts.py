@@ -98,9 +98,10 @@ class Context:
     __slots__ = ("entries", "_hash", "_ext")
 
     def __init__(self, entries: Iterable[Hashable] = ()):
-        object.__setattr__(self, "entries", tuple(entries))
-        object.__setattr__(self, "_hash", hash(self.entries))
-        object.__setattr__(self, "_ext", None)
+        entries = tuple(entries)
+        _set_entries(self, entries)
+        _set_ctx_hash(self, hash(entries))
+        _set_ext(self, None)
 
     def __setattr__(self, *a):
         raise AttributeError("Context is immutable")
@@ -137,7 +138,7 @@ class Context:
         ext = self._ext
         if ext is None:
             ext = {}
-            object.__setattr__(self, "_ext", ext)
+            _set_ext(self, ext)
         got = ext.get(binder)
         if got is None:
             got = ext[binder] = Context(self.entries + binder.entries)
@@ -159,18 +160,16 @@ class Renaming:
 
     def __init__(self, source: Context, target: Context, mapping: Sequence[int]):
         mapping = tuple(mapping)
-        if len(mapping) != len(target):
+        src, tgt = source.entries, target.entries
+        if len(mapping) != len(tgt):
             raise ValueError("renaming map must cover every target position")
-        for y, x in enumerate(mapping):
-            if not 0 <= x < len(source):
-                raise ValueError(f"position {x} out of range for {source!r}")
-            if source.entries[x] != target.entries[y]:
-                raise ValueError(
-                    f"sort mismatch: target position {y} has sort {target.entries[y]!r} "
-                    f"but is sent to source position {x} of sort {source.entries[x]!r}")
-        object.__setattr__(self, "source", source)
-        object.__setattr__(self, "target", target)
-        object.__setattr__(self, "mapping", mapping)
+        n = len(src)
+        for x, e in zip(mapping, tgt):
+            if not 0 <= x < n or src[x] != e:
+                raise _renaming_error(source, target, mapping)
+        _set_source(self, source)
+        _set_target(self, target)
+        _set_mapping(self, mapping)
 
     def __setattr__(self, *a):
         raise AttributeError("Renaming is immutable")
@@ -196,6 +195,29 @@ class Renaming:
         n = len(self.source)
         return Renaming(self.source.extend(binder), self.target.extend(binder),
                         self.mapping + tuple(range(n, n + len(binder))))
+
+
+# the checked constructors set their slots through the slot descriptors,
+# which pass by the refusing __setattr__ without a lookup by name
+_set_entries = Context.entries.__set__
+_set_ctx_hash = Context._hash.__set__
+_set_ext = Context._ext.__set__
+_set_source = Renaming.source.__set__
+_set_target = Renaming.target.__set__
+_set_mapping = Renaming.mapping.__set__
+
+
+def _renaming_error(source: Context, target: Context,
+                    mapping: tuple) -> ValueError:
+    """The error of the first position of ``mapping`` that ``Renaming``
+    refuses."""
+    for y, x in enumerate(mapping):
+        if not 0 <= x < len(source):
+            return ValueError(f"position {x} out of range for {source!r}")
+        if source.entries[x] != target.entries[y]:
+            return ValueError(
+                f"sort mismatch: target position {y} has sort {target.entries[y]!r} "
+                f"but is sent to source position {x} of sort {source.entries[x]!r}")
 
 
 def identity_renaming(ctx: Context) -> Renaming:

@@ -13,7 +13,13 @@ compared in C, so the sort checks are a plain ``!=``; ``Context.__eq__``
 runs in Python, so the context checks test identity first and compare with
 ``!=`` only when the objects differ: equal contexts that are distinct
 objects, such as those of pickled terms or of two tables, are still
-accepted.
+accepted.  A constructor checks every argument in one pass and, only when a
+check fails, walks the arguments again to name the first failing position.
+
+Terms are immutable and compared structurally, so an unchanged subterm can
+be shared rather than rebuilt: metavariable substitution returns an operator
+node itself when none of its arguments changed, which is every hole-free
+subterm.
 
 Substitution is the environment-carrying fold instantiated at the term carrier
 itself.  A second, independently written substitution (classical index
@@ -24,6 +30,7 @@ right) is kept alongside as a cross-check; the two must agree everywhere.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import is_
 from typing import Iterable, Mapping, Sequence
 
 from .signatures import Operator
@@ -61,7 +68,7 @@ class Term:
             return self._hash
         except AttributeError:
             h = hash(self._hash_key())
-            object.__setattr__(self, "_hash", h)
+            _set_hash(self, h)
             return h
 
 
@@ -69,11 +76,12 @@ class Var(Term):
     __slots__ = ("index",)
 
     def __init__(self, ctx: Context, index: int):
-        if not 0 <= index < len(ctx):
+        entries = ctx.entries
+        if not 0 <= index < len(entries):
             raise IllSorted(f"variable {index} out of range for {ctx!r}")
-        object.__setattr__(self, "sort", first(ctx.entries[index]))
-        object.__setattr__(self, "ctx", ctx)
-        object.__setattr__(self, "index", index)
+        _set_sort(self, first(entries[index]))
+        _set_ctx(self, ctx)
+        _set_index(self, index)
 
     def __reduce__(self):
         # a copy is built, and checked, by the constructor
@@ -97,20 +105,19 @@ class Op(Term):
 
     def __init__(self, op: Operator, ctx: Context, args: Sequence[Term]):
         args = tuple(args)
-        if len(args) != len(op.args):
+        decls = op.args
+        if len(args) != len(decls):
             raise IllSorted(f"{op.label}: expected {op.arity} arguments, got {len(args)}")
-        for i, (arg, decl) in enumerate(zip(args, op.args)):
-            if arg.sort != decl.sort:
-                raise IllSorted(
-                    f"{op.label} argument {i}: sort {arg.sort!r}, expected {decl.sort!r}")
-            want_ctx = ctx.extend(decl.binder) if decl.binder.entries else ctx
-            if arg.ctx is not want_ctx and arg.ctx != want_ctx:
-                raise IllSorted(
-                    f"{op.label} argument {i}: context {arg.ctx!r}, expected {want_ctx!r}")
-        object.__setattr__(self, "sort", op.result_sort)
-        object.__setattr__(self, "ctx", ctx)
-        object.__setattr__(self, "op", op)
-        object.__setattr__(self, "args", args)
+        for arg, decl in zip(args, decls):
+            binder = decl.binder
+            want = ctx.extend(binder) if binder.entries else ctx
+            actx = arg.ctx
+            if arg.sort != decl.sort or (actx is not want and actx != want):
+                raise _op_error(op, ctx, args)
+        _set_sort(self, op.result_sort)
+        _set_ctx(self, ctx)
+        _set_op(self, op)
+        _set_args(self, args)
 
     def __reduce__(self):
         return Op, (self.op, self.ctx, self.args)
@@ -136,17 +143,14 @@ class Meta(Term):
         if len(env) != len(hole.ctx):
             raise IllSorted(f"hole {hole.ident}: environment arity {len(env)}, "
                             f"expected {len(hole.ctx)}")
-        for i, entry in enumerate(env):
-            want = first(hole.ctx.entries[i])
-            if entry.sort != want:
-                raise IllSorted(f"hole {hole.ident}: entry {i} has sort {entry.sort!r}")
-            if entry.ctx is not ctx and entry.ctx != ctx:
-                raise IllSorted(f"hole {hole.ident}: entry {i} over {entry.ctx!r}, "
-                                f"expected {ctx!r}")
-        object.__setattr__(self, "sort", hole.sort)
-        object.__setattr__(self, "ctx", ctx)
-        object.__setattr__(self, "hole", hole)
-        object.__setattr__(self, "env", env)
+        for entry, want in zip(env, hole.ctx.entries):
+            if entry.sort != first(want) or (entry.ctx is not ctx
+                                             and entry.ctx != ctx):
+                raise _meta_error(hole, ctx, env)
+        _set_sort(self, hole.sort)
+        _set_ctx(self, ctx)
+        _set_hole(self, hole)
+        _set_env(self, env)
 
     def __reduce__(self):
         return Meta, (self.hole, self.ctx, self.env)
@@ -174,15 +178,13 @@ class SubstEnv:
         entries = tuple(entries)
         if len(entries) != len(source):
             raise IllSorted("substitution must cover every source position")
-        for i, t in enumerate(entries):
-            want = first(source.entries[i])
-            if t.sort != want:
-                raise IllSorted(f"entry {i}: sort {t.sort!r}, expected {want!r}")
-            if t.ctx is not target and t.ctx != target:
-                raise IllSorted(f"entry {i} over {t.ctx!r}, expected {target!r}")
-        object.__setattr__(self, "source", source)
-        object.__setattr__(self, "target", target)
-        object.__setattr__(self, "entries", entries)
+        for t, want in zip(entries, source.entries):
+            if t.sort != first(want) or (t.ctx is not target
+                                         and t.ctx != target):
+                raise _subst_error(source, target, entries)
+        _set_subst_source(self, source)
+        _set_subst_target(self, target)
+        _set_subst_entries(self, entries)
 
     def __setattr__(self, *a):
         raise AttributeError("SubstEnv is immutable")
@@ -196,6 +198,52 @@ class SubstEnv:
 
     def __repr__(self):
         return f"SubstEnv({list(self.entries)!r})"
+
+
+# the checked constructors set their slots through the slot descriptors,
+# which pass by the refusing __setattr__ without a lookup by name
+_set_sort = Term.sort.__set__
+_set_ctx = Term.ctx.__set__
+_set_hash = Term._hash.__set__
+_set_index = Var.index.__set__
+_set_op = Op.op.__set__
+_set_args = Op.args.__set__
+_set_hole = Meta.hole.__set__
+_set_env = Meta.env.__set__
+_set_subst_source = SubstEnv.source.__set__
+_set_subst_target = SubstEnv.target.__set__
+_set_subst_entries = SubstEnv.entries.__set__
+
+
+def _op_error(op: Operator, ctx: Context, args: tuple) -> IllSorted:
+    """The error of the first argument that ``Op`` refuses."""
+    for i, (arg, decl) in enumerate(zip(args, op.args)):
+        if arg.sort != decl.sort:
+            return IllSorted(
+                f"{op.label} argument {i}: sort {arg.sort!r}, expected {decl.sort!r}")
+        want_ctx = ctx.extend(decl.binder)
+        if arg.ctx != want_ctx:
+            return IllSorted(
+                f"{op.label} argument {i}: context {arg.ctx!r}, expected {want_ctx!r}")
+
+
+def _meta_error(hole: HoleDecl, ctx: Context, env: tuple) -> IllSorted:
+    """The error of the first entry that ``Meta`` refuses."""
+    for i, (entry, want) in enumerate(zip(env, hole.ctx.entries)):
+        if entry.sort != first(want):
+            return IllSorted(f"hole {hole.ident}: entry {i} has sort {entry.sort!r}")
+        if entry.ctx != ctx:
+            return IllSorted(f"hole {hole.ident}: entry {i} over {entry.ctx!r}, "
+                             f"expected {ctx!r}")
+
+
+def _subst_error(source: Context, target: Context, entries: tuple) -> IllSorted:
+    """The error of the first entry that ``SubstEnv`` refuses."""
+    for i, (t, want) in enumerate(zip(entries, source.entries)):
+        if t.sort != first(want):
+            return IllSorted(f"entry {i}: sort {t.sort!r}, expected {first(want)!r}")
+        if t.ctx != target:
+            return IllSorted(f"entry {i} over {t.ctx!r}, expected {target!r}")
 
 
 def identity_env(ctx: Context) -> SubstEnv:
@@ -365,11 +413,21 @@ def identity_meta_subst(holes: Iterable[HoleDecl]) -> MetaSubst:
 
 def meta_substitute(t: Term, ms: MetaSubst) -> Term:
     """Kleisli extension: replace each hole by its body, instantiated at the
-    hole's (already meta-substituted) environment."""
+    hole's (already meta-substituted) environment.
+
+    An operator node whose arguments all come back as the identical objects
+    is returned as it is, not rebuilt: a hole-free subterm is a fixed point
+    of the extension, and terms are immutable with structural equality, so
+    the shared node is equal to the one a rebuild would make.  Every
+    argument is still visited, through the module-level name."""
     if type(t) is Var:
         return t
     if type(t) is Op:
-        return Op(t.op, t.ctx, tuple(meta_substitute(a, ms) for a in t.args))
+        args = t.args
+        new = [meta_substitute(a, ms) for a in args]
+        if all(map(is_, new, args)):
+            return t
+        return Op(t.op, t.ctx, new)
     entries = tuple(meta_substitute(e, ms) for e in t.env)
     body = ms.body(t.hole)
     return substitute(body, SubstEnv(t.hole.ctx, t.ctx, entries))

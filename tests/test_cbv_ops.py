@@ -116,6 +116,19 @@ def test_repeated_family_call_returns_the_identical_operator():
     assert len(table._minted) == len(EVERY_FAMILY)
 
 
+@pytest.mark.parametrize("call", [
+    lambda t, row: t.vrec(row), lambda t, row: t.rec(row),
+    lambda t, row: t.recmatch(row, B), lambda t, row: t.vinj(row, "Z"),
+    lambda t, row: t.inj(row, "Z"), lambda t, row: t.vmatch(row, B)],
+    ids=["vrec", "rec", "recmatch", "vinj", "inj", "vmatch"])
+def test_a_row_in_either_label_order_mints_one_operator(call):
+    table = CbvOperatorTable(config(("records", "variants", "naturals"),
+                                    nat_bound=4))
+    op = call(table, (("A", B), ("Z", NAT)))
+    assert call(table, (("Z", NAT), ("A", B))) is op
+    assert list(table._minted.values()) == [op]
+
+
 def test_the_table_keeps_each_operator_in_one_container():
     """The mint memo is the table's one store of operators: no second map,
     such as one keyed by label, refers to a minted operator."""

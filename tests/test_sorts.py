@@ -92,6 +92,19 @@ def test_sort_preservation_enforced():
         Renaming(Context(["b"]), Context(["c"]), (0,))
 
 
+@pytest.mark.parametrize("mapping, message", [
+    ((0,), "renaming map must cover every target position"),
+    ((0, 2), "position 2 out of range for Context['b', 'c']"),
+    ((0, -1), "position -1 out of range for Context['b', 'c']"),
+    ((0, 0), "sort mismatch: target position 1 has sort 'c' but is sent to "
+             "source position 0 of sort 'b'"),
+])
+def test_refused_renamings_name_the_first_failing_position(mapping, message):
+    with pytest.raises(ValueError) as err:
+        Renaming(Context(["b", "c"]), Context(["b", "c"]), mapping)
+    assert str(err.value) == message
+
+
 def test_concat_trivial_cases():
     g = Context(["b", "c"])
     ctx, _, pi2 = concat_contexts(Context(()), g)

@@ -16,7 +16,7 @@ from substkit.cbv.types import (Base, all_fragment_configs, config, fun, record,
                                 types_upto)
 from substkit.sorts import (Context, Renaming, Sort, compose_renamings, first,
                             identity_renaming, second)
-from substkit import suites
+from substkit import suites, terms
 from substkit.suites import check_meta_laws, check_term_laws
 from substkit.terms import (FoldMemo, HoleDecl, IllSorted, Meta, MetaSubst, Op,
                             SubstEnv, UnknownHole, Var, compose_meta_subst,
@@ -202,6 +202,113 @@ def test_unknown_hole():
     t = Meta(h, Context(()), ())
     with pytest.raises(UnknownHole):
         meta_substitute(t, MetaSubst({}))
+
+
+# --- the hole clause and the sharing of unchanged nodes ---------------------
+
+META_CFG = config(("sequential", "functions"), ("b", "c"), nat_bound=4)
+# the Op nodes meta_substitute builds in one check_meta_laws call, below
+BUILT_BY_META_SUBST = 57
+
+
+def _metas(t):
+    """Every metavariable node of a term, those inside environments too."""
+    if type(t) is Op:
+        for a in t.args:
+            yield from _metas(a)
+    elif type(t) is Meta:
+        yield t
+        for e in t.env:
+            yield from _metas(e)
+
+
+def hole_clause_failures(count):
+    """The items of a holed corpus of ``META_CFG`` at which
+    ``terms.meta_substitute``, given a hole-free body for every hole, leaves
+    a hole in its result, or sends a hole to something other than its body
+    substituted at the hole's meta-substituted environment."""
+    gen = TermGen(CbvOperatorTable(META_CFG), random.Random(20260810))
+    failed, holed = [], 0
+    for i in range(count):
+        holes: dict = {}
+        _, term = gen.random_item(3, 3, holes, hole_prob=0.35)
+        holed += bool(holes)
+        ms = MetaSubst({ident: (h, gen.random_at(h.ctx, h.sort, 2))
+                        for ident, h in holes.items()})
+        if any(_metas(terms.meta_substitute(term, ms))):
+            failed.append(i)
+            continue
+        for m in _metas(term):
+            env = tuple(terms.meta_substitute(e, ms) for e in m.env)
+            want = substitute(ms.body(m.hole), SubstEnv(m.hole.ctx, m.ctx, env))
+            if terms.meta_substitute(m, ms) != want:
+                failed.append(i)
+                break
+    assert holed >= count // 4, holed
+    return failed
+
+
+HOLE_CLAUSE_TERMS = 120
+
+
+def test_meta_substitution_fills_every_hole_with_its_instantiated_body():
+    assert hole_clause_failures(HOLE_CLAUSE_TERMS) == []
+
+
+def test_meta_substitution_that_keeps_the_term_fails_the_hole_clause(
+        monkeypatch):
+    """The identity passes the three meta laws, which only equate one
+    meta-substitution result with another."""
+    monkeypatch.setattr(terms, "meta_substitute", lambda t, ms: t)
+    assert hole_clause_failures(HOLE_CLAUSE_TERMS)
+
+
+def test_meta_substitution_that_shares_too_much_fails_the_hole_clause(
+        monkeypatch):
+    """A node is kept whenever its first argument comes back unchanged, so a
+    hole below a later argument survives."""
+    real = terms.meta_substitute
+
+    def over_sharing(t, ms):
+        if type(t) is Op and t.args:
+            new = [terms.meta_substitute(a, ms) for a in t.args]
+            return t if new[0] is t.args[0] else Op(t.op, t.ctx, new)
+        return real(t, ms)
+
+    monkeypatch.setattr(terms, "meta_substitute", over_sharing)
+    assert hole_clause_failures(HOLE_CLAUSE_TERMS)
+
+
+def test_meta_substitution_rebuilds_only_the_nodes_above_a_hole(monkeypatch):
+    """The Op nodes ``meta_substitute`` builds itself (not through
+    ``substitute``) in one ``check_meta_laws`` call.  Rebuilding every
+    operator node it met, it built 544; returning a node whose arguments
+    all come back identical, it builds one per operator node with a hole
+    below it that is filled: 57, at each of hash seeds 0-5."""
+    built = 0
+    real = terms.meta_substitute
+
+    def counted(t, ms):
+        nonlocal built
+        out = real(t, ms)
+        built += type(t) is Op and out is not t
+        return out
+
+    monkeypatch.setattr(terms, "meta_substitute", counted)
+    monkeypatch.setattr(suites, "meta_substitute", counted)
+    rep = check_meta_laws(META_CFG, 20260810, count=20)
+    assert rep.ok, rep.to_text()
+    assert 0 < built <= BUILT_BY_META_SUBST
+
+
+def test_meta_substitution_returns_hole_free_subterms_themselves(rng):
+    for t, holes in holed_corpus(rng):
+        ms, _ = random_meta_subst(rng, holes, hole_prob=0.0)
+        out = meta_substitute(t, ms)
+        assert (out is t) == (not holes)
+        if holes and type(t) is Op:
+            for arg, got in zip(t.args, out.args):
+                assert (got is arg) == (not any(_metas(arg)))
 
 
 # --- fold ---------------------------------------------------------------------
@@ -569,6 +676,30 @@ ILL_SORTED = {
                    [Var(Context((fun(Base("b"), Base("b")),)), 0)]),
         "val<b> argument 0: sort Fst(Fun(dom=Base(name='b'), "
         "cod=Base(name='b'))), expected Fst(Base(name='b'))"),
+    "operator arity": (
+        lambda: Op(TOY["val.v"], Context(["v"]),
+                   [Var(Context(["v"]), 0), Var(Context(["v"]), 0)]),
+        "val.v: expected 1 arguments, got 2"),
+    "variable out of range": (
+        lambda: Var(Context(["v"]), 1),
+        "variable 1 out of range for Context['v']"),
+    "operator argument sort after a good one": (
+        lambda: app(Context(["arrow"]), val(Context(["arrow"]),
+                                            Var(Context(["arrow"]), 0), "arrow"),
+                    val(Context(["arrow"]), Var(Context(["arrow"]), 0), "arrow")),
+        "app argument 1: sort Snd('arrow'), expected Snd('v')"),
+    "operator argument context after a good one": (
+        lambda: Op(TOY["let"], Context(["v"]),
+                   [val(Context(["v"]), Var(Context(["v"]), 0))] * 2),
+        "let argument 1: context Context['v'], expected Context['v', 'v']"),
+    "hole entry sort after a good one": (
+        lambda: Meta(HoleDecl("h", second("v"), Context(["v", "arrow"])),
+                     Context(["v"]), [Var(Context(["v"]), 0)] * 2),
+        "hole h: entry 1 has sort Fst('v')"),
+    "substitution entry context after a good one": (
+        lambda: SubstEnv(Context(["v", "v"]), Context(["v"]),
+                         [Var(Context(["v"]), 0), Var(Context(["v", "v"]), 0)]),
+        "entry 1 over Context['v', 'v'], expected Context['v']"),
 }
 
 
