@@ -13,7 +13,6 @@ demands.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, fields
 
 EXTENSIONS = ("sequential", "functions", "records", "variants", "naturals",
               "while", "recursion")
@@ -28,87 +27,128 @@ class TypeExpr:
     when it is built, and stores its label (``_label``, of
     :func:`type_to_label`) and surface string (``_str``, of
     :func:`type_to_str`) the first time each is asked for.  A type keeps no
-    sort: its sorts are pairs (:func:`~substkit.sorts.first`)."""
-    __slots__ = ()
+    sort: its sorts are pairs (:func:`~substkit.sorts.first`).  Types are
+    immutable; ``_fields`` names a class's constructor arguments, in order,
+    from which the rest derives."""
+    # slots, not an instance dict, so that a type stays small
+    __slots__ = ("_h", "_d", "_label", "_str")
+    _fields: tuple = ()
+
+    def __setattr__(self, *a):
+        raise AttributeError("types are immutable")
 
     def __reduce__(self):
-        # copies and pickles are built from the fields, which derive the rest
-        return type(self), tuple(getattr(self, f.name) for f in fields(self))
+        # copies and pickles are built from the constructor's arguments
+        return type(self), tuple(getattr(self, f) for f in self._fields)
 
+    def __hash__(self):
+        return self._h
 
-# what each type derives from its fields (see TypeExpr); slots, not an
-# instance dict, so that a type stays small
-_DERIVED = ("_h", "_d", "_label", "_str")
+    def __repr__(self):
+        shown = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        return f"{type(self).__name__}({shown})"
 
 
 def _row_depth(row: tuple) -> int:
-    return 1 + max((v._d for _, v in row), default=0)
+    d = 0
+    for _, v in row:
+        if v._d > d:
+            d = v._d
+    return 1 + d
 
 
-@dataclass(frozen=True)
 class Base(TypeExpr):
-    __slots__ = ("name",) + _DERIVED
-    name: str
+    __slots__ = _fields = ("name",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "_h", hash(("B", self.name)))
-        object.__setattr__(self, "_d", 1)
+    def __init__(self, name: str):
+        _set_name(self, name)
+        _set_h(self, hash(("B", name)))
+        _set_d(self, 1)
 
-    def __hash__(self):
-        return self._h
+    def __eq__(self, other):
+        if type(other) is not Base:
+            return NotImplemented
+        return self.name == other.name
+
+    __hash__ = TypeExpr.__hash__
 
 
-@dataclass(frozen=True)
 class Fun(TypeExpr):
-    __slots__ = ("dom", "cod") + _DERIVED
-    dom: TypeExpr
-    cod: TypeExpr
+    __slots__ = _fields = ("dom", "cod")
 
-    def __post_init__(self):
-        object.__setattr__(self, "_h", hash(("F", self.dom, self.cod)))
-        object.__setattr__(self, "_d", 1 + max(self.dom._d, self.cod._d))
+    def __init__(self, dom: TypeExpr, cod: TypeExpr):
+        _set_dom(self, dom)
+        _set_cod(self, cod)
+        _set_h(self, hash(("F", dom, cod)))
+        d, e = dom._d, cod._d
+        _set_d(self, 1 + (d if d > e else e))
 
-    def __hash__(self):
-        return self._h
+    def __eq__(self, other):
+        if type(other) is not Fun:
+            return NotImplemented
+        return (self.dom, self.cod) == (other.dom, other.cod)
+
+    __hash__ = TypeExpr.__hash__
 
 
-@dataclass(frozen=True)
 class Record(TypeExpr):
-    __slots__ = ("row",) + _DERIVED
-    row: tuple  # of (label, TypeExpr), label-sorted
+    __slots__ = _fields = ("row",)  # of (label, TypeExpr), label-sorted
 
-    def __post_init__(self):
-        object.__setattr__(self, "_h", hash(("R", self.row)))
-        object.__setattr__(self, "_d", _row_depth(self.row))
+    def __init__(self, row: tuple):
+        _set_record_row(self, row)
+        _set_h(self, hash(("R", row)))
+        _set_d(self, _row_depth(row))
 
-    def __hash__(self):
-        return self._h
+    def __eq__(self, other):
+        if type(other) is not Record:
+            return NotImplemented
+        return self.row == other.row
+
+    __hash__ = TypeExpr.__hash__
 
 
-@dataclass(frozen=True)
 class Variant(TypeExpr):
-    __slots__ = ("row",) + _DERIVED
-    row: tuple
+    __slots__ = _fields = ("row",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "_h", hash(("V", self.row)))
-        object.__setattr__(self, "_d", _row_depth(self.row))
+    def __init__(self, row: tuple):
+        _set_variant_row(self, row)
+        _set_h(self, hash(("V", row)))
+        _set_d(self, _row_depth(row))
 
-    def __hash__(self):
-        return self._h
+    def __eq__(self, other):
+        if type(other) is not Variant:
+            return NotImplemented
+        return self.row == other.row
+
+    __hash__ = TypeExpr.__hash__
 
 
-@dataclass(frozen=True)
 class NatType(TypeExpr):
-    __slots__ = _DERIVED
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "_h", hash("NatType"))
-        object.__setattr__(self, "_d", 1)
+    def __init__(self):
+        _set_h(self, hash("NatType"))
+        _set_d(self, 1)
 
-    def __hash__(self):
-        return self._h
+    def __eq__(self, other):
+        if type(other) is not NatType:
+            return NotImplemented
+        return True
 
+    __hash__ = TypeExpr.__hash__
+
+
+# the constructors set their slots through the slot descriptors, which pass
+# by the refusing __setattr__ without a lookup by name
+_set_h = TypeExpr._h.__set__
+_set_d = TypeExpr._d.__set__
+_set_label = TypeExpr._label.__set__
+_set_str = TypeExpr._str.__set__
+_set_name = Base.name.__set__
+_set_dom = Fun.dom.__set__
+_set_cod = Fun.cod.__set__
+_set_record_row = Record.row.__set__
+_set_variant_row = Variant.row.__set__
 
 NAT = NatType()
 UNIT = Record(())
@@ -163,34 +203,51 @@ def type_depth(t: TypeExpr) -> int:
     return t._d
 
 
-@dataclass(frozen=True)
 class FragmentConfig:
     """A fragment: the extensions it enables over its base types, and the
     bounds of its models and operators.  The types it forms (``valid_type``)
     are its operators' sorts, first-class as values and second-class as
     computations; ``type_depth`` only limits what operators are minted."""
 
-    extensions: frozenset
-    base_types: tuple
-    nat_bound: int = 8
-    type_depth: int = 3
+    # a table holds its configuration; tests watch it freed, by weak reference
+    __slots__ = ("extensions", "base_types", "nat_bound", "type_depth", "_h",
+                 "_valid", "_types", "__weakref__")
 
-    def __post_init__(self):
-        bad = self.extensions - set(EXTENSIONS)
+    def __init__(self, extensions: frozenset, base_types: tuple, nat_bound: int,
+                 type_depth: int):
+        bad = extensions - set(EXTENSIONS)
         if bad:
             raise ValueError(f"unknown extensions {sorted(bad)!r}")
-        if not self.base_types:
+        if not base_types:
             raise ValueError("at least one base type is required")
-        if len(set(self.base_types)) != len(self.base_types):
-            raise ValueError(f"base_types contains duplicates: {self.base_types!r}")
-        if self.nat_bound < 1 or self.type_depth < 1:
+        if len(set(base_types)) != len(base_types):
+            raise ValueError(f"base_types contains duplicates: {base_types!r}")
+        if nat_bound < 1 or type_depth < 1:
             raise ValueError("bounds must be positive")
-        object.__setattr__(self, "_h", hash((self.extensions, self.base_types,
-                                             self.nat_bound, self.type_depth)))
+        _set_extensions(self, extensions)
+        _set_base_types(self, base_types)
+        _set_nat_bound(self, nat_bound)
+        _set_type_depth(self, type_depth)
+        _set_cfg_h(self, hash((extensions, base_types, nat_bound, type_depth)))
         # valid_type's and types_upto's answers, owned by the configuration
         # they are about
-        object.__setattr__(self, "_valid", {})
-        object.__setattr__(self, "_types", {})
+        _set_valid(self, {})
+        _set_types(self, {})
+
+    def __setattr__(self, *a):
+        raise AttributeError("FragmentConfig is immutable")
+
+    def __reduce__(self):
+        # a copy answers its own valid_type and types_upto queries
+        return FragmentConfig, self._key()
+
+    def _key(self) -> tuple:
+        return (self.extensions, self.base_types, self.nat_bound, self.type_depth)
+
+    def __eq__(self, other):
+        if type(other) is not FragmentConfig:
+            return NotImplemented
+        return self._key() == other._key()
 
     def __hash__(self):
         return self._h
@@ -201,6 +258,15 @@ class FragmentConfig:
     def name(self) -> str:
         enabled = [e for e in EXTENSIONS if e in self.extensions]
         return "base" + ("" if not enabled else "+" + "+".join(enabled))
+
+
+_set_extensions = FragmentConfig.extensions.__set__
+_set_base_types = FragmentConfig.base_types.__set__
+_set_nat_bound = FragmentConfig.nat_bound.__set__
+_set_type_depth = FragmentConfig.type_depth.__set__
+_set_cfg_h = FragmentConfig._h.__set__
+_set_valid = FragmentConfig._valid.__set__
+_set_types = FragmentConfig._types.__set__
 
 
 def config(extensions=(), base_types=("b",), nat_bound=8, type_depth=3) -> FragmentConfig:
@@ -356,7 +422,7 @@ def type_to_str(t: TypeExpr) -> str:
     else:
         open_, close = ("{", "}") if isinstance(t, Record) else ("<", ">")
         out = open_ + ", ".join(f"{l}: {type_to_str(v)}" for l, v in t.row) + close
-    object.__setattr__(t, "_str", out)
+    _set_str(t, out)
     return out
 
 
@@ -377,7 +443,7 @@ def type_to_label(t: TypeExpr) -> str:
     else:
         open_, close = ("{", "}") if isinstance(t, Record) else ("<", ">")
         out = open_ + ",".join(f"{l}:{type_to_label(v)}" for l, v in t.row) + close
-    object.__setattr__(t, "_label", out)
+    _set_label(t, out)
     return out
 
 

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import dataclasses
 import inspect
 import json
 import os
@@ -23,9 +22,9 @@ from .cbv.surface import (SurfaceSyntaxError, parse, parse_context, parse_type,
                            parse_value, pretty)
 from .cbv.typecheck import (ArityMismatch, SortMismatch, UnknownVariable,
                             synthesize, typecheck)
-from .cbv.types import (EXTENSIONS, Base, DepthExceeded, all_fragment_configs,
-                        config_from_dict, parse_fragment, type_to_str,
-                        typing_needs)
+from .cbv.types import (EXTENSIONS, Base, DepthExceeded, FragmentConfig,
+                        all_fragment_configs, config_from_dict, parse_fragment,
+                        type_to_str, typing_needs)
 from .report import Report
 from .semantics.denote import Interpreter, denote
 from .semantics.finset import ENUM_CAP, EnumerationTooLarge
@@ -165,8 +164,9 @@ def _elaborate(args, text):
         cfg = config_from_dict(_read_json_object(
             args.fragment_config, "--fragment-config",
             ("extensions", "base_types", "nat_bound", "type_depth")))
-        cfg = dataclasses.replace(cfg, base_types=_base_types(
-            cfg.base_types, "--fragment-config base_types"))
+        cfg = FragmentConfig(cfg.extensions, _base_types(
+            cfg.base_types, "--fragment-config base_types"), cfg.nat_bound,
+            cfg.type_depth)
         _capped(cfg.nat_bound, "--fragment-config nat_bound")
     else:
         cfg = parse_fragment(args.fragment, args.nat_bound,

@@ -10,8 +10,6 @@ that it drops when it returns.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from ..report import Report
 from ..sorts import Context, Renaming, Sort, first, second
 from .structures import (FinStructure, TensorResult, empty_structure,
@@ -46,13 +44,15 @@ class TensorTable:
         return self._nus[key]
 
 
-@dataclass
 class StructMap:
     """An elementwise map between structures indexed by the same (sort, ctx) grid."""
 
-    source: FinStructure
-    target: FinStructure
-    table: dict  # (sort, ctx) -> {elem: elem}
+    __slots__ = ("source", "target", "table")
+
+    def __init__(self, source: FinStructure, target: FinStructure, table: dict):
+        self.source = source
+        self.target = target
+        self.table = table  # (sort, ctx) -> {elem: elem}
 
     def apply(self, sort: Sort, ctx: Context, elem):
         return self.table[(sort, ctx)][elem]
@@ -277,10 +277,12 @@ def check_action_axioms(p: FinStructure, q: FinStructure, l: FinStructure,
 
 # --- pointed structures ---------------------------------------------------------
 
-@dataclass
 class PointedStructure:
-    structure: FinStructure
-    point: dict  # (sort_ident, ctx, position) -> element
+    __slots__ = ("structure", "point")
+
+    def __init__(self, structure: FinStructure, point: dict):
+        self.structure = structure
+        self.point = point  # (sort_ident, ctx, position) -> element
 
     def var(self, sort_ident, ctx: Context, position: int):
         return self.point[(sort_ident, ctx, position)]
@@ -397,12 +399,15 @@ def check_pointed_tensor(a: PointedStructure, b: PointedStructure,
 
 # --- skew monoidal structure on (monoid part, acted part) pairs -------------------
 
-@dataclass
 class PairObject:
     """An object of the combined category over one sorting system: a
     homogeneous part and a second-class-sorted part."""
-    mon: FinStructure
-    act: FinStructure
+
+    __slots__ = ("mon", "act")
+
+    def __init__(self, mon: FinStructure, act: FinStructure):
+        self.mon = mon
+        self.act = act
 
 
 def kneut_pair(fst_ids, snd_ids, bound: int) -> PairObject:

@@ -3,24 +3,54 @@
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 
 
-@dataclass(frozen=True)
 class CheckRecord:
-    suite: str
-    name: str
-    status: str  # "pass" | "fail"
-    witness: str | None = None
+    __slots__ = ("suite", "name", "status", "witness")
+
+    def __init__(self, suite: str, name: str, status: str, witness: str | None):
+        _set_suite(self, suite)
+        _set_name(self, name)
+        _set_status(self, status)  # "pass" | "fail"
+        _set_witness(self, witness)
+
+    def __setattr__(self, *a):
+        raise AttributeError("CheckRecord is immutable")
+
+    def __reduce__(self):
+        return CheckRecord, self._key()
+
+    def _key(self):
+        return (self.suite, self.name, self.status, self.witness)
+
+    def __eq__(self, other):
+        if type(other) is not CheckRecord:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        return (f"CheckRecord(suite={self.suite!r}, name={self.name!r}, "
+                f"status={self.status!r}, witness={self.witness!r})")
 
     @property
     def ok(self) -> bool:
         return self.status == "pass"
 
 
-@dataclass
+_set_suite = CheckRecord.suite.__set__
+_set_name = CheckRecord.name.__set__
+_set_status = CheckRecord.status.__set__
+_set_witness = CheckRecord.witness.__set__
+
+
 class Report:
-    records: list[CheckRecord] = field(default_factory=list)
+    # no slots: a caller may keep what it measured on the report it filled
+
+    def __init__(self):
+        self.records: list[CheckRecord] = []
 
     def record(self, suite: str, name: str, ok: bool, witness: str | None = None):
         self.records.append(CheckRecord(suite, name, "pass" if ok else "fail",

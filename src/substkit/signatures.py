@@ -22,7 +22,6 @@ once, along the projection onto the caller's context.  The two agree because
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Protocol, Sequence
 
 from .sorts import Context, Renaming, Sort, SortingSystem
@@ -32,20 +31,56 @@ class NotFlattenable(Exception):
     """A signature expression outside the coproduct-of-operators normal form."""
 
 
-@dataclass(frozen=True)
 class Argument:
-    binder: Context
-    sort: Sort
+    __slots__ = ("binder", "sort")
+
+    def __init__(self, binder: Context, sort: Sort):
+        _set_binder(self, binder)
+        _set_sort(self, sort)
+
+    def __setattr__(self, *a):
+        raise AttributeError("Argument is immutable")
+
+    def __reduce__(self):
+        return Argument, (self.binder, self.sort)
+
+    def __eq__(self, other):
+        if type(other) is not Argument:
+            return NotImplemented
+        return (self.binder, self.sort) == (other.binder, other.sort)
+
+    def __hash__(self):
+        return hash((self.binder, self.sort))
 
 
-@dataclass(frozen=True)
 class Operator:
-    label: str
-    result_sort: Sort
-    args: tuple[Argument, ...]
-    # the family and parameters of the instance: the label determines both
-    family: str = field(compare=False)
-    params: tuple = field(compare=False)
+    # the family and parameters of the instance: the label determines both,
+    # so they take no part in comparing operators
+    __slots__ = ("label", "result_sort", "args", "family", "params", "__weakref__")
+
+    def __init__(self, label: str, result_sort: Sort, args: tuple[Argument, ...],
+                 family: str, params: tuple):
+        _set_label(self, label)
+        _set_result_sort(self, result_sort)
+        _set_args(self, args)
+        _set_family(self, family)
+        _set_params(self, params)
+
+    def __setattr__(self, *a):
+        raise AttributeError("Operator is immutable")
+
+    def __reduce__(self):
+        return Operator, (self.label, self.result_sort, self.args, self.family,
+                          self.params)
+
+    def __eq__(self, other):
+        if type(other) is not Operator:
+            return NotImplemented
+        return ((self.label, self.result_sort, self.args)
+                == (other.label, other.result_sort, other.args))
+
+    def __hash__(self):
+        return hash((self.label, self.result_sort, self.args))
 
     @property
     def arity(self) -> int:
@@ -55,50 +90,72 @@ class Operator:
         return f"Operator({self.label!r})"
 
 
+_set_binder = Argument.binder.__set__
+_set_sort = Argument.sort.__set__
+_set_label = Operator.label.__set__
+_set_result_sort = Operator.result_sort.__set__
+_set_args = Operator.args.__set__
+_set_family = Operator.family.__set__
+_set_params = Operator.params.__set__
+
+
 # --- signature combinator expressions -------------------------------------
 #
 # Only the normal form used by binding signatures flattens: a coproduct of
 # OnlyAt-wrapped products of (possibly shifted) projections of the recursion
 # variable.  Restrict and non-normal nestings are representable but rejected
-# by flatten with a pointer at the offending subterm.
+# by flatten with a pointer at the offending subterm, which shows it by its
+# repr.
 
-@dataclass(frozen=True)
-class Hole:
-    pass
+class _Combinator:
+    """An immutable node of a signature expression, shown by its fields."""
+    __slots__ = ()
 
+    def __init__(self, *values):
+        fields = self.__slots__
+        if len(values) != len(fields):
+            raise TypeError(f"{type(self).__name__} takes {len(fields)} "
+                            f"arguments ({', '.join(fields)}), got {len(values)}")
+        for field, value in zip(fields, values):
+            getattr(type(self), field).__set__(self, value)
 
-@dataclass(frozen=True)
-class At:
-    sort: Sort
-    inner: object
+    def __setattr__(self, *a):
+        raise AttributeError(f"{type(self).__name__} is immutable")
 
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, f) for f in self.__slots__)
 
-@dataclass(frozen=True)
-class OnlyAt:
-    sort: Sort
-    inner: object
-
-
-@dataclass(frozen=True)
-class Shift:
-    binder: Context
-    inner: object
-
-
-@dataclass(frozen=True)
-class Product:
-    factors: tuple
+    def __repr__(self):
+        shown = ", ".join(f"{f}={getattr(self, f)!r}" for f in self.__slots__)
+        return f"{type(self).__name__}({shown})"
 
 
-@dataclass(frozen=True)
-class Coproduct:
-    summands: tuple  # of (label, expr) pairs
+class Hole(_Combinator):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Restrict:
-    along: object
-    inner: object
+class At(_Combinator):
+    __slots__ = ("sort", "inner")
+
+
+class OnlyAt(_Combinator):
+    __slots__ = ("sort", "inner")
+
+
+class Shift(_Combinator):
+    __slots__ = ("binder", "inner")
+
+
+class Product(_Combinator):
+    __slots__ = ("factors",)
+
+
+class Coproduct(_Combinator):
+    __slots__ = ("summands",)  # of (label, expr) pairs
+
+
+class Restrict(_Combinator):
+    __slots__ = ("along", "inner")
 
 
 def _flatten_atom(expr) -> Argument:

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import itertools
 import operator
-from dataclasses import dataclass
 from typing import Container, Hashable, Iterable, Sequence
 
 FIRST = "first"
@@ -71,7 +70,6 @@ def second(ident: Hashable) -> Sort:
     return _new(Sort, (SECOND, ident))
 
 
-@dataclass(frozen=True)
 class SortingSystem:
     """A pair of finite sort sets; the total sort set is their tagged union.
 
@@ -79,13 +77,20 @@ class SortingSystem:
     identifiers.
     """
 
-    fst_sorts: tuple
-    snd_sorts: tuple = ()
+    __slots__ = ("fst_sorts", "snd_sorts")
 
-    def __post_init__(self):
-        for name, comp in (("fst_sorts", self.fst_sorts), ("snd_sorts", self.snd_sorts)):
+    def __init__(self, fst_sorts: tuple, snd_sorts: tuple):
+        for name, comp in (("fst_sorts", fst_sorts), ("snd_sorts", snd_sorts)):
             if len(set(comp)) != len(comp):
                 raise ValueError(f"{name} contains duplicates: {comp!r}")
+        _set_fst_sorts(self, fst_sorts)
+        _set_snd_sorts(self, snd_sorts)
+
+    def __setattr__(self, *a):
+        raise AttributeError("SortingSystem is immutable")
+
+    def __reduce__(self):
+        return SortingSystem, (self.fst_sorts, self.snd_sorts)
 
     def __contains__(self, sort: Sort) -> bool:
         pool = self.fst_sorts if sort.is_first else self.snd_sorts
@@ -199,6 +204,8 @@ class Renaming:
 
 # the checked constructors set their slots through the slot descriptors,
 # which pass by the refusing __setattr__ without a lookup by name
+_set_fst_sorts = SortingSystem.fst_sorts.__set__
+_set_snd_sorts = SortingSystem.snd_sorts.__set__
 _set_entries = Context.entries.__set__
 _set_ctx_hash = Context._hash.__set__
 _set_ext = Context._ext.__set__

@@ -29,7 +29,6 @@ right) is kept alongside as a cross-check; the two must agree everywhere.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from operator import is_
 from typing import Iterable, Mapping, Sequence
 
@@ -45,12 +44,31 @@ class UnknownHole(KeyError):
     pass
 
 
-@dataclass(frozen=True)
 class HoleDecl:
     """A metavariable: a placeholder of a given sort with its own context."""
-    ident: str
-    sort: Sort
-    ctx: Context
+    __slots__ = ("ident", "sort", "ctx")
+
+    def __init__(self, ident: str, sort: Sort, ctx: Context):
+        _set_hole_ident(self, ident)
+        _set_hole_sort(self, sort)
+        _set_hole_ctx(self, ctx)
+
+    def __setattr__(self, *a):
+        raise AttributeError("HoleDecl is immutable")
+
+    def __reduce__(self):
+        return HoleDecl, (self.ident, self.sort, self.ctx)
+
+    def __eq__(self, other):
+        if type(other) is not HoleDecl:
+            return NotImplemented
+        return (self.ident, self.sort, self.ctx) == (other.ident, other.sort, other.ctx)
+
+    def __hash__(self):
+        return hash((self.ident, self.sort, self.ctx))
+
+    def __repr__(self):
+        return f"HoleDecl(ident={self.ident!r}, sort={self.sort!r}, ctx={self.ctx!r})"
 
 
 class Term:
@@ -202,6 +220,9 @@ class SubstEnv:
 
 # the checked constructors set their slots through the slot descriptors,
 # which pass by the refusing __setattr__ without a lookup by name
+_set_hole_ident = HoleDecl.ident.__set__
+_set_hole_sort = HoleDecl.sort.__set__
+_set_hole_ctx = HoleDecl.ctx.__set__
 _set_sort = Term.sort.__set__
 _set_ctx = Term.ctx.__set__
 _set_hash = Term._hash.__set__

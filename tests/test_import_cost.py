@@ -80,3 +80,18 @@ def test_first_unit_of_each_workload_imports_nothing_new(name):
                "print(json.dumps(sorted(m for m in set(sys.modules) - before "
                "if m.startswith('substkit'))))")
     assert new == []
+
+
+@pytest.mark.parametrize("name", sorted(WORKLOADS))
+def test_no_workload_defines_a_dataclass_at_set_up(name):
+    """The value classes a workload loads are written out: a dataclass
+    compiles and runs its generated methods when its module loads, so each
+    one adds to ``setup_s``."""
+    found = _run("import dataclasses, json, sys\n"
+                 "from workloads import WORKLOADS\n"
+                 f"WORKLOADS[{name!r}].prepare({ACCEPTANCE_SEED})\n"
+                 "print(json.dumps(sorted(f'{m}.{k}' for m, mod in list(sys.modules.items())\n"
+                 "    if m.startswith('substkit') for k, v in vars(mod).items()\n"
+                 "    if isinstance(v, type) and v.__module__ == m\n"
+                 "    and dataclasses.is_dataclass(v))))")
+    assert found == []

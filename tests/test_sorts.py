@@ -27,7 +27,7 @@ def test_sorting_system_basics():
     assert first("b") in sys and second("b") in sys
     assert second("c") not in sys
     with pytest.raises(ValueError):
-        SortingSystem(("b", "b"))
+        SortingSystem(("b", "b"), ())
 
 
 def test_identity_renaming():
