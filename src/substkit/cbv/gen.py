@@ -119,9 +119,16 @@ class _Kernel:
         return n
 
     def mask(self, types) -> int:
+        # a set's order follows addresses, so types met here first are
+        # numbered by label: the numbering, and with it the order of the
+        # fallback's function types, is the same in every run
+        numbers = self.numbers
+        for t in sorted((t for t in types if t not in numbers),
+                        key=type_to_label):
+            self.number(t)
         m = 0
         for t in types:
-            m |= 1 << self.number(t)
+            m |= 1 << numbers[t]
         return m
 
     def decode(self, mask: int) -> frozenset:
@@ -350,10 +357,8 @@ class TermGen:
         k = self.rng.randrange(max_len + 1)
         entries = [self.rng.choice(self.universe) for _ in range(k)]
         if not self.inhabited(frozenset(entries)):
-            # the universe's object of the base type, the one the table's
-            # sorts name
-            base = Base(self.cfg.base_types[0])
-            entries.append(next((t for t in self.universe if t == base), base))
+            # nothing has a value here: add a variable of the first base type
+            entries.append(Base(self.cfg.base_types[0]))
         return Context(tuple(entries))
 
     def random_target(self, ctx: Context) -> Sort:

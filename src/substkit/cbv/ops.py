@@ -22,16 +22,14 @@ valid), or, under the ``naturals`` gate, ``Nat`` or an option shape over a
 valid type.
 
 What a minted operator is made of: its sorts are pairs of a class and a
-type (``sorts.first`` and ``sorts.second``), and the table reads each type
-through its own map, seeded with the fragment's depth-2 universe that the
-variables of generated contexts draw from, so that equal types are one
-object and the C compare of two equal sorts meets identical types, not the
-types' Python ``__eq__``.  Its binder contexts are the table's: one empty
-binder, and one extension of it per list of bound types, which ``let``
-prefixes and every other binder share.  Map and binders are the table's
-alone and go with it and its operators; a module constant would keep every
-extension for the life of the process.  So ``Op`` finds the contexts it
-checks identical whenever they are equal.
+type (``sorts.first`` and ``sorts.second``).  A type is the one live object
+of its fields (``cbv.types``), so the C compare of two equal sorts meets
+identical types.  Its binder contexts are the table's: one empty binder, and
+one extension of it per list of bound types, which ``let`` prefixes and
+every other binder share.  The binders are the table's alone and go with it
+and its operators; a module constant would keep every extension for the life
+of the process.  So ``Op`` finds the contexts it checks identical whenever
+they are equal.
 """
 
 from __future__ import annotations
@@ -95,8 +93,6 @@ class CbvOperatorTable:
         # the empty binder of every argument without one; its extensions
         # are the other binders, one object per prefix, freed with the table
         self._empty = Context(())
-        # one object per type the table's sorts are made of (see _canon)
-        self._types: dict | None = None
 
     # -- helpers ---------------------------------------------------------
 
@@ -105,27 +101,14 @@ class CbvOperatorTable:
         them, an extension of its empty binder."""
         return self._empty.extend(Context(entries)) if entries else self._empty
 
-    def _canon(self, t: TypeExpr) -> TypeExpr:
-        """The table's one object of the type ``t``: the depth-2 universe's,
-        which variables' contexts draw from, else the first the table met;
-        so comparing its sorts with a variable's finds the type identical."""
-        types = self._types
-        if types is None:
-            types = self._types = {u: u for u in types_upto(self.cfg, 2)}
-        return types.setdefault(t, t)
-
-    def _row(self, row: tuple) -> tuple:
-        return tuple((label, self._canon(v)) for label, v in row)
-
     def _check_type(self, t: TypeExpr) -> TypeExpr:
-        """``t`` as the table's object, if the fragment forms it within its
-        type depth."""
+        """``t``, if the fragment forms it within its type depth."""
         if not valid_type(t, self.cfg):
             raise DisabledConstruct(f"type {type_to_label(t)}", self.cfg)
         if type_depth(t) > self.cfg.type_depth:
             raise DepthExceeded(
                 f"type {type_to_label(t)} exceeds depth {self.cfg.type_depth}")
-        return self._canon(t)
+        return t
 
     # -- operator families -------------------------------------------------
 
@@ -155,7 +138,6 @@ class CbvOperatorTable:
     def lam(self, dom: TypeExpr, cod: TypeExpr) -> Operator:
         if not self.cfg.has("functions"):
             raise DisabledConstruct("lam", self.cfg)
-        dom, cod = self._canon(dom), self._canon(cod)
         f = self._check_type(fun(dom, cod))
         label = f"lam<{type_to_label(dom)};{type_to_label(cod)}>"
         arg = Argument(self._binder((dom,)), second(cod))
@@ -167,7 +149,6 @@ class CbvOperatorTable:
                  and is_context_row(dom))
         if not (self.cfg.has("functions") or fused):
             raise DisabledConstruct("app", self.cfg)
-        dom, cod = self._canon(dom), self._canon(cod)
         f = self._check_type(fun(dom, cod))
         label = f"app<{type_to_label(dom)};{type_to_label(cod)}>"
         args = (Argument(self._empty, second(f)), Argument(self._empty, second(dom)))
@@ -175,21 +156,21 @@ class CbvOperatorTable:
 
     @_mint_once_per_row
     def vrec(self, row: tuple) -> Operator:
-        t = self._check_type(record(self._row(row)))
+        t = self._check_type(record(row))
         label = f"vrec<{type_to_label(t)}>"
         args = tuple(Argument(self._empty, first(v)) for _, v in t.row)
         return Operator(label, first(t), args, "vrec", (t.row,))
 
     @_mint_once_per_row
     def rec(self, row: tuple) -> Operator:
-        t = self._check_type(record(self._row(row)))
+        t = self._check_type(record(row))
         label = f"rec<{type_to_label(t)}>"
         args = tuple(Argument(self._empty, second(v)) for _, v in t.row)
         return Operator(label, second(t), args, "rec", (t.row,))
 
     @_mint_once_per_row
     def recmatch(self, row: tuple, result: TypeExpr) -> Operator:
-        t = record(self._row(row))
+        t = record(row)
         if not self.cfg.has("records"):
             raise DisabledConstruct("record match", self.cfg)
         t = self._check_type(t)
@@ -201,21 +182,21 @@ class CbvOperatorTable:
 
     @_mint_once_per_row
     def vinj(self, row: tuple, tag: str) -> Operator:
-        t = self._check_type(variant(self._row(row)))
+        t = self._check_type(variant(row))
         label = f"vinj<{type_to_label(t)};{tag}>"
         arg = Argument(self._empty, first(dict(t.row)[tag]))
         return Operator(label, first(t), (arg,), "vinj", (t.row, tag))
 
     @_mint_once_per_row
     def inj(self, row: tuple, tag: str) -> Operator:
-        t = self._check_type(variant(self._row(row)))
+        t = self._check_type(variant(row))
         label = f"inj<{type_to_label(t)};{tag}>"
         arg = Argument(self._empty, second(dict(t.row)[tag]))
         return Operator(label, second(t), (arg,), "inj", (t.row, tag))
 
     @_mint_once_per_row
     def vmatch(self, row: tuple, result: TypeExpr) -> Operator:
-        t = variant(self._row(row))
+        t = variant(row)
         if not vmatch_allowed(self.cfg, t):
             raise DisabledConstruct("variant match", self.cfg)
         t = self._check_type(t)
@@ -239,14 +220,14 @@ class CbvOperatorTable:
     def unroll(self) -> Operator:
         if not self.cfg.has("naturals"):
             raise DisabledConstruct("unroll", self.cfg)
-        return Operator("unroll", second(self._canon(maybe_shape(NAT))),
+        return Operator("unroll", second(maybe_shape(NAT)),
                         (Argument(self._empty, second(NAT)),), "unroll", ())
 
     @_mint_once
     def roll(self) -> Operator:
         if not self.cfg.has("naturals"):
             raise DisabledConstruct("roll", self.cfg)
-        arg = Argument(self._empty, second(self._canon(maybe_shape(NAT))))
+        arg = Argument(self._empty, second(maybe_shape(NAT)))
         return Operator("roll", second(NAT), (arg,), "roll", ())
 
     @_mint_once
@@ -255,7 +236,7 @@ class CbvOperatorTable:
             raise DisabledConstruct("fold", self.cfg)
         result = self._check_type(result)
         label = f"natfold<{type_to_label(result)}>"
-        binder = self._binder((self._canon(maybe_shape(result)),))
+        binder = self._binder((maybe_shape(result),))
         args = (Argument(self._empty, second(NAT)), Argument(binder, second(result)))
         return Operator(label, second(result), args, "natfold", (result,))
 
@@ -282,7 +263,7 @@ class CbvOperatorTable:
         for params, ret in defs:
             params = tuple(self._check_type(p) for p in params)
             dom = record(tuple((str(i), p) for i, p in enumerate(params)))
-            ftypes.append(self._check_type(fun(dom, self._canon(ret))))
+            ftypes.append(self._check_type(fun(dom, ret)))
             checked.append(params)
         result = self._check_type(result)
         defs_label = ",".join(

@@ -13,6 +13,7 @@ demands.
 from __future__ import annotations
 
 import itertools
+import weakref
 
 EXTENSIONS = ("sequential", "functions", "records", "variants", "naturals",
               "while", "recursion")
@@ -23,16 +24,39 @@ class DepthExceeded(Exception):
 
 
 class TypeExpr:
-    """A type; each one computes its hash ``_h`` and its depth ``_d`` once,
-    when it is built, and stores its label (``_label``, of
+    """A type: the one live object of its class and fields.  Every
+    constructor call, copy and unpickle returns the object already made of
+    equal fields, so equal types are identical across the process, and a
+    type compares and hashes by identity, in C.  The table of live types
+    holds each one weakly: a type nobody else holds is freed by reference
+    counting, and its entry with it.  Each type computes its depth ``_d``
+    when it is made, and stores its label (``_label``, of
     :func:`type_to_label`) and surface string (``_str``, of
     :func:`type_to_str`) the first time each is asked for.  A type keeps no
     sort: its sorts are pairs (:func:`~substkit.sorts.first`).  Types are
     immutable; ``_fields`` names a class's constructor arguments, in order,
     from which the rest derives."""
     # slots, not an instance dict, so that a type stays small
-    __slots__ = ("_h", "_d", "_label", "_str")
+    __slots__ = ("_d", "_label", "_str", "__weakref__")
     _fields: tuple = ()
+
+    def __new__(cls, *fields):
+        key = (cls, *fields)
+        t = _live_get(key)
+        if t is None:
+            t = _new(cls)
+            d = 0
+            for name, v in zip(cls._fields, fields):
+                _setattr(t, name, v)
+                # a field is a name, a type, or a row of (label, type) pairs
+                row = (v if isinstance(v, tuple) else
+                       (("", v),) if isinstance(v, TypeExpr) else ())
+                for _, c in row:
+                    if c._d > d:
+                        d = c._d
+            _set_d(t, 1 + d)
+            _live[key] = t
+        return t
 
     def __setattr__(self, *a):
         raise AttributeError("types are immutable")
@@ -41,114 +65,40 @@ class TypeExpr:
         # copies and pickles are built from the constructor's arguments
         return type(self), tuple(getattr(self, f) for f in self._fields)
 
-    def __hash__(self):
-        return self._h
-
     def __repr__(self):
         shown = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
         return f"{type(self).__name__}({shown})"
 
 
-def _row_depth(row: tuple) -> int:
-    d = 0
-    for _, v in row:
-        if v._d > d:
-            d = v._d
-    return 1 + d
-
-
 class Base(TypeExpr):
     __slots__ = _fields = ("name",)
-
-    def __init__(self, name: str):
-        _set_name(self, name)
-        _set_h(self, hash(("B", name)))
-        _set_d(self, 1)
-
-    def __eq__(self, other):
-        if type(other) is not Base:
-            return NotImplemented
-        return self.name == other.name
-
-    __hash__ = TypeExpr.__hash__
 
 
 class Fun(TypeExpr):
     __slots__ = _fields = ("dom", "cod")
 
-    def __init__(self, dom: TypeExpr, cod: TypeExpr):
-        _set_dom(self, dom)
-        _set_cod(self, cod)
-        _set_h(self, hash(("F", dom, cod)))
-        d, e = dom._d, cod._d
-        _set_d(self, 1 + (d if d > e else e))
-
-    def __eq__(self, other):
-        if type(other) is not Fun:
-            return NotImplemented
-        return (self.dom, self.cod) == (other.dom, other.cod)
-
-    __hash__ = TypeExpr.__hash__
-
 
 class Record(TypeExpr):
     __slots__ = _fields = ("row",)  # of (label, TypeExpr), label-sorted
-
-    def __init__(self, row: tuple):
-        _set_record_row(self, row)
-        _set_h(self, hash(("R", row)))
-        _set_d(self, _row_depth(row))
-
-    def __eq__(self, other):
-        if type(other) is not Record:
-            return NotImplemented
-        return self.row == other.row
-
-    __hash__ = TypeExpr.__hash__
 
 
 class Variant(TypeExpr):
     __slots__ = _fields = ("row",)
 
-    def __init__(self, row: tuple):
-        _set_variant_row(self, row)
-        _set_h(self, hash(("V", row)))
-        _set_d(self, _row_depth(row))
-
-    def __eq__(self, other):
-        if type(other) is not Variant:
-            return NotImplemented
-        return self.row == other.row
-
-    __hash__ = TypeExpr.__hash__
-
 
 class NatType(TypeExpr):
     __slots__ = ()
 
-    def __init__(self):
-        _set_h(self, hash("NatType"))
-        _set_d(self, 1)
 
-    def __eq__(self, other):
-        if type(other) is not NatType:
-            return NotImplemented
-        return True
-
-    __hash__ = TypeExpr.__hash__
-
-
-# the constructors set their slots through the slot descriptors, which pass
-# by the refusing __setattr__ without a lookup by name
-_set_h = TypeExpr._h.__set__
+# the live type of each (class, *fields), held weakly
+_live = weakref.WeakValueDictionary()
+_live_get = _live.get
+_new = object.__new__
+# the constructor sets slots past the refusing __setattr__
+_setattr = object.__setattr__
 _set_d = TypeExpr._d.__set__
 _set_label = TypeExpr._label.__set__
 _set_str = TypeExpr._str.__set__
-_set_name = Base.name.__set__
-_set_dom = Fun.dom.__set__
-_set_cod = Fun.cod.__set__
-_set_record_row = Record.row.__set__
-_set_variant_row = Variant.row.__set__
 
 NAT = NatType()
 UNIT = Record(())
@@ -352,9 +302,11 @@ ROW_LABELS = ("A", "B")
 
 def types_upto(cfg: FragmentConfig, depth: int) -> tuple:
     """The fragment's valid types of depth at most ``depth``, by depth and
-    then by rendering.  Each depth adds one layer of type formers to the
-    types of the depth below, so the universes of one fragment share their
-    type objects, and equal types among them are identical.
+    then by rendering; no two types of a universe render alike at one depth,
+    so that order is total and never follows the order of a set.  Each depth
+    adds one layer of type formers to the types of the depth below.  A type
+    is one object across the process, so equal types in any two universes,
+    of one fragment or of two, are identical.
 
     One gap: with ``recursion`` and neither ``records`` nor ``naturals``,
     the empty record ``{}`` (depth 1) enters only as a component of the
@@ -371,8 +323,9 @@ def types_upto(cfg: FragmentConfig, depth: int) -> tuple:
         if cfg.has("records") or cfg.has("naturals"):
             seen.add(UNIT)
     else:
-        seen = set(types_upto(cfg, depth - 1))
-        smaller = sorted(seen, key=type_to_str)
+        below = types_upto(cfg, depth - 1)
+        seen = set(below)
+        smaller = sorted(below, key=type_to_str)
         layer = []
         if cfg.has("functions"):
             layer += [fun(a, b) for a in smaller for b in smaller]

@@ -615,13 +615,15 @@ def test_generated_variables_and_minted_operators_name_one_type_object():
 def test_family_types_are_read_through_the_fragment_universe():
     cfg = config(("functions", "records", "variants", "sequential"))
     table = CbvOperatorTable(cfg)
-    universe = {t: t for t in types_upto(cfg, 2)}
+    universe = types_upto(cfg, 2)
     b = Base("b")
+    # a type is one object across the process: a fresh one is the universe's
     fresh_fun, fresh_rec = fun(b, b), record((("A", b),))
-    assert universe[fresh_fun] is not fresh_fun
-    assert table.val(fresh_fun).args[0].sort.ident is universe[fresh_fun]
-    assert table.lam(b, b).result_sort.ident is universe[fresh_fun]
-    assert table.vrec(fresh_rec.row).result_sort.ident is universe[fresh_rec]
+    assert any(t is fresh_fun for t in universe)
+    assert any(t is fresh_rec for t in universe)
+    assert table.val(fresh_fun).args[0].sort.ident is fresh_fun
+    assert table.lam(b, b).result_sort.ident is fresh_fun
+    assert table.vrec(fresh_rec.row).result_sort.ident is fresh_rec
     assert table.let((b, fresh_fun), b).args[1].binder is \
         table.lam(b, b).args[0].binder
 
