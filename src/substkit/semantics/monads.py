@@ -16,7 +16,16 @@ so these are numbered once per ``f`` and ``bind(g, b, n)`` is computed once per
 (f, g) pair for each ``b`` and each of them, where both sides read it.  The
 outer bind of each right-hand side (and the left-hand side of naturality)
 remains a real call per point.  Function spaces are indexed, not listed, so a
-sampled space builds only the graphs it draws.
+sampled space builds only the graphs it draws (over rows listed once).
+
+Each ``f : a x x -> T y`` (and each ``g``) is drawn curried, as one dict per
+parameter, ``f[q][v]``: from the space of functions ``a -> (x -> T y)``, whose
+index ``i`` is the graph at index ``i`` of the flat space, and at size 3 in the
+same draw order.  Every callable handed to ``bind`` reads through those rows,
+so no call builds or hashes a ``(q, v)`` key; ``bind`` still gets a real
+callable ``f(q, v)`` that reads the parameter it is handed.  Witnesses print
+the flat graph.
+
 A failing law records its first counterexample: the sizes, the functions and
 the point, each printed with sets in sorted order.
 """
@@ -234,7 +243,9 @@ class _FunctionSpace(Sequence):
 
     Index ``i`` is decoded to its graph when it is read, so ``random.sample``
     and ``random.choice`` draw the graphs they would draw from the full list
-    while building only those.
+    while building only those.  With ``cod`` the space ``y -> t``, graph ``i``
+    is graph ``i`` of the space ``dom x y -> t``, curried; ``cod`` is listed
+    once, and the graphs share its rows.
     """
 
     def __init__(self, dom, cod):
@@ -258,6 +269,11 @@ class _FunctionSpace(Sequence):
             yield dict(zip(self.dom, outs))
 
 
+def _flat(rows):
+    """The graph ``{(q, v): t}`` of a curried graph ``rows[q][v] = t``."""
+    return {(q, v): t for q, row in rows.items() for v, t in row.items()}
+
+
 def _show(v) -> str:
     """``repr`` with set elements sorted, so it does not depend on hash seeds."""
     if isinstance(v, (set, frozenset)):
@@ -278,6 +294,16 @@ def check_monad_laws(monad: StrongMonad, report: Report | None = None,
                      pair_budget: int = 10_000,
                      f_cap: int = 2048, sample_size3: int = 60,
                      seed: int = 0) -> Report:
+    """Record the four laws of ``monad`` at sizes <= 2, and size-3 samples.
+
+    Every ``f : a x x -> T y`` is checked (a seeded sample of ``f_cap`` when
+    there are more), and each ``f`` with every ``g : b x y -> T z`` while the
+    pairs stay within ``pair_budget`` (else ``max(1, pair_budget // len(fs))``
+    seeded draws of ``g`` per ``f``); ``sample_size3`` samples follow.  Each
+    graph is drawn as one row per parameter, ``f[q][v]``; every bind the laws
+    check stays a real call of ``monad.bind`` with a callable that reads the
+    parameter it is handed.  Witnesses print the flat graphs.
+    """
     rep = report if report is not None else Report()
     suite = f"monad-laws[{monad.name}]"
     rng = random.Random(seed)
@@ -303,7 +329,7 @@ def check_monad_laws(monad: StrongMonad, report: Report | None = None,
                     first["unit"] = _witness(f"sizes {na, nx}", a=av, m=m,
                                              **{"bind(unit)": got})
 
-        f_space = _FunctionSpace(itertools.product(a, x), monad.apply(y))
+        f_space = _FunctionSpace(a, _FunctionSpace(x, monad.apply(y)))
         if len(f_space) > f_cap:
             f_mode = f"seeded sample of {f_cap}"
             fs = rng.sample(f_space, f_cap)
@@ -313,8 +339,8 @@ def check_monad_laws(monad: StrongMonad, report: Report | None = None,
         hs = [dict(zip(aprime, outs))
               for outs in itertools.product(list(a), repeat=aprime.size)]
         b = _abstract_set("b", 2)
-        g_space = _FunctionSpace(itertools.product(b, y),
-                                 monad.apply(_abstract_set("z", 2)))
+        g_space = _FunctionSpace(b, _FunctionSpace(
+            y, monad.apply(_abstract_set("z", 2))))
         exhaustive_g = len(fs) * len(g_space) <= pair_budget
         if not exhaustive_g:
             assoc_mode = "exhaustive-f/sampled-g"
@@ -323,41 +349,45 @@ def check_monad_laws(monad: StrongMonad, report: Report | None = None,
         for f in fs:
             # the Kleisli extension of f: rows[q][i] is bind(f, q, txl[i]);
             # every closure below is used only in this iteration
-            f_at = lambda q, v: f[(q, v)]
+            f_at = lambda q, v: f[q][v]
             rows = {av: [bind(f_at, av, m) for m in txl] for av in a}
             # (2) naturality in the parameter, over all h : a' -> a
             for h in hs:
-                f_h = lambda q, v: f[(h[q], v)]
+                fh_row = {p: f[h[p]] for p in aprime}
+                f_h = lambda q, v: fh_row[q][v]
                 for ap in aprime:
                     for m, rhs in zip(txl, rows[h[ap]]):
                         lhs = bind(f_h, ap, m)
                         if lhs != rhs and "nat" not in first:
-                            first["nat"] = _witness(where, f=f, h=h, p=ap, m=m,
-                                                    lhs=lhs, rhs=rhs)
+                            first["nat"] = _witness(
+                                where, f=_flat(f), h=h, p=ap, m=m, lhs=lhs,
+                                rhs=rhs)
             # (3) Kleisli unit: bind f . (id x unit) = f
             for av in a:
                 for xv in x:
                     u = unit(xv)
                     got = (rows[av][tx.index(u)] if u in tx
                            else bind(f_at, av, u))
-                    if got != f[(av, xv)] and "kleisli" not in first:
-                        first["kleisli"] = _witness(where, f=f, a=av, m=u,
-                                                    got=got, want=f[(av, xv)])
+                    if got != f[av][xv] and "kleisli" not in first:
+                        first["kleisli"] = _witness(
+                            where, f=_flat(f), a=av, m=u, got=got,
+                            want=f[av][xv])
 
             # (4) parameterized associativity, per g drawn for this f.  Both
             # sides hand bind(g, b, .) only the rows' values and f's values:
-            # ns numbers them in first-seen order, and cols and f_col read
-            # rows and f as those numbers
+            # ns numbers them in first-seen order, f's in its item order, and
+            # cols and f_col read rows and f as those numbers
             ns = {}
             cols = {av: [ns.setdefault(n, len(ns)) for n in rows[av]]
                     for av in a}
-            f_col = {k: ns.setdefault(n, len(ns)) for k, n in f.items()}
+            f_col = {q: {v: ns.setdefault(n, len(ns)) for v, n in row.items()}
+                     for q, row in f.items()}
             gs = g_space if exhaustive_g else [rng.choice(g_space)
                                                for _ in range(draws)]
             for g in gs:
-                g_at = lambda q, w: g[(q, w)]
+                g_at = lambda q, w: g[q][w]
                 ext_g = {bv: [bind(g_at, bv, n) for n in ns] for bv in b}
-                f_then_g = lambda q, v: ext_g[q[0]][f_col[(q[1], v)]]
+                f_then_g = lambda q, v: ext_g[q[0]][f_col[q[1]][v]]
                 for bv in b:
                     eg = ext_g[bv]
                     for av in a:
@@ -367,8 +397,8 @@ def check_monad_laws(monad: StrongMonad, report: Report | None = None,
                             rhs = bind(f_then_g, ba, m)
                             if lhs != rhs and "assoc" not in first:
                                 first["assoc"] = _witness(
-                                    where, f=f, g=g, b=bv, a=av, m=m,
-                                    lhs=lhs, rhs=rhs)
+                                    where, f=_flat(f), g=_flat(g), b=bv,
+                                    a=av, m=m, lhs=lhs, rhs=rhs)
 
     for law, name in (("unit", f"unit projection law ({f_mode}, <=2)"),
                       ("nat", f"parameter naturality ({f_mode}, <=2)"),
@@ -384,25 +414,24 @@ def check_monad_laws(monad: StrongMonad, report: Report | None = None,
     tz = monad.apply(_abstract_set("z", 3))
     w = None  # the first failing sample
     for _ in range(sample_size3):
-        f = {k: rng.choice(ty.elements)
-             for k in itertools.product(a, x)}
-        g = {k: rng.choice(tz.elements)
-             for k in itertools.product(a, y)}
+        f = {q: {v: rng.choice(ty.elements) for v in x} for q in a}
+        g = {q: {v: rng.choice(tz.elements) for v in y} for q in a}
         av, bv = rng.choice(a.elements), rng.choice(a.elements)
         m = rng.choice(tx.elements)
+        f_at = lambda q, v: f[q][v]
+        g_at = lambda q, w: g[q][w]
         got = bind(lambda q, v: unit(v), av, m)
         if got != m and w is None:
             w = _witness("unit at size 3", a=av, m=m, **{"bind(unit)": got})
         for xv in x:
-            got = bind(lambda q, v: f[(q, v)], av, unit(xv))
-            if got != f[(av, xv)] and w is None:
-                w = _witness("Kleisli unit at size 3", f=f, a=av, m=unit(xv),
-                             got=got, want=f[(av, xv)])
-        lhs = bind(lambda q, v: g[(q, v)], bv, bind(lambda q, v: f[(q, v)], av, m))
-        rhs = bind(lambda q, v: bind(lambda q2, u: g[(q2, u)], q[0], f[(q[1], v)]),
-                   (bv, av), m)
+            got = bind(f_at, av, unit(xv))
+            if got != f[av][xv] and w is None:
+                w = _witness("Kleisli unit at size 3", f=_flat(f), a=av,
+                             m=unit(xv), got=got, want=f[av][xv])
+        lhs = bind(g_at, bv, bind(f_at, av, m))
+        rhs = bind(lambda q, v: bind(g_at, q[0], f[q[1]][v]), (bv, av), m)
         if lhs != rhs and w is None:
-            w = _witness("associativity at size 3", f=f, g=g, b=bv, a=av, m=m,
-                         lhs=lhs, rhs=rhs)
+            w = _witness("associativity at size 3", f=_flat(f), g=_flat(g),
+                         b=bv, a=av, m=m, lhs=lhs, rhs=rhs)
     rep.record(suite, "size-3 samples", w is None, w)
     return rep

@@ -19,8 +19,9 @@ from substkit.report import Report
 from substkit.semantics.monads import (BUNDLED, ExceptionMonad, IdentityMonad,
                                        NONE, Monoid, OptionMonad, PowersetMonad,
                                        StateMonad, StrongMonad, WriterMonad,
-                                       _abstract_set, _FunctionSpace, _witness,
-                                       check_monad_laws, monad_by_name)
+                                       _abstract_set, _flat, _FunctionSpace,
+                                       _witness, check_monad_laws,
+                                       monad_by_name)
 
 
 @pytest.mark.parametrize("name", sorted(BUNDLED))
@@ -244,17 +245,38 @@ class _StaleState(StateMonad):
         return tuple(f(a, v)[i] for i, (_, v) in enumerate(m))
 
 
+class _NoneAtP1Option(OptionMonad):
+    """Answers ``NONE`` whenever it is handed the parameter ``"p1"`` of
+    ``a'``, so only naturality in the parameter can fail."""
+    name = "none-at-p1-option"
+
+    def bind(self, f, a, m):
+        return NONE if a == "p1" else super().bind(f, a, m)
+
+
 REFERENCE_BUDGET = dict(f_cap=64, pair_budget=500, sample_size3=5, seed=3)
 REFERENCE_CASES = {**{name: (lambda name=name: monad_by_name(name))
                       for name in sorted(BUNDLED)},
                    "broken-writer": _BrokenBind, "magma-writer": _magma_writer,
-                   "skip-x1-option": _SkipsX1Option, "stale-state": _StaleState}
+                   "skip-x1-option": _SkipsX1Option, "stale-state": _StaleState,
+                   "none-at-p1-option": _NoneAtP1Option}
 
 
 @pytest.mark.parametrize("case", REFERENCE_CASES)
 def test_tabulated_laws_match_the_reference(case):
     got = check_monad_laws(REFERENCE_CASES[case](), **REFERENCE_BUDGET)
     want = reference_monad_laws(REFERENCE_CASES[case](), **REFERENCE_BUDGET)
+    assert got.records == want.records
+
+
+def test_size3_associativity_witness_matches_the_reference():
+    """At 60 samples the magma writer fails associativity at size 3, so the
+    witness prints the drawn ``f`` and ``g``: the curried draws must be the
+    flat ones, in the same order."""
+    budget = dict(REFERENCE_BUDGET, sample_size3=60)
+    got = check_monad_laws(_magma_writer(), **budget)
+    want = reference_monad_laws(_magma_writer(), **budget)
+    assert got.records[-1].witness.startswith("associativity at size 3")
     assert got.records == want.records
 
 
@@ -288,6 +310,15 @@ def test_stale_state_fails_with_state_witnesses():
         assert re.search(state, witness), witness
 
 
+def test_none_at_p1_option_fails_parameter_naturality_only():
+    rep = check_monad_laws(_NoneAtP1Option(), **REFERENCE_BUDGET)
+    assert [(r.name, r.witness) for r in rep.failures] == [
+        ("parameter naturality (seeded sample of 64, <=2)",
+         "sizes (1, 1, 1): f={('a0', 'x0'): ('some', 'y0')}, "
+         "h={'p0': 'a0', 'p1': 'a0'}, p='p1', m=('some', 'x0'), "
+         "lhs=('none',), rhs=('some', 'y0')")]
+
+
 SPACES = [((), ("t0", "t1")), (("d0",), ()), (("d0", "d1", "d2"), ("t0", "t1")),
           (tuple(itertools.product(("a0", "a1"), ("x0", "x1"))),
            StateMonad().apply(_abstract_set("y", 1)))]
@@ -301,6 +332,21 @@ def test_function_space_indexes_the_listed_graphs(dom, cod):
     assert [space[i] for i in range(len(space))] == listed == list(space)
     with pytest.raises(IndexError):
         space[len(space)]
+
+
+@pytest.mark.parametrize("na, nx", [(1, 1), (2, 1), (2, 2)])
+def test_curried_space_indexes_the_flat_graphs(na, nx):
+    """Graph ``i`` of ``a -> (x -> t)`` is graph ``i`` of ``a x x -> t``,
+    curried, with its items in the same order."""
+    a, x = _abstract_set("a", na), _abstract_set("x", nx)
+    cod = StateMonad().apply(_abstract_set("y", 1))
+    flat = _FunctionSpace(itertools.product(a, x), cod)
+    curried = _FunctionSpace(a, _FunctionSpace(x, cod))
+    items = [list(g.items()) for g in flat]
+    assert len(curried) == len(flat)
+    assert [list(_flat(g).items()) for g in curried] == items
+    assert [list(_flat(curried[i]).items())
+            for i in range(len(curried))] == items
 
 
 @pytest.mark.parametrize("k", [1, 5, 64, 255])
