@@ -116,9 +116,11 @@ def left_unitor_map(tens: TensorResult, p: FinStructure) -> StructMap:
 
 def right_unitor_map(tens: TensorResult, p: FinStructure) -> StructMap:
     """r[t, e] = t acted on by the renaming the variable environment encodes."""
+    by_entries = {c.entries: c for c in p.contexts()}
+
     def fn(s, ctx, rep):
         gp_entries, t, env = rep
-        rho = Renaming(ctx, Context(gp_entries), env)
+        rho = Renaming(ctx, by_entries[gp_entries], env)
         return p.act(s, rho, t)
     return map_cells(tens.structure, p, fn)
 
@@ -136,10 +138,9 @@ def associator_map(t_ab_c: TensorResult, t_ab: TensorResult,
     def fn(s, ctx, rep):
         g1_entries, ab_rep, env = rep
         g0_entries, a_elem, b_env = ab_rep
-        g0 = Context(g0_entries)
         inner = tuple(
-            t_bc.class_of(first(g0.sort_at(x)), ctx, (g1_entries, b_env[x], env))
-            for x in range(len(g0)))
+            t_bc.class_of(first(e), ctx, (g1_entries, b_env[x], env))
+            for x, e in enumerate(g0_entries))
         return t_a_bc.class_of(s, ctx, (g0_entries, a_elem, inner))
     return map_cells(t_ab_c.structure, t_a_bc.structure, fn)
 
@@ -147,9 +148,12 @@ def associator_map(t_ab_c: TensorResult, t_ab: TensorResult,
 def tensor_left_map(fmap: StructMap, tens_src: TensorResult,
                     tens_tgt: TensorResult) -> StructMap:
     """``f tensor id``: map the left component of every class."""
+    by_entries = {c.entries: c for c in fmap.source.contexts()}
+
     def fn(s, ctx, rep):
         gp_entries, t, env = rep
-        return tens_tgt.class_of(s, ctx, (gp_entries, fmap.apply(s, Context(gp_entries), t), env))
+        return tens_tgt.class_of(
+            s, ctx, (gp_entries, fmap.apply(s, by_entries[gp_entries], t), env))
     return map_cells(tens_src.structure, tens_tgt.structure, fn)
 
 
@@ -158,9 +162,8 @@ def tensor_right_map(gmap: StructMap, tens_src: TensorResult,
     """``id tensor g``: map every environment entry."""
     def fn(s, ctx, rep):
         gp_entries, t, env = rep
-        gp = Context(gp_entries)
-        moved = tuple(gmap.apply(first(gp.sort_at(i)), ctx, e)
-                      for i, e in enumerate(env))
+        moved = tuple(gmap.apply(first(se), ctx, e)
+                      for se, e in zip(gp_entries, env))
         return tens_tgt.class_of(s, ctx, (gp_entries, t, moved))
     return map_cells(tens_src.structure, tens_tgt.structure, fn)
 
@@ -534,12 +537,11 @@ def shift_strength_map(x: FinStructure, binder: Context, a: PointedStructure,
 
     def fn(s, ctx, rep):
         gpe, t, env = rep
-        gp = Context(gpe)
         ext = ctx.extend(binder)
         pi1 = Renaming(ext, ctx, range(len(ctx)))
         entries = []
-        for i, e in enumerate(env):
-            se = first(gp.sort_at(i))
+        for sort_id, e in zip(gpe, env):
+            se = first(sort_id)
             cls = resolve(se, ctx, e) if resolve else e
             entries.append(a_str.act(se, pi1, cls))
         for j, sb in enumerate(binder.entries):

@@ -21,6 +21,13 @@ class, so it is read off without that pass.
 What a tensor needs of one factor alone is derived once and kept.  Who keeps
 what:
 
+- The context table (:func:`_contexts`) holds one object per context of one
+  alphabet and bound.  Every structure, renaming, shape and plan of that
+  alphabet reads its contexts there, so a (sort, context) lookup with one
+  of them meets the identical object and compares no entries.  A context
+  keeps its one-entry extensions, which are the table's longer contexts, so
+  a shift by one entry finds its extended contexts in the table: they are
+  built once per process, not once per structure.
 - The renaming table (:func:`_renamings`) holds every renaming between the
   contexts of one alphabet and bound, enumerated and checked once.
   :meth:`FinStructure.renamings`, :func:`build_structure` and the naturality
@@ -37,8 +44,15 @@ what:
   every renaming of the ambient contexts the positions of the images of the
   environments, for which it reads each entry of Q's action once.
 - The left plan (:func:`_left_plan`), kept by P, holds P's cells by context
-  number, the renderings of its elements and the generator pairs of every
-  renaming, for which it reads each entry of P's action once.
+  number, the start of the rendering of each triple per element and the
+  generator pairs of every renaming, for which it reads each entry of P's
+  action once.
+- The renderings (:meth:`FinStructure._rendered`), kept by each structure,
+  are the ``repr`` of every element of each of its cells.  Both plans read
+  a factor's elements through them.  A tensor hands on the renderings of
+  its representatives, which it built as the order of its classes, so an
+  element of a tensor is never rendered again; any other structure renders
+  a cell on first use.
 
 The tables are bounded and hold positions, contexts and renamings only,
 never a structure or a tensor.  Each tensor does the work that needs both
@@ -69,12 +83,15 @@ class FinStructure:
 
     ``_plans`` holds the plans of :func:`tensor` with this structure as its
     right factor, one per left alphabet, and ``_left`` the plan of the
-    tensors with it as the left factor.  A plan holds positions and tuples
-    only, never a structure or a tensor, so it dies with the structure that
-    owns it.  A plan is a reading of the cells and the action, so a structure
-    is not mutated once it has been tensored.  The shapes of its tensors and
-    its renamings are kept by the module's bounded tables, which any
-    structure of the same alphabet and bound shares.
+    tensors with it as the left factor.  ``_reprs`` holds the renderings of
+    its cells (:meth:`_rendered`), handed on by the tensor that built it or
+    made on first use.  Plans and renderings hold positions, tuples and
+    strings only, never a structure or a tensor, so they die with the
+    structure that owns them.  They are readings of the cells and the
+    action, so a structure is not mutated once it has been tensored.  Its
+    contexts, the shapes of its tensors and its renamings are kept by the
+    module's bounded tables, which any structure of the same alphabet and
+    bound shares: :meth:`contexts` returns the context table's tuple.
     """
 
     def __init__(self, sorts: Sequence[Sort], ctx_sorts: Sequence[Hashable],
@@ -82,17 +99,26 @@ class FinStructure:
         self.sorts = tuple(sorts)
         self.ctx_sorts = tuple(ctx_sorts)
         self.bound = bound
-        self._contexts = enumerate_contexts(self.ctx_sorts, bound)
+        self._contexts = _contexts(self.ctx_sorts, bound)
         self.cells = cells
         self.action = action
+        self._reprs = {}
         self._plans = {}
         self._left = None
 
-    def contexts(self) -> list[Context]:
+    def contexts(self) -> tuple[Context, ...]:
         return self._contexts
 
     def cell(self, sort: Sort, ctx: Context) -> tuple:
         return self.cells.get((sort, ctx), ())
+
+    def _rendered(self, sort: Sort, ctx: Context) -> list[str]:
+        """``repr`` of each element of a cell, in cell order: handed on by
+        the tensor that built this structure, or rendered on first use."""
+        got = self._reprs.get((sort, ctx))
+        if got is None:
+            got = self._reprs[(sort, ctx)] = [repr(x) for x in self.cell(sort, ctx)]
+        return got
 
     def act(self, sort: Sort, rho: Renaming, elem):
         return self.action[(rho.key(), sort, elem)]
@@ -144,7 +170,7 @@ def variables_structure(ctx_sorts: Sequence[Hashable], bound: int) -> FinStructu
     """The presheaf of variables: positions of each sort, acted on by the map."""
     sorts = tuple(first(s) for s in ctx_sorts)
     cells = {}
-    for ctx in enumerate_contexts(ctx_sorts, bound):
+    for ctx in _contexts(tuple(ctx_sorts), bound):
         for s in ctx_sorts:
             cells[(first(s), ctx)] = tuple(i for i, e in enumerate(ctx.entries) if e == s)
     return build_structure(sorts, ctx_sorts, bound, cells,
@@ -153,13 +179,13 @@ def variables_structure(ctx_sorts: Sequence[Hashable], bound: int) -> FinStructu
 
 def terminal_structure(sorts: Sequence[Sort], ctx_sorts, bound: int) -> FinStructure:
     cells = {(s, ctx): ("*",) for s in sorts
-             for ctx in enumerate_contexts(ctx_sorts, bound)}
+             for ctx in _contexts(tuple(ctx_sorts), bound)}
     return build_structure(sorts, ctx_sorts, bound, cells, lambda s, rho, x: "*")
 
 
 def empty_structure(sorts: Sequence[Sort], ctx_sorts, bound: int) -> FinStructure:
     cells = {(s, ctx): () for s in sorts
-             for ctx in enumerate_contexts(ctx_sorts, bound)}
+             for ctx in _contexts(tuple(ctx_sorts), bound)}
     return FinStructure(sorts, ctx_sorts, bound, cells, {})
 
 
@@ -174,7 +200,7 @@ def free_structure(rng, sorts: Sequence[Sort], ctx_sorts, bound: int,
     cell at 3 elements or fewer at bound 2); ``ensure`` lists (sort, context)
     cells that must carry a generator.
     """
-    contexts = enumerate_contexts(ctx_sorts, bound)
+    contexts = _contexts(tuple(ctx_sorts), bound)
     if homes is None:
         homes = [c for c in contexts if len(c) <= 1]
     gens: dict = {}
@@ -289,11 +315,26 @@ def _positions(columns) -> list[int]:
 
 
 @functools.lru_cache(maxsize=32)
+def _contexts(ctx_sorts: tuple, bound: int) -> tuple:
+    """The contexts over ``ctx_sorts`` up to ``bound`` in
+    :func:`enumerate_contexts` order, one object per context.  A context one
+    entry longer is the shorter one's :meth:`~Context.extend` by that entry,
+    so the shorter one keeps it, and the table of a smaller bound is a prefix
+    of this one: a lookup or a shift meets the identical object."""
+    if bound <= 0:
+        return tuple(enumerate_contexts(ctx_sorts, bound))
+    shorter = _contexts(ctx_sorts, bound - 1)
+    ones = [Context((e,)) for e in ctx_sorts]
+    return shorter + tuple(ctx.extend(one) for ctx in shorter
+                           if len(ctx) == bound - 1 for one in ones)
+
+
+@functools.lru_cache(maxsize=32)
 def _renamings(ctx_sorts: tuple, bound: int) -> tuple:
     """Every renaming between the contexts over ``ctx_sorts`` up to
     ``bound``, in :meth:`FinStructure.renamings` order, enumerated and
     checked once per alphabet and bound.  Renamings hold contexts only."""
-    contexts = enumerate_contexts(ctx_sorts, bound)
+    contexts = _contexts(ctx_sorts, bound)
     return tuple(rho for g1 in contexts for g2 in contexts
                  for rho in enumerate_renamings(g1, g2))
 
@@ -303,7 +344,7 @@ def _renamings_between(ctx_sorts: tuple, bound: int) -> dict:
     """The renamings of :func:`_renamings`, grouped by source and target
     context, each group in the table's order; every pair of contexts has a
     group, empty if no renaming joins them."""
-    contexts = enumerate_contexts(ctx_sorts, bound)
+    contexts = _contexts(ctx_sorts, bound)
     out = {(g1, g2): [] for g1 in contexts for g2 in contexts}
     for rho in _renamings(ctx_sorts, bound):
         out[(rho.source, rho.target)].append(rho)
@@ -319,7 +360,7 @@ class _Shape:
     def __init__(self, left_ctx_sorts: tuple, bound: int, sizes: tuple):
         # a numbers G' in p_ctxs, c the ambient context; sizes[c][i] is the
         # size of the Q-cell over c of the i-th entry of the alphabet
-        p_ctxs = enumerate_contexts(left_ctx_sorts, bound)
+        p_ctxs = _contexts(left_ctx_sorts, bound)
         number = {gp: a for a, gp in enumerate(p_ctxs)}
         at = {e: i for i, e in enumerate(left_ctx_sorts)}
         widths = [[[row[at[e]] for e in gp.entries] for row in sizes] for gp in p_ctxs]
@@ -365,7 +406,7 @@ class _RightPlan:
         # entry of the alphabet, whose Q-cell over the ambient context is
         # q_cells[c][e]
         out_ctxs = q.contexts()
-        p_ctxs = enumerate_contexts(left_ctx_sorts, q.bound)
+        p_ctxs = _contexts(left_ctx_sorts, q.bound)
         q_sort = {s.ident: s for s in q.sorts}
         q_cells = [{e: q.cell(qs, ctx) for e, qs in q_sort.items()} for ctx in out_ctxs]
         self.shape = _shape(left_ctx_sorts, q.bound,
@@ -376,9 +417,9 @@ class _RightPlan:
                       for c in range(len(out_ctxs))] for gp in p_ctxs]
         # the repr of a triple is "(" + repr(entries) + ", " + repr(element) +
         # ", " + repr(env) + ")", so its parts are rendered once each, and an
-        # environment from the reprs of its entries
-        reprs = [{e: [repr(x) for x in cell] for e, cell in row.items()}
-                 for row in q_cells]
+        # environment from the renderings of its entries
+        reprs = [{e: q._rendered(qs, ctx) for e, qs in q_sort.items()}
+                 for ctx in out_ctxs]
         self.env_reprs = [
             [[", (" + ", ".join(parts) + ("," if len(gp) == 1 else "") + "))"
               for parts in itertools.product(*(reprs[c][e] for e in gp.entries))]
@@ -429,6 +470,7 @@ class _LeftPlan:
 
     def __init__(self, p: FinStructure, renamings: list):
         p_ctxs = p.contexts()
+        heads = ["(" + repr(gp.entries) + ", " for gp in p_ctxs]
         self.sorts = {}
         for s in p.sorts:
             p_cells = [p.cell(s, gp) for gp in p_ctxs]
@@ -451,8 +493,8 @@ class _LeftPlan:
             self.sorts[s] = (
                 p_cells,
                 [(a, len(cell)) for a, cell in enumerate(p_cells) if cell],
-                [["(" + repr(gp.entries) + ", " + repr(t) for t in cell]
-                 for gp, cell in zip(p_ctxs, p_cells)],
+                [[head + r for r in p._rendered(s, gp)]
+                 for gp, head in zip(p_ctxs, heads)],
                 moves)
 
 
@@ -501,6 +543,7 @@ def tensor(p: FinStructure, q: FinStructure) -> TensorResult:
     left = _left_plan(p, plan.shape.renamings)
     quotients, cells = {}, {}
     structure = FinStructure(p.sorts, q.ctx_sorts, p.bound, cells, {})
+    rendered = structure._reprs
     out_ctxs, p_ctxs = structure.contexts(), p.contexts()
     # numbered[s][c]: the quotient of the cell of sort s over the c-th context
     numbered = {}
@@ -538,6 +581,7 @@ def tensor(p: FinStructure, q: FinStructure) -> TensorResult:
                      for e in es for v in rows[c]]
             rep_of, classes = _classes(parent, order)
             reps = cells[(s, ctx)] = tuple(triples[cls[0]] for cls in classes)
+            rendered[(s, ctx)] = [order[cls[0]] for cls in classes]
             quotients[(s, ctx)] = quot = _Quotient(triples, rep_of, classes, reps)
             by_ctx.append(quot)
 
@@ -596,7 +640,7 @@ def truncate_structure(p: FinStructure, bound: int) -> FinStructure:
         raise BoundExceeded("cannot truncate upwards")
     # the entries of the kept contexts: an action key names its renaming's
     # contexts by their entries (Renaming.key)
-    keep = {c.entries for c in enumerate_contexts(p.ctx_sorts, bound)}
+    keep = {c.entries for c in _contexts(p.ctx_sorts, bound)}
     cells = {(s, c): e for (s, c), e in p.cells.items() if c.entries in keep}
     action = {k: v for k, v in p.action.items()
               if k[0][0] in keep and k[0][1] in keep}
@@ -609,7 +653,7 @@ def shift_structure(p: FinStructure, binder: Context) -> FinStructure:
         raise BoundExceeded("binder longer than the bound")
     bound = p.bound - len(binder)
     cells = {}
-    for ctx in enumerate_contexts(p.ctx_sorts, bound):
+    for ctx in _contexts(p.ctx_sorts, bound):
         ext = ctx.extend(binder)
         for s in p.sorts:
             cells[(s, ctx)] = p.cell(s, ext)

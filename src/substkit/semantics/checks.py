@@ -74,8 +74,21 @@ def _sem_envs(src: Context, tgt: Context, m: Model, nat_bound: int,
 
 # --- semantic substitution structure axioms -------------------------------------
 
+def _sem_witness(where: str, diff: tuple, envs: tuple = ()) -> str:
+    """Where two tables differ: the place, the first point at which they
+    differ and the two values there (``Denotation.difference_witness``),
+    and the tables of every entry of each environment of ``envs``."""
+    point, got, want = diff
+    tables = "".join(f", environment {[e.table() for e in env]!r}"
+                     for env in envs)
+    return f"{where}: point {point!r}: {got!r} vs {want!r}{tables}"
+
+
 def check_sem_action_axioms(m: Model, cfg: FragmentConfig, cap: int = 300,
                             seed: int = 0, report: Report | None = None) -> Report:
+    """Semantic substitution is an action: left and right unit,
+    associativity and the coend condition, each witnessed by its first
+    failing case (:func:`_sem_witness`)."""
     rep = report if report is not None else Report()
     suite = "sem-action"
     rng = random.Random(seed)
@@ -83,7 +96,6 @@ def check_sem_action_axioms(m: Model, cfg: FragmentConfig, cap: int = 300,
     b = Base(cfg.base_types[0])
     ctxs = enumerate_contexts((b,), 2)
 
-    left_ok = right_ok = assoc_ok = coend_ok = True
     witness = {}
     for src in ctxs:
         src_space = context_space(src, m, nb)
@@ -94,15 +106,18 @@ def check_sem_action_axioms(m: Model, cfg: FragmentConfig, cap: int = 300,
                 for pos in range(len(src)):
                     lhs = subst_denotation(projection(src, pos, m, nb), env, m, nb,
                                            target=tgt)
-                    if lhs.table() != env[pos].table():
-                        left_ok, witness["left"] = False, f"{src!r} pos {pos}"
+                    diff = lhs.difference_witness(env[pos])
+                    if diff is not None and "left" not in witness:
+                        witness["left"] = _sem_witness(
+                            f"{src!r} pos {pos} into {tgt!r}", diff, (env,))
                 # pick representative tables over src to substitute into
                 outs = FinSet(m.monad.apply(interpret_type(b, m, nb)))
                 for mapping in _all_tables(src_space, outs, 12, rng):
                     d = _table_denotation(second(b), src, m, nb, mapping)
                     ident = identity_sem_env(src, m, nb)
-                    if subst_denotation(d, ident, m, nb).table() != d.table():
-                        right_ok, witness["right"] = False, f"{src!r}"
+                    diff = subst_denotation(d, ident, m, nb).difference_witness(d)
+                    if diff is not None and "right" not in witness:
+                        witness["right"] = _sem_witness(f"{src!r}", diff)
                     for tgt2 in ctxs[:2]:
                         for env2 in _sem_envs(tgt, tgt2, m, nb, 4, rng):
                             one = subst_denotation(
@@ -113,8 +128,11 @@ def check_sem_action_axioms(m: Model, cfg: FragmentConfig, cap: int = 300,
                                         for e in env]
                             two = subst_denotation(d, composed, m, nb,
                                                    target=tgt2)
-                            if one.table() != two.table():
-                                assoc_ok, witness["assoc"] = False, f"{src!r}"
+                            diff = one.difference_witness(two)
+                            if diff is not None and "assoc" not in witness:
+                                witness["assoc"] = _sem_witness(
+                                    f"{src!r} into {tgt!r} into {tgt2!r}", diff,
+                                    (env, env2))
                     # coend well-definedness: renaming then substituting equals
                     # substituting the reindexed environment
                     for src0 in ctxs:
@@ -127,15 +145,19 @@ def check_sem_action_axioms(m: Model, cfg: FragmentConfig, cap: int = 300,
                                              for y in range(len(src))]
                                 rhs = subst_denotation(d, reindexed, m, nb,
                                                         target=tgt)
-                                if lhs.table() != rhs.table():
-                                    coend_ok, witness["coend"] = False, f"{rho!r}"
+                                diff = lhs.difference_witness(rhs)
+                                if diff is not None and "coend" not in witness:
+                                    witness["coend"] = _sem_witness(
+                                        f"{rho!r} into {tgt!r}", diff, (env0,))
 
-    rep.record(suite, "left unit (x[s] = s_x)", left_ok, witness.get("left"))
-    rep.record(suite, "right unit (d[id] = d)", right_ok, witness.get("right"))
-    rep.record(suite, "associativity (d[s1][s2] = d[s1[s2]])", assoc_ok,
-               witness.get("assoc"))
+    rep.record(suite, "left unit (x[s] = s_x)", "left" not in witness,
+               witness.get("left"))
+    rep.record(suite, "right unit (d[id] = d)", "right" not in witness,
+               witness.get("right"))
+    rep.record(suite, "associativity (d[s1][s2] = d[s1[s2]])",
+               "assoc" not in witness, witness.get("assoc"))
     rep.record(suite, "coend well-definedness (renaming vs reindexing)",
-               coend_ok, witness.get("coend"))
+               "coend" not in witness, witness.get("coend"))
 
     # pointed/plain agreement: the carrier's variable images are the unit
     carrier = DenotationCarrier(m, nb)

@@ -13,8 +13,8 @@ from __future__ import annotations
 
 from .cbv.ops import CbvOperatorTable
 from .cbv.types import Base, config, fun
-from .finpresheaf.structures import (FinStructure, build_structure,
-                                     enumerate_contexts, enumerate_renamings)
+from .finpresheaf.structures import (FinStructure, _contexts, build_structure,
+                                     enumerate_renamings)
 from .sorts import Context, Renaming, first, second
 from .terms import Op, Var, rename
 
@@ -71,7 +71,7 @@ def cbv_term_structure(bound: int = 2):
     cfg = config(("functions", "sequential"), ("b",))
     table = CbvOperatorTable(cfg)
     alphabet = (B, FB)
-    contexts = enumerate_contexts(alphabet, bound)
+    contexts = _contexts(alphabet, bound)
     cells: dict = {}
     for t in _seed_terms(table):
         if t.ctx not in contexts:

@@ -850,6 +850,107 @@ def test_tensor_left_plan_reused_across_alphabets_fails(monkeypatch):
         test_tensor_left_plans_are_kept_per_left_factor()
 
 
+# --- one context object per alphabet, and renderings handed on ------------------
+
+def test_structures_of_one_alphabet_share_their_contexts():
+    """Structures, renamings and tensors over one alphabet meet the same
+    context objects, at every bound: a smaller bound's contexts are a prefix
+    of a larger one's, and each context keeps its one-entry extensions."""
+    rng = rand(122)
+    p, q = snd_struct(rng), homog(rng, True)
+    nu = variables_structure(("a",), 2)
+    out = tensor(p, q).structure
+    ctxs = p.contexts()
+    for s in (q, nu, out, terminal_structure((first("a"),), ("a",), 2),
+              shift_structure(q, Context(("a",))),
+              truncate_structure(p, 1)):
+        assert all(a is b for a, b in zip(s.contexts(), ctxs)), s
+    assert all(k[1] is ctxs[ctxs.index(k[1])] for k in out.cells)
+    assert all(rho.source is ctxs[ctxs.index(rho.source)]
+               for rho in p.renamings())
+    assert [c.entries for c in ctxs] == \
+        [c.entries for c in enumerate_contexts(("a",), 2)]
+    assert ctxs[1].extend(Context(("a",))) is ctxs[2]
+    assert FinStructure(p.sorts, ("b", "a"), 2, p.cells, p.action).contexts() \
+        is not ctxs
+
+
+def test_enumerate_contexts_returns_a_fresh_list():
+    first_call = enumerate_contexts(("a",), 2)
+    first_call.append(Context(("b",)))
+    second_call = enumerate_contexts(("a",), 2)
+    assert len(second_call) == 3 and second_call is not first_call
+    assert not any(a is b for a, b in zip(first_call, second_call))
+    assert snd_struct(rand(123)).contexts()[:3] == tuple(second_call)
+
+
+def _renders_its_cells(s: FinStructure) -> bool:
+    return all(s._rendered(sort, ctx) == [repr(x) for x in s.cell(sort, ctx)]
+               for sort in s.sorts for ctx in s.contexts())
+
+
+def test_tensor_hands_on_the_renderings_of_its_cells():
+    """A tensor's structure holds the rendering of every cell, equal to the
+    ``repr`` of its representatives, nested tensors' included; a shifted or
+    truncated structure renders its cells on first use."""
+    rng = rand(124)
+    p, q, l = snd_struct(rng), homog(rng, True), homog(rng, True)
+    inner = tensor(p, q).structure
+    nested = tensor(inner, l).structure
+    deeper = tensor(p, tensor(q, tensor(l, q).structure).structure).structure
+    for s in (inner, nested, deeper):
+        assert set(s._reprs) == set(s.cells)
+        assert _renders_its_cells(s)
+    for s in (shift_structure(nested, Context(("a",))),
+              truncate_structure(nested, 1)):
+        assert s._reprs == {}
+        tensor(s, truncate_structure(q, s.bound))
+        assert s._reprs and _renders_its_cells(s)
+
+
+def test_tensor_handing_on_shuffled_renderings_fails(monkeypatch):
+    """Renderings that do not follow their cell's order misorder the classes
+    of every tensor with that structure as a factor."""
+    from substkit.finpresheaf import structures
+    real = structures.FinStructure._rendered
+
+    def reversed_order(self, sort, ctx):
+        return real(self, sort, ctx)[::-1]
+
+    monkeypatch.setattr(structures.FinStructure, "_rendered", reversed_order)
+    with pytest.raises(AssertionError):
+        test_tensor_matches_reference_on_nested_tensors(monkeypatch)
+
+
+def test_a_second_run_extends_no_shared_context():
+    """The shifts of a presheaf run extend the shared contexts once per
+    process: the same run again adds no entry to any extension table
+    reachable from the contexts over (a)."""
+    from substkit import suites
+    from substkit.report import Report
+    from substkit.finpresheaf import structures
+
+    def extension_tables():
+        seen, todo = {}, list(structures._contexts(("a",), 2))
+        while todo:
+            ctx = todo.pop()
+            if id(ctx) not in seen:
+                seen[id(ctx)] = ext = dict(ctx._ext or {})
+                todo.extend(ext.values())
+        return seen
+
+    for run in range(2):
+        suites.presheaf_laws(Report(), 20260810, 1)
+        suites.skew(Report(), 20260810, 1)
+        if run == 0:
+            before = extension_tables()
+    after = extension_tables()
+    assert after.keys() == before.keys()
+    for key, ext in after.items():
+        assert [(b.entries, id(c)) for b, c in ext.items()] == \
+            [(b.entries, id(c)) for b, c in before[key].items()]
+
+
 # --- the shortcuts of identity renamings and identity taus ----------------------
 
 def _identity_moves_one(s: FinStructure, sort, ctx) -> FinStructure:

@@ -309,6 +309,38 @@ def test_left_factor_and_its_plan_are_freed_together():
         gc.enable()
 
 
+def test_renderings_and_plans_are_freed_with_their_structure():
+    """A structure keeps the renderings of its cells, handed on by the
+    tensor that built it or made on first use, and its plans on either
+    side; none refers back to it, so all go with the last reference to the
+    structure, without the cycle collector."""
+    from substkit.finpresheaf import free_structure, tensor
+    rng = random.Random(117)
+    p = free_structure(rng, (second("k"),), ("a",), 2,
+                       ensure=[(second("k"), Context(()))])
+    q = free_structure(rng, (first("a"),), ("a",), 2,
+                       ensure=[(first("a"), Context(("a",)))])
+    inner = tensor(q, q).structure
+    handed_on = [id(r) for r in inner._reprs.values()]
+    tensor(inner, q)
+    tensor(p, inner)
+    # the rewritten asserts keep what they compare, so they compare ids
+    rendered = [*inner._reprs.values(), *q._reprs.values()]
+    kept = [id(r) for r in rendered[:len(handed_on)]] == handed_on
+    assert kept and len(rendered) == 2 * len(handed_on)
+    refs = [weakref.ref(x) for x in (inner, q, inner._left,
+                                     *inner._plans.values(), q._left,
+                                     *q._plans.values())]
+    held = [sys.getrefcount(r) for r in rendered]
+    gc.disable()
+    try:
+        del inner, q
+        assert [sys.getrefcount(r) for r in rendered] == [n - 1 for n in held]
+        assert [ref() for ref in refs] == [None] * len(refs)
+    finally:
+        gc.enable()
+
+
 def test_shape_and_renaming_tables_hold_no_structure(monkeypatch):
     """The shape and renaming tables outlive the structures of a check, but
     hold positions, contexts and renamings only: every structure and tensor

@@ -143,6 +143,60 @@ def test_sem_action_axioms_both_monads():
         assert rep.ok, rep.to_text()
 
 
+def sem_action_failures() -> dict:
+    """The failing ``check_sem_action_axioms`` records under the option
+    monad, as record name -> witness."""
+    rep = check_sem_action_axioms(model(OptionMonad(), {"b": 2}),
+                                  config(("sequential",)), cap=60)
+    return {r.name: r.witness for r in rep.records if r.status == "fail"}
+
+
+def test_precompose_that_ignores_a_swap_fails_only_the_coend_axiom(monkeypatch):
+    """Renaming by the swap of [b, b] as by the identity is a presheaf of
+    its own, so only the coend condition, which compares renaming with
+    reindexing, sees it; the witness gives the point and both values."""
+    real = checks.precompose
+
+    def ignoring_swaps(d, rho, m, nat_bound):
+        if rho.mapping == (1, 0):
+            rho = Renaming(rho.source, rho.target, (0, 1))
+        return real(d, rho, m, nat_bound)
+
+    monkeypatch.setattr(checks, "precompose", ignoring_swaps)
+    failures = sem_action_failures()
+    assert list(failures) == ["coend well-definedness (renaming vs reindexing)"]
+    witness = next(iter(failures.values()))
+    assert witness.startswith("Renaming(Context[")
+    assert ", (1, 0)) into Context[" in witness
+    assert ": point (" in witness and " vs " in witness
+    assert ", environment [(" in witness
+
+
+def test_subst_denotation_that_swaps_two_entries_fails_both_units_and_coend(
+        monkeypatch):
+    """A substitution that reads a two-entry environment the other way round
+    still composes, so associativity holds; the two units and the coend
+    condition fail, each with the point and both values."""
+    real = checks.subst_denotation
+
+    def swapping(d, env, m, nat_bound, target=None):
+        if len(env) == 2:
+            env = [env[1], env[0]]
+        return real(d, env, m, nat_bound, target=target)
+
+    monkeypatch.setattr(checks, "subst_denotation", swapping)
+    failures = sem_action_failures()
+    assert list(failures) == [
+        "left unit (x[s] = s_x)", "right unit (d[id] = d)",
+        "coend well-definedness (renaming vs reindexing)"]
+    for witness in failures.values():
+        assert ": point (" in witness and " vs " in witness, witness
+    left = failures["left unit (x[s] = s_x)"]
+    assert left.startswith("Context[") and " pos 0 into Context[" in left
+    assert ", environment [(" in left
+    assert failures["right unit (d[id] = d)"].startswith("Context[")
+
+
 def test_substitution_lemma_exhaustive_small():
     rep = check_substitution_lemma_exhaustive(
         config(("sequential",)), model(OptionMonad(), {"b": 2}))

@@ -146,6 +146,58 @@ def test_oracle_agreement(rng):
         assert substitute(t, sigma) == substitute_direct(t, sigma)
 
 
+def holed_oracle_disagreements(per_config: int) -> tuple[list, int]:
+    """Compare the fold with the index-shifting oracle on holed terms whose
+    substitutions have holed entries too, so that the oracle shifts holes
+    under binders.  Each of the 128 configurations draws ``per_config``
+    items from ``Random(i)``; a substitution has ``random_subst``'s target
+    and entries of depth 2 with hole probability 0.35.  Returns each
+    disagreement or raised exception, and the number of substitutions with
+    a holed entry."""
+    out, holed = [], 0
+    for i, cfg in enumerate(all_fragment_configs(("b", "c"), 4)):
+        gen = TermGen(CbvOperatorTable(cfg), random.Random(i))
+        for k in range(per_config):
+            holes: dict = {}
+            ctx, t = gen.random_item(3, 3, holes, hole_prob=0.35)
+            target = gen.random_subst(ctx).target
+            before = len(holes)
+            sigma = SubstEnv(ctx, target, [
+                gen.random_at(target, first(s), 2, holes, 0.35)
+                for s in ctx.entries])
+            holed += len(holes) > before
+            try:
+                if substitute(t, sigma) != substitute_direct(t, sigma):
+                    out.append((cfg.name(), k, "disagree"))
+            except Exception as err:
+                out.append((cfg.name(), k, type(err).__name__))
+    return out, holed
+
+
+HOLED_ORACLE_ITEMS = 4
+
+
+def test_oracle_agreement_on_holed_terms_and_holed_entries():
+    disagreements, holed = holed_oracle_disagreements(HOLED_ORACLE_ITEMS)
+    assert disagreements == []
+    assert holed > 128
+
+
+def test_oracle_shifting_a_hole_into_its_environment_fails(monkeypatch):
+    """The oracle's hole clause, mutated to put the environment where the
+    hole belongs, is reached only by a holed entry shifted under a binder."""
+    real = terms._shift
+
+    def shift_mutant(t, d, cutoff):
+        if t[0] != "m":
+            return real(t, d, cutoff)
+        return ("m", t[2], tuple(terms._shift(e, d, cutoff) for e in t[2]))
+
+    monkeypatch.setattr(terms, "_shift", shift_mutant)
+    disagreements, _ = holed_oracle_disagreements(HOLED_ORACLE_ITEMS)
+    assert disagreements
+
+
 # --- metavariables -----------------------------------------------------------
 
 def holed_corpus(rng, n=60):
