@@ -9,13 +9,15 @@ Application is juxtaposition of atoms, so compound function and argument
 terms are parenthesized.  Binders are printed with position-derived names,
 which makes printing injective on well-sorted terms and the parse/print round
 trip exact.
+
+The AST's nodes, like the lexer's tokens, are :class:`~substkit.sorts.Value`
+classes built positionally, every field given: shown, compared and hashed by
+their fields, source position included.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
-from ..sorts import Context
+from ..sorts import Context, Value
 from .types import (MAX_NESTING, NAT, Base, TypeExpr, fun, record, type_to_str,
                     variant)
 
@@ -30,11 +32,8 @@ KEYWORDS = {"val", "let", "in", "case", "of", "roll", "unroll", "fold", "for",
             "do", "letrec", "fn", "Nat"}
 
 
-@dataclass(frozen=True)
-class Token:
-    kind: str  # IDENT NUMBER PUNCT EOF
-    text: str
-    pos: int
+class Token(Value):
+    __slots__ = ("kind", "text", "pos")  # kind: IDENT NUMBER PUNCT EOF
 
 
 def lex(text: str) -> list[Token]:
@@ -83,123 +82,76 @@ def lex(text: str) -> list[Token]:
 
 # --- surface AST -------------------------------------------------------------
 
-@dataclass(frozen=True)
-class SVar:
-    name: str
-    pos: int = 0
+class SVar(Value):
+    __slots__ = ("name", "pos")
 
 
-@dataclass(frozen=True)
-class SLam:
-    param: str
-    param_type: TypeExpr
-    body: object
-    pos: int = 0
+class SLam(Value):
+    __slots__ = ("param", "param_type", "body", "pos")
 
 
-@dataclass(frozen=True)
-class SVRecord:
-    fields: tuple  # of (label, value)
-    pos: int = 0
+class SVRecord(Value):
+    __slots__ = ("fields", "pos")  # fields: of (label, value)
 
 
-@dataclass(frozen=True)
-class SVInject:
-    ty: TypeExpr
-    tag: str
-    value: object
-    pos: int = 0
+class SVInject(Value):
+    __slots__ = ("ty", "tag", "value", "pos")
 
 
-@dataclass(frozen=True)
-class SLit:
-    value: int
-    pos: int = 0
+class SLit(Value):
+    __slots__ = ("value", "pos")
 
 
-@dataclass(frozen=True)
-class SVal:
-    value: object
-    pos: int = 0
+class SVal(Value):
+    __slots__ = ("value", "pos")
 
 
-@dataclass(frozen=True)
-class SLet:
-    bindings: tuple  # of (name, term)
-    body: object
-    pos: int = 0
+class SLet(Value):
+    __slots__ = ("bindings", "body", "pos")  # bindings: of (name, term)
 
 
-@dataclass(frozen=True)
-class SApp:
-    func: object
-    arg: object
-    pos: int = 0
+class SApp(Value):
+    __slots__ = ("func", "arg", "pos")
 
 
-@dataclass(frozen=True)
-class SRecord:
-    fields: tuple
-    pos: int = 0
+class SRecord(Value):
+    __slots__ = ("fields", "pos")
 
 
-@dataclass(frozen=True)
-class SRecordMatch:
-    scrutinee: object
-    binders: tuple  # of (label, name)
-    body: object
-    pos: int = 0
+class SRecordMatch(Value):
+    # binders: of (label, name)
+    __slots__ = ("scrutinee", "binders", "body", "pos")
 
 
-@dataclass(frozen=True)
-class SInject:
-    ty: TypeExpr
-    tag: str
-    term: object
-    pos: int = 0
+class SInject(Value):
+    __slots__ = ("ty", "tag", "term", "pos")
 
 
-@dataclass(frozen=True)
-class SVariantMatch:
-    scrutinee: object
-    clauses: tuple  # of (label, name, term)
-    pos: int = 0
+class SVariantMatch(Value):
+    # clauses: of (label, name, term)
+    __slots__ = ("scrutinee", "clauses", "pos")
 
 
-@dataclass(frozen=True)
-class SUnroll:
-    term: object
-    pos: int = 0
+class SUnroll(Value):
+    __slots__ = ("term", "pos")
 
 
-@dataclass(frozen=True)
-class SRoll:
-    term: object
-    pos: int = 0
+class SRoll(Value):
+    __slots__ = ("term", "pos")
 
 
-@dataclass(frozen=True)
-class SFold:
-    scrutinee: object
-    binder: str
-    body: object
-    ann: object = None  # optional result type annotation
-    pos: int = 0
+class SFold(Value):
+    # ann: optional result type annotation
+    __slots__ = ("scrutinee", "binder", "body", "ann", "pos")
 
 
-@dataclass(frozen=True)
-class SFor:
-    binder: str
-    init: object
-    body: object
-    pos: int = 0
+class SFor(Value):
+    __slots__ = ("binder", "init", "body", "pos")
 
 
-@dataclass(frozen=True)
-class SLetRec:
-    defs: tuple  # of (name, params: ((name, type), ...), ret type, term)
-    body: object
-    pos: int = 0
+class SLetRec(Value):
+    # defs: of (name, params: ((name, type), ...), ret type, term)
+    __slots__ = ("defs", "body", "pos")
 
 
 class _Parser:

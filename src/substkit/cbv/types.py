@@ -15,6 +15,8 @@ from __future__ import annotations
 import itertools
 import weakref
 
+from ..sorts import Value
+
 EXTENSIONS = ("sequential", "functions", "records", "variants", "naturals",
               "while", "recursion")
 
@@ -23,31 +25,31 @@ class DepthExceeded(Exception):
     pass
 
 
-class TypeExpr:
+class TypeExpr(Value):
     """A type: the one live object of its class and fields.  Every
     constructor call, copy and unpickle returns the object already made of
     equal fields, so equal types are identical across the process, and a
-    type compares and hashes by identity, in C.  The table of live types
+    type compares and hashes by identity, in C: ``object``'s ``__eq__``
+    and ``__hash__``, not the field tuple's of :class:`~substkit.sorts.Value`,
+    whose immutability, copies and repr it keeps.  The table of live types
     holds each one weakly: a type nobody else holds is freed by reference
     counting, and its entry with it.  Each type computes its depth ``_d``
     when it is made, and stores its label (``_label``, of
     :func:`type_to_label`) and surface string (``_str``, of
     :func:`type_to_str`) the first time each is asked for.  A type keeps no
-    sort: its sorts are pairs (:func:`~substkit.sorts.first`).  Types are
-    immutable; ``_fields`` names a class's constructor arguments, in order,
-    from which the rest derives."""
+    sort: its sorts are pairs (:func:`~substkit.sorts.first`)."""
     # slots, not an instance dict, so that a type stays small
     __slots__ = ("_d", "_label", "_str", "__weakref__")
-    _fields: tuple = ()
 
     def __new__(cls, *fields):
         key = (cls, *fields)
         t = _live_get(key)
         if t is None:
             t = _new(cls)
+            # the base's constructor refuses a wrong number of fields
+            Value.__init__(t, *fields)
             d = 0
-            for name, v in zip(cls._fields, fields):
-                _setattr(t, name, v)
+            for v in fields:
                 # a field is a name, a type, or a row of (label, type) pairs
                 row = (v if isinstance(v, tuple) else
                        (("", v),) if isinstance(v, TypeExpr) else ())
@@ -58,32 +60,26 @@ class TypeExpr:
             _live[key] = t
         return t
 
-    def __setattr__(self, *a):
-        raise AttributeError("types are immutable")
-
-    def __reduce__(self):
-        # copies and pickles are built from the constructor's arguments
-        return type(self), tuple(getattr(self, f) for f in self._fields)
-
-    def __repr__(self):
-        shown = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
-        return f"{type(self).__name__}({shown})"
+    # __new__ has set the fields
+    __init__ = object.__init__
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
 
 
 class Base(TypeExpr):
-    __slots__ = _fields = ("name",)
+    __slots__ = ("name",)
 
 
 class Fun(TypeExpr):
-    __slots__ = _fields = ("dom", "cod")
+    __slots__ = ("dom", "cod")
 
 
 class Record(TypeExpr):
-    __slots__ = _fields = ("row",)  # of (label, TypeExpr), label-sorted
+    __slots__ = ("row",)  # of (label, TypeExpr), label-sorted
 
 
 class Variant(TypeExpr):
-    __slots__ = _fields = ("row",)
+    __slots__ = ("row",)
 
 
 class NatType(TypeExpr):
@@ -94,8 +90,6 @@ class NatType(TypeExpr):
 _live = weakref.WeakValueDictionary()
 _live_get = _live.get
 _new = object.__new__
-# the constructor sets slots past the refusing __setattr__
-_setattr = object.__setattr__
 _set_d = TypeExpr._d.__set__
 _set_label = TypeExpr._label.__set__
 _set_str = TypeExpr._str.__set__
@@ -153,7 +147,7 @@ def type_depth(t: TypeExpr) -> int:
     return t._d
 
 
-class FragmentConfig:
+class FragmentConfig(Value):
     """A fragment: the extensions it enables over its base types, and the
     bounds of its models and operators.  The types it forms (``valid_type``)
     are its operators' sorts, first-class as values and second-class as
@@ -174,30 +168,12 @@ class FragmentConfig:
             raise ValueError(f"base_types contains duplicates: {base_types!r}")
         if nat_bound < 1 or type_depth < 1:
             raise ValueError("bounds must be positive")
-        _set_extensions(self, extensions)
-        _set_base_types(self, base_types)
-        _set_nat_bound(self, nat_bound)
-        _set_type_depth(self, type_depth)
+        super().__init__(extensions, base_types, nat_bound, type_depth)
         _set_cfg_h(self, hash((extensions, base_types, nat_bound, type_depth)))
         # valid_type's and types_upto's answers, owned by the configuration
-        # they are about
+        # they are about; a copy answers its own
         _set_valid(self, {})
         _set_types(self, {})
-
-    def __setattr__(self, *a):
-        raise AttributeError("FragmentConfig is immutable")
-
-    def __reduce__(self):
-        # a copy answers its own valid_type and types_upto queries
-        return FragmentConfig, self._key()
-
-    def _key(self) -> tuple:
-        return (self.extensions, self.base_types, self.nat_bound, self.type_depth)
-
-    def __eq__(self, other):
-        if type(other) is not FragmentConfig:
-            return NotImplemented
-        return self._key() == other._key()
 
     def __hash__(self):
         return self._h
@@ -210,10 +186,6 @@ class FragmentConfig:
         return "base" + ("" if not enabled else "+" + "+".join(enabled))
 
 
-_set_extensions = FragmentConfig.extensions.__set__
-_set_base_types = FragmentConfig.base_types.__set__
-_set_nat_bound = FragmentConfig.nat_bound.__set__
-_set_type_depth = FragmentConfig.type_depth.__set__
 _set_cfg_h = FragmentConfig._h.__set__
 _set_valid = FragmentConfig._valid.__set__
 _set_types = FragmentConfig._types.__set__

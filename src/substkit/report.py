@@ -4,46 +4,15 @@ from __future__ import annotations
 
 import json
 
+from .sorts import Value
 
-class CheckRecord:
-    __slots__ = ("suite", "name", "status", "witness")
 
-    def __init__(self, suite: str, name: str, status: str, witness: str | None):
-        _set_suite(self, suite)
-        _set_name(self, name)
-        _set_status(self, status)  # "pass" | "fail"
-        _set_witness(self, witness)
-
-    def __setattr__(self, *a):
-        raise AttributeError("CheckRecord is immutable")
-
-    def __reduce__(self):
-        return CheckRecord, self._key()
-
-    def _key(self):
-        return (self.suite, self.name, self.status, self.witness)
-
-    def __eq__(self, other):
-        if type(other) is not CheckRecord:
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __hash__(self):
-        return hash(self._key())
-
-    def __repr__(self):
-        return (f"CheckRecord(suite={self.suite!r}, name={self.name!r}, "
-                f"status={self.status!r}, witness={self.witness!r})")
+class CheckRecord(Value):
+    __slots__ = ("suite", "name", "status", "witness")  # status: "pass" | "fail"
 
     @property
     def ok(self) -> bool:
         return self.status == "pass"
-
-
-_set_suite = CheckRecord.suite.__set__
-_set_name = CheckRecord.name.__set__
-_set_status = CheckRecord.status.__set__
-_set_witness = CheckRecord.witness.__set__
 
 
 class Report:

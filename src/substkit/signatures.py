@@ -24,36 +24,24 @@ from __future__ import annotations
 
 from typing import Protocol, Sequence
 
-from .sorts import Context, Renaming, Sort, SortingSystem
+from .sorts import Context, Renaming, Sort, SortingSystem, Value
 
 
 class NotFlattenable(Exception):
     """A signature expression outside the coproduct-of-operators normal form."""
 
 
-class Argument:
+class Argument(Value):
     __slots__ = ("binder", "sort")
 
+    # set directly, not by the base's loop: a table builds one per operator
+    # argument it mints
     def __init__(self, binder: Context, sort: Sort):
         _set_binder(self, binder)
         _set_sort(self, sort)
 
-    def __setattr__(self, *a):
-        raise AttributeError("Argument is immutable")
 
-    def __reduce__(self):
-        return Argument, (self.binder, self.sort)
-
-    def __eq__(self, other):
-        if type(other) is not Argument:
-            return NotImplemented
-        return (self.binder, self.sort) == (other.binder, other.sort)
-
-    def __hash__(self):
-        return hash((self.binder, self.sort))
-
-
-class Operator:
+class Operator(Value):
     # the family and parameters of the instance: the label determines both,
     # so they take no part in comparing operators
     __slots__ = ("label", "result_sort", "args", "family", "params", "__weakref__")
@@ -65,13 +53,6 @@ class Operator:
         _set_args(self, args)
         _set_family(self, family)
         _set_params(self, params)
-
-    def __setattr__(self, *a):
-        raise AttributeError("Operator is immutable")
-
-    def __reduce__(self):
-        return Operator, (self.label, self.result_sort, self.args, self.family,
-                          self.params)
 
     def __eq__(self, other):
         if type(other) is not Operator:
@@ -90,13 +71,8 @@ class Operator:
         return f"Operator({self.label!r})"
 
 
-_set_binder = Argument.binder.__set__
-_set_sort = Argument.sort.__set__
-_set_label = Operator.label.__set__
-_set_result_sort = Operator.result_sort.__set__
-_set_args = Operator.args.__set__
-_set_family = Operator.family.__set__
-_set_params = Operator.params.__set__
+_set_binder, _set_sort = Argument._setters
+_set_label, _set_result_sort, _set_args, _set_family, _set_params = Operator._setters
 
 
 # --- signature combinator expressions -------------------------------------
@@ -105,56 +81,34 @@ _set_params = Operator.params.__set__
 # OnlyAt-wrapped products of (possibly shifted) projections of the recursion
 # variable.  Restrict and non-normal nestings are representable but rejected
 # by flatten with a pointer at the offending subterm, which shows it by its
-# repr.
+# repr.  Each node is a plain ``Value``: built, compared and shown by its
+# slots.
 
-class _Combinator:
-    """An immutable node of a signature expression, shown by its fields."""
-    __slots__ = ()
-
-    def __init__(self, *values):
-        fields = self.__slots__
-        if len(values) != len(fields):
-            raise TypeError(f"{type(self).__name__} takes {len(fields)} "
-                            f"arguments ({', '.join(fields)}), got {len(values)}")
-        for field, value in zip(fields, values):
-            getattr(type(self), field).__set__(self, value)
-
-    def __setattr__(self, *a):
-        raise AttributeError(f"{type(self).__name__} is immutable")
-
-    def __reduce__(self):
-        return type(self), tuple(getattr(self, f) for f in self.__slots__)
-
-    def __repr__(self):
-        shown = ", ".join(f"{f}={getattr(self, f)!r}" for f in self.__slots__)
-        return f"{type(self).__name__}({shown})"
-
-
-class Hole(_Combinator):
+class Hole(Value):
     __slots__ = ()
 
 
-class At(_Combinator):
+class At(Value):
     __slots__ = ("sort", "inner")
 
 
-class OnlyAt(_Combinator):
+class OnlyAt(Value):
     __slots__ = ("sort", "inner")
 
 
-class Shift(_Combinator):
+class Shift(Value):
     __slots__ = ("binder", "inner")
 
 
-class Product(_Combinator):
+class Product(Value):
     __slots__ = ("factors",)
 
 
-class Coproduct(_Combinator):
+class Coproduct(Value):
     __slots__ = ("summands",)  # of (label, expr) pairs
 
 
-class Restrict(_Combinator):
+class Restrict(Value):
     __slots__ = ("along", "inner")
 
 
@@ -194,7 +148,7 @@ def flatten(expr, system: SortingSystem) -> dict[str, Operator]:
         e = stack.pop()
         if isinstance(e, Coproduct):
             stack.extend(reversed(e.summands))
-        elif isinstance(e, tuple) and len(e) == 2:
+        elif type(e) is tuple and len(e) == 2:  # a Sort is a pair too
             _flatten_summand(e[0], e[1], ops, system)
         elif isinstance(e, Restrict):
             raise NotFlattenable(f"restriction is not flattenable: {e!r}")

@@ -13,6 +13,11 @@ A sort is a value: the pair of its tag and its identifier, which nothing
 owns and which compares in C, so :func:`first` and :func:`second` build a
 new pair per call and a check compares sorts with ``!=``.  A context owns
 the extensions it shares (:meth:`Context.extend`).
+
+:class:`Value` is the one base of the package's immutable classes: the
+syntax's contexts, renamings, terms and signatures, the CBV types and
+surface syntax, and the check records.  It lives here because every import
+path loads this module.
 """
 
 from __future__ import annotations
@@ -25,6 +30,62 @@ FIRST = "first"
 SECOND = "second"
 
 
+class Value:
+    """An immutable value made of its fields: ``_fields`` names them, in
+    constructor order, and defaults to the class's own ``__slots__`` but
+    those whose name starts with an underscore, which hold what a value
+    derives (a cached hash, a table).  The base builds a value from its
+    fields, copies and pickles it through its constructor, compares and
+    hashes it as the tuple of its fields (between objects of one class
+    only), and shows each field by name.  Assignment and deletion raise
+    ``AttributeError``; a constructor sets the slots through ``_setters``,
+    the slot descriptors' setters of ``_fields``, bound once per class.  A
+    subclass overrides what it does otherwise, such as a checking
+    constructor or a faster ``__eq__``."""
+
+    __slots__ = ()
+    _fields: tuple = ()
+
+    def __init_subclass__(cls, **kw):
+        super().__init_subclass__(**kw)
+        if "_fields" not in cls.__dict__:
+            cls._fields = tuple(f for f in cls.__dict__.get("__slots__", ())
+                                if not f.startswith("_"))
+        cls._setters = tuple(getattr(cls, f).__set__ for f in cls._fields)
+
+    def __init__(self, *values):
+        setters = self._setters
+        if len(values) != len(setters):
+            raise TypeError(f"{type(self).__name__} takes {len(setters)} "
+                            f"arguments ({', '.join(self._fields)}), "
+                            f"got {len(values)}")
+        for set_field, value in zip(setters, values):
+            set_field(self, value)
+
+    def __setattr__(self, *a):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    __delattr__ = __setattr__
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, f) for f in self._fields])
+
+    def __reduce__(self):
+        return type(self), self._values()
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        shown = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        return f"{type(self).__name__}({shown})"
+
+
 class ContextMismatch(Exception):
     """Raised when composing renamings whose contexts do not line up."""
 
@@ -34,7 +95,9 @@ class Sort(tuple):
     immutable pair, which compares and hashes as the tuple ``(tag, ident)``
     does, in C.  So a sort also equals that plain pair; no table of this
     package mixes sorts with plain pairs, and the one pair test
-    (:func:`~substkit.signatures.flatten`) never sees a sort."""
+    (:func:`~substkit.signatures.flatten`) asks for the exact type
+    ``tuple``, which a sort is not.  Being a tuple, a sort does not derive
+    from :class:`Value`."""
 
     __slots__ = ()
 
@@ -70,7 +133,7 @@ def second(ident: Hashable) -> Sort:
     return _new(Sort, (SECOND, ident))
 
 
-class SortingSystem:
+class SortingSystem(Value):
     """A pair of finite sort sets; the total sort set is their tagged union.
 
     Tags are part of the ``Sort`` values, so the two components may reuse
@@ -83,21 +146,14 @@ class SortingSystem:
         for name, comp in (("fst_sorts", fst_sorts), ("snd_sorts", snd_sorts)):
             if len(set(comp)) != len(comp):
                 raise ValueError(f"{name} contains duplicates: {comp!r}")
-        _set_fst_sorts(self, fst_sorts)
-        _set_snd_sorts(self, snd_sorts)
-
-    def __setattr__(self, *a):
-        raise AttributeError("SortingSystem is immutable")
-
-    def __reduce__(self):
-        return SortingSystem, (self.fst_sorts, self.snd_sorts)
+        super().__init__(fst_sorts, snd_sorts)
 
     def __contains__(self, sort: Sort) -> bool:
         pool = self.fst_sorts if sort.is_first else self.snd_sorts
         return sort.ident in pool
 
 
-class Context:
+class Context(Value):
     """An ordered, possibly empty list of first-class sort identifiers."""
 
     __slots__ = ("entries", "_hash", "_ext")
@@ -107,13 +163,6 @@ class Context:
         _set_entries(self, entries)
         _set_ctx_hash(self, hash(entries))
         _set_ext(self, None)
-
-    def __setattr__(self, *a):
-        raise AttributeError("Context is immutable")
-
-    def __reduce__(self):
-        # a copy has the entries; it shares extensions of its own
-        return Context, (self.entries,)
 
     def __len__(self):
         return len(self.entries)
@@ -158,7 +207,7 @@ class Context:
                 raise ValueError(f"context entry {e!r} is not a first-class sort")
 
 
-class Renaming:
+class Renaming(Value):
     """A sort-preserving map from positions of ``target`` to positions of ``source``."""
 
     __slots__ = ("source", "target", "mapping")
@@ -175,9 +224,6 @@ class Renaming:
         _set_source(self, source)
         _set_target(self, target)
         _set_mapping(self, mapping)
-
-    def __setattr__(self, *a):
-        raise AttributeError("Renaming is immutable")
 
     def __call__(self, pos: int) -> int:
         return self.mapping[pos]
@@ -204,14 +250,10 @@ class Renaming:
 
 # the checked constructors set their slots through the slot descriptors,
 # which pass by the refusing __setattr__ without a lookup by name
-_set_fst_sorts = SortingSystem.fst_sorts.__set__
-_set_snd_sorts = SortingSystem.snd_sorts.__set__
-_set_entries = Context.entries.__set__
+_set_entries, = Context._setters
 _set_ctx_hash = Context._hash.__set__
 _set_ext = Context._ext.__set__
-_set_source = Renaming.source.__set__
-_set_target = Renaming.target.__set__
-_set_mapping = Renaming.mapping.__set__
+_set_source, _set_target, _set_mapping = Renaming._setters
 
 
 def _renaming_error(source: Context, target: Context,

@@ -33,7 +33,7 @@ from operator import is_
 from typing import Iterable, Mapping, Sequence
 
 from .signatures import Operator
-from .sorts import Context, Renaming, Sort, first
+from .sorts import Context, Renaming, Sort, Value, first
 
 
 class IllSorted(Exception):
@@ -44,41 +44,17 @@ class UnknownHole(KeyError):
     pass
 
 
-class HoleDecl:
+class HoleDecl(Value):
     """A metavariable: a placeholder of a given sort with its own context."""
     __slots__ = ("ident", "sort", "ctx")
 
-    def __init__(self, ident: str, sort: Sort, ctx: Context):
-        _set_hole_ident(self, ident)
-        _set_hole_sort(self, sort)
-        _set_hole_ctx(self, ctx)
 
-    def __setattr__(self, *a):
-        raise AttributeError("HoleDecl is immutable")
-
-    def __reduce__(self):
-        return HoleDecl, (self.ident, self.sort, self.ctx)
-
-    def __eq__(self, other):
-        if type(other) is not HoleDecl:
-            return NotImplemented
-        return (self.ident, self.sort, self.ctx) == (other.ident, other.sort, other.ctx)
-
-    def __hash__(self):
-        return hash((self.ident, self.sort, self.ctx))
-
-    def __repr__(self):
-        return f"HoleDecl(ident={self.ident!r}, sort={self.sort!r}, ctx={self.ctx!r})"
-
-
-class Term:
+class Term(Value):
+    # a copy is built, and checked, by the constructor, from ``_fields``
     __slots__ = ("sort", "ctx", "_hash")
 
     sort: Sort
     ctx: Context
-
-    def __setattr__(self, *a):
-        raise AttributeError("terms are immutable")
 
     def __hash__(self):
         # computed on the first call: most terms are built and never hashed
@@ -92,6 +68,7 @@ class Term:
 
 class Var(Term):
     __slots__ = ("index",)
+    _fields = ("ctx", "index")
 
     def __init__(self, ctx: Context, index: int):
         entries = ctx.entries
@@ -100,10 +77,6 @@ class Var(Term):
         _set_sort(self, first(entries[index]))
         _set_ctx(self, ctx)
         _set_index(self, index)
-
-    def __reduce__(self):
-        # a copy is built, and checked, by the constructor
-        return Var, (self.ctx, self.index)
 
     def _hash_key(self):
         return ("v", self.index, self.ctx)
@@ -120,6 +93,7 @@ class Var(Term):
 
 class Op(Term):
     __slots__ = ("op", "args")
+    _fields = ("op", "ctx", "args")
 
     def __init__(self, op: Operator, ctx: Context, args: Sequence[Term]):
         args = tuple(args)
@@ -137,9 +111,6 @@ class Op(Term):
         _set_op(self, op)
         _set_args(self, args)
 
-    def __reduce__(self):
-        return Op, (self.op, self.ctx, self.args)
-
     def _hash_key(self):
         return ("o", self.op.label, self.args, self.ctx)
 
@@ -155,6 +126,7 @@ class Op(Term):
 
 class Meta(Term):
     __slots__ = ("hole", "env")
+    _fields = ("hole", "ctx", "env")
 
     def __init__(self, hole: HoleDecl, ctx: Context, env: Sequence[Term]):
         env = tuple(env)
@@ -170,9 +142,6 @@ class Meta(Term):
         _set_hole(self, hole)
         _set_env(self, env)
 
-    def __reduce__(self):
-        return Meta, (self.hole, self.ctx, self.env)
-
     def _hash_key(self):
         return ("m", self.hole.ident, self.env, self.ctx)
 
@@ -186,7 +155,7 @@ class Meta(Term):
         return f"Meta(?{self.hole.ident}, {list(self.env)!r})"
 
 
-class SubstEnv:
+class SubstEnv(Value):
     """A simultaneous substitution: one first-class term over ``target`` per
     position of ``source``."""
 
@@ -204,12 +173,6 @@ class SubstEnv:
         _set_subst_target(self, target)
         _set_subst_entries(self, entries)
 
-    def __setattr__(self, *a):
-        raise AttributeError("SubstEnv is immutable")
-
-    def __reduce__(self):
-        return SubstEnv, (self.source, self.target, self.entries)
-
     def __eq__(self, other):
         return (isinstance(other, SubstEnv) and self.source == other.source
                 and self.target == other.target and self.entries == other.entries)
@@ -220,20 +183,12 @@ class SubstEnv:
 
 # the checked constructors set their slots through the slot descriptors,
 # which pass by the refusing __setattr__ without a lookup by name
-_set_hole_ident = HoleDecl.ident.__set__
-_set_hole_sort = HoleDecl.sort.__set__
-_set_hole_ctx = HoleDecl.ctx.__set__
-_set_sort = Term.sort.__set__
-_set_ctx = Term.ctx.__set__
+_set_sort, _set_ctx = Term._setters
 _set_hash = Term._hash.__set__
-_set_index = Var.index.__set__
-_set_op = Op.op.__set__
-_set_args = Op.args.__set__
-_set_hole = Meta.hole.__set__
-_set_env = Meta.env.__set__
-_set_subst_source = SubstEnv.source.__set__
-_set_subst_target = SubstEnv.target.__set__
-_set_subst_entries = SubstEnv.entries.__set__
+_, _set_index = Var._setters
+_set_op, _, _set_args = Op._setters
+_set_hole, _, _set_env = Meta._setters
+_set_subst_source, _set_subst_target, _set_subst_entries = SubstEnv._setters
 
 
 def _op_error(op: Operator, ctx: Context, args: tuple) -> IllSorted:

@@ -45,6 +45,15 @@ def test_monads_load_no_syntax_interpreter_or_checks():
     assert len(loaded) <= 9, loaded
 
 
+def test_cli_loads_no_dataclasses():
+    """The surface syntax's nodes derive from ``sorts.Value`` too: importing
+    ``dataclasses`` would load ``inspect``, ``dis`` and ``ast`` with it."""
+    loaded = _run("import json, sys\n"
+                  "import substkit.cli\n"
+                  "print(json.dumps('dataclasses' in sys.modules))")
+    assert loaded is False
+
+
 def test_checks_load_no_presheaf_layer():
     """The substitution lemma never uses the presheaf tensor: contexts and
     renamings are enumerated in ``sorts``."""
@@ -84,9 +93,9 @@ def test_first_unit_of_each_workload_imports_nothing_new(name):
 
 @pytest.mark.parametrize("name", sorted(WORKLOADS))
 def test_no_workload_defines_a_dataclass_at_set_up(name):
-    """The value classes a workload loads are written out: a dataclass
-    compiles and runs its generated methods when its module loads, so each
-    one adds to ``setup_s``."""
+    """The value classes a workload loads derive from ``sorts.Value``: a
+    dataclass compiles and runs its generated methods when its module loads,
+    so each one adds to ``setup_s``."""
     found = _run("import dataclasses, json, sys\n"
                  "from workloads import WORKLOADS\n"
                  f"WORKLOADS[{name!r}].prepare({ACCEPTANCE_SEED})\n"

@@ -1,17 +1,21 @@
 """What the value classes show of themselves: reprs, hashes, equality,
-immutability, copies and validation messages.
+immutability, copies and validation messages; and that ``sorts.Value`` is
+the one way ``src/`` writes an immutable class.
 
 Reprs appear in ``Context`` reprs, ``IllSorted`` and ``NotFlattenable``
 messages and check records.  A type is the one object of its fields, so it
 hashes and compares as an object; the other hashed classes keep their
 field-tuple formula."""
 
+import ast
 import copy
 import pickle
+from pathlib import Path
 
 import pytest
 
 from substkit.cbv.ops import CbvOperatorTable
+from substkit.cbv.surface import SVar
 from substkit.cbv.types import (NAT, UNIT, Base, FragmentConfig, Fun, NatType,
                                 Record, Variant, config, fun, record,
                                 type_depth, type_to_label, type_to_str,
@@ -19,7 +23,7 @@ from substkit.cbv.types import (NAT, UNIT, Base, FragmentConfig, Fun, NatType,
 from substkit.report import CheckRecord
 from substkit.signatures import (Argument, At, Coproduct, Hole, NotFlattenable,
                                  OnlyAt, Product, Restrict, Shift, flatten)
-from substkit.sorts import Context, SortingSystem, first, second
+from substkit.sorts import Context, Renaming, SortingSystem, first, second
 from substkit.terms import HoleDecl, IllSorted, Var
 
 B = Base("b")
@@ -44,6 +48,9 @@ def test_reprs_keep_the_field_text():
         "CheckRecord(suite='term-laws', name='left unit', status='fail', "
         "witness='item 3')")
     assert repr(_operator()) == "Operator('lam<b;(b→Nat)>')"
+    assert repr(Argument(Context(()), second("v"))) == (
+        "Argument(binder=Context[], sort=Snd('v'))")
+    assert repr(SYS) == "SortingSystem(fst_sorts=('v',), snd_sorts=('v',))"
 
 
 def test_ill_sorted_message_shows_type_reprs():
@@ -65,6 +72,9 @@ def test_ill_sorted_message_shows_type_reprs():
      "inner=Coproduct(summands=()))"),
     (Coproduct((OnlyAt(V, Hole()),)),
      "not a labelled summand: OnlyAt(sort=Fst('v'), inner=Hole())"),
+    # a sort is a pair, but not a (label, expr) one
+    (Coproduct((V,)), "not a labelled summand: Fst('v')"),
+    (V, "not a labelled summand: Fst('v')"),
 ])
 def test_not_flattenable_messages_show_combinator_reprs(expr, message):
     with pytest.raises(NotFlattenable) as info:
@@ -134,10 +144,11 @@ def test_operator_refuses_assignment():
     lambda: config(("records", "naturals"), ("b", "c"), 4, 2),
     _operator,
     lambda: HoleDecl("h", second(fun(B, B)), Context((B, fun(B, B)))),
-], ids=["type", "nat", "config", "operator", "hole"])
-@pytest.mark.parametrize("trip", [copy.deepcopy,
+    lambda: Renaming(Context(("b", "b")), Context(("b",)), (1,)),
+], ids=["type", "nat", "config", "operator", "hole", "renaming"])
+@pytest.mark.parametrize("trip", [copy.copy, copy.deepcopy,
                                   lambda x: pickle.loads(pickle.dumps(x))],
-                         ids=["deepcopy", "pickle"])
+                         ids=["copy", "deepcopy", "pickle"])
 def test_round_trips_compare_equal(make, trip):
     obj = make()
     got = trip(obj)
@@ -175,3 +186,63 @@ def test_sorting_system_validation_message():
     with pytest.raises(ValueError) as info:
         SortingSystem(("v",), ("w", "w"))
     assert str(info.value) == "snd_sorts contains duplicates: ('w', 'w')"
+
+
+def test_the_base_checks_the_argument_count():
+    with pytest.raises(TypeError) as info:
+        Hole(1)
+    assert str(info.value) == "Hole takes 0 arguments (), got 1"
+    with pytest.raises(TypeError) as info:
+        At(V)
+    assert str(info.value) == "At takes 2 arguments (sort, inner), got 1"
+    # a type keeps no half-built or over-full object in its live table
+    for fields in ((B,), (B, B, B)):
+        with pytest.raises(TypeError) as info:
+            Fun(*fields)
+        assert str(info.value) == (f"Fun takes 2 arguments (dom, cod), "
+                                   f"got {len(fields)}")
+
+
+@pytest.mark.parametrize("make,field", [
+    (lambda: Context(("b",)), "entries"),
+    (lambda: Var(Context(("b",)), 0), "index"),
+    (lambda: Argument(Context(()), V), "sort"),
+    (lambda: Base("fresh"), "name"),
+    (lambda: SVar("x", 3), "pos"),
+], ids=["context", "var", "argument", "type", "surface"])
+def test_value_classes_refuse_deletion(make, field):
+    obj = make()
+    kept = getattr(obj, field)
+    with pytest.raises(AttributeError):
+        delattr(obj, field)
+    assert getattr(obj, field) == kept
+
+
+def test_surface_nodes_keep_the_dataclass_repr_and_hash():
+    node = SVar("x", 3)
+    assert repr(node) == "SVar(name='x', pos=3)"
+    assert hash(node) == hash(("x", 3))
+    assert node == SVar("x", 3) and node != SVar("x", 4) and node != ("x", 3)
+
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def test_value_is_the_one_way_to_write_an_immutable_class():
+    imported, defining = [], {"__setattr__": [], "__reduce__": []}
+    for path in sorted(SRC.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                imported += [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                imported.append(node.module or "")
+            elif isinstance(node, ast.ClassDef):
+                for d in node.body:
+                    names = ([d.name] if isinstance(d, ast.FunctionDef) else
+                             [t.id for t in d.targets if isinstance(t, ast.Name)]
+                             if isinstance(d, ast.Assign) else [])
+                    for name in names:
+                        if name in defining:
+                            defining[name].append(node.name)
+    assert [m for m in imported if m.split(".")[0] == "dataclasses"] == []
+    assert defining == {"__setattr__": ["Value"], "__reduce__": ["Value", "Sort"]}
