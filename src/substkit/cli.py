@@ -22,9 +22,9 @@ from .cbv.surface import (SurfaceSyntaxError, parse, parse_context, parse_type,
                            parse_value, pretty)
 from .cbv.typecheck import (ArityMismatch, SortMismatch, UnknownVariable,
                             synthesize, typecheck)
-from .cbv.types import (EXTENSIONS, Base, DepthExceeded, FragmentConfig,
-                        all_fragment_configs, config_from_dict, parse_fragment,
-                        type_to_str, typing_needs)
+from .cbv.types import (EXTENSIONS, MAX_NESTING, Base, DepthExceeded,
+                        FragmentConfig, all_fragment_configs, config_from_dict,
+                        parse_fragment, type_to_str, typing_needs)
 from .report import Report
 from .semantics.denote import Interpreter, denote
 from .semantics.finset import ENUM_CAP, EnumerationTooLarge
@@ -334,6 +334,9 @@ def cmd_check(args) -> int:
             if getattr(args, flag) < least:
                 raise ValueError(f"--{flag.replace('_', '-')} must be at "
                                  f"least {least}")
+        # the generated terms nest as deep as --depth
+        if args.depth > MAX_NESTING:
+            raise ValueError(f"--depth must be at most {MAX_NESTING}")
         report = None
         if report_path:
             os.makedirs(os.path.dirname(report_path) or ".", exist_ok=True)

@@ -9,11 +9,19 @@ substitution lemma.  The substitution lemma suite compares the table of
 a substituted term with the composite of tables, exhaustively on corpora
 enumerated from the operator table for the small fragments and on seeded
 random corpora elsewhere.
+
+The squares and the action axioms draw their tables and environments
+through one sampler: ``_tables`` gives every table of a sort over a context
+and ``_combos`` every choice of one item per pool, each past its bound a
+number of seeded draws.  The draws decide which cases are checked, so their
+order is part of every report.  Both checks act and point through the one
+``DenotationCarrier``.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 import random
 
 from ..cbv.gen import (Enumeration, TermGen, enumerate_terms,
@@ -27,49 +35,36 @@ from ..sorts import (Context, enumerate_contexts, enumerate_renamings, first,
 from ..terms import FoldMemo, Op, SubstEnv, Term, Var, substitute
 from .denote import (DenotationCarrier, Interpreter, NonConvergence, denote,
                      elgot_unrolling_oracle, kleene_fixpoint)
-from .finset import FinSet
 from .monads import NONE, OptionMonad
 from .model import (Denotation, Model, context_space, identity_sem_env,
                     interp_size, interpret_type, model, precompose, projection,
                     subst_denotation)
 
 
-def _all_tables(space: FinSet, outs: FinSet, cap: int, rng) -> list:
-    """Every output tuple over the space, or a seeded sample past the cap."""
-    total = outs.size ** space.size
-    if total <= cap:
-        return [dict(zip(space, combo))
-                for combo in itertools.product(outs.elements, repeat=space.size)]
-    out = []
-    for _ in range(cap):
-        out.append({p: rng.choice(outs.elements) for p in space})
-    return out
+def _combos(pools: list, limit: int, count: int, rng) -> list:
+    """Every choice of one item per pool, or ``count`` seeded draws once
+    there are more than ``limit`` choices."""
+    if math.prod(map(len, pools)) <= limit:
+        return list(itertools.product(*pools))
+    return [tuple(rng.choice(p) for p in pools) for _ in range(count)]
 
 
-def _table_denotation(sort, ctx, m: Model, nat_bound: int,
-                      mapping: dict) -> Denotation:
-    """A fixed table as a view: reading a point looks it up."""
-    return Denotation(sort, ctx, m, nat_bound, mapping.__getitem__)
+def _tables(sort, ctx: Context, m: Model, nb: int, cap: int, rng) -> list:
+    """Every table of ``sort`` over ``ctx``, or ``cap`` seeded draws past
+    ``cap``; each is a view that looks its point up."""
+    space = context_space(ctx, m, nb)
+    outs = interpret_type(sort.ident, m, nb)
+    outs = tuple(outs if sort.is_first else m.monad.apply(outs))
+    return [Denotation(sort, ctx, m, nb, dict(zip(space, combo)).__getitem__)
+            for combo in _combos([outs] * space.size, cap, cap, rng)]
 
 
 def _sem_envs(src: Context, tgt: Context, m: Model, nat_bound: int,
               cap: int, rng) -> list:
     """Semantic substitutions: tuples of tables, one per source position."""
-    tgt_space = context_space(tgt, m, nat_bound)
-    pools = []
-    for t in src.entries:
-        outs = interpret_type(t, m, nat_bound)
-        pools.append(_all_tables(tgt_space, FinSet(outs), cap, rng))
-    total = 1
-    for p in pools:
-        total *= len(p)
-    combos = (itertools.product(*pools) if total <= cap
-              else (tuple(rng.choice(p) for p in pools) for _ in range(cap)))
-    out = []
-    for combo in combos:
-        out.append([_table_denotation(first(t), tgt, m, nat_bound, mapping)
-                    for t, mapping in zip(src.entries, combo)])
-    return out
+    pools = [_tables(first(t), tgt, m, nat_bound, cap, rng)
+             for t in src.entries]
+    return _combos(pools, cap, cap, rng)
 
 
 # --- semantic substitution structure axioms -------------------------------------
@@ -98,7 +93,7 @@ def check_sem_action_axioms(m: Model, cfg: FragmentConfig, cap: int = 300,
 
     witness = {}
     for src in ctxs:
-        src_space = context_space(src, m, nb)
+        ident = identity_sem_env(src, m, nb)
         for tgt in ctxs:
             envs = _sem_envs(src, tgt, m, nb, cap, rng)
             for env in envs:
@@ -111,10 +106,7 @@ def check_sem_action_axioms(m: Model, cfg: FragmentConfig, cap: int = 300,
                         witness["left"] = _sem_witness(
                             f"{src!r} pos {pos} into {tgt!r}", diff, (env,))
                 # pick representative tables over src to substitute into
-                outs = FinSet(m.monad.apply(interpret_type(b, m, nb)))
-                for mapping in _all_tables(src_space, outs, 12, rng):
-                    d = _table_denotation(second(b), src, m, nb, mapping)
-                    ident = identity_sem_env(src, m, nb)
+                for d in _tables(second(b), src, m, nb, 12, rng):
                     diff = subst_denotation(d, ident, m, nb).difference_witness(d)
                     if diff is not None and "right" not in witness:
                         witness["right"] = _sem_witness(f"{src!r}", diff)
@@ -202,25 +194,10 @@ def check_compatibility(m: Model, cfg: FragmentConfig, seed: int = 0,
     for op in ops:
         for src in ctxs:
             # candidate argument tables, one pool per argument
-            pools = []
-            for arg in op.args:
-                arg_ctx = src.extend(arg.binder)
-                space = context_space(arg_ctx, m, nb)
-                if arg.sort.is_first:
-                    outs = FinSet(interpret_type(arg.sort.ident, m, nb))
-                else:
-                    outs = FinSet(m.monad.apply(
-                        interpret_type(arg.sort.ident, m, nb)))
-                pool = _all_tables(space, outs, table_cap, rng)
-                pools.append([_table_denotation(arg.sort, arg_ctx, m, nb, t)
-                              for t in pool])
-            total = 1
-            for p in pools:
-                total *= len(p)
-            tuples = (itertools.product(*pools) if total <= table_cap ** 2
-                      else [tuple(rng.choice(p) for p in pools)
-                            for _ in range(table_cap)])
-            for values in tuples:
+            pools = [_tables(arg.sort, src.extend(arg.binder), m, nb,
+                             table_cap, rng) for arg in op.args]
+            combos = _combos(pools, table_cap ** 2, table_cap, rng)
+            for values in combos:
                 lhs_base = interp.alg(op, list(values), src)
                 for tgt in ctxs:
                     for env in _sem_envs(src, tgt, m, nb, 6, rng):

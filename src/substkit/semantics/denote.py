@@ -9,11 +9,14 @@ the other clauses rest on the sampled substitution lemma.  Unbounded iteration u
 detection; recursive definitions take a least fixed point in the flat
 pointwise order, both only under the option monad.
 
-An ``Interpreter`` shares the denotations it builds, as hash-consing shares
-terms: one per (operator label, context, child denotations), one projection
-per (context, position) and one weakening per (denotation, context).  A
-subterm that recurs, in one term or across the terms an interpreter denotes,
-is denoted once, and its memo answers for every occurrence.
+``DenotationCarrier`` is the one carrier of denotations: the fold, the
+compatibility squares and the semantic action axioms all act and point
+through it.  An ``Interpreter`` shares the denotations it builds, as
+hash-consing shares terms: one per (operator label, context, child
+denotations), and, through its carrier, one projection per (context,
+position) and one weakening per (denotation, context).  A subterm that
+recurs, in one term or across the terms an interpreter denotes, is denoted
+once, and its memo answers for every occurrence.
 
 A check whose terms share subterm objects also has the interpreter fold
 through memos, with ``fresh_fold_memos``: beside its tables the interpreter
@@ -91,41 +94,36 @@ def kleene_fixpoint(phi, bottom, max_steps: int):
 
 class DenotationCarrier:
     """Denotations as a pointed carrier: the action is pre-composition with
-    the renaming, the point is the projection."""
+    the renaming, the point is the projection.  The carrier keeps one
+    projection per (context, position) and one weakening per (denotation,
+    source context): the projection of a context onto a prefix, the only
+    renaming the fold and ``route_environment`` act along, is fixed by its
+    source once the denotation fixes the target.  Any other renaming is
+    pre-composed afresh."""
 
     def __init__(self, m: Model, nat_bound: int):
         self.m = m
         self.nat_bound = nat_bound
-
-    def act(self, d: Denotation, rho: Renaming) -> Denotation:
-        return precompose(d, rho, self.m, self.nat_bound)
-
-    def var(self, ctx: Context, position: int) -> Denotation:
-        return projection(ctx, position, self.m, self.nat_bound)
-
-
-class SharingCarrier(DenotationCarrier):
-    """The denotation carrier with one projection per (context, position) and
-    one weakening per (denotation, context).  The fold acts only along the
-    projection of a context onto a prefix, which the source context fixes."""
-
-    def __init__(self, m: Model, nat_bound: int):
-        super().__init__(m, nat_bound)
         self.projections: dict = {}
         self.weakenings: dict = {}
 
     def act(self, d: Denotation, rho: Renaming) -> Denotation:
+        mapping = rho.mapping
+        if mapping != tuple(range(len(mapping))):
+            return precompose(d, rho, self.m, self.nat_bound)
         key = (d, rho.source)
         got = self.weakenings.get(key)
         if got is None:
-            got = self.weakenings[key] = super().act(d, rho)
+            got = self.weakenings[key] = precompose(d, rho, self.m,
+                                                    self.nat_bound)
         return got
 
     def var(self, ctx: Context, position: int) -> Denotation:
         key = (ctx, position)
         got = self.projections.get(key)
         if got is None:
-            got = self.projections[key] = super().var(ctx, position)
+            got = self.projections[key] = projection(ctx, position, self.m,
+                                                     self.nat_bound)
         return got
 
 
@@ -139,7 +137,7 @@ class Interpreter:
     def __init__(self, m: Model, cfg: FragmentConfig):
         self.m = m
         self.cfg = cfg
-        self._shared = SharingCarrier(m, cfg.nat_bound)
+        self._shared = DenotationCarrier(m, cfg.nat_bound)
         self._built: dict = {}
         self._folds: dict | None = None
 

@@ -1,9 +1,11 @@
 """Finite sets with guarded enumeration.
 
 Function spaces can be astronomically large (a Kleisli exponential at a
-natural-number bound of 25 has 26^25 elements), so sets know their size
-exactly but only enumerate on demand, refusing past a cap.  Elements are
-always hashable canonical values; functions are output tuples in domain
+natural-number bound of 25 has 26^25 elements, and one over that space
+26^(26^25)), so function and product spaces know their size exactly up to
+``ENUM_CAP`` and read ``ENUM_CAP + 1`` past it, building no larger number,
+and only enumerate on demand, refusing past the cap.  Elements are always
+hashable canonical values; functions are output tuples in domain
 enumeration order.
 """
 
@@ -53,13 +55,19 @@ class FunSpace:
 
     @property
     def size(self) -> int:
-        return _size(self.cod) ** self.dom.size
+        # past ENUM_CAP.bit_length() domain points a codomain of two or more
+        # elements is past the cap
+        base, n = self.cod.size, self.dom.size
+        if base > 1:
+            n = min(n, ENUM_CAP.bit_length())
+        return min(base ** n, ENUM_CAP + 1)
 
     def __len__(self):
         return self.size
 
     def __iter__(self):
-        if self.size > ENUM_CAP:
+        # a function over a domain past the cap is itself too long to build
+        if max(self.size, self.dom.size) > ENUM_CAP:
             raise EnumerationTooLarge(
                 f"function space of more than {ENUM_CAP} elements")
         return iter(itertools.product(tuple(self.cod), repeat=self.dom.size))
@@ -69,7 +77,7 @@ class FunSpace:
                 and all(v in self.cod for v in f))
 
     def index(self, f) -> int:
-        base = _size(self.cod)
+        base = self.cod.size
         out = 0
         for v in f:
             out = out * base + self.cod.index(v)
@@ -77,10 +85,6 @@ class FunSpace:
 
     def __repr__(self):
         return f"FunSpace({self.size})"
-
-
-def _size(s) -> int:
-    return s.size if hasattr(s, "size") else len(s)
 
 
 class ProductSpace:
@@ -93,7 +97,7 @@ class ProductSpace:
     def size(self) -> int:
         out = 1
         for s in self.components:
-            out *= _size(s)
+            out = min(out * s.size, ENUM_CAP + 1)
         return out
 
     def __len__(self):

@@ -167,12 +167,6 @@ class Context(Value):
     def __len__(self):
         return len(self.entries)
 
-    def __iter__(self):
-        return iter(self.entries)
-
-    def __getitem__(self, pos):
-        return self.entries[pos]
-
     def sort_at(self, pos: int) -> Hashable:
         return self.entries[pos]
 
@@ -224,16 +218,6 @@ class Renaming(Value):
         _set_source(self, source)
         _set_target(self, target)
         _set_mapping(self, mapping)
-
-    def __call__(self, pos: int) -> int:
-        return self.mapping[pos]
-
-    def __eq__(self, other):
-        return (isinstance(other, Renaming) and self.source == other.source
-                and self.target == other.target and self.mapping == other.mapping)
-
-    def __hash__(self):
-        return hash((self.source, self.target, self.mapping))
 
     def __repr__(self):
         return f"Renaming({self.source!r} -> {self.target!r}, {self.mapping!r})"

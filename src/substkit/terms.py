@@ -173,10 +173,6 @@ class SubstEnv(Value):
         _set_subst_target(self, target)
         _set_subst_entries(self, entries)
 
-    def __eq__(self, other):
-        return (isinstance(other, SubstEnv) and self.source == other.source
-                and self.target == other.target and self.entries == other.entries)
-
     def __repr__(self):
         return f"SubstEnv({list(self.entries)!r})"
 

@@ -26,9 +26,11 @@ from substkit.suites import SUITES
 PY = [sys.executable, "-m", "substkit.cli"]
 
 
-def run_cli(*args, **kw):
+def run_cli(*args, timeout=60, **kw):
+    """The CLI in a child process; one that runs past ``timeout`` seconds
+    fails the test instead of hanging it."""
     return subprocess.run(PY + list(args), capture_output=True, text=True,
-                          env=child_env(), **kw)
+                          env=child_env(), timeout=timeout, **kw)
 
 
 def test_run_identity_table(tmp_path):
@@ -279,6 +281,12 @@ MALFORMED_RUN = {
     "context space size too long to print": [
         "--fragment", "functions", "--context", "x: b, f: ((b -> b) -> b) -> b",
         "--type-depth", "4"],
+    # a function space over a function space: its size, 26 ** (26 ** 25),
+    # is compared with the cap without being computed
+    "function space over a function space past the cap": [
+        "--fragment", "functions,naturals", "--nat-bound", "25", "--context",
+        "f: (Nat -> Nat) -> Nat", "--expect", "C (Nat -> Nat) -> Nat",
+        "--monad", "option"],
     # types and contexts are read by the program parser: '--' starts a
     # comment, a label takes '+' only as 'N+', and a name is no keyword
     "comment in a type": ["--expect", "b --> b"],
@@ -342,6 +350,7 @@ MALFORMED_RUN = {
 MALFORMED_PROGRAM = {
     "600 nested parentheses": "(" * 600 + "val x" + ")" * 600,
     "250 let bindings": "let y = val x in " * 250 + "val x",
+    "function space over a function space past the cap": "val f",
 }
 
 
@@ -711,6 +720,8 @@ MALFORMED_CHECK = {
     "count 0": ["--count", "0"],
     "structures 0": ["--structures", "0"],
     "negative depth": ["--depth", "-5"],
+    # generated terms nest as deep as --depth, within the nesting bound
+    "depth past the nesting bound": ["--fragment", "full", "--depth", "400"],
     # the report is opened before any part runs
     "report path below a file": ["--report", str(Path(__file__) / "x.jsonl")],
 }
@@ -722,6 +733,16 @@ def test_malformed_check_option_is_one_error_line(case):
     out = run_cli("check", "term-laws", "--count", "1", *MALFORMED_CHECK[case])
     assert_one_error_line(out)
     assert out.stdout == ""
+
+
+def test_check_takes_the_nesting_bound_as_its_deepest_depth():
+    out = run_cli("check", "term-laws", "--depth", str(MAX_NESTING),
+                  "--count", "1")
+    assert out.returncode == 0, out.stderr
+    out = run_cli("check", "term-laws", "--depth", str(MAX_NESTING + 1),
+                  "--count", "1")
+    assert_one_error_line(out)
+    assert out.stderr == f"error: --depth must be at most {MAX_NESTING}\n"
 
 
 def test_report_dir_naming_a_file_is_one_error_line(monkeypatch):

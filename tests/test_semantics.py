@@ -15,7 +15,7 @@ from substkit.cbv.ops import CbvOperatorTable
 from substkit.cbv.gen import Enumeration, TermGen, enumerate_terms
 from substkit.cbv.surface import parse
 from substkit.cbv.typecheck import typecheck
-from substkit.cbv.types import types_upto
+from substkit.cbv.types import EXTENSIONS, Fun, types_upto
 from substkit.semantics import (IdentityMonad, OptionMonad, UnsupportedCapability,
                                 interp_size, interpret_type, model, precompose)
 from substkit.semantics import checks
@@ -23,6 +23,8 @@ from substkit.semantics.checks import (check_compatibility, check_sem_action_axi
                                        check_substitution_lemma_exhaustive,
                                        check_substitution_lemma_random)
 from substkit.semantics.denote import DenotationCarrier, Interpreter, denote
+from substkit.semantics.finset import ENUM_CAP, EnumerationTooLarge, FinSet
+from substkit.semantics.monads import BUNDLED
 from substkit.semantics.model import (Denotation, context_space, identity_sem_env,
                                       projection)
 from substkit.sorts import Context, Renaming, first, second
@@ -53,6 +55,70 @@ def test_interpret_type_spec_examples():
     assert interpret_type(maybe_shape(NAT), m, 3).size == 4
     # labelled product
     assert interpret_type(record((("A", B), ("Z", B))), m, 8).size == 4
+
+
+@pytest.mark.parametrize("name", BUNDLED)
+def test_sizes_are_the_sizes_of_the_sets(name):
+    """``apply_size`` and ``interp_size`` count what ``apply`` and
+    ``interpret_type`` build: every set of up to 3 elements, and every type
+    of the depth-2 universe of the full fragment at nat bound 3."""
+    monad = BUNDLED[name]()
+    for n in range(4):
+        assert monad.apply_size(n) == monad.apply(FinSet(range(n))).size, n
+    cfg = config(EXTENSIONS, ("b",), nat_bound=3)
+    m = model(monad, {"b": 2})
+    for t in types_upto(cfg, 2):
+        assert interp_size(t, m, 3) == interpret_type(t, m, 3).size, t
+
+
+def test_sizes_past_the_cap_read_one_past_it():
+    """A function or product space past the enumeration cap reads
+    ``ENUM_CAP + 1`` and refuses to be enumerated; an empty factor keeps a
+    product empty."""
+    m = model(OptionMonad(), {"b": 2})
+    nat_nat = fun(NAT, NAT)
+    assert interp_size(nat_nat, m, 25) == 26 ** 25
+    assert interpret_type(nat_nat, m, 25).size == ENUM_CAP + 1
+    space = context_space(Context((B, nat_nat)), m, 25)
+    assert space.size == ENUM_CAP + 1
+    with pytest.raises(EnumerationTooLarge):
+        iter(space)
+    with pytest.raises(EnumerationTooLarge):
+        iter(interpret_type(nat_nat, m, 25))
+    assert context_space(Context((nat_nat, variant(()))), m, 25).size == 0
+
+
+@pytest.mark.parametrize("name", BUNDLED)
+def test_function_spaces_index_and_contain_their_elements(name):
+    """Every function space of the depth-2 universe of the functional
+    fragment with naturals: ``index`` is the position in iteration order,
+    every element is in the space, and a tuple of the wrong length or with a
+    value outside the codomain is not."""
+    cfg = config(("functions", "naturals"), ("b",), nat_bound=3)
+    m = model(BUNDLED[name](), {"b": 2})
+    spaces = [interpret_type(t, m, 3) for t in types_upto(cfg, 2)
+              if type(t) is Fun]
+    assert len(spaces) == 9
+    for space in spaces:
+        elements = list(space)
+        assert len(elements) == space.size
+        for i, f in enumerate(elements):
+            assert space.index(f) == i and f in space
+            assert f[:-1] not in space and f + f[:1] not in space
+            assert f[:-1] + ("foreign",) not in space
+
+
+def test_higher_order_application_reads_the_function_table():
+    """An application whose domain is a function type finds its argument's
+    table by ``FunSpace.index``."""
+    cfg = config(("functions",))
+    term = typecheck(parse("(val fn g: b -> b . (val g) (val x)) "
+                           "(val fn y: b . val y)"),
+                     Context((B,)), second(B), CbvOperatorTable(cfg), ["x"])
+    assert denote(term, model(OptionMonad(), {"b": 2}), cfg).table() == \
+        (("some", "b0"), ("some", "b1"))
+    assert denote(term, model(IdentityMonad(), {"b": 2}), cfg).table() == \
+        ("b0", "b1")
 
 
 def test_variable_denotes_projection():

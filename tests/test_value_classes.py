@@ -24,7 +24,7 @@ from substkit.report import CheckRecord
 from substkit.signatures import (Argument, At, Coproduct, Hole, NotFlattenable,
                                  OnlyAt, Product, Restrict, Shift, flatten)
 from substkit.sorts import Context, Renaming, SortingSystem, first, second
-from substkit.terms import HoleDecl, IllSorted, Var
+from substkit.terms import HoleDecl, IllSorted, SubstEnv, Var
 
 B = Base("b")
 V = first("v")
@@ -116,6 +116,24 @@ def test_equality_is_by_class_and_fields():
     op = _operator()
     assert op != op.label and op == copy.copy(op)
     assert not (B == "b") and B != "b"
+
+
+def test_equal_values_over_distinct_contexts_compare_and_hash_alike():
+    """Substitutions and renamings compare and hash as their field tuples,
+    so equal ones over equal but distinct contexts are one key."""
+    src, tgt = Context((B,)), Context((B, B))
+    src2, tgt2 = Context((B,)), Context((B, B))
+    one = SubstEnv(src, tgt, (Var(tgt, 1),))
+    two = SubstEnv(src2, tgt2, (Var(tgt2, 1),))
+    assert src is not src2 and tgt is not tgt2
+    assert one == two and hash(one) == hash(two)
+    assert hash(one) == hash((src, tgt, one.entries))
+    assert one != SubstEnv(src, tgt, (Var(tgt, 0),))
+    assert len({one, two, SubstEnv(Context(()), Context(()), ())}) == 2
+    rho, rho2 = Renaming(tgt, src, (1,)), Renaming(tgt2, src2, (1,))
+    assert rho == rho2 and hash(rho) == hash(rho2)
+    assert hash(rho) == hash((tgt, src, (1,)))
+    assert rho != Renaming(tgt, src, (0,))
 
 
 @pytest.mark.parametrize("obj,field", [
