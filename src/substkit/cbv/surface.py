@@ -281,21 +281,9 @@ class _Parser:
             self.expect(")")
             return v
         if t.text == "{":
-            self.next()
-            fields = []
-            while self.peek().text != "}":
-                lab = self.label()
-                self.expect("=")
-                fields.append((lab, self.value()))
-                if self.peek().text == ",":
-                    self.next()
-            self.expect("}")
-            return SVRecord(tuple(fields), t.pos)
+            return SVRecord(self.fields(self.value), t.pos)
         if t.text == "<":
-            ty = self.parse_type()
-            self.expect(".")
-            tag = self.label()
-            return SVInject(ty, tag, self.nested(self.vatom), t.pos)
+            return SVInject(*self.inject(self.vatom), t.pos)
         if t.kind == "NUMBER":
             self.next()
             return SLit(int(t.text), t.pos)
@@ -427,22 +415,32 @@ class _Parser:
             self.expect(")")
             return inner
         if t.text == "{":
-            self.next()
-            fields = []
-            while self.peek().text != "}":
-                lab = self.label()
-                self.expect("=")
-                fields.append((lab, self.term()))
-                if self.peek().text == ",":
-                    self.next()
-            self.expect("}")
-            return SRecord(tuple(fields), t.pos)
+            return SRecord(self.fields(self.term), t.pos)
         if t.text == "<":
-            ty = self.parse_type()
-            self.expect(".")
-            tag = self.label()
-            return SInject(ty, tag, self.nested(self.atom), t.pos)
+            return SInject(*self.inject(self.atom), t.pos)
         raise SurfaceSyntaxError(f"expected a term, found {t.text!r}", t.pos)
+
+    # -- shared by values and terms -----------------------------------------
+
+    def fields(self, item) -> tuple:
+        """``{label = item, ...}``: the (label, item) pairs."""
+        self.next()
+        fields = []
+        while self.peek().text != "}":
+            lab = self.label()
+            self.expect("=")
+            fields.append((lab, item()))
+            if self.peek().text == ",":
+                self.next()
+        self.expect("}")
+        return tuple(fields)
+
+    def inject(self, atom) -> tuple:
+        """``<T>.tag atom``: the type, the tag and the atom, one level deeper."""
+        ty = self.parse_type()
+        self.expect(".")
+        tag = self.label()
+        return ty, tag, self.nested(atom)
 
 
 def _whole(text: str, read):

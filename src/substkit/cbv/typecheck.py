@@ -36,10 +36,6 @@ class ArityMismatch(Exception):
         self.pos = pos
 
 
-def _ty(t: TypeExpr) -> str:
-    return type_to_str(t)
-
-
 class _Checker:
     def __init__(self, table: CbvOperatorTable):
         self.table = table
@@ -64,31 +60,17 @@ class _Checker:
             return Var(ctx, i), t
         if isinstance(s, SLam):
             if not valid_type(s.param_type, self.table.cfg):
-                raise SortMismatch("a type of this fragment", _ty(s.param_type), s.pos)
+                raise SortMismatch("a type of this fragment",
+                                   type_to_str(s.param_type), s.pos)
             inner = scope + [(s.param, s.param_type)]
             body, cod = self.synth_term(s.body, inner)
             op = self.table.lam(s.param_type, cod)
             return Op(op, ctx, [body]), Fun(s.param_type, cod)
         if isinstance(s, SVRecord):
-            labels = [l for l, _ in s.fields]
-            if len(set(labels)) != len(labels):
-                raise ArityMismatch(f"duplicate record labels {labels!r}", s.pos)
-            typed = {}
-            elabbed = {}
-            for l, v in s.fields:
-                elabbed[l], typed[l] = self.synth_value(v, scope)
-            row = tuple(sorted(typed.items()))
-            op = self.table.vrec(row)
-            return Op(op, ctx, [elabbed[l] for l, _ in row]), Record(row)
+            return self._record(s, scope, self.synth_value, self.table.vrec)
         if isinstance(s, SVInject):
-            if not isinstance(s.ty, Variant):
-                raise SortMismatch("a variant type", _ty(s.ty), s.pos)
-            row = dict(s.ty.row)
-            if s.tag not in row:
-                raise ArityMismatch(f"no constructor {s.tag!r} in {_ty(s.ty)}", s.pos)
-            payload = self.check_value(s.value, scope, row[s.tag])
-            op = self.table.vinj(s.ty.row, s.tag)
-            return Op(op, ctx, [payload]), s.ty
+            return self._inject(s, scope, s.value, self.check_value,
+                                self.table.vinj)
         if isinstance(s, SLit):
             op = self.table.lit(s.value)
             return Op(op, ctx, []), NAT
@@ -98,9 +80,10 @@ class _Checker:
         ctx = self.ctx_of(scope)
         if isinstance(s, SLam):
             if not isinstance(expected, Fun):
-                raise SortMismatch(_ty(expected), "a function value", s.pos)
+                raise SortMismatch(type_to_str(expected), "a function value", s.pos)
             if s.param_type != expected.dom:
-                raise SortMismatch(_ty(expected.dom), _ty(s.param_type), s.pos)
+                raise SortMismatch(type_to_str(expected.dom),
+                                   type_to_str(s.param_type), s.pos)
             inner = scope + [(s.param, s.param_type)]
             body = self.check_term(s.body, inner, expected.cod)
             op = self.table.lam(expected.dom, expected.cod)
@@ -110,59 +93,41 @@ class _Checker:
             given = [l for l, _ in s.fields]
             if sorted(given) != sorted(row):
                 raise ArityMismatch(
-                    f"record fields {given!r} do not match {_ty(expected)}", s.pos)
+                    f"record fields {given!r} do not match "
+                    f"{type_to_str(expected)}", s.pos)
             by_label = {l: self.check_value(v, scope, row[l]) for l, v in s.fields}
             op = self.table.vrec(expected.row)
             return Op(op, ctx, [by_label[l] for l, _ in expected.row])
-        if isinstance(s, SVInject):
-            if s.ty != expected:
-                raise SortMismatch(_ty(expected), _ty(s.ty), s.pos)
-            term, found = self.synth_value(s, scope)
-            return term
+        if isinstance(s, SVInject) and s.ty != expected:
+            # before the payload is elaborated
+            raise SortMismatch(type_to_str(expected), type_to_str(s.ty), s.pos)
         term, found = self.synth_value(s, scope)
         if found != expected:
-            raise SortMismatch(_ty(expected), _ty(found), s.pos)
+            raise SortMismatch(type_to_str(expected), type_to_str(found), s.pos)
         return term
 
     # -- terms ------------------------------------------------------------
 
     def synth_term(self, s, scope):
+        binding = self._binding_forms.get(type(s))
+        if binding is not None:
+            return binding(self, s, scope, None)
         ctx = self.ctx_of(scope)
         if isinstance(s, SVal):
             value, t = self.synth_value(s.value, scope)
             return Op(self.table.val(t), ctx, [value]), t
-        if isinstance(s, SLet):
-            return self._let(s, scope, expected=None)
         if isinstance(s, SApp):
             func, ft = self.synth_term(s.func, scope)
             if not isinstance(ft, Fun):
-                raise SortMismatch("a function computation", _ty(ft), s.pos)
+                raise SortMismatch("a function computation", type_to_str(ft), s.pos)
             arg = self.check_term(s.arg, scope, ft.dom)
             op = self.table.app(ft.dom, ft.cod)
             return Op(op, ctx, [func, arg]), ft.cod
         if isinstance(s, SRecord):
-            labels = [l for l, _ in s.fields]
-            if len(set(labels)) != len(labels):
-                raise ArityMismatch(f"duplicate record labels {labels!r}", s.pos)
-            typed, elabbed = {}, {}
-            for l, m in s.fields:
-                elabbed[l], typed[l] = self.synth_term(m, scope)
-            row = tuple(sorted(typed.items()))
-            op = self.table.rec(row)
-            return Op(op, ctx, [elabbed[l] for l, _ in row]), Record(row)
-        if isinstance(s, SRecordMatch):
-            return self._record_match(s, scope, expected=None)
+            return self._record(s, scope, self.synth_term, self.table.rec)
         if isinstance(s, SInject):
-            if not isinstance(s.ty, Variant):
-                raise SortMismatch("a variant type", _ty(s.ty), s.pos)
-            row = dict(s.ty.row)
-            if s.tag not in row:
-                raise ArityMismatch(f"no constructor {s.tag!r} in {_ty(s.ty)}", s.pos)
-            arg = self.check_term(s.term, scope, row[s.tag])
-            op = self.table.inj(s.ty.row, s.tag)
-            return Op(op, ctx, [arg]), s.ty
-        if isinstance(s, SVariantMatch):
-            return self._variant_match(s, scope, expected=None)
+            return self._inject(s, scope, s.term, self.check_term,
+                                self.table.inj)
         if isinstance(s, SUnroll):
             scrut = self.check_term(s.term, scope, NAT)
             op = self.table.unroll()
@@ -184,45 +149,62 @@ class _Checker:
             want = ("a <Done: -, Cont: -> computation over the loop state")
             if not (isinstance(bt, Variant) and len(bt.row) == 2
                     and bt.row[0][0] == "Cont" and bt.row[1][0] == "Done"):
-                raise SortMismatch(want, _ty(bt), s.pos)
+                raise SortMismatch(want, type_to_str(bt), s.pos)
             if bt.row[0][1] != state:
-                raise SortMismatch(f"Cont: {_ty(state)}", _ty(bt.row[0][1]), s.pos)
+                raise SortMismatch(f"Cont: {type_to_str(state)}",
+                                   type_to_str(bt.row[0][1]), s.pos)
             result = bt.row[1][1]
             op = self.table.forloop(state, result)
             return Op(op, ctx, [init, body]), result
-        if isinstance(s, SLetRec):
-            return self._letrec(s, scope, expected=None)
         raise SortMismatch("a term", type(s).__name__, getattr(s, "pos", 0))
 
     def check_term(self, s, scope, expected: TypeExpr) -> Term:
+        binding = self._binding_forms.get(type(s))
+        if binding is not None:
+            return binding(self, s, scope, expected)[0]
         ctx = self.ctx_of(scope)
         if isinstance(s, SVal):
             value = self.check_value(s.value, scope, expected)
             return Op(self.table.val(expected), ctx, [value])
-        if isinstance(s, SLet):
-            term, _ = self._let(s, scope, expected)
-            return term
-        if isinstance(s, SRecordMatch):
-            term, _ = self._record_match(s, scope, expected)
-            return term
-        if isinstance(s, SVariantMatch):
-            term, _ = self._variant_match(s, scope, expected)
-            return term
         if isinstance(s, SFold):
             if s.ann is not None and s.ann != expected:
-                raise SortMismatch(_ty(expected), _ty(s.ann), s.pos)
+                raise SortMismatch(type_to_str(expected), type_to_str(s.ann), s.pos)
             scrut = self.check_term(s.scrutinee, scope, NAT)
             inner = scope + [(s.binder, maybe_shape(expected))]
             body = self.check_term(s.body, inner, expected)
             op = self.table.natfold(expected)
             return Op(op, ctx, [scrut, body])
-        if isinstance(s, SLetRec):
-            term, _ = self._letrec(s, scope, expected)
-            return term
         term, found = self.synth_term(s, scope)
         if found != expected:
-            raise SortMismatch(_ty(expected), _ty(found), s.pos)
+            raise SortMismatch(type_to_str(expected), type_to_str(found), s.pos)
         return term
+
+    # -- shared by values and terms ----------------------------------------
+
+    def _record(self, s, scope, elaborate, mint):
+        """A value or computation record: each field synthesizes through
+        ``elaborate``, and ``mint`` gives the operator of the sorted row."""
+        labels = [l for l, _ in s.fields]
+        if len(set(labels)) != len(labels):
+            raise ArityMismatch(f"duplicate record labels {labels!r}", s.pos)
+        typed, elabbed = {}, {}
+        for l, x in s.fields:
+            elabbed[l], typed[l] = elaborate(x, scope)
+        row = tuple(sorted(typed.items()))
+        return (Op(mint(row), self.ctx_of(scope), [elabbed[l] for l, _ in row]),
+                Record(row))
+
+    def _inject(self, s, scope, payload, check, mint):
+        """An injection ``<T>.tag payload``: ``check`` elaborates the payload
+        against the tag's type, and ``mint`` gives the operator."""
+        if not isinstance(s.ty, Variant):
+            raise SortMismatch("a variant type", type_to_str(s.ty), s.pos)
+        row = dict(s.ty.row)
+        if s.tag not in row:
+            raise ArityMismatch(
+                f"no constructor {s.tag!r} in {type_to_str(s.ty)}", s.pos)
+        arg = check(payload, scope, row[s.tag])
+        return Op(mint(s.ty.row, s.tag), self.ctx_of(scope), [arg]), s.ty
 
     # The binding forms below synthesize their result type when ``expected``
     # is None and check against it otherwise; each returns (term, type).
@@ -249,12 +231,12 @@ class _Checker:
         ctx = self.ctx_of(scope)
         scrut, st = self.synth_term(s.scrutinee, scope)
         if not isinstance(st, Record):
-            raise SortMismatch("a record computation", _ty(st), s.pos)
+            raise SortMismatch("a record computation", type_to_str(st), s.pos)
         row = st.row
         given = [l for l, _ in s.binders]
         if sorted(given) != sorted(l for l, _ in row):
             raise ArityMismatch(
-                f"pattern fields {given!r} do not match {_ty(st)}", s.pos)
+                f"pattern fields {given!r} do not match {type_to_str(st)}", s.pos)
         names = dict(s.binders)
         inner = scope + [(names[l], t) for l, t in row]
         body, result = self._body(s.body, inner, expected)
@@ -265,12 +247,12 @@ class _Checker:
         ctx = self.ctx_of(scope)
         scrut, st = self.synth_term(s.scrutinee, scope)
         if not isinstance(st, Variant):
-            raise SortMismatch("a variant computation", _ty(st), s.pos)
+            raise SortMismatch("a variant computation", type_to_str(st), s.pos)
         row = st.row
         given = [l for l, _, _ in s.clauses]
         if sorted(given) != sorted(l for l, _ in row):
             raise ArityMismatch(
-                f"clauses {given!r} do not match {_ty(st)}", s.pos)
+                f"clauses {given!r} do not match {type_to_str(st)}", s.pos)
         by_label = {l: (name, body) for l, name, body in s.clauses}
         bodies = []
         result = expected
@@ -296,6 +278,9 @@ class _Checker:
         op = self.table.letrec(defs, result)
         return Op(op, ctx, bodies + [main]), result
 
+    _binding_forms = {SLet: _let, SRecordMatch: _record_match,
+                      SVariantMatch: _variant_match, SLetRec: _letrec}
+
 
 def default_names(ctx: Context) -> list[str]:
     return [f"x{i}" for i in range(len(ctx))]
@@ -306,7 +291,7 @@ def _setup(ctx: Context, table: CbvOperatorTable, names):
     are known to be the fragment's."""
     for t in ctx.entries:
         if not valid_type(t, table.cfg):
-            raise SortMismatch("a context of fragment types", _ty(t), 0)
+            raise SortMismatch("a context of fragment types", type_to_str(t), 0)
     names = names if names is not None else default_names(ctx)
     return _Checker(table), list(zip(names, ctx.entries))
 

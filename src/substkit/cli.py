@@ -404,7 +404,11 @@ def main(argv=None) -> int:
     p.add_argument("--all-fragments", action="store_true")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--count", type=int, default=50)
-    p.add_argument("--depth", type=int, default=4)
+    p.add_argument("--depth", type=int, default=4,
+                   help="deepest nesting of a generated term, at most 100; "
+                        "the time of the term suites follows term size, "
+                        "which on fragments with many formers grows steeply "
+                        "with depth (see README)")
     p.add_argument("--ctx-bound", type=int, default=3)
     p.add_argument("--nat-bound", type=int, default=4)
     p.add_argument("--structures", type=int, default=20)

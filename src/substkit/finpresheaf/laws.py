@@ -3,7 +3,9 @@
 Everything here is elementwise: a mediator is a per-cell dictionary between
 two finite structures, and each axiom is verified on every quotient class the
 bounded enumeration produces.  The axioms are theorems for a correct engine,
-so any failure reports a concrete witness element.  A law check tensors each
+so any failure reports a concrete witness element.  A mediator reads the
+factors it maps from or into off the tensors it is given (``tens.p`` and
+``tens.q``), so a caller passes each structure once.  A law check tensors each
 pair of structure objects once, in a :class:`TensorTable` its laws share and
 that it drops when it returns.
 """
@@ -106,16 +108,18 @@ def maps_equal(f: StructMap, g: StructMap) -> str | None:
 
 # --- the three mediators -----------------------------------------------------
 
-def left_unitor_map(tens: TensorResult, p: FinStructure) -> StructMap:
-    """l[x, e] = e_x on classes of (variables tensor P)."""
+def left_unitor_map(tens: TensorResult) -> StructMap:
+    """l[x, e] = e_x on classes of (variables tensor Q), into Q."""
     def fn(s, ctx, rep):
         _gp, x, env = rep
         return env[x]
-    return map_cells(tens.structure, p, fn)
+    return map_cells(tens.structure, tens.q, fn)
 
 
-def right_unitor_map(tens: TensorResult, p: FinStructure) -> StructMap:
-    """r[t, e] = t acted on by the renaming the variable environment encodes."""
+def right_unitor_map(tens: TensorResult) -> StructMap:
+    """r[t, e] = t acted on by the renaming the variable environment encodes,
+    on classes of (P tensor variables), into P."""
+    p = tens.p
     by_entries = {c.entries: c for c in p.contexts()}
 
     def fn(s, ctx, rep):
@@ -125,16 +129,20 @@ def right_unitor_map(tens: TensorResult, p: FinStructure) -> StructMap:
     return map_cells(tens.structure, p, fn)
 
 
-def right_unitor_inv(p: FinStructure, tens: TensorResult) -> StructMap:
-    """t |-> [t, identity variable environment]."""
+def right_unitor_inv(tens: TensorResult) -> StructMap:
+    """t |-> [t, identity variable environment], from P into (P tensor
+    variables)."""
     def fn(s, ctx, t):
         return tens.class_of(s, ctx, (ctx.entries, t, tuple(range(len(ctx)))))
-    return map_cells(p, tens.structure, fn)
+    return map_cells(tens.p, tens.structure, fn)
 
 
-def associator_map(t_ab_c: TensorResult, t_ab: TensorResult,
-                   t_bc: TensorResult, t_a_bc: TensorResult) -> StructMap:
-    """a[[p, q], e] = [p, <[q_x, e]>_x] reassociating ((A x B) x C) classes."""
+def associator_map(t_ab_c: TensorResult, t_bc: TensorResult,
+                   t_a_bc: TensorResult) -> StructMap:
+    """a[[p, q], e] = [p, <[q_x, e]>_x] reassociating ((A x B) x C) classes.
+
+    A class of ``t_ab_c`` carries the representative of its inner (A x B)
+    class, so the tensor A x B itself is not read."""
     def fn(s, ctx, rep):
         g1_entries, ab_rep, env = rep
         g0_entries, a_elem, b_env = ab_rep
@@ -188,13 +196,13 @@ def action_pentagon_witness(p: FinStructure, q: FinStructure, l: FinStructure,
     t_ql_z = tensors(t_ql.structure, z)
     t_p_qlz = tensors(p, t_ql_z.structure)
 
-    route1 = associator_map(t_pq_l_z, t_pq_l, t_lz, t_pq_lz).then(
-        associator_map(t_pq_lz, t_pq, t_q_lz, t_p_q_lz))
+    route1 = associator_map(t_pq_l_z, t_lz, t_pq_lz).then(
+        associator_map(t_pq_lz, t_q_lz, t_p_q_lz))
 
-    alpha_pql = associator_map(t_pq_l, t_pq, t_ql, t_p_ql)
-    alpha_mon = associator_map(t_ql_z, t_ql, t_lz, t_q_lz)
+    alpha_pql = associator_map(t_pq_l, t_ql, t_p_ql)
+    alpha_mon = associator_map(t_ql_z, t_lz, t_q_lz)
     route2 = tensor_left_map(alpha_pql, t_pq_l_z, t_p_ql_z).then(
-        associator_map(t_p_ql_z, t_p_ql, t_ql_z, t_p_qlz)).then(
+        associator_map(t_p_ql_z, t_ql_z, t_p_qlz)).then(
         tensor_right_map(alpha_mon, t_p_qlz, t_p_q_lz))
     return maps_equal(route1, route2)
 
@@ -210,10 +218,10 @@ def action_triangle_witness(p: FinStructure, q: FinStructure,
     t_p_nuq = tensors(p, t_nuq.structure)
     t_pq = tensors(p, q)
 
-    alpha = associator_map(t_pnu_q, t_pnu, t_nuq, t_p_nuq)
-    lam = left_unitor_map(t_nuq, q)
+    alpha = associator_map(t_pnu_q, t_nuq, t_p_nuq)
+    lam = left_unitor_map(t_nuq)
     lhs = alpha.then(tensor_right_map(lam, t_p_nuq, t_pq))
-    rhs = tensor_left_map(right_unitor_map(t_pnu, p), t_pnu_q, t_pq)
+    rhs = tensor_left_map(right_unitor_map(t_pnu), t_pnu_q, t_pq)
     return maps_equal(lhs, rhs)
 
 
@@ -228,10 +236,10 @@ def action_unit_triangle_witness(p: FinStructure, q: FinStructure,
     t_qnu = tensors(q, nu)
     t_p_qnu = tensors(p, t_qnu.structure)
 
-    alpha = associator_map(t_pq_nu, t_pq, t_qnu, t_p_qnu)
-    runit_q = right_unitor_map(t_qnu, q)
+    alpha = associator_map(t_pq_nu, t_qnu, t_p_qnu)
+    runit_q = right_unitor_map(t_qnu)
     lhs = alpha.then(tensor_right_map(runit_q, t_p_qnu, t_pq))
-    rhs = right_unitor_map(t_pq_nu, t_pq.structure)
+    rhs = right_unitor_map(t_pq_nu)
     return maps_equal(lhs, rhs)
 
 
@@ -247,23 +255,23 @@ def check_action_axioms(p: FinStructure, q: FinStructure, l: FinStructure,
     t_ql = tensors(q, l)
     t_pq_l = tensors(t_pq.structure, l)
     t_p_ql = tensors(p, t_ql.structure)
-    alpha = associator_map(t_pq_l, t_pq, t_ql, t_p_ql)
+    alpha = associator_map(t_pq_l, t_ql, t_p_ql)
     w = alpha.naturality_witness()
     rep.record(suite, "associator natural", w is None, w)
     w = alpha.bijectivity_witness()
     rep.record(suite, "associator bijective", w is None, w)
 
     t_pnu = tensors(p, nu)
-    runit = right_unitor_map(t_pnu, p)
+    runit = right_unitor_map(t_pnu)
     w = runit.naturality_witness()
     rep.record(suite, "right unitor natural", w is None, w)
     w = runit.bijectivity_witness()
     rep.record(suite, "right unitor bijective", w is None, w)
-    w = maps_equal(right_unitor_inv(p, t_pnu).then(runit), identity_map(p))
+    w = maps_equal(right_unitor_inv(t_pnu).then(runit), identity_map(p))
     rep.record(suite, "right unitor inverse", w is None, w)
 
     t_nuq = tensors(nu, q)
-    lam = left_unitor_map(t_nuq, q)
+    lam = left_unitor_map(t_nuq)
     w = lam.naturality_witness()
     rep.record(suite, "left unitor natural (homogeneous)", w is None, w)
     w = lam.bijectivity_witness()
@@ -365,7 +373,7 @@ def check_pointed_tensor(a: PointedStructure, b: PointedStructure,
 
     nu = pointed_variables(a.structure.ctx_sorts, a.structure.bound)
     t_nub = tensors(nu.structure, b.structure)
-    lu = left_unitor_map(t_nub, b.structure)
+    lu = left_unitor_map(t_nub)
     nb = pointed_tensor_point(nu, b, t_nub)
     ok, witness = True, None
     for (s, ctx, pos), cls in nb.items():
@@ -376,7 +384,7 @@ def check_pointed_tensor(a: PointedStructure, b: PointedStructure,
     rep.record(suite, "left unitor on variables bijective", w is None, w)
 
     t_anu = tensors(a.structure, nu.structure)
-    ru = right_unitor_map(t_anu, a.structure)
+    ru = right_unitor_map(t_anu)
     an = pointed_tensor_point(a, nu, t_anu)
     ok, witness = True, None
     for (s, ctx, pos), cls in an.items():
@@ -387,7 +395,7 @@ def check_pointed_tensor(a: PointedStructure, b: PointedStructure,
     t_ab_b = tensors(tens.structure, b.structure)
     t_bb = tensors(b.structure, b.structure)
     t_a_bb = tensors(a.structure, t_bb.structure)
-    alpha = associator_map(t_ab_b, tens, t_bb, t_a_bb)
+    alpha = associator_map(t_ab_b, t_bb, t_a_bb)
     abb = pointed_tensor_point(tensored, b, t_ab_b)
     bb = PointedStructure(t_bb.structure, pointed_tensor_point(b, b, t_bb))
     a_bb = pointed_tensor_point(a, bb, t_a_bb)
@@ -443,9 +451,9 @@ def check_skew(fst_ids, snd_ids, bound: int, pairs: list[PairObject],
     t_nb_c = tensors(t_nb.structure, r.mon)
     t_bc = tensors(q.mon, r.mon)
     t_n_bc = tensors(nu, t_bc.structure)
-    alpha = associator_map(t_nb_c, t_nb, t_bc, t_n_bc)
-    lhs = alpha.then(left_unitor_map(t_n_bc, t_bc.structure))
-    rhs = tensor_left_map(left_unitor_map(t_nb, q.mon), t_nb_c, t_bc)
+    alpha = associator_map(t_nb_c, t_bc, t_n_bc)
+    lhs = alpha.then(left_unitor_map(t_n_bc))
+    rhs = tensor_left_map(left_unitor_map(t_nb), t_nb_c, t_bc)
     w = maps_equal(lhs, rhs)
     rep.record(suite, "skew left axiom (monoid part)", w is None, w)
     empt = empty_structure(tuple(p.act.sorts), fst_ids, bound)
@@ -462,9 +470,9 @@ def check_skew(fst_ids, snd_ids, bound: int, pairs: list[PairObject],
         t_xb_nu = tensors(t_xb.structure, nu)
         t_bnu = tensors(b, nu)
         t_x_bnu = tensors(x, t_bnu.structure)
-        alpha = associator_map(t_xb_nu, t_xb, t_bnu, t_x_bnu)
-        lhs = right_unitor_inv(t_xb.structure, t_xb_nu).then(alpha)
-        rhs = tensor_right_map(right_unitor_inv(b, t_bnu), t_xb, t_x_bnu)
+        alpha = associator_map(t_xb_nu, t_bnu, t_x_bnu)
+        lhs = right_unitor_inv(t_xb_nu).then(alpha)
+        rhs = tensor_right_map(right_unitor_inv(t_bnu), t_xb, t_x_bnu)
         w = maps_equal(lhs, rhs)
         rep.record(suite, f"skew right axiom ({name} part)", w is None, w)
 
@@ -476,15 +484,15 @@ def check_skew(fst_ids, snd_ids, bound: int, pairs: list[PairObject],
         t_xnu_b = tensors(t_xnu.structure, b)
         t_nub = tensors(nu, b)
         t_x_nub = tensors(x, t_nub.structure)
-        step1 = tensor_left_map(right_unitor_inv(x, t_xnu), t_xb, t_xnu_b)
-        alpha = associator_map(t_xnu_b, t_xnu, t_nub, t_x_nub)
-        step3 = tensor_right_map(left_unitor_map(t_nub, b), t_x_nub, t_xb)
+        step1 = tensor_left_map(right_unitor_inv(t_xnu), t_xb, t_xnu_b)
+        alpha = associator_map(t_xnu_b, t_nub, t_x_nub)
+        step3 = tensor_right_map(left_unitor_map(t_nub), t_x_nub, t_xb)
         w = maps_equal(step1.then(alpha).then(step3), identity_map(t_xb.structure))
         rep.record(suite, f"skew rectangle ({name} part)", w is None, w)
 
     # (5) unit triangle: r' then l = id on the unit (acted part is empty).
     t_nn = tensors(nu, nu)
-    w = maps_equal(right_unitor_inv(nu, t_nn).then(left_unitor_map(t_nn, nu)),
+    w = maps_equal(right_unitor_inv(t_nn).then(left_unitor_map(t_nn)),
                    identity_map(nu))
     rep.record(suite, "skew unit triangle", w is None, w)
 
@@ -510,7 +518,7 @@ def check_skew(fst_ids, snd_ids, bound: int, pairs: list[PairObject],
 
 # --- the routed (scope shift) strength on the finite engine ----------------------
 
-def shift_map(m: StructMap, binder: Context, bound: int) -> StructMap:
+def shift_map(m: StructMap, binder: Context) -> StructMap:
     """Apply a map under the scope-shift functor: reuse it at extended contexts."""
     src = shift_structure(m.source, binder)
     tgt = shift_structure(m.target, binder)
@@ -522,9 +530,8 @@ def shift_map(m: StructMap, binder: Context, bound: int) -> StructMap:
     return StructMap(src, tgt, table)
 
 
-def shift_strength_map(x: FinStructure, binder: Context, a: PointedStructure,
-                       pa: TensorResult, lhs: TensorResult,
-                       resolve=None) -> StructMap:
+def shift_strength_map(binder: Context, a: PointedStructure, pa: TensorResult,
+                       lhs: TensorResult, resolve=None) -> StructMap:
     """The strength of the scope-shift functor: weaken the environment into the
     extended context and bind the fresh positions to their variable images.
 
@@ -565,15 +572,14 @@ def check_shift_strength(x: FinStructure, binder: Context, a: PointedStructure,
 
     t_fx_a = tensors(fx, a_tr)
     pa_a = tensors(x, a.structure)
-    sig_a = shift_strength_map(x, binder, a, pa_a, t_fx_a)
+    sig_a = shift_strength_map(binder, a, pa_a, t_fx_a)
     w = sig_a.naturality_witness()
     rep.record(suite, "shift strength natural", w is None, w)
 
     # empty binder: the strength is the identity transformer
     t_x_a_tr = tensors(truncate_structure(x, base), a_tr)
-    sig_empty = shift_strength_map(truncate_structure(x, base), Context(()),
-                                   PointedStructure(a_tr, a.point), t_x_a_tr,
-                                   t_x_a_tr)
+    sig_empty = shift_strength_map(Context(()), PointedStructure(a_tr, a.point),
+                                   t_x_a_tr, t_x_a_tr)
     w = maps_equal(sig_empty, identity_map(t_x_a_tr.structure))
     rep.record(suite, "empty binder strength is the identity", w is None, w)
 
@@ -582,9 +588,9 @@ def check_shift_strength(x: FinStructure, binder: Context, a: PointedStructure,
     nu_tr = truncate_structure(nu_pt.structure, base)
     t_fx_nu = tensors(fx, nu_tr)
     pa_nu = tensors(x, nu_pt.structure)
-    sig_i = shift_strength_map(x, binder, nu_pt, pa_nu, t_fx_nu)
-    lhs = sig_i.then(shift_map(right_unitor_map(pa_nu, x), binder, base))
-    rhs = right_unitor_map(t_fx_nu, fx)
+    sig_i = shift_strength_map(binder, nu_pt, pa_nu, t_fx_nu)
+    lhs = sig_i.then(shift_map(right_unitor_map(pa_nu), binder))
+    rhs = right_unitor_map(t_fx_nu)
     w = maps_equal(lhs, rhs)
     rep.record(suite, "shift strength triangle", w is None, w)
 
@@ -595,18 +601,18 @@ def check_shift_strength(x: FinStructure, binder: Context, a: PointedStructure,
     t_ab_tr = tensors(a_tr, b_tr)
     t_fxa_b = tensors(t_fx_a.structure, b_tr)
     t_fx_abtr = tensors(fx, t_ab_tr.structure)
-    alpha_small = associator_map(t_fxa_b, t_fx_a, t_ab_tr, t_fx_abtr)
+    alpha_small = associator_map(t_fxa_b, t_ab_tr, t_fx_abtr)
     resolve = lambda s, ctx, e: t_ab.class_of(s, ctx, e)
-    sig_ab = shift_strength_map(x, binder, ab, pa_ab, t_fx_abtr, resolve)
+    sig_ab = shift_strength_map(binder, ab, pa_ab, t_fx_abtr, resolve)
     route1 = alpha_small.then(sig_ab)
 
     fxa = shift_structure(pa_a.structure, binder)
     t_fxa_b2 = tensors(fxa, b_tr)
     step1 = tensor_left_map(sig_a, t_fxa_b, t_fxa_b2)
     pa_a_b = tensors(pa_a.structure, b.structure)
-    sig_xa_b = shift_strength_map(pa_a.structure, binder, b, pa_a_b, t_fxa_b2)
-    alpha_big = associator_map(pa_a_b, pa_a, t_ab, pa_ab)
-    route2 = step1.then(sig_xa_b).then(shift_map(alpha_big, binder, base))
+    sig_xa_b = shift_strength_map(binder, b, pa_a_b, t_fxa_b2)
+    alpha_big = associator_map(pa_a_b, t_ab, pa_ab)
+    route2 = step1.then(sig_xa_b).then(shift_map(alpha_big, binder))
     w = maps_equal(route1, route2)
     rep.record(suite, "shift strength pentagon", w is None, w)
     return rep

@@ -746,7 +746,7 @@ def exponential(p: FinStructure, q: FinStructure, cap: int = 200_000):
 
     ctx_index = {g: i for i, g in enumerate(contexts)}
 
-    def family_lookup(s, amb, elem, g, env):
+    def family_lookup(amb, elem, g, env):
         envs = list(enumerate_envs(q, amb, g))
         return elem[ctx_index[g]][envs.index(env)]
 
@@ -758,7 +758,7 @@ def exponential(p: FinStructure, q: FinStructure, cap: int = 200_000):
             row = []
             for env in envs_src:
                 moved = reindex_env(env, tau)
-                row.append(family_lookup(s, tau.target, elem, g, moved))
+                row.append(family_lookup(tau.target, elem, g, moved))
             out.append(tuple(row))
         return tuple(out)
 
@@ -767,7 +767,7 @@ def exponential(p: FinStructure, q: FinStructure, cap: int = 200_000):
     def eval_map(s, ctx, rep_triple):
         """Evaluation on tensor((P<=Q), Q) classes: apply the family at ctx."""
         gp_entries, elem, env = rep_triple
-        return family_lookup(s, Context(gp_entries), elem, ctx, env)
+        return family_lookup(Context(gp_entries), elem, ctx, env)
 
     def curry(b: FinStructure, f, tens: TensorResult):
         """Factor an elementwise map ``f(s, ctx, class) -> P`` through eval."""

@@ -99,27 +99,23 @@ def check_sem_action_axioms(m: Model, cfg: FragmentConfig, cap: int = 300,
             for env in envs:
                 # left unit: a variable's table after substitution is the entry
                 for pos in range(len(src)):
-                    lhs = subst_denotation(projection(src, pos, m, nb), env, m, nb,
-                                           target=tgt)
+                    lhs = subst_denotation(projection(src, pos, m, nb), env, tgt)
                     diff = lhs.difference_witness(env[pos])
                     if diff is not None and "left" not in witness:
                         witness["left"] = _sem_witness(
                             f"{src!r} pos {pos} into {tgt!r}", diff, (env,))
                 # pick representative tables over src to substitute into
                 for d in _tables(second(b), src, m, nb, 12, rng):
-                    diff = subst_denotation(d, ident, m, nb).difference_witness(d)
+                    diff = subst_denotation(d, ident, src).difference_witness(d)
                     if diff is not None and "right" not in witness:
                         witness["right"] = _sem_witness(f"{src!r}", diff)
                     for tgt2 in ctxs[:2]:
                         for env2 in _sem_envs(tgt, tgt2, m, nb, 4, rng):
                             one = subst_denotation(
-                                subst_denotation(d, env, m, nb, target=tgt),
-                                env2, m, nb, target=tgt2)
-                            composed = [subst_denotation(e, env2, m, nb,
-                                                          target=tgt2)
+                                subst_denotation(d, env, tgt), env2, tgt2)
+                            composed = [subst_denotation(e, env2, tgt2)
                                         for e in env]
-                            two = subst_denotation(d, composed, m, nb,
-                                                   target=tgt2)
+                            two = subst_denotation(d, composed, tgt2)
                             diff = one.difference_witness(two)
                             if diff is not None and "assoc" not in witness:
                                 witness["assoc"] = _sem_witness(
@@ -130,13 +126,11 @@ def check_sem_action_axioms(m: Model, cfg: FragmentConfig, cap: int = 300,
                     for src0 in ctxs:
                         for rho in enumerate_renamings(src0, src):
                             for env0 in _sem_envs(src0, tgt, m, nb, 2, rng):
-                                lhs = subst_denotation(
-                                    precompose(d, rho, m, nb), env0, m, nb,
-                                    target=tgt)
+                                lhs = subst_denotation(precompose(d, rho),
+                                                       env0, tgt)
                                 reindexed = [env0[rho.mapping[y]]
                                              for y in range(len(src))]
-                                rhs = subst_denotation(d, reindexed, m, nb,
-                                                        target=tgt)
+                                rhs = subst_denotation(d, reindexed, tgt)
                                 diff = lhs.difference_witness(rhs)
                                 if diff is not None and "coend" not in witness:
                                     witness["coend"] = _sem_witness(
@@ -201,14 +195,13 @@ def check_compatibility(m: Model, cfg: FragmentConfig, seed: int = 0,
                 lhs_base = interp.alg(op, list(values), src)
                 for tgt in ctxs:
                     for env in _sem_envs(src, tgt, m, nb, 6, rng):
-                        lhs = subst_denotation(lhs_base, env, m, nb, target=tgt)
+                        lhs = subst_denotation(lhs_base, env, tgt)
                         routed_values = []
                         for arg, d in zip(op.args, values):
                             new_ctx, routed = route_environment(
                                 arg.binder, tgt, env, carrier)
                             routed_values.append(
-                                subst_denotation(d, routed, m, nb,
-                                                 target=new_ctx))
+                                subst_denotation(d, routed, new_ctx))
                         rhs = interp.alg(op, routed_values, tgt)
                         checked += 1
                         diff = lhs.difference_witness(rhs)
@@ -249,8 +242,7 @@ def _lemma_at(t: Term, env: SubstEnv, interp: Interpreter, t_den,
     caller's ``FoldMemo(env)``, shares the substituted subterms of its
     cases."""
     lhs = _denote(substitute(t, env, memo), interp)
-    rhs = subst_denotation(t_den, entry_dens, interp.m, interp.cfg.nat_bound,
-                           target=env.target)
+    rhs = subst_denotation(t_den, entry_dens, env.target)
     diff = lhs.difference_witness(rhs)
     return (diff is None), diff
 

@@ -110,12 +110,11 @@ class DenotationCarrier:
     def act(self, d: Denotation, rho: Renaming) -> Denotation:
         mapping = rho.mapping
         if mapping != tuple(range(len(mapping))):
-            return precompose(d, rho, self.m, self.nat_bound)
+            return precompose(d, rho)
         key = (d, rho.source)
         got = self.weakenings.get(key)
         if got is None:
-            got = self.weakenings[key] = precompose(d, rho, self.m,
-                                                    self.nat_bound)
+            got = self.weakenings[key] = precompose(d, rho)
         return got
 
     def var(self, ctx: Context, position: int) -> Denotation:

@@ -160,8 +160,9 @@ def projection(ctx: Context, pos: int, m: Model, nat_bound: int) -> Denotation:
                       lambda point: point[pos])
 
 
-def precompose(d: Denotation, rho: Renaming, m: Model, nat_bound: int) -> Denotation:
-    """The renaming action: reindex the input point along the renaming."""
+def precompose(d: Denotation, rho: Renaming) -> Denotation:
+    """The renaming action: reindex the input point along the renaming.  The
+    result is over ``rho.source``, in the model and bound of ``d``."""
     if d.ctx != rho.target:
         raise ValueError("renaming does not match the denotation's context")
     at, mapping, k = d.at, rho.mapping, len(rho.target)
@@ -170,21 +171,20 @@ def precompose(d: Denotation, rho: Renaming, m: Model, nat_bound: int) -> Denota
         fn = lambda point: at(point[:k])
     else:
         fn = lambda point: at(tuple([point[x] for x in mapping]))
-    return Denotation(d.sort, rho.source, m, nat_bound, fn)
+    return Denotation(d.sort, rho.source, d.m, d.nat_bound, fn)
 
 
-def subst_denotation(d: Denotation, env: list, m: Model, nat_bound: int,
-                     target: Context | None = None) -> Denotation:
-    """Semantic substitution is pre-composition with the tupled environment."""
+def subst_denotation(d: Denotation, env: list, target: Context) -> Denotation:
+    """Semantic substitution is pre-composition with the tupled environment:
+    ``env`` holds one denotation over ``target`` per position of ``d.ctx``,
+    and the result is over ``target``, in the model and bound of ``d``."""
     if len(env) != len(d.ctx):
         raise ValueError("environment does not cover the context")
-    if target is None:
-        target = env[0].ctx if env else Context(())
     for e in env:
         if e.ctx != target:
             raise ValueError("environment entries over different contexts")
     at, ats = d.at, [e.at for e in env]
-    return Denotation(d.sort, target, m, nat_bound,
+    return Denotation(d.sort, target, d.m, d.nat_bound,
                       lambda point: at(tuple([a(point) for a in ats])))
 
 

@@ -816,11 +816,13 @@ def test_fragments_listing_matches_golden_digest(capsys):
 
 def test_check_report_dir_names_the_report_after_the_suite(tmp_path,
                                                            monkeypatch):
+    """A small part: the compatibility bytes are pinned by
+    ``test_check_reports_match_golden_digests``."""
     monkeypatch.setenv("SUBSTKIT_REPORT_DIR", str(tmp_path))
-    assert main(["check", "compatibility"]) == 0
-    report = tmp_path / "compatibility.jsonl"
+    assert main(["check", "pointed", "--structures", "2"]) == 0
+    report = tmp_path / "pointed.jsonl"
     assert (hashlib.sha256(report.read_bytes()).hexdigest()
-            == GOLDEN_REPORTS["compatibility"])
+            == GOLDEN_REPORTS["pointed --structures 2"])
 
 
 def test_every_suite_parameter_is_a_check_option(monkeypatch):

@@ -1,8 +1,10 @@
-"""Every public export resolves, and three guards keep unused code and
+"""Every public export resolves, and four guards keep unused code and
 redundant parameters out of ``src/``:
 ``test_every_public_name_under_src_has_a_caller`` (a helper only the tests
 call cannot land), ``test_every_defaulted_parameter_has_a_setter`` (a setting
-no caller sets is a constant, not a parameter) and
+no caller sets is a constant, not a parameter),
+``test_every_parameter_is_read`` (a parameter the body never reads is one
+more thing each caller must supply for nothing) and
 ``test_no_def_takes_a_configuration_beside_a_table`` (a table knows its
 configuration, so a second one passed beside it can only disagree)."""
 
@@ -56,6 +58,20 @@ TEST_SET = {
     "semantics.monads.StateMonad.__init__.states":
         "the CLI sets it through monad_by_name's BUNDLED[name](**kwargs), which "
         "a name scan cannot resolve",
+}
+
+
+# Parameters the body does not read, as ``module.function.param``.
+UNREAD = {
+    **{f"semantics.denote.Interpreter._alg_{clause}.{param}":
+       "the family dispatch hands every clause (op, params, values, ctx)"
+       for clause, param in (("let", "params"), ("lit", "values"),
+                             ("natfold", "params"), ("rec", "params"),
+                             ("recmatch", "params"), ("roll", "params"),
+                             ("unroll", "params"), ("val", "params"),
+                             ("vrec", "params"))},
+    "semantics.denote.Interpreter._iteration.state":
+        "_UnrollingInterpreter overrides it and reads it",
 }
 
 
@@ -207,6 +223,78 @@ def test_unset_defaults_scan_sees_each_form():
         "a.K.method.n", "a.f.kw_only", "a.f.unset", "a.recursive.depth"]
     assert unset_defaults(defining, ["f(0, kw_only=1)\nobj.method(1)\n"],
                           {"a.part"}) == ["a.f.unset", "a.recursive.depth"]
+
+
+def _is_stub(node: ast.FunctionDef) -> bool:
+    """An interface stub: an optional docstring, then only ``...`` or a
+    ``raise``."""
+    body = node.body
+    if isinstance(body[0], ast.Expr) and isinstance(body[0].value, ast.Constant) \
+            and isinstance(body[0].value.value, str):
+        body = body[1:]
+    return len(body) == 1 and (
+        isinstance(body[0], ast.Raise)
+        or isinstance(body[0], ast.Expr) and isinstance(body[0].value, ast.Constant)
+        and body[0].value.value is Ellipsis)
+
+
+def unread_parameters(defining: dict[str, str]) -> list[str]:
+    """``module.function.param``, and ``module.Class.method.param`` for a
+    method of a top-level class, for each parameter (``*args`` and
+    ``**kwargs`` included) whose name the body never reads; a read inside a
+    nested function or lambda counts.  A method's first parameter is its
+    receiver and is not asked for, and interface stubs are skipped."""
+    found = []
+    for mod, text in defining.items():
+        defs = []  # (qualname, node, receivers)
+        for top in ast.parse(text).body:
+            if isinstance(top, ast.FunctionDef):
+                defs.append((top.name, top, 0))
+            if isinstance(top, ast.ClassDef):
+                defs += [(f"{top.name}.{item.name}", item, 1) for item in top.body
+                         if isinstance(item, ast.FunctionDef)]
+        for qualname, node, receivers in defs:
+            if _is_stub(node):
+                continue
+            args = node.args
+            params = [*args.posonlyargs, *args.args][receivers:]
+            params += [*args.kwonlyargs, *filter(None, (args.vararg, args.kwarg))]
+            read = {n.id for stmt in node.body for n in ast.walk(stmt)
+                    if isinstance(n, ast.Name)}
+            found += [f"{mod}.{qualname}.{p.arg}" for p in params
+                      if p.arg not in read]
+    return sorted(found)
+
+
+def test_every_parameter_is_read():
+    """A structure a function can read off its other arguments is not passed
+    beside them, and a parameter nothing reads is dropped."""
+    assert unread_parameters(_sources()[0]) == sorted(UNREAD)
+
+
+def test_unread_parameters_scan_sees_each_form():
+    defining = {
+        "a": ("def f(x, unread, *rest, kw, **opts): return x + kw\n"
+              "def closure(x, y):\n"
+              "    def inner(z): return z\n"
+              "    return lambda: inner(y)\n"
+              "def stub(x):\n"
+              "    \"\"\"Docstring.\"\"\"\n"
+              "    ...\n"
+              "def raising(x): raise NotImplementedError\n"
+              "def documented(x):\n"
+              "    \"\"\"Docstring.\"\"\"\n"
+              "    return 1\n"
+              "class K:\n"
+              "    def method(self, used, unused): return used\n"
+              "    def stub(self, x): ...\n"
+              "    def outer(self, x):\n"
+              "        def nested(unread_inner): return x\n"
+              "        return nested\n"),
+    }
+    assert unread_parameters(defining) == [
+        "a.K.method.unused", "a.closure.x", "a.documented.x", "a.f.opts",
+        "a.f.rest", "a.f.unread"]
 
 
 def cfg_beside_table(defining: dict[str, str]) -> list[str]:

@@ -97,7 +97,7 @@ def test_tensor_with_variables_right_unitor():
     p = snd_struct(rng)
     nu = variables_structure(("a",), 2)
     t = tensor(p, nu)
-    ru = right_unitor_map(t, p)
+    ru = right_unitor_map(t)
     assert ru.naturality_witness() is None
     assert ru.bijectivity_witness() is None
     # r[t, e] = t acted along the renaming e encodes, checked by definition
@@ -159,7 +159,7 @@ def test_corrupted_associator_fails_with_witness():
     t_ql = tensor(q, l)
     t_pq_l = tensor(t_pq.structure, l)
     t_p_ql = tensor(p, t_ql.structure)
-    alpha = associator_map(t_pq_l, t_pq, t_ql, t_p_ql)
+    alpha = associator_map(t_pq_l, t_ql, t_p_ql)
 
     # corrupt: swap two distinct output classes in some cell of the map
     table = {key: dict(inner) for key, inner in alpha.table.items()}
@@ -227,9 +227,9 @@ def test_fresh_variable_mutant_fails_the_strength_records_with_witness(monkeypat
     assert rep.ok and len(rep.records) == 28, rep.to_text()
     real = laws.shift_strength_map
 
-    def first_variable(x, binder, a, pa, lhs, resolve=None):
+    def first_variable(binder, a, pa, lhs, resolve=None):
         pinned = {(s, ctx, pos): a.var(s, ctx, 0) for s, ctx, pos in a.point}
-        return real(x, binder, PointedStructure(a.structure, pinned), pa, lhs,
+        return real(binder, PointedStructure(a.structure, pinned), pa, lhs,
                     resolve)
 
     monkeypatch.setattr(laws, "shift_strength_map", first_variable)
@@ -312,7 +312,7 @@ def test_skew_homogeneous_left_unitor_bijective():
     rng = rand(31)
     q = homog(rng, True)
     nu = variables_structure(("a",), 2)
-    lu = left_unitor_map(tensor(nu, q), q)
+    lu = left_unitor_map(tensor(nu, q))
     assert lu.bijectivity_witness() is None
 
 
@@ -504,9 +504,9 @@ def test_mediators_are_natural_and_the_right_ones_bijective():
     p, q, l = snd_struct(rng), homog(rng, True), homog(rng, True)
     nu = variables_structure(q.ctx_sorts, q.bound)
     t_pq, t_ql = tensor(p, q), tensor(q, l)
-    lu = left_unitor_map(tensor(nu, q), q)
-    ru = right_unitor_map(tensor(p, nu), p)
-    alpha = associator_map(tensor(t_pq.structure, l), t_pq, t_ql,
+    lu = left_unitor_map(tensor(nu, q))
+    ru = right_unitor_map(tensor(p, nu))
+    alpha = associator_map(tensor(t_pq.structure, l), t_ql,
                            tensor(p, t_ql.structure))
     for m in (lu, ru, alpha):
         assert m.naturality_witness() is None
@@ -537,8 +537,8 @@ class _LiteralResult:
     """The reference's quotient map: flat tables from every raw triple to its
     representative, and from every representative to its class."""
 
-    def __init__(self, q, structure, reps, members):
-        self.q, self.structure = q, structure
+    def __init__(self, p, q, structure, reps, members):
+        self.p, self.q, self.structure = p, q, structure
         self.reps, self.classes = reps, members
 
     def class_of(self, s, ctx, triple):
@@ -595,7 +595,7 @@ def literal_tensor(p, q, skip=None):
         return reps[(s, tau.source, (gp_entries, t, moved))]
 
     structure = build_structure(p.sorts, q.ctx_sorts, p.bound, cells, act)
-    result = _LiteralResult(q, structure, reps, members)
+    result = _LiteralResult(p, q, structure, reps, members)
     _literal_check_action_well_defined(result)
     return result
 

@@ -26,7 +26,7 @@ from substkit.semantics.denote import DenotationCarrier, Interpreter, denote
 from substkit.semantics.finset import ENUM_CAP, EnumerationTooLarge, FinSet
 from substkit.semantics.monads import BUNDLED
 from substkit.semantics.model import (Denotation, context_space, identity_sem_env,
-                                      projection)
+                                      projection, subst_denotation)
 from substkit.sorts import Context, Renaming, first, second
 from substkit import terms
 from substkit.terms import IllSorted, Op, Var, identity_env, substitute
@@ -223,10 +223,10 @@ def test_precompose_that_ignores_a_swap_fails_only_the_coend_axiom(monkeypatch):
     reindexing, sees it; the witness gives the point and both values."""
     real = checks.precompose
 
-    def ignoring_swaps(d, rho, m, nat_bound):
+    def ignoring_swaps(d, rho):
         if rho.mapping == (1, 0):
             rho = Renaming(rho.source, rho.target, (0, 1))
-        return real(d, rho, m, nat_bound)
+        return real(d, rho)
 
     monkeypatch.setattr(checks, "precompose", ignoring_swaps)
     failures = sem_action_failures()
@@ -245,10 +245,10 @@ def test_subst_denotation_that_swaps_two_entries_fails_both_units_and_coend(
     condition fail, each with the point and both values."""
     real = checks.subst_denotation
 
-    def swapping(d, env, m, nat_bound, target=None):
+    def swapping(d, env, target):
         if len(env) == 2:
             env = [env[1], env[0]]
-        return real(d, env, m, nat_bound, target=target)
+        return real(d, env, target)
 
     monkeypatch.setattr(checks, "subst_denotation", swapping)
     failures = sem_action_failures()
@@ -287,7 +287,7 @@ def test_swapping_act_fails_substitution_lemma_with_witness(monkeypatch):
     assert check_substitution_lemma_random(cfg, m, seed=20260810, count=50).ok
     assert check_substitution_lemma_exhaustive(cfg, identity).ok
     monkeypatch.setattr(DenotationCarrier, "act", lambda self, d, rho: precompose(
-        d, swap_first_pair(rho), self.m, self.nat_bound))
+        d, swap_first_pair(rho)))
     failure = check_substitution_lemma_random(cfg, m, seed=20260810,
                                               count=50).first_failure()
     assert failure is not None and failure.witness.startswith("term ")
@@ -308,7 +308,7 @@ def test_denotation_points_are_natural_along_projections():
                 small = Context(entries[:k])
                 pi = Renaming(big, small, range(k))
                 for j in range(k):
-                    moved = precompose(projection(small, j, m, nb), pi, m, nb)
+                    moved = precompose(projection(small, j, m, nb), pi)
                     assert same_table(moved, projection(big, j, m, nb))
 
 
@@ -324,31 +324,43 @@ def test_precompose_reindexes_as_the_generator_reference():
                 want = tuple(d.at(tuple(p[rho.mapping[y]]
                                         for y in range(len(rho.target))))
                              for p in context_space(src, m, nb))
-                assert precompose(d, rho, m, nb).table() == want, rho
+                assert precompose(d, rho).table() == want, rho
 
 
 def test_prefix_precompose_reading_the_suffix_fails_the_lemma_with_witness(
         monkeypatch):
     """A mutant of the prefix path of ``precompose``: it reads the last
     ``k`` components of the point instead of the first ``k``."""
-    def precompose_suffix(d, rho, m, nat_bound):
+    def precompose_suffix(d, rho):
         at, mapping, k = d.at, rho.mapping, len(rho.target)
         if mapping == tuple(range(k)):
             fn = lambda point: at(point[-k:])
         else:
             fn = lambda point: at(tuple([point[x] for x in mapping]))
-        return Denotation(d.sort, rho.source, m, nat_bound, fn)
+        return Denotation(d.sort, rho.source, d.m, d.nat_bound, fn)
 
     cfg = config(("sequential", "functions"))
     m, identity = model(OptionMonad(), {"b": 2}), model(IdentityMonad(), {"b": 2})
     assert check_substitution_lemma_random(cfg, m, seed=20260810, count=50).ok
     monkeypatch.setattr(DenotationCarrier, "act", lambda self, d, rho:
-                        precompose_suffix(d, rho, self.m, self.nat_bound))
+                        precompose_suffix(d, rho))
     failure = check_substitution_lemma_random(cfg, m, seed=20260810,
                                               count=50).first_failure()
     assert failure is not None and failure.witness.startswith("term ")
     failure = check_substitution_lemma_exhaustive(cfg, identity).first_failure()
     assert failure is not None and failure.witness
+
+
+def test_a_closed_denotation_substituted_by_no_entries_lands_in_the_target():
+    """The empty environment into ``[b]``: the result is over ``[b]``, not the
+    empty context, and its table is the closed denotation's one value at
+    every point."""
+    m, nb = model(OptionMonad(), {"b": 2}), 4
+    closed = Denotation(second(B), Context(()), m, nb, lambda p: ("some", "b1"))
+    target = Context((B,))
+    got = subst_denotation(closed, [], target)
+    assert got.ctx == target and got.sort == closed.sort
+    assert got.table() == (("some", "b1"),) * 2
 
 
 def _subterms(t):
